@@ -53,6 +53,35 @@ class UsageError(Exception):
     pass
 
 
+# Accepted values of each numeric option: (types, lowest, highest or None).
+_RANGES = {
+    "count": (int, 0, None),
+    "sessions": (int, 1, None),
+    "drop_d_rate": ((int, float), 0, 1),
+}
+
+
+def _check_range(name: str, value) -> None:
+    kinds, low, high = _RANGES[name]
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (low <= value and (high is None or value <= high))):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise UsageError(f"--{name.replace('_', '-')} must be {bound}, not {value!r}")
+
+
+def _ranged(parse, name: str):
+    """argparse type: parse the text, then check it against ``_RANGES``."""
+    def checked(text: str):
+        value = parse(text)
+        try:
+            _check_range(name, value)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return checked
+
+
 def _tags_path(opts: dict) -> str:
     return opts.get("tags") or f"{opts['store']}.tags"
 
@@ -87,9 +116,19 @@ def _save_world(opts: dict, store: Store, tags: dict) -> None:
     save_tags(tags, _tags_path(opts))
 
 
-def _read_jsonl(path: str) -> list[dict]:
+def _read_jsonl(path: str, parse) -> list:
+    """``parse`` applied to every non-blank line; a bad line is a ValueError."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {number}: malformed "
+                                 f"({type(exc).__name__}: {exc})") from None
+    return records
 
 
 def _jsonl_line(obj: dict) -> str:
@@ -120,10 +159,10 @@ def _forcing_from_session_opts(opts: dict) -> Forcing:
     forcing = Forcing(drop_d=bool(opts.get("drop_d")))
     replay_file = opts.get("replay")
     if replay_file:
-        lines = _read_jsonl(replay_file)
-        if not lines:
+        captured_all = _read_jsonl(replay_file, transcript_from_dict)
+        if not captured_all:
             raise UsageError(f"replay file {replay_file} holds no transcripts")
-        captured = transcript_from_dict(lines[-1])
+        captured = captured_all[-1]
         if opts.get("replay_mode", "abc") == "d":
             if captured.d is None:
                 raise UsageError(f"replay file {replay_file}: last transcript has no D")
@@ -239,10 +278,10 @@ def _verdict_to_dict(kind: str, record: dict) -> dict:
 
 def cmd_attack(opts: dict) -> int:
     kind = opts["kind"]
-    transcripts = [transcript_from_dict(d) for d in _read_jsonl(opts["input"])]
+    transcripts = _read_jsonl(opts["input"], transcript_from_dict)
     truths = None
     if opts.get("ground_truth"):
-        truths = [ground_truth_from_dict(d) for d in _read_jsonl(opts["ground_truth"])]
+        truths = _read_jsonl(opts["ground_truth"], ground_truth_from_dict)
     records, summary = evaluate_attack(kind, transcripts, truths)
     output = opts.get("output")
     if output:
@@ -273,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("provision", help="create tags and their backend store")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_ranged(int, "count"), required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--store", required=True)
@@ -300,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", help="append the transcript (JSONL) here")
 
     p = sub.add_parser("campaign", help="run many sessions against one tag")
-    p.add_argument("--sessions", type=int, required=True)
+    p.add_argument("--sessions", type=_ranged(int, "sessions"), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--tags")
@@ -310,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="nonce forcing")
     p.add_argument("--force-keys", choices=[m.value for m in KeyMode],
                    default="as-stored", dest="force_keys")
-    p.add_argument("--drop-d-rate", type=float, default=0.0, dest="drop_d_rate")
+    p.add_argument("--drop-d-rate", type=_ranged(float, "drop_d_rate"), default=0.0,
+                   dest="drop_d_rate")
 
     p = sub.add_parser("attack", help="evaluate a passive attack over transcripts")
     p.add_argument("kind", choices=["sasi", "gossamer-1", "gossamer-2"])
@@ -367,6 +407,9 @@ def main(argv=None) -> int:
                 parser.print_usage(sys.stderr)
                 return 2
             name, opts = _opts_from_namespace(ns)
+        # again here, for values replayed from a manifest
+        for option in _RANGES.keys() & opts.keys():
+            _check_range(option, opts[option])
         return _RUNNERS[name](opts)
     except UsageError as exc:
         log.error("%s", exc)

@@ -654,18 +654,36 @@ def save_tags(tags: dict[str, SimTag], path: str) -> None:
 
 
 def load_tags(path: str) -> dict[str, SimTag]:
+    """Read a saved tag fleet; a malformed file raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != TAGS_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != TAGS_FORMAT:
         raise ValueError(f"{path}: not a {TAGS_FORMAT} file")
+    if not isinstance(payload.get("tags"), list):
+        raise ValueError(f"{path}: no tags list")
     tags: dict[str, SimTag] = {}
-    for entry in payload["tags"]:
-        protocol = Protocol(entry["variant"])
-        words = [from_hex(entry[f]) for f in ("id", "ids", "k1", "k2",
-                                              "ids_old", "k1_old", "k2_old")]
-        if protocol is Protocol.SASI:
-            state = sasi.SasiTagState(*words, last_announced=entry["last_announced"])
-        else:
-            state = gossamer.GossamerTagState(*words, last_announced=entry["last_announced"])
-        tags[entry["tag_label"]] = SimTag(entry["tag_label"], protocol, state)
+    for number, entry in enumerate(payload["tags"]):
+        try:
+            label, tag = _tag_from_dict(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: tag {number}: malformed "
+                             f"({type(exc).__name__}: {exc})") from None
+        tags[label] = tag
     return tags
+
+
+def _tag_from_dict(entry: dict) -> tuple[str, SimTag]:
+    label = entry["tag_label"]
+    if not isinstance(label, str):
+        raise TypeError("tag_label is not a string")
+    protocol = Protocol(entry["variant"])
+    words = [from_hex(entry[f]) for f in ("id", "ids", "k1", "k2",
+                                          "ids_old", "k1_old", "k2_old")]
+    if protocol is Protocol.SASI:
+        state = sasi.SasiTagState(*words, last_announced=entry["last_announced"])
+    else:
+        state = gossamer.GossamerTagState(*words, last_announced=entry["last_announced"])
+    return label, SimTag(label, protocol, state)

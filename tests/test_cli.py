@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tagauth.cli import main
 
 
@@ -253,3 +255,96 @@ class TestManifest:
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
+
+
+def drop_field(path, key, field, index=0):
+    payload = json.loads(path.read_text())
+    del payload[key][index][field]
+    path.write_text(json.dumps(payload))
+
+
+class TestMalformedInput:
+    """A damaged input file is a usage error (2) naming the file and entry."""
+
+    def test_store_row_missing_field(self, tmp_path, capsys, caplog):
+        store = tmp_path / "db.json"
+        provision(capsys, store, count=2)
+        drop_field(store, "rows", "k1", index=1)
+        code, _ = run_cli(capsys, "session", "run", "--tag", "tag-000",
+                          "--seed", "1", "--store", str(store))
+        assert code == 2
+        assert "db.json: row 1" in caplog.text and "'k1'" in caplog.text
+
+    def test_tags_entry_missing_field(self, tmp_path, capsys, caplog):
+        store = tmp_path / "db.json"
+        provision(capsys, store)
+        drop_field(tmp_path / "db.json.tags", "tags", "k1")
+        code, _ = run_cli(capsys, "session", "run", "--tag", "tag-000",
+                          "--seed", "1", "--store", str(store))
+        assert code == 2
+        assert "db.json.tags: tag 0" in caplog.text
+
+    @pytest.mark.parametrize("which", ["input", "ground-truth", "replay"])
+    def test_jsonl_line_missing_field(self, tmp_path, capsys, caplog, which):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        bad = out if which != "ground-truth" else tmp_path / "t.gt.jsonl"
+        lines = bad.read_text().splitlines()
+        entry = json.loads(lines[1])
+        del entry["session"]
+        lines[1] = json.dumps(entry)
+        bad.write_text("\n".join(lines) + "\n")
+        if which == "replay":
+            argv = ["session", "run", "--tag", "tag-000", "--seed", "2",
+                    "--store", str(store), "--replay", str(out)]
+        else:
+            argv = ["attack", "gossamer-1", "--input", str(out),
+                    "--ground-truth", str(tmp_path / "t.gt.jsonl")]
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"{bad.name}: line 2" in caplog.text
+
+
+class TestNumericOptionRanges:
+    @pytest.mark.parametrize("argv", [
+        ["provision", "--count", "-3", "--variant", "sasi", "--seed", "1"],
+        ["campaign", "--sessions", "-5", "--seed", "1", "--output", "t.jsonl"],
+        ["campaign", "--sessions", "0", "--seed", "1", "--output", "t.jsonl"],
+        ["campaign", "--sessions", "2", "--seed", "1", "--output", "t.jsonl",
+         "--drop-d-rate", "7"],
+        ["campaign", "--sessions", "2", "--seed", "1", "--output", "t.jsonl",
+         "--drop-d-rate", "-0.1"],
+    ])
+    def test_out_of_range_on_command_line(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--store", str(tmp_path / "db.json")])
+        assert exc.value.code == 2
+
+    def test_rate_bounds_are_inclusive(self, tmp_path, capsys):
+        store = tmp_path / "db.json"
+        provision(capsys, store)
+        for rate in ("0", "1"):
+            code, summary = run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                                    "--store", str(store), "--drop-d-rate", rate,
+                                    "--output", str(tmp_path / "t.jsonl"))
+            assert code == 0 and summary["drop_d_rate"] == float(rate)
+
+    @pytest.mark.parametrize("manifest, option, value", [
+        ("db.manifest.json", "count", -3),
+        ("t.manifest.json", "sessions", -5),
+        ("t.manifest.json", "sessions", "3"),
+        ("t.manifest.json", "drop_d_rate", 7),
+    ])
+    def test_out_of_range_in_manifest(self, tmp_path, capsys, manifest, option, value):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                "--store", str(store), "--output", str(out))
+        path = tmp_path / manifest
+        payload = json.loads(path.read_text())
+        payload["args"][option] = value
+        path.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2

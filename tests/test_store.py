@@ -1,8 +1,11 @@
 """Backend store: lookup by either tuple, commit semantics, persistence."""
 
 import json
+import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagauth.simulator import (
     Forcing,
@@ -15,6 +18,7 @@ from tagauth.simulator import (
     save_tags,
 )
 from tagauth.store import MATCH_NEXT, MATCH_OLD, Store, TagRecordRow
+from tagauth.word96 import to_hex
 
 
 def row(label, ids, ids_old, variant="gossamer"):
@@ -66,6 +70,85 @@ class TestLookup:
         store.add(row("t0", ids=1, ids_old=2))
         with pytest.raises(ValueError):
             store.add(row("t0", ids=3, ids_old=4))
+
+
+def linear_lookup(store, ids, variant):
+    """The documented rule as a plain scan: (hit or None, rows matched)."""
+    next_hits, old_hits = [], []
+    for label in sorted(store.rows):
+        candidate = store.rows[label]
+        if candidate.variant != variant:
+            continue
+        if candidate.ids == ids:
+            next_hits.append(candidate)
+        elif candidate.ids_old == ids:
+            old_hits.append(candidate)
+    matched = len(next_hits) + len(old_hits)
+    if next_hits:
+        return (next_hits[0], MATCH_NEXT), matched
+    if old_hits:
+        return (old_hits[0], MATCH_OLD), matched
+    return None, matched
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+# A tiny IDS space makes cross-label collisions, and rows whose next IDS
+# is another row's old IDS, common.
+_ids = st.integers(min_value=0, max_value=5)
+_adds = st.tuples(st.just("add"), st.sampled_from("abcde"),
+                  st.sampled_from(["sasi", "gossamer"]), _ids,
+                  st.one_of(st.none(), _ids))  # None: a fresh row, ids_old == ids
+_commits = st.tuples(st.just("commit"), st.integers(min_value=0, max_value=9),
+                     st.sampled_from([MATCH_NEXT, MATCH_OLD]), _ids)
+
+
+class TestIndexAgainstLinearScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_adds, _commits), max_size=25))
+    def test_lookup_matches_linear_scan_after_every_step(self, steps):
+        store = Store()
+        records = _Records()
+        logger = logging.getLogger("tagauth.store")
+        logger.addHandler(records)
+        try:
+            for step in steps:
+                if step[0] == "add":
+                    _, label, variant, ids, ids_old = step
+                    if label in store.rows:
+                        continue
+                    store.add(row(label, ids=ids,
+                                  ids_old=ids if ids_old is None else ids_old,
+                                  variant=variant))
+                else:
+                    _, pick, side, staged_ids = step
+                    if not store.rows:
+                        continue
+                    label = sorted(store.rows)[pick % len(store.rows)]
+                    store.commit(label, (staged_ids, 7, 8), side)
+                live = {r.ids for r in store.rows.values()} | \
+                       {r.ids_old for r in store.rows.values()}
+                for ids in sorted(live | {6, 99}):
+                    for variant in ("sasi", "gossamer"):
+                        expected, matched = linear_lookup(store, ids, variant)
+                        records.messages.clear()
+                        found = store.lookup(ids, variant)
+                        if expected is None:
+                            assert found is None
+                        else:
+                            assert found[0] is expected[0] and found[1] == expected[1]
+                        warned = ([f"IDS {to_hex(ids)} matches {matched} rows; "
+                                   "using first by label"] if matched > 1 else [])
+                        assert records.messages == warned
+        finally:
+            logger.removeHandler(records)
 
 
 class TestCommit:
