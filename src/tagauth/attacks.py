@@ -6,10 +6,12 @@ attributes, e.g. simulator.Transcript).  None of them receives tag or
 reader state; scoring a verdict against ground truth is the simulator's
 job, which keeps the passive boundary visible in the imports.
 
-A verdict that does not fire is a valid result, not an error.
+A verdict that does not fire is a valid result, not an error.  ``ATTACKS``
+is the registry of attack kinds by name; it holds only public facts.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .gossamer import Variant, derive_session
 from .word96 import PI, Word96, add, rotr, sub, xor
@@ -112,18 +114,37 @@ def gossamer_attack2(transcript) -> AttackVerdict:
     return AttackVerdict(fired=True, recovered_id=recovered_id, recovered_state=state)
 
 
-def attack_resistance_check(kind: str, first, second=None) -> AttackVerdict:
-    """Re-run an attack, unchanged, against a presumably hardened transcript.
+@dataclass(frozen=True)
+class Attack:
+    """One attack kind as the evaluator runs it.
 
-    Meant for Modified-variant transcripts produced under the forcing the
-    attack needs; the result of interest is how often it still fires or
-    recovers the right secrets.  Residual successes are results to report,
-    not errors.
+    ``run`` takes the first ``arity`` transcripts of a consecutive pair; a
+    one-transcript attack recovers the tag state, and its predicted next
+    IDS is checked against the pair's second transcript.  ``residue_id``
+    marks a recovered_id that is the ID mod 96 (an int 0..95), not a full
+    word.  ``near_miss``, when set, gives a transcript's distance from
+    firing, histogrammed over the trials.
     """
-    if kind == "sasi":
-        return sasi_attack(first, second)
-    if kind == "gossamer-1":
-        return gossamer_attack1(first, second)
-    if kind == "gossamer-2":
-        return gossamer_attack2(first)
-    raise ValueError(f"unknown attack kind: {kind}")
+
+    run: Callable[..., AttackVerdict]
+    arity: int
+    residue_id: bool = False
+    near_miss: Callable[[object], int] | None = None
+
+
+# The lambdas look the attack up in this module at call time, so a wrapper
+# set on the module attribute (perfbench/tracing.py's spans) sees each call.
+ATTACKS = {
+    "sasi": Attack(lambda first, second: sasi_attack(first, second), 2,
+                   residue_id=True, near_miss=sasi_residue_gap),
+    "gossamer-1": Attack(lambda first, second: gossamer_attack1(first, second), 2),
+    "gossamer-2": Attack(lambda transcript: gossamer_attack2(transcript), 1),
+}
+
+
+def attack_kind(kind: str) -> Attack:
+    """The registry entry for ``kind``; an unknown kind is a ValueError."""
+    try:
+        return ATTACKS[kind]
+    except KeyError:
+        raise ValueError(f"unknown attack kind: {kind}") from None

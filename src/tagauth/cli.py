@@ -18,7 +18,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .attacks import AttackVerdict
+from .attacks import ATTACKS, AttackVerdict, attack_kind
 from .simulator import (
     CampaignConfig,
     Forcing,
@@ -27,6 +27,7 @@ from .simulator import (
     NonceStream,
     Outcome,
     Protocol,
+    campaign_summary,
     cost_accounting,
     evaluate_attack,
     ground_truth_from_dict,
@@ -225,30 +226,21 @@ def cmd_campaign(opts: dict) -> int:
         drop_d_rate=opts.get("drop_d_rate", 0.0),
     )
     output = opts["output"]
-    outcomes: dict[str, int] = {}
-    bits_total = 0
-    count = 0
     with open(output, "w", encoding="utf-8") as t_fh, \
             open(_ground_truth_path(output), "w", encoding="utf-8") as g_fh:
-        for transcript, truth in iter_campaign(tag, store, config):
-            t_fh.write(_jsonl_line(transcript_to_dict(transcript)))
-            g_fh.write(_jsonl_line(ground_truth_to_dict(truth)))
-            outcomes[transcript.outcome.value] = outcomes.get(transcript.outcome.value, 0) + 1
-            bits_total += transcript.bit_cost
-            count += 1
+        def streamed():
+            for transcript, truth in iter_campaign(tag, store, config):
+                t_fh.write(_jsonl_line(transcript_to_dict(transcript)))
+                g_fh.write(_jsonl_line(ground_truth_to_dict(truth)))
+                yield transcript
+        summary = campaign_summary(config, streamed())
     _save_world(opts, store, tags)
     _write_manifest("campaign", opts, output)
-    log.info("campaign wrote %d transcripts to %s", count, output)
+    log.info("campaign wrote %d transcripts to %s", config.sessions, output)
     _print_summary({
         "subcommand": "campaign",
         "tag": label,
-        "protocol": tag.protocol.value,
-        "sessions": config.sessions,
-        "seed": config.seed,
-        "forcing": {"nonces": config.nonce_mode.value, "keys": config.key_mode.value},
-        "drop_d_rate": config.drop_d_rate,
-        "outcomes": dict(sorted(outcomes.items())),
-        "bits_total": bits_total,
+        **summary,
         "output": output,
         "ground_truth": str(_ground_truth_path(output)),
     })
@@ -259,7 +251,7 @@ def _verdict_to_dict(kind: str, record: dict) -> dict:
     verdict: AttackVerdict = record["verdict"]
     out: dict = {"session": record["session"], "fired": verdict.fired}
     if verdict.recovered_id is not None:
-        out["recovered_id"] = (verdict.recovered_id if kind == "sasi"
+        out["recovered_id"] = (verdict.recovered_id if attack_kind(kind).residue_id
                                else to_hex(verdict.recovered_id))
     if verdict.recovered_state is not None:
         rs = verdict.recovered_state
@@ -302,7 +294,8 @@ def cmd_bench(opts: dict) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and the subparser of each ``_RUNNERS`` name."""
     parser = argparse.ArgumentParser(
         prog="tagauth",
         description="Ultralightweight RFID mutual-authentication workbench "
@@ -311,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="replay a previous run from its manifest")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("provision", help="create tags and their backend store")
+    commands = {}
+    p = commands["provision"] = sub.add_parser(
+        "provision", help="create tags and their backend store")
     p.add_argument("--count", type=_ranged(int, "count"), required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -320,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("session", help="single-session operations")
     session_sub = p.add_subparsers(dest="session_command")
-    run = session_sub.add_parser("run", help="run one authentication session")
+    run = commands["session-run"] = session_sub.add_parser(
+        "run", help="run one authentication session")
     run.add_argument("--variant", choices=VARIANTS,
                      help="checked against the tag's provisioned protocol")
     run.add_argument("--tag", required=True)
@@ -338,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--session-index", type=int, default=0, dest="session_index")
     run.add_argument("--output", help="append the transcript (JSONL) here")
 
-    p = sub.add_parser("campaign", help="run many sessions against one tag")
+    p = commands["campaign"] = sub.add_parser(
+        "campaign", help="run many sessions against one tag")
     p.add_argument("--sessions", type=_ranged(int, "sessions"), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--store", required=True)
@@ -352,18 +349,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-d-rate", type=_ranged(float, "drop_d_rate"), default=0.0,
                    dest="drop_d_rate")
 
-    p = sub.add_parser("attack", help="evaluate a passive attack over transcripts")
-    p.add_argument("kind", choices=["sasi", "gossamer-1", "gossamer-2"])
+    p = commands["attack"] = sub.add_parser(
+        "attack", help="evaluate a passive attack over transcripts")
+    p.add_argument("kind", choices=list(ATTACKS))
     p.add_argument("--input", required=True, help="transcript JSONL")
     p.add_argument("--ground-truth", dest="ground_truth",
                    help="ground-truth JSONL for scoring")
     p.add_argument("--output", help="write per-trial verdicts (JSONL) here")
 
-    p = sub.add_parser("bench", help="print protocol cost accounting")
+    p = commands["bench"] = sub.add_parser("bench", help="print protocol cost accounting")
     p.add_argument("what", choices=["cost"])
     p.add_argument("--variant", choices=VARIANTS, default="gossamer")
 
-    return parser
+    return parser, commands
 
 
 _RUNNERS = {
@@ -391,17 +389,25 @@ def _opts_from_namespace(ns: argparse.Namespace) -> tuple[str, dict]:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    parser = _build_parser()
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
     try:
         if ns.manifest:
             with open(ns.manifest, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if payload.get("format") != MANIFEST_FORMAT:
+            if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
                 raise UsageError(f"{ns.manifest}: not a {MANIFEST_FORMAT} file")
-            name, opts = payload["subcommand"], payload["args"]
+            name, opts = payload.get("subcommand"), payload.get("args")
             if name not in _RUNNERS:
                 raise UsageError(f"{ns.manifest}: unknown subcommand {name!r}")
+            if not isinstance(opts, dict):
+                raise UsageError(f"{ns.manifest}: args is not an object")
+            # what the command line requires, a manifest must hold too
+            # (argparse keeps a parser's options only in _actions)
+            for action in commands[name]._actions:
+                if action.required and action.dest not in opts:
+                    option = action.option_strings[0] if action.option_strings else action.dest
+                    raise UsageError(f"{ns.manifest}: args lack {option}")
         else:
             if not ns.subcommand:
                 parser.print_usage(sys.stderr)

@@ -45,14 +45,15 @@ peel B, keeps candidates whose n2 lands back on the assumed residue, and
 accepts only if exactly one survivor reproduces the received C (rejecting
 on none or several rather than guessing).
 
-Update timing: the tag commits when it emits D, the reader after verifying
-D.  Both sides keep the tuple they just used as the old tuple, so a lost D
-costs one retry, never synchronization.
+The two-tuple tag state, its announce/retry step, the update timing and
+reader_finish are shared with SASI (``tagstate``).
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
+# reader_finish and tag_announce are re-exported
+from .tagstate import TagState, active_tuple, reader_finish, tag_announce  # noqa: F401
 from .word96 import (
     MASK,
     PI,
@@ -66,31 +67,12 @@ from .word96 import (
     xor,
 )
 
-NEXT = "next"
-OLD = "old"
+GossamerTagState = TagState
 
 
 class Variant(Enum):
     ORIGINAL = "original"
     MODIFIED = "modified"
-
-
-@dataclass
-class GossamerTagState:
-    """Tag-side secrets: immutable id, next and old tuples, announce marker.
-
-    The six rewritable words are exactly the 576 bits the tag keeps in
-    mutable memory; id lives in ROM.
-    """
-
-    id: Word96
-    ids: Word96
-    k1: Word96
-    k2: Word96
-    ids_old: Word96
-    k1_old: Word96
-    k2_old: Word96
-    last_announced: str = NEXT
 
 
 @dataclass
@@ -173,19 +155,6 @@ def derive_session(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     return derive_update(variant, ids, derive_auth(variant, ids, k1, k2, id_, n1, n2))
 
 
-def tag_announce(tag: GossamerTagState, retry: bool = False) -> Word96:
-    """Answer an interrogation: next-tuple IDS first, old-tuple IDS on retry."""
-    tag.last_announced = OLD if retry else NEXT
-    return tag.ids_old if retry else tag.ids
-
-
-def active_tuple(tag: GossamerTagState) -> tuple[Word96, Word96, Word96]:
-    """The (ids, k1, k2) matching the IDS the tag announced."""
-    if tag.last_announced == OLD:
-        return tag.ids_old, tag.k1_old, tag.k2_old
-    return tag.ids, tag.k1, tag.k2
-
-
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                  n1: Word96, n2: Word96,
                  variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
@@ -253,8 +222,3 @@ def tag_respond(tag: GossamerTagState, a: Word96, b: Word96, c: Word96,
     tag.ids_old, tag.k1_old, tag.k2_old = ids, k1, k2
     tag.ids, tag.k1, tag.k2 = vals.ids_next, vals.k1_next, vals.k2_next
     return vals.d
-
-
-def reader_finish(pending: SessionValues, d: Word96) -> bool:
-    """True iff D proves the tag derived this session; the caller commits."""
-    return d == pending.d

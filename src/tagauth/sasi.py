@@ -12,12 +12,8 @@ rotation by y mod 96:
     IDS_next = (IDS + ID) xor (n2 xor K1')
 
 ``session_values`` below is the single definition site for all of these.
-
-The tag keeps two (IDS, K1, K2) tuples, the potential-next one and the one
-used last, so a lost D never strands it: when the backend does not
-recognize the next pseudonym, the tag re-announces the old one.  The tag
-commits its update the moment it emits D; the reader commits only after
-verifying D.
+The two-tuple tag state and its announce/retry and finish steps are
+shared with Gossamer (``tagstate``).
 
 State objects are plain mutable values; a session touches only its own
 tag, so concurrent sessions against distinct tags need no coordination.
@@ -25,24 +21,12 @@ tag, so concurrent sessions against distinct tags need no coordination.
 
 from dataclasses import dataclass
 
+# NEXT, OLD, reader_finish and tag_announce are re-exported
+from .tagstate import (NEXT, OLD, TagState, active_tuple,  # noqa: F401
+                       reader_finish, tag_announce)
 from .word96 import Word96, add, or_, rotl, sub, xor
 
-NEXT = "next"
-OLD = "old"
-
-
-@dataclass
-class SasiTagState:
-    """Tag-side secrets: immutable id plus next and old (ids, k1, k2) tuples."""
-
-    id: Word96
-    ids: Word96
-    k1: Word96
-    k2: Word96
-    ids_old: Word96
-    k1_old: Word96
-    k2_old: Word96
-    last_announced: str = NEXT
+SasiTagState = TagState
 
 
 @dataclass
@@ -77,19 +61,6 @@ def session_values(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
     return SessionValues(n1, n2, k1n, k2n, a, b, c, d, ids_next)
 
 
-def tag_announce(tag: SasiTagState, retry: bool = False) -> Word96:
-    """Answer an interrogation: next-tuple IDS first, old-tuple IDS on retry."""
-    tag.last_announced = OLD if retry else NEXT
-    return tag.ids_old if retry else tag.ids
-
-
-def active_tuple(tag: SasiTagState) -> tuple[Word96, Word96, Word96]:
-    """The (ids, k1, k2) the tag announced for the current session."""
-    if tag.last_announced == OLD:
-        return tag.ids_old, tag.k1_old, tag.k2_old
-    return tag.ids, tag.k1, tag.k2
-
-
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                  n1: Word96, n2: Word96) -> tuple[Word96, Word96, Word96, SessionValues]:
     """Build A||B||C for the matched record and stage the update.
@@ -117,8 +88,3 @@ def tag_respond(tag: SasiTagState, a: Word96, b: Word96, c: Word96) -> Word96 | 
     tag.ids_old, tag.k1_old, tag.k2_old = ids, k1, k2
     tag.ids, tag.k1, tag.k2 = vals.ids_next, vals.k1_next, vals.k2_next
     return vals.d
-
-
-def reader_finish(pending: SessionValues, d: Word96) -> bool:
-    """True iff D proves the tag ran this session; the caller then commits."""
-    return d == pending.d

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from . import attacks, sasi
-from . import gossamer
+from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import MATCH_NEXT, Store, TagRecordRow
+from .tagstate import TagState, reader_finish, tag_announce
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
 HELLO_BITS = 40  # 5-byte hello
@@ -166,26 +166,14 @@ class SimTag:
 
     label: str
     protocol: Protocol
-    state: object  # sasi.SasiTagState | gossamer.GossamerTagState
-
-
-def variant_of(protocol: Protocol) -> Variant:
-    if protocol is Protocol.GOSSAMER:
-        return Variant.ORIGINAL
-    if protocol is Protocol.GOSSAMER_MOD:
-        return Variant.MODIFIED
-    raise ValueError(f"{protocol} has no gossamer variant")
+    state: TagState
 
 
 def make_tag(label: str, protocol: Protocol, id_: Word96, ids: Word96,
              k1: Word96, k2: Word96) -> tuple[SimTag, TagRecordRow]:
     """A freshly provisioned tag and its backend row, both tuples equal."""
-    if protocol is Protocol.SASI:
-        state = sasi.SasiTagState(id_, ids, k1, k2, ids, k1, k2)
-    else:
-        state = gossamer.GossamerTagState(id_, ids, k1, k2, ids, k1, k2)
     row = TagRecordRow(label, protocol.value, id_, ids, k1, k2, ids, k1, k2)
-    return SimTag(label, protocol, state), row
+    return SimTag(label, protocol, TagState(id_, ids, k1, k2, ids, k1, k2)), row
 
 
 def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimTag], Store]:
@@ -202,58 +190,49 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
     return tags, store
 
 
-# -- protocol dispatch -------------------------------------------------------
+# -- protocol table ------------------------------------------------------------
 
-def _announce(tag: SimTag, retry: bool) -> Word96:
-    if tag.protocol is Protocol.SASI:
-        return sasi.tag_announce(tag.state, retry)
-    return gossamer.tag_announce(tag.state, retry)
+@dataclass(frozen=True)
+class _Engine:
+    """How a session drives one protocol.
 
+    ``module`` (sasi or gossamer) supplies reader_begin and tag_respond,
+    looked up on the module at each call so that a wrapper set on the
+    module attribute (perfbench/tracing.py's spans) sees every session.
+    ``extra`` is the trailing argument both take: the Gossamer variant,
+    nothing for SASI.  ``internals`` pairs each GroundTruth field with the
+    session-values attribute that holds it.
+    """
 
-def _begin(protocol: Protocol, ids: Word96, k1: Word96, k2: Word96,
-           id_: Word96, n1: Word96, n2: Word96):
-    if protocol is Protocol.SASI:
-        return sasi.reader_begin(ids, k1, k2, id_, n1, n2)
-    return gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant_of(protocol))
+    module: object
+    extra: tuple
+    internals: tuple[tuple[str, str], ...]
 
+    def begin(self, ids: Word96, k1: Word96, k2: Word96, id_: Word96,
+              n1: Word96, n2: Word96):
+        return self.module.reader_begin(ids, k1, k2, id_, n1, n2, *self.extra)
 
-def _respond(tag: SimTag, a: Word96, b: Word96, c: Word96) -> Word96 | None:
-    if tag.protocol is Protocol.SASI:
-        return sasi.tag_respond(tag.state, a, b, c)
-    return gossamer.tag_respond(tag.state, a, b, c, variant_of(tag.protocol))
-
-
-def _finish(protocol: Protocol, pending, d: Word96) -> bool:
-    if protocol is Protocol.SASI:
-        return sasi.reader_finish(pending, d)
-    return gossamer.reader_finish(pending, d)
-
-
-def _staged(pending) -> tuple[Word96, Word96, Word96]:
-    return pending.ids_next, pending.k1_next, pending.k2_next
+    def respond(self, state: TagState, a: Word96, b: Word96, c: Word96) -> Word96 | None:
+        return self.module.tag_respond(state, a, b, c, *self.extra)
 
 
-def _snapshot_state(state) -> StateSnapshot:
-    return StateSnapshot(state.ids, state.k1, state.k2,
-                         state.ids_old, state.k1_old, state.k2_old)
+_GOSSAMER_INTERNALS = (("n1", "n1"), ("n2", "n2"), ("n3", "n3"), ("n1p", "n1p"),
+                       ("n2p", "n2p"), ("k1_star", "k1s"), ("k2_star", "k2s"))
+_ENGINES = {
+    # SASI's session keys K1'/K2' are its staged keys
+    Protocol.SASI: _Engine(sasi, (), (("n1", "n1"), ("n2", "n2"),
+                                      ("k1_star", "k1_next"), ("k2_star", "k2_next"))),
+    Protocol.GOSSAMER: _Engine(gossamer, (Variant.ORIGINAL,), _GOSSAMER_INTERNALS),
+    Protocol.GOSSAMER_MOD: _Engine(gossamer, (Variant.MODIFIED,), _GOSSAMER_INTERNALS),
+}
 
 
-def _snapshot_row(row: TagRecordRow | None) -> StateSnapshot | None:
-    if row is None:
+def _snapshot(holder) -> StateSnapshot | None:
+    """Both tuples of a tag state or a store row; None for a missing row."""
+    if holder is None:
         return None
-    return StateSnapshot(row.ids, row.k1, row.k2,
-                         row.ids_old, row.k1_old, row.k2_old)
-
-
-def _internals(protocol: Protocol, pending) -> dict:
-    if pending is None:
-        return {}
-    if protocol is Protocol.SASI:
-        return dict(n1=pending.n1, n2=pending.n2,
-                    k1_star=pending.k1_next, k2_star=pending.k2_next)
-    return dict(n1=pending.n1, n2=pending.n2, n3=pending.n3,
-                n1p=pending.n1p, n2p=pending.n2p,
-                k1_star=pending.k1s, k2_star=pending.k2s)
+    return StateSnapshot(holder.ids, holder.k1, holder.k2,
+                         holder.ids_old, holder.k1_old, holder.k2_old)
 
 
 def _bit_cost(challenge_sent: bool, d_sent: bool) -> int:
@@ -297,79 +276,71 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     D, reader on verifying it).  A pseudonym that matches neither tuple in
     the store ends the session with the lookup_failed outcome.
     """
-    protocol = tag.protocol
+    variant = tag.protocol.value
+    engine = _ENGINES[tag.protocol]
+    state = tag.state
     mirror = store.rows.get(tag.label)
-    _force_keys(forcing, rng, tag.state, mirror)
-    tag_pre = _snapshot_state(tag.state)
-    reader_pre = _snapshot_row(mirror)
+    _force_keys(forcing, rng, state, mirror)
+    tag_pre = _snapshot(state)
+    reader_pre = _snapshot(mirror)
 
     def done(transcript: Transcript, pending=None) -> tuple[Transcript, GroundTruth]:
-        truth = GroundTruth(session_index, tag.state.id,
-                            tag_pre, _snapshot_state(tag.state),
-                            reader_pre, _snapshot_row(mirror),
-                            **_internals(protocol, pending))
+        internals = {} if pending is None else {
+            field: getattr(pending, attr) for field, attr in engine.internals}
+        truth = GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
+                            reader_pre, _snapshot(mirror), **internals)
         return transcript, truth
 
     if forcing.replay_abc is not None:
         captured = forcing.replay_abc
-        announced = _announce(tag, retry=False)
+        announced = tag_announce(state)
         if announced != captured.announced_ids:
-            announced = _announce(tag, retry=True)
-        d = _respond(tag, captured.a, captured.b, captured.c)
+            announced = tag_announce(state, retry=True)
+        d = engine.respond(state, captured.a, captured.b, captured.c)
         outcome = Outcome.READER_REJECTED if d is None else Outcome.D_DROPPED
-        return done(Transcript(protocol.value, session_index, announced,
+        return done(Transcript(variant, session_index, announced,
                                captured.a, captured.b, captured.c, d, outcome,
                                _bit_cost(True, d is not None)))
 
     n1, n2 = _draw_nonces(forcing, rng)
-
-    if forcing.replay_d is not None:
-        captured = forcing.replay_d
-        announced = captured.announced_ids
-        hit = store.lookup(announced, protocol.value)
+    replayed = forcing.replay_d
+    if replayed is not None:
+        announced = replayed.announced_ids
+        hit = store.lookup(announced, variant)
+    else:
+        announced = tag_announce(state)
+        hit = store.lookup(announced, variant)
         if hit is None:
-            return done(Transcript(protocol.value, session_index, announced,
-                                   None, None, None, None, Outcome.LOOKUP_FAILED,
-                                   _bit_cost(False, False)))
-        row, side = hit
-        ids, k1, k2 = ((row.ids, row.k1, row.k2) if side == MATCH_NEXT
-                       else (row.ids_old, row.k1_old, row.k2_old))
-        a, b, c, pending = _begin(protocol, ids, k1, k2, row.id, n1, n2)
-        if _finish(protocol, pending, captured.d):
-            store.commit(row.tag_label, _staged(pending), side)
-            outcome = Outcome.MUTUAL_SUCCESS
-        else:
-            outcome = Outcome.TAG_REJECTED
-        return done(Transcript(protocol.value, session_index, announced,
-                               a, b, c, captured.d, outcome, _bit_cost(True, True)),
-                    pending)
-
-    announced = _announce(tag, retry=False)
-    hit = store.lookup(announced, protocol.value)
+            announced = tag_announce(state, retry=True)
+            hit = store.lookup(announced, variant)
     if hit is None:
-        announced = _announce(tag, retry=True)
-        hit = store.lookup(announced, protocol.value)
-    if hit is None:
-        return done(Transcript(protocol.value, session_index, announced,
+        return done(Transcript(variant, session_index, announced,
                                None, None, None, None, Outcome.LOOKUP_FAILED,
                                _bit_cost(False, False)))
 
     row, side = hit
     ids, k1, k2 = ((row.ids, row.k1, row.k2) if side == MATCH_NEXT
                    else (row.ids_old, row.k1_old, row.k2_old))
-    a, b, c, pending = _begin(protocol, ids, k1, k2, row.id, n1, n2)
-    emitted = _respond(tag, a, b, c)
-    if emitted is None:
-        d, outcome = None, Outcome.READER_REJECTED
-    elif forcing.drop_d:
-        d, outcome = None, Outcome.D_DROPPED
-    elif _finish(protocol, pending, emitted):
-        store.commit(row.tag_label, _staged(pending), side)
-        d, outcome = emitted, Outcome.MUTUAL_SUCCESS
+    a, b, c, pending = engine.begin(ids, k1, k2, row.id, n1, n2)
+    outcome = None
+    if replayed is not None:
+        # a captured D answers the reader in place of the genuine tag
+        d = replayed.d
     else:
-        d, outcome = emitted, Outcome.TAG_REJECTED
-    return done(Transcript(protocol.value, session_index, announced,
-                           a, b, c, d, outcome, _bit_cost(True, d is not None)),
+        d = engine.respond(state, a, b, c)
+        if d is None:
+            outcome = Outcome.READER_REJECTED
+        elif forcing.drop_d:
+            d, outcome = None, Outcome.D_DROPPED
+    if outcome is None:
+        if reader_finish(pending, d):
+            store.commit(row.tag_label, (pending.ids_next, pending.k1_next,
+                                         pending.k2_next), side)
+            outcome = Outcome.MUTUAL_SUCCESS
+        else:
+            outcome = Outcome.TAG_REJECTED
+    return done(Transcript(variant, session_index, announced, a, b, c, d, outcome,
+                           _bit_cost(True, replayed is not None or d is not None)),
                 pending)
 
 
@@ -406,17 +377,25 @@ def run_campaign(tag: SimTag, store: Store, config: CampaignConfig) -> CampaignR
     for transcript, truth in iter_campaign(tag, store, config):
         transcripts.append(transcript)
         truths.append(truth)
-    outcomes = Counter(t.outcome.value for t in transcripts)
-    summary = {
+    return CampaignResult(transcripts, truths, campaign_summary(config, transcripts))
+
+
+def campaign_summary(config: CampaignConfig, transcripts) -> dict:
+    """Config, outcome counts and total bits; ``transcripts`` is read once."""
+    outcomes: Counter = Counter()
+    bits_total = 0
+    for transcript in transcripts:
+        outcomes[transcript.outcome.value] += 1
+        bits_total += transcript.bit_cost
+    return {
         "protocol": config.protocol.value,
         "sessions": config.sessions,
         "seed": config.seed,
         "forcing": {"nonces": config.nonce_mode.value, "keys": config.key_mode.value},
         "drop_d_rate": config.drop_d_rate,
         "outcomes": dict(sorted(outcomes.items())),
-        "bits_total": sum(t.bit_cost for t in transcripts),
+        "bits_total": bits_total,
     }
-    return CampaignResult(transcripts, truths, summary)
 
 
 # -- attack evaluation and scoring -------------------------------------------
@@ -436,25 +415,24 @@ def consecutive_success_pairs(transcripts) -> list[tuple]:
     return pairs
 
 
+# RecoveredSecrets fields that GroundTruth records under the same name
+_RECOVERED_INTERNALS = ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
+
+
 def score_verdict(kind: str, verdict: attacks.AttackVerdict, truth: GroundTruth) -> None:
-    """Fill in ground_truth_match for a fired verdict (simulator-side only)."""
+    """Fill in ground_truth_match for a fired verdict (simulator-side only).
+
+    A match needs the recovered ID (mod 96 for a residue attack) and, when
+    a state was recovered, every internal of it and the next IDS it
+    predicts.
+    """
     if not verdict.fired:
         return
-    if kind == "sasi":
-        verdict.ground_truth_match = verdict.recovered_id == truth.id % 96
-    elif kind == "gossamer-1":
-        verdict.ground_truth_match = verdict.recovered_id == truth.id
-    elif kind == "gossamer-2":
-        rs = verdict.recovered_state
-        verdict.ground_truth_match = (
-            verdict.recovered_id == truth.id
-            and rs.n1 == truth.n1 and rs.n2 == truth.n2 and rs.n3 == truth.n3
-            and rs.n1p == truth.n1p and rs.n2p == truth.n2p
-            and rs.k1_star == truth.k1_star and rs.k2_star == truth.k2_star
-            and rs.next_ids == truth.tag_post.ids
-        )
-    else:
-        raise ValueError(f"unknown attack kind: {kind}")
+    expected_id = truth.id % 96 if attacks.attack_kind(kind).residue_id else truth.id
+    rs = verdict.recovered_state
+    verdict.ground_truth_match = verdict.recovered_id == expected_id and (
+        rs is None or (rs.next_ids == truth.tag_post.ids and all(
+            getattr(rs, name) == getattr(truth, name) for name in _RECOVERED_INTERNALS)))
 
 
 def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[dict], dict]:
@@ -465,27 +443,24 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     one-session disclosure also whether its next-pseudonym prediction
     matched the following announcement (a public check).
     """
+    attack = attacks.attack_kind(kind)
     pairs = consecutive_success_pairs(transcripts)
     truth_by_session = {t.session_index: t for t in ground_truths or []}
     records: list[dict] = []
-    gap_histogram: Counter = Counter()
+    near_misses: Counter = Counter()
     confirmed = 0
     scored = 0
-    for first, second in pairs:
+    for pair in pairs:
+        first, second = pair
+        if attack.near_miss is not None:
+            near_misses[attack.near_miss(first)] += 1
+        verdict = attack.run(*pair[:attack.arity])
         prediction_confirmed = None
-        if kind == "sasi":
-            gap_histogram[attacks.sasi_residue_gap(first)] += 1
-            verdict = attacks.sasi_attack(first, second)
-        elif kind == "gossamer-1":
-            verdict = attacks.gossamer_attack1(first, second)
-        elif kind == "gossamer-2":
-            verdict = attacks.gossamer_attack2(first)
+        if attack.arity == 1:
             prediction_confirmed = bool(
                 verdict.fired
                 and verdict.recovered_state.next_ids == second.announced_ids)
             confirmed += prediction_confirmed
-        else:
-            raise ValueError(f"unknown attack kind: {kind}")
         truth = truth_by_session.get(first.session_index)
         if truth is not None:
             scored += 1
@@ -505,10 +480,10 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         "match_rate": matched / scored if scored else None,
         "conditional_match_rate": matched / fired if fired and scored else None,
     }
-    if kind == "sasi":
+    if attack.near_miss is not None:
         summary["near_miss_histogram"] = {
-            str(gap): count for gap, count in sorted(gap_histogram.items())}
-    if kind == "gossamer-2":
+            str(gap): count for gap, count in sorted(near_misses.items())}
+    if attack.arity == 1:
         summary["prediction_confirmed"] = confirmed
     return records, summary
 
@@ -551,6 +526,14 @@ def _unhex_or_none(value: str | None) -> Word96 | None:
     return None if value is None else from_hex(value)
 
 
+def _typed(data: dict, field: str, kind: type):
+    """``data[field]``, which must be exactly a ``kind`` (a bool is no int)."""
+    value = data[field]
+    if type(value) is not kind:
+        raise TypeError(f"{field} is not {kind.__name__}")
+    return value
+
+
 def transcript_to_dict(t: Transcript) -> dict:
     return {
         "variant": t.variant,
@@ -567,15 +550,15 @@ def transcript_to_dict(t: Transcript) -> dict:
 
 def transcript_from_dict(data: dict) -> Transcript:
     return Transcript(
-        variant=data["variant"],
-        session_index=data["session"],
+        variant=_typed(data, "variant", str),
+        session_index=_typed(data, "session", int),
         announced_ids=from_hex(data["ids"]),
         a=_unhex_or_none(data["a"]),
         b=_unhex_or_none(data["b"]),
         c=_unhex_or_none(data["c"]),
         d=_unhex_or_none(data["d"]),
         outcome=Outcome(data["outcome"]),
-        bit_cost=data["bits"],
+        bit_cost=_typed(data, "bits", int),
     )
 
 
@@ -611,7 +594,7 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
     return GroundTruth(
-        session_index=data["session"],
+        session_index=_typed(data, "session", int),
         id=from_hex(data["id"]),
         tag_pre=_snapshot_from_dict(data["tag_pre"]),
         tag_post=_snapshot_from_dict(data["tag_post"]),
@@ -682,8 +665,5 @@ def _tag_from_dict(entry: dict) -> tuple[str, SimTag]:
     protocol = Protocol(entry["variant"])
     words = [from_hex(entry[f]) for f in ("id", "ids", "k1", "k2",
                                           "ids_old", "k1_old", "k2_old")]
-    if protocol is Protocol.SASI:
-        state = sasi.SasiTagState(*words, last_announced=entry["last_announced"])
-    else:
-        state = gossamer.GossamerTagState(*words, last_announced=entry["last_announced"])
+    state = TagState(*words, last_announced=entry["last_announced"])
     return label, SimTag(label, protocol, state)

@@ -19,14 +19,12 @@ import logging
 import os
 from dataclasses import asdict, dataclass
 
+from .tagstate import NEXT as MATCH_NEXT, OLD as MATCH_OLD  # the tuple a lookup matched
 from .word96 import Word96, from_hex, to_hex
 
 log = logging.getLogger(__name__)
 
 STORE_FORMAT = "rfid-tagstore/1"
-
-MATCH_NEXT = "next"
-MATCH_OLD = "old"
 
 _WORD_FIELDS = ("id", "ids", "k1", "k2", "ids_old", "k1_old", "k2_old")
 

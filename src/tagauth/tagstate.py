@@ -1,0 +1,51 @@
+"""Tag state shared by SASI and Gossamer: static id, next and old tuples.
+
+The tag keeps two (IDS, K1, K2) tuples, the potential-next one and the one
+used last, so a lost D never strands it: when the backend does not
+recognize the next pseudonym, the tag re-announces the old one.  The tag
+commits its update the moment it emits D; the reader commits only after
+verifying D.
+"""
+
+from dataclasses import dataclass
+
+from .word96 import Word96
+
+NEXT = "next"
+OLD = "old"
+
+
+@dataclass
+class TagState:
+    """Tag-side secrets: immutable id, next and old tuples, announce marker.
+
+    The six rewritable words are exactly the 576 bits the tag keeps in
+    mutable memory; id lives in ROM.
+    """
+
+    id: Word96
+    ids: Word96
+    k1: Word96
+    k2: Word96
+    ids_old: Word96
+    k1_old: Word96
+    k2_old: Word96
+    last_announced: str = NEXT
+
+
+def tag_announce(tag: TagState, retry: bool = False) -> Word96:
+    """Answer an interrogation: next-tuple IDS first, old-tuple IDS on retry."""
+    tag.last_announced = OLD if retry else NEXT
+    return tag.ids_old if retry else tag.ids
+
+
+def active_tuple(tag: TagState) -> tuple[Word96, Word96, Word96]:
+    """The (ids, k1, k2) matching the IDS the tag announced."""
+    if tag.last_announced == OLD:
+        return tag.ids_old, tag.k1_old, tag.k2_old
+    return tag.ids, tag.k1, tag.k2
+
+
+def reader_finish(pending, d: Word96) -> bool:
+    """True iff D proves the tag derived this session; the caller commits."""
+    return d == pending.d

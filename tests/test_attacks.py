@@ -125,14 +125,14 @@ class TestResistance:
         result = forced_campaign(Protocol.GOSSAMER_MOD, 40, 107,
                                  nonce_mode=NonceMode.EXACT_ZERO)
         for first, second in consecutive_success_pairs(result.transcripts):
-            verdict = attacks.attack_resistance_check("gossamer-1", first, second)
+            verdict = attacks.attack_kind("gossamer-1").run(first, second)
             assert not verdict.fired
 
     def test_attack2_fails_on_modified_under_its_forcing(self):
         result = forced_campaign(Protocol.GOSSAMER_MOD, 40, 108,
                                  key_mode=KeyMode.EXACT_ZERO)
         for t in result.transcripts:
-            verdict = attacks.attack_resistance_check("gossamer-2", t)
+            verdict = attacks.attack_kind("gossamer-2").run(t)
             assert not verdict.fired
 
     def test_all_zero_modified_does_not_collapse(self):
@@ -141,15 +141,15 @@ class TestResistance:
                                  key_mode=KeyMode.EXACT_ZERO)
         truth = {g.session_index: g for g in result.ground_truths}
         for first, second in consecutive_success_pairs(result.transcripts):
-            v1 = attacks.attack_resistance_check("gossamer-1", first, second)
+            v1 = attacks.attack_kind("gossamer-1").run(first, second)
             assert not v1.fired or v1.recovered_id != truth[first.session_index].id
-            v2 = attacks.attack_resistance_check("gossamer-2", first)
+            v2 = attacks.attack_kind("gossamer-2").run(first)
             assert not v2.fired or v2.recovered_id != truth[first.session_index].id
 
     def test_unknown_kind_raises(self):
         import pytest
         with pytest.raises(ValueError):
-            attacks.attack_resistance_check("nope", None)
+            attacks.attack_kind("nope")
 
 
 def test_verdicts_never_set_ground_truth_match():

@@ -256,6 +256,50 @@ class TestManifest:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("dropped, named", [
+        (["seed"], "--seed"),
+        (["output"], "--output"),
+        (["sessions", "seed", "store", "output"], "--sessions"),
+    ], ids=["seed", "output", "all"])
+    def test_manifest_missing_required_option(self, tmp_path, capsys, caplog,
+                                              dropped, named):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                "--store", str(store), "--output", str(out))
+        path = tmp_path / "t.manifest.json"
+        payload = json.loads(path.read_text())
+        for option in dropped:
+            del payload["args"][option]
+        path.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert named in caplog.text
+
+    def test_attack_manifest_missing_kind(self, tmp_path, capsys, caplog):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                "--store", str(store), "--output", str(out))
+        run_cli(capsys, "attack", "gossamer-2", "--input", str(out),
+                "--output", str(tmp_path / "v.jsonl"))
+        path = tmp_path / "v.manifest.json"
+        payload = json.loads(path.read_text())
+        del payload["args"]["kind"]
+        path.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert "kind" in caplog.text
+
+    @pytest.mark.parametrize("args", [["--seed", "1"], "seed=1", None])
+    def test_manifest_args_not_an_object(self, tmp_path, capsys, caplog, args):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "rfid-manifest/1",
+                                    "subcommand": "campaign", "args": args}))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert "args is not an object" in caplog.text
+
 
 def drop_field(path, key, field, index=0):
     payload = json.loads(path.read_text())
@@ -305,6 +349,30 @@ class TestMalformedInput:
         code, _ = run_cli(capsys, *argv)
         assert code == 2
         assert f"{bad.name}: line 2" in caplog.text
+
+    @pytest.mark.parametrize("which, field, value", [
+        ("t.jsonl", "session", "x"),
+        ("t.jsonl", "session", True),
+        ("t.jsonl", "bits", 520.0),
+        ("t.jsonl", "variant", 3),
+        ("t.gt.jsonl", "session", "x"),
+        ("t.gt.jsonl", "session", False),
+    ])
+    def test_jsonl_field_of_wrong_type(self, tmp_path, capsys, caplog, which, field, value):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        bad = tmp_path / which
+        lines = bad.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry[field] = value
+        lines[1] = json.dumps(entry)
+        bad.write_text("\n".join(lines) + "\n")
+        code, _ = run_cli(capsys, "attack", "gossamer-1", "--input", str(out),
+                          "--ground-truth", str(tmp_path / "t.gt.jsonl"))
+        assert code == 2
+        assert f"{which}: line 2" in caplog.text and field in caplog.text
 
 
 class TestNumericOptionRanges:
