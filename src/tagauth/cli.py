@@ -16,9 +16,10 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .attacks import ATTACKS, AttackVerdict, attack_kind
+from .attacks import ATTACKS, AttackVerdict, RecoveredSecrets, attack_kind
 from .simulator import (
     CampaignConfig,
     Forcing,
@@ -40,7 +41,7 @@ from .simulator import (
     transcript_from_dict,
     transcript_to_dict,
 )
-from .store import Store
+from .store import Store, WordCodec, load_envelope, parse_entries, save_envelope
 from .word96 import to_hex
 
 log = logging.getLogger("tagauth")
@@ -54,30 +55,16 @@ class UsageError(Exception):
     pass
 
 
-# Accepted values of each numeric option: (types, lowest, highest or None).
-_RANGES = {
-    "count": (int, 0, None),
-    "sessions": (int, 1, None),
-    "drop_d_rate": ((int, float), 0, 1),
-}
+_RECOVERED = WordCodec(field.name for field in fields(RecoveredSecrets))
 
 
-def _check_range(name: str, value) -> None:
-    kinds, low, high = _RANGES[name]
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not (low <= value and (high is None or value <= high))):
-        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
-        raise UsageError(f"--{name.replace('_', '-')} must be {bound}, not {value!r}")
-
-
-def _ranged(parse, name: str):
-    """argparse type: parse the text, then check it against ``_RANGES``."""
+def _ranged(parse, low, high=None):
+    """argparse type: parse the text, then check it lies in [low, high]."""
     def checked(text: str):
         value = parse(text)
-        try:
-            _check_range(name, value)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {value!r}")
         return value
     checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
     return checked
@@ -96,10 +83,7 @@ def _ground_truth_path(output: str) -> Path:
 
 
 def _write_manifest(subcommand: str, opts: dict, output: str) -> None:
-    payload = {"format": MANIFEST_FORMAT, "subcommand": subcommand, "args": opts}
-    with open(_manifest_path(output), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    save_envelope(_manifest_path(output), MANIFEST_FORMAT, subcommand=subcommand, args=opts)
 
 
 def _print_summary(summary: dict) -> None:
@@ -119,17 +103,11 @@ def _save_world(opts: dict, store: Store, tags: dict) -> None:
 
 def _read_jsonl(path: str, parse) -> list:
     """``parse`` applied to every non-blank line; a bad line is a ValueError."""
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {number}: malformed "
-                                 f"({type(exc).__name__}: {exc})") from None
-    return records
+        return parse_entries(path, "line",
+                             ((number, line) for number, line in enumerate(fh, 1)
+                              if line.strip()),
+                             lambda line: parse(json.loads(line)))
 
 
 def _jsonl_line(obj: dict) -> str:
@@ -141,8 +119,7 @@ def _jsonl_line(obj: dict) -> str:
 def cmd_provision(opts: dict) -> int:
     protocol = Protocol(opts["variant"])
     tags, store = provision(opts["count"], protocol, opts["seed"])
-    store.save(opts["store"])
-    save_tags(tags, _tags_path(opts))
+    _save_world(opts, store, tags)
     _write_manifest("provision", opts, opts["store"])
     _print_summary({
         "subcommand": "provision",
@@ -157,14 +134,14 @@ def cmd_provision(opts: dict) -> int:
 
 
 def _forcing_from_session_opts(opts: dict) -> Forcing:
-    forcing = Forcing(drop_d=bool(opts.get("drop_d")))
+    forcing = Forcing(drop_d=opts["drop_d"])
     replay_file = opts.get("replay")
     if replay_file:
         captured_all = _read_jsonl(replay_file, transcript_from_dict)
         if not captured_all:
             raise UsageError(f"replay file {replay_file} holds no transcripts")
         captured = captured_all[-1]
-        if opts.get("replay_mode", "abc") == "d":
+        if opts["replay_mode"] == "d":
             if captured.d is None:
                 raise UsageError(f"replay file {replay_file}: last transcript has no D")
             forcing.replay_d = captured
@@ -187,7 +164,7 @@ def cmd_session(opts: dict) -> int:
     forcing = _forcing_from_session_opts(opts)
     rng = NonceStream(opts["seed"])
     transcript, truth = run_session(tag, store, forcing, rng,
-                                    session_index=opts.get("session_index", 0))
+                                    session_index=opts["session_index"])
     _save_world(opts, store, tags)
     output = opts.get("output")
     if output:
@@ -221,9 +198,9 @@ def cmd_campaign(opts: dict) -> int:
         protocol=tag.protocol,
         sessions=opts["sessions"],
         seed=opts["seed"],
-        nonce_mode=NonceMode(opts.get("forcing", "random")),
-        key_mode=KeyMode(opts.get("force_keys", "as-stored")),
-        drop_d_rate=opts.get("drop_d_rate", 0.0),
+        nonce_mode=NonceMode(opts["forcing"]),
+        key_mode=KeyMode(opts["force_keys"]),
+        drop_d_rate=opts["drop_d_rate"],
     )
     output = opts["output"]
     with open(output, "w", encoding="utf-8") as t_fh, \
@@ -254,13 +231,7 @@ def _verdict_to_dict(kind: str, record: dict) -> dict:
         out["recovered_id"] = (verdict.recovered_id if attack_kind(kind).residue_id
                                else to_hex(verdict.recovered_id))
     if verdict.recovered_state is not None:
-        rs = verdict.recovered_state
-        out["recovered_state"] = {
-            "k1_star": to_hex(rs.k1_star), "k2_star": to_hex(rs.k2_star),
-            "n1": to_hex(rs.n1), "n2": to_hex(rs.n2), "n3": to_hex(rs.n3),
-            "n1p": to_hex(rs.n1p), "n2p": to_hex(rs.n2p),
-            "next_ids": to_hex(rs.next_ids),
-        }
+        out["recovered_state"] = _RECOVERED.encode(vars(verdict.recovered_state))
     if record["prediction_confirmed"] is not None:
         out["prediction_confirmed"] = record["prediction_confirmed"]
     if verdict.ground_truth_match is not None:
@@ -286,8 +257,6 @@ def cmd_attack(opts: dict) -> int:
 
 
 def cmd_bench(opts: dict) -> int:
-    if opts.get("what", "cost") != "cost":
-        raise UsageError(f"unknown bench target {opts.get('what')!r}")
     _print_summary(cost_accounting(opts["variant"]))
     return 0
 
@@ -307,7 +276,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     commands = {}
     p = commands["provision"] = sub.add_parser(
         "provision", help="create tags and their backend store")
-    p.add_argument("--count", type=_ranged(int, "count"), required=True)
+    p.add_argument("--count", type=_ranged(int, 0), required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--store", required=True)
@@ -336,7 +305,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = commands["campaign"] = sub.add_parser(
         "campaign", help="run many sessions against one tag")
-    p.add_argument("--sessions", type=_ranged(int, "sessions"), required=True)
+    p.add_argument("--sessions", type=_ranged(int, 1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--tags")
@@ -346,7 +315,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="nonce forcing")
     p.add_argument("--force-keys", choices=[m.value for m in KeyMode],
                    default="as-stored", dest="force_keys")
-    p.add_argument("--drop-d-rate", type=_ranged(float, "drop_d_rate"), default=0.0,
+    p.add_argument("--drop-d-rate", type=_ranged(float, 0, 1), default=0.0,
                    dest="drop_d_rate")
 
     p = commands["attack"] = sub.add_parser(
@@ -381,8 +350,44 @@ def _opts_from_namespace(ns: argparse.Namespace) -> tuple[str, dict]:
         if getattr(ns, "session_command", None) != "run":
             raise UsageError("usage: tagauth session run ...")
         name = "session-run"
-    if name == "bench":
-        opts["what"] = opts.pop("what", "cost")
+    return name, opts
+
+
+def _opts_from_manifest(path: str, commands: dict) -> tuple[str, dict]:
+    """The subcommand and options a manifest replays, checked as argparse checks
+    the command line (type and choices); an absent option takes its default."""
+    payload = load_envelope(path, MANIFEST_FORMAT)
+    name, args = payload.get("subcommand"), payload.get("args")
+    if name not in _RUNNERS:
+        raise UsageError(f"{path}: unknown subcommand {name!r}")
+    if not isinstance(args, dict):
+        raise UsageError(f"{path}: args is not an object")
+    # argparse keeps a parser's options only in _actions
+    actions = [a for a in commands[name]._actions if a.default != argparse.SUPPRESS]
+    for unknown in args.keys() - {action.dest for action in actions}:
+        raise UsageError(f"{path}: unknown option {unknown!r} in args")
+    opts = dict(args)
+    for action in actions:
+        option = action.option_strings[0] if action.option_strings else action.dest
+        if action.dest not in opts:
+            if action.required:
+                raise UsageError(f"{path}: args lack {option}")
+            if action.default is not None:
+                opts[action.dest] = action.default
+            continue
+        value = opts[action.dest]
+        if action.nargs == 0:  # a flag: its value is its const or its default
+            valid = value is action.const or value is action.default
+        else:
+            try:
+                parsed = (action.type or str)(str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise UsageError(f"{path}: {option}: {exc}") from None
+            valid = parsed == value and (action.choices is None
+                                         or parsed in action.choices)
+            opts[action.dest] = parsed
+        if not valid:
+            raise UsageError(f"{path}: {option}: {value!r} is not a valid value")
     return name, opts
 
 
@@ -393,29 +398,12 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.manifest:
-            with open(ns.manifest, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
-                raise UsageError(f"{ns.manifest}: not a {MANIFEST_FORMAT} file")
-            name, opts = payload.get("subcommand"), payload.get("args")
-            if name not in _RUNNERS:
-                raise UsageError(f"{ns.manifest}: unknown subcommand {name!r}")
-            if not isinstance(opts, dict):
-                raise UsageError(f"{ns.manifest}: args is not an object")
-            # what the command line requires, a manifest must hold too
-            # (argparse keeps a parser's options only in _actions)
-            for action in commands[name]._actions:
-                if action.required and action.dest not in opts:
-                    option = action.option_strings[0] if action.option_strings else action.dest
-                    raise UsageError(f"{ns.manifest}: args lack {option}")
+            name, opts = _opts_from_manifest(ns.manifest, commands)
         else:
             if not ns.subcommand:
                 parser.print_usage(sys.stderr)
                 return 2
             name, opts = _opts_from_namespace(ns)
-        # again here, for values replayed from a manifest
-        for option in _RANGES.keys() & opts.keys():
-            _check_range(option, opts[option])
         return _RUNNERS[name](opts)
     except UsageError as exc:
         log.error("%s", exc)

@@ -15,8 +15,6 @@ which is what consecutive-transcript attacks rely on.  Campaigns against
 distinct tags are independent and may run in separate processes.
 """
 
-import json
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -25,8 +23,9 @@ from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
-from .store import MATCH_NEXT, Store, TagRecordRow
-from .tagstate import TagState, reader_finish, tag_announce
+from .store import (MATCH_NEXT, TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word,
+                    load_records, save_envelope)
+from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
 HELLO_BITS = 40  # 5-byte hello
@@ -515,155 +514,82 @@ def cost_accounting(variant: str = "gossamer") -> dict:
 
 TAGS_FORMAT = "rfid-tagfleet/1"
 
-_SNAPSHOT_FIELDS = ("ids", "k1", "k2", "ids_old", "k1_old", "k2_old")
-
-
-def _hex_or_none(value: Word96 | None) -> str | None:
-    return None if value is None else to_hex(value)
-
-
-def _unhex_or_none(value: str | None) -> Word96 | None:
-    return None if value is None else from_hex(value)
-
-
-def _typed(data: dict, field: str, kind: type):
-    """``data[field]``, which must be exactly a ``kind`` (a bool is no int)."""
-    value = data[field]
-    if type(value) is not kind:
-        raise TypeError(f"{field} is not {kind.__name__}")
-    return value
+_TRANSCRIPT = WordCodec(optional=("a", "b", "c", "d"),
+                        types={"variant": str, "session": int, "bits": int})
+_SNAPSHOT = WordCodec(TUPLE_WORDS, record=StateSnapshot)
+_GROUND_TRUTH = WordCodec(
+    ("id",), ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star"),
+    types={"session": int},
+    nested=dict.fromkeys(("tag_pre", "tag_post", "reader_pre", "reader_post"), _SNAPSHOT))
+_TAG = WordCodec(("id",) + TUPLE_WORDS,
+                 types={"tag_label": str, "variant": str, "last_announced": str})
 
 
 def transcript_to_dict(t: Transcript) -> dict:
-    return {
+    return _TRANSCRIPT.encode({
         "variant": t.variant,
         "session": t.session_index,
         "ids": to_hex(t.announced_ids),
-        "a": _hex_or_none(t.a),
-        "b": _hex_or_none(t.b),
-        "c": _hex_or_none(t.c),
-        "d": _hex_or_none(t.d),
+        "a": t.a,
+        "b": t.b,
+        "c": t.c,
+        "d": t.d,
         "outcome": t.outcome.value,
         "bits": t.bit_cost,
-    }
+    })
 
 
 def transcript_from_dict(data: dict) -> Transcript:
-    return Transcript(
-        variant=_typed(data, "variant", str),
-        session_index=_typed(data, "session", int),
-        announced_ids=from_hex(data["ids"]),
-        a=_unhex_or_none(data["a"]),
-        b=_unhex_or_none(data["b"]),
-        c=_unhex_or_none(data["c"]),
-        d=_unhex_or_none(data["d"]),
-        outcome=Outcome(data["outcome"]),
-        bit_cost=_typed(data, "bits", int),
-    )
-
-
-def _snapshot_to_dict(snapshot: StateSnapshot | None) -> dict | None:
-    if snapshot is None:
-        return None
-    return {field: to_hex(getattr(snapshot, field)) for field in _SNAPSHOT_FIELDS}
-
-
-def _snapshot_from_dict(data: dict | None) -> StateSnapshot | None:
-    if data is None:
-        return None
-    return StateSnapshot(**{field: from_hex(data[field]) for field in _SNAPSHOT_FIELDS})
+    values = _TRANSCRIPT.decode(data)
+    try:
+        announced = from_hex(values["ids"])
+    except (TypeError, ValueError):
+        raise bad_word("ids", values["ids"]) from None
+    return Transcript(values["variant"], values["session"], announced,
+                      values["a"], values["b"], values["c"], values["d"],
+                      Outcome(values["outcome"]), values["bits"])
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
-    return {
+    return _GROUND_TRUTH.encode({
         "session": truth.session_index,
-        "id": to_hex(truth.id),
-        "n1": _hex_or_none(truth.n1),
-        "n2": _hex_or_none(truth.n2),
-        "n3": _hex_or_none(truth.n3),
-        "n1p": _hex_or_none(truth.n1p),
-        "n2p": _hex_or_none(truth.n2p),
-        "k1_star": _hex_or_none(truth.k1_star),
-        "k2_star": _hex_or_none(truth.k2_star),
-        "tag_pre": _snapshot_to_dict(truth.tag_pre),
-        "tag_post": _snapshot_to_dict(truth.tag_post),
-        "reader_pre": _snapshot_to_dict(truth.reader_pre),
-        "reader_post": _snapshot_to_dict(truth.reader_post),
-    }
+        "id": truth.id,
+        "n1": truth.n1,
+        "n2": truth.n2,
+        "n3": truth.n3,
+        "n1p": truth.n1p,
+        "n2p": truth.n2p,
+        "k1_star": truth.k1_star,
+        "k2_star": truth.k2_star,
+        "tag_pre": truth.tag_pre,
+        "tag_post": truth.tag_post,
+        "reader_pre": truth.reader_pre,
+        "reader_post": truth.reader_post,
+    })
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
-    return GroundTruth(
-        session_index=_typed(data, "session", int),
-        id=from_hex(data["id"]),
-        tag_pre=_snapshot_from_dict(data["tag_pre"]),
-        tag_post=_snapshot_from_dict(data["tag_post"]),
-        reader_pre=_snapshot_from_dict(data["reader_pre"]),
-        reader_post=_snapshot_from_dict(data["reader_post"]),
-        n1=_unhex_or_none(data["n1"]),
-        n2=_unhex_or_none(data["n2"]),
-        n3=_unhex_or_none(data["n3"]),
-        n1p=_unhex_or_none(data["n1p"]),
-        n2p=_unhex_or_none(data["n2p"]),
-        k1_star=_unhex_or_none(data["k1_star"]),
-        k2_star=_unhex_or_none(data["k2_star"]),
-    )
+    values = _GROUND_TRUTH.decode(data)
+    return GroundTruth(session_index=values.pop("session"), **values)
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:
     """Persist simulated tag states next to the reader store (atomic)."""
-    entries = []
-    for label in sorted(tags):
-        tag = tags[label]
-        state = tag.state
-        entries.append({
-            "tag_label": label,
-            "variant": tag.protocol.value,
-            "id": to_hex(state.id),
-            "ids": to_hex(state.ids),
-            "k1": to_hex(state.k1),
-            "k2": to_hex(state.k2),
-            "ids_old": to_hex(state.ids_old),
-            "k1_old": to_hex(state.k1_old),
-            "k2_old": to_hex(state.k2_old),
-            "last_announced": state.last_announced,
-        })
-    payload = {"format": TAGS_FORMAT, "tags": entries}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    save_envelope(path, TAGS_FORMAT, tags=[
+        _TAG.encode({"tag_label": label, "variant": tags[label].protocol.value,
+                     **vars(tags[label].state)})
+        for label in sorted(tags)])
 
 
 def load_tags(path: str) -> dict[str, SimTag]:
     """Read a saved tag fleet; a malformed file raises ValueError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("format") != TAGS_FORMAT:
-        raise ValueError(f"{path}: not a {TAGS_FORMAT} file")
-    if not isinstance(payload.get("tags"), list):
-        raise ValueError(f"{path}: no tags list")
-    tags: dict[str, SimTag] = {}
-    for number, entry in enumerate(payload["tags"]):
-        try:
-            label, tag = _tag_from_dict(entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: tag {number}: malformed "
-                             f"({type(exc).__name__}: {exc})") from None
-        tags[label] = tag
-    return tags
+    return dict(load_records(path, TAGS_FORMAT, "tags", "tag", _tag_from_dict))
 
 
 def _tag_from_dict(entry: dict) -> tuple[str, SimTag]:
-    label = entry["tag_label"]
-    if not isinstance(label, str):
-        raise TypeError("tag_label is not a string")
-    protocol = Protocol(entry["variant"])
-    words = [from_hex(entry[f]) for f in ("id", "ids", "k1", "k2",
-                                          "ids_old", "k1_old", "k2_old")]
-    state = TagState(*words, last_announced=entry["last_announced"])
-    return label, SimTag(label, protocol, state)
+    values = _TAG.decode(entry)
+    label = values.pop("tag_label")
+    protocol = Protocol(values.pop("variant"))
+    if values["last_announced"] not in (NEXT, OLD):
+        raise ValueError(f"last_announced is not {NEXT!r} or {OLD!r}")
+    return label, SimTag(label, protocol, TagState(**values))

@@ -7,9 +7,13 @@ tag_label on a cross-tag IDS collision, with a warning.  The indexes are
 kept by ``add`` and ``commit``, the only writers of ``ids``/``ids_old``;
 changing those fields any other way leaves lookup stale.
 
-One JSON file per store, one object per row, every word in canonical
-24-hex form.  JSON was chosen for diffability in tests; writes go through
-a temp file and rename so a crash never leaves a torn store behind.
+It also holds the format of every record tagauth writes or reads:
+``WordCodec`` puts each 96-bit word in canonical 24-hex form and back
+(calling this module's ``to_hex``/``from_hex``, which the benchmark tracer
+wraps), and ``save_envelope``/``load_envelope`` write and read the JSON
+envelope ``{"format": F, ...}``.  JSON was chosen for diffability in tests;
+writes go through a temp file and rename so a crash never leaves a torn
+file behind.
 
 Single writer, any number of readers; the simulator serializes commits.
 """
@@ -17,7 +21,7 @@ Single writer, any number of readers; the simulator serializes commits.
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .tagstate import NEXT as MATCH_NEXT, OLD as MATCH_OLD  # the tuple a lookup matched
 from .word96 import Word96, from_hex, to_hex
@@ -26,7 +30,7 @@ log = logging.getLogger(__name__)
 
 STORE_FORMAT = "rfid-tagstore/1"
 
-_WORD_FIELDS = ("id", "ids", "k1", "k2", "ids_old", "k1_old", "k2_old")
+TUPLE_WORDS = ("ids", "k1", "k2", "ids_old", "k1_old", "k2_old")  # next and old tuples
 
 
 @dataclass
@@ -107,53 +111,118 @@ class Store:
 
     def save(self, path: str) -> None:
         """Write the whole store; atomic via write-then-rename."""
-        payload = {
-            "format": STORE_FORMAT,
-            "rows": [_row_to_dict(self.rows[label]) for label in sorted(self.rows)],
-        }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
+        save_envelope(path, STORE_FORMAT,
+                      rows=[_ROW.encode(vars(self.rows[label])) for label in sorted(self.rows)])
 
     @classmethod
     def load(cls, path: str) -> "Store":
         """Read a saved store; a malformed file raises ValueError naming it."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{path}: not JSON ({exc})") from None
-        if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
-            raise ValueError(f"{path}: not a {STORE_FORMAT} file")
-        if not isinstance(payload.get("rows"), list):
-            raise ValueError(f"{path}: no rows list")
         store = cls()
-        for number, entry in enumerate(payload["rows"]):
-            try:
-                store.add(_row_from_dict(entry))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {number}: malformed "
-                                 f"({type(exc).__name__}: {exc})") from None
+        load_records(path, STORE_FORMAT, "rows", "row",
+                     lambda entry: store.add(TagRecordRow(**_ROW.decode(entry))))
         return store
 
 
-def _row_to_dict(row: TagRecordRow) -> dict:
-    data = asdict(row)
-    for field in _WORD_FIELDS:
-        data[field] = to_hex(data[field])
-    return data
+# -- record codec and file envelope ---------------------------------------------
+
+class WordCodec:
+    """The JSON form of one kind of record.
+
+    ``words`` name the keys holding a 96-bit word, ``optional`` those
+    holding a word or null, ``types`` the keys that must hold exactly a
+    type (a bool is no int), and ``nested`` the keys holding null or an
+    instance of another codec's ``record`` class.  Other keys pass through.
+    """
+
+    def __init__(self, words=(), optional=(), types=None, nested=None, record=None):
+        self.words = tuple(words) + tuple(optional)
+        self.optional = frozenset(optional)
+        self.types = tuple((types or {}).items())
+        self.nested = tuple((nested or {}).items())
+        self.record = record
+
+    def encode(self, values: dict) -> dict:
+        """A copy of ``values`` with every word in canonical hex."""
+        out = dict(values)
+        for key in self.words:
+            value = out[key]
+            if value is not None or key not in self.optional:
+                out[key] = to_hex(value)
+        for key, codec in self.nested:
+            if out[key] is not None:
+                out[key] = codec.encode(vars(out[key]))
+        return out
+
+    def decode(self, data: dict, within: str = "") -> dict:
+        """A copy of ``data`` with every word parsed and every type checked;
+        an error names the bad key (``outer.key`` in a nested record)."""
+        if type(data) is not dict:
+            raise TypeError(f"{within.rstrip('.') or 'entry'} is not an object")
+        out = dict(data)
+        for key in self.words:
+            value = out[key]
+            if value is None and key in self.optional:
+                continue
+            try:
+                out[key] = from_hex(value)
+            except (TypeError, ValueError):
+                raise bad_word(within + key, value) from None
+        for key, kind in self.types:
+            if type(out[key]) is not kind:
+                raise TypeError(f"{within}{key} is not {kind.__name__}")
+        for key, codec in self.nested:
+            if out[key] is not None:
+                out[key] = codec.record(**codec.decode(out[key], f"{within}{key}."))
+        return out
 
 
-def _row_from_dict(data: dict) -> TagRecordRow:
-    kwargs = dict(data)
-    for field in _WORD_FIELDS:
-        kwargs[field] = from_hex(kwargs[field])
-    for field in ("tag_label", "variant"):
-        if not isinstance(kwargs[field], str):
-            raise TypeError(f"{field} is not a string")
-    return TagRecordRow(**kwargs)
+def bad_word(field: str, value) -> ValueError:
+    """The error for a value of ``field`` that is no canonical word."""
+    return ValueError(f"{field}: not a canonical 96-bit hex word: {value!r}")
+
+
+_ROW = WordCodec(("id",) + TUPLE_WORDS, types={"tag_label": str, "variant": str})
+
+
+def save_envelope(path: str, format_name: str, **fields) -> None:
+    """Write ``{"format": format_name, **fields}``; atomic via write-then-rename."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump({"format": format_name, **fields}, fh, indent=2)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def load_envelope(path: str, format_name: str) -> dict:
+    """Read a ``save_envelope`` file; not JSON or another format is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != format_name:
+        raise ValueError(f"{path}: not a {format_name} file")
+    return payload
+
+
+def load_records(path: str, format_name: str, key: str, what: str, parse) -> list:
+    """``parse`` of each entry of the ``key`` list of a ``save_envelope`` file."""
+    entries = load_envelope(path, format_name).get(key)
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: no {key} list")
+    return parse_entries(path, what, enumerate(entries), parse)
+
+
+def parse_entries(path: str, what: str, numbered, parse) -> list:
+    """``parse`` of each (number, entry) pair; a failure names file and entry."""
+    parsed = []
+    for number, entry in numbered:
+        try:
+            parsed.append(parse(entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {what} {number}: malformed "
+                             f"({type(exc).__name__}: {exc})") from None
+    return parsed
 
 
 def _labels(held: str | tuple[str, ...] | None) -> tuple[str, ...]:

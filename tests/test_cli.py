@@ -291,6 +291,58 @@ class TestManifest:
         assert code == 2
         assert "kind" in caplog.text
 
+    def test_bench_manifest_takes_argparse_defaults(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "rfid-manifest/1", "subcommand": "bench",
+                                    "args": {"what": "cost"}}))
+        code, summary = run_cli(capsys, "--manifest", str(path))
+        assert code == 0
+        assert summary == run_cli(capsys, "bench", "cost", "--variant", "gossamer")[1]
+
+    def test_campaign_manifest_without_defaulted_options_replays(self, tmp_path, capsys):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "5", "--seed", "3",
+                "--store", str(store), "--output", str(out))
+        first = out.read_bytes(), (tmp_path / "t.gt.jsonl").read_bytes()
+        path = tmp_path / "t.manifest.json"
+        payload = json.loads(path.read_text())
+        for option in ("forcing", "force_keys", "drop_d_rate"):
+            del payload["args"][option]
+        path.write_text(json.dumps(payload))
+        provision(capsys, store)
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 0
+        assert (out.read_bytes(), (tmp_path / "t.gt.jsonl").read_bytes()) == first
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("seed", "1", "--seed"),
+        ("seed", True, "--seed"),
+        ("seed", 1.0, "--seed"),
+        ("sessions", "2", "--sessions"),
+        ("sessions", True, "--sessions"),
+        ("sessions", 2.5, "--sessions"),
+        ("drop_d_rate", "0.5", "--drop-d-rate"),
+        ("drop_d_rate", True, "--drop-d-rate"),
+        ("drop_d_rate", [0.5], "--drop-d-rate"),
+        ("forcing", "bogus", "--forcing"),
+        ("store", ["db.json"], "--store"),
+        ("bogus", 1, "bogus"),
+    ])
+    def test_manifest_value_of_wrong_type(self, tmp_path, capsys, caplog,
+                                          option, value, named):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                "--store", str(store), "--output", str(out))
+        path = tmp_path / "t.manifest.json"
+        payload = json.loads(path.read_text())
+        payload["args"][option] = value
+        path.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert named in caplog.text
+
     @pytest.mark.parametrize("args", [["--seed", "1"], "seed=1", None])
     def test_manifest_args_not_an_object(self, tmp_path, capsys, caplog, args):
         path = tmp_path / "m.json"
@@ -373,6 +425,75 @@ class TestMalformedInput:
                           "--ground-truth", str(tmp_path / "t.gt.jsonl"))
         assert code == 2
         assert f"{which}: line 2" in caplog.text and field in caplog.text
+
+
+    def test_store_row_with_unknown_key(self, tmp_path, capsys, caplog):
+        store = tmp_path / "db.json"
+        provision(capsys, store)
+        payload = json.loads(store.read_text())
+        payload["rows"][0]["colour"] = "red"
+        store.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "session", "run", "--tag", "tag-000",
+                          "--seed", "1", "--store", str(store))
+        assert code == 2
+        assert "db.json: row 0: malformed" in caplog.text and "colour" in caplog.text
+
+    @pytest.mark.parametrize("value, code", [("old", 0), ("next", 0), ("bogus", 2), (5, 2)])
+    def test_tags_entry_last_announced(self, tmp_path, capsys, caplog, value, code):
+        store = tmp_path / "db.json"
+        provision(capsys, store)
+        tags = tmp_path / "db.json.tags"
+        payload = json.loads(tags.read_text())
+        payload["tags"][0]["last_announced"] = value
+        tags.write_text(json.dumps(payload))
+        assert run_cli(capsys, "session", "run", "--tag", "tag-000",
+                       "--seed", "1", "--store", str(store))[0] == code
+        if code == 2:
+            assert "db.json.tags: tag 0: malformed" in caplog.text
+            assert "last_announced" in caplog.text
+
+    @pytest.mark.parametrize("bad", ["null", "int", "uppercase", "23-digit"])
+    @pytest.mark.parametrize("name, entry, field", [
+        ("db.json", "row 0", "id"),
+        ("db.json.tags", "tag 0", "k1_old"),
+        ("t.jsonl", "line 2", "ids"),
+        ("t.gt.jsonl", "line 2", "id"),
+        ("t.gt.jsonl", "line 2", "tag_post.k2_old"),
+    ])
+    def test_bad_word_names_file_entry_and_field(self, tmp_path, capsys, caplog,
+                                                 name, entry, field, bad):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        path = tmp_path / name
+
+        def damage(record):
+            *outer, key = field.split(".")
+            for part in outer:
+                record = record[part]
+            good = record[key]
+            record[key] = {"null": None, "int": 5, "uppercase": "ABCDEF" + good[6:],
+                           "23-digit": good[1:]}[bad]
+
+        if name.endswith(".jsonl"):
+            lines = path.read_text().splitlines()
+            record = json.loads(lines[1])
+            damage(record)
+            lines[1] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["attack", "gossamer-1", "--input", str(out),
+                    "--ground-truth", str(tmp_path / "t.gt.jsonl")]
+        else:
+            payload = json.loads(path.read_text())
+            damage(payload["rows" if name == "db.json" else "tags"][0])
+            path.write_text(json.dumps(payload))
+            argv = ["session", "run", "--tag", "tag-000", "--seed", "1",
+                    "--store", str(store)]
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert (f"{name}: {entry}: malformed (ValueError: {field}: "
+                "not a canonical 96-bit hex word") in caplog.text
 
 
 class TestNumericOptionRanges:

@@ -19,6 +19,7 @@ from tagauth.simulator import (
     transcript_from_dict,
     transcript_to_dict,
 )
+from tagauth.store import Store
 
 ALL_PROTOCOLS = list(Protocol)
 
@@ -234,6 +235,16 @@ class TestSerialization:
         tag, store = one_tag_world(Protocol.GOSSAMER)
         _, truth = run_session(tag, store, Forcing(), NonceStream(41), 3)
         assert ground_truth_from_dict(ground_truth_to_dict(truth)) == truth
+
+    def test_optional_words_and_snapshots_may_be_null(self):
+        tag, _ = one_tag_world(Protocol.GOSSAMER, seed=21)
+        # an empty store: the lookup fails and there is no reader row
+        transcript, truth = run_session(tag, Store(), Forcing(), NonceStream(1), 0)
+        data, gt = transcript_to_dict(transcript), ground_truth_to_dict(truth)
+        assert [data[key] for key in "abcd"] == [None] * 4
+        assert gt["n1"] is gt["k2_star"] is gt["reader_pre"] is gt["reader_post"] is None
+        assert transcript_from_dict(data) == transcript
+        assert ground_truth_from_dict(gt) == truth
 
     def test_transcript_holds_no_secrets(self):
         # the eavesdropper's view: pseudonym, messages, outcome, size; nothing else

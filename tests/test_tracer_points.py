@@ -7,10 +7,13 @@ per-layer numbers would silently read zero; this test catches that.
 """
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
 
+from tagauth import cli, simulator
 from tagauth.simulator import (
     CampaignConfig,
     KeyMode,
@@ -19,6 +22,7 @@ from tagauth.simulator import (
     provision,
     run_campaign,
 )
+from tagauth.store import Store
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,3 +75,55 @@ def test_tracer_sees_the_attack_registry(tracing):
         tracer.uninstall()
     assert tracer.counts["attack2.calls"] == 3
     assert tracer.counts["attack2.fired"] == 3
+
+
+def _words(value) -> int:
+    """How many canonical hex words a JSON value holds, at any depth."""
+    if isinstance(value, dict):
+        return sum(_words(item) for item in value.values())
+    if isinstance(value, list):
+        return sum(_words(item) for item in value)
+    return isinstance(value, str) and re.fullmatch("[0-9a-f]{24}", value) is not None
+
+
+def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
+    # one hex span per word converted, through every writer and reader of records
+    tags, store = provision(2, Protocol.GOSSAMER, seed=3)
+    result = run_campaign(tags["tag-000"], store,
+                          CampaignConfig(Protocol.GOSSAMER, 6, seed=4,
+                                         key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
+    records, _ = evaluate_attack("gossamer-2", result.transcripts)
+    assert any(r["verdict"].fired for r in records)
+    store_path, tags_path = tmp_path / "db.json", tmp_path / "db.json.tags"
+
+    def traced(call):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            value = call()
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == set()
+        return value, sum(span[0] == "word96.hex" for span in tracer.spans)
+
+    _, calls = traced(lambda: store.save(store_path))
+    assert calls == _words(json.loads(store_path.read_text())) == 14
+    _, calls = traced(lambda: Store.load(store_path))
+    assert calls == 14
+    _, calls = traced(lambda: simulator.save_tags(tags, tags_path))
+    assert calls == _words(json.loads(tags_path.read_text())) == 14
+    _, calls = traced(lambda: simulator.load_tags(tags_path))
+    assert calls == 14
+    for to_dict, from_dict, items in [
+            (simulator.transcript_to_dict, simulator.transcript_from_dict,
+             result.transcripts),
+            (simulator.ground_truth_to_dict, simulator.ground_truth_from_dict,
+             result.ground_truths)]:
+        for item in items:
+            data, calls = traced(lambda: to_dict(item))
+            assert calls == _words(data) > 0
+            _, calls = traced(lambda: from_dict(data))
+            assert calls == _words(data)
+    for record in records:
+        data, calls = traced(lambda: cli._verdict_to_dict("gossamer-2", record))
+        assert calls == _words(data) == (9 if record["verdict"].fired else 0)
