@@ -43,7 +43,13 @@ recovers the pair by a bounded consistency search: for each of the 96
 possible residues of n2 it peels A, uses the resulting n1 candidate to
 peel B, keeps candidates whose n2 lands back on the assumed residue, and
 accepts only if exactly one survivor reproduces the received C (rejecting
-on none or several rather than guessing).
+on none or several rather than guessing).  With r the assumed residue,
+the peel of A is
+
+    n1 = rotr(rotr(A, r) - K1, K2) - (IDS + K1 + PI)
+
+where only r varies across the search; B is peeled the same way with
+K1/K2 swapped and n1 as its outer amount.
 
 The two-tuple tag state, its announce/retry step, the update timing and
 reader_finish are shared with SASI (``tagstate``).
@@ -179,14 +185,31 @@ def _search_nonces(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                    a: Word96, b: Word96, c: Word96) -> SessionValues | None:
     """Modified-variant nonce recovery: 96-residue consistency search.
 
-    At most 96 inversions and, for residue-consistent candidates only, a
-    C recomputation.  Returns the unique candidate that reproduces C, or
-    None when zero or several do.
+    For each residue r of n2 the peel of A and then of B is
+
+        n1 = rotr(rotr(A, r) - K1, K2) - (IDS + K1 + PI)
+        n2 = rotr(rotr(B, n1) - K2, K1) - (IDS + K2 + PI)
+
+    and r survives when n2 = r (mod 96).  Everything but r and n1 is fixed
+    for the call, so the two sums, K1 and K2 mod 96 and the doubled words
+    A*2^96 + A and B*2^96 + B (whose shift right by s < 96, masked, is
+    rotr by s) are taken once, and a residue costs shifts, subtractions
+    and masks with no calls.  Only survivors rebuild C via derive_auth.
+    Returns the unique candidate that reproduces C, or None when zero or
+    several do.
     """
+    c1 = ids + k1 + PI
+    c2 = ids + k2 + PI
+    aa = a << WIDTH | a
+    bb = b << WIDTH | b
+    rk1 = k1 % WIDTH
+    rk2 = k2 % WIDTH
     match: SessionValues | None = None
     for residue in range(WIDTH):
-        n1c = _invert_a(a, ids, k1, k2, residue)
-        n2c = _invert_b(b, ids, k1, k2, n1c)
+        step = ((aa >> residue) - k1) & MASK
+        n1c = (((step << WIDTH | step) >> rk2) - c1) & MASK
+        step = ((bb >> n1c % WIDTH) - k2) & MASK
+        n2c = (((step << WIDTH | step) >> rk1) - c2) & MASK
         if n2c % WIDTH != residue:
             continue
         vals = derive_auth(Variant.MODIFIED, ids, k1, k2, id_, n1c, n2c)

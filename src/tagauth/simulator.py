@@ -24,7 +24,7 @@ from typing import Iterator
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import (MATCH_NEXT, TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word,
-                    load_records, save_envelope)
+                    load_records, parse_entries, save_envelope)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
@@ -582,8 +582,22 @@ def save_tags(tags: dict[str, SimTag], path: str) -> None:
 
 
 def load_tags(path: str) -> dict[str, SimTag]:
-    """Read a saved tag fleet; a malformed file raises ValueError naming it."""
-    return dict(load_records(path, TAGS_FORMAT, "tags", "tag", _tag_from_dict))
+    """Read a saved tag fleet; a malformed file raises ValueError naming it.
+
+    Two entries with one ``tag_label`` are malformed, as in ``Store.add``.
+    """
+    entries = load_records(path, TAGS_FORMAT, "tags", "tag", _tag_from_dict)
+    tags = dict(entries)
+    if len(tags) < len(entries):  # some label repeats: name its second entry
+        seen: set[str] = set()
+
+        def once(entry: tuple[str, SimTag]) -> None:
+            if entry[0] in seen:
+                raise ValueError(f"duplicate tag label: {entry[0]}")
+            seen.add(entry[0])
+
+        parse_entries(path, "tag", enumerate(entries), once)
+    return tags
 
 
 def _tag_from_dict(entry: dict) -> tuple[str, SimTag]:

@@ -80,11 +80,26 @@ def mixbits_modified(x: Word96, y: Word96) -> Word96:
     The round counter enters as a plain small integer, added mod 2**96.
     Unlike the shift-based variant, the all-zero input does not map to
     zero (nor to zero mod 96).
+
+    Evaluated in closed form.  A round is the affine map Z <- 3Z + (i + Y)
+    over the ring of integers mod 2**96, so unrolling R rounds gives
+
+        Z_R = 3^R X + sum_{i<R} 3^(R-1-i) (i + Y)
+            = 3^R X + Y (3^R - 1)/2 + sum_{i<R} i 3^(R-1-i)   (mod 2**96)
+
+    with one multiply-add per input in place of R rounds; reducing once
+    at the end equals reducing every round because reduction mod 2**96
+    respects + and *.  The shift-based variant has no such form: the
+    floor in Z >> 1 does not distribute over the wrapped sum, so its
+    rounds are not affine mod 2**96.
     """
-    z = x
-    for i in range(MIXBITS_ROUNDS):
-        z = (z + i + z + z + y) & MASK
-    return z
+    return (_MIX_X * x + _MIX_Y * y + _MIX_C) & MASK
+
+
+# The three constants of mixbits_modified's closed form for MIXBITS_ROUNDS.
+_MIX_X = 3 ** MIXBITS_ROUNDS
+_MIX_Y = (3 ** MIXBITS_ROUNDS - 1) // 2
+_MIX_C = sum(i * 3 ** (MIXBITS_ROUNDS - 1 - i) for i in range(MIXBITS_ROUNDS))
 
 
 _HEX_DIGITS = frozenset("0123456789abcdef")

@@ -438,6 +438,22 @@ class TestMalformedInput:
         assert code == 2
         assert "db.json: row 0: malformed" in caplog.text and "colour" in caplog.text
 
+    def test_tags_entries_with_one_label(self, tmp_path, capsys, caplog):
+        store = tmp_path / "db.json"
+        provision(capsys, store, count=2)
+        tags = tmp_path / "db.json.tags"
+        payload = json.loads(tags.read_text())
+        assert payload["tags"][1]["tag_label"] == "tag-001"
+        payload["tags"][1]["tag_label"] = "tag-000"
+        tags.write_text(json.dumps(payload))
+        before = tags.read_bytes(), store.read_bytes()
+        code, _ = run_cli(capsys, "session", "run", "--tag", "tag-000",
+                          "--seed", "1", "--store", str(store))
+        assert code == 2
+        assert "db.json.tags: tag 1: malformed" in caplog.text
+        assert "duplicate tag label: tag-000" in caplog.text
+        assert (tags.read_bytes(), store.read_bytes()) == before
+
     @pytest.mark.parametrize("value, code", [("old", 0), ("next", 0), ("bogus", 2), (5, 2)])
     def test_tags_entry_last_announced(self, tmp_path, capsys, caplog, value, code):
         store = tmp_path / "db.json"

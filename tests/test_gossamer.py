@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import words
@@ -168,3 +169,89 @@ def test_modified_search_recovers_true_nonces():
     a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
     d = gossamer.tag_respond(tag, a, b, c, Variant.MODIFIED)
     assert d == pending.d
+
+
+def reference_search(ids, k1, k2, id_, a, b, c):
+    """The 96-residue search written plainly from tests/oracles.py."""
+    mod, bits = oracles.MOD, oracles.BITS
+    found = []
+    for residue in range(bits):
+        n1 = (oracles.rot_left((oracles.rot_left(a, -residue) - k1) % mod, -k2)
+              - ids - k1 - oracles.PI) % mod
+        n2 = (oracles.rot_left((oracles.rot_left(b, -n1) - k2) % mod, -k1)
+              - ids - k2 - oracles.PI) % mod
+        if n2 % bits != residue:
+            continue
+        ref = oracles.gossamer_session("modified", id_, ids, k1, k2, n1, n2)
+        if ref["c"] == c:
+            found.append((n1, n2, ref["c"], ref["d"]))
+    return found[0] if len(found) == 1 else None
+
+
+def search(ids, k1, k2, id_, a, b, c):
+    vals = gossamer._search_nonces(ids, k1, k2, id_, a, b, c)
+    return None if vals is None else (vals.n1, vals.n2, vals.c, vals.d)
+
+
+# zero or a multiple of 96: the search's hoisted rotation amount K mod 96 is 0
+zero_mod_96 = st.one_of(st.just(0), words.map(lambda x: x - x % 96))
+
+
+class TestSearchAgainstReference:
+    @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
+    @settings(max_examples=40, deadline=None)
+    def test_genuine_messages(self, id_, ids, k1, k2, n1, n2):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+
+    @given(id_=words, ids=words, k1=words, k2=words, a=words, b=words, c=words)
+    @settings(max_examples=40, deadline=None)
+    def test_random_messages(self, id_, ids, k1, k2, a, b, c):
+        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+
+    @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words,
+           bit=st.integers(min_value=0, max_value=95))
+    @settings(max_examples=40, deadline=None)
+    def test_genuine_a_b_with_flipped_c(self, id_, ids, k1, k2, n1, n2, bit):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        c ^= 1 << bit
+        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+
+    @given(id_=words, ids=words, k1=zero_mod_96, k2=zero_mod_96, n1=words, n2=words,
+           flip=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_keys_zero_mod_96(self, id_, ids, k1, k2, n1, n2, flip):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        c ^= flip
+        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+
+    def test_genuine_messages_are_found(self):
+        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
+        assert search(IDS, K1, K2, ID, a, b, c) == (N1, N2, pending.c, pending.d)
+
+
+
+def test_several_survivors_reproducing_c_reject(monkeypatch):
+    # every residue survivor made to rebuild the received C: one is accepted, several are not
+    real = gossamer.derive_auth
+    rng = random.Random(7)
+    outcomes = {}
+    while len(outcomes) < 2:
+        id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        survivors = []
+
+        def always_c(*args):
+            vals = real(*args)
+            vals.c = c
+            survivors.append(vals)
+            return vals
+
+        monkeypatch.setattr(gossamer, "derive_auth", always_c)
+        found = gossamer._search_nonces(ids, k1, k2, id_, a, b, c)
+        monkeypatch.setattr(gossamer, "derive_auth", real)
+        outcomes[min(len(survivors), 2)] = (found, survivors)
+    found, (only,) = outcomes[1]
+    assert found is only
+    found, survivors = outcomes[2]
+    assert found is None and len(survivors) >= 2

@@ -127,3 +127,21 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
     for record in records:
         data, calls = traced(lambda: cli._verdict_to_dict("gossamer-2", record))
         assert calls == _words(data) == (9 if record["verdict"].fired else 0)
+
+
+def test_traced_work_counts_of_a_modified_campaign(tracing):
+    # Per-layer benchmark numbers compare only while these counts hold.  20
+    # sessions call MixBits 3 times on the reader, 1 time in the tag's update
+    # and 2 times per search candidate: 60 + 20 + 2 * 43 = 166.
+    tags, store = provision(1, Protocol.GOSSAMER_MOD, seed=3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_campaign(tags["tag-000"], store,
+                     CampaignConfig(Protocol.GOSSAMER_MOD, 20, seed=4))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == set()
+    assert sum(span[0] == "word96.mixbits" for span in tracer.spans) == 166
+    assert tracer.counts["search.candidates"] == 43
+    assert tracer.counts["search.sessions"] == tracer.counts["search.accepted"] == 20

@@ -1,7 +1,9 @@
 """Arithmetic core: identities, frozen oracle values, algebraic properties."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +16,16 @@ MIX_SHIFT_1_0 = 0x00000000000003C514F79948
 MIX_SHIFT_0_1 = 0x00000000000002B1583F0641
 MIX_COUNTER_0_0 = 0x000000000001A553F8878F90
 MIX_COUNTER_1_1 = 0x00000000000B854BCBB4ED51
+
+# where a closed form of the counter MixBits would most likely wrap wrongly
+EDGE_WORDS = (0, 1, w.MASK, w.PI, 1 << 95)
+
+
+def edge_examples(test):
+    """Add every (x, y) pair of EDGE_WORDS as an explicit hypothesis example."""
+    for x, y in product(EDGE_WORDS, repeat=2):
+        test = example(x=x, y=y)(test)
+    return test
 
 
 class TestAddSub:
@@ -109,6 +121,7 @@ class TestMixBits:
     def test_modified_frozen_value(self):
         assert w.mixbits_modified(1, 1) == MIX_COUNTER_1_1
 
+    @edge_examples
     @given(x=words, y=words)
     @settings(max_examples=200)
     def test_both_variants_match_oracle(self, x, y):
