@@ -129,19 +129,25 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
         assert calls == _words(data) == (9 if record["verdict"].fired else 0)
 
 
-def test_traced_work_counts_of_a_modified_campaign(tracing):
+@pytest.mark.parametrize("protocol,spans,candidates", [
+    (Protocol.GOSSAMER, 120, 0),
+    (Protocol.GOSSAMER_MOD, 166, 43),
+], ids=lambda p: getattr(p, "value", p))
+def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, candidates):
     # Per-layer benchmark numbers compare only while these counts hold.  20
-    # sessions call MixBits 3 times on the reader, 1 time in the tag's update
-    # and 2 times per search candidate: 60 + 20 + 2 * 43 = 166.
-    tags, store = provision(1, Protocol.GOSSAMER_MOD, seed=3)
+    # sessions call MixBits 3 times on the reader and 1 time in the tag's
+    # update; the original tag rebuilds its one candidate with 2 more calls
+    # (60 + 20 + 2 * 20 = 120) and the modified tag makes 2 per search
+    # candidate (60 + 20 + 2 * 43 = 166).  Only the modified tag searches.
+    tags, store = provision(1, protocol, seed=3)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        run_campaign(tags["tag-000"], store,
-                     CampaignConfig(Protocol.GOSSAMER_MOD, 20, seed=4))
+        run_campaign(tags["tag-000"], store, CampaignConfig(protocol, 20, seed=4))
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
-    assert sum(span[0] == "word96.mixbits" for span in tracer.spans) == 166
-    assert tracer.counts["search.candidates"] == 43
-    assert tracer.counts["search.sessions"] == tracer.counts["search.accepted"] == 20
+    assert sum(span[0] == "word96.mixbits" for span in tracer.spans) == spans
+    assert tracer.counts["search.candidates"] == candidates
+    if protocol is Protocol.GOSSAMER_MOD:
+        assert tracer.counts["search.sessions"] == tracer.counts["search.accepted"] == 20
