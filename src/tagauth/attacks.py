@@ -13,7 +13,7 @@ is the registry of attack kinds by name; it holds only public facts.
 from dataclasses import dataclass
 from typing import Callable
 
-from .gossamer import Variant, derive_session
+from .gossamer import Variant, derive_update, recover_nonces
 from .word96 import PI, Word96, add, rotr, sub, xor
 
 
@@ -91,24 +91,25 @@ def gossamer_attack1(first, second) -> AttackVerdict:
 def gossamer_attack2(transcript) -> AttackVerdict:
     """Zero-key full disclosure against original Gossamer (one transcript).
 
-    Hypothesizes K1 = K2 = 0, under which A and B unwind to
-    IDS + PI + nonce; replaying the protocol equations from public data
-    then yields every internal value.  The hypothesis is confirmed when
-    the recomputed C equals the transmitted one; on confirmation D is
-    inverted to the static ID and the next pseudonym is predicted.
+    Hypothesizes K1 = K2 = 0, under which the transcript is the original
+    tag's view with known keys: its nonce recovery (with ID = 0, which
+    only D involves) unwinds A and B and replays the protocol equations
+    from public data.  The hypothesis is confirmed when the recomputed C
+    equals the transmitted one; on confirmation D is inverted to the
+    static ID and the next pseudonym is predicted.
     """
     ids = transcript.announced_ids
-    n1 = sub(sub(transcript.a, ids), PI)
-    n2 = sub(sub(transcript.b, ids), PI)
-    vals = derive_session(Variant.ORIGINAL, ids, 0, 0, 0, n1, n2)
-    if vals.c != transcript.c:
+    vals = recover_nonces(Variant.ORIGINAL, ids, 0, 0, 0,
+                          transcript.a, transcript.b, transcript.c)
+    if vals is None:
         return AttackVerdict(fired=False)
+    derive_update(Variant.ORIGINAL, ids, vals)
     step = rotr(sub(transcript.d, vals.n1p), vals.n3)
-    step = rotr(sub(sub(step, vals.k1s), vals.n1p), n2)
-    recovered_id = sub(sub(sub(step, n2), vals.k2s), vals.n1p)
+    step = rotr(sub(sub(step, vals.k1s), vals.n1p), vals.n2)
+    recovered_id = sub(sub(sub(step, vals.n2), vals.k2s), vals.n1p)
     state = RecoveredSecrets(
         k1_star=vals.k1s, k2_star=vals.k2s,
-        n1=n1, n2=n2, n3=vals.n3, n1p=vals.n1p, n2p=vals.n2p,
+        n1=vals.n1, n2=vals.n2, n3=vals.n3, n1p=vals.n1p, n2p=vals.n2p,
         next_ids=vals.ids_next,
     )
     return AttackVerdict(fired=True, recovered_id=recovered_id, recovered_state=state)

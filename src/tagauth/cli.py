@@ -91,8 +91,20 @@ def _print_summary(summary: dict) -> None:
 
 
 def _load_world(opts: dict):
+    """The store and its tags; a store row whose ``variant`` is no protocol,
+    or not its tag's, is a ValueError naming the store file and row."""
     store = Store.load(opts["store"])
     tags = load_tags(_tags_path(opts))
+
+    def check(row) -> None:
+        if row.variant not in VARIANTS:
+            raise ValueError(f"variant: {row.variant!r} is not one of {', '.join(VARIANTS)}")
+        tag = tags.get(row.tag_label)
+        if tag is not None and tag.protocol.value != row.variant:
+            raise ValueError(f"variant: {row.variant!r}, but tag {row.tag_label!r} "
+                             f"is {tag.protocol.value}")
+
+    parse_entries(opts["store"], "row", enumerate(store.rows.values()), check)
     return store, tags
 
 

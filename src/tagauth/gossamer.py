@@ -38,18 +38,18 @@ nonce-only sites and nonces into A/B, so no single all-nonce or all-key
 forcing flattens a transcript.
 
 A consequence of rotating A by an n2-derived amount and B by an n1-derived
-one is that the Modified tag cannot invert either message directly.  It
-recovers the pair by a bounded consistency search: for each of the 96
-possible residues of n2 it peels A, uses the resulting n1 candidate to
-peel B, keeps candidates whose n2 lands back on the assumed residue, and
-accepts only if exactly one survivor reproduces the received C (rejecting
-on none or several rather than guessing).  With r the assumed residue,
-the peel of A is
+one is that the Modified tag cannot invert either message directly.  Both
+tags undo A and B with one peel (``recover_nonces``):
 
-    n1 = rotr(rotr(A, r) - K1, K2) - (IDS + K1 + PI)
+    n1 = rotr(rotr(A, r_a) - K1, K2) - (IDS + K1 + PI)
+    n2 = rotr(rotr(B, r_b) - K2, K1) - (IDS + K2 + PI)
 
-where only r varies across the search; B is peeled the same way with
-K1/K2 swapped and n1 as its outer amount.
+The Original tag knows r_a = K1 and r_b = K2 and peels once.  The Modified
+tag runs a bounded consistency search: for each of the 96 possible
+residues r of n2 it peels A with r_a = r, peels B with r_b = n1, and keeps
+candidates whose n2 lands back on r.  Either tag accepts only if exactly
+one survivor reproduces the received C (rejecting on none or several
+rather than guessing).
 
 The two-tuple tag state, its announce/retry step, the update timing and
 reader_finish are shared with SASI (``tagstate``).
@@ -60,18 +60,7 @@ from enum import Enum
 
 # reader_finish and tag_announce are re-exported
 from .tagstate import TagState, active_tuple, reader_finish, tag_announce  # noqa: F401
-from .word96 import (
-    MASK,
-    PI,
-    WIDTH,
-    Word96,
-    mixbits_modified,
-    mixbits_original,
-    rotl,
-    rotr,
-    sub,
-    xor,
-)
+from .word96 import MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original, rotl
 
 GossamerTagState = TagState
 
@@ -106,51 +95,37 @@ class SessionValues:
     k2_next: Word96 | None = None
 
 
-def _mix(variant: Variant):
-    return mixbits_original if variant is Variant.ORIGINAL else mixbits_modified
-
-
-def _sum(*terms: Word96) -> Word96:
-    return sum(terms) & MASK
-
-
 def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
                 id_: Word96, n1: Word96, n2: Word96) -> SessionValues:
     """Evaluate the session equations through D (no update values yet)."""
     original = variant is Variant.ORIGINAL
-    mix = _mix(variant)
+    mix = mixbits_original if original else mixbits_modified
     n3 = mix(n1, n2)
     n1p = mix(n3, n2)
-
-    if original:
-        r_a, r_b, r_k1s, r_k2s = k1, k2, n1, n2
-    else:
-        r_a, r_b, r_k1s, r_k2s = n2, n1, k1, k2
-    a = rotl(_sum(rotl(_sum(ids, k1, PI, n1), k2), k1), r_a)
-    b = rotl(_sum(rotl(_sum(ids, k2, PI, n2), k1), k2), r_b)
-    k1s = xor(rotl(_sum(rotl(_sum(n2, k1, PI, n3), n2), xor(k2, n3)), r_k1s), n3)
-    k2s = _sum(rotl(_sum(rotl(_sum(n1, k2, PI, n3), n1), k1, n3), r_k2s), n3)
-
-    r_c = n2 if original else k2s
-    r_d = n3 if original else k1s
-    c = xor(rotl(_sum(rotl(_sum(n3, k1s, PI, n1p), n3), xor(k2s, n1p)), r_c), n1p)
-    d = _sum(rotl(_sum(rotl(_sum(n2, k2s, id_, n1p), n2), k1s, n1p), r_d), n1p)
+    a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK, k1 if original else n2)
+    b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK, k2 if original else n1)
+    k1s = rotl((rotl((n2 + k1 + PI + n3) & MASK, n2) + (k2 ^ n3)) & MASK,
+               n1 if original else k1) ^ n3
+    k2s = (rotl((rotl((n1 + k2 + PI + n3) & MASK, n1) + k1 + n3) & MASK,
+                n2 if original else k2) + n3) & MASK
+    c = rotl((rotl((n3 + k1s + PI + n1p) & MASK, n3) + (k2s ^ n1p)) & MASK,
+             n2 if original else k2s) ^ n1p
+    d = (rotl((rotl((n2 + k2s + id_ + n1p) & MASK, n2) + k1s + n1p) & MASK,
+              n3 if original else k1s) + n1p) & MASK
     return SessionValues(n1, n2, n3, n1p, k1s, k2s, a, b, c, d)
 
 
 def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
     """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple."""
     original = variant is Variant.ORIGINAL
-    n2p = _mix(variant)(vals.n1p, vals.n3)
-    r_ids = vals.n3 if original else vals.k1s
-    ids_next = xor(rotl(_sum(rotl(_sum(vals.n1p, vals.k1s, ids, n2p), vals.n1p),
-                             xor(vals.k2s, n2p)), r_ids), n2p)
-    r_k1n = vals.n2 if original else vals.k1s
-    k1_next = _sum(rotl(_sum(rotl(_sum(vals.n3, vals.k2s, PI, n2p), vals.n3),
-                             vals.k1s, n2p), r_k1n), n2p)
-    r_k2n = vals.n1p if original else vals.k2s
-    k2_next = _sum(rotl(_sum(rotl(_sum(ids_next, vals.k2s, PI, k1_next), ids_next),
-                             vals.k1s, k1_next), r_k2n), k1_next)
+    n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1s, vals.k2s
+    n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
+    ids_next = rotl((rotl((n1p + k1s + ids + n2p) & MASK, n1p) + (k2s ^ n2p)) & MASK,
+                    n3 if original else k1s) ^ n2p
+    k1_next = (rotl((rotl((n3 + k2s + PI + n2p) & MASK, n3) + k1s + n2p) & MASK,
+                    vals.n2 if original else k1s) + n2p) & MASK
+    k2_next = (rotl((rotl((ids_next + k2s + PI + k1_next) & MASK, ids_next)
+                     + k1s + k1_next) & MASK, n1p if original else k2s) + k1_next) & MASK
     vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, ids_next, k1_next, k2_next
     return vals
 
@@ -169,35 +144,21 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
     return vals.a, vals.b, vals.c, vals
 
 
-def _invert_a(a: Word96, ids: Word96, k1: Word96, k2: Word96, outer: Word96) -> Word96:
-    """Peel A back to n1 given its outer rotation amount."""
-    step = sub(rotr(a, outer), k1)
-    return sub(sub(sub(rotr(step, k2), ids), k1), PI)
+def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
+                   id_: Word96, a: Word96, b: Word96, c: Word96) -> SessionValues | None:
+    """The tag's nonces from A||B||C: the one peel above, for both variants.
 
-
-def _invert_b(b: Word96, ids: Word96, k1: Word96, k2: Word96, outer: Word96) -> Word96:
-    """Peel B back to n2 given its outer rotation amount."""
-    step = sub(rotr(b, outer), k2)
-    return sub(sub(sub(rotr(step, k1), ids), k2), PI)
-
-
-def _search_nonces(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
-                   a: Word96, b: Word96, c: Word96) -> SessionValues | None:
-    """Modified-variant nonce recovery: 96-residue consistency search.
-
-    For each residue r of n2 the peel of A and then of B is
-
-        n1 = rotr(rotr(A, r) - K1, K2) - (IDS + K1 + PI)
-        n2 = rotr(rotr(B, n1) - K2, K1) - (IDS + K2 + PI)
-
-    and r survives when n2 = r (mod 96).  Everything but r and n1 is fixed
-    for the call, so the two sums, K1 and K2 mod 96 and the doubled words
-    A*2^96 + A and B*2^96 + B (whose shift right by s < 96, masked, is
-    rotr by s) are taken once, and a residue costs shifts, subtractions
-    and masks with no calls.  Only survivors rebuild C via derive_auth.
-    Returns the unique candidate that reproduces C, or None when zero or
-    several do.
+    The original tag peels one candidate, with r_a = K1 and r_b = K2.  The
+    modified tag tries each of the 96 residues r of n2 as r_a, with
+    r_b = n1, and keeps r only when n2 = r (mod 96).  Everything but r and
+    n1 is fixed for the call, so IDS + K1 + PI, IDS + K2 + PI, K1 and K2
+    mod 96 and the doubled words A*2^96 + A and B*2^96 + B (whose shift
+    right by s < 96, masked, is rotr by s) are taken once, and a candidate
+    costs shifts, subtractions and masks with no calls.  Only survivors
+    rebuild C via derive_auth.  Returns the unique survivor that
+    reproduces C, or None when zero or several do.
     """
+    original = variant is Variant.ORIGINAL
     c1 = ids + k1 + PI
     c2 = ids + k2 + PI
     aa = a << WIDTH | a
@@ -205,14 +166,14 @@ def _search_nonces(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
     rk1 = k1 % WIDTH
     rk2 = k2 % WIDTH
     match: SessionValues | None = None
-    for residue in range(WIDTH):
-        step = ((aa >> residue) - k1) & MASK
-        n1c = (((step << WIDTH | step) >> rk2) - c1) & MASK
-        step = ((bb >> n1c % WIDTH) - k2) & MASK
-        n2c = (((step << WIDTH | step) >> rk1) - c2) & MASK
-        if n2c % WIDTH != residue:
+    for r in (rk1,) if original else range(WIDTH):
+        step = ((aa >> r) - k1) & MASK
+        n1 = (((step << WIDTH | step) >> rk2) - c1) & MASK
+        step = ((bb >> (rk2 if original else n1 % WIDTH)) - k2) & MASK
+        n2 = (((step << WIDTH | step) >> rk1) - c2) & MASK
+        if not original and n2 % WIDTH != r:
             continue
-        vals = derive_auth(Variant.MODIFIED, ids, k1, k2, id_, n1c, n2c)
+        vals = derive_auth(variant, ids, k1, k2, id_, n1, n2)
         if vals.c == c:
             if match is not None:
                 return None
@@ -224,23 +185,14 @@ def tag_respond(tag: GossamerTagState, a: Word96, b: Word96, c: Word96,
                 variant: Variant) -> Word96 | None:
     """Authenticate the reader from A||B||C; emit D and commit, or reject.
 
-    Original: invert A then B directly (both outer amounts are the tag's
-    own keys).  Modified: consistency search.  Either way the received C
-    must match the locally rebuilt one; on mismatch the state is untouched
-    and None is returned.
+    Both variants recover the nonces with recover_nonces, which accepts
+    only a pair whose locally rebuilt C matches the received one.  On
+    rejection the state is untouched and None is returned.
     """
     ids, k1, k2 = active_tuple(tag)
-    if variant is Variant.ORIGINAL:
-        n1 = _invert_a(a, ids, k1, k2, k1)
-        n2 = _invert_b(b, ids, k1, k2, k2)
-        vals = derive_auth(variant, ids, k1, k2, tag.id, n1, n2)
-        if vals.c != c:
-            return None
-    else:
-        found = _search_nonces(ids, k1, k2, tag.id, a, b, c)
-        if found is None:
-            return None
-        vals = found
+    vals = recover_nonces(variant, ids, k1, k2, tag.id, a, b, c)
+    if vals is None:
+        return None
     derive_update(variant, ids, vals)
     tag.ids_old, tag.k1_old, tag.k2_old = ids, k1, k2
     tag.ids, tag.k1, tag.k2 = vals.ids_next, vals.k1_next, vals.k2_next

@@ -454,6 +454,28 @@ class TestMalformedInput:
         assert "duplicate tag label: tag-000" in caplog.text
         assert (tags.read_bytes(), store.read_bytes()) == before
 
+    @pytest.mark.parametrize("subcommand", ["session-run", "campaign"])
+    @pytest.mark.parametrize("variant, message", [
+        ("bogus", "variant: 'bogus' is not one of sasi, gossamer, gossamer-mod"),
+        ("gossamer-mod", "variant: 'gossamer-mod', but tag 'tag-000' is gossamer"),
+    ], ids=["not-a-protocol", "not-its-tag"])
+    def test_store_row_variant(self, tmp_path, capsys, caplog, subcommand, variant, message):
+        store = tmp_path / "db.json"
+        provision(capsys, store)
+        payload = json.loads(store.read_text())
+        payload["rows"][0]["variant"] = variant
+        store.write_text(json.dumps(payload))
+        tags = tmp_path / "db.json.tags"
+        before = tags.read_bytes(), store.read_bytes()
+        out = tmp_path / "t.jsonl"
+        argv = (["session", "run", "--tag", "tag-000"] if subcommand == "session-run"
+                else ["campaign", "--sessions", "3", "--output", str(out)])
+        code, _ = run_cli(capsys, *argv, "--seed", "1", "--store", str(store))
+        assert code == 2
+        assert f"db.json: row 0: malformed (ValueError: {message})" in caplog.text
+        assert (tags.read_bytes(), store.read_bytes()) == before
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, code", [("old", 0), ("next", 0), ("bogus", 2), (5, 2)])
     def test_tags_entry_last_announced(self, tmp_path, capsys, caplog, value, code):
         store = tmp_path / "db.json"

@@ -171,64 +171,72 @@ def test_modified_search_recovers_true_nonces():
     assert d == pending.d
 
 
-def reference_search(ids, k1, k2, id_, a, b, c):
-    """The 96-residue search written plainly from tests/oracles.py."""
+def reference_search(variant, ids, k1, k2, id_, a, b, c):
+    """The tag's nonce recovery written plainly from tests/oracles.py.
+
+    Original: one peel with outer amounts K1 and K2.  Modified: the 96
+    residues r of n2 as A's outer amount, n1 as B's, and n2 = r (mod 96).
+    """
     mod, bits = oracles.MOD, oracles.BITS
+    original = variant is Variant.ORIGINAL
     found = []
-    for residue in range(bits):
-        n1 = (oracles.rot_left((oracles.rot_left(a, -residue) - k1) % mod, -k2)
+    for r_a in [k1] if original else range(bits):
+        n1 = (oracles.rot_left((oracles.rot_left(a, -r_a) - k1) % mod, -k2)
               - ids - k1 - oracles.PI) % mod
-        n2 = (oracles.rot_left((oracles.rot_left(b, -n1) - k2) % mod, -k1)
+        n2 = (oracles.rot_left((oracles.rot_left(b, -(k2 if original else n1)) - k2) % mod,
+                               -k1)
               - ids - k2 - oracles.PI) % mod
-        if n2 % bits != residue:
+        if not original and n2 % bits != r_a:
             continue
-        ref = oracles.gossamer_session("modified", id_, ids, k1, k2, n1, n2)
+        ref = oracles.gossamer_session(variant.value, id_, ids, k1, k2, n1, n2)
         if ref["c"] == c:
             found.append((n1, n2, ref["c"], ref["d"]))
     return found[0] if len(found) == 1 else None
 
 
-def search(ids, k1, k2, id_, a, b, c):
-    vals = gossamer._search_nonces(ids, k1, k2, id_, a, b, c)
+def search(variant, ids, k1, k2, id_, a, b, c):
+    vals = gossamer.recover_nonces(variant, ids, k1, k2, id_, a, b, c)
     return None if vals is None else (vals.n1, vals.n2, vals.c, vals.d)
 
 
-# zero or a multiple of 96: the search's hoisted rotation amount K mod 96 is 0
+# zero or a multiple of 96: the hoisted rotation amount K mod 96 is 0
 zero_mod_96 = st.one_of(st.just(0), words.map(lambda x: x - x % 96))
 
 
+@pytest.mark.parametrize("variant", list(Variant))
 class TestSearchAgainstReference:
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
     @settings(max_examples=40, deadline=None)
-    def test_genuine_messages(self, id_, ids, k1, k2, n1, n2):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
-        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+    def test_genuine_messages(self, variant, id_, ids, k1, k2, n1, n2):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        args = (variant, ids, k1, k2, id_, a, b, c)
+        assert search(*args) == reference_search(*args)
 
     @given(id_=words, ids=words, k1=words, k2=words, a=words, b=words, c=words)
     @settings(max_examples=40, deadline=None)
-    def test_random_messages(self, id_, ids, k1, k2, a, b, c):
-        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+    def test_random_messages(self, variant, id_, ids, k1, k2, a, b, c):
+        args = (variant, ids, k1, k2, id_, a, b, c)
+        assert search(*args) == reference_search(*args)
 
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words,
            bit=st.integers(min_value=0, max_value=95))
     @settings(max_examples=40, deadline=None)
-    def test_genuine_a_b_with_flipped_c(self, id_, ids, k1, k2, n1, n2, bit):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
-        c ^= 1 << bit
-        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+    def test_genuine_a_b_with_flipped_c(self, variant, id_, ids, k1, k2, n1, n2, bit):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        args = (variant, ids, k1, k2, id_, a, b, c ^ 1 << bit)
+        assert search(*args) == reference_search(*args)
 
     @given(id_=words, ids=words, k1=zero_mod_96, k2=zero_mod_96, n1=words, n2=words,
            flip=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_keys_zero_mod_96(self, id_, ids, k1, k2, n1, n2, flip):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
-        c ^= flip
-        assert search(ids, k1, k2, id_, a, b, c) == reference_search(ids, k1, k2, id_, a, b, c)
+    def test_keys_zero_mod_96(self, variant, id_, ids, k1, k2, n1, n2, flip):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        args = (variant, ids, k1, k2, id_, a, b, c ^ flip)
+        assert search(*args) == reference_search(*args)
 
-    def test_genuine_messages_are_found(self):
-        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
-        assert search(IDS, K1, K2, ID, a, b, c) == (N1, N2, pending.c, pending.d)
-
+    def test_genuine_messages_are_found(self, variant):
+        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+        assert search(variant, IDS, K1, K2, ID, a, b, c) == (N1, N2, pending.c, pending.d)
 
 
 def test_several_survivors_reproducing_c_reject(monkeypatch):
@@ -248,7 +256,7 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
             return vals
 
         monkeypatch.setattr(gossamer, "derive_auth", always_c)
-        found = gossamer._search_nonces(ids, k1, k2, id_, a, b, c)
+        found = gossamer.recover_nonces(Variant.MODIFIED, ids, k1, k2, id_, a, b, c)
         monkeypatch.setattr(gossamer, "derive_auth", real)
         outcomes[min(len(survivors), 2)] = (found, survivors)
     found, (only,) = outcomes[1]

@@ -132,7 +132,7 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
 @pytest.mark.parametrize("protocol,spans,candidates", [
     (Protocol.GOSSAMER, 120, 0),
     (Protocol.GOSSAMER_MOD, 166, 43),
-], ids=lambda p: getattr(p, "value", p))
+], ids=["gossamer", "gossamer-mod"])
 def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, candidates):
     # Per-layer benchmark numbers compare only while these counts hold.  20
     # sessions call MixBits 3 times on the reader and 1 time in the tag's
