@@ -163,6 +163,20 @@ def test_announce_first_then_retry_old():
     assert gossamer.tag_announce(tag, retry=True) == IDS
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_session_on_old_tuple_after_retry(variant):
+    tag = fresh_tag()
+    a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+    assert gossamer.tag_respond(tag, a, b, c, variant) is not None
+    # reader never learned the update; it challenges the old tuple again
+    gossamer.tag_announce(tag, retry=True)
+    a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N2, N1, variant)
+    d = gossamer.tag_respond(tag, a, b, c, variant)
+    assert d is not None and gossamer.reader_finish(pending, d)
+    assert (tag.ids_old, tag.k1_old, tag.k2_old) == (IDS, K1, K2)
+    assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+
+
 def test_modified_search_recovers_true_nonces():
     # tag_respond's D implies its search landed on the generated nonce pair
     tag = fresh_tag()
