@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 # reader_finish and tag_announce are re-exported
-from .tagstate import TagState, active_tuple, reader_finish, tag_announce  # noqa: F401
+from .tagstate import TagState, reader_finish, rotate, tag_announce, tuple_of  # noqa: F401
 from .word96 import MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original, rotl
 
 GossamerTagState = TagState
@@ -189,11 +189,10 @@ def tag_respond(tag: GossamerTagState, a: Word96, b: Word96, c: Word96,
     only a pair whose locally rebuilt C matches the received one.  On
     rejection the state is untouched and None is returned.
     """
-    ids, k1, k2 = active_tuple(tag)
+    ids, k1, k2 = tuple_of(tag, tag.last_announced)
     vals = recover_nonces(variant, ids, k1, k2, tag.id, a, b, c)
     if vals is None:
         return None
     derive_update(variant, ids, vals)
-    tag.ids_old, tag.k1_old, tag.k2_old = ids, k1, k2
-    tag.ids, tag.k1, tag.k2 = vals.ids_next, vals.k1_next, vals.k2_next
+    rotate(tag, tag.last_announced, (vals.ids_next, vals.k1_next, vals.k2_next))
     return vals.d

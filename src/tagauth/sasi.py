@@ -22,8 +22,8 @@ tag, so concurrent sessions against distinct tags need no coordination.
 from dataclasses import dataclass
 
 # NEXT, OLD, reader_finish and tag_announce are re-exported
-from .tagstate import (NEXT, OLD, TagState, active_tuple,  # noqa: F401
-                       reader_finish, tag_announce)
+from .tagstate import (NEXT, OLD, TagState, reader_finish, rotate,  # noqa: F401
+                       tag_announce, tuple_of)
 from .word96 import Word96, add, or_, rotl, sub, xor
 
 SasiTagState = TagState
@@ -79,12 +79,11 @@ def tag_respond(tag: SasiTagState, a: Word96, b: Word96, c: Word96) -> Word96 | 
     the state untouched when the locally rebuilt C disagrees (wrong keys
     or a corrupted message).
     """
-    ids, k1, k2 = active_tuple(tag)
+    ids, k1, k2 = tuple_of(tag, tag.last_announced)
     n1 = xor(xor(a, ids), k1)
     n2 = sub(b, or_(ids, k2))
     vals = session_values(ids, k1, k2, tag.id, n1, n2)
     if vals.c != c:
         return None
-    tag.ids_old, tag.k1_old, tag.k2_old = ids, k1, k2
-    tag.ids, tag.k1, tag.k2 = vals.ids_next, vals.k1_next, vals.k2_next
+    rotate(tag, tag.last_announced, (vals.ids_next, vals.k1_next, vals.k2_next))
     return vals.d

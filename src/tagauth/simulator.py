@@ -23,9 +23,9 @@ from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
-from .store import (MATCH_NEXT, TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word,
-                    load_records, parse_entries, save_envelope)
-from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce
+from .store import (TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word, load_records,
+                    parse_entries, save_envelope)
+from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
 HELLO_BITS = 40  # 5-byte hello
@@ -191,38 +191,21 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 
 # -- protocol table ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Engine:
-    """How a session drives one protocol.
-
-    ``module`` (sasi or gossamer) supplies reader_begin and tag_respond,
-    looked up on the module at each call so that a wrapper set on the
-    module attribute (perfbench/tracing.py's spans) sees every session.
-    ``extra`` is the trailing argument both take: the Gossamer variant,
-    nothing for SASI.  ``internals`` pairs each GroundTruth field with the
-    session-values attribute that holds it.
-    """
-
-    module: object
-    extra: tuple
-    internals: tuple[tuple[str, str], ...]
-
-    def begin(self, ids: Word96, k1: Word96, k2: Word96, id_: Word96,
-              n1: Word96, n2: Word96):
-        return self.module.reader_begin(ids, k1, k2, id_, n1, n2, *self.extra)
-
-    def respond(self, state: TagState, a: Word96, b: Word96, c: Word96) -> Word96 | None:
-        return self.module.tag_respond(state, a, b, c, *self.extra)
-
-
+# Protocol -> (module, extra, internals).  ``module`` (sasi or gossamer)
+# supplies reader_begin and tag_respond; run_session looks them up on the
+# module at each call so that a wrapper set on the module attribute
+# (perfbench/tracing.py's spans) sees every session.  ``extra`` is the
+# trailing argument both take: the Gossamer variant, nothing for SASI.
+# ``internals`` pairs each GroundTruth field with the session-values
+# attribute that holds it.
 _GOSSAMER_INTERNALS = (("n1", "n1"), ("n2", "n2"), ("n3", "n3"), ("n1p", "n1p"),
                        ("n2p", "n2p"), ("k1_star", "k1s"), ("k2_star", "k2s"))
 _ENGINES = {
     # SASI's session keys K1'/K2' are its staged keys
-    Protocol.SASI: _Engine(sasi, (), (("n1", "n1"), ("n2", "n2"),
-                                      ("k1_star", "k1_next"), ("k2_star", "k2_next"))),
-    Protocol.GOSSAMER: _Engine(gossamer, (Variant.ORIGINAL,), _GOSSAMER_INTERNALS),
-    Protocol.GOSSAMER_MOD: _Engine(gossamer, (Variant.MODIFIED,), _GOSSAMER_INTERNALS),
+    Protocol.SASI: (sasi, (), (("n1", "n1"), ("n2", "n2"),
+                               ("k1_star", "k1_next"), ("k2_star", "k2_next"))),
+    Protocol.GOSSAMER: (gossamer, (Variant.ORIGINAL,), _GOSSAMER_INTERNALS),
+    Protocol.GOSSAMER_MOD: (gossamer, (Variant.MODIFIED,), _GOSSAMER_INTERNALS),
 }
 
 
@@ -232,15 +215,6 @@ def _snapshot(holder) -> StateSnapshot | None:
         return None
     return StateSnapshot(holder.ids, holder.k1, holder.k2,
                          holder.ids_old, holder.k1_old, holder.k2_old)
-
-
-def _bit_cost(challenge_sent: bool, d_sent: bool) -> int:
-    bits = HELLO_BITS + WIDTH
-    if challenge_sent:
-        bits += CHALLENGE_BITS
-    if d_sent:
-        bits += WIDTH
-    return bits
 
 
 # -- session and campaign ----------------------------------------------------
@@ -272,75 +246,74 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     """One identification -> challenge -> response -> update exchange.
 
     Honors every forcing hook; commits per protocol rules (tag on emitting
-    D, reader on verifying it).  A pseudonym that matches neither tuple in
-    the store ends the session with the lookup_failed outcome.
+    D, reader on verifying it), each side through ``tagstate.rotate``.  A
+    pseudonym that matches neither tuple in the store ends the session with
+    the lookup_failed outcome.  Every path ends in one Transcript, whose bit
+    cost is hello + IDS, plus A||B||C and D when each crossed the channel,
+    and one GroundTruth.
     """
     variant = tag.protocol.value
-    engine = _ENGINES[tag.protocol]
+    module, extra, internals = _ENGINES[tag.protocol]
     state = tag.state
     mirror = store.rows.get(tag.label)
     _force_keys(forcing, rng, state, mirror)
     tag_pre = _snapshot(state)
     reader_pre = _snapshot(mirror)
-
-    def done(transcript: Transcript, pending=None) -> tuple[Transcript, GroundTruth]:
-        internals = {} if pending is None else {
-            field: getattr(pending, attr) for field, attr in engine.internals}
-        truth = GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
-                            reader_pre, _snapshot(mirror), **internals)
-        return transcript, truth
+    replayed = forcing.replay_d
+    a = b = c = d = pending = hit = None
 
     if forcing.replay_abc is not None:
         captured = forcing.replay_abc
         announced = tag_announce(state)
         if announced != captured.announced_ids:
             announced = tag_announce(state, retry=True)
-        d = engine.respond(state, captured.a, captured.b, captured.c)
+        a, b, c = captured.a, captured.b, captured.c
+        d = module.tag_respond(state, a, b, c, *extra)
         outcome = Outcome.READER_REJECTED if d is None else Outcome.D_DROPPED
-        return done(Transcript(variant, session_index, announced,
-                               captured.a, captured.b, captured.c, d, outcome,
-                               _bit_cost(True, d is not None)))
-
-    n1, n2 = _draw_nonces(forcing, rng)
-    replayed = forcing.replay_d
-    if replayed is not None:
-        announced = replayed.announced_ids
-        hit = store.lookup(announced, variant)
     else:
-        announced = tag_announce(state)
-        hit = store.lookup(announced, variant)
-        if hit is None:
-            announced = tag_announce(state, retry=True)
+        n1, n2 = _draw_nonces(forcing, rng)
+        if replayed is not None:
+            announced = replayed.announced_ids
             hit = store.lookup(announced, variant)
-    if hit is None:
-        return done(Transcript(variant, session_index, announced,
-                               None, None, None, None, Outcome.LOOKUP_FAILED,
-                               _bit_cost(False, False)))
-
-    row, side = hit
-    ids, k1, k2 = ((row.ids, row.k1, row.k2) if side == MATCH_NEXT
-                   else (row.ids_old, row.k1_old, row.k2_old))
-    a, b, c, pending = engine.begin(ids, k1, k2, row.id, n1, n2)
-    outcome = None
-    if replayed is not None:
-        # a captured D answers the reader in place of the genuine tag
-        d = replayed.d
-    else:
-        d = engine.respond(state, a, b, c)
-        if d is None:
-            outcome = Outcome.READER_REJECTED
-        elif forcing.drop_d:
-            d, outcome = None, Outcome.D_DROPPED
-    if outcome is None:
-        if reader_finish(pending, d):
-            store.commit(row.tag_label, (pending.ids_next, pending.k1_next,
-                                         pending.k2_next), side)
-            outcome = Outcome.MUTUAL_SUCCESS
         else:
-            outcome = Outcome.TAG_REJECTED
-    return done(Transcript(variant, session_index, announced, a, b, c, d, outcome,
-                           _bit_cost(True, replayed is not None or d is not None)),
-                pending)
+            announced = tag_announce(state)
+            hit = store.lookup(announced, variant)
+            if hit is None:
+                announced = tag_announce(state, retry=True)
+                hit = store.lookup(announced, variant)
+        outcome = Outcome.LOOKUP_FAILED
+
+    if hit is not None:
+        row, side = hit
+        a, b, c, pending = module.reader_begin(*tuple_of(row, side), row.id, n1, n2, *extra)
+        outcome = None
+        if replayed is not None:
+            # a captured D answers the reader in place of the genuine tag
+            d = replayed.d
+        else:
+            d = module.tag_respond(state, a, b, c, *extra)
+            if d is None:
+                outcome = Outcome.READER_REJECTED
+            elif forcing.drop_d:
+                d, outcome = None, Outcome.D_DROPPED
+        if outcome is None:
+            if reader_finish(pending, d):
+                store.commit(row.tag_label, (pending.ids_next, pending.k1_next,
+                                             pending.k2_next), side)
+                outcome = Outcome.MUTUAL_SUCCESS
+            else:
+                outcome = Outcome.TAG_REJECTED
+
+    bits = HELLO_BITS + WIDTH
+    if a is not None:
+        bits += CHALLENGE_BITS
+    if d is not None:
+        bits += WIDTH
+    found = {} if pending is None else {
+        field: getattr(pending, attr) for field, attr in internals}
+    return (Transcript(variant, session_index, announced, a, b, c, d, outcome, bits),
+            GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
+                        reader_pre, _snapshot(mirror), **found))
 
 
 @dataclass

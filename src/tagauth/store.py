@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 
 from .tagstate import NEXT as MATCH_NEXT, OLD as MATCH_OLD  # the tuple a lookup matched
+from .tagstate import rotate
 from .word96 import Word96, from_hex, to_hex
 
 log = logging.getLogger(__name__)
@@ -97,15 +98,14 @@ class Store:
                used: str = MATCH_NEXT) -> None:
         """Install the staged tuple after tag authentication succeeded.
 
-        The tuple the session actually ran on becomes the old tuple; for
-        the normal next-side session that means next moves to old.
+        ``tagstate.rotate`` applies the rule the tag applies too: the tuple
+        ``used`` names becomes old and ``staged`` becomes next.  The row
+        leaves both indexes first and re-enters them under its new IDS pair.
         """
         row = self.rows[tag_label]
         _unlink(self._next, row.ids, tag_label)
         _unlink(self._old, row.ids_old, tag_label)
-        if used == MATCH_NEXT:
-            row.ids_old, row.k1_old, row.k2_old = row.ids, row.k1, row.k2
-        row.ids, row.k1, row.k2 = staged
+        rotate(row, used, staged)
         _link(self._next, row.ids, tag_label)
         _link(self._old, row.ids_old, tag_label)
 

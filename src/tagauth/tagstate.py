@@ -5,6 +5,12 @@ used last, so a lost D never strands it: when the backend does not
 recognize the next pseudonym, the tag re-announces the old one.  The tag
 commits its update the moment it emits D; the reader commits only after
 verifying D.
+
+Both sides, the tag's ``TagState`` and the reader's ``TagRecordRow`` (which
+share the six tuple field names), follow one rule: a session runs on the
+tuple the announced IDS matched (``tuple_of``), and its commit makes that
+tuple the old one and the staged tuple the next one (``rotate``).  On an
+old-side session the old tuple therefore stays, and the next is replaced.
 """
 
 from dataclasses import dataclass
@@ -39,11 +45,17 @@ def tag_announce(tag: TagState, retry: bool = False) -> Word96:
     return tag.ids_old if retry else tag.ids
 
 
-def active_tuple(tag: TagState) -> tuple[Word96, Word96, Word96]:
-    """The (ids, k1, k2) matching the IDS the tag announced."""
-    if tag.last_announced == OLD:
-        return tag.ids_old, tag.k1_old, tag.k2_old
-    return tag.ids, tag.k1, tag.k2
+def tuple_of(holder, side: str) -> tuple[Word96, Word96, Word96]:
+    """The (ids, k1, k2) that ``side`` (NEXT or OLD) names in ``holder``."""
+    if side == OLD:
+        return holder.ids_old, holder.k1_old, holder.k2_old
+    return holder.ids, holder.k1, holder.k2
+
+
+def rotate(holder, side: str, staged: tuple[Word96, Word96, Word96]) -> None:
+    """Commit a session run on the ``side`` tuple: it becomes old, ``staged`` next."""
+    holder.ids_old, holder.k1_old, holder.k2_old = tuple_of(holder, side)
+    holder.ids, holder.k1, holder.k2 = staged
 
 
 def reader_finish(pending, d: Word96) -> bool:
