@@ -201,7 +201,8 @@ def cmd_campaign(opts: dict) -> int:
     label = opts.get("tag")
     if label is None:
         if len(tags) != 1:
-            raise UsageError("--tag is required when the store holds more than one tag")
+            raise UsageError(f"{_tags_path(opts)} holds {len(tags)} tags; "
+                             + ("--tag must name one" if tags else "a campaign needs one"))
         label = next(iter(tags))
     if label not in tags:
         raise UsageError(f"unknown tag {label!r} in {_tags_path(opts)}")

@@ -245,12 +245,11 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
                 session_index: int = 0) -> tuple[Transcript, GroundTruth]:
     """One identification -> challenge -> response -> update exchange.
 
-    Honors every forcing hook; commits per protocol rules (tag on emitting
-    D, reader on verifying it), each side through ``tagstate.rotate``.  A
-    pseudonym that matches neither tuple in the store ends the session with
-    the lookup_failed outcome.  Every path ends in one Transcript, whose bit
-    cost is hello + IDS, plus A||B||C and D when each crossed the channel,
-    and one GroundTruth.
+    Honors every forcing hook; each side commits through ``tagstate.rotate``
+    (the tag on emitting D, the reader on verifying it).  A pseudonym that
+    matches neither tuple in the store ends in lookup_failed.  Every path
+    falls through to one Transcript, which counts the bits of each message
+    that crossed the channel, and one GroundTruth.
     """
     variant = tag.protocol.value
     module, extra, internals = _ENGINES[tag.protocol]
@@ -513,14 +512,22 @@ def transcript_to_dict(t: Transcript) -> dict:
 
 
 def transcript_from_dict(data: dict) -> Transcript:
+    """A transcript read back; nulls that contradict its outcome are a ValueError."""
     values = _TRANSCRIPT.decode(data)
     try:
         announced = from_hex(values["ids"])
     except (TypeError, ValueError):
         raise bad_word("ids", values["ids"]) from None
+    outcome = Outcome(values["outcome"])
+    nulls = [key for key in ("a", "b", "c") if values[key] is None]
+    if nulls and (len(nulls) < 3 or outcome is not Outcome.LOOKUP_FAILED):
+        raise ValueError(f"{nulls[0]}: null; a, b and c are all words, "
+                         "or all null with outcome lookup_failed")
+    if values["d"] is None and outcome is Outcome.MUTUAL_SUCCESS:
+        raise ValueError(f"d: null, but outcome is {outcome.value}")
     return Transcript(values["variant"], values["session"], announced,
                       values["a"], values["b"], values["c"], values["d"],
-                      Outcome(values["outcome"]), values["bits"])
+                      outcome, values["bits"])
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
@@ -542,7 +549,11 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
+    """Ground truth read back; null reader snapshots (no store row) are valid."""
     values = _GROUND_TRUTH.decode(data)
+    for key in ("tag_pre", "tag_post"):
+        if values[key] is None:
+            raise ValueError(f"{key}: null, but the tag always has a state")
     return GroundTruth(session_index=values.pop("session"), **values)
 
 

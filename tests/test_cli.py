@@ -88,6 +88,24 @@ class TestSessionRun:
         assert code == 1
         assert summary["outcome"] == "reader_rejected"
 
+    def test_tag_without_store_row_is_a_rejection(self, tmp_path, capsys):
+        # the reader not knowing a tag is a protocol rejection, not a usage error
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        payload = json.loads(store.read_text())
+        payload["rows"] = []
+        store.write_text(json.dumps(payload))
+        code, summary = run_cli(capsys, "session", "run", "--tag", "tag-000",
+                                "--seed", "1", "--store", str(store))
+        assert code == 1 and summary["outcome"] == "lookup_failed"
+        code, summary = run_cli(capsys, "campaign", "--sessions", "3", "--seed", "1",
+                                "--store", str(store), "--output", str(out))
+        assert code == 0 and summary["outcomes"] == {"lookup_failed": 3}
+        # its ground truth, with no reader snapshots, reads back
+        code, _ = run_cli(capsys, "attack", "gossamer-2", "--input", str(out),
+                          "--ground-truth", str(tmp_path / "t.gt.jsonl"))
+        assert code == 0
+
     def test_drop_d_then_recovery_across_invocations(self, tmp_path, capsys):
         store = tmp_path / "db.json"
         provision(capsys, store)
@@ -171,6 +189,14 @@ class TestCampaign:
                           "--store", str(store), "--output", str(tmp_path / "t.jsonl"),
                           "--tag", "tag-001")
         assert code == 0
+
+    def test_empty_store_names_tags_file(self, tmp_path, capsys, caplog):
+        store = tmp_path / "db.json"
+        provision(capsys, store, count=0)
+        code, _ = run_cli(capsys, "campaign", "--sessions", "5", "--seed", "3",
+                          "--store", str(store), "--output", str(tmp_path / "t.jsonl"))
+        assert code == 2
+        assert "db.json.tags holds 0 tags" in caplog.text
 
     def test_byte_identical_rerun_and_manifest_replay(self, tmp_path, capsys):
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
@@ -426,6 +452,61 @@ class TestMalformedInput:
         assert code == 2
         assert f"{which}: line 2" in caplog.text and field in caplog.text
 
+
+    @pytest.mark.parametrize("line, field, command, message", [
+        (2, "a", "sasi", "a: null"),
+        (2, "a", "gossamer-2", "a: null"),
+        (2, "c", "gossamer-1", "c: null"),
+        (2, "d", "gossamer-2", "d: null, but outcome is mutual_success"),
+        (3, "b", "replay", "b: null"),
+    ])
+    def test_transcript_nulls_contradicting_outcome(self, tmp_path, capsys, caplog,
+                                                     line, field, command, message):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        lines = out.read_text().splitlines()
+        entry = json.loads(lines[line - 1])
+        assert entry["outcome"] == "mutual_success"
+        entry[field] = None
+        lines[line - 1] = json.dumps(entry)
+        out.write_text("\n".join(lines) + "\n")
+        if command == "replay":
+            argv = ["session", "run", "--tag", "tag-000", "--seed", "2",
+                    "--store", str(store), "--replay", str(out)]
+        else:
+            argv = ["attack", command, "--input", str(out)]
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"t.jsonl: line {line}: malformed (ValueError: {message}" in caplog.text
+
+    def test_lookup_failed_transcript_with_partial_challenge(self, tmp_path, capsys, caplog):
+        out = tmp_path / "t.jsonl"
+        entry = {"variant": "gossamer", "session": 0, "ids": "0" * 24, "a": "0" * 24,
+                 "b": None, "c": None, "d": None, "outcome": "lookup_failed", "bits": 136}
+        out.write_text(json.dumps(entry) + "\n")
+        code, _ = run_cli(capsys, "attack", "gossamer-2", "--input", str(out))
+        assert code == 2
+        assert "t.jsonl: line 1: malformed (ValueError: b: null" in caplog.text
+
+    @pytest.mark.parametrize("field, code", [
+        ("tag_pre", 2), ("tag_post", 2), ("reader_pre", 0), ("reader_post", 0)])
+    def test_ground_truth_null_snapshot(self, tmp_path, capsys, caplog, field, code):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5", "--force-keys",
+                "zero", "--store", str(store), "--output", str(out))
+        truth = tmp_path / "t.gt.jsonl"
+        lines = truth.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry[field] = None
+        lines[1] = json.dumps(entry)
+        truth.write_text("\n".join(lines) + "\n")
+        assert run_cli(capsys, "attack", "gossamer-2", "--input", str(out),
+                       "--ground-truth", str(truth))[0] == code
+        if code == 2:
+            assert f"t.gt.jsonl: line 2: malformed (ValueError: {field}: null" in caplog.text
 
     def test_store_row_with_unknown_key(self, tmp_path, capsys, caplog):
         store = tmp_path / "db.json"
