@@ -11,13 +11,17 @@ It also holds the format of every record tagauth writes or reads:
 ``WordCodec`` puts each 96-bit word in canonical 24-hex form and back
 (calling this module's ``to_hex``/``from_hex``, which the benchmark tracer
 wraps), and ``save_envelope``/``load_envelope`` write and read the JSON
-envelope ``{"format": F, ...}``.  JSON was chosen for diffability in tests;
-writes go through a temp file and rename so a crash never leaves a torn
-file behind.
+envelope ``{"format": F, ...}``.  JSON was chosen for diffability in tests.
+The writer gives the bytes of ``json.dump(..., indent=2)`` but streams a
+list of records (store rows, tag entries) one record at a time through the
+C encoder, which ``json`` skips whenever ``indent`` is set.  Writes go
+through a temp file and rename, so a crash never leaves a torn file
+behind, and a write that fails removes its temp file.
 
 Single writer, any number of readers; the simulator serializes commits.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -184,13 +188,52 @@ def bad_word(field: str, value) -> ValueError:
 _ROW = WordCodec(("id",) + TUPLE_WORDS, types={"tag_label": str, "variant": str})
 
 
+# Encodes one record of a list field with the C encoder (``json.dump`` with
+# an indent runs the pure-Python one); the item separator puts each key on
+# its own line at record depth, as indent=2 does.  A flat record holds no
+# container, so there is no cycle to check for.
+_RECORD = json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False)
+
+
 def save_envelope(path: str, format_name: str, **fields) -> None:
-    """Write ``{"format": format_name, **fields}``; atomic via write-then-rename."""
+    """Write ``{"format": format_name, **fields}``; atomic via write-then-rename.
+
+    The bytes are those of ``json.dump(payload, fh, indent=2)`` plus a
+    newline.  A non-empty list field must hold flat records, dicts whose
+    values are JSON scalars; each record is encoded and written on its own,
+    so the file is never one string in memory.  Any other field is
+    ``json.dumps(value, indent=2)`` indented one more level.  A failed
+    write removes the temp file and leaves ``path`` as it was.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"format": format_name, **fields}, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(_envelope_chunks({"format": format_name, **fields}))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _envelope_chunks(payload: dict):
+    """The text of ``json.dumps(payload, indent=2) + "\\n"``, piece by piece."""
+    field_start = "{\n  "
+    for key, value in payload.items():
+        yield f"{field_start}{json.dumps(key)}: "
+        field_start = ",\n  "
+        if type(value) is not list or not value:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            continue
+        record_start = "[\n    "
+        for record in value:
+            if type(record) is not dict:
+                raise TypeError(f"{key}: {record!r} is not a record")
+            yield (f"{record_start}{{\n      {_RECORD.encode(record)[1:-1]}\n    }}"
+                   if record else f"{record_start}{{}}")
+            record_start = ",\n    "
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def load_envelope(path: str, format_name: str) -> dict:

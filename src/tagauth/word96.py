@@ -102,16 +102,18 @@ _MIX_Y = (3 ** MIXBITS_ROUNDS - 1) // 2
 _MIX_C = sum(i * 3 ** (MIXBITS_ROUNDS - 1 - i) for i in range(MIXBITS_ROUNDS))
 
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-
 def to_hex(x: Word96) -> str:
     """Render in the canonical form: 24 lowercase hex digits."""
-    return format(x, "024x")
+    return "%024x" % x
 
 
 def from_hex(text: str) -> Word96:
-    """Parse the canonical 24-digit form; reject everything else."""
-    if len(text) != 24 or not _HEX_DIGITS.issuperset(text):
+    """Parse the canonical 24-digit form; reject everything else.
+
+    A str of 24 characters is canonical when stripping every lowercase hex
+    digit from its ends leaves nothing.  A value that is not a str raises
+    TypeError: ``str.strip`` is called unbound so that bytes and lists fail.
+    """
+    if len(text) != 24 or str.strip(text, "0123456789abcdef"):
         raise ValueError(f"not a canonical 96-bit hex word: {text!r}")
     return int(text, 16)

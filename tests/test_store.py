@@ -17,7 +17,8 @@ from tagauth.simulator import (
     run_session,
     save_tags,
 )
-from tagauth.store import MATCH_NEXT, MATCH_OLD, Store, TagRecordRow
+from tagauth.cli import MANIFEST_FORMAT, _build_parser
+from tagauth.store import MATCH_NEXT, MATCH_OLD, Store, TagRecordRow, save_envelope
 from tagauth.word96 import to_hex
 
 
@@ -241,6 +242,61 @@ class TestPersistence:
                                         NonceStream(17), 1)
         assert transcript.outcome is Outcome.MUTUAL_SUCCESS
         assert truth.tag_post == truth.reader_post
+
+
+# text with what JSON must escape or may mangle: quotes, backslashes,
+# braces, separators, newlines, control characters and non-ASCII
+json_text = st.text(st.sampled_from('"\\{}[],: \n\r\t\x00\x1f\x7fé€😀') | st.characters(),
+                    max_size=12)
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | json_text
+records = st.dictionaries(json_text, json_scalars, max_size=9)
+envelope_fields = st.dictionaries(
+    json_text.filter(lambda key: key not in ("path", "format_name", "format")),
+    st.lists(records, max_size=5) | json_scalars
+    | st.dictionaries(json_text, json_scalars | st.lists(json_scalars, max_size=3)),
+    max_size=4)
+_, COMMANDS = _build_parser()
+
+
+@st.composite
+def manifests(draw):
+    """A manifest payload: a subcommand and values for some of its options."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    dests = sorted({action.dest for action in COMMANDS[name]._actions} - {"help"})
+    return {"subcommand": name,
+            "args": draw(st.dictionaries(st.sampled_from(dests), json_scalars))}
+
+
+class TestEnvelopeWriter:
+    """``save_envelope`` writes what ``json.dump(..., indent=2)`` + newline wrote."""
+
+    @given(format_name=json_text, fields=envelope_fields)
+    @settings(max_examples=150)
+    def test_bytes_equal_indent_2_dump(self, tmp_path_factory, format_name, fields):
+        path = tmp_path_factory.getbasetemp() / "envelope.json"
+        save_envelope(path, format_name, **fields)
+        expected = json.dumps({"format": format_name, **fields}, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @given(manifest=manifests())
+    def test_manifest_bytes_equal_indent_2_dump(self, tmp_path_factory, manifest):
+        path = tmp_path_factory.getbasetemp() / "m.manifest.json"
+        save_envelope(path, MANIFEST_FORMAT, **manifest)
+        expected = json.dumps({"format": MANIFEST_FORMAT, **manifest}, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": "y"}, {"b": object()}],  # a value JSON cannot encode
+        [{"a": "y"}, "not a record"],
+    ])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, rows):
+        path = tmp_path / "f.json"
+        save_envelope(path, "f", rows=[{"a": "x"}])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_envelope(path, "f", rows=rows)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
 
 
 class TestSessionCommitDiscipline:

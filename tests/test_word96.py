@@ -1,5 +1,6 @@
 """Arithmetic core: identities, frozen oracle values, algebraic properties."""
 
+import re
 from itertools import product
 
 import pytest
@@ -129,6 +130,21 @@ class TestMixBits:
         assert w.mixbits_modified(x, y) == oracles.mixbits_counter(x, y)
 
 
+# hex digits plus what a canonical word must not hold: uppercase, "x",
+# "_", signs and whitespace (each of which int(text, 16) accepts somewhere)
+HEX_LIKE = "0123456789abcdefABCDEFx_+- \t\n"
+
+
+@st.composite
+def near_canonical(draw):
+    """A canonical word with a slice of up to two characters replaced by
+    up to two ``HEX_LIKE`` characters."""
+    text = draw(st.text("0123456789abcdef", min_size=24, max_size=24))
+    start = draw(st.integers(0, 24))
+    stop = draw(st.integers(start, min(24, start + 2)))
+    return text[:start] + draw(st.text(HEX_LIKE, max_size=2)) + text[stop:]
+
+
 class TestHexForm:
     def test_render_is_24_lowercase_digits(self):
         text = w.to_hex(w.PI)
@@ -149,4 +165,20 @@ class TestHexForm:
     ])
     def test_rejects_non_canonical(self, bad):
         with pytest.raises(ValueError):
+            w.from_hex(bad)
+
+    @given(text=st.text(HEX_LIKE, max_size=26) | near_canonical())
+    @settings(max_examples=500)
+    @example(text="0" * 24)
+    @example(text="f" * 23 + "\n")
+    def test_accepts_exactly_24_lowercase_hex_digits(self, text):
+        if re.fullmatch("[0-9a-f]{24}", text):
+            assert w.from_hex(text) == int(text, 16)
+        else:
+            with pytest.raises(ValueError):
+                w.from_hex(text)
+
+    @pytest.mark.parametrize("bad", [None, 5, b"0" * 24, list("0" * 24)])
+    def test_rejects_non_text(self, bad):
+        with pytest.raises((TypeError, ValueError)):
             w.from_hex(bad)
