@@ -114,12 +114,16 @@ def _save_world(opts: dict, store: Store, tags: dict) -> None:
 
 
 def _read_jsonl(path: str, parse) -> list:
-    """``parse`` applied to every non-blank line; a bad line is a ValueError."""
+    """``parse`` applied to every non-blank line; a bad line, or bytes that
+    are not UTF-8, raise a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_entries(path, "line",
-                             ((number, line) for number, line in enumerate(fh, 1)
-                              if line.strip()),
-                             lambda line: parse(json.loads(line)))
+        try:
+            return parse_entries(path, "line",
+                                 ((number, line) for number, line in enumerate(fh, 1)
+                                  if line.strip()),
+                                 lambda line: parse(json.loads(line)))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _jsonl_line(obj: dict) -> str:
@@ -371,7 +375,7 @@ def _opts_from_manifest(path: str, commands: dict) -> tuple[str, dict]:
     the command line (type and choices); an absent option takes its default."""
     payload = load_envelope(path, MANIFEST_FORMAT)
     name, args = payload.get("subcommand"), payload.get("args")
-    if name not in _RUNNERS:
+    if type(name) is not str or name not in _RUNNERS:
         raise UsageError(f"{path}: unknown subcommand {name!r}")
     if not isinstance(args, dict):
         raise UsageError(f"{path}: args is not an object")

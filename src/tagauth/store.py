@@ -1,10 +1,10 @@
 """Reader-side backend: tag records looked up by either pseudonym tuple.
 
-Lookup goes through two dict indexes, from next IDS and from old IDS to
-the row's label, so it costs the same at any fleet size.  The collision
-rule is the documented one: next tuples before old ones, first row by
-tag_label on a cross-tag IDS collision, with a warning.  The indexes are
-kept by ``add`` and ``commit``, the only writers of ``ids``/``ids_old``;
+Lookup goes through one dict index from an IDS to the rows holding it as
+their next or old IDS, so it costs the same at any fleet size.  The
+collision rule is the documented one: next tuples before old ones, first
+row by tag_label on a cross-tag IDS collision, with a warning.  The index
+is kept by ``add`` and ``commit``, the only writers of ``ids``/``ids_old``;
 changing those fields any other way leaves lookup stale.
 
 It also holds the format of every record tagauth writes or reads:
@@ -58,17 +58,14 @@ class Store:
 
     def __init__(self) -> None:
         self.rows: dict[str, TagRecordRow] = {}
-        # IDS -> label of the row holding it, or a sorted tuple of labels
-        # when several rows share that IDS.
-        self._next: dict[Word96, str | tuple[str, ...]] = {}
-        self._old: dict[Word96, str | tuple[str, ...]] = {}
+        # IDS -> the rows holding it as next or old IDS, each row once
+        self._by_ids: dict[Word96, list[TagRecordRow]] = {}
 
     def add(self, row: TagRecordRow) -> None:
         if row.tag_label in self.rows:
             raise ValueError(f"duplicate tag label: {row.tag_label}")
         self.rows[row.tag_label] = row
-        _link(self._next, row.ids, row.tag_label)
-        _link(self._old, row.ids_old, row.tag_label)
+        self._index(row)
 
     def lookup(self, ids: Word96, variant: str) -> tuple[TagRecordRow, str] | None:
         """Find the row announcing ``ids``: next tuples first, then old ones.
@@ -77,26 +74,15 @@ class Store:
         collisions (possible only in contrived setups) resolve to the
         first row in tag_label order, with a warning.
         """
-        held = self._next.get(ids)
-        if held is not None and held.__class__ is not tuple:
-            old = self._old.get(ids)
-            if old is None or old == held:
-                row = self.rows[held]
-                if row.variant == variant:
-                    return row, MATCH_NEXT
-        rows = self.rows
-        next_labels = _labels(held)
-        next_hits = [label for label in next_labels if rows[label].variant == variant]
-        old_hits = [label for label in _labels(self._old.get(ids))
-                    if label not in next_labels and rows[label].variant == variant]
-        if len(next_hits) + len(old_hits) > 1:
+        hits = [row for row in self._by_ids.get(ids, ()) if row.variant == variant]
+        if not hits:
+            return None
+        if len(hits) > 1:
             log.warning("IDS %s matches %d rows; using first by label",
-                        to_hex(ids), len(next_hits) + len(old_hits))
-        if next_hits:
-            return rows[next_hits[0]], MATCH_NEXT
-        if old_hits:
-            return rows[old_hits[0]], MATCH_OLD
-        return None
+                        to_hex(ids), len(hits))
+            hits.sort(key=lambda row: (row.ids != ids, row.tag_label))
+        row = hits[0]
+        return row, MATCH_NEXT if row.ids == ids else MATCH_OLD
 
     def commit(self, tag_label: str, staged: tuple[Word96, Word96, Word96],
                used: str = MATCH_NEXT) -> None:
@@ -104,14 +90,19 @@ class Store:
 
         ``tagstate.rotate`` applies the rule the tag applies too: the tuple
         ``used`` names becomes old and ``staged`` becomes next.  The row
-        leaves both indexes first and re-enters them under its new IDS pair.
+        leaves the index first and re-enters it under its new IDS pair.
         """
         row = self.rows[tag_label]
-        _unlink(self._next, row.ids, tag_label)
-        _unlink(self._old, row.ids_old, tag_label)
+        for ids in {row.ids, row.ids_old}:
+            held = self._by_ids.pop(ids)
+            if len(held) > 1:
+                self._by_ids[ids] = [other for other in held if other is not row]
         rotate(row, used, staged)
-        _link(self._next, row.ids, tag_label)
-        _link(self._old, row.ids_old, tag_label)
+        self._index(row)
+
+    def _index(self, row: TagRecordRow) -> None:
+        for ids in {row.ids, row.ids_old}:
+            self._by_ids.setdefault(ids, []).append(row)
 
     def save(self, path: str) -> None:
         """Write the whole store; atomic via write-then-rename."""
@@ -267,21 +258,3 @@ def parse_entries(path: str, what: str, numbered, parse) -> list:
                              f"({type(exc).__name__}: {exc})") from None
     return parsed
 
-
-def _labels(held: str | tuple[str, ...] | None) -> tuple[str, ...]:
-    if held is None:
-        return ()
-    return held if held.__class__ is tuple else (held,)
-
-
-def _link(index: dict, ids: Word96, label: str) -> None:
-    held = index.get(ids)
-    index[ids] = label if held is None else tuple(sorted(_labels(held) + (label,)))
-
-
-def _unlink(index: dict, ids: Word96, label: str) -> None:
-    rest = tuple(other for other in _labels(index[ids]) if other != label)
-    if not rest:
-        del index[ids]
-    else:
-        index[ids] = rest[0] if len(rest) == 1 else rest

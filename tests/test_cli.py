@@ -378,6 +378,16 @@ class TestManifest:
         assert code == 2
         assert "args is not an object" in caplog.text
 
+    @pytest.mark.parametrize("subcommand", [["campaign"], {"name": "campaign"}],
+                             ids=["list", "object"])
+    def test_manifest_subcommand_not_a_string(self, tmp_path, capsys, caplog, subcommand):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "rfid-manifest/1",
+                                    "subcommand": subcommand, "args": {}}))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert f"{path}: unknown subcommand" in caplog.text
+
 
 def drop_field(path, key, field, index=0):
     payload = json.loads(path.read_text())
@@ -427,6 +437,25 @@ class TestMalformedInput:
         code, _ = run_cli(capsys, *argv)
         assert code == 2
         assert f"{bad.name}: line 2" in caplog.text
+
+    @pytest.mark.parametrize("which", ["input", "ground-truth", "replay"])
+    def test_jsonl_not_utf8_names_file(self, tmp_path, capsys, caplog, which):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        bad = out if which != "ground-truth" else tmp_path / "t.gt.jsonl"
+        with open(bad, "ab") as fh:
+            fh.write(b'{"session": "\xff"}\n')
+        if which == "replay":
+            argv = ["session", "run", "--tag", "tag-000", "--seed", "2",
+                    "--store", str(store), "--replay", str(out)]
+        else:
+            argv = ["attack", "gossamer-1", "--input", str(out),
+                    "--ground-truth", str(tmp_path / "t.gt.jsonl")]
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"{bad}: not UTF-8 text" in caplog.text
 
     @pytest.mark.parametrize("which, field, value", [
         ("t.jsonl", "session", "x"),
