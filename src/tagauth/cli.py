@@ -15,6 +15,7 @@ Exit codes: 0 success; 1 protocol rejection in single-session mode;
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,16 +33,18 @@ from .simulator import (
     cost_accounting,
     evaluate_attack,
     ground_truth_from_dict,
-    ground_truth_to_dict,
+    ground_truth_line,
+    ground_truth_to_dict,  # unused here, but perfbench/tracing.py wraps it
     iter_campaign,
     load_tags,
     provision,
     run_session,
     save_tags,
     transcript_from_dict,
+    transcript_line,
     transcript_to_dict,
 )
-from .store import Store, WordCodec, load_envelope, parse_entries, save_envelope
+from .store import Store, WordCodec, json_loads, load_envelope, parse_entries, save_envelope
 from .word96 import to_hex
 
 log = logging.getLogger("tagauth")
@@ -80,6 +83,30 @@ def _manifest_path(output: str) -> Path:
 
 def _ground_truth_path(output: str) -> Path:
     return Path(output).with_suffix(".gt.jsonl")
+
+
+def _check_files(name: str, opts: dict) -> None:
+    """A UsageError naming both options when the run would write a file it
+    reads, or one file under two names; paths are compared resolved."""
+    written = {"--store": opts["store"], "--tags": _tags_path(opts)} if "store" in opts else {}
+    if name == "provision":
+        written["the --store manifest"] = _manifest_path(opts["store"])
+    output = opts.get("output")
+    if output:
+        written["--output"] = output
+        written["the --output manifest"] = _manifest_path(output)
+        if name != "attack":
+            written["the --output ground truth"] = _ground_truth_path(output)
+    read = {"--" + key.replace("_", "-"): opts[key]
+            for key in ("input", "ground_truth", "replay") if opts.get(key)}
+    roles: dict[str, str] = {}
+    for option, path in [*written.items(), *read.items()]:
+        resolved = os.path.realpath(path)
+        if resolved in roles:
+            raise UsageError(f"{roles[resolved]} and {option} name one file, {path}; "
+                             "a run may not write a file it reads or writes under another name")
+        if option in written:
+            roles[resolved] = option
 
 
 def _write_manifest(subcommand: str, opts: dict, output: str) -> None:
@@ -121,7 +148,7 @@ def _read_jsonl(path: str, parse) -> list:
             return parse_entries(path, "line",
                                  ((number, line) for number, line in enumerate(fh, 1)
                                   if line.strip()),
-                                 lambda line: parse(json.loads(line)))
+                                 lambda line: parse(json_loads(line)))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -185,9 +212,9 @@ def cmd_session(opts: dict) -> int:
     output = opts.get("output")
     if output:
         with open(output, "a", encoding="utf-8") as fh:
-            fh.write(_jsonl_line(transcript_to_dict(transcript)))
+            fh.write(transcript_line(transcript))
         with open(_ground_truth_path(output), "a", encoding="utf-8") as fh:
-            fh.write(_jsonl_line(ground_truth_to_dict(truth)))
+            fh.write(ground_truth_line(truth))
         _write_manifest("session-run", opts, output)
     _print_summary({
         "subcommand": "session-run",
@@ -224,8 +251,8 @@ def cmd_campaign(opts: dict) -> int:
             open(_ground_truth_path(output), "w", encoding="utf-8") as g_fh:
         def streamed():
             for transcript, truth in iter_campaign(tag, store, config):
-                t_fh.write(_jsonl_line(transcript_to_dict(transcript)))
-                g_fh.write(_jsonl_line(ground_truth_to_dict(truth)))
+                t_fh.write(transcript_line(transcript))
+                g_fh.write(ground_truth_line(truth))
                 yield transcript
         summary = campaign_summary(config, streamed())
     _save_world(opts, store, tags)
@@ -421,6 +448,7 @@ def main(argv=None) -> int:
                 parser.print_usage(sys.stderr)
                 return 2
             name, opts = _opts_from_namespace(ns)
+        _check_files(name, opts)
         return _RUNNERS[name](opts)
     except UsageError as exc:
         log.error("%s", exc)

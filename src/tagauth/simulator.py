@@ -15,10 +15,12 @@ which is what consecutive-transcript attacks rely on.  Campaigns against
 distinct tags are independent and may run in separate processes.
 """
 
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from . import attacks, gossamer, sasi
@@ -496,19 +498,37 @@ _GROUND_TRUTH = WordCodec(
 _TAG = WordCodec(("id",) + TUPLE_WORDS,
                  types={"tag_label": str, "variant": str, "last_announced": str})
 
+# One %-format per JSONL line, the one place its record's keys and their
+# order are written: ``to_hex`` fills a quoted word slot, ``_word`` a word or
+# null, and ``encode_basestring_ascii`` (as ``json.dumps`` does) a string.
+_TRANSCRIPT_LINE = ('{"variant":%s,"session":%d,"ids":"%s","a":%s,"b":%s,"c":%s,"d":%s,'
+                    '"outcome":%s,"bits":%d}\n')
+_SNAPSHOT_JSON = '{"ids":"%s","k1":"%s","k2":"%s","ids_old":"%s","k1_old":"%s","k2_old":"%s"}'
+_GROUND_TRUTH_LINE = ('{"session":%d,"id":"%s","n1":%s,"n2":%s,"n3":%s,"n1p":%s,"n2p":%s,'
+                      '"k1_star":%s,"k2_star":%s,'
+                      '"tag_pre":%s,"tag_post":%s,"reader_pre":%s,"reader_post":%s}\n')
+
+
+def _word(x: Word96 | None) -> str:
+    return "null" if x is None else '"%s"' % to_hex(x)
+
+
+def _snapshot_json(s: StateSnapshot | None) -> str:
+    return "null" if s is None else _SNAPSHOT_JSON % (
+        to_hex(s.ids), to_hex(s.k1), to_hex(s.k2), to_hex(s.ids_old), to_hex(s.k1_old),
+        to_hex(s.k2_old))
+
+
+def transcript_line(t: Transcript) -> str:
+    """``json.dumps(transcript_to_dict(t), separators=(",", ":")) + "\\n"``."""
+    return _TRANSCRIPT_LINE % (
+        encode_basestring_ascii(t.variant), t.session_index, to_hex(t.announced_ids),
+        _word(t.a), _word(t.b), _word(t.c), _word(t.d),
+        encode_basestring_ascii(t.outcome.value), t.bit_cost)
+
 
 def transcript_to_dict(t: Transcript) -> dict:
-    return _TRANSCRIPT.encode({
-        "variant": t.variant,
-        "session": t.session_index,
-        "ids": to_hex(t.announced_ids),
-        "a": t.a,
-        "b": t.b,
-        "c": t.c,
-        "d": t.d,
-        "outcome": t.outcome.value,
-        "bits": t.bit_cost,
-    })
+    return json.loads(transcript_line(t))
 
 
 def transcript_from_dict(data: dict) -> Transcript:
@@ -530,22 +550,18 @@ def transcript_from_dict(data: dict) -> Transcript:
                       outcome, values["bits"])
 
 
+def ground_truth_line(truth: GroundTruth) -> str:
+    """``json.dumps(ground_truth_to_dict(truth), separators=(",", ":")) + "\\n"``."""
+    return _GROUND_TRUTH_LINE % (
+        truth.session_index, to_hex(truth.id),
+        _word(truth.n1), _word(truth.n2), _word(truth.n3), _word(truth.n1p),
+        _word(truth.n2p), _word(truth.k1_star), _word(truth.k2_star),
+        _snapshot_json(truth.tag_pre), _snapshot_json(truth.tag_post),
+        _snapshot_json(truth.reader_pre), _snapshot_json(truth.reader_post))
+
+
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
-    return _GROUND_TRUTH.encode({
-        "session": truth.session_index,
-        "id": truth.id,
-        "n1": truth.n1,
-        "n2": truth.n2,
-        "n3": truth.n3,
-        "n1p": truth.n1p,
-        "n2p": truth.n2p,
-        "k1_star": truth.k1_star,
-        "k2_star": truth.k2_star,
-        "tag_pre": truth.tag_pre,
-        "tag_post": truth.tag_post,
-        "reader_pre": truth.reader_pre,
-        "reader_post": truth.reader_post,
-    })
+    return json.loads(ground_truth_line(truth))
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:

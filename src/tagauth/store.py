@@ -127,6 +127,7 @@ class WordCodec:
     holding a word or null, ``types`` the keys that must hold exactly a
     type (a bool is no int), and ``nested`` the keys holding null or an
     instance of another codec's ``record`` class.  Other keys pass through.
+    ``encode`` serves flat records only, every word required.
     """
 
     def __init__(self, words=(), optional=(), types=None, nested=None, record=None):
@@ -140,12 +141,7 @@ class WordCodec:
         """A copy of ``values`` with every word in canonical hex."""
         out = dict(values)
         for key in self.words:
-            value = out[key]
-            if value is not None or key not in self.optional:
-                out[key] = to_hex(value)
-        for key, codec in self.nested:
-            if out[key] is not None:
-                out[key] = codec.encode(vars(out[key]))
+            out[key] = to_hex(out[key])
         return out
 
     def decode(self, data: dict, within: str = "") -> dict:
@@ -227,11 +223,20 @@ def _envelope_chunks(payload: dict):
     yield "\n}\n"
 
 
+def json_loads(text: str):
+    """``json.loads``; JSON nested past the recursion limit is a ValueError, as
+    any other bad JSON, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def load_envelope(path: str, format_name: str) -> dict:
     """Read a ``save_envelope`` file; not JSON or another format is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json_loads(fh.read())
         except ValueError as exc:
             raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != format_name:

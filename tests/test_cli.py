@@ -644,6 +644,109 @@ class TestMalformedInput:
                 "not a canonical 96-bit hex word") in caplog.text
 
 
+    @pytest.mark.parametrize("which", ["store", "tags", "manifest", "input",
+                                       "ground-truth", "replay"])
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys, caplog, which):
+        # json raises RecursionError here, which is no ValueError; it must
+        # still be a malformed file (2), not a traceback (1)
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        deep = "[" * 200_000
+        session = ["session", "run", "--tag", "tag-000", "--seed", "2", "--store", str(store)]
+        bad, argv, where = {
+            "store": (store, session, "not JSON (nested too deeply)"),
+            "tags": (tmp_path / "db.json.tags", session, "not JSON (nested too deeply)"),
+            "manifest": (tmp_path / "t.manifest.json",
+                         ["--manifest", str(tmp_path / "t.manifest.json")],
+                         "not JSON (nested too deeply)"),
+            "input": (out, ["attack", "gossamer-1", "--input", str(out)], "line 2: malformed"),
+            "ground-truth": (tmp_path / "t.gt.jsonl",
+                             ["attack", "gossamer-1", "--input", str(out),
+                              "--ground-truth", str(tmp_path / "t.gt.jsonl")],
+                             "line 2: malformed"),
+            "replay": (out, session + ["--replay", str(out)], "line 2: malformed"),
+        }[which]
+        if bad.suffix == ".jsonl":
+            lines = bad.read_text().splitlines()
+            lines[1] = deep
+            bad.write_text("\n".join(lines) + "\n")
+        else:
+            bad.write_text(deep)
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"{bad}: {where}" in caplog.text
+        assert "nested too deeply" in caplog.text
+
+
+class TestOwnFiles:
+    """A run that would write a file it reads, or one file under two names,
+    is a usage error naming both options, and writes nothing."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["attack", "gossamer-2", "--input", "c.jsonl", "--output", "c.jsonl"],
+         "--output and --input"),
+        (["attack", "gossamer-2", "--input", "c.jsonl", "--output", "sub/../c.jsonl"],
+         "--output and --input"),
+        (["attack", "gossamer-2", "--input", "c.jsonl", "--output", "link.jsonl"],
+         "--output and --input"),
+        (["attack", "gossamer-2", "--input", "c.jsonl", "--ground-truth", "c.gt.jsonl",
+          "--output", "c.gt.jsonl"], "--output and --ground-truth"),
+        (["attack", "gossamer-2", "--input", "c.manifest.json", "--output", "c.jsonl"],
+         "the --output manifest and --input"),
+        (["campaign", "--sessions", "3", "--seed", "1", "--store", "db.json",
+          "--output", "db.json.tags"], "--tags and --output"),
+        (["campaign", "--sessions", "3", "--seed", "1", "--store", "db.json",
+          "--output", "db.json"], "--store and --output"),
+        (["campaign", "--sessions", "3", "--seed", "1", "--store", "db.json",
+          "--tags", "t.gt.jsonl", "--output", "t.jsonl"],
+         "--tags and the --output ground truth"),
+        (["campaign", "--sessions", "3", "--seed", "1", "--store", "t.manifest.json",
+          "--tags", "db.json.tags", "--output", "t.jsonl"],
+         "--store and the --output manifest"),
+        (["session", "run", "--tag", "tag-000", "--seed", "1", "--store", "db.json",
+          "--replay", "c.jsonl", "--output", "c.jsonl"], "--output and --replay"),
+        (["session", "run", "--tag", "tag-000", "--seed", "1", "--store", "db.json",
+          "--output", "db.json.tags"], "--tags and --output"),
+        (["provision", "--count", "1", "--variant", "sasi", "--seed", "1",
+          "--store", "db.json", "--tags", "db.json"], "--store and --tags"),
+        (["provision", "--count", "1", "--variant", "sasi", "--seed", "1",
+          "--store", "db.json", "--tags", "db.manifest.json"],
+         "--tags and the --store manifest"),
+    ], ids=["attack-input", "attack-input-dotdot", "attack-input-symlink",
+            "attack-ground-truth", "attack-manifest-input", "campaign-tags",
+            "campaign-store", "campaign-ground-truth-tags", "campaign-manifest-store",
+            "session-replay", "session-tags", "provision-store-tags",
+            "provision-manifest-tags"])
+    def test_rejected_before_anything_is_written(self, tmp_path, capsys, caplog,
+                                                 monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        provision(capsys, "db.json")
+        run_cli(capsys, "campaign", "--sessions", "4", "--seed", "2", "--store", "db.json",
+                "--force-keys", "zero", "--output", "c.jsonl")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "c.jsonl")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"{named} name one file" in caplog.text
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.iterdir() if path.is_file()} == before
+
+    def test_manifest_replay_rewrites_its_own_manifest(self, tmp_path, capsys):
+        # the manifest is read whole before the run; it is no option of the run
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "1",
+                "--store", str(store), "--output", str(out))
+        manifest = tmp_path / "t.manifest.json"
+        before = manifest.read_bytes()
+        code, _ = run_cli(capsys, "--manifest", str(manifest))
+        assert code == 0
+        assert manifest.read_bytes() == before
+
+
 class TestNumericOptionRanges:
     @pytest.mark.parametrize("argv", [
         ["provision", "--count", "-3", "--variant", "sasi", "--seed", "1"],

@@ -1,25 +1,35 @@
 """Simulator: determinism, fault injection, recovery, replay, accounting."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagauth.simulator import (
     CampaignConfig,
     Forcing,
+    GroundTruth,
     KeyMode,
     NonceMode,
     NonceStream,
     Outcome,
     Protocol,
+    StateSnapshot,
+    Transcript,
     ground_truth_from_dict,
+    ground_truth_line,
     ground_truth_to_dict,
     iter_campaign,
     provision,
     run_campaign,
     run_session,
     transcript_from_dict,
+    transcript_line,
     transcript_to_dict,
 )
 from tagauth.store import Store
+from tagauth.word96 import MASK
 
 ALL_PROTOCOLS = list(Protocol)
 
@@ -254,3 +264,76 @@ class TestSerialization:
         for secret in (truth.id, truth.n1, truth.n2, truth.k1_star,
                        truth.tag_pre.k1, truth.tag_pre.k2):
             assert f"{secret:024x}" not in public.values()
+
+
+# -- line writers against json.dumps of the record's dict --------------------
+
+words = st.sampled_from([0, MASK]) | st.integers(0, MASK)
+optional_words = st.none() | words
+counts = st.sampled_from([0, 2**63]) | st.integers(0, 2**63)
+# protocol names, and text with what JSON must escape
+variants = (st.sampled_from([p.value for p in Protocol])
+            | st.text(st.sampled_from('"\\/\n\x00\x1f\x7fé€😀') | st.characters(),
+                      max_size=8))
+snapshots = st.builds(StateSnapshot, words, words, words, words, words, words)
+
+
+@st.composite
+def transcripts(draw):
+    outcome = draw(st.sampled_from(Outcome))
+    # a, b and c are all words, or all null in a failed lookup
+    abc = (None,) * 3 if outcome is Outcome.LOOKUP_FAILED and draw(st.booleans()) \
+        else draw(st.tuples(words, words, words))
+    return Transcript(draw(variants), draw(counts), draw(words), *abc,
+                      draw(optional_words), outcome, draw(counts))
+
+
+ground_truths = st.builds(
+    GroundTruth, counts, words, snapshots, snapshots,
+    st.none() | snapshots, st.none() | snapshots,
+    *[optional_words] * 7)
+
+
+def hex_or_null(word):
+    return None if word is None else "%024x" % word
+
+
+def snapshot_dict(s):
+    return None if s is None else {
+        "ids": hex_or_null(s.ids), "k1": hex_or_null(s.k1), "k2": hex_or_null(s.k2),
+        "ids_old": hex_or_null(s.ids_old), "k1_old": hex_or_null(s.k1_old),
+        "k2_old": hex_or_null(s.k2_old)}
+
+
+class TestLineWriters:
+    """Each JSONL line writer gives ``json.dumps(d, separators=(",", ":"))``
+    plus a newline, for ``d`` the record's dict written out key by key in
+    the README's order, with every word as 24 hex digits or null."""
+
+    @settings(max_examples=300)
+    @given(t=transcripts())
+    def test_transcript_line(self, t):
+        d = {"variant": t.variant, "session": t.session_index,
+             "ids": hex_or_null(t.announced_ids), "a": hex_or_null(t.a),
+             "b": hex_or_null(t.b), "c": hex_or_null(t.c), "d": hex_or_null(t.d),
+             "outcome": t.outcome.value, "bits": t.bit_cost}
+        assert transcript_line(t) == json.dumps(d, separators=(",", ":")) + "\n"
+        assert transcript_to_dict(t) == d
+        if t.d is not None or t.outcome is not Outcome.MUTUAL_SUCCESS:
+            assert transcript_from_dict(d) == t
+
+    @settings(max_examples=300)
+    @given(truth=ground_truths)
+    def test_ground_truth_line(self, truth):
+        d = {"session": truth.session_index, "id": hex_or_null(truth.id),
+             "n1": hex_or_null(truth.n1), "n2": hex_or_null(truth.n2),
+             "n3": hex_or_null(truth.n3), "n1p": hex_or_null(truth.n1p),
+             "n2p": hex_or_null(truth.n2p), "k1_star": hex_or_null(truth.k1_star),
+             "k2_star": hex_or_null(truth.k2_star),
+             "tag_pre": snapshot_dict(truth.tag_pre),
+             "tag_post": snapshot_dict(truth.tag_post),
+             "reader_pre": snapshot_dict(truth.reader_pre),
+             "reader_post": snapshot_dict(truth.reader_post)}
+        assert ground_truth_line(truth) == json.dumps(d, separators=(",", ":")) + "\n"
+        assert ground_truth_to_dict(truth) == d
+        assert ground_truth_from_dict(d) == truth
