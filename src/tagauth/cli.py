@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import os
+import reprlib
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,7 +33,8 @@ from .simulator import (
     campaign_summary,
     cost_accounting,
     evaluate_attack,
-    ground_truth_from_dict,
+    ground_truth_from_dict,  # unused here, but perfbench/tracing.py wraps it
+    ground_truth_from_line,
     ground_truth_line,
     ground_truth_to_dict,  # unused here, but perfbench/tracing.py wraps it
     iter_campaign,
@@ -40,11 +42,12 @@ from .simulator import (
     provision,
     run_session,
     save_tags,
-    transcript_from_dict,
+    transcript_from_dict,  # unused here, but perfbench/tracing.py wraps it
+    transcript_from_line,
     transcript_line,
     transcript_to_dict,
 )
-from .store import Store, WordCodec, json_loads, load_envelope, parse_entries, save_envelope
+from .store import Store, load_envelope, parse_entries, save_envelope
 from .word96 import to_hex
 
 log = logging.getLogger("tagauth")
@@ -58,7 +61,8 @@ class UsageError(Exception):
     pass
 
 
-_RECOVERED = WordCodec(field.name for field in fields(RecoveredSecrets))
+_RECOVERED_JSON = "{%s}" % ",".join(f'"{field.name}":"%s"' for field in fields(RecoveredSecrets))
+_JSON_BOOLS = {True: "true", False: "false"}
 
 
 def _ranged(parse, low, high=None):
@@ -67,7 +71,7 @@ def _ranged(parse, low, high=None):
         value = parse(text)
         if not (low <= value and (high is None or value <= high)):
             bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, not {value!r}")
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {reprlib.repr(value)}")
         return value
     checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
     return checked
@@ -148,13 +152,9 @@ def _read_jsonl(path: str, parse) -> list:
             return parse_entries(path, "line",
                                  ((number, line) for number, line in enumerate(fh, 1)
                                   if line.strip()),
-                                 lambda line: parse(json_loads(line)))
+                                 parse)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _jsonl_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -180,7 +180,7 @@ def _forcing_from_session_opts(opts: dict) -> Forcing:
     forcing = Forcing(drop_d=opts["drop_d"])
     replay_file = opts.get("replay")
     if replay_file:
-        captured_all = _read_jsonl(replay_file, transcript_from_dict)
+        captured_all = _read_jsonl(replay_file, transcript_from_line)
         if not captured_all:
             raise UsageError(f"replay file {replay_file} holds no transcripts")
         captured = captured_all[-1]
@@ -268,33 +268,39 @@ def cmd_campaign(opts: dict) -> int:
     return 0
 
 
-def _verdict_to_dict(kind: str, record: dict) -> dict:
+def _verdict_line(kind: str, record: dict) -> str:
+    """One verdict as a compact JSON line; a value that is None leaves its key out."""
     verdict: AttackVerdict = record["verdict"]
-    out: dict = {"session": record["session"], "fired": verdict.fired}
-    if verdict.recovered_id is not None:
-        out["recovered_id"] = (verdict.recovered_id if attack_kind(kind).residue_id
-                               else to_hex(verdict.recovered_id))
-    if verdict.recovered_state is not None:
-        out["recovered_state"] = _RECOVERED.encode(vars(verdict.recovered_state))
-    if record["prediction_confirmed"] is not None:
-        out["prediction_confirmed"] = record["prediction_confirmed"]
-    if verdict.ground_truth_match is not None:
-        out["ground_truth_match"] = verdict.ground_truth_match
-    return out
+    line = '{"session":%d,"fired":%s' % (record["session"], _JSON_BOOLS[verdict.fired])
+    rid, state = verdict.recovered_id, verdict.recovered_state
+    if rid is not None:
+        line += (',"recovered_id":%d' % rid if attack_kind(kind).residue_id
+                 else ',"recovered_id":"%s"' % to_hex(rid))
+    if state is not None:
+        line += ',"recovered_state":' + _RECOVERED_JSON % tuple(map(to_hex, vars(state).values()))
+    for key, value in (("prediction_confirmed", record["prediction_confirmed"]),
+                       ("ground_truth_match", verdict.ground_truth_match)):
+        if value is not None:
+            line += ',"%s":%s' % (key, _JSON_BOOLS[value])
+    return line + "}\n"
+
+
+def _verdict_to_dict(kind: str, record: dict) -> dict:
+    return json.loads(_verdict_line(kind, record))
 
 
 def cmd_attack(opts: dict) -> int:
     kind = opts["kind"]
-    transcripts = _read_jsonl(opts["input"], transcript_from_dict)
+    transcripts = _read_jsonl(opts["input"], transcript_from_line)
     truths = None
     if opts.get("ground_truth"):
-        truths = _read_jsonl(opts["ground_truth"], ground_truth_from_dict)
+        truths = _read_jsonl(opts["ground_truth"], ground_truth_from_line)
     records, summary = evaluate_attack(kind, transcripts, truths)
     output = opts.get("output")
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             for record in records:
-                fh.write(_jsonl_line(_verdict_to_dict(kind, record)))
+                fh.write(_verdict_line(kind, record))
         _write_manifest("attack", opts, output)
     _print_summary(summary)
     return 0
@@ -399,17 +405,18 @@ def _opts_from_namespace(ns: argparse.Namespace) -> tuple[str, dict]:
 
 def _opts_from_manifest(path: str, commands: dict) -> tuple[str, dict]:
     """The subcommand and options a manifest replays, checked as argparse checks
-    the command line (type and choices); an absent option takes its default."""
+    the command line (type and choices); an absent option takes its default.
+    An error echoes a rejected value cut short by ``reprlib``."""
     payload = load_envelope(path, MANIFEST_FORMAT)
     name, args = payload.get("subcommand"), payload.get("args")
     if type(name) is not str or name not in _RUNNERS:
-        raise UsageError(f"{path}: unknown subcommand {name!r}")
+        raise UsageError(f"{path}: unknown subcommand {reprlib.repr(name)}")
     if not isinstance(args, dict):
         raise UsageError(f"{path}: args is not an object")
     # argparse keeps a parser's options only in _actions
     actions = [a for a in commands[name]._actions if a.default != argparse.SUPPRESS]
     for unknown in args.keys() - {action.dest for action in actions}:
-        raise UsageError(f"{path}: unknown option {unknown!r} in args")
+        raise UsageError(f"{path}: unknown option {reprlib.repr(unknown)} in args")
     opts = dict(args)
     for action in actions:
         option = action.option_strings[0] if action.option_strings else action.dest
@@ -425,13 +432,16 @@ def _opts_from_manifest(path: str, commands: dict) -> tuple[str, dict]:
         else:
             try:
                 parsed = (action.type or str)(str(value))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
+            except argparse.ArgumentTypeError as exc:  # a number out of its range
                 raise UsageError(f"{path}: {option}: {exc}") from None
-            valid = parsed == value and (action.choices is None
-                                         or parsed in action.choices)
-            opts[action.dest] = parsed
+            except ValueError:  # float() would echo the whole text
+                valid = False
+            else:
+                valid = parsed == value and (action.choices is None
+                                             or parsed in action.choices)
+                opts[action.dest] = parsed
         if not valid:
-            raise UsageError(f"{path}: {option}: {value!r} is not a valid value")
+            raise UsageError(f"{path}: {option}: {reprlib.repr(value)} is not a valid value")
     return name, opts
 
 

@@ -17,16 +17,18 @@ distinct tags are independent and may run in separate processes.
 
 import json
 import random
-from collections import Counter
+import re
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
-from .store import (TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word, load_records,
-                    parse_entries, save_envelope)
+from .store import (TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word, json_loads,
+                    load_records, parse_entries, save_envelope)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
@@ -498,15 +500,60 @@ _GROUND_TRUTH = WordCodec(
 _TAG = WordCodec(("id",) + TUPLE_WORDS,
                  types={"tag_label": str, "variant": str, "last_announced": str})
 
-# One %-format per JSONL line, the one place its record's keys and their
-# order are written: ``to_hex`` fills a quoted word slot, ``_word`` a word or
-# null, and ``encode_basestring_ascii`` (as ``json.dumps`` does) a string.
-_TRANSCRIPT_LINE = ('{"variant":%s,"session":%d,"ids":"%s","a":%s,"b":%s,"c":%s,"d":%s,'
-                    '"outcome":%s,"bits":%d}\n')
-_SNAPSHOT_JSON = '{"ids":"%s","k1":"%s","k2":"%s","ids_old":"%s","k1_old":"%s","k2_old":"%s"}'
-_GROUND_TRUTH_LINE = ('{"session":%d,"id":"%s","n1":%s,"n2":%s,"n3":%s,"n1p":%s,"n2p":%s,'
-                      '"k1_star":%s,"k2_star":%s,'
-                      '"tag_pre":%s,"tag_post":%s,"reader_pre":%s,"reader_post":%s}\n')
+# A kind of JSONL field: its slot in a line's %-format, its regex in a
+# canonical line, and ``parse``, the value from an iterator over the groups.
+_Kind = namedtuple("_Kind", "slot pattern parse")
+
+
+def _formats(fields) -> tuple[str, str]:
+    """The %-format and the regex of a compact JSON object of ``fields`` (key, kind)."""
+    return ("{" + ",".join(f'"{key}":{kind.slot}' for key, kind in fields) + "}",
+            r"\{" + ",".join(f'"{key}":{kind.pattern}' for key, kind in fields) + r"\}")
+
+
+_HEX = '"([0-9a-f]{24})"'  # ``int(text, 16)`` of a match is ``from_hex`` of it
+_WORD = _Kind('"%s"', _HEX, lambda groups: int(next(groups), 16))
+_WORD_OR_NULL = _Kind("%s", f"(?:{_HEX}|null)",
+                      lambda groups: None if (text := next(groups)) is None else int(text, 16))
+_STR = _Kind("%s", r'"([^"\\\x00-\x1f]*)"', next)  # no escape: the text is the value
+_INT = _Kind("%d", "(-?(?:0|[1-9][0-9]*))", lambda groups: int(next(groups)))
+_SNAPSHOT_JSON, _snapshot_pattern = _formats([(key, _WORD) for key in TUPLE_WORDS])
+
+
+def _snapshot_or_none(groups) -> StateSnapshot | None:
+    texts = list(islice(groups, len(TUPLE_WORDS)))  # six words, or six None for null
+    return None if texts[0] is None else StateSnapshot(*[int(text, 16) for text in texts])
+
+
+_SNAPSHOT_OR_NULL = _Kind("%s", f"(?:{_snapshot_pattern}|null)", _snapshot_or_none)
+
+# The field table of each JSONL record kind: the one place its keys, their
+# order and their kinds are written.  A canonical line is what the writers
+# give; a reader takes any other line through ``json.loads``.
+_TRANSCRIPT_FIELDS = [
+    ("variant", _STR), ("session", _INT), ("ids", _WORD), ("a", _WORD_OR_NULL),
+    ("b", _WORD_OR_NULL), ("c", _WORD_OR_NULL), ("d", _WORD_OR_NULL),
+    ("outcome", _STR), ("bits", _INT)]
+_GROUND_TRUTH_FIELDS = [
+    ("session", _INT), ("id", _WORD),
+    *[(key, _WORD_OR_NULL) for key in ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")],
+    *[(key, _SNAPSHOT_OR_NULL) for key in ("tag_pre", "tag_post", "reader_pre", "reader_post")]]
+
+
+def _line_formats(fields) -> tuple[str, re.Pattern]:
+    """A line's %-format, and the compiled regex of a canonical line."""
+    template, pattern = _formats(fields)
+    return template + "\n", re.compile(pattern + "\n?")
+
+
+_TRANSCRIPT_LINE, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_FIELDS)
+_GROUND_TRUTH_LINE, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
+
+
+def _parse_match(fields, match: re.Match) -> dict:
+    """Each field's value from a canonical line's regex match."""
+    groups = iter(match.groups())
+    return {key: kind.parse(groups) for key, kind in fields}
 
 
 def _word(x: Word96 | None) -> str:
@@ -531,13 +578,8 @@ def transcript_to_dict(t: Transcript) -> dict:
     return json.loads(transcript_line(t))
 
 
-def transcript_from_dict(data: dict) -> Transcript:
-    """A transcript read back; nulls that contradict its outcome are a ValueError."""
-    values = _TRANSCRIPT.decode(data)
-    try:
-        announced = from_hex(values["ids"])
-    except (TypeError, ValueError):
-        raise bad_word("ids", values["ids"]) from None
+def _transcript(values: dict) -> Transcript:
+    """The transcript of decoded ``values``, checked as ``transcript_from_dict`` says."""
     outcome = Outcome(values["outcome"])
     nulls = [key for key in ("a", "b", "c") if values[key] is None]
     if nulls and (len(nulls) < 3 or outcome is not Outcome.LOOKUP_FAILED):
@@ -545,9 +587,26 @@ def transcript_from_dict(data: dict) -> Transcript:
                          "or all null with outcome lookup_failed")
     if values["d"] is None and outcome is Outcome.MUTUAL_SUCCESS:
         raise ValueError(f"d: null, but outcome is {outcome.value}")
-    return Transcript(values["variant"], values["session"], announced,
+    return Transcript(values["variant"], values["session"], values["ids"],
                       values["a"], values["b"], values["c"], values["d"],
                       outcome, values["bits"])
+
+
+def transcript_from_dict(data: dict) -> Transcript:
+    """A transcript read back; nulls that contradict its outcome are a ValueError."""
+    values = _TRANSCRIPT.decode(data)
+    try:
+        values["ids"] = from_hex(values["ids"])
+    except (TypeError, ValueError):
+        raise bad_word("ids", values["ids"]) from None
+    return _transcript(values)
+
+
+def transcript_from_line(line: str) -> Transcript:
+    """``transcript_from_dict(json.loads(line))``, a canonical line read without it."""
+    match = _TRANSCRIPT_RE.fullmatch(line)
+    return (_transcript(_parse_match(_TRANSCRIPT_FIELDS, match)) if match
+            else transcript_from_dict(json_loads(line)))
 
 
 def ground_truth_line(truth: GroundTruth) -> str:
@@ -564,13 +623,25 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
     return json.loads(ground_truth_line(truth))
 
 
-def ground_truth_from_dict(data: dict) -> GroundTruth:
-    """Ground truth read back; null reader snapshots (no store row) are valid."""
-    values = _GROUND_TRUTH.decode(data)
+def _ground_truth(values: dict) -> GroundTruth:
+    """The ground truth of decoded ``values``, checked as ``ground_truth_from_dict`` says."""
     for key in ("tag_pre", "tag_post"):
         if values[key] is None:
             raise ValueError(f"{key}: null, but the tag always has a state")
     return GroundTruth(session_index=values.pop("session"), **values)
+
+
+def ground_truth_from_dict(data: dict) -> GroundTruth:
+    """Ground truth read back; a null reader snapshot (no store row) is valid, a
+    null tag snapshot a ValueError."""
+    return _ground_truth(_GROUND_TRUTH.decode(data))
+
+
+def ground_truth_from_line(line: str) -> GroundTruth:
+    """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it."""
+    match = _GROUND_TRUTH_RE.fullmatch(line)
+    return (_ground_truth(_parse_match(_GROUND_TRUTH_FIELDS, match)) if match
+            else ground_truth_from_dict(json_loads(line)))
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:

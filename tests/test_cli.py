@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tagauth import simulator
 from tagauth.cli import main
 
 
@@ -19,6 +20,10 @@ def provision(capsys, path, variant="gossamer", count=1, seed=42):
                             "--store", str(path))
     assert code == 0
     return summary
+
+
+DEEP_LIST = json.loads("[" * 500 + "]" * 500)
+LONG_TEXT = "x" * 10**5
 
 
 class TestProvision:
@@ -388,6 +393,40 @@ class TestManifest:
         assert code == 2
         assert f"{path}: unknown subcommand" in caplog.text
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("subcommand", DEEP_LIST, "unknown subcommand"),
+        ("subcommand", LONG_TEXT, "unknown subcommand"),
+        ("key", LONG_TEXT, "unknown option"),
+        ("seed", DEEP_LIST, "--seed"),
+        ("seed", LONG_TEXT, "--seed"),
+        ("drop_d_rate", DEEP_LIST, "--drop-d-rate"),
+        ("drop_d_rate", LONG_TEXT, "--drop-d-rate"),
+        ("forcing", DEEP_LIST, "--forcing"),
+        ("forcing", LONG_TEXT, "--forcing"),
+    ], ids=[f"{field}-{kind}" for field, kind in [
+        ("subcommand", "deep"), ("subcommand", "long"), ("key", "long"), ("seed", "deep"),
+        ("seed", "long"), ("rate", "deep"), ("rate", "long"), ("forcing", "deep"),
+        ("forcing", "long")]])
+    def test_rejected_value_is_echoed_short(self, tmp_path, capsys, caplog,
+                                            field, value, named):
+        args = {"sessions": 2, "seed": 1, "store": str(tmp_path / "db.json"),
+                "output": str(tmp_path / "t.jsonl")}
+        payload = {"format": "rfid-manifest/1", "subcommand": "campaign", "args": args}
+        if field == "subcommand":
+            payload["subcommand"] = value
+        elif field == "key":
+            args[value] = 1
+        else:
+            args[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        [record] = caplog.records
+        line = f"{record.levelname} {record.getMessage()}"
+        assert "\n" not in line and len(line) < 300
+        assert line.startswith(f"ERROR {path}: {named}")
+
 
 def drop_field(path, key, field, index=0):
     payload = json.loads(path.read_text())
@@ -678,6 +717,96 @@ class TestMalformedInput:
         assert code == 2
         assert f"{bad}: {where}" in caplog.text
         assert "nested too deeply" in caplog.text
+
+
+def spy_json_loads(monkeypatch) -> list:
+    """The texts the JSONL readers hand to json.loads from now on."""
+    loaded = []
+    json_loads = simulator.json_loads
+    monkeypatch.setattr(simulator, "json_loads",
+                        lambda text: loaded.append(text) or json_loads(text))
+    return loaded
+
+
+def damage(record, field, bad):
+    """Damage ``field`` (``outer.key`` in a snapshot) of a JSONL record in place."""
+    *outer, key = field.split(".")
+    for part in outer:
+        record = record[part]
+    if bad == "drop":
+        del record[key]
+    else:
+        good = record[key]
+        record[key] = {"null": None, "int": 5, "uppercase": "ABCDEF" + str(good)[6:],
+                       "23-digit": str(good)[1:]}[bad]
+
+
+class TestMalformedCanonicalLines:
+    """The malformed JSONL lines of TestMalformedInput, each written compact as
+    the writers write a line.  A line whose damage leaves it canonical (a null
+    that contradicts its outcome or the tag) is read without json.loads, so the
+    checks both readers share must still name it; any other goes to json.loads."""
+
+    @pytest.mark.parametrize("name, line, field, bad, command, canonical, message", [
+        ("t.jsonl", 2, "session", "drop", "gossamer-1", False, "KeyError: 'session'"),
+        ("t.gt.jsonl", 2, "session", "drop", "gossamer-1", False, "KeyError: 'session'"),
+        ("t.jsonl", 2, "session", "drop", "replay", False, "KeyError: 'session'"),
+        ("t.jsonl", 2, "a", "null", "sasi", True, "ValueError: a: null"),
+        ("t.jsonl", 2, "a", "null", "gossamer-2", True, "ValueError: a: null"),
+        ("t.jsonl", 2, "c", "null", "gossamer-1", True, "ValueError: c: null"),
+        ("t.jsonl", 2, "d", "null", "gossamer-2", True,
+         "ValueError: d: null, but outcome is mutual_success"),
+        ("t.jsonl", 3, "b", "null", "replay", True, "ValueError: b: null"),
+        ("t.gt.jsonl", 2, "tag_pre", "null", "gossamer-2", True, "ValueError: tag_pre: null"),
+        ("t.gt.jsonl", 2, "tag_post", "null", "gossamer-2", True,
+         "ValueError: tag_post: null"),
+        ("t.gt.jsonl", 2, "reader_pre", "null", "gossamer-2", True, None),
+        ("t.gt.jsonl", 2, "reader_post", "null", "gossamer-2", True, None),
+        *[(name, 2, field, bad, "gossamer-1", False,
+           f"ValueError: {field}: not a canonical 96-bit hex word")
+          for name, field in [("t.jsonl", "ids"), ("t.gt.jsonl", "id"),
+                              ("t.gt.jsonl", "tag_post.k2_old")]
+          for bad in ("null", "int", "uppercase", "23-digit")],
+    ])
+    def test_compact_damaged_line(self, tmp_path, capsys, caplog, monkeypatch,
+                                  name, line, field, bad, command, canonical, message):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5", "--force-keys",
+                "zero", "--store", str(store), "--output", str(out))
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[line - 1])
+        assert record.get("outcome", "mutual_success") == "mutual_success"
+        damage(record, field, bad)
+        lines[line - 1] = json.dumps(record, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        loaded = spy_json_loads(monkeypatch)
+        if command == "replay":
+            argv = ["session", "run", "--tag", "tag-000", "--seed", "2",
+                    "--store", str(store), "--replay", str(out)]
+        else:
+            argv = ["attack", command, "--input", str(out),
+                    "--ground-truth", str(tmp_path / "t.gt.jsonl")]
+        code, _ = run_cli(capsys, *argv)
+        assert loaded == ([] if canonical else [lines[line - 1] + "\n"])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"{name}: line {line}: malformed ({message}" in caplog.text
+
+    def test_lookup_failed_transcript_with_partial_challenge(self, tmp_path, capsys, caplog,
+                                                             monkeypatch):
+        out = tmp_path / "t.jsonl"
+        loaded = spy_json_loads(monkeypatch)
+        out.write_text('{"variant":"gossamer","session":0,"ids":"%s","a":"%s","b":null,'
+                       '"c":null,"d":null,"outcome":"lookup_failed","bits":136}\n'
+                       % ("0" * 24, "0" * 24))
+        code, _ = run_cli(capsys, "attack", "gossamer-2", "--input", str(out))
+        assert code == 2
+        assert "t.jsonl: line 1: malformed (ValueError: b: null" in caplog.text
+        assert loaded == []
 
 
 class TestOwnFiles:

@@ -1,11 +1,14 @@
 """Simulator: determinism, fault injection, recovery, replay, accounting."""
 
 import json
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagauth import simulator
 from tagauth.simulator import (
     CampaignConfig,
     Forcing,
@@ -18,6 +21,7 @@ from tagauth.simulator import (
     StateSnapshot,
     Transcript,
     ground_truth_from_dict,
+    ground_truth_from_line,
     ground_truth_line,
     ground_truth_to_dict,
     iter_campaign,
@@ -25,6 +29,7 @@ from tagauth.simulator import (
     run_campaign,
     run_session,
     transcript_from_dict,
+    transcript_from_line,
     transcript_line,
     transcript_to_dict,
 )
@@ -337,3 +342,113 @@ class TestLineWriters:
         assert ground_truth_line(truth) == json.dumps(d, separators=(",", ":")) + "\n"
         assert ground_truth_to_dict(truth) == d
         assert ground_truth_from_dict(d) == truth
+
+
+# -- line readers: the canonical-line regex against json.loads ----------------
+
+signed_counts = st.sampled_from([-2**63, -1, 0, 2**63]) | st.integers(-2**63, 2**63)
+
+
+@st.composite
+def any_transcripts(draw):
+    """Transcripts with every null pattern, those that contradict the outcome too."""
+    return Transcript(draw(variants), draw(signed_counts), draw(words),
+                      *[draw(optional_words) for _ in "abcd"],
+                      draw(st.sampled_from(Outcome)), draw(signed_counts))
+
+
+any_ground_truths = st.builds(
+    GroundTruth, signed_counts, words, *[st.none() | snapshots] * 4,
+    *[optional_words] * 7)
+
+
+def read(parse, text):
+    """The record ``parse`` gives for ``text``, or its error's type and message."""
+    try:
+        return parse(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def spy_json_loads():
+    return mock.patch.object(simulator, "json_loads", wraps=simulator.json_loads)
+
+
+def compact(d) -> str:
+    return json.dumps(d, separators=(",", ":")) + "\n"
+
+
+class TestLineReaders:
+    """``X_from_line`` reads what ``X_line`` writes without ``json.loads``, and
+    any line to the record, or the error, ``X_from_dict(json.loads(line))`` gives."""
+
+    @settings(max_examples=300)
+    @given(t=any_transcripts())
+    def test_transcript_from_line(self, t):
+        line = transcript_line(t)
+        with spy_json_loads() as loads:
+            got = read(transcript_from_line, line)
+        assert got == read(transcript_from_dict, json.loads(line))
+        # a variant with a character JSON escapes is the one way off the regex
+        assert loads.called == (json.dumps(t.variant) != f'"{t.variant}"')
+        abc = {t.a is None, t.b is None, t.c is None}
+        valid = (abc == {False} or abc == {True} and t.outcome is Outcome.LOOKUP_FAILED) \
+            and not (t.d is None and t.outcome is Outcome.MUTUAL_SUCCESS)
+        if valid:
+            assert got == t
+        else:
+            assert got[0] is ValueError
+
+    @settings(max_examples=300)
+    @given(truth=any_ground_truths)
+    def test_ground_truth_from_line(self, truth):
+        line = ground_truth_line(truth)
+        with spy_json_loads() as loads:
+            got = read(ground_truth_from_line, line)
+        assert not loads.called
+        assert got == read(ground_truth_from_dict, json.loads(line))
+        if truth.tag_pre is None or truth.tag_post is None:
+            assert got[0] is ValueError
+        else:
+            assert got == truth
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda d: json.dumps(d) + "\n",
+        lambda d: json.dumps(d, indent=2),
+        lambda d: compact(dict(reversed(d.items()))),
+        lambda d: re.sub("[0-9a-f]{24}", lambda m: m.group().upper(), compact(d)),
+        lambda d: compact({**d, "note": "x"}),
+        lambda d: compact(d)[:-1] + "\r\n",
+        lambda d: compact(d)[:-1] + "  \n",
+    ], ids=["spaced", "indent", "reordered", "uppercase", "extra-key", "crlf",
+            "trailing-spaces"])
+    def test_non_canonical_lines_take_json_loads(self, rewrite):
+        tag, store = one_tag_world(Protocol.GOSSAMER, seed=9)
+        result = run_campaign(tag, store, CampaignConfig(
+            Protocol.GOSSAMER, 8, seed=3, key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
+        # a failed lookup (an empty store) nulls a, b, c, d and both reader snapshots
+        failed = run_session(tag, Store(), Forcing(), NonceStream(1), 8)
+        assert failed[0].outcome is Outcome.LOOKUP_FAILED
+        for records, to_dict, from_line, from_dict in [
+                ([*result.transcripts, failed[0]], transcript_to_dict,
+                 transcript_from_line, transcript_from_dict),
+                ([*result.ground_truths, failed[1]], ground_truth_to_dict,
+                 ground_truth_from_line, ground_truth_from_dict)]:
+            for record in records:
+                line = rewrite(to_dict(record))
+                with spy_json_loads() as loads:
+                    got = read(from_line, line)
+                assert loads.called
+                assert got == read(from_dict, json.loads(line))
+
+    def test_int_past_the_digit_limit(self):
+        # canonical, but int() refuses it, as json.loads does
+        tag, store = one_tag_world(Protocol.GOSSAMER)
+        transcript, truth = run_session(tag, store, Forcing(), NonceStream(5), 7)
+        for line, from_line, from_dict in [
+                (transcript_line(transcript), transcript_from_line, transcript_from_dict),
+                (ground_truth_line(truth), ground_truth_from_line, ground_truth_from_dict)]:
+            line = line.replace('"session":7,', '"session":%s,' % ("7" * 5000))
+            got = read(from_line, line)
+            assert got[0] is ValueError and "limit" in got[1]
+            assert got == read(lambda text: from_dict(json.loads(text)), line)
