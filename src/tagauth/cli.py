@@ -47,7 +47,7 @@ from .simulator import (
     transcript_line,
     transcript_to_dict,
 )
-from .store import Store, load_envelope, parse_entries, save_envelope
+from .store import Store, load_envelope, parse_entries, read_text, save_envelope
 from .word96 import to_hex
 
 log = logging.getLogger("tagauth")
@@ -407,7 +407,7 @@ def _opts_from_manifest(path: str, commands: dict) -> tuple[str, dict]:
     """The subcommand and options a manifest replays, checked as argparse checks
     the command line (type and choices); an absent option takes its default.
     An error echoes a rejected value cut short by ``reprlib``."""
-    payload = load_envelope(path, MANIFEST_FORMAT)
+    payload = load_envelope(path, MANIFEST_FORMAT, read_text(path))
     name, args = payload.get("subcommand"), payload.get("args")
     if type(name) is not str or name not in _RUNNERS:
         raise UsageError(f"{path}: unknown subcommand {reprlib.repr(name)}")
@@ -464,7 +464,8 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         return 2
     except OSError as exc:
-        log.error("%s: %s", exc.filename or "I/O error", exc.strerror or exc)
+        log.error("%s: %s", reprlib.repr(exc.filename) if exc.filename else "I/O error",
+                  exc.strerror or exc)
         return 2
     except ValueError as exc:
         log.error("%s", exc)

@@ -18,7 +18,7 @@ distinct tags are independent and may run in separate processes.
 import json
 import random
 import re
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -27,8 +27,9 @@ from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
-from .store import (TUPLE_WORDS, Store, TagRecordRow, WordCodec, bad_word, json_loads,
-                    load_records, parse_entries, save_envelope)
+from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store,
+                    TagRecordRow, WordCodec, bad_word, json_loads, parse_entries,
+                    parse_match, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
@@ -497,27 +498,10 @@ _GROUND_TRUTH = WordCodec(
     ("id",), ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star"),
     types={"session": int},
     nested=dict.fromkeys(("tag_pre", "tag_post", "reader_pre", "reader_post"), _SNAPSHOT))
-_TAG = WordCodec(("id",) + TUPLE_WORDS,
-                 types={"tag_label": str, "variant": str, "last_announced": str})
-
-# A kind of JSONL field: its slot in a line's %-format, its regex in a
-# canonical line, and ``parse``, the value from an iterator over the groups.
-_Kind = namedtuple("_Kind", "slot pattern parse")
-
-
-def _formats(fields) -> tuple[str, str]:
-    """The %-format and the regex of a compact JSON object of ``fields`` (key, kind)."""
-    return ("{" + ",".join(f'"{key}":{kind.slot}' for key, kind in fields) + "}",
-            r"\{" + ",".join(f'"{key}":{kind.pattern}' for key, kind in fields) + r"\}")
-
-
-_HEX = '"([0-9a-f]{24})"'  # ``int(text, 16)`` of a match is ``from_hex`` of it
-_WORD = _Kind('"%s"', _HEX, lambda groups: int(next(groups), 16))
-_WORD_OR_NULL = _Kind("%s", f"(?:{_HEX}|null)",
-                      lambda groups: None if (text := next(groups)) is None else int(text, 16))
-_STR = _Kind("%s", r'"([^"\\\x00-\x1f]*)"', next)  # no escape: the text is the value
-_INT = _Kind("%d", "(-?(?:0|[1-9][0-9]*))", lambda groups: int(next(groups)))
-_SNAPSHOT_JSON, _snapshot_pattern = _formats([(key, _WORD) for key in TUPLE_WORDS])
+_WORD_OR_NULL = Kind("%s", f"(?:{HEX}|null)",
+                     lambda groups: None if (text := next(groups)) is None else int(text, 16))
+_INT = Kind("%d", "(-?(?:0|[1-9][0-9]*))", lambda groups: int(next(groups)))
+_SNAPSHOT_JSON, _snapshot_pattern = record_formats([(key, WORD) for key in TUPLE_WORDS])
 
 
 def _snapshot_or_none(groups) -> StateSnapshot | None:
@@ -525,35 +509,32 @@ def _snapshot_or_none(groups) -> StateSnapshot | None:
     return None if texts[0] is None else StateSnapshot(*[int(text, 16) for text in texts])
 
 
-_SNAPSHOT_OR_NULL = _Kind("%s", f"(?:{_snapshot_pattern}|null)", _snapshot_or_none)
+_SNAPSHOT_OR_NULL = Kind("%s", f"(?:{_snapshot_pattern}|null)", _snapshot_or_none)
 
-# The field table of each JSONL record kind: the one place its keys, their
-# order and their kinds are written.  A canonical line is what the writers
-# give; a reader takes any other line through ``json.loads``.
+# The field table of each record kind: the one place its keys, their order
+# and their kinds are written.  A canonical line or file is what the writers
+# give; a reader takes any other through ``json.loads``.
 _TRANSCRIPT_FIELDS = [
-    ("variant", _STR), ("session", _INT), ("ids", _WORD), ("a", _WORD_OR_NULL),
+    ("variant", STR), ("session", _INT), ("ids", WORD), ("a", _WORD_OR_NULL),
     ("b", _WORD_OR_NULL), ("c", _WORD_OR_NULL), ("d", _WORD_OR_NULL),
-    ("outcome", _STR), ("bits", _INT)]
+    ("outcome", STR), ("bits", _INT)]
 _GROUND_TRUTH_FIELDS = [
-    ("session", _INT), ("id", _WORD),
+    ("session", _INT), ("id", WORD),
     *[(key, _WORD_OR_NULL) for key in ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")],
     *[(key, _SNAPSHOT_OR_NULL) for key in ("tag_pre", "tag_post", "reader_pre", "reader_post")]]
+_TAGS = RecordList(TAGS_FORMAT, "tags", "tag", [
+    ("tag_label", STR), ("variant", STR), *[(key, WORD) for key in ("id",) + TUPLE_WORDS],
+    ("last_announced", STR)])
 
 
 def _line_formats(fields) -> tuple[str, re.Pattern]:
     """A line's %-format, and the compiled regex of a canonical line."""
-    template, pattern = _formats(fields)
+    template, pattern = record_formats(fields)
     return template + "\n", re.compile(pattern + "\n?")
 
 
 _TRANSCRIPT_LINE, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_FIELDS)
 _GROUND_TRUTH_LINE, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
-
-
-def _parse_match(fields, match: re.Match) -> dict:
-    """Each field's value from a canonical line's regex match."""
-    groups = iter(match.groups())
-    return {key: kind.parse(groups) for key, kind in fields}
 
 
 def _word(x: Word96 | None) -> str:
@@ -605,7 +586,7 @@ def transcript_from_dict(data: dict) -> Transcript:
 def transcript_from_line(line: str) -> Transcript:
     """``transcript_from_dict(json.loads(line))``, a canonical line read without it."""
     match = _TRANSCRIPT_RE.fullmatch(line)
-    return (_transcript(_parse_match(_TRANSCRIPT_FIELDS, match)) if match
+    return (_transcript(parse_match(_TRANSCRIPT_FIELDS, match)) if match
             else transcript_from_dict(json_loads(line)))
 
 
@@ -640,16 +621,17 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
 def ground_truth_from_line(line: str) -> GroundTruth:
     """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it."""
     match = _GROUND_TRUTH_RE.fullmatch(line)
-    return (_ground_truth(_parse_match(_GROUND_TRUTH_FIELDS, match)) if match
+    return (_ground_truth(parse_match(_GROUND_TRUTH_FIELDS, match)) if match
             else ground_truth_from_dict(json_loads(line)))
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:
     """Persist simulated tag states next to the reader store (atomic)."""
-    save_envelope(path, TAGS_FORMAT, tags=[
-        _TAG.encode({"tag_label": label, "variant": tags[label].protocol.value,
-                     **vars(tags[label].state)})
-        for label in sorted(tags)])
+    _TAGS.save(path, (_TAGS.template % (
+        encode_basestring_ascii(label), encode_basestring_ascii(tag.protocol.value),
+        to_hex(s.id), to_hex(s.ids), to_hex(s.k1), to_hex(s.k2), to_hex(s.ids_old),
+        to_hex(s.k1_old), to_hex(s.k2_old), encode_basestring_ascii(s.last_announced))
+        for label, tag in sorted(tags.items()) for s in [tag.state]))
 
 
 def load_tags(path: str) -> dict[str, SimTag]:
@@ -657,7 +639,7 @@ def load_tags(path: str) -> dict[str, SimTag]:
 
     Two entries with one ``tag_label`` are malformed, as in ``Store.add``.
     """
-    entries = load_records(path, TAGS_FORMAT, "tags", "tag", _tag_from_dict)
+    entries = _TAGS.load(path, _tag_entry)
     tags = dict(entries)
     if len(tags) < len(entries):  # some label repeats: name its second entry
         seen: set[str] = set()
@@ -671,8 +653,7 @@ def load_tags(path: str) -> dict[str, SimTag]:
     return tags
 
 
-def _tag_from_dict(entry: dict) -> tuple[str, SimTag]:
-    values = _TAG.decode(entry)
+def _tag_entry(values: dict) -> tuple[str, SimTag]:
     label = values.pop("tag_label")
     protocol = Protocol(values.pop("variant"))
     if values["last_announced"] not in (NEXT, OLD):

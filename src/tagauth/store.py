@@ -7,16 +7,12 @@ row by tag_label on a cross-tag IDS collision, with a warning.  The index
 is kept by ``add`` and ``commit``, the only writers of ``ids``/``ids_old``;
 changing those fields any other way leaves lookup stale.
 
-It also holds the format of every record tagauth writes or reads:
-``WordCodec`` puts each 96-bit word in canonical 24-hex form and back
-(calling this module's ``to_hex``/``from_hex``, which the benchmark tracer
-wraps), and ``save_envelope``/``load_envelope`` write and read the JSON
-envelope ``{"format": F, ...}``.  JSON was chosen for diffability in tests.
-The writer gives the bytes of ``json.dump(..., indent=2)`` but streams a
-list of records (store rows, tag entries) one record at a time through the
-C encoder, which ``json`` skips whenever ``indent`` is set.  Writes go
-through a temp file and rename, so a crash never leaves a torn file
-behind, and a write that fails removes its temp file.
+It also holds the format of every record tagauth writes or reads: one
+ordered field table per kind builds the writer's ``%`` template and the
+regex of a canonical record (``record_formats``).  A canonical JSONL line or
+``RecordList`` file is read by that regex, any other through ``json.loads``
+and ``WordCodec`` to the same record or error.  Files are written through a
+temp file and a rename, so a crash never leaves a torn file.
 
 Single writer, any number of readers; the simulator serializes commits.
 """
@@ -25,7 +21,11 @@ import contextlib
 import json
 import logging
 import os
+import re
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .tagstate import NEXT as MATCH_NEXT, OLD as MATCH_OLD  # the tuple a lookup matched
 from .tagstate import rotate
@@ -74,7 +74,11 @@ class Store:
         collisions (possible only in contrived setups) resolve to the
         first row in tag_label order, with a warning.
         """
-        hits = [row for row in self._by_ids.get(ids, ()) if row.variant == variant]
+        held = self._by_ids.get(ids, ())
+        if len(held) == 1 and held[0].variant == variant:  # one row holds it: no list
+            row = held[0]
+            return row, MATCH_NEXT if row.ids == ids else MATCH_OLD
+        hits = [row for row in held if row.variant == variant]
         if not hits:
             return None
         if len(hits) > 1:
@@ -105,29 +109,30 @@ class Store:
             self._by_ids.setdefault(ids, []).append(row)
 
     def save(self, path: str) -> None:
-        """Write the whole store; atomic via write-then-rename."""
-        save_envelope(path, STORE_FORMAT,
-                      rows=[_ROW.encode(vars(self.rows[label])) for label in sorted(self.rows)])
+        """Write the whole store, rows by label; atomic via write-then-rename."""
+        _ROWS.save(path, (_ROWS.template % (
+            encode_basestring_ascii(row.tag_label), encode_basestring_ascii(row.variant),
+            to_hex(row.id), to_hex(row.ids), to_hex(row.k1), to_hex(row.k2),
+            to_hex(row.ids_old), to_hex(row.k1_old), to_hex(row.k2_old))
+            for row in map(self.rows.get, sorted(self.rows))))
 
     @classmethod
     def load(cls, path: str) -> "Store":
         """Read a saved store; a malformed file raises ValueError naming it."""
         store = cls()
-        load_records(path, STORE_FORMAT, "rows", "row",
-                     lambda entry: store.add(TagRecordRow(**_ROW.decode(entry))))
+        _ROWS.load(path, lambda values: store.add(TagRecordRow(**values)))
         return store
 
 
-# -- record codec and file envelope ---------------------------------------------
+# -- record formats and file envelope -------------------------------------------
 
 class WordCodec:
-    """The JSON form of one kind of record.
+    """The JSON form of one kind of record, as read through ``json.loads``.
 
     ``words`` name the keys holding a 96-bit word, ``optional`` those
     holding a word or null, ``types`` the keys that must hold exactly a
     type (a bool is no int), and ``nested`` the keys holding null or an
     instance of another codec's ``record`` class.  Other keys pass through.
-    ``encode`` serves flat records only, every word required.
     """
 
     def __init__(self, words=(), optional=(), types=None, nested=None, record=None):
@@ -136,13 +141,6 @@ class WordCodec:
         self.types = tuple((types or {}).items())
         self.nested = tuple((nested or {}).items())
         self.record = record
-
-    def encode(self, values: dict) -> dict:
-        """A copy of ``values`` with every word in canonical hex."""
-        out = dict(values)
-        for key in self.words:
-            out[key] = to_hex(out[key])
-        return out
 
     def decode(self, data: dict, within: str = "") -> dict:
         """A copy of ``data`` with every word parsed and every type checked;
@@ -172,30 +170,88 @@ def bad_word(field: str, value) -> ValueError:
     return ValueError(f"{field}: not a canonical 96-bit hex word: {value!r}")
 
 
-_ROW = WordCodec(("id",) + TUPLE_WORDS, types={"tag_label": str, "variant": str})
+# A kind of field: its %-format slot, its regex, ``parse`` of an iterator of groups
+Kind = namedtuple("Kind", "slot pattern parse")
+
+HEX = '"([0-9a-f]{24})"'  # ``int(text, 16)`` of a match is ``from_hex`` of it
+WORD = Kind('"%s"', HEX, lambda groups: int(next(groups), 16))
+STR = Kind("%s", r'"([^"\\\x00-\x1f]*)"', next)  # no escape: the text is the value
+
+# A record's (start, between fields, after a key, end): JSONL, or indent=2 list item
+COMPACT = ("{", ",", ":", "}")
+LISTED = ("    {\n      ", ",\n      ", ": ", "\n    }")
 
 
-# Encodes one record of a list field with the C encoder (``json.dump`` with
-# an indent runs the pure-Python one); the item separator puts each key on
-# its own line at record depth, as indent=2 does.  A flat record holds no
-# container, so there is no cycle to check for.
-_RECORD = json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False)
+def record_formats(fields, layout=COMPACT) -> tuple[str, str]:
+    """The %-format and the regex of one JSON object of ``fields`` (key, kind)."""
+    start, between, colon, end = layout
+    return (start + between.join(f'"{key}"{colon}{kind.slot}' for key, kind in fields) + end,
+            re.escape(start) + re.escape(between).join(
+                f'"{key}"{re.escape(colon)}{kind.pattern}' for key, kind in fields)
+            + re.escape(end))
 
 
-def save_envelope(path: str, format_name: str, **fields) -> None:
-    """Write ``{"format": format_name, **fields}``; atomic via write-then-rename.
+def parse_match(fields, match: re.Match) -> dict:
+    """Each field's value from a canonical record's regex match."""
+    groups = iter(match.groups())
+    return {key: kind.parse(groups) for key, kind in fields}
 
-    The bytes are those of ``json.dump(payload, fh, indent=2)`` plus a
-    newline.  A non-empty list field must hold flat records, dicts whose
-    values are JSON scalars; each record is encoded and written on its own,
-    so the file is never one string in memory.  Any other field is
-    ``json.dumps(value, indent=2)`` indented one more level.  A failed
-    write removes the temp file and leaves ``path`` as it was.
-    """
+
+class RecordList:
+    """A file ``{"format": format_name, key: [record, ...]}`` of records whose
+    ``fields`` are words and strings.  ``load`` matches a file in ``save``'s
+    exact layout record by record, and takes any other through ``json.loads``
+    and a ``WordCodec`` of the same table; both run ``build`` in ``parse_entries``."""
+
+    def __init__(self, format_name: str, key: str, what: str, fields) -> None:
+        self.format_name, self.key, self.what, self.fields = format_name, key, what, fields
+        self.template, pattern = record_formats(fields, LISTED)
+        self.pattern = re.compile(pattern)
+        self.head = '{\n  "format": %s,\n  %s: [\n' % (json.dumps(format_name), json.dumps(key))
+        self.codec = WordCodec([name for name, kind in fields if kind is WORD],
+                               types={name: str for name, kind in fields if kind is STR})
+
+    def save(self, path: str, records) -> None:
+        """Write the file of ``records``, an iterator of ``template`` texts; atomic."""
+        first = next(records, None)
+        if first is None:
+            return save_envelope(path, self.format_name, **{self.key: []})
+        _write_atomic(path, chain((self.head, first), (",\n" + text for text in records),
+                                 ("\n  ]\n}\n",)))
+
+    def load(self, path: str, build) -> list:
+        """``build`` of each record's values, in file order."""
+        text = read_text(path)
+        matches = self._canonical(text)
+        if matches is not None:
+            return parse_entries(path, self.what, enumerate(matches),
+                                 lambda match: build(parse_match(self.fields, match)))
+        entries = load_envelope(path, self.format_name, text).get(self.key)
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: no {self.key} list")
+        return parse_entries(path, self.what, enumerate(entries),
+                             lambda entry: build(self.codec.decode(entry)))
+
+    def _canonical(self, text: str) -> list | None:
+        """The regex match of each record of a file ``save`` wrote, else None."""
+        if not text.startswith(self.head):
+            return None
+        matches, pos = [], len(self.head)
+        while match := self.pattern.match(text, pos):
+            matches.append(match)
+            pos = match.end()
+            if not text.startswith(",\n", pos):
+                return matches if text[pos:] == "\n  ]\n}\n" else None
+            pos += 2
+        return None
+
+
+def _write_atomic(path: str, chunks) -> None:
+    """Write ``chunks`` via a temp file; a failure removes it and keeps ``path``."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(_envelope_chunks({"format": format_name, **fields}))
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -203,24 +259,12 @@ def save_envelope(path: str, format_name: str, **fields) -> None:
         raise
 
 
-def _envelope_chunks(payload: dict):
-    """The text of ``json.dumps(payload, indent=2) + "\\n"``, piece by piece."""
-    field_start = "{\n  "
-    for key, value in payload.items():
-        yield f"{field_start}{json.dumps(key)}: "
-        field_start = ",\n  "
-        if type(value) is not list or not value:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
-            continue
-        record_start = "[\n    "
-        for record in value:
-            if type(record) is not dict:
-                raise TypeError(f"{key}: {record!r} is not a record")
-            yield (f"{record_start}{{\n      {_RECORD.encode(record)[1:-1]}\n    }}"
-                   if record else f"{record_start}{{}}")
-            record_start = ",\n    "
-        yield "\n  ]"
-    yield "\n}\n"
+def save_envelope(path: str, format_name: str, **fields) -> None:
+    """Write ``json.dumps({"format": format_name, **fields}, indent=2)`` + newline."""
+    for key, value in fields.items():
+        if type(value) is list and any(type(record) is not dict for record in value):
+            raise TypeError(f"{key}: not a list of records")
+    _write_atomic(path, (json.dumps({"format": format_name, **fields}, indent=2), "\n"))
 
 
 def json_loads(text: str):
@@ -232,24 +276,25 @@ def json_loads(text: str):
         raise ValueError("nested too deeply") from None
 
 
-def load_envelope(path: str, format_name: str) -> dict:
-    """Read a ``save_envelope`` file; not JSON or another format is a ValueError."""
+def read_text(path: str) -> str:
+    """The text of ``path``; bytes that are no UTF-8 are a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json_loads(fh.read())
+            return fh.read()
         except ValueError as exc:
             raise ValueError(f"{path}: not JSON ({exc})") from None
+
+
+def load_envelope(path: str, format_name: str, text: str) -> dict:
+    """The payload of the ``text`` of a ``save_envelope`` file at ``path``; not
+    JSON or another format is a ValueError."""
+    try:
+        payload = json_loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != format_name:
         raise ValueError(f"{path}: not a {format_name} file")
     return payload
-
-
-def load_records(path: str, format_name: str, key: str, what: str, parse) -> list:
-    """``parse`` of each entry of the ``key`` list of a ``save_envelope`` file."""
-    entries = load_envelope(path, format_name).get(key)
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: no {key} list")
-    return parse_entries(path, what, enumerate(entries), parse)
 
 
 def parse_entries(path: str, what: str, numbered, parse) -> list:
@@ -263,3 +308,6 @@ def parse_entries(path: str, what: str, numbered, parse) -> list:
                              f"({type(exc).__name__}: {exc})") from None
     return parsed
 
+
+_ROWS = RecordList(STORE_FORMAT, "rows", "row", [
+    ("tag_label", STR), ("variant", STR), *[(key, WORD) for key in ("id",) + TUPLE_WORDS]])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tagauth import simulator
+from tagauth import store as store_module
 from tagauth.cli import main
 
 
@@ -427,6 +428,19 @@ class TestManifest:
         assert "\n" not in line and len(line) < 300
         assert line.startswith(f"ERROR {path}: {named}")
 
+    def test_long_path_in_an_io_error_is_echoed_short(self, tmp_path, capsys, caplog):
+        # a valid str option, echoed by the OSError it causes ("File name too long")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "rfid-manifest/1", "subcommand": "campaign",
+                                    "args": {"sessions": 2, "seed": 1, "store": LONG_TEXT,
+                                             "output": str(tmp_path / "t.jsonl")}}))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        [record] = caplog.records
+        line = f"{record.levelname} {record.getMessage()}"
+        assert "\n" not in line and len(line) < 200
+        assert line.startswith("ERROR 'xxx")
+
 
 def drop_field(path, key, field, index=0):
     payload = json.loads(path.read_text())
@@ -807,6 +821,82 @@ class TestMalformedCanonicalLines:
         assert code == 2
         assert "t.jsonl: line 1: malformed (ValueError: b: null" in caplog.text
         assert loaded == []
+
+
+DROP = object()
+
+
+def damage_entry(payload, change):
+    """Apply one TestMalformedInput damage to a store or tag-fleet payload."""
+    name, index, field, value = change
+    entry = payload["rows" if name == "db.json" else "tags"][index]
+    if value is DROP:
+        del entry[field]
+    elif value in ("null", "int", "uppercase", "23-digit"):
+        damage(entry, field, value)
+    else:
+        entry[field] = value
+
+
+STORE_AND_TAG_CASES = [
+    # (damage (file, entry, field, value), read without json.loads, exit code, message)
+    (("db.json", 1, "k1", DROP), False, 2, "db.json: row 1: malformed (KeyError: 'k1')"),
+    (("db.json.tags", 0, "k1", DROP), False, 2, "db.json.tags: tag 0: malformed (KeyError"),
+    (("db.json", 0, "colour", "red"), False, 2, "db.json: row 0: malformed (TypeError"),
+    (("db.json.tags", 1, "tag_label", "tag-000"), True, 2,
+     "db.json.tags: tag 1: malformed (ValueError: duplicate tag label: tag-000)"),
+    (("db.json", 0, "variant", "bogus"), True, 2, "db.json: row 0: malformed (ValueError: "
+     "variant: 'bogus' is not one of sasi, gossamer, gossamer-mod)"),
+    (("db.json", 0, "variant", "gossamer-mod"), True, 2, "db.json: row 0: malformed "
+     "(ValueError: variant: 'gossamer-mod', but tag 'tag-000' is gossamer)"),
+    (("db.json.tags", 0, "last_announced", "old"), True, 0, None),
+    (("db.json.tags", 0, "last_announced", "next"), True, 0, None),
+    (("db.json.tags", 0, "last_announced", "bogus"), True, 2,
+     "db.json.tags: tag 0: malformed (ValueError: last_announced is not"),
+    (("db.json.tags", 0, "last_announced", 5), False, 2,
+     "db.json.tags: tag 0: malformed (TypeError: last_announced is not str)"),
+    *[((name, 0, field, bad), False, 2,
+       f"{name}: {entry} 0: malformed (ValueError: {field}: not a canonical 96-bit hex word")
+      for name, entry, field in [("db.json", "row", "id"), ("db.json.tags", "tag", "k1_old")]
+      for bad in ("null", "int", "uppercase", "23-digit")],
+]
+
+
+class TestMalformedCanonicalFiles:
+    """The store and tag cases of TestMalformedInput, each damaged file written
+    both in the indent=2 layout the writers use and re-spaced as there.  Both
+    give the same exit code and message.  A damage that leaves the file in the
+    writers' exact layout (another string) is read without json.loads."""
+
+    @pytest.mark.parametrize("change, canonical, code, message", STORE_AND_TAG_CASES,
+                             ids=[f"{name}-{index}-{field}-{'drop' if value is DROP else value}"
+                                  for (name, index, field, value), *_ in STORE_AND_TAG_CASES])
+    def test_damaged_file_in_either_layout(self, tmp_path, capsys, caplog, monkeypatch,
+                                           change, canonical, code, message):
+        outcomes = []
+        for layout, indent in [("canonical", 2), ("spaced", None)]:
+            root = tmp_path / layout
+            root.mkdir()
+            store, path = root / "db.json", root / change[0]
+            provision(capsys, store, count=2)
+            payload = json.loads(path.read_text())
+            damage_entry(payload, change)
+            text = json.dumps(payload, indent=indent) + ("\n" if indent else "")
+            path.write_text(text)
+            loaded = []
+            loads = store_module.json_loads
+            monkeypatch.setattr(store_module, "json_loads",
+                                lambda text: loaded.append(text) or loads(text))
+            caplog.clear()
+            outcome, _ = run_cli(capsys, "session", "run", "--tag", "tag-000", "--seed", "1",
+                                 "--store", str(store))
+            monkeypatch.undo()
+            assert loaded == ([] if canonical and indent else [text])
+            outcomes.append((outcome, caplog.text.replace(str(root), "<dir>")))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+        if message is not None:
+            assert f"<dir>/{message}" in outcomes[0][1]
 
 
 class TestOwnFiles:

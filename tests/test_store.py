@@ -2,24 +2,30 @@
 
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagauth import store as store_module
 from tagauth.simulator import (
+    TAGS_FORMAT,
     Forcing,
     NonceStream,
     Outcome,
     Protocol,
+    SimTag,
     load_tags,
     provision,
     run_session,
     save_tags,
 )
 from tagauth.cli import MANIFEST_FORMAT, _build_parser
-from tagauth.store import MATCH_NEXT, MATCH_OLD, Store, TagRecordRow, save_envelope
-from tagauth.word96 import to_hex
+from tagauth.store import (MATCH_NEXT, MATCH_OLD, STORE_FORMAT, TUPLE_WORDS, RecordList,
+                           Store, TagRecordRow, save_envelope)
+from tagauth.tagstate import NEXT, OLD, TagState
+from tagauth.word96 import MASK, to_hex
 
 
 def row(label, ids, ids_old, variant="gossamer"):
@@ -297,6 +303,112 @@ class TestEnvelopeWriter:
             save_envelope(path, "f", rows=rows)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+
+WORDS = ("id",) + TUPLE_WORDS
+words = st.sampled_from([0, MASK]) | st.integers(0, MASK)
+labels = st.from_regex(r"tag-[0-9a-z]{1,4}", fullmatch=True) | json_text
+
+
+@st.composite
+def fleets(draw):
+    """0-4 tags and their store rows, every variant, words 0, MASK or random."""
+    tags, store = {}, Store()
+    for label in draw(st.lists(labels, max_size=4, unique=True)):
+        protocol = draw(st.sampled_from(list(Protocol)))
+        tags[label] = SimTag(label, protocol, TagState(
+            *draw(st.lists(words, min_size=7, max_size=7)),
+            last_announced=draw(st.sampled_from([NEXT, OLD]))))
+        store.add(TagRecordRow(label, protocol.value, *draw(st.lists(words, min_size=7,
+                                                                     max_size=7))))
+    return tags, store
+
+
+def entry(fields: dict) -> dict:
+    """A store row's or tag state's fields with each word in hex, as the files hold them."""
+    return {key: to_hex(value) if key in WORDS else value for key, value in fields.items()}
+
+
+def both_paths(load, path):
+    """``load(path)`` as it is and with the regex reader off: each a value or an error."""
+    outcomes = []
+    for canonical in (RecordList._canonical, lambda self, text: None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RecordList, "_canonical", canonical)
+            try:
+                outcomes.append(load(path))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+class TestRecordFiles:
+    """Store and tag files: the writers' bytes, and the regex reader of a file
+    in their exact layout against the json.loads reader of any other."""
+
+    @given(fleet=fleets())
+    @settings(max_examples=150)
+    def test_bytes_and_both_readers(self, tmp_path_factory, fleet):
+        tags, store = fleet
+        base = tmp_path_factory.getbasetemp()
+        store_path, tags_path = base / "db.json", base / "db.json.tags"
+        store.save(store_path)
+        save_tags(tags, tags_path)
+        assert store_path.read_bytes() == (json.dumps({"format": STORE_FORMAT, "rows": [
+            entry(vars(store.rows[label])) for label in sorted(store.rows)]},
+            indent=2) + "\n").encode()
+        assert tags_path.read_bytes() == (json.dumps({"format": TAGS_FORMAT, "tags": [
+            entry({"tag_label": label, "variant": tags[label].protocol.value,
+                   **vars(tags[label].state)}) for label in sorted(tags)]},
+            indent=2) + "\n").encode()
+        # with a record and no text to escape, the files are read without json.loads
+        plain = bool(tags) and all(json.dumps(label) == f'"{label}"' for label in tags)
+        loaded = []
+
+        def json_loads(text):
+            if plain:
+                raise AssertionError("json_loads called on a canonical file")
+            loaded.append(text)
+            return json.loads(text)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store_module, "json_loads", json_loads)
+            assert Store.load(store_path).rows == store.rows
+            assert load_tags(tags_path) == tags
+        assert len(loaded) == (0 if plain else 2)
+        for path in (store_path, tags_path):
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+        assert Store.load(store_path).rows == store.rows
+        assert load_tags(tags_path) == tags
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "x",  # trailing bytes
+        lambda text: text + "\n  ",  # trailing whitespace, which JSON allows
+        lambda text: text[:-len("\n  ]\n}\n")],  # no tail
+        lambda text: text[:-2],  # tail cut short
+        lambda text: text.replace("\n  ]", "\n  ,]"),
+        lambda text: "\ufeff" + text,  # a byte-order mark
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n  "),  # indented one more level
+        lambda text: text.replace('"tag-001"', '"tag-\\u0030\\u00301"'),  # an escape
+        lambda text: text.replace('"variant"', '"colour": "red",\n      "variant"', 1),
+        lambda text: text.replace('"k1": ', '"k1":', 1),
+        lambda text: re.sub('"id": "[0-9a-f]', '"id": "A', text, count=1),
+        lambda text: text.replace("},\n    {", "}, {", 1),
+        lambda text: text.replace(",\n    {", ",\n    {},\n    {", 1),
+    ], ids=["trailing-x", "trailing-space", "no-tail", "short-tail", "trailing-comma",
+            "bom", "crlf", "indent", "escape", "extra-key", "spacing", "uppercase",
+            "joined-records", "empty-record"])
+    @pytest.mark.parametrize("name", ["db.json", "db.json.tags"])
+    def test_other_layouts_read_as_json_reads_them(self, tmp_path, name, edit):
+        tags, store = provision(3, Protocol.GOSSAMER, seed=21)
+        store.save(tmp_path / "db.json")
+        save_tags(tags, tmp_path / "db.json.tags")
+        path = tmp_path / name
+        path.write_text(edit(path.read_text()), newline="")
+        fast, slow = both_paths(
+            (lambda path: Store.load(path).rows) if name == "db.json" else load_tags, path)
+        assert fast == slow
 
 
 class TestSessionCommitDiscipline:
