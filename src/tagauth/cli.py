@@ -464,7 +464,8 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         return 2
     except OSError as exc:
-        log.error("%s: %s", reprlib.repr(exc.filename) if exc.filename else "I/O error",
+        name = str(exc.filename or "I/O error")  # past 163 characters, only its two ends
+        log.error("%s: %s", name if len(name) <= 163 else f"{name[:80]}...{name[-80:]}",
                   exc.strerror or exc)
         return 2
     except ValueError as exc:

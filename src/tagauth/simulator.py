@@ -27,9 +27,8 @@ from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
-from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store,
-                    TagRecordRow, WordCodec, bad_word, json_loads, parse_entries,
-                    parse_match, record_formats)
+from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store, TagRecordRow,
+                    WordCodec, bad_word, json_loads, parse_match, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
@@ -639,17 +638,15 @@ def load_tags(path: str) -> dict[str, SimTag]:
 
     Two entries with one ``tag_label`` are malformed, as in ``Store.add``.
     """
-    entries = _TAGS.load(path, _tag_entry)
-    tags = dict(entries)
-    if len(tags) < len(entries):  # some label repeats: name its second entry
-        seen: set[str] = set()
+    tags: dict[str, SimTag] = {}
 
-        def once(entry: tuple[str, SimTag]) -> None:
-            if entry[0] in seen:
-                raise ValueError(f"duplicate tag label: {entry[0]}")
-            seen.add(entry[0])
+    def add(values: dict) -> None:
+        label, tag = _tag_entry(values)
+        if label in tags:
+            raise ValueError(f"duplicate tag label: {label}")
+        tags[label] = tag
 
-        parse_entries(path, "tag", enumerate(entries), once)
+    _TAGS.load(path, add)
     return tags
 
 

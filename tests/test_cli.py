@@ -439,7 +439,16 @@ class TestManifest:
         [record] = caplog.records
         line = f"{record.levelname} {record.getMessage()}"
         assert "\n" not in line and len(line) < 200
-        assert line.startswith("ERROR 'xxx")
+        assert line.startswith("ERROR xxx") and "x...x" in line
+
+    def test_missing_file_is_named_in_full(self, tmp_path, monkeypatch, capsys, caplog):
+        monkeypatch.chdir(tmp_path)
+        store = "a-store-that-was-never-provisioned/" + "d" * 20 + "/db.json"  # 63 characters
+        code, _ = run_cli(capsys, "campaign", "--store", store, "--sessions", "2",
+                          "--seed", "1", "--output", "t.jsonl")
+        assert code == 2
+        [record] = caplog.records
+        assert record.getMessage() == f"{store}: No such file or directory"
 
 
 def drop_field(path, key, field, index=0):
