@@ -415,8 +415,10 @@ def _opts_from_manifest(path: str, commands: dict) -> tuple[str, dict]:
         raise UsageError(f"{path}: args is not an object")
     # argparse keeps a parser's options only in _actions
     actions = [a for a in commands[name]._actions if a.default != argparse.SUPPRESS]
-    for unknown in args.keys() - {action.dest for action in actions}:
-        raise UsageError(f"{path}: unknown option {reprlib.repr(unknown)} in args")
+    known = {action.dest for action in actions}
+    for key in args:  # in manifest order, so the key named is the same on every run
+        if key not in known:
+            raise UsageError(f"{path}: unknown option {reprlib.repr(key)} in args")
     opts = dict(args)
     for action in actions:
         option = action.option_strings[0] if action.option_strings else action.dest

@@ -1,9 +1,14 @@
 """CLI: subcommand wiring, exit codes, manifests, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tagauth
 from tagauth import simulator
 from tagauth import store as store_module
 from tagauth.cli import main
@@ -330,6 +335,22 @@ class TestManifest:
         code, summary = run_cli(capsys, "--manifest", str(path))
         assert code == 0
         assert summary == run_cli(capsys, "bench", "cost", "--variant", "gossamer")[1]
+
+    def test_first_unknown_option_in_manifest_order_is_named(self, tmp_path):
+        # the name must not depend on string hashing, so each run gets its own
+        # PYTHONHASHSEED, which only a fresh interpreter takes
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "rfid-manifest/1", "subcommand": "bench",
+                                    "args": {"what": "cost", "zeta": 1, "alpha": 1,
+                                             "mid": 1, "beta": 1}}))
+        src = str(Path(tagauth.__file__).resolve().parents[1])
+        for hash_seed in ("0", "1", "2", "3", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-m", "tagauth.cli", "--manifest", str(path)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 2
+            assert done.stderr == f"ERROR {path}: unknown option 'zeta' in args\n"
 
     def test_campaign_manifest_without_defaulted_options_replays(self, tmp_path, capsys):
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"

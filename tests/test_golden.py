@@ -9,6 +9,7 @@ output byte moved, and the name says which run it was.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,9 +23,11 @@ from tagauth.simulator import (
     Protocol,
     evaluate_attack,
     ground_truth_to_dict,
+    make_tag,
     provision,
     run_campaign,
     run_session,
+    save_tags,
     transcript_to_dict,
 )
 
@@ -47,6 +50,8 @@ GOLDEN = {
     "gossamer-mod": "0d9bfaadbbb53b883c7ef001b6bc4456c50f02fd6ccc4ed076160ce8d1ff47e0",
     "cli": "511dd3fbb0167bf74ef4e5116deebc777511b6e3ca43259fdf05535c4acf388e",
 }
+
+FLEET_GOLDEN = "c59b099627d31cf51092c19740a44bb83e4cc2b56625549412a090e593ee9a0d"
 
 
 def _line(obj) -> str:
@@ -121,3 +126,27 @@ def test_cli_outputs_are_unchanged(tmp_path, monkeypatch, capsys):
         for name in names:
             lines.append((tmp_path / name).read_text())
     assert _digest(lines) == GOLDEN["cli"]
+
+
+def test_fleet_outputs_are_unchanged(tmp_path):
+    """A SASI fleet in one store: sessions interleaved over 66 tags, 15% of D
+    dropped so that tags retry their old IDS, and two extra tags provisioned
+    with one shared IDS so that a commit re-indexes an IDS two rows hold."""
+    tags, store = provision(64, Protocol.SASI, seed=61)
+    for label, id_, k1, k2 in [("twin-a", 11, 12, 13), ("twin-b", 21, 22, 23)]:
+        tag, row = make_tag(label, Protocol.SASI, id_, 0x5A5A, k1, k2)
+        tags[label] = tag
+        store.add(row)
+    labels = sorted(tags)
+    schedule = random.Random(62)
+    rng = NonceStream(63)
+    lines = []
+    for index in range(400):
+        forcing = Forcing(drop_d=schedule.random() < 0.15)
+        transcript, truth = run_session(tags[schedule.choice(labels)], store, forcing,
+                                        rng, session_index=index)
+        lines += [_line(transcript_to_dict(transcript)), _line(ground_truth_to_dict(truth))]
+    store.save(tmp_path / "db.json")
+    save_tags(tags, tmp_path / "db.json.tags")
+    lines += [(tmp_path / name).read_text() for name in ("db.json", "db.json.tags")]
+    assert _digest(lines) == FLEET_GOLDEN

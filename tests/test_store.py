@@ -117,6 +117,16 @@ _commits = st.tuples(st.just("commit"), st.integers(min_value=0, max_value=9),
                      st.sampled_from([MATCH_NEXT, MATCH_OLD]), _ids)
 
 
+def assert_index_rebuilds(store, live):
+    """The IDS index equals one rebuilt from the rows: a key per live IDS, no
+    empty list, each row once under each of its distinct IDS values."""
+    assert set(store._by_ids) == live
+    for ids, held in store._by_ids.items():
+        expected = [r for r in store.rows.values() if ids in (r.ids, r.ids_old)]
+        assert held
+        assert sorted(map(id, held)) == sorted(map(id, expected))
+
+
 class TestIndexAgainstLinearScan:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(_adds, _commits), max_size=25))
@@ -142,6 +152,7 @@ class TestIndexAgainstLinearScan:
                     store.commit(label, (staged_ids, 7, 8), side)
                 live = {r.ids for r in store.rows.values()} | \
                        {r.ids_old for r in store.rows.values()}
+                assert_index_rebuilds(store, live)
                 for ids in sorted(live | {6, 99}):
                     for variant in ("sasi", "gossamer"):
                         expected, matched = linear_lookup(store, ids, variant)

@@ -9,6 +9,7 @@ per-layer numbers would silently read zero; this test catches that.
 import importlib.util
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,3 +157,25 @@ def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, can
     assert tracer.counts["search.candidates"] == candidates
     if protocol is Protocol.GOSSAMER_MOD:
         assert tracer.counts["search.sessions"] == tracer.counts["search.accepted"] == 20
+
+
+def test_traced_work_counts_of_a_sasi_campaign(tracing):
+    # 20 sessions at drop rate 0.3: 6 lose D, so the next 6 sessions find the
+    # tag's next IDS unknown and look up again with its old IDS (20 + 6 = 26
+    # lookups); every session reaches the challenge, and the 14 whose D
+    # arrived commit.
+    tags, store = provision(1, Protocol.SASI, seed=3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = run_campaign(tags["tag-000"], store,
+                              CampaignConfig(Protocol.SASI, 20, seed=4, drop_d_rate=0.3))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == set()
+    assert result.summary["outcomes"] == {"d_dropped": 6, "mutual_success": 14}
+    counts = Counter(span[0] for span in tracer.spans)
+    assert {name: counts[name] for name in ("sasi.reader_begin", "sasi.tag_respond",
+                                            "store.lookup", "store.commit")} == {
+        "sasi.reader_begin": 20, "sasi.tag_respond": 20, "store.lookup": 26,
+        "store.commit": 14}
