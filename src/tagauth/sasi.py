@@ -24,12 +24,12 @@ from dataclasses import dataclass
 # NEXT, OLD, reader_finish and tag_announce are re-exported
 from .tagstate import (NEXT, OLD, TagState, reader_finish, rotate,  # noqa: F401
                        tag_announce, tuple_of)
-from .word96 import Word96, add, or_, rotl, sub, xor
+from .word96 import MASK, Word96, rotl
 
 SasiTagState = TagState
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionValues:
     """Everything one session derives; doubles as the reader's pending context.
 
@@ -51,14 +51,14 @@ class SessionValues:
 def session_values(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                    n1: Word96, n2: Word96) -> SessionValues:
     """Evaluate the SASI session equations for one (tuple, nonce-pair)."""
-    k1n = rotl(xor(k1, n2), k1)
-    k2n = rotl(xor(k2, n1), k2)
-    a = xor(xor(ids, k1), n1)
-    b = add(or_(ids, k2), n2)
-    c = add(xor(k1, k2n), xor(k2, k1n))
-    d = xor(add(k2n, id_), or_(xor(k1, k2), k1n))
-    ids_next = xor(add(ids, id_), xor(n2, k1n))
-    return SessionValues(n1, n2, k1n, k2n, a, b, c, d, ids_next)
+    k1n = rotl(k1 ^ n2, k1)
+    k2n = rotl(k2 ^ n1, k2)
+    return SessionValues(n1, n2, k1n, k2n,
+                         ids ^ k1 ^ n1,                                # A
+                         ((ids | k2) + n2) & MASK,                     # B
+                         ((k1 ^ k2n) + (k2 ^ k1n)) & MASK,             # C
+                         ((k2n + id_) & MASK) ^ ((k1 ^ k2) | k1n),     # D
+                         ((ids + id_) & MASK) ^ n2 ^ k1n)              # IDS_next
 
 
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
@@ -80,9 +80,7 @@ def tag_respond(tag: SasiTagState, a: Word96, b: Word96, c: Word96) -> Word96 | 
     or a corrupted message).
     """
     ids, k1, k2 = tuple_of(tag, tag.last_announced)
-    n1 = xor(xor(a, ids), k1)
-    n2 = sub(b, or_(ids, k2))
-    vals = session_values(ids, k1, k2, tag.id, n1, n2)
+    vals = session_values(ids, k1, k2, tag.id, a ^ ids ^ k1, (b - (ids | k2)) & MASK)
     if vals.c != c:
         return None
     rotate(tag, tag.last_announced, (vals.ids_next, vals.k1_next, vals.k2_next))

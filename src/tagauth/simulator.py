@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterator
 
 from . import attacks, gossamer, sasi
@@ -64,7 +65,7 @@ class KeyMode(str, Enum):
     ZERO_MOD_96 = "zero-mod96"
 
 
-@dataclass
+@dataclass(slots=True)
 class Transcript:
     """One session as seen from the air: pseudonym, messages, outcome, bits.
 
@@ -84,7 +85,7 @@ class Transcript:
     bit_cost: int
 
 
-@dataclass
+@dataclass(slots=True)
 class StateSnapshot:
     """Both (ids, k1, k2) tuples of one side at one instant."""
 
@@ -96,7 +97,7 @@ class StateSnapshot:
     k2_old: Word96
 
 
-@dataclass
+@dataclass(slots=True)
 class GroundTruth:
     """Secrets of one session, recorded for scoring and invariant checks only.
 
@@ -200,17 +201,17 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 # module at each call so that a wrapper set on the module attribute
 # (perfbench/tracing.py's spans) sees every session.  ``extra`` is the
 # trailing argument both take: the Gossamer variant, nothing for SASI.
-# ``internals`` pairs each GroundTruth field with the session-values
-# attribute that holds it.
-_GOSSAMER_INTERNALS = (("n1", "n1"), ("n2", "n2"), ("n3", "n3"), ("n1p", "n1p"),
-                       ("n2p", "n2p"), ("k1_star", "k1s"), ("k2_star", "k2s"))
+# ``internals`` gives the GroundTruth internals of the session values in
+# field order: n1, n2, n3, n1p, n2p, k1_star, k2_star.
+_GOSSAMER_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1s", "k2s")
 _ENGINES = {
-    # SASI's session keys K1'/K2' are its staged keys
-    Protocol.SASI: (sasi, (), (("n1", "n1"), ("n2", "n2"),
-                               ("k1_star", "k1_next"), ("k2_star", "k2_next"))),
+    # SASI has no n3, n1' or n2'; its session keys K1'/K2' are its staged keys
+    Protocol.SASI: (sasi, (), lambda vals: (vals.n1, vals.n2, None, None, None,
+                                            vals.k1_next, vals.k2_next)),
     Protocol.GOSSAMER: (gossamer, (Variant.ORIGINAL,), _GOSSAMER_INTERNALS),
     Protocol.GOSSAMER_MOD: (gossamer, (Variant.MODIFIED,), _GOSSAMER_INTERNALS),
 }
+_NO_INTERNALS = (None,) * 7  # a session that never reached the challenge
 
 
 def _snapshot(holder) -> StateSnapshot | None:
@@ -224,16 +225,14 @@ def _snapshot(holder) -> StateSnapshot | None:
 # -- session and campaign ----------------------------------------------------
 
 def _draw_nonces(forcing: Forcing, rng: NonceStream) -> tuple[Word96, Word96]:
-    if forcing.nonce_mode is NonceMode.EXACT_ZERO:
-        return 0, 0
+    if forcing.nonce_mode is NonceMode.RANDOM:
+        return rng.word(), rng.word()
     if forcing.nonce_mode is NonceMode.ZERO_MOD_96:
         return rng.multiple_of_96(), rng.multiple_of_96()
-    return rng.word(), rng.word()
+    return 0, 0
 
 
 def _force_keys(forcing: Forcing, rng: NonceStream, state, row) -> None:
-    if forcing.key_mode is KeyMode.AS_STORED:
-        return
     if forcing.key_mode is KeyMode.EXACT_ZERO:
         k1f = k2f = 0
     else:
@@ -259,7 +258,8 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     module, extra, internals = _ENGINES[tag.protocol]
     state = tag.state
     mirror = store.rows.get(tag.label)
-    _force_keys(forcing, rng, state, mirror)
+    if forcing.key_mode is not KeyMode.AS_STORED:
+        _force_keys(forcing, rng, state, mirror)
     tag_pre = _snapshot(state)
     reader_pre = _snapshot(mirror)
     replayed = forcing.replay_d
@@ -284,7 +284,8 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
             if hit is None:
                 announced = tag_announce(state, retry=True)
                 hit = store.lookup(announced, variant)
-        outcome = Outcome.LOOKUP_FAILED
+        if hit is None:
+            outcome = Outcome.LOOKUP_FAILED
 
     if hit is not None:
         row, side = hit
@@ -312,11 +313,10 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         bits += CHALLENGE_BITS
     if d is not None:
         bits += WIDTH
-    found = {} if pending is None else {
-        field: getattr(pending, attr) for field, attr in internals}
     return (Transcript(variant, session_index, announced, a, b, c, d, outcome, bits),
             GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
-                        reader_pre, _snapshot(mirror), **found))
+                        reader_pre, _snapshot(mirror),
+                        *(_NO_INTERNALS if pending is None else internals(pending))))
 
 
 @dataclass

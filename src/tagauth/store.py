@@ -97,16 +97,22 @@ class Store:
         leaves the index first and re-enters it under its new IDS pair.
         """
         row = self.rows[tag_label]
-        for ids in {row.ids, row.ids_old}:
-            held = self._by_ids.pop(ids)
+        by_ids = self._by_ids
+        for ids in _distinct_ids(row):
+            held = by_ids.pop(ids)
             if len(held) > 1:
-                self._by_ids[ids] = [other for other in held if other is not row]
+                by_ids[ids] = [other for other in held if other is not row]
         rotate(row, used, staged)
         self._index(row)
 
     def _index(self, row: TagRecordRow) -> None:
-        for ids in {row.ids, row.ids_old}:
-            self._by_ids.setdefault(ids, []).append(row)
+        by_ids = self._by_ids
+        for ids in _distinct_ids(row):
+            held = by_ids.get(ids)
+            if held is None:
+                by_ids[ids] = [row]
+            else:
+                held.append(row)
 
     def save(self, path: str) -> None:
         """Write the whole store, rows by label; atomic via write-then-rename."""
@@ -122,6 +128,11 @@ class Store:
         store = cls()
         _ROWS.load(path, lambda values: store.add(TagRecordRow(**values)))
         return store
+
+
+def _distinct_ids(row: TagRecordRow) -> tuple[Word96, ...]:
+    """The row's next and old IDS, once if they are equal."""
+    return (row.ids,) if row.ids == row.ids_old else (row.ids, row.ids_old)
 
 
 # -- record formats and file envelope -------------------------------------------
