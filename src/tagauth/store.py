@@ -98,7 +98,7 @@ class Store:
         """
         row = self.rows[tag_label]
         by_ids = self._by_ids
-        for ids in _distinct_ids(row):
+        for ids in (row.ids,) if row.ids == row.ids_old else (row.ids, row.ids_old):
             held = by_ids.pop(ids)
             if len(held) > 1:
                 by_ids[ids] = [other for other in held if other is not row]
@@ -107,7 +107,7 @@ class Store:
 
     def _index(self, row: TagRecordRow) -> None:
         by_ids = self._by_ids
-        for ids in _distinct_ids(row):
+        for ids in (row.ids,) if row.ids == row.ids_old else (row.ids, row.ids_old):
             held = by_ids.get(ids)
             if held is None:
                 by_ids[ids] = [row]
@@ -128,11 +128,6 @@ class Store:
         store = cls()
         _ROWS.load(path, lambda values: store.add(TagRecordRow(**values)))
         return store
-
-
-def _distinct_ids(row: TagRecordRow) -> tuple[Word96, ...]:
-    """The row's next and old IDS, once if they are equal."""
-    return (row.ids,) if row.ids == row.ids_old else (row.ids, row.ids_old)
 
 
 # -- record formats and file envelope -------------------------------------------

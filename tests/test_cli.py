@@ -344,9 +344,9 @@ class TestManifest:
                                     "args": {"what": "cost", "zeta": 1, "alpha": 1,
                                              "mid": 1, "beta": 1}}))
         src = str(Path(tagauth.__file__).resolve().parents[1])
+        search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for hash_seed in ("0", "1", "2", "3", "4242"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": search}
             done = subprocess.run([sys.executable, "-m", "tagauth.cli", "--manifest", str(path)],
                                   env=env, capture_output=True, text=True, timeout=60)
             assert done.returncode == 2

@@ -160,10 +160,10 @@ def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, can
 
 
 def test_traced_work_counts_of_a_sasi_campaign(tracing):
-    # 20 sessions at drop rate 0.3: 6 lose D, so the next 6 sessions find the
-    # tag's next IDS unknown and look up again with its old IDS (20 + 6 = 26
-    # lookups); every session reaches the challenge, and the 14 whose D
-    # arrived commit.
+    # 20 sessions at drop rate 0.3: 6 lose D, and the session after each of
+    # them looks up the tag's next IDS in vain, then its old IDS (20 + 6 = 26
+    # lookups).  Every session reaches the challenge; the 14 whose D arrived
+    # commit.
     tags, store = provision(1, Protocol.SASI, seed=3)
     tracer = tracing.Tracer()
     tracer.install()
