@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .gossamer import Variant, derive_update, recover_nonces
-from .word96 import PI, Word96, add, rotr, sub, xor
+from .word96 import MASK, PI, Word96, rotr
 
 
 @dataclass
@@ -53,8 +53,7 @@ def sasi_residue_gap(transcript) -> int:
     unforced traffic shows how sharp that approximation is.
     """
     ids = transcript.announced_ids
-    estimate = add(xor(transcript.a, ids), sub(transcript.b, ids))
-    return sub(transcript.c, estimate) % 96
+    return ((transcript.c - (transcript.a ^ ids) - transcript.b + ids) & MASK) % 96
 
 
 def sasi_attack(first, second) -> AttackVerdict:
@@ -66,8 +65,8 @@ def sasi_attack(first, second) -> AttackVerdict:
     """
     if sasi_residue_gap(first) != 0:
         return AttackVerdict(fired=False)
-    residue = sub(second.announced_ids, first.announced_ids) % 96
-    return AttackVerdict(fired=True, recovered_id=residue)
+    return AttackVerdict(fired=True, recovered_id=(
+        (second.announced_ids - first.announced_ids) & MASK) % 96)
 
 
 def gossamer_attack1(first, second) -> AttackVerdict:
@@ -78,11 +77,10 @@ def gossamer_attack1(first, second) -> AttackVerdict:
     C - PI = IDS_next - IDS flags the collapse and D - C + PI is the
     static ID, cross-checked against D - IDS_next + IDS.
     """
-    step = sub(second.announced_ids, first.announced_ids)
-    if sub(first.c, PI) != step:
+    if (first.c - PI) & MASK != (second.announced_ids - first.announced_ids) & MASK:
         return AttackVerdict(fired=False)
-    id_from_messages = add(sub(first.d, first.c), PI)
-    id_from_pseudonyms = add(sub(first.d, second.announced_ids), first.announced_ids)
+    id_from_messages = (first.d - first.c + PI) & MASK
+    id_from_pseudonyms = (first.d - second.announced_ids + first.announced_ids) & MASK
     # algebraically forced once the detector holds
     assert id_from_messages == id_from_pseudonyms
     return AttackVerdict(fired=True, recovered_id=id_from_messages)
@@ -104,9 +102,10 @@ def gossamer_attack2(transcript) -> AttackVerdict:
     if vals is None:
         return AttackVerdict(fired=False)
     derive_update(Variant.ORIGINAL, ids, vals)
-    step = rotr(sub(transcript.d, vals.n1p), vals.n3)
-    step = rotr(sub(sub(step, vals.k1s), vals.n1p), vals.n2)
-    recovered_id = sub(sub(sub(step, vals.n2), vals.k2s), vals.n1p)
+    n1p = vals.n1p
+    step = rotr((transcript.d - n1p) & MASK, vals.n3)
+    step = rotr((step - vals.k1s - n1p) & MASK, vals.n2)
+    recovered_id = (step - vals.n2 - vals.k2s - n1p) & MASK
     state = RecoveredSecrets(
         k1_star=vals.k1s, k2_star=vals.k2s,
         n1=vals.n1, n2=vals.n2, n3=vals.n3, n1p=vals.n1p, n2p=vals.n2p,

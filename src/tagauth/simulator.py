@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import islice, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterator
@@ -196,9 +196,10 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 
 # -- protocol table ------------------------------------------------------------
 
-# Protocol -> (module, extra, internals).  ``module`` (sasi or gossamer)
-# supplies reader_begin and tag_respond; run_session looks them up on the
-# module at each call so that a wrapper set on the module attribute
+# Protocol -> (variant, module, extra, internals).  ``variant`` is the
+# protocol's value, the store's variant string.  ``module`` (sasi or
+# gossamer) supplies reader_begin and tag_respond; run_session looks them up
+# on the module at each call so that a wrapper set on the module attribute
 # (perfbench/tracing.py's spans) sees every session.  ``extra`` is the
 # trailing argument both take: the Gossamer variant, nothing for SASI.
 # ``internals`` gives the GroundTruth internals of the session values in
@@ -206,12 +207,23 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 _GOSSAMER_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1s", "k2s")
 _ENGINES = {
     # SASI has no n3, n1' or n2'; its session keys K1'/K2' are its staged keys
-    Protocol.SASI: (sasi, (), lambda vals: (vals.n1, vals.n2, None, None, None,
-                                            vals.k1_next, vals.k2_next)),
-    Protocol.GOSSAMER: (gossamer, (Variant.ORIGINAL,), _GOSSAMER_INTERNALS),
-    Protocol.GOSSAMER_MOD: (gossamer, (Variant.MODIFIED,), _GOSSAMER_INTERNALS),
+    Protocol.SASI: (Protocol.SASI.value, sasi, (),
+                    lambda vals: (vals.n1, vals.n2, None, None, None,
+                                  vals.k1_next, vals.k2_next)),
+    Protocol.GOSSAMER: (Protocol.GOSSAMER.value, gossamer, (Variant.ORIGINAL,),
+                        _GOSSAMER_INTERNALS),
+    Protocol.GOSSAMER_MOD: (Protocol.GOSSAMER_MOD.value, gossamer, (Variant.MODIFIED,),
+                            _GOSSAMER_INTERNALS),
 }
 _NO_INTERNALS = (None,) * 7  # a session that never reached the challenge
+
+# Enum members a session reads, bound once: a read through the class costs
+# about ten times a global's
+_RANDOM, _ZERO_MOD_96 = NonceMode.RANDOM, NonceMode.ZERO_MOD_96
+_AS_STORED, _ZERO_KEYS = KeyMode.AS_STORED, KeyMode.EXACT_ZERO
+_SUCCESS, _READER_REJECTED, _TAG_REJECTED, _D_DROPPED, _LOOKUP_FAILED = (
+    Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED, Outcome.TAG_REJECTED,
+    Outcome.D_DROPPED, Outcome.LOOKUP_FAILED)
 
 
 def _snapshot(holder) -> StateSnapshot | None:
@@ -225,15 +237,15 @@ def _snapshot(holder) -> StateSnapshot | None:
 # -- session and campaign ----------------------------------------------------
 
 def _draw_nonces(forcing: Forcing, rng: NonceStream) -> tuple[Word96, Word96]:
-    if forcing.nonce_mode is NonceMode.RANDOM:
+    if forcing.nonce_mode is _RANDOM:
         return rng.word(), rng.word()
-    if forcing.nonce_mode is NonceMode.ZERO_MOD_96:
+    if forcing.nonce_mode is _ZERO_MOD_96:
         return rng.multiple_of_96(), rng.multiple_of_96()
     return 0, 0
 
 
 def _force_keys(forcing: Forcing, rng: NonceStream, state, row) -> None:
-    if forcing.key_mode is KeyMode.EXACT_ZERO:
+    if forcing.key_mode is _ZERO_KEYS:
         k1f = k2f = 0
     else:
         k1f, k2f = rng.multiple_of_96(), rng.multiple_of_96()
@@ -254,11 +266,10 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     falls through to one Transcript, which counts the bits of each message
     that crossed the channel, and one GroundTruth.
     """
-    variant = tag.protocol.value
-    module, extra, internals = _ENGINES[tag.protocol]
+    variant, module, extra, internals = _ENGINES[tag.protocol]
     state = tag.state
     mirror = store.rows.get(tag.label)
-    if forcing.key_mode is not KeyMode.AS_STORED:
+    if forcing.key_mode is not _AS_STORED:
         _force_keys(forcing, rng, state, mirror)
     tag_pre = _snapshot(state)
     reader_pre = _snapshot(mirror)
@@ -272,7 +283,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
             announced = tag_announce(state, retry=True)
         a, b, c = captured.a, captured.b, captured.c
         d = module.tag_respond(state, a, b, c, *extra)
-        outcome = Outcome.READER_REJECTED if d is None else Outcome.D_DROPPED
+        outcome = _READER_REJECTED if d is None else _D_DROPPED
     else:
         n1, n2 = _draw_nonces(forcing, rng)
         if replayed is not None:
@@ -285,7 +296,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
                 announced = tag_announce(state, retry=True)
                 hit = store.lookup(announced, variant)
         if hit is None:
-            outcome = Outcome.LOOKUP_FAILED
+            outcome = _LOOKUP_FAILED
 
     if hit is not None:
         row, side = hit
@@ -297,16 +308,16 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         else:
             d = module.tag_respond(state, a, b, c, *extra)
             if d is None:
-                outcome = Outcome.READER_REJECTED
+                outcome = _READER_REJECTED
             elif forcing.drop_d:
-                d, outcome = None, Outcome.D_DROPPED
+                d, outcome = None, _D_DROPPED
         if outcome is None:
             if reader_finish(pending, d):
                 store.commit(row.tag_label, (pending.ids_next, pending.k1_next,
                                              pending.k2_next), side)
-                outcome = Outcome.MUTUAL_SUCCESS
+                outcome = _SUCCESS
             else:
-                outcome = Outcome.TAG_REJECTED
+                outcome = _TAG_REJECTED
 
     bits = HELLO_BITS + WIDTH
     if a is not None:
@@ -375,23 +386,33 @@ def campaign_summary(config: CampaignConfig, transcripts) -> dict:
 
 # -- attack evaluation and scoring -------------------------------------------
 
+def _success_pairs(transcripts) -> Iterator[tuple]:
+    """Adjacent mutually-successful transcripts with contiguous indices, lazily."""
+    for first, second in pairwise(transcripts):
+        if (first.outcome is _SUCCESS and second.outcome is _SUCCESS
+                and second.session_index == first.session_index + 1):
+            yield first, second
+
+
 def consecutive_success_pairs(transcripts) -> list[tuple]:
     """Adjacent mutually-successful transcripts with contiguous indices.
 
     This is the detection window the two-transcript attacks assume; an
     intervening failed session changes nothing since nothing updated.
     """
-    pairs = []
-    for first, second in zip(transcripts, transcripts[1:]):
-        if (first.outcome is Outcome.MUTUAL_SUCCESS
-                and second.outcome is Outcome.MUTUAL_SUCCESS
-                and second.session_index == first.session_index + 1):
-            pairs.append((first, second))
-    return pairs
+    return list(_success_pairs(transcripts))
 
 
 # RecoveredSecrets fields that GroundTruth records under the same name
-_RECOVERED_INTERNALS = ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
+_RECOVERED_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
+
+
+def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: bool) -> bool:
+    """Whether a fired verdict agrees with the session's ground truth."""
+    rs = verdict.recovered_state
+    return verdict.recovered_id == (truth.id % 96 if residue_id else truth.id) and (
+        rs is None or (rs.next_ids == truth.tag_post.ids
+                       and _RECOVERED_INTERNALS(rs) == _RECOVERED_INTERNALS(truth)))
 
 
 def score_verdict(kind: str, verdict: attacks.AttackVerdict, truth: GroundTruth) -> None:
@@ -401,50 +422,53 @@ def score_verdict(kind: str, verdict: attacks.AttackVerdict, truth: GroundTruth)
     a state was recovered, every internal of it and the next IDS it
     predicts.
     """
-    if not verdict.fired:
-        return
-    expected_id = truth.id % 96 if attacks.attack_kind(kind).residue_id else truth.id
-    rs = verdict.recovered_state
-    verdict.ground_truth_match = verdict.recovered_id == expected_id and (
-        rs is None or (rs.next_ids == truth.tag_post.ids and all(
-            getattr(rs, name) == getattr(truth, name) for name in _RECOVERED_INTERNALS)))
+    if verdict.fired:
+        verdict.ground_truth_match = _matches(verdict, truth,
+                                              attacks.attack_kind(kind).residue_id)
 
 
 def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[dict], dict]:
     """Run one attack over a transcript stream and summarize the rates.
 
-    Each trial is one consecutive mutually-successful pair.  Returns
-    (records, summary); records carry the verdict per trial, and for the
-    one-session disclosure also whether its next-pseudonym prediction
-    matched the following announcement (a public check).
+    ``transcripts`` and ``ground_truths`` may be any iterables (a list, an
+    iterator, a generator); each is read once, and the trials run in one
+    pass over the transcripts.  Each trial is one consecutive
+    mutually-successful pair.  Returns (records, summary); records carry
+    the verdict per trial, and for the one-session disclosure also whether
+    its next-pseudonym prediction matched the following announcement (a
+    public check).
     """
     attack = attacks.attack_kind(kind)
-    pairs = consecutive_success_pairs(transcripts)
-    truth_by_session = {t.session_index: t for t in ground_truths or []}
+    run, arity, near_miss, residue_id = (attack.run, attack.arity, attack.near_miss,
+                                         attack.residue_id)
+    truth_by_session = {t.session_index: t for t in ground_truths or ()}
     records: list[dict] = []
-    near_misses: Counter = Counter()
-    confirmed = 0
-    scored = 0
-    for pair in pairs:
-        first, second = pair
-        if attack.near_miss is not None:
-            near_misses[attack.near_miss(first)] += 1
-        verdict = attack.run(*pair[:attack.arity])
-        prediction_confirmed = None
-        if attack.arity == 1:
+    near_misses: dict[int, int] = {}
+    fired = matched = scored = confirmed = 0
+    for first, second in _success_pairs(transcripts):
+        if near_miss is not None:
+            gap = near_miss(first)
+            near_misses[gap] = near_misses.get(gap, 0) + 1
+        if arity == 1:
+            verdict = run(first)
             prediction_confirmed = bool(
                 verdict.fired
                 and verdict.recovered_state.next_ids == second.announced_ids)
             confirmed += prediction_confirmed
+        else:
+            verdict = run(first, second)
+            prediction_confirmed = None
         truth = truth_by_session.get(first.session_index)
         if truth is not None:
             scored += 1
-            score_verdict(kind, verdict, truth)
+        if verdict.fired:
+            fired += 1
+            if truth is not None:
+                verdict.ground_truth_match = match = _matches(verdict, truth, residue_id)
+                matched += match
         records.append({"session": first.session_index, "verdict": verdict,
                         "prediction_confirmed": prediction_confirmed})
     trials = len(records)
-    fired = sum(1 for r in records if r["verdict"].fired)
-    matched = sum(1 for r in records if r["verdict"].ground_truth_match)
     summary = {
         "attack": kind,
         "trials": trials,
@@ -455,10 +479,10 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         "match_rate": matched / scored if scored else None,
         "conditional_match_rate": matched / fired if fired and scored else None,
     }
-    if attack.near_miss is not None:
+    if near_miss is not None:
         summary["near_miss_histogram"] = {
             str(gap): count for gap, count in sorted(near_misses.items())}
-    if attack.arity == 1:
+    if arity == 1:
         summary["prediction_confirmed"] = confirmed
     return records, summary
 
@@ -562,10 +586,10 @@ def _transcript(values: dict) -> Transcript:
     """The transcript of decoded ``values``, checked as ``transcript_from_dict`` says."""
     outcome = Outcome(values["outcome"])
     nulls = [key for key in ("a", "b", "c") if values[key] is None]
-    if nulls and (len(nulls) < 3 or outcome is not Outcome.LOOKUP_FAILED):
+    if nulls and (len(nulls) < 3 or outcome is not _LOOKUP_FAILED):
         raise ValueError(f"{nulls[0]}: null; a, b and c are all words, "
                          "or all null with outcome lookup_failed")
-    if values["d"] is None and outcome is Outcome.MUTUAL_SUCCESS:
+    if values["d"] is None and outcome is _SUCCESS:
         raise ValueError(f"d: null, but outcome is {outcome.value}")
     return Transcript(values["variant"], values["session"], values["ids"],
                       values["a"], values["b"], values["c"], values["d"],

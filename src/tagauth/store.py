@@ -93,17 +93,25 @@ class Store:
         """Install the staged tuple after tag authentication succeeded.
 
         ``tagstate.rotate`` applies the rule the tag applies too: the tuple
-        ``used`` names becomes old and ``staged`` becomes next.  The row
-        leaves the index first and re-enters it under its new IDS pair.
+        ``used`` names becomes old and ``staged`` becomes next.  The index
+        changes only where the row's IDS pair does: the row leaves the list
+        of the IDS it gives up and joins that of the staged one.
         """
         row = self.rows[tag_label]
-        by_ids = self._by_ids
-        for ids in (row.ids,) if row.ids == row.ids_old else (row.ids, row.ids_old):
-            held = by_ids.pop(ids)
-            if len(held) > 1:
-                by_ids[ids] = [other for other in held if other is not row]
+        kept, dropped = (row.ids_old, row.ids) if used == MATCH_OLD else (row.ids, row.ids_old)
+        new = staged[0]
         rotate(row, used, staged)
-        self._index(row)
+        by_ids = self._by_ids
+        if dropped != kept and dropped != new:
+            held = by_ids.pop(dropped)
+            if len(held) > 1:
+                by_ids[dropped] = [other for other in held if other is not row]
+        if new != kept and new != dropped:
+            held = by_ids.get(new)
+            if held is None:
+                by_ids[new] = [row]
+            else:
+                held.append(row)
 
     def _index(self, row: TagRecordRow) -> None:
         by_ids = self._by_ids

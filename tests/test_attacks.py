@@ -1,14 +1,21 @@
 """Passive attacks: forced regimes fire exactly, unforced traffic stays quiet."""
 
+import json
 import random
+from collections import Counter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tagauth import attacks
 from tagauth.simulator import (
     CampaignConfig,
     KeyMode,
     NonceMode,
+    Outcome,
     Protocol,
     consecutive_success_pairs,
+    evaluate_attack,
     provision,
     run_campaign,
     score_verdict,
@@ -157,3 +164,130 @@ def test_verdicts_never_set_ground_truth_match():
     result = forced_campaign(Protocol.GOSSAMER, 10, 110, nonce_mode=NonceMode.EXACT_ZERO)
     first, second = consecutive_success_pairs(result.transcripts)[0]
     assert attacks.gossamer_attack1(first, second).ground_truth_match is None
+
+
+# -- evaluate_attack against the reference evaluator ---------------------------
+#
+# The three functions below are the two-pass evaluator evaluate_attack
+# replaced, kept as written: a pair list, a Counter, sums after the loop and
+# a score through getattr.  The one-pass evaluator must give the same
+# records, verdicts and summary, key order included.
+
+def reference_pairs(transcripts):
+    pairs = []
+    for first, second in zip(transcripts, transcripts[1:]):
+        if (first.outcome is Outcome.MUTUAL_SUCCESS
+                and second.outcome is Outcome.MUTUAL_SUCCESS
+                and second.session_index == first.session_index + 1):
+            pairs.append((first, second))
+    return pairs
+
+
+_REFERENCE_INTERNALS = ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
+
+
+def reference_score(kind, verdict, truth):
+    if not verdict.fired:
+        return
+    expected_id = truth.id % 96 if attacks.attack_kind(kind).residue_id else truth.id
+    rs = verdict.recovered_state
+    verdict.ground_truth_match = verdict.recovered_id == expected_id and (
+        rs is None or (rs.next_ids == truth.tag_post.ids and all(
+            getattr(rs, name) == getattr(truth, name) for name in _REFERENCE_INTERNALS)))
+
+
+def reference_evaluate(kind, transcripts, ground_truths=None):
+    attack = attacks.attack_kind(kind)
+    pairs = reference_pairs(transcripts)
+    truth_by_session = {t.session_index: t for t in ground_truths or []}
+    records = []
+    near_misses = Counter()
+    confirmed = 0
+    scored = 0
+    for pair in pairs:
+        first, second = pair
+        if attack.near_miss is not None:
+            near_misses[attack.near_miss(first)] += 1
+        verdict = attack.run(*pair[:attack.arity])
+        prediction_confirmed = None
+        if attack.arity == 1:
+            prediction_confirmed = bool(
+                verdict.fired
+                and verdict.recovered_state.next_ids == second.announced_ids)
+            confirmed += prediction_confirmed
+        truth = truth_by_session.get(first.session_index)
+        if truth is not None:
+            scored += 1
+            reference_score(kind, verdict, truth)
+        records.append({"session": first.session_index, "verdict": verdict,
+                        "prediction_confirmed": prediction_confirmed})
+    trials = len(records)
+    fired = sum(1 for r in records if r["verdict"].fired)
+    matched = sum(1 for r in records if r["verdict"].ground_truth_match)
+    summary = {
+        "attack": kind,
+        "trials": trials,
+        "fired": fired,
+        "fired_rate": fired / trials if trials else 0.0,
+        "scored": scored,
+        "matched": matched,
+        "match_rate": matched / scored if scored else None,
+        "conditional_match_rate": matched / fired if fired and scored else None,
+    }
+    if attack.near_miss is not None:
+        summary["near_miss_histogram"] = {
+            str(gap): count for gap, count in sorted(near_misses.items())}
+    if attack.arity == 1:
+        summary["prediction_confirmed"] = confirmed
+    return records, summary
+
+
+_SESSIONS = 16
+_indices = st.sets(st.integers(min_value=0, max_value=_SESSIONS - 1))
+
+
+class TestEvaluateAgainstReference:
+    # ``captured``: the sessions an eavesdropper kept (None: all), so that
+    # gaps put non-contiguous indices side by side.  ``truths``: "all", None
+    # for no ground truth, or the sessions whose ground truth is given.
+    @settings(max_examples=250, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)),
+           nonce_mode=st.sampled_from(list(NonceMode)),
+           key_mode=st.sampled_from(list(KeyMode)),
+           drop_d_rate=st.sampled_from([0.0, 0.2, 0.5]),
+           seed=st.integers(min_value=0, max_value=2**16),
+           kind=st.sampled_from(list(attacks.ATTACKS)),
+           captured=st.none() | _indices,
+           truths=st.sampled_from(["all", None]) | _indices)
+    # residue IDs scored over a capture with gaps, and a full disclosure
+    @example(protocol=Protocol.SASI, nonce_mode=NonceMode.RANDOM,
+             key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.2, seed=3, kind="sasi",
+             captured={0, 1, 2, 4, 5, 7, 9, 10}, truths="all")
+    @example(protocol=Protocol.GOSSAMER, nonce_mode=NonceMode.RANDOM,
+             key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.2, seed=4, kind="gossamer-2",
+             captured={0, 1, 2, 4, 5, 7, 9, 10}, truths={1, 2, 3, 5, 9})
+    def test_records_and_summary_match_the_reference(
+            self, protocol, nonce_mode, key_mode, drop_d_rate, seed, kind, captured, truths):
+        tags, store = provision(1, protocol, seed=seed)
+        result = run_campaign(tags["tag-000"], store, CampaignConfig(
+            protocol, _SESSIONS, seed + 1, nonce_mode=nonce_mode, key_mode=key_mode,
+            drop_d_rate=drop_d_rate))
+        transcripts = [t for t in result.transcripts
+                       if captured is None or t.session_index in captured]
+        ground_truths = (result.ground_truths if truths == "all" else None if truths is None
+                         else [g for g in result.ground_truths if g.session_index in truths])
+        expected_records, expected_summary = reference_evaluate(kind, transcripts, ground_truths)
+        records, summary = evaluate_attack(kind, transcripts, ground_truths)
+        # repr shows every field of every verdict, and True apart from 1
+        assert repr(records) == repr(expected_records)
+        assert json.dumps(summary) == json.dumps(expected_summary)
+
+
+def test_evaluate_attack_reads_iterators_and_generators():
+    result = forced_campaign(Protocol.GOSSAMER, 12, 120, key_mode=KeyMode.EXACT_ZERO)
+    transcripts, truths = result.transcripts, result.ground_truths
+    expected = repr(evaluate_attack("gossamer-2", transcripts, truths))
+    assert expected.count("ground_truth_match=True") == 11
+    assert repr(evaluate_attack("gossamer-2", iter(transcripts), iter(truths))) == expected
+    assert repr(evaluate_attack("gossamer-2", (t for t in transcripts),
+                                (g for g in truths))) == expected
