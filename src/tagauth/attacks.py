@@ -13,8 +13,8 @@ is the registry of attack kinds by name; it holds only public facts.
 from dataclasses import dataclass
 from typing import Callable
 
-from .gossamer import Variant, derive_update, recover_nonces
-from .word96 import MASK, PI, Word96, rotr
+from .gossamer import Variant, derive_auth, derive_update
+from .word96 import MASK, PI, Word96, mixbits_original_lanes, rotr
 
 
 @dataclass
@@ -86,7 +86,22 @@ def gossamer_attack1(first, second) -> AttackVerdict:
     return AttackVerdict(fired=True, recovered_id=id_from_messages)
 
 
-def gossamer_attack2(transcript) -> AttackVerdict:
+def zero_key_chains(transcripts: list) -> list[tuple]:
+    """The zero-key MixBits chain (n1, n2, n3, n1', n2') of each transcript.
+
+    With K1 = K2 = 0 the original tag's peel (``recover_nonces``) is
+    n1 = A - IDS - PI and n2 = B - IDS - PI, and the session's three MixBits
+    calls n3 = MixBits(n1, n2), n1' = MixBits(n3, n2), n2' = MixBits(n1', n3)
+    run for the whole list as three lane calls.
+    """
+    n1s = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
+    n2s = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
+    n3s = mixbits_original_lanes(n1s, n2s)
+    n1ps = mixbits_original_lanes(n3s, n2s)
+    return list(zip(n1s, n2s, n3s, n1ps, mixbits_original_lanes(n1ps, n3s)))
+
+
+def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     """Zero-key full disclosure against original Gossamer (one transcript).
 
     Hypothesizes K1 = K2 = 0, under which the transcript is the original
@@ -95,20 +110,24 @@ def gossamer_attack2(transcript) -> AttackVerdict:
     from public data.  The hypothesis is confirmed when the recomputed C
     equals the transmitted one; on confirmation D is inverted to the
     static ID and the next pseudonym is predicted.
+
+    ``chain`` is the transcript's entry of ``zero_key_chains``: the
+    evaluator passes each trial its entry of one lane call per block of
+    trials, and a call without it computes it as a block of one.  The
+    equations after MixBits are gossamer's own, given the chain.
     """
+    n1, n2, n3, n1p, n2p = zero_key_chains([transcript])[0] if chain is None else chain
     ids = transcript.announced_ids
-    vals = recover_nonces(Variant.ORIGINAL, ids, 0, 0, 0,
-                          transcript.a, transcript.b, transcript.c)
-    if vals is None:
+    vals = derive_auth(Variant.ORIGINAL, ids, 0, 0, 0, n1, n2, n3, n1p)
+    if vals.c != transcript.c:
         return AttackVerdict(fired=False)
-    derive_update(Variant.ORIGINAL, ids, vals)
-    n1p = vals.n1p
-    step = rotr((transcript.d - n1p) & MASK, vals.n3)
-    step = rotr((step - vals.k1s - n1p) & MASK, vals.n2)
-    recovered_id = (step - vals.n2 - vals.k2s - n1p) & MASK
+    derive_update(Variant.ORIGINAL, ids, vals, n2p)
+    step = rotr((transcript.d - n1p) & MASK, n3)
+    step = rotr((step - vals.k1s - n1p) & MASK, n2)
+    recovered_id = (step - n2 - vals.k2s - n1p) & MASK
     state = RecoveredSecrets(
         k1_star=vals.k1s, k2_star=vals.k2s,
-        n1=vals.n1, n2=vals.n2, n3=vals.n3, n1p=vals.n1p, n2p=vals.n2p,
+        n1=n1, n2=n2, n3=n3, n1p=n1p, n2p=n2p,
         next_ids=vals.ids_next,
     )
     return AttackVerdict(fired=True, recovered_id=recovered_id, recovered_state=state)
@@ -123,13 +142,17 @@ class Attack:
     IDS is checked against the pair's second transcript.  ``residue_id``
     marks a recovered_id that is the ID mod 96 (an int 0..95), not a full
     word.  ``near_miss``, when set, gives a transcript's distance from
-    firing, histogrammed over the trials.
+    firing, histogrammed over the trials.  ``prepare``, when set, takes the
+    first transcripts of a block of one-transcript trials and gives each
+    its work shared across the block, which ``run`` then takes as its
+    second argument.
     """
 
     run: Callable[..., AttackVerdict]
     arity: int
     residue_id: bool = False
     near_miss: Callable[[object], int] | None = None
+    prepare: Callable[[list], list] | None = None
 
 
 # The lambdas look the attack up in this module at call time, so a wrapper
@@ -138,7 +161,8 @@ ATTACKS = {
     "sasi": Attack(lambda first, second: sasi_attack(first, second), 2,
                    residue_id=True, near_miss=sasi_residue_gap),
     "gossamer-1": Attack(lambda first, second: gossamer_attack1(first, second), 2),
-    "gossamer-2": Attack(lambda transcript: gossamer_attack2(transcript), 1),
+    "gossamer-2": Attack(lambda transcript, chain=None: gossamer_attack2(transcript, chain), 1,
+                         prepare=lambda transcripts: zero_key_chains(transcripts)),
 }
 
 

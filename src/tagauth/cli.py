@@ -19,6 +19,7 @@ import os
 import reprlib
 import sys
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .attacks import ATTACKS, AttackVerdict, RecoveredSecrets, attack_kind
@@ -61,7 +62,9 @@ class UsageError(Exception):
     pass
 
 
-_RECOVERED_JSON = "{%s}" % ",".join(f'"{field.name}":"%s"' for field in fields(RecoveredSecrets))
+_RECOVERED_NAMES = [field.name for field in fields(RecoveredSecrets)]
+_RECOVERED_JSON = "{%s}" % ",".join(f'"{name}":"%s"' for name in _RECOVERED_NAMES)
+_RECOVERED_WORDS = attrgetter(*_RECOVERED_NAMES)
 _JSON_BOOLS = {True: "true", False: "false"}
 
 
@@ -268,16 +271,21 @@ def cmd_campaign(opts: dict) -> int:
     return 0
 
 
-def _verdict_line(kind: str, record: dict) -> str:
-    """One verdict as a compact JSON line; a value that is None leaves its key out."""
+def _verdict_line(residue_id: bool, record: dict) -> str:
+    """One verdict as a compact JSON line; a value that is None leaves its key out.
+
+    ``residue_id`` is the attack kind's flag of that name: a recovered ID
+    that is a residue is written as a number, a word as hex.
+    """
     verdict: AttackVerdict = record["verdict"]
     line = '{"session":%d,"fired":%s' % (record["session"], _JSON_BOOLS[verdict.fired])
     rid, state = verdict.recovered_id, verdict.recovered_state
     if rid is not None:
-        line += (',"recovered_id":%d' % rid if attack_kind(kind).residue_id
+        line += (',"recovered_id":%d' % rid if residue_id
                  else ',"recovered_id":"%s"' % to_hex(rid))
     if state is not None:
-        line += ',"recovered_state":' + _RECOVERED_JSON % tuple(map(to_hex, vars(state).values()))
+        line += ',"recovered_state":' + _RECOVERED_JSON % tuple(
+            map(to_hex, _RECOVERED_WORDS(state)))
     for key, value in (("prediction_confirmed", record["prediction_confirmed"]),
                        ("ground_truth_match", verdict.ground_truth_match)):
         if value is not None:
@@ -286,7 +294,7 @@ def _verdict_line(kind: str, record: dict) -> str:
 
 
 def _verdict_to_dict(kind: str, record: dict) -> dict:
-    return json.loads(_verdict_line(kind, record))
+    return json.loads(_verdict_line(attack_kind(kind).residue_id, record))
 
 
 def cmd_attack(opts: dict) -> int:
@@ -298,9 +306,10 @@ def cmd_attack(opts: dict) -> int:
     records, summary = evaluate_attack(kind, transcripts, truths)
     output = opts.get("output")
     if output:
+        residue_id = attack_kind(kind).residue_id
         with open(output, "w", encoding="utf-8") as fh:
             for record in records:
-                fh.write(_verdict_line(kind, record))
+                fh.write(_verdict_line(residue_id, record))
         _write_manifest("attack", opts, output)
     _print_summary(summary)
     return 0

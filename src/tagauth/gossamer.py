@@ -96,12 +96,18 @@ class SessionValues:
 
 
 def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
-                id_: Word96, n1: Word96, n2: Word96) -> SessionValues:
-    """Evaluate the session equations through D (no update values yet)."""
+                id_: Word96, n1: Word96, n2: Word96,
+                n3: Word96 | None = None, n1p: Word96 | None = None) -> SessionValues:
+    """Evaluate the session equations through D (no update values yet).
+
+    ``n3`` and ``n1p``, when given, are MixBits(n1, n2) and MixBits(n3, n2)
+    already computed by the caller, as the zero-key attack does in lanes.
+    """
     original = variant is Variant.ORIGINAL
-    mix = mixbits_original if original else mixbits_modified
-    n3 = mix(n1, n2)
-    n1p = mix(n3, n2)
+    if n3 is None:
+        mix = mixbits_original if original else mixbits_modified
+        n3 = mix(n1, n2)
+        n1p = mix(n3, n2)
     a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK, k1 if original else n2)
     b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK, k2 if original else n1)
     k1s = rotl((rotl((n2 + k1 + PI + n3) & MASK, n2) + (k2 ^ n3)) & MASK,
@@ -115,11 +121,16 @@ def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     return SessionValues(n1, n2, n3, n1p, k1s, k2s, a, b, c, d)
 
 
-def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
-    """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple."""
+def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
+                  n2p: Word96 | None = None) -> SessionValues:
+    """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple.
+
+    ``n2p``, when given, is MixBits(n1', n3) already computed by the caller.
+    """
     original = variant is Variant.ORIGINAL
     n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1s, vals.k2s
-    n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
+    if n2p is None:
+        n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
     ids_next = rotl((rotl((n1p + k1s + ids + n2p) & MASK, n1p) + (k2s ^ n2p)) & MASK,
                     n3 if original else k1s) ^ n2p
     k1_next = (rotl((rotl((n3 + k2s + PI + n2p) & MASK, n3) + k1s + n2p) & MASK,

@@ -24,12 +24,12 @@ from enum import Enum
 from itertools import islice, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store, TagRecordRow,
-                    WordCodec, bad_word, json_loads, parse_match, record_formats)
+                    WordCodec, bad_word, json_loads, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, from_hex, to_hex
 
@@ -427,25 +427,55 @@ def score_verdict(kind: str, verdict: attacks.AttackVerdict, truth: GroundTruth)
                                               attacks.attack_kind(kind).residue_id)
 
 
+# Trials per block of a one-transcript attack with a ``prepare`` step.  The
+# lane MixBits of gossamer-2's prepare cost 1.47, 1.35, 1.26 and 1.26 us a
+# word at 64, 256, 512 and 1024 lanes, against 5.3 us a scalar call (Python
+# 3.11.7, 2-CPU Xeon, best of 5).
+ATTACK_BLOCK = 512
+
+
+def _in_blocks(attack: attacks.Attack, pairs) -> tuple[Iterator, Callable]:
+    """``pairs`` read ATTACK_BLOCK at a time, and a one-transcript ``run`` that
+    passes each first transcript its value from its block's ``prepare`` call.
+
+    A block is prepared when its first pair is read, so ``run`` must be
+    called once per pair, in order, before the next pair is read.
+    """
+    prepared = iter(())
+
+    def blocks():
+        nonlocal prepared
+        while block := list(islice(pairs, ATTACK_BLOCK)):
+            prepared = iter(attack.prepare([first for first, _ in block]))
+            yield from block
+
+    run = attack.run
+    return blocks(), lambda first: run(first, next(prepared))
+
+
 def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[dict], dict]:
     """Run one attack over a transcript stream and summarize the rates.
 
     ``transcripts`` and ``ground_truths`` may be any iterables (a list, an
     iterator, a generator); each is read once, and the trials run in one
     pass over the transcripts.  Each trial is one consecutive
-    mutually-successful pair.  Returns (records, summary); records carry
-    the verdict per trial, and for the one-session disclosure also whether
-    its next-pseudonym prediction matched the following announcement (a
-    public check).
+    mutually-successful pair.  An attack with a ``prepare`` step gets its
+    trials in blocks of ATTACK_BLOCK, prepared together.  Returns (records,
+    summary); records carry the verdict per trial, and for the one-session
+    disclosure also whether its next-pseudonym prediction matched the
+    following announcement (a public check).
     """
     attack = attacks.attack_kind(kind)
     run, arity, near_miss, residue_id = (attack.run, attack.arity, attack.near_miss,
                                          attack.residue_id)
     truth_by_session = {t.session_index: t for t in ground_truths or ()}
+    pairs = _success_pairs(transcripts)
+    if attack.prepare is not None:
+        pairs, run = _in_blocks(attack, pairs)
     records: list[dict] = []
     near_misses: dict[int, int] = {}
     fired = matched = scored = confirmed = 0
-    for first, second in _success_pairs(transcripts):
+    for first, second in pairs:
         if near_miss is not None:
             gap = near_miss(first)
             near_misses[gap] = near_misses.get(gap, 0) + 1
@@ -521,18 +551,13 @@ _GROUND_TRUTH = WordCodec(
     ("id",), ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star"),
     types={"session": int},
     nested=dict.fromkeys(("tag_pre", "tag_post", "reader_pre", "reader_post"), _SNAPSHOT))
-_WORD_OR_NULL = Kind("%s", f"(?:{HEX}|null)",
-                     lambda groups: None if (text := next(groups)) is None else int(text, 16))
-_INT = Kind("%d", "(-?(?:0|[1-9][0-9]*))", lambda groups: int(next(groups)))
+# Kinds only JSONL lines hold.  The line readers take their groups by
+# position, so these kinds have no ``parse``: a word or null is one group,
+# None for null, and a snapshot or null six such groups.
+_WORD_OR_NULL = Kind("%s", f"(?:{HEX}|null)", None)
+_INT = Kind("%d", "(-?(?:0|[1-9][0-9]*))", None)
 _SNAPSHOT_JSON, _snapshot_pattern = record_formats([(key, WORD) for key in TUPLE_WORDS])
-
-
-def _snapshot_or_none(groups) -> StateSnapshot | None:
-    texts = list(islice(groups, len(TUPLE_WORDS)))  # six words, or six None for null
-    return None if texts[0] is None else StateSnapshot(*[int(text, 16) for text in texts])
-
-
-_SNAPSHOT_OR_NULL = Kind("%s", f"(?:{_snapshot_pattern}|null)", _snapshot_or_none)
+_SNAPSHOT_OR_NULL = Kind("%s", f"(?:{_snapshot_pattern}|null)", None)
 
 # The field table of each record kind: the one place its keys, their order
 # and their kinds are written.  A canonical line or file is what the writers
@@ -557,6 +582,7 @@ def _line_formats(fields) -> tuple[str, re.Pattern]:
 
 
 _TRANSCRIPT_LINE, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_FIELDS)
+_TRANSCRIPT_KEYS = [key for key, _ in _TRANSCRIPT_FIELDS]
 _GROUND_TRUTH_LINE, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
 
 
@@ -582,18 +608,17 @@ def transcript_to_dict(t: Transcript) -> dict:
     return json.loads(transcript_line(t))
 
 
-def _transcript(values: dict) -> Transcript:
-    """The transcript of decoded ``values``, checked as ``transcript_from_dict`` says."""
-    outcome = Outcome(values["outcome"])
-    nulls = [key for key in ("a", "b", "c") if values[key] is None]
+def _transcript(variant: str, session: int, ids: Word96, a, b, c, d, outcome: str,
+                bits: int) -> Transcript:
+    """The transcript of decoded fields, checked as ``transcript_from_dict`` says."""
+    outcome = Outcome(outcome)
+    nulls = [key for key, value in (("a", a), ("b", b), ("c", c)) if value is None]
     if nulls and (len(nulls) < 3 or outcome is not _LOOKUP_FAILED):
         raise ValueError(f"{nulls[0]}: null; a, b and c are all words, "
                          "or all null with outcome lookup_failed")
-    if values["d"] is None and outcome is _SUCCESS:
+    if d is None and outcome is _SUCCESS:
         raise ValueError(f"d: null, but outcome is {outcome.value}")
-    return Transcript(values["variant"], values["session"], values["ids"],
-                      values["a"], values["b"], values["c"], values["d"],
-                      outcome, values["bits"])
+    return Transcript(variant, session, ids, a, b, c, d, outcome, bits)
 
 
 def transcript_from_dict(data: dict) -> Transcript:
@@ -603,14 +628,18 @@ def transcript_from_dict(data: dict) -> Transcript:
         values["ids"] = from_hex(values["ids"])
     except (TypeError, ValueError):
         raise bad_word("ids", values["ids"]) from None
-    return _transcript(values)
+    return _transcript(*map(values.__getitem__, _TRANSCRIPT_KEYS))
 
 
 def transcript_from_line(line: str) -> Transcript:
     """``transcript_from_dict(json.loads(line))``, a canonical line read without it."""
     match = _TRANSCRIPT_RE.fullmatch(line)
-    return (_transcript(parse_match(_TRANSCRIPT_FIELDS, match)) if match
-            else transcript_from_dict(json_loads(line)))
+    if match is None:
+        return transcript_from_dict(json_loads(line))
+    variant, session, *words, outcome, bits = match.groups()  # words: ids, a, b, c, d
+    return _transcript(variant, int(session),
+                       *[None if text is None else int(text, 16) for text in words],
+                       outcome, int(bits))
 
 
 def ground_truth_line(truth: GroundTruth) -> str:
@@ -627,25 +656,34 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
     return json.loads(ground_truth_line(truth))
 
 
-def _ground_truth(values: dict) -> GroundTruth:
-    """The ground truth of decoded ``values``, checked as ``ground_truth_from_dict`` says."""
-    for key in ("tag_pre", "tag_post"):
-        if values[key] is None:
+def _check_tag_snapshots(tag_pre: StateSnapshot | None,
+                         tag_post: StateSnapshot | None) -> None:
+    for key, snapshot in (("tag_pre", tag_pre), ("tag_post", tag_post)):
+        if snapshot is None:
             raise ValueError(f"{key}: null, but the tag always has a state")
-    return GroundTruth(session_index=values.pop("session"), **values)
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
     """Ground truth read back; a null reader snapshot (no store row) is valid, a
     null tag snapshot a ValueError."""
-    return _ground_truth(_GROUND_TRUTH.decode(data))
+    values = _GROUND_TRUTH.decode(data)
+    _check_tag_snapshots(values["tag_pre"], values["tag_post"])
+    return GroundTruth(session_index=values.pop("session"), **values)
 
 
 def ground_truth_from_line(line: str) -> GroundTruth:
     """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it."""
     match = _GROUND_TRUTH_RE.fullmatch(line)
-    return (_ground_truth(parse_match(_GROUND_TRUTH_FIELDS, match)) if match
-            else ground_truth_from_dict(json_loads(line)))
+    if match is None:
+        return ground_truth_from_dict(json_loads(line))
+    session, *texts = match.groups()
+    # id, the seven internals, then six words for each of the four snapshots
+    words = [None if text is None else int(text, 16) for text in texts]
+    tag_pre, tag_post, reader_pre, reader_post = [
+        None if words[i] is None else StateSnapshot(*words[i:i + 6]) for i in range(8, 32, 6)]
+    _check_tag_snapshots(tag_pre, tag_post)
+    return GroundTruth(int(session), words[0], tag_pre, tag_post, reader_pre, reader_post,
+                       *words[1:8])
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:

@@ -8,19 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagauth import attacks
+from tagauth.gossamer import Variant, derive_update, recover_nonces
 from tagauth.simulator import (
+    ATTACK_BLOCK,
     CampaignConfig,
+    Forcing,
     KeyMode,
     NonceMode,
+    NonceStream,
     Outcome,
     Protocol,
     consecutive_success_pairs,
     evaluate_attack,
     provision,
     run_campaign,
+    run_session,
     score_verdict,
 )
-from tagauth.word96 import MASK, PI, add, sub
+from tagauth.word96 import MASK, PI, add, rotr, sub
 
 
 def forced_campaign(protocol, sessions, seed, nonce_mode=NonceMode.RANDOM,
@@ -94,6 +99,68 @@ class TestGossamerAttack2:
         result = forced_campaign(Protocol.GOSSAMER, 60, 103)
         for t in result.transcripts:
             assert not attacks.gossamer_attack2(t).fired
+
+
+def reference_attack2(transcript):
+    # gossamer_attack2 as it was before its MixBits chain moved into lanes:
+    # the original tag's own peel under K1 = K2 = 0, one scalar call per MixBits
+    ids = transcript.announced_ids
+    vals = recover_nonces(Variant.ORIGINAL, ids, 0, 0, 0,
+                          transcript.a, transcript.b, transcript.c)
+    if vals is None:
+        return attacks.AttackVerdict(fired=False)
+    derive_update(Variant.ORIGINAL, ids, vals)
+    step = rotr((transcript.d - vals.n1p) & MASK, vals.n3)
+    step = rotr((step - vals.k1s - vals.n1p) & MASK, vals.n2)
+    return attacks.AttackVerdict(
+        fired=True, recovered_id=(step - vals.n2 - vals.k2s - vals.n1p) & MASK,
+        recovered_state=attacks.RecoveredSecrets(
+            k1_star=vals.k1s, k2_star=vals.k2s, n1=vals.n1, n2=vals.n2, n3=vals.n3,
+            n1p=vals.n1p, n2p=vals.n2p, next_ids=vals.ids_next))
+
+
+def mixed_stream(sessions, drops):
+    """A Gossamer tag's transcripts and ground truths over ``sessions`` sessions:
+    every third one with its keys as stored, the rest forced to zero keys,
+    and D dropped in the sessions ``drops``."""
+    tags, store = provision(1, Protocol.GOSSAMER, seed=30)
+    rng = NonceStream(31)
+    results = [run_session(tags["tag-000"], store, Forcing(
+        key_mode=KeyMode.AS_STORED if index % 3 == 0 else KeyMode.EXACT_ZERO,
+        drop_d=index in drops), rng, index) for index in range(sessions)]
+    return [t for t, _ in results], [g for _, g in results]
+
+
+class TestGossamerAttack2Blocks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           key_mode=st.sampled_from(list(KeyMode)))
+    def test_agrees_with_the_scalar_reference(self, seed, key_mode):
+        result = forced_campaign(Protocol.GOSSAMER, 6, seed, key_mode=key_mode)
+        for t in result.transcripts:
+            assert repr(attacks.gossamer_attack2(t)) == repr(reference_attack2(t))
+
+    def test_stream_longer_than_a_block_equals_a_per_transcript_loop(self):
+        # the drop in session 40 takes two trials out of the first block, so
+        # its last trial is the pair (B + 1, B + 2); the drops in B + 3 and
+        # B + 4 then break the pairs right after it, and the second block
+        # starts after a gap
+        drops = {40, ATTACK_BLOCK + 3, ATTACK_BLOCK + 4, ATTACK_BLOCK + 9}
+        transcripts, truths = mixed_stream(ATTACK_BLOCK + 60, drops)
+        pairs = consecutive_success_pairs(transcripts)
+        assert len(pairs) > ATTACK_BLOCK
+        assert [pairs[i][0].session_index for i in (ATTACK_BLOCK - 1, ATTACK_BLOCK)] == [
+            ATTACK_BLOCK + 1, ATTACK_BLOCK + 5]
+        expected = [attacks.gossamer_attack2(first) for first, _ in pairs]
+        assert 0 < sum(v.fired for v in expected) < len(expected)
+        records, summary = evaluate_attack("gossamer-2", iter(transcripts))
+        assert [r["session"] for r in records] == [first.session_index for first, _ in pairs]
+        assert repr([r["verdict"] for r in records]) == repr(expected)
+        assert [r["prediction_confirmed"] for r in records] == [
+            v.fired and v.recovered_state.next_ids == second.announced_ids
+            for v, (_, second) in zip(expected, pairs)]
+        _, scored = evaluate_attack("gossamer-2", transcripts, truths)
+        assert scored["matched"] == scored["fired"] == summary["fired"]
 
 
 class TestSasiAttack:

@@ -1,5 +1,6 @@
 """Arithmetic core: identities, frozen oracle values, algebraic properties."""
 
+import random
 import re
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import words
 from tagauth import word96 as w
+from tagauth.simulator import ATTACK_BLOCK
 
 # frozen from tests/oracles.py
 DOUBLE_PI = 0x6487ED5110B4611A62633144
@@ -128,6 +130,53 @@ class TestMixBits:
     def test_both_variants_match_oracle(self, x, y):
         assert w.mixbits_original(x, y) == oracles.mixbits_shift(x, y)
         assert w.mixbits_modified(x, y) == oracles.mixbits_counter(x, y)
+
+
+# where one lane's word could leak into its neighbour: all bits set, the top
+# bit alone, and odd and even words (5z is odd exactly when z is, and that
+# low bit of lane i + 1 is the one the shift moves towards lane i)
+LANE_WORDS = (0, 1, 2, w.MASK, w.MASK - 1, 1 << 95, (1 << 95) + 1)
+lane_words = st.sampled_from(LANE_WORDS) | words
+
+
+def scalar_mixbits(xs, ys):
+    return [w.mixbits_original(x, y) for x, y in zip(xs, ys)]
+
+
+class TestMixBitsLanes:
+    @given(pairs=st.lists(st.tuples(lane_words, lane_words), max_size=6))
+    @settings(max_examples=300)
+    @example(pairs=[])
+    @example(pairs=[(0, 0)])
+    @example(pairs=[(w.MASK, w.MASK), (w.MASK, w.MASK)])
+    @example(pairs=[(1 << 95, 1), (w.MASK, 1 << 95)])
+    def test_matches_scalar_and_oracle(self, pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        lanes = w.mixbits_original_lanes(xs, ys)
+        assert lanes == scalar_mixbits(xs, ys)
+        assert lanes == [oracles.mixbits_shift(x, y) for x, y in pairs]
+
+    def test_edge_lanes_between_odd_and_even_neighbours(self):
+        for xs in product(LANE_WORDS, repeat=3):
+            for ys in (xs, xs[::-1], (w.MASK, 0, 1 << 95)):
+                assert w.mixbits_original_lanes(list(xs), list(ys)) == scalar_mixbits(xs, ys)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32), extra=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_more_than_one_attack_block(self, seed, extra):
+        # longer than any block evaluate_attack prepares in one call
+        rng = random.Random(seed)
+        n = ATTACK_BLOCK + extra
+        xs = [rng.choice(LANE_WORDS) if rng.random() < 0.2 else rng.getrandbits(96)
+              for _ in range(n)]
+        ys = [rng.getrandbits(96) for _ in range(n)]
+        lanes = w.mixbits_original_lanes(xs, ys)
+        assert lanes == scalar_mixbits(xs, ys)
+        assert lanes == [oracles.mixbits_shift(x, y) for x, y in zip(xs, ys)]
+
+    def test_lists_of_unequal_length_are_an_error(self):
+        with pytest.raises(ValueError):
+            w.mixbits_original_lanes([1, 2], [3])
 
 
 # hex digits plus what a canonical word must not hold: uppercase, "x",
