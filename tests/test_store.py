@@ -16,10 +16,12 @@ from tagauth.simulator import (
     Outcome,
     Protocol,
     SimTag,
+    ground_truth_from_dict,
     load_tags,
     provision,
     run_session,
     save_tags,
+    transcript_from_dict,
 )
 from tagauth.cli import MANIFEST_FORMAT, _build_parser
 from tagauth.store import (MATCH_NEXT, MATCH_OLD, STORE_FORMAT, TUPLE_WORDS, RecordList,
@@ -420,6 +422,143 @@ class TestRecordFiles:
         fast, slow = both_paths(
             (lambda path: Store.load(path).rows) if name == "db.json" else load_tags, path)
         assert fast == slow
+
+
+# -- the json.loads reader's errors, field by field -----------------------------
+
+WORD_TEXT = "0123456789abcdef01234567"
+SNAPSHOT = dict.fromkeys(TUPLE_WORDS, WORD_TEXT)
+RECORDS = {  # one valid record of each kind, as json.loads gives it
+    "transcript": {"variant": "gossamer", "session": 7, "ids": WORD_TEXT, "a": WORD_TEXT,
+                   "b": WORD_TEXT, "c": WORD_TEXT, "d": WORD_TEXT,
+                   "outcome": "mutual_success", "bits": 520},
+    "ground truth": {"session": 7, "id": WORD_TEXT, **dict.fromkeys(
+        ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star"), WORD_TEXT), **dict.fromkeys(
+        ("tag_pre", "tag_post", "reader_pre", "reader_post"), SNAPSHOT)},
+    "store row": {"tag_label": "tag-000", "variant": "gossamer",
+                  **dict.fromkeys(WORDS, WORD_TEXT)},
+    "tag entry": {"tag_label": "tag-000", "variant": "gossamer",
+                  **dict.fromkeys(WORDS, WORD_TEXT), "last_announced": "next"},
+}
+DAMAGES = ("drop", "null", "int", "true", "string", "list")
+DROP = object()
+
+
+def damaged(value, damage):
+    """``value`` damaged one way; "string" is a non-canonical text of it."""
+    return {"drop": DROP, "null": None, "int": 7, "true": True, "list": [],
+            "string": json.dumps(value) if type(value) is dict else str(value).upper()}[damage]
+
+
+# The error a field ``key`` holding ``value`` gives: its type and its message,
+# formatted with ``key``, ``value`` and ``name`` (the key within its record).
+# None: the record reads.
+MISSING = KeyError, "{name!r}"
+NOT_WORD = ValueError, "{key}: not a canonical 96-bit hex word: {value!r}"
+NOT_STR = TypeError, "{key} is not str"
+NOT_INT = TypeError, "{key} is not int"
+NOT_OBJECT = TypeError, "{key} is not an object"
+NOT_OUTCOME = ValueError, "{value!r} is not a valid Outcome"
+NOT_PROTOCOL = ValueError, "{value!r} is not a valid Protocol"
+NOT_SIDE = ValueError, "last_announced is not 'next' or 'old'"
+NO_TAG_STATE = ValueError, "{key}: null, but the tag always has a state"
+ABC_NULL = (ValueError,
+            "{key}: null; a, b and c are all words, or all null with outcome lookup_failed")
+D_NULL = ValueError, "d: null, but outcome is mutual_success"
+
+# One column per damage, in DAMAGES order
+WORD_ERRORS = (MISSING, *[NOT_WORD] * 5)
+WORD_OR_NULL_ERRORS = (MISSING, None, *[NOT_WORD] * 4)
+STR_ERRORS = (MISSING, NOT_STR, NOT_STR, NOT_STR, None, NOT_STR)
+INT_ERRORS = (MISSING, NOT_INT, None, NOT_INT, NOT_INT, NOT_INT)
+FIELD_ERRORS = {
+    "transcript": [
+        ("variant", STR_ERRORS), ("session", INT_ERRORS), ("ids", WORD_ERRORS),
+        *[(key, (MISSING, ABC_NULL, *[NOT_WORD] * 4)) for key in "abc"],
+        ("d", (MISSING, D_NULL, *[NOT_WORD] * 4)),
+        ("outcome", (MISSING, *[NOT_OUTCOME] * 5)), ("bits", INT_ERRORS)],
+    "ground truth": [
+        ("session", INT_ERRORS), ("id", WORD_ERRORS),
+        *[(key, WORD_OR_NULL_ERRORS)
+          for key in ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")],
+        *[(key, (MISSING, NO_TAG_STATE, *[NOT_OBJECT] * 4)) for key in ("tag_pre", "tag_post")],
+        *[(key, (MISSING, None, *[NOT_OBJECT] * 4)) for key in ("reader_pre", "reader_post")],
+        ("tag_pre.k1", WORD_ERRORS)],
+    "store row": [
+        ("tag_label", STR_ERRORS), ("variant", STR_ERRORS),
+        *[(key, WORD_ERRORS) for key in WORDS]],
+    "tag entry": [
+        ("tag_label", STR_ERRORS), ("variant", (*STR_ERRORS[:4], NOT_PROTOCOL, NOT_STR)),
+        *[(key, WORD_ERRORS) for key in WORDS],
+        ("last_announced", (*STR_ERRORS[:4], NOT_SIDE, NOT_STR))],
+}
+# One record of each kind with two bad fields: the error names the one checked first
+TWO_FAULTS = {
+    "transcript": ({"variant": 7, "a": 7}, NOT_WORD, "a"),
+    "ground truth": ({"session": True, "id": 7}, NOT_WORD, "id"),
+    "store row": ({"tag_label": 7, "id": 7}, NOT_WORD, "id"),
+    "tag entry": ({"tag_label": 7, "id": 7}, NOT_WORD, "id"),
+}
+
+
+def expected_error(error, key, value):
+    return error and (error[0], error[1].format(key=key, value=value,
+                                                name=key.rpartition(".")[2]))
+
+
+def fallback_cases():
+    for kind, fields in FIELD_ERRORS.items():
+        for key, errors in fields:
+            outer, _, inner = key.partition(".")
+            good = RECORDS[kind][outer][inner] if inner else RECORDS[kind][key]
+            for damage, error in zip(DAMAGES, errors):
+                value = damaged(good, damage)
+                yield pytest.param(kind, {key: value}, expected_error(error, key, value),
+                                   id=f"{kind}-{key}-{damage}")
+    for kind, (faults, error, key) in TWO_FAULTS.items():
+        yield pytest.param(kind, faults, expected_error(error, key, faults[key]),
+                           id=f"{kind}-two-faults")
+
+
+def read_fallback(kind, record, tmp_path):
+    """The (type, message) of the error the json.loads reader of ``kind`` gives
+    for ``record``, or None when it reads; a file's error is unwrapped."""
+    try:
+        if kind == "transcript":
+            transcript_from_dict(record)
+        elif kind == "ground truth":
+            ground_truth_from_dict(record)
+        else:
+            path = tmp_path / "f.json"  # one line: no canonical layout
+            if kind == "store row":
+                path.write_text(json.dumps({"format": STORE_FORMAT, "rows": [record]}))
+                Store.load(path)
+            else:
+                path.write_text(json.dumps({"format": TAGS_FORMAT, "tags": [record]}))
+                load_tags(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        if type(exc) is not ValueError or "malformed" not in str(exc):
+            return type(exc), str(exc)
+        name, message = re.fullmatch(r".*: (?:row|tag) 0: malformed \((\w+): (.*)\)",
+                                     str(exc), re.S).groups()
+        return {error.__name__: error for error in (KeyError, TypeError, ValueError)}[name], \
+            message
+    return None
+
+
+@pytest.mark.parametrize("kind, faults, expected", fallback_cases())
+def test_fallback_errors(tmp_path, kind, faults, expected):
+    """Every field of every record kind, damaged six ways, read through
+    json.loads: the exact error, or the record reads."""
+    record = json.loads(json.dumps(RECORDS[kind]))  # a deep copy
+    for key, value in faults.items():
+        outer, _, inner = key.partition(".")
+        holder, key = (record[outer], inner) if inner else (record, key)
+        if value is DROP:
+            del holder[key]
+        else:
+            holder[key] = value
+    assert read_fallback(kind, record, tmp_path) == expected
 
 
 class TestSessionCommitDiscipline:
