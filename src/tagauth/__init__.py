@@ -7,8 +7,7 @@ the known passive attacks as executable adversaries.
 """
 
 from .attacks import AttackVerdict, RecoveredSecrets
-from .gossamer import GossamerTagState, Variant
-from .sasi import SasiTagState
+from .gossamer import Variant
 from .simulator import (
     CampaignConfig,
     Forcing,
@@ -27,6 +26,7 @@ from .simulator import (
     run_session,
 )
 from .store import Store, TagRecordRow
+from .tagstate import TagState
 from .word96 import MASK, PI, WIDTH, Word96
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "AttackVerdict",
     "CampaignConfig",
     "Forcing",
-    "GossamerTagState",
     "GroundTruth",
     "KeyMode",
     "MASK",
@@ -45,10 +44,10 @@ __all__ = [
     "PI",
     "Protocol",
     "RecoveredSecrets",
-    "SasiTagState",
     "SimTag",
     "Store",
     "TagRecordRow",
+    "TagState",
     "Transcript",
     "Variant",
     "WIDTH",

@@ -56,14 +56,15 @@ def sasi_residue_gap(transcript) -> int:
     return ((transcript.c - (transcript.a ^ ids) - transcript.b + ids) & MASK) % 96
 
 
-def sasi_attack(first, second) -> AttackVerdict:
+def sasi_attack(first, second, gap: int | None = None) -> AttackVerdict:
     """Mod-96 ID disclosure against SASI from two consecutive transcripts.
 
     Fires when C agrees with the nonce-sum estimate mod 96 (the signature
     of key rotation amounts collapsing); the pseudonym step then leaks
     ID mod 96.  The recovered value is a 96-residue, not the full word.
+    ``gap``, when given, is ``sasi_residue_gap(first)`` already computed.
     """
-    if sasi_residue_gap(first) != 0:
+    if (sasi_residue_gap(first) if gap is None else gap) != 0:
         return AttackVerdict(fired=False)
     return AttackVerdict(fired=True, recovered_id=(
         (second.announced_ids - first.announced_ids) & MASK) % 96)
@@ -113,15 +114,20 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
     evaluator passes each trial its entry of one lane call per block of
-    trials, and a call without it computes it as a block of one.  The
-    equations after MixBits are gossamer's own, given the chain.
+    trials.  A call without it peels n1 and n2 alone and lets gossamer's
+    equations run their own scalar MixBits.
     """
-    n1, n2, n3, n1p, n2p = zero_key_chains([transcript])[0] if chain is None else chain
     ids = transcript.announced_ids
+    if chain is None:
+        n1, n2 = (transcript.a - ids - PI) & MASK, (transcript.b - ids - PI) & MASK
+        n3 = n1p = n2p = None
+    else:
+        n1, n2, n3, n1p, n2p = chain
     vals = derive_auth(Variant.ORIGINAL, ids, 0, 0, 0, n1, n2, n3, n1p)
     if vals.c != transcript.c:
         return AttackVerdict(fired=False)
     derive_update(Variant.ORIGINAL, ids, vals, n2p)
+    n3, n1p, n2p = vals.n3, vals.n1p, vals.n2p
     step = rotr((transcript.d - n1p) & MASK, n3)
     step = rotr((step - vals.k1s - n1p) & MASK, n2)
     recovered_id = (step - n2 - vals.k2s - n1p) & MASK
@@ -141,11 +147,12 @@ class Attack:
     one-transcript attack recovers the tag state, and its predicted next
     IDS is checked against the pair's second transcript.  ``residue_id``
     marks a recovered_id that is the ID mod 96 (an int 0..95), not a full
-    word.  ``near_miss``, when set, gives a transcript's distance from
-    firing, histogrammed over the trials.  ``prepare``, when set, takes the
-    first transcripts of a block of one-transcript trials and gives each
-    its work shared across the block, which ``run`` then takes as its
-    second argument.
+    word.  ``near_miss``, when set on a two-transcript kind, gives the
+    first transcript's distance from firing, histogrammed over the trials
+    and passed to ``run`` as an optional third argument.  ``prepare``,
+    when set, takes the first transcripts of a block of one-transcript
+    trials and gives each its work shared across the block, which ``run``
+    then takes as its second argument.
     """
 
     run: Callable[..., AttackVerdict]
@@ -158,7 +165,7 @@ class Attack:
 # The lambdas look the attack up in this module at call time, so a wrapper
 # set on the module attribute (perfbench/tracing.py's spans) sees each call.
 ATTACKS = {
-    "sasi": Attack(lambda first, second: sasi_attack(first, second), 2,
+    "sasi": Attack(lambda first, second, gap=None: sasi_attack(first, second, gap), 2,
                    residue_id=True, near_miss=sasi_residue_gap),
     "gossamer-1": Attack(lambda first, second: gossamer_attack1(first, second), 2),
     "gossamer-2": Attack(lambda transcript, chain=None: gossamer_attack2(transcript, chain), 1,

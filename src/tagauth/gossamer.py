@@ -58,11 +58,8 @@ reader_finish are shared with SASI (``tagstate``).
 from dataclasses import dataclass
 from enum import Enum
 
-# reader_finish and tag_announce are re-exported
-from .tagstate import TagState, reader_finish, rotate, tag_announce, tuple_of  # noqa: F401
+from .tagstate import TagState, rotate, tuple_of
 from .word96 import MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original, rotl
-
-GossamerTagState = TagState
 
 
 class Variant(Enum):
@@ -141,17 +138,12 @@ def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
     return vals
 
 
-def derive_session(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
-                   id_: Word96, n1: Word96, n2: Word96) -> SessionValues:
-    """Full derivation: messages, internals and staged update."""
-    return derive_update(variant, ids, derive_auth(variant, ids, k1, k2, id_, n1, n2))
-
-
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                  n1: Word96, n2: Word96,
                  variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
-    """Build A||B||C for the matched record; returns (a, b, c, pending)."""
-    vals = derive_session(variant, ids, k1, k2, id_, n1, n2)
+    """Build A||B||C for the matched record and stage the update; returns
+    (a, b, c, pending), pending holding every value of the session."""
+    vals = derive_update(variant, ids, derive_auth(variant, ids, k1, k2, id_, n1, n2))
     return vals.a, vals.b, vals.c, vals
 
 
@@ -192,7 +184,7 @@ def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     return match
 
 
-def tag_respond(tag: GossamerTagState, a: Word96, b: Word96, c: Word96,
+def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
                 variant: Variant) -> Word96 | None:
     """Authenticate the reader from A||B||C; emit D and commit, or reject.
 

@@ -21,12 +21,8 @@ tag, so concurrent sessions against distinct tags need no coordination.
 
 from dataclasses import dataclass
 
-# NEXT, OLD, reader_finish and tag_announce are re-exported
-from .tagstate import (NEXT, OLD, TagState, reader_finish, rotate,  # noqa: F401
-                       tag_announce, tuple_of)
+from .tagstate import TagState, rotate, tuple_of
 from .word96 import MASK, Word96, rotl
-
-SasiTagState = TagState
 
 
 @dataclass(slots=True)
@@ -72,7 +68,7 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
     return vals.a, vals.b, vals.c, vals
 
 
-def tag_respond(tag: SasiTagState, a: Word96, b: Word96, c: Word96) -> Word96 | None:
+def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96) -> Word96 | None:
     """Authenticate the reader from A||B||C; emit D and commit, or reject.
 
     Nonces are recovered exactly by inverting A and B.  Returns None with

@@ -29,9 +29,10 @@ from typing import Callable, Iterator
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store, TagRecordRow,
-                    WordCodec, bad_word, json_loads, record_formats)
+                    decode, exactly, json_loads, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
-from .word96 import WIDTH, Word96, from_hex, to_hex
+from .word96 import WIDTH, Word96, to_hex
+from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
 
 HELLO_BITS = 40  # 5-byte hello
 CHALLENGE_BITS = 3 * WIDTH  # A||B||C
@@ -386,21 +387,16 @@ def campaign_summary(config: CampaignConfig, transcripts) -> dict:
 
 # -- attack evaluation and scoring -------------------------------------------
 
-def _success_pairs(transcripts) -> Iterator[tuple]:
-    """Adjacent mutually-successful transcripts with contiguous indices, lazily."""
-    for first, second in pairwise(transcripts):
-        if (first.outcome is _SUCCESS and second.outcome is _SUCCESS
-                and second.session_index == first.session_index + 1):
-            yield first, second
-
-
-def consecutive_success_pairs(transcripts) -> list[tuple]:
-    """Adjacent mutually-successful transcripts with contiguous indices.
+def consecutive_success_pairs(transcripts) -> Iterator[tuple]:
+    """Adjacent mutually-successful transcripts with contiguous indices, lazily.
 
     This is the detection window the two-transcript attacks assume; an
     intervening failed session changes nothing since nothing updated.
     """
-    return list(_success_pairs(transcripts))
+    for first, second in pairwise(transcripts):
+        if (first.outcome is _SUCCESS and second.outcome is _SUCCESS
+                and second.session_index == first.session_index + 1):
+            yield first, second
 
 
 # RecoveredSecrets fields that GroundTruth records under the same name
@@ -408,23 +404,16 @@ _RECOVERED_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2
 
 
 def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: bool) -> bool:
-    """Whether a fired verdict agrees with the session's ground truth."""
-    rs = verdict.recovered_state
-    return verdict.recovered_id == (truth.id % 96 if residue_id else truth.id) and (
-        rs is None or (rs.next_ids == truth.tag_post.ids
-                       and _RECOVERED_INTERNALS(rs) == _RECOVERED_INTERNALS(truth)))
-
-
-def score_verdict(kind: str, verdict: attacks.AttackVerdict, truth: GroundTruth) -> None:
-    """Fill in ground_truth_match for a fired verdict (simulator-side only).
+    """Whether a fired verdict agrees with the session's ground truth.
 
     A match needs the recovered ID (mod 96 for a residue attack) and, when
     a state was recovered, every internal of it and the next IDS it
     predicts.
     """
-    if verdict.fired:
-        verdict.ground_truth_match = _matches(verdict, truth,
-                                              attacks.attack_kind(kind).residue_id)
+    rs = verdict.recovered_state
+    return verdict.recovered_id == (truth.id % 96 if residue_id else truth.id) and (
+        rs is None or (rs.next_ids == truth.tag_post.ids
+                       and _RECOVERED_INTERNALS(rs) == _RECOVERED_INTERNALS(truth)))
 
 
 # Trials per block of a one-transcript attack with a ``prepare`` step.  The
@@ -469,25 +458,26 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     run, arity, near_miss, residue_id = (attack.run, attack.arity, attack.near_miss,
                                          attack.residue_id)
     truth_by_session = {t.session_index: t for t in ground_truths or ()}
-    pairs = _success_pairs(transcripts)
+    pairs = consecutive_success_pairs(transcripts)
     if attack.prepare is not None:
         pairs, run = _in_blocks(attack, pairs)
     records: list[dict] = []
     near_misses: dict[int, int] = {}
     fired = matched = scored = confirmed = 0
     for first, second in pairs:
-        if near_miss is not None:
-            gap = near_miss(first)
-            near_misses[gap] = near_misses.get(gap, 0) + 1
+        prediction_confirmed = None
         if arity == 1:
             verdict = run(first)
             prediction_confirmed = bool(
                 verdict.fired
                 and verdict.recovered_state.next_ids == second.announced_ids)
             confirmed += prediction_confirmed
-        else:
+        elif near_miss is None:
             verdict = run(first, second)
-            prediction_confirmed = None
+        else:
+            gap = near_miss(first)
+            near_misses[gap] = near_misses.get(gap, 0) + 1
+            verdict = run(first, second, gap)
         truth = truth_by_session.get(first.session_index)
         if truth is not None:
             scored += 1
@@ -544,20 +534,16 @@ def cost_accounting(variant: str = "gossamer") -> dict:
 
 TAGS_FORMAT = "rfid-tagfleet/1"
 
-_TRANSCRIPT = WordCodec(optional=("a", "b", "c", "d"),
-                        types={"variant": str, "session": int, "bits": int})
-_SNAPSHOT = WordCodec(TUPLE_WORDS, record=StateSnapshot)
-_GROUND_TRUTH = WordCodec(
-    ("id",), ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star"),
-    types={"session": int},
-    nested=dict.fromkeys(("tag_pre", "tag_post", "reader_pre", "reader_post"), _SNAPSHOT))
 # Kinds only JSONL lines hold.  The line readers take their groups by
 # position, so these kinds have no ``parse``: a word or null is one group,
 # None for null, and a snapshot or null six such groups.
-_WORD_OR_NULL = Kind("%s", f"(?:{HEX}|null)", None)
-_INT = Kind("%d", "(-?(?:0|[1-9][0-9]*))", None)
-_SNAPSHOT_JSON, _snapshot_pattern = record_formats([(key, WORD) for key in TUPLE_WORDS])
-_SNAPSHOT_OR_NULL = Kind("%s", f"(?:{_snapshot_pattern}|null)", None)
+_WORD_OR_NULL = Kind("%s", f"(?:{HEX}|null)", None,
+                     lambda value, key: None if value is None else WORD.decode(value, key))
+_INT = Kind("%d", "(-?(?:0|[1-9][0-9]*))", None, exactly(int))
+_SNAPSHOT_FIELDS = [(key, WORD) for key in TUPLE_WORDS]
+_SNAPSHOT_JSON, _snapshot_pattern = record_formats(_SNAPSHOT_FIELDS)
+_SNAPSHOT_OR_NULL = Kind("%s", f"(?:{_snapshot_pattern}|null)", None, lambda value, key: (
+    None if value is None else StateSnapshot(**decode(_SNAPSHOT_FIELDS, value, key + "."))))
 
 # The field table of each record kind: the one place its keys, their order
 # and their kinds are written.  A canonical line or file is what the writers
@@ -623,11 +609,7 @@ def _transcript(variant: str, session: int, ids: Word96, a, b, c, d, outcome: st
 
 def transcript_from_dict(data: dict) -> Transcript:
     """A transcript read back; nulls that contradict its outcome are a ValueError."""
-    values = _TRANSCRIPT.decode(data)
-    try:
-        values["ids"] = from_hex(values["ids"])
-    except (TypeError, ValueError):
-        raise bad_word("ids", values["ids"]) from None
+    values = decode(_TRANSCRIPT_FIELDS, data)
     return _transcript(*map(values.__getitem__, _TRANSCRIPT_KEYS))
 
 
@@ -666,7 +648,7 @@ def _check_tag_snapshots(tag_pre: StateSnapshot | None,
 def ground_truth_from_dict(data: dict) -> GroundTruth:
     """Ground truth read back; a null reader snapshot (no store row) is valid, a
     null tag snapshot a ValueError."""
-    values = _GROUND_TRUTH.decode(data)
+    values = decode(_GROUND_TRUTH_FIELDS, data)
     _check_tag_snapshots(values["tag_pre"], values["tag_post"])
     return GroundTruth(session_index=values.pop("session"), **values)
 

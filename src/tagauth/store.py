@@ -9,10 +9,11 @@ changing those fields any other way leaves lookup stale.
 
 It also holds the format of every record tagauth writes or reads: one
 ordered field table per kind builds the writer's ``%`` template and the
-regex of a canonical record (``record_formats``).  A canonical JSONL line or
-``RecordList`` file is read by that regex, any other through ``json.loads``
-and ``WordCodec`` to the same record or error.  Files are written through a
-temp file and a rename, so a crash never leaves a torn file.
+regex of a canonical record (``record_formats``), and its kinds ``decode``
+what ``json.loads`` gives.  A canonical JSONL line or ``RecordList`` file is
+read by that regex, any other through ``json.loads`` and ``decode`` to the
+same record or error.  Files are written through a temp file and a rename,
+so a crash never leaves a torn file.
 
 Single writer, any number of readers; the simulator serializes commits.
 """
@@ -140,56 +141,31 @@ class Store:
 
 # -- record formats and file envelope -------------------------------------------
 
-class WordCodec:
-    """The JSON form of one kind of record, as read through ``json.loads``.
-
-    ``words`` name the keys holding a 96-bit word, ``optional`` those
-    holding a word or null, ``types`` the keys that must hold exactly a
-    type (a bool is no int), and ``nested`` the keys holding null or an
-    instance of another codec's ``record`` class.  Other keys pass through.
-    """
-
-    def __init__(self, words=(), optional=(), types=None, nested=None, record=None):
-        self.words = tuple(words) + tuple(optional)
-        self.optional = frozenset(optional)
-        self.types = tuple((types or {}).items())
-        self.nested = tuple((nested or {}).items())
-        self.record = record
-
-    def decode(self, data: dict, within: str = "") -> dict:
-        """A copy of ``data`` with every word parsed and every type checked;
-        an error names the bad key (``outer.key`` in a nested record)."""
-        if type(data) is not dict:
-            raise TypeError(f"{within.rstrip('.') or 'entry'} is not an object")
-        out = dict(data)
-        for key in self.words:
-            value = out[key]
-            if value is None and key in self.optional:
-                continue
-            try:
-                out[key] = from_hex(value)
-            except (TypeError, ValueError):
-                raise bad_word(within + key, value) from None
-        for key, kind in self.types:
-            if type(out[key]) is not kind:
-                raise TypeError(f"{within}{key} is not {kind.__name__}")
-        for key, codec in self.nested:
-            if out[key] is not None:
-                out[key] = codec.record(**codec.decode(out[key], f"{within}{key}."))
-        return out
+# A kind of field: its %-format slot, its regex, ``parse`` of an iterator of
+# groups, and ``decode`` of a ``json.loads`` value at a key (named in an error)
+Kind = namedtuple("Kind", "slot pattern parse decode")
 
 
-def bad_word(field: str, value) -> ValueError:
-    """The error for a value of ``field`` that is no canonical word."""
-    return ValueError(f"{field}: not a canonical 96-bit hex word: {value!r}")
+def _decode_word(value, key: str) -> Word96:
+    # ``from_hex`` is this module's, looked up at each call, which perfbench/tracing.py wraps
+    try:
+        return from_hex(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}: not a canonical 96-bit hex word: {value!r}") from None
 
 
-# A kind of field: its %-format slot, its regex, ``parse`` of an iterator of groups
-Kind = namedtuple("Kind", "slot pattern parse")
+def exactly(kind: type):
+    """The ``decode`` of a value that must be exactly ``kind`` (a bool is no int)."""
+    def check(value, key: str):
+        if type(value) is not kind:
+            raise TypeError(f"{key} is not {kind.__name__}")
+        return value
+    return check
+
 
 HEX = '"([0-9a-f]{24})"'  # ``int(text, 16)`` of a match is ``from_hex`` of it
-WORD = Kind('"%s"', HEX, lambda groups: int(next(groups), 16))
-STR = Kind("%s", r'"([^"\\\x00-\x1f]*)"', next)  # no escape: the text is the value
+WORD = Kind('"%s"', HEX, lambda groups: int(next(groups), 16), _decode_word)
+STR = Kind("%s", r'"([^"\\\x00-\x1f]*)"', next, exactly(str))  # no escape: the text is the value
 
 # A record's (start, between fields, after a key, end): JSONL, or indent=2 list item
 COMPACT = ("{", ",", ":", "}")
@@ -205,6 +181,18 @@ def record_formats(fields, layout=COMPACT) -> tuple[str, str]:
             + re.escape(end))
 
 
+def decode(fields, data, within: str = "") -> dict:
+    """A copy of ``data`` with each of ``fields`` decoded by its kind, in table
+    order; other keys pass through.  An error names the bad key (``outer.key``
+    in a nested record, whose ``within`` is ``outer.``)."""
+    if type(data) is not dict:
+        raise TypeError(f"{within.rstrip('.') or 'entry'} is not an object")
+    out = dict(data)
+    for key, kind in fields:
+        out[key] = kind.decode(out[key], within + key)
+    return out
+
+
 def parse_match(fields, match: re.Match) -> dict:
     """Each field's value from a canonical record's regex match."""
     groups = iter(match.groups())
@@ -215,15 +203,13 @@ class RecordList:
     """A file ``{"format": format_name, key: [record, ...]}`` of records whose
     ``fields`` are words and strings.  ``load`` matches a file in ``save``'s
     exact layout record by record, and takes any other through ``json.loads``
-    and a ``WordCodec`` of the same table; both run ``build`` in ``parse_entries``."""
+    and ``decode`` of the same table; both run ``build`` in ``parse_entries``."""
 
     def __init__(self, format_name: str, key: str, what: str, fields) -> None:
         self.format_name, self.key, self.what, self.fields = format_name, key, what, fields
         self.template, pattern = record_formats(fields, LISTED)
         self.pattern = re.compile(pattern)
         self.head = '{\n  "format": %s,\n  %s: [\n' % (json.dumps(format_name), json.dumps(key))
-        self.codec = WordCodec([name for name, kind in fields if kind is WORD],
-                               types={name: str for name, kind in fields if kind is STR})
 
     def save(self, path: str, records) -> None:
         """Write the file of ``records``, an iterator of ``template`` texts; atomic."""
@@ -244,7 +230,7 @@ class RecordList:
         if not isinstance(entries, list):
             raise ValueError(f"{path}: no {self.key} list")
         return parse_entries(path, self.what, enumerate(entries),
-                             lambda entry: build(self.codec.decode(entry)))
+                             lambda entry: build(decode(self.fields, entry)))
 
     def _canonical(self, text: str) -> list | None:
         """The regex match of each record of a file ``save`` wrote, else None."""

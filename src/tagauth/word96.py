@@ -37,18 +37,6 @@ def sub(a: Word96, b: Word96) -> Word96:
     return (a - b) & MASK
 
 
-def xor(a: Word96, b: Word96) -> Word96:
-    return a ^ b
-
-
-def or_(a: Word96, b: Word96) -> Word96:
-    return a | b
-
-
-def and_(a: Word96, b: Word96) -> Word96:
-    return a & b
-
-
 def rotl(x: Word96, y: Word96) -> Word96:
     """Circular left shift of x by (y mod 96) bit positions.
 

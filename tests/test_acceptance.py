@@ -147,7 +147,7 @@ def test_criterion_04_attack1_exact_regime():
     result = forced_campaign(Protocol.GOSSAMER, 1001, 1005,
                              nonce_mode=NonceMode.EXACT_ZERO)
     truth = {g.session_index: g for g in result.ground_truths}
-    pairs = consecutive_success_pairs(result.transcripts)
+    pairs = list(consecutive_success_pairs(result.transcripts))
     assert len(pairs) == 1000
     for first, second in pairs:
         verdict = gossamer_attack1(first, second)
@@ -195,7 +195,7 @@ def test_criterion_06_attack2_exact_regime():
     result = forced_campaign(Protocol.GOSSAMER, 1001, 1007,
                              key_mode=KeyMode.EXACT_ZERO)
     truth = {g.session_index: g for g in result.ground_truths}
-    pairs = consecutive_success_pairs(result.transcripts)
+    pairs = list(consecutive_success_pairs(result.transcripts))
     assert len(pairs) == 1000
     for first, second in pairs:
         verdict = gossamer_attack2(first)
@@ -214,7 +214,7 @@ def test_criterion_07_modified_resists_both_attacks():
     result = forced_campaign(Protocol.GOSSAMER_MOD, trials + 1, 1008,
                              nonce_mode=NonceMode.EXACT_ZERO)
     truth = {g.session_index: g for g in result.ground_truths}
-    pairs = consecutive_success_pairs(result.transcripts)
+    pairs = list(consecutive_success_pairs(result.transcripts))
     assert len(pairs) == trials
     attack1_residuals = []
     for first, second in pairs:
@@ -224,7 +224,7 @@ def test_criterion_07_modified_resists_both_attacks():
 
     result = forced_campaign(Protocol.GOSSAMER_MOD, trials + 1, 1009,
                              key_mode=KeyMode.EXACT_ZERO)
-    pairs = consecutive_success_pairs(result.transcripts)
+    pairs = list(consecutive_success_pairs(result.transcripts))
     assert len(pairs) == trials
     attack2_residuals = []
     for first, _ in pairs:
@@ -247,7 +247,7 @@ def test_criterion_07_modified_resists_both_attacks():
 def test_criterion_08_sasi_attack():
     result = forced_campaign(Protocol.SASI, 1001, 1010, key_mode=KeyMode.EXACT_ZERO)
     truth = {g.session_index: g for g in result.ground_truths}
-    pairs = consecutive_success_pairs(result.transcripts)
+    pairs = list(consecutive_success_pairs(result.transcripts))
     assert len(pairs) == 1000
     for first, second in pairs:
         verdict = sasi_attack(first, second)

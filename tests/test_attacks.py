@@ -23,7 +23,6 @@ from tagauth.simulator import (
     provision,
     run_campaign,
     run_session,
-    score_verdict,
 )
 from tagauth.word96 import MASK, PI, add, rotr, sub
 
@@ -40,15 +39,16 @@ class TestGossamerAttack1:
     def test_zero_nonce_regime_fires_and_recovers_id(self):
         result = forced_campaign(Protocol.GOSSAMER, 40, 100,
                                  nonce_mode=NonceMode.EXACT_ZERO)
-        pairs = consecutive_success_pairs(result.transcripts)
+        pairs = list(consecutive_success_pairs(result.transcripts))
         assert len(pairs) == 39
         truth = {g.session_index: g for g in result.ground_truths}
         for first, second in pairs:
             verdict = attacks.gossamer_attack1(first, second)
             assert verdict.fired
             assert verdict.recovered_id == truth[first.session_index].id
-            score_verdict("gossamer-1", verdict, truth[first.session_index])
-            assert verdict.ground_truth_match
+        records, _ = evaluate_attack("gossamer-1", result.transcripts, result.ground_truths)
+        assert len(records) == 39
+        assert all(record["verdict"].ground_truth_match for record in records)
 
     def test_zero_state_closed_form_transcript(self):
         class T:  # minimal transcript stand-in: public fields only
@@ -81,7 +81,7 @@ class TestGossamerAttack2:
     def test_zero_key_regime_full_disclosure(self):
         result = forced_campaign(Protocol.GOSSAMER, 40, 102,
                                  key_mode=KeyMode.EXACT_ZERO)
-        pairs = consecutive_success_pairs(result.transcripts)
+        pairs = list(consecutive_success_pairs(result.transcripts))
         truth = {g.session_index: g for g in result.ground_truths}
         for first, second in pairs:
             verdict = attacks.gossamer_attack2(first)
@@ -92,8 +92,9 @@ class TestGossamerAttack2:
             assert (rs.n1, rs.n2, rs.n3, rs.n1p, rs.n2p) == (g.n1, g.n2, g.n3, g.n1p, g.n2p)
             assert (rs.k1_star, rs.k2_star) == (g.k1_star, g.k2_star)
             assert rs.next_ids == second.announced_ids  # prediction is verifiable on air
-            score_verdict("gossamer-2", verdict, g)
-            assert verdict.ground_truth_match
+        records, _ = evaluate_attack("gossamer-2", result.transcripts, result.ground_truths)
+        assert len(records) == len(pairs)
+        assert all(record["verdict"].ground_truth_match for record in records)
 
     def test_unforced_traffic_does_not_fire(self):
         result = forced_campaign(Protocol.GOSSAMER, 60, 103)
@@ -147,7 +148,7 @@ class TestGossamerAttack2Blocks:
         # starts after a gap
         drops = {40, ATTACK_BLOCK + 3, ATTACK_BLOCK + 4, ATTACK_BLOCK + 9}
         transcripts, truths = mixed_stream(ATTACK_BLOCK + 60, drops)
-        pairs = consecutive_success_pairs(transcripts)
+        pairs = list(consecutive_success_pairs(transcripts))
         assert len(pairs) > ATTACK_BLOCK
         assert [pairs[i][0].session_index for i in (ATTACK_BLOCK - 1, ATTACK_BLOCK)] == [
             ATTACK_BLOCK + 1, ATTACK_BLOCK + 5]
@@ -167,12 +168,14 @@ class TestSasiAttack:
     def test_zero_key_regime_recovers_id_residue(self):
         result = forced_campaign(Protocol.SASI, 40, 104, key_mode=KeyMode.EXACT_ZERO)
         truth = {g.session_index: g for g in result.ground_truths}
-        for first, second in consecutive_success_pairs(result.transcripts):
+        pairs = list(consecutive_success_pairs(result.transcripts))
+        for first, second in pairs:
             verdict = attacks.sasi_attack(first, second)
             assert verdict.fired
             assert verdict.recovered_id == truth[first.session_index].id % 96
-            score_verdict("sasi", verdict, truth[first.session_index])
-            assert verdict.ground_truth_match
+        records, _ = evaluate_attack("sasi", result.transcripts, result.ground_truths)
+        assert len(records) == len(pairs)
+        assert all(record["verdict"].ground_truth_match for record in records)
 
     def test_gap_is_zero_exactly_when_fired(self):
         result = forced_campaign(Protocol.SASI, 80, 105)
@@ -229,7 +232,7 @@ class TestResistance:
 def test_verdicts_never_set_ground_truth_match():
     # only the simulator may score; the attack itself leaves the field unset
     result = forced_campaign(Protocol.GOSSAMER, 10, 110, nonce_mode=NonceMode.EXACT_ZERO)
-    first, second = consecutive_success_pairs(result.transcripts)[0]
+    first, second = next(consecutive_success_pairs(result.transcripts))
     assert attacks.gossamer_attack1(first, second).ground_truth_match is None
 
 

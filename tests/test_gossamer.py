@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import words
 from tagauth import gossamer
-from tagauth.gossamer import GossamerTagState, Variant
+from tagauth.gossamer import Variant
+from tagauth.tagstate import TagState, reader_finish, tag_announce
 from tagauth.word96 import MASK, PI, mixbits_modified
 
 ID = 0x00112233445566778899AABB
@@ -54,23 +55,28 @@ VECTOR_MODIFIED = {
 
 
 def fresh_tag(id_=ID, ids=IDS, k1=K1, k2=K2):
-    return GossamerTagState(id_, ids, k1, k2, ids, k1, k2)
+    return TagState(id_, ids, k1, k2, ids, k1, k2)
+
+
+def session_values(variant, ids, k1, k2, id_, n1, n2):
+    """Every value of a session, as the reader's pending context holds them."""
+    return gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)[3]
 
 
 @pytest.mark.parametrize("variant,vector", [
     (Variant.ORIGINAL, VECTOR_ORIGINAL),
     (Variant.MODIFIED, VECTOR_MODIFIED),
 ])
-def test_derive_session_matches_frozen_oracle(variant, vector):
-    vals = gossamer.derive_session(variant, IDS, K1, K2, ID, N1, N2)
+def test_reader_begin_matches_frozen_oracle(variant, vector):
+    vals = session_values(variant, IDS, K1, K2, ID, N1, N2)
     for field in FIELDS:
         assert getattr(vals, field) == vector[field], (variant, field)
 
 
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=60, deadline=None)
-def test_derive_session_matches_oracle_original(id_, ids, k1, k2, n1, n2):
-    vals = gossamer.derive_session(Variant.ORIGINAL, ids, k1, k2, id_, n1, n2)
+def test_reader_begin_matches_oracle_original(id_, ids, k1, k2, n1, n2):
+    vals = session_values(Variant.ORIGINAL, ids, k1, k2, id_, n1, n2)
     ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
     for field in FIELDS:
         assert getattr(vals, field) == ref[field], field
@@ -78,8 +84,8 @@ def test_derive_session_matches_oracle_original(id_, ids, k1, k2, n1, n2):
 
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=60, deadline=None)
-def test_derive_session_matches_oracle_modified(id_, ids, k1, k2, n1, n2):
-    vals = gossamer.derive_session(Variant.MODIFIED, ids, k1, k2, id_, n1, n2)
+def test_reader_begin_matches_oracle_modified(id_, ids, k1, k2, n1, n2):
+    vals = session_values(Variant.MODIFIED, ids, k1, k2, id_, n1, n2)
     ref = oracles.gossamer_session("modified", id_, ids, k1, k2, n1, n2)
     for field in FIELDS:
         assert getattr(vals, field) == ref[field], field
@@ -87,7 +93,7 @@ def test_derive_session_matches_oracle_modified(id_, ids, k1, k2, n1, n2):
 
 def test_all_zero_original_closed_form():
     # every rotation amount and additive nonce is exactly zero
-    vals = gossamer.derive_session(Variant.ORIGINAL, 0, 0, 0, 0, 0, 0)
+    vals = session_values(Variant.ORIGINAL, 0, 0, 0, 0, 0, 0)
     assert vals.k1s == PI and vals.k2s == PI
     assert vals.a == PI and vals.b == PI
     assert vals.c == 3 * PI & MASK
@@ -97,7 +103,7 @@ def test_all_zero_original_closed_form():
 
 
 def test_all_zero_modified_diverges():
-    vals = gossamer.derive_session(Variant.MODIFIED, 0, 0, 0, 0, 0, 0)
+    vals = session_values(Variant.MODIFIED, 0, 0, 0, 0, 0, 0)
     assert vals.n3 == mixbits_modified(0, 0) != 0
     assert vals.c != 3 * PI & MASK
 
@@ -106,11 +112,11 @@ def test_all_zero_modified_diverges():
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=40, deadline=None)
 def test_round_trip_and_matching_updates(variant, id_, ids, k1, k2, n1, n2):
-    tag = GossamerTagState(id_, ids, k1, k2, ids, k1, k2)
+    tag = TagState(id_, ids, k1, k2, ids, k1, k2)
     a, b, c, pending = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
     d = gossamer.tag_respond(tag, a, b, c, variant)
     assert d is not None
-    assert gossamer.reader_finish(pending, d)
+    assert reader_finish(pending, d)
     assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (ids, k1, k2)
 
@@ -120,7 +126,7 @@ def test_all_zero_round_trip_original():
     a, b, c, pending = gossamer.reader_begin(0, 0, 0, 0, 0, 0, Variant.ORIGINAL)
     d = gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL)
     assert d == 2 * PI & MASK
-    assert gossamer.reader_finish(pending, d)
+    assert reader_finish(pending, d)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -128,7 +134,7 @@ def test_single_bit_corruption_of_c_rejects(variant):
     rng = random.Random(5)
     for _ in range(40):
         id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
-        tag = GossamerTagState(id_, ids, k1, k2, ids, k1, k2)
+        tag = TagState(id_, ids, k1, k2, ids, k1, k2)
         a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         before = (tag.ids, tag.k1, tag.k2)
         flipped = c ^ (1 << rng.randrange(96))
@@ -141,7 +147,7 @@ def test_corrupted_a_or_b_rejects(variant):
     rng = random.Random(6)
     for _ in range(20):
         id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
-        tag = GossamerTagState(id_, ids, k1, k2, ids, k1, k2)
+        tag = TagState(id_, ids, k1, k2, ids, k1, k2)
         a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         assert gossamer.tag_respond(tag, a ^ 2, b, c, variant) is None
         assert gossamer.tag_respond(tag, a, b ^ 2, c, variant) is None
@@ -155,12 +161,12 @@ def test_wrong_tuple_rejects():
 
 def test_announce_first_then_retry_old():
     tag = fresh_tag()
-    assert gossamer.tag_announce(tag) == IDS
+    assert tag_announce(tag) == IDS
     a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
     assert gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL) is not None
-    fresh_ids = gossamer.tag_announce(tag)
+    fresh_ids = tag_announce(tag)
     assert fresh_ids != IDS  # a fresh pseudonym is backscattered
-    assert gossamer.tag_announce(tag, retry=True) == IDS
+    assert tag_announce(tag, retry=True) == IDS
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -169,10 +175,10 @@ def test_session_on_old_tuple_after_retry(variant):
     a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
     assert gossamer.tag_respond(tag, a, b, c, variant) is not None
     # reader never learned the update; it challenges the old tuple again
-    gossamer.tag_announce(tag, retry=True)
+    tag_announce(tag, retry=True)
     a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N2, N1, variant)
     d = gossamer.tag_respond(tag, a, b, c, variant)
-    assert d is not None and gossamer.reader_finish(pending, d)
+    assert d is not None and reader_finish(pending, d)
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (IDS, K1, K2)
     assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
 

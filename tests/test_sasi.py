@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import words
 from tagauth import sasi
+from tagauth.tagstate import NEXT, OLD, TagState, reader_finish, tag_announce
 from tagauth.word96 import MASK, sub
 
 ID = 0x00112233445566778899AABB
@@ -29,7 +30,7 @@ VECTOR = {
 
 
 def fresh_tag(id_=ID, ids=IDS, k1=K1, k2=K2):
-    return sasi.SasiTagState(id_, ids, k1, k2, ids, k1, k2)
+    return TagState(id_, ids, k1, k2, ids, k1, k2)
 
 
 def test_session_values_match_frozen_oracle():
@@ -51,11 +52,11 @@ def test_session_values_match_oracle(id_, ids, k1, k2, n1, n2):
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=100, deadline=None)
 def test_round_trip_and_matching_updates(id_, ids, k1, k2, n1, n2):
-    tag = sasi.SasiTagState(id_, ids, k1, k2, ids, k1, k2)
+    tag = TagState(id_, ids, k1, k2, ids, k1, k2)
     a, b, c, pending = sasi.reader_begin(ids, k1, k2, id_, n1, n2)
     d = sasi.tag_respond(tag, a, b, c)
     assert d is not None
-    assert sasi.reader_finish(pending, d)
+    assert reader_finish(pending, d)
     # both sides stage the same next tuple; tag has already committed
     assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (ids, k1, k2)
@@ -100,17 +101,17 @@ def test_wrong_keys_are_rejected():
 
 def test_wrong_d_fails_reader_verification():
     _, _, _, pending = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
-    assert not sasi.reader_finish(pending, pending.d ^ 1)
+    assert not reader_finish(pending, pending.d ^ 1)
 
 
 def test_announce_tracks_tuple_and_retry_uses_old():
     tag = fresh_tag()
     a, b, c, _ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
     assert sasi.tag_respond(tag, a, b, c) is not None
-    assert sasi.tag_announce(tag) == tag.ids
-    assert tag.last_announced == sasi.NEXT
-    assert sasi.tag_announce(tag, retry=True) == IDS  # pre-session tuple kept as old
-    assert tag.last_announced == sasi.OLD
+    assert tag_announce(tag) == tag.ids
+    assert tag.last_announced == NEXT
+    assert tag_announce(tag, retry=True) == IDS  # pre-session tuple kept as old
+    assert tag.last_announced == OLD
 
 
 def test_session_on_old_tuple_after_retry():
@@ -118,8 +119,8 @@ def test_session_on_old_tuple_after_retry():
     a, b, c, _ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
     assert sasi.tag_respond(tag, a, b, c) is not None
     # reader never learned the update; it challenges the old tuple again
-    sasi.tag_announce(tag, retry=True)
+    tag_announce(tag, retry=True)
     a, b, c, pending = sasi.reader_begin(IDS, K1, K2, ID, N2, N1)
     d = sasi.tag_respond(tag, a, b, c)
-    assert d is not None and sasi.reader_finish(pending, d)
+    assert d is not None and reader_finish(pending, d)
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (IDS, K1, K2)

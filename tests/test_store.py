@@ -476,7 +476,7 @@ FIELD_ERRORS = {
         ("variant", STR_ERRORS), ("session", INT_ERRORS), ("ids", WORD_ERRORS),
         *[(key, (MISSING, ABC_NULL, *[NOT_WORD] * 4)) for key in "abc"],
         ("d", (MISSING, D_NULL, *[NOT_WORD] * 4)),
-        ("outcome", (MISSING, *[NOT_OUTCOME] * 5)), ("bits", INT_ERRORS)],
+        ("outcome", (*STR_ERRORS[:4], NOT_OUTCOME, NOT_STR)), ("bits", INT_ERRORS)],
     "ground truth": [
         ("session", INT_ERRORS), ("id", WORD_ERRORS),
         *[(key, WORD_OR_NULL_ERRORS)
@@ -492,12 +492,13 @@ FIELD_ERRORS = {
         *[(key, WORD_ERRORS) for key in WORDS],
         ("last_announced", (*STR_ERRORS[:4], NOT_SIDE, NOT_STR))],
 }
-# One record of each kind with two bad fields: the error names the one checked first
+# One record of each kind with two bad fields: the error names the first in
+# its table
 TWO_FAULTS = {
-    "transcript": ({"variant": 7, "a": 7}, NOT_WORD, "a"),
-    "ground truth": ({"session": True, "id": 7}, NOT_WORD, "id"),
-    "store row": ({"tag_label": 7, "id": 7}, NOT_WORD, "id"),
-    "tag entry": ({"tag_label": 7, "id": 7}, NOT_WORD, "id"),
+    "transcript": ({"variant": 7, "a": 7}, NOT_STR, "variant"),
+    "ground truth": ({"session": True, "id": 7}, NOT_INT, "session"),
+    "store row": ({"tag_label": 7, "id": 7}, NOT_STR, "tag_label"),
+    "tag entry": ({"tag_label": 7, "id": 7}, NOT_STR, "tag_label"),
 }
 
 

@@ -55,14 +55,21 @@ class TestAddSub:
 
 
 class TestBitwise:
+    """The equations apply ``^``, ``|`` and ``&`` to words as they are: on
+    words in range the operators stay in range, so they need no mask."""
+
     def test_xor_self_is_zero(self):
-        assert w.xor(w.PI, w.PI) == 0
+        assert w.PI ^ w.PI == 0
 
     def test_or_zero_identity(self):
-        assert w.or_(w.PI, 0) == w.PI
+        assert w.PI | 0 == w.PI
 
     def test_and_full_mask_identity(self):
-        assert w.and_(w.PI, w.MASK) == w.PI
+        assert w.PI & w.MASK == w.PI
+
+    @given(a=words, b=words)
+    def test_words_stay_words(self, a, b):
+        assert all(0 <= x <= w.MASK for x in (a ^ b, a | b, a & b))
 
 
 class TestRotation:
