@@ -11,7 +11,7 @@ is the registry of attack kinds by name; it holds only public facts.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .gossamer import Variant, derive_auth, derive_update
 from .word96 import MASK, PI, Word96, mixbits_original_lanes, rotr
@@ -113,9 +113,9 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     static ID and the next pseudonym is predicted.
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
-    evaluator passes each trial its entry of one lane call per block of
-    trials.  A call without it peels n1 and n2 alone and lets gossamer's
-    equations run their own scalar MixBits.
+    evaluator passes each trial its entry of one call over all its trials.
+    A call without it peels n1 and n2 alone and lets gossamer's equations
+    run their own scalar MixBits.
     """
     ids = transcript.announced_ids
     if chain is None:
@@ -143,33 +143,46 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
 class Attack:
     """One attack kind as the evaluator runs it.
 
-    ``run`` takes the first ``arity`` transcripts of a consecutive pair; a
+    ``trials`` turns a stream of consecutive pairs into the kind's trials
+    ``(first, second, note)``, and ``run`` takes each trial whole.
+    ``arity`` is how many transcripts of a pair the attack reads: a
     one-transcript attack recovers the tag state, and its predicted next
     IDS is checked against the pair's second transcript.  ``residue_id``
     marks a recovered_id that is the ID mod 96 (an int 0..95), not a full
-    word.  ``near_miss``, when set on a two-transcript kind, gives the
-    first transcript's distance from firing, histogrammed over the trials
-    and passed to ``run`` as an optional third argument.  ``prepare``,
-    when set, takes the first transcripts of a block of one-transcript
-    trials and gives each its work shared across the block, which ``run``
-    then takes as its second argument.
+    word.  ``near_miss`` marks notes that are the first transcript's
+    distance from firing, histogrammed over the trials.
     """
 
-    run: Callable[..., AttackVerdict]
+    run: Callable[[object, object, object], AttackVerdict]
     arity: int
+    trials: Callable[[Iterable], Iterable[tuple]]
     residue_id: bool = False
-    near_miss: Callable[[object], int] | None = None
-    prepare: Callable[[list], list] | None = None
+    near_miss: bool = False
 
 
-# The lambdas look the attack up in this module at call time, so a wrapper
-# set on the module attribute (perfbench/tracing.py's spans) sees each call.
+def _residue_gap_trials(pairs) -> Iterator[tuple]:
+    """Each pair with its first transcript's ``sasi_residue_gap``, lazily."""
+    for first, second in pairs:
+        yield first, second, sasi_residue_gap(first)
+
+
+def _zero_key_trials(pairs) -> list[tuple]:
+    """Each pair with its first transcript's chain, from one ``zero_key_chains``
+    call over them all."""
+    pairs = list(pairs)
+    chains = zero_key_chains([first for first, _ in pairs])
+    return [(first, second, chain) for (first, second), chain in zip(pairs, chains)]
+
+
+# gossamer-2 and its trials look gossamer_attack2 and zero_key_chains up in
+# this module at call time, so a wrapper set on the module attribute
+# (perfbench/tracing.py's span of gossamer_attack2) sees each call.
 ATTACKS = {
-    "sasi": Attack(lambda first, second, gap=None: sasi_attack(first, second, gap), 2,
-                   residue_id=True, near_miss=sasi_residue_gap),
-    "gossamer-1": Attack(lambda first, second: gossamer_attack1(first, second), 2),
-    "gossamer-2": Attack(lambda transcript, chain=None: gossamer_attack2(transcript, chain), 1,
-                         prepare=lambda transcripts: zero_key_chains(transcripts)),
+    "sasi": Attack(sasi_attack, 2, _residue_gap_trials, residue_id=True, near_miss=True),
+    "gossamer-1": Attack(lambda first, second, _: gossamer_attack1(first, second), 2,
+                         lambda pairs: ((first, second, None) for first, second in pairs)),
+    "gossamer-2": Attack(lambda first, _, chain: gossamer_attack2(first, chain), 1,
+                         _zero_key_trials),
 }
 
 

@@ -21,10 +21,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, pairwise
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
@@ -416,68 +416,35 @@ def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: boo
                        and _RECOVERED_INTERNALS(rs) == _RECOVERED_INTERNALS(truth)))
 
 
-# Trials per block of a one-transcript attack with a ``prepare`` step.  The
-# lane MixBits of gossamer-2's prepare cost 1.47, 1.35, 1.26 and 1.26 us a
-# word at 64, 256, 512 and 1024 lanes, against 5.3 us a scalar call (Python
-# 3.11.7, 2-CPU Xeon, best of 5).
-ATTACK_BLOCK = 512
-
-
-def _in_blocks(attack: attacks.Attack, pairs) -> tuple[Iterator, Callable]:
-    """``pairs`` read ATTACK_BLOCK at a time, and a one-transcript ``run`` that
-    passes each first transcript its value from its block's ``prepare`` call.
-
-    A block is prepared when its first pair is read, so ``run`` must be
-    called once per pair, in order, before the next pair is read.
-    """
-    prepared = iter(())
-
-    def blocks():
-        nonlocal prepared
-        while block := list(islice(pairs, ATTACK_BLOCK)):
-            prepared = iter(attack.prepare([first for first, _ in block]))
-            yield from block
-
-    run = attack.run
-    return blocks(), lambda first: run(first, next(prepared))
-
-
 def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[dict], dict]:
     """Run one attack over a transcript stream and summarize the rates.
 
     ``transcripts`` and ``ground_truths`` may be any iterables (a list, an
     iterator, a generator); each is read once, and the trials run in one
     pass over the transcripts.  Each trial is one consecutive
-    mutually-successful pair.  An attack with a ``prepare`` step gets its
-    trials in blocks of ATTACK_BLOCK, prepared together.  Returns (records,
-    summary); records carry the verdict per trial, and for the one-session
+    mutually-successful pair with its attack kind's note, and every kind
+    runs each of its trials the same way.  Returns (records, summary);
+    records carry the verdict per trial, and for the one-session
     disclosure also whether its next-pseudonym prediction matched the
     following announcement (a public check).
     """
     attack = attacks.attack_kind(kind)
-    run, arity, near_miss, residue_id = (attack.run, attack.arity, attack.near_miss,
-                                         attack.residue_id)
+    run, one_session, near_miss, residue_id = (attack.run, attack.arity == 1,
+                                               attack.near_miss, attack.residue_id)
     truth_by_session = {t.session_index: t for t in ground_truths or ()}
-    pairs = consecutive_success_pairs(transcripts)
-    if attack.prepare is not None:
-        pairs, run = _in_blocks(attack, pairs)
     records: list[dict] = []
     near_misses: dict[int, int] = {}
     fired = matched = scored = confirmed = 0
-    for first, second in pairs:
+    for first, second, note in attack.trials(consecutive_success_pairs(transcripts)):
+        verdict = run(first, second, note)
         prediction_confirmed = None
-        if arity == 1:
-            verdict = run(first)
+        if one_session:
             prediction_confirmed = bool(
                 verdict.fired
                 and verdict.recovered_state.next_ids == second.announced_ids)
             confirmed += prediction_confirmed
-        elif near_miss is None:
-            verdict = run(first, second)
-        else:
-            gap = near_miss(first)
-            near_misses[gap] = near_misses.get(gap, 0) + 1
-            verdict = run(first, second, gap)
+        if near_miss:
+            near_misses[note] = near_misses.get(note, 0) + 1
         truth = truth_by_session.get(first.session_index)
         if truth is not None:
             scored += 1
@@ -499,10 +466,10 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         "match_rate": matched / scored if scored else None,
         "conditional_match_rate": matched / fired if fired and scored else None,
     }
-    if near_miss is not None:
+    if near_miss:
         summary["near_miss_histogram"] = {
             str(gap): count for gap, count in sorted(near_misses.items())}
-    if arity == 1:
+    if one_session:
         summary["prediction_confirmed"] = confirmed
     return records, summary
 

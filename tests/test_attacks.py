@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tagauth import attacks
 from tagauth.gossamer import Variant, derive_update, recover_nonces
 from tagauth.simulator import (
-    ATTACK_BLOCK,
     CampaignConfig,
     Forcing,
     KeyMode,
@@ -132,6 +131,15 @@ def mixed_stream(sessions, drops):
     return [t for t, _ in results], [g for _, g in results]
 
 
+def count_zero_key_chains(monkeypatch):
+    """The number of transcripts of each ``attacks.zero_key_chains`` call, as a list."""
+    calls = []
+    chains = attacks.zero_key_chains
+    monkeypatch.setattr(attacks, "zero_key_chains",
+                        lambda firsts: calls.append(len(firsts)) or chains(firsts))
+    return calls
+
+
 class TestGossamerAttack2Blocks:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16),
@@ -141,20 +149,20 @@ class TestGossamerAttack2Blocks:
         for t in result.transcripts:
             assert repr(attacks.gossamer_attack2(t)) == repr(reference_attack2(t))
 
-    def test_stream_longer_than_a_block_equals_a_per_transcript_loop(self):
-        # the drop in session 40 takes two trials out of the first block, so
-        # its last trial is the pair (B + 1, B + 2); the drops in B + 3 and
-        # B + 4 then break the pairs right after it, and the second block
-        # starts after a gap
-        drops = {40, ATTACK_BLOCK + 3, ATTACK_BLOCK + 4, ATTACK_BLOCK + 9}
-        transcripts, truths = mixed_stream(ATTACK_BLOCK + 60, drops)
+    def test_long_stream_equals_a_per_transcript_loop(self, monkeypatch):
+        # more than 512 trials, with drops and gaps: the drop in session 40
+        # takes out two pairs, so trial 511 is the pair (513, 514); the drops
+        # in 515 and 516 break the pairs right after it, and 521 makes a gap
+        drops = {40, 515, 516, 521}
+        transcripts, truths = mixed_stream(572, drops)
         pairs = list(consecutive_success_pairs(transcripts))
-        assert len(pairs) > ATTACK_BLOCK
-        assert [pairs[i][0].session_index for i in (ATTACK_BLOCK - 1, ATTACK_BLOCK)] == [
-            ATTACK_BLOCK + 1, ATTACK_BLOCK + 5]
+        assert len(pairs) > 512
+        assert [pairs[i][0].session_index for i in (511, 512)] == [513, 517]
         expected = [attacks.gossamer_attack2(first) for first, _ in pairs]
         assert 0 < sum(v.fired for v in expected) < len(expected)
+        calls = count_zero_key_chains(monkeypatch)
         records, summary = evaluate_attack("gossamer-2", iter(transcripts))
+        assert calls == [len(pairs)]
         assert [r["session"] for r in records] == [first.session_index for first, _ in pairs]
         assert repr([r["verdict"] for r in records]) == repr(expected)
         assert [r["prediction_confirmed"] for r in records] == [
@@ -162,6 +170,18 @@ class TestGossamerAttack2Blocks:
             for v, (_, second) in zip(expected, pairs)]
         _, scored = evaluate_attack("gossamer-2", transcripts, truths)
         assert scored["matched"] == scored["fired"] == summary["fired"]
+        assert calls == [len(pairs), len(pairs)]
+
+    def test_empty_stream_summary(self, monkeypatch):
+        calls = count_zero_key_chains(monkeypatch)
+        empty = {"trials": 0, "fired": 0, "fired_rate": 0.0, "scored": 0, "matched": 0,
+                 "match_rate": None, "conditional_match_rate": None}
+        assert evaluate_attack("gossamer-2", []) == (
+            [], {"attack": "gossamer-2", **empty, "prediction_confirmed": 0})
+        assert calls == [0]
+        assert evaluate_attack("sasi", []) == (
+            [], {"attack": "sasi", **empty, "near_miss_histogram": {}})
+        assert evaluate_attack("gossamer-1", iter(())) == ([], {"attack": "gossamer-1", **empty})
 
 
 class TestSasiAttack:
@@ -202,14 +222,14 @@ class TestResistance:
         result = forced_campaign(Protocol.GOSSAMER_MOD, 40, 107,
                                  nonce_mode=NonceMode.EXACT_ZERO)
         for first, second in consecutive_success_pairs(result.transcripts):
-            verdict = attacks.attack_kind("gossamer-1").run(first, second)
+            verdict = attacks.gossamer_attack1(first, second)
             assert not verdict.fired
 
     def test_attack2_fails_on_modified_under_its_forcing(self):
         result = forced_campaign(Protocol.GOSSAMER_MOD, 40, 108,
                                  key_mode=KeyMode.EXACT_ZERO)
         for t in result.transcripts:
-            verdict = attacks.attack_kind("gossamer-2").run(t)
+            verdict = attacks.gossamer_attack2(t)
             assert not verdict.fired
 
     def test_all_zero_modified_does_not_collapse(self):
@@ -218,9 +238,9 @@ class TestResistance:
                                  key_mode=KeyMode.EXACT_ZERO)
         truth = {g.session_index: g for g in result.ground_truths}
         for first, second in consecutive_success_pairs(result.transcripts):
-            v1 = attacks.attack_kind("gossamer-1").run(first, second)
+            v1 = attacks.gossamer_attack1(first, second)
             assert not v1.fired or v1.recovered_id != truth[first.session_index].id
-            v2 = attacks.attack_kind("gossamer-2").run(first)
+            v2 = attacks.gossamer_attack2(first)
             assert not v2.fired or v2.recovered_id != truth[first.session_index].id
 
     def test_unknown_kind_raises(self):
@@ -267,7 +287,6 @@ def reference_score(kind, verdict, truth):
 
 
 def reference_evaluate(kind, transcripts, ground_truths=None):
-    attack = attacks.attack_kind(kind)
     pairs = reference_pairs(transcripts)
     truth_by_session = {t.session_index: t for t in ground_truths or []}
     records = []
@@ -276,11 +295,15 @@ def reference_evaluate(kind, transcripts, ground_truths=None):
     scored = 0
     for pair in pairs:
         first, second = pair
-        if attack.near_miss is not None:
-            near_misses[attack.near_miss(first)] += 1
-        verdict = attack.run(*pair[:attack.arity])
+        if kind == "sasi":
+            near_misses[attacks.sasi_residue_gap(first)] += 1
+            verdict = attacks.sasi_attack(first, second)
+        elif kind == "gossamer-1":
+            verdict = attacks.gossamer_attack1(first, second)
+        else:
+            verdict = attacks.gossamer_attack2(first)
         prediction_confirmed = None
-        if attack.arity == 1:
+        if kind == "gossamer-2":
             prediction_confirmed = bool(
                 verdict.fired
                 and verdict.recovered_state.next_ids == second.announced_ids)
@@ -304,10 +327,10 @@ def reference_evaluate(kind, transcripts, ground_truths=None):
         "match_rate": matched / scored if scored else None,
         "conditional_match_rate": matched / fired if fired and scored else None,
     }
-    if attack.near_miss is not None:
+    if kind == "sasi":
         summary["near_miss_histogram"] = {
             str(gap): count for gap, count in sorted(near_misses.items())}
-    if attack.arity == 1:
+    if kind == "gossamer-2":
         summary["prediction_confirmed"] = confirmed
     return records, summary
 
