@@ -13,8 +13,8 @@ is the registry of attack kinds by name; it holds only public facts.
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import Variant, derive_auth, derive_update
-from .word96 import MASK, PI, Word96, mixbits_original_lanes, rotr
+from .gossamer import Variant, derive_auth, derive_update, id_from_d
+from .word96 import MASK, PI, Word96, mixbits_original_lanes
 
 
 @dataclass
@@ -109,8 +109,8 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     tag's view with known keys: its nonce recovery (with ID = 0, which
     only D involves) unwinds A and B and replays the protocol equations
     from public data.  The hypothesis is confirmed when the recomputed C
-    equals the transmitted one; on confirmation D is inverted to the
-    static ID and the next pseudonym is predicted.
+    equals the transmitted one; on confirmation ``id_from_d`` inverts D
+    to the static ID and the next pseudonym is predicted.
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
     evaluator passes each trial its entry of one call over all its trials.
@@ -127,15 +127,9 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     if vals.c != transcript.c:
         return AttackVerdict(fired=False)
     derive_update(Variant.ORIGINAL, ids, vals, n2p)
-    n3, n1p, n2p = vals.n3, vals.n1p, vals.n2p
-    step = rotr((transcript.d - n1p) & MASK, n3)
-    step = rotr((step - vals.k1s - n1p) & MASK, n2)
-    recovered_id = (step - n2 - vals.k2s - n1p) & MASK
-    state = RecoveredSecrets(
-        k1_star=vals.k1s, k2_star=vals.k2s,
-        n1=n1, n2=n2, n3=n3, n1p=n1p, n2p=n2p,
-        next_ids=vals.ids_next,
-    )
+    state = RecoveredSecrets(vals.k1_star, vals.k2_star, vals.n1, vals.n2, vals.n3,
+                             vals.n1p, vals.n2p, vals.ids_next)
+    recovered_id = id_from_d(Variant.ORIGINAL, vals, transcript.d)
     return AttackVerdict(fired=True, recovered_id=recovered_id, recovered_state=state)
 
 

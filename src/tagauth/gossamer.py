@@ -51,45 +51,19 @@ candidates whose n2 lands back on r.  Either tag accepts only if exactly
 one survivor reproduces the received C (rejecting on none or several
 rather than guessing).
 
-The two-tuple tag state, its announce/retry step, the update timing and
-reader_finish are shared with SASI (``tagstate``).
+The session record, the two-tuple tag state, its announce/retry step, the
+update timing and reader_finish are shared with SASI (``tagstate``).
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .tagstate import TagState, rotate, tuple_of
-from .word96 import MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original, rotl
+from .tagstate import SessionValues, TagState, rotate, tuple_of
+from .word96 import MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original, rotl, rotr
 
 
 class Variant(Enum):
     ORIGINAL = "original"
     MODIFIED = "modified"
-
-
-@dataclass
-class SessionValues:
-    """All internal and public values of one session.
-
-    Returned by reader_begin as the pending context: ``d`` is the expected
-    final message and (ids_next, k1_next, k2_next) the staged update.  The
-    update fields stay None until derive_update runs.
-    """
-
-    n1: Word96
-    n2: Word96
-    n3: Word96
-    n1p: Word96
-    k1s: Word96
-    k2s: Word96
-    a: Word96
-    b: Word96
-    c: Word96
-    d: Word96
-    n2p: Word96 | None = None
-    ids_next: Word96 | None = None
-    k1_next: Word96 | None = None
-    k2_next: Word96 | None = None
 
 
 def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
@@ -115,7 +89,15 @@ def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
              n2 if original else k2s) ^ n1p
     d = (rotl((rotl((n2 + k2s + id_ + n1p) & MASK, n2) + k1s + n1p) & MASK,
               n3 if original else k1s) + n1p) & MASK
-    return SessionValues(n1, n2, n3, n1p, k1s, k2s, a, b, c, d)
+    return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, a, b, c, d)
+
+
+def id_from_d(variant: Variant, vals: SessionValues, d: Word96) -> Word96:
+    """The ID that D carries, given the session's other values: D inverted,
+    with r_d = n3 (original) or K1* (modified)."""
+    step = rotr((d - vals.n1p) & MASK, vals.n3 if variant is Variant.ORIGINAL else vals.k1_star)
+    step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
+    return (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
 
 
 def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
@@ -125,7 +107,7 @@ def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
     ``n2p``, when given, is MixBits(n1', n3) already computed by the caller.
     """
     original = variant is Variant.ORIGINAL
-    n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1s, vals.k2s
+    n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1_star, vals.k2_star
     if n2p is None:
         n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
     ids_next = rotl((rotl((n1p + k1s + ids + n2p) & MASK, n1p) + (k2s ^ n2p)) & MASK,

@@ -12,49 +12,30 @@ rotation by y mod 96:
     IDS_next = (IDS + ID) xor (n2 xor K1')
 
 ``session_values`` below is the single definition site for all of these.
-The two-tuple tag state and its announce/retry and finish steps are
-shared with Gossamer (``tagstate``).
+The session record, the two-tuple tag state and its announce/retry and
+finish steps are shared with Gossamer (``tagstate``).
 
 State objects are plain mutable values; a session touches only its own
 tag, so concurrent sessions against distinct tags need no coordination.
 """
 
-from dataclasses import dataclass
-
-from .tagstate import TagState, rotate, tuple_of
+from .tagstate import SessionValues, TagState, rotate, tuple_of
 from .word96 import MASK, Word96, rotl
-
-
-@dataclass(slots=True)
-class SessionValues:
-    """Everything one session derives; doubles as the reader's pending context.
-
-    ``d`` is the value the reader must receive; (ids_next, k1_next, k2_next)
-    is the staged update, committed by each side at its own point in time.
-    """
-
-    n1: Word96
-    n2: Word96
-    k1_next: Word96
-    k2_next: Word96
-    a: Word96
-    b: Word96
-    c: Word96
-    d: Word96
-    ids_next: Word96
 
 
 def session_values(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                    n1: Word96, n2: Word96) -> SessionValues:
-    """Evaluate the SASI session equations for one (tuple, nonce-pair)."""
+    """Evaluate the SASI session equations for one (tuple, nonce-pair);
+    K1'/K2' are both the session keys and the staged keys."""
     k1n = rotl(k1 ^ n2, k1)
     k2n = rotl(k2 ^ n1, k2)
-    return SessionValues(n1, n2, k1n, k2n,
+    return SessionValues(n1, n2, None, None, None, k1n, k2n,
                          ids ^ k1 ^ n1,                                # A
                          ((ids | k2) + n2) & MASK,                     # B
                          ((k1 ^ k2n) + (k2 ^ k1n)) & MASK,             # C
                          ((k2n + id_) & MASK) ^ ((k1 ^ k2) | k1n),     # D
-                         ((ids + id_) & MASK) ^ n2 ^ k1n)              # IDS_next
+                         ((ids + id_) & MASK) ^ n2 ^ k1n,              # IDS_next
+                         k1n, k2n)
 
 
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,

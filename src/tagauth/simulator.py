@@ -102,9 +102,10 @@ class StateSnapshot:
 class GroundTruth:
     """Secrets of one session, recorded for scoring and invariant checks only.
 
-    For SASI sessions k1_star/k2_star hold the session keys K1'/K2' and the
-    derived-nonce fields stay None.  Internals are None when the session
-    never reached the challenge (or was a replay with no fresh derivation).
+    The internals n1 .. k2_star are the session values' fields of the same
+    names (``tagstate.SessionValues``), so for SASI sessions k1_star/k2_star
+    hold K1'/K2' and n3, n1p, n2p stay None.  Internals are None when the
+    session never reached the challenge (or was a replay of A||B||C).
     """
 
     session_index: int
@@ -197,25 +198,21 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 
 # -- protocol table ------------------------------------------------------------
 
-# Protocol -> (variant, module, extra, internals).  ``variant`` is the
-# protocol's value, the store's variant string.  ``module`` (sasi or
-# gossamer) supplies reader_begin and tag_respond; run_session looks them up
+# Protocol -> (variant, module, extra).  ``variant`` is the protocol's
+# value, the store's variant string.  ``module`` (sasi or gossamer)
+# supplies reader_begin and tag_respond, whose pending values are one
+# ``tagstate.SessionValues`` for every protocol; run_session looks them up
 # on the module at each call so that a wrapper set on the module attribute
 # (perfbench/tracing.py's spans) sees every session.  ``extra`` is the
 # trailing argument both take: the Gossamer variant, nothing for SASI.
-# ``internals`` gives the GroundTruth internals of the session values in
-# field order: n1, n2, n3, n1p, n2p, k1_star, k2_star.
-_GOSSAMER_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1s", "k2s")
 _ENGINES = {
-    # SASI has no n3, n1' or n2'; its session keys K1'/K2' are its staged keys
-    Protocol.SASI: (Protocol.SASI.value, sasi, (),
-                    lambda vals: (vals.n1, vals.n2, None, None, None,
-                                  vals.k1_next, vals.k2_next)),
-    Protocol.GOSSAMER: (Protocol.GOSSAMER.value, gossamer, (Variant.ORIGINAL,),
-                        _GOSSAMER_INTERNALS),
-    Protocol.GOSSAMER_MOD: (Protocol.GOSSAMER_MOD.value, gossamer, (Variant.MODIFIED,),
-                            _GOSSAMER_INTERNALS),
+    Protocol.SASI: (Protocol.SASI.value, sasi, ()),
+    Protocol.GOSSAMER: (Protocol.GOSSAMER.value, gossamer, (Variant.ORIGINAL,)),
+    Protocol.GOSSAMER_MOD: (Protocol.GOSSAMER_MOD.value, gossamer, (Variant.MODIFIED,)),
 }
+# The seven internals that session values, ground truth and recovered
+# secrets all hold under these names, in ground truth's field order
+_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
 _NO_INTERNALS = (None,) * 7  # a session that never reached the challenge
 
 # Enum members a session reads, bound once: a read through the class costs
@@ -267,7 +264,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     falls through to one Transcript, which counts the bits of each message
     that crossed the channel, and one GroundTruth.
     """
-    variant, module, extra, internals = _ENGINES[tag.protocol]
+    variant, module, extra = _ENGINES[tag.protocol]
     state = tag.state
     mirror = store.rows.get(tag.label)
     if forcing.key_mode is not _AS_STORED:
@@ -328,7 +325,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     return (Transcript(variant, session_index, announced, a, b, c, d, outcome, bits),
             GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
                         reader_pre, _snapshot(mirror),
-                        *(_NO_INTERNALS if pending is None else internals(pending))))
+                        *(_NO_INTERNALS if pending is None else _INTERNALS(pending))))
 
 
 @dataclass
@@ -399,10 +396,6 @@ def consecutive_success_pairs(transcripts) -> Iterator[tuple]:
             yield first, second
 
 
-# RecoveredSecrets fields that GroundTruth records under the same name
-_RECOVERED_INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
-
-
 def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: bool) -> bool:
     """Whether a fired verdict agrees with the session's ground truth.
 
@@ -413,7 +406,7 @@ def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: boo
     rs = verdict.recovered_state
     return verdict.recovered_id == (truth.id % 96 if residue_id else truth.id) and (
         rs is None or (rs.next_ids == truth.tag_post.ids
-                       and _RECOVERED_INTERNALS(rs) == _RECOVERED_INTERNALS(truth)))
+                       and _INTERNALS(rs) == _INTERNALS(truth)))
 
 
 def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[dict], dict]:

@@ -1,4 +1,5 @@
-"""Tag state shared by SASI and Gossamer: static id, next and old tuples.
+"""Tag state shared by SASI and Gossamer: static id, next and old tuples;
+and the one record of a session's values (``SessionValues``).
 
 The tag keeps two (IDS, K1, K2) tuples, the potential-next one and the one
 used last, so a lost D never strands it: when the backend does not
@@ -37,6 +38,34 @@ class TagState:
     k1_old: Word96
     k2_old: Word96
     last_announced: str = NEXT
+
+
+@dataclass(slots=True)
+class SessionValues:
+    """All internal and public values of one session, for every protocol.
+
+    Returned by reader_begin as the pending context: ``d`` is the expected
+    final message and (ids_next, k1_next, k2_next) the staged update.  The
+    first seven fields are the internals ground truth records under the
+    same names.  SASI has no n3, n1' or n2' (None), and its session keys
+    K1'/K2' are both k1_star/k2_star and its staged keys.  Gossamer's n2p
+    and update fields stay None until derive_update runs.
+    """
+
+    n1: Word96
+    n2: Word96
+    n3: Word96 | None
+    n1p: Word96 | None
+    n2p: Word96 | None
+    k1_star: Word96
+    k2_star: Word96
+    a: Word96
+    b: Word96
+    c: Word96
+    d: Word96
+    ids_next: Word96 | None = None
+    k1_next: Word96 | None = None
+    k2_next: Word96 | None = None
 
 
 def tag_announce(tag: TagState, retry: bool = False) -> Word96:

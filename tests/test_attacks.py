@@ -111,11 +111,11 @@ def reference_attack2(transcript):
         return attacks.AttackVerdict(fired=False)
     derive_update(Variant.ORIGINAL, ids, vals)
     step = rotr((transcript.d - vals.n1p) & MASK, vals.n3)
-    step = rotr((step - vals.k1s - vals.n1p) & MASK, vals.n2)
+    step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
     return attacks.AttackVerdict(
-        fired=True, recovered_id=(step - vals.n2 - vals.k2s - vals.n1p) & MASK,
+        fired=True, recovered_id=(step - vals.n2 - vals.k2_star - vals.n1p) & MASK,
         recovered_state=attacks.RecoveredSecrets(
-            k1_star=vals.k1s, k2_star=vals.k2s, n1=vals.n1, n2=vals.n2, n3=vals.n3,
+            k1_star=vals.k1_star, k2_star=vals.k2_star, n1=vals.n1, n2=vals.n2, n3=vals.n3,
             n1p=vals.n1p, n2p=vals.n2p, next_ids=vals.ids_next))
 
 

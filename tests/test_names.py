@@ -1,5 +1,7 @@
-"""Dead names: every top-level function and class of the package has a caller.
+"""Dead names: every top-level function, class and assigned name of the
+package has a user.
 
+Top-level assignments (tables and constants) count, dunder names aside.
 A name counts as used when the package refers to it outside its own
 definition: by name in its own module, by ``from .module import name``, or
 as ``module.name`` in a module that imports ``module``.  Otherwise it must
@@ -24,9 +26,22 @@ KEPT = {
 }
 
 
+def defined(statement) -> list[str]:
+    """The names a top-level statement defines: a function's or class's
+    name, or the names an assignment binds, dunder names left out."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and not (node.id.startswith("__") and node.id.endswith("__"))]
+    return []
+
+
 def unused(trees: dict) -> set:
-    """(module, name) of each top-level function and class of ``trees``
-    (module -> parsed source) that no other statement of them uses."""
+    """(module, name) of each top-level function, class and assigned name of
+    ``trees`` (module -> parsed source) that no other statement of them uses."""
     imported, attributes = {}, {}
     for module, tree in trees.items():
         imported[module], attributes[module] = set(), set()
@@ -38,18 +53,17 @@ def unused(trees: dict) -> set:
     found = set()
     for module, tree in trees.items():
         for definition in tree.body:
-            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                           ast.ClassDef)):
-                continue
-            name = definition.name
-            in_module = any(isinstance(node, ast.Name) and node.id == name
-                            for statement in tree.body if statement is not definition
-                            for node in ast.walk(statement))
-            elsewhere = any((module, name) in imported[other]
-                            or (None, module) in imported[other] and name in attributes[other]
-                            for other in trees if other != module)
-            if not in_module and not elsewhere:
-                found.add((module, name))
+            for name in defined(definition):
+                in_module = any(isinstance(node, ast.Name) and node.id == name
+                                and isinstance(node.ctx, ast.Load)
+                                for statement in tree.body if statement is not definition
+                                for node in ast.walk(statement))
+                elsewhere = any((module, name) in imported[other]
+                                or (None, module) in imported[other]
+                                and name in attributes[other]
+                                for other in trees if other != module)
+                if not in_module and not elsewhere:
+                    found.add((module, name))
     return found
 
 
@@ -64,7 +78,8 @@ def test_every_kept_name_is_still_unused():
 
 
 def test_the_check_finds_a_dead_name():
-    live_and_dead = ast.parse("def live():\n    pass\n\n\ndef dead():\n    live()\n")
-    caller = ast.parse("from . import probe\n\nprobe.dead\n")
-    assert unused({"probe": live_and_dead}) == {("probe", "dead")}
+    live_and_dead = ast.parse("LIMIT = 3\nTABLE, __version__ = {}, '1'\n\n\n"
+                              "def live():\n    return LIMIT\n\n\ndef dead():\n    live()\n")
+    caller = ast.parse("from . import probe\n\nprobe.dead\nprobe.TABLE\n")
+    assert unused({"probe": live_and_dead}) == {("probe", "dead"), ("probe", "TABLE")}
     assert unused({"probe": live_and_dead, "caller": caller}) == set()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import words
 from tagauth import sasi
-from tagauth.tagstate import NEXT, OLD, TagState, reader_finish, tag_announce
+from tagauth.tagstate import NEXT, OLD, SessionValues, TagState, reader_finish, tag_announce
 from tagauth.word96 import MASK, sub
 
 ID = 0x00112233445566778899AABB
@@ -37,6 +37,9 @@ def test_session_values_match_frozen_oracle():
     vals = sasi.session_values(IDS, K1, K2, ID, N1, N2)
     for field, expected in VECTOR.items():
         assert getattr(vals, field) == expected, field
+    assert isinstance(vals, SessionValues)
+    assert vals.n3 is None and vals.n1p is None and vals.n2p is None
+    assert (vals.k1_star, vals.k2_star) == (vals.k1_next, vals.k2_next)
 
 
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
