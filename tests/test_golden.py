@@ -150,3 +150,23 @@ def test_fleet_outputs_are_unchanged(tmp_path):
     save_tags(tags, tmp_path / "db.json.tags")
     lines += [(tmp_path / name).read_text() for name in ("db.json", "db.json.tags")]
     assert _digest(lines) == FLEET_GOLDEN
+
+
+BLOCK_GOLDEN = "edb531cd8317b489d95e284dc2e5607138910b597d84dcd13ac68223c0e8fae2"
+
+
+def test_block_crossing_campaign_is_unchanged(tmp_path):
+    """An original-Gossamer campaign of 700 sessions, past two campaign block
+    boundaries, under zero-mod-96 keys with 20% of D dropped: summary,
+    transcripts, ground truth, then the final store and tag files."""
+    tags, store = provision(1, Protocol.GOSSAMER, seed=71)
+    config = CampaignConfig(Protocol.GOSSAMER, 700, 72, key_mode=KeyMode.ZERO_MOD_96,
+                            drop_d_rate=0.2)
+    result = run_campaign(tags["tag-000"], store, config)
+    lines = [_line({"summary": result.summary})]
+    for transcript, truth in zip(result.transcripts, result.ground_truths):
+        lines += [_line(transcript_to_dict(transcript)), _line(ground_truth_to_dict(truth))]
+    store.save(tmp_path / "db.json")
+    save_tags(tags, tmp_path / "db.json.tags")
+    lines += [(tmp_path / name).read_text() for name in ("db.json", "db.json.tags")]
+    assert _digest(lines) == BLOCK_GOLDEN
