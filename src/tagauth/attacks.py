@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .gossamer import Variant, derive_auth, derive_update, id_from_d
-from .word96 import MASK, PI, Word96, mixbits_original_lanes
+from .word96 import MASK, PI, Word96, mixbits_chains
 
 
 @dataclass
@@ -92,14 +92,11 @@ def zero_key_chains(transcripts: list) -> list[tuple]:
 
     With K1 = K2 = 0 the original tag's peel (``recover_nonces``) is
     n1 = A - IDS - PI and n2 = B - IDS - PI, and the session's three MixBits
-    calls n3 = MixBits(n1, n2), n1' = MixBits(n3, n2), n2' = MixBits(n1', n3)
-    run for the whole list as three lane calls.
+    calls run for the whole list as one ``mixbits_chains`` call.
     """
     n1s = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
     n2s = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
-    n3s = mixbits_original_lanes(n1s, n2s)
-    n1ps = mixbits_original_lanes(n3s, n2s)
-    return list(zip(n1s, n2s, n3s, n1ps, mixbits_original_lanes(n1ps, n3s)))
+    return list(zip(n1s, n2s, *mixbits_chains(n1s, n2s)))
 
 
 def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:

@@ -8,7 +8,10 @@ attack modules stay provably passive.
 Determinism contract: (initial states, config, seed) fully determine every
 transcript, ground-truth record and summary.  Nonces come from a seeded
 Mersenne Twister (stdlib ``random.Random``) behind NonceStream; per
-session the draw order is fixed (drop decision, forced keys, nonces).
+session the draw order is fixed (drop decision, forced keys, nonces).  An
+original-Gossamer campaign also draws each block of sessions ahead, in that
+order, to compute their MixBits chains at once; the look-ahead reads a copy
+of the stream, so the sessions' own draws are the same with it or without.
 
 Per-tag session order is total: a campaign drives one tag sequentially,
 which is what consecutive-transcript attacks rely on.  Campaigns against
@@ -31,7 +34,7 @@ from .gossamer import Variant
 from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store, TagRecordRow,
                     decode, exactly, json_loads, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
-from .word96 import WIDTH, Word96, to_hex
+from .word96 import WIDTH, Word96, mixbits_table, to_hex, use_mixbits_table
 from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
 
 HELLO_BITS = 40  # 5-byte hello
@@ -165,6 +168,13 @@ class NonceStream:
     def chance(self, probability: float) -> bool:
         return self._rng.random() < probability
 
+    def getstate(self) -> object:
+        """The stream's position; ``setstate`` on any stream resumes from it."""
+        return self._rng.getstate()
+
+    def setstate(self, state: object) -> None:
+        self._rng.setstate(state)
+
 
 @dataclass
 class SimTag:
@@ -242,11 +252,14 @@ def _draw_nonces(forcing: Forcing, rng: NonceStream) -> tuple[Word96, Word96]:
     return 0, 0
 
 
-def _force_keys(forcing: Forcing, rng: NonceStream, state, row) -> None:
+def _draw_keys(forcing: Forcing, rng: NonceStream) -> tuple[Word96, Word96]:
+    """The forced K1 and K2 of a session whose key mode is not as-stored."""
     if forcing.key_mode is _ZERO_KEYS:
-        k1f = k2f = 0
-    else:
-        k1f, k2f = rng.multiple_of_96(), rng.multiple_of_96()
+        return 0, 0
+    return rng.multiple_of_96(), rng.multiple_of_96()
+
+
+def _force_keys(state, row, k1f: Word96, k2f: Word96) -> None:
     state.k1 = state.k1_old = k1f
     state.k2 = state.k2_old = k2f
     if row is not None:
@@ -268,7 +281,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     state = tag.state
     mirror = store.rows.get(tag.label)
     if forcing.key_mode is not _AS_STORED:
-        _force_keys(forcing, rng, state, mirror)
+        _force_keys(state, mirror, *_draw_keys(forcing, rng))
     tag_pre = _snapshot(state)
     reader_pre = _snapshot(mirror)
     replayed = forcing.replay_d
@@ -345,14 +358,64 @@ class CampaignResult:
     summary: dict
 
 
+# Sessions of an original-Gossamer campaign whose MixBits chains are
+# computed together, in three lane calls
+CHAIN_BLOCK = 256
+
+
+def _draw_drop(config: CampaignConfig, rng: NonceStream) -> bool:
+    return config.drop_d_rate > 0 and rng.chance(config.drop_d_rate)
+
+
+def _chain_table(config: CampaignConfig, forcing: Forcing, rng: NonceStream,
+                 count: int) -> dict:
+    """The ``word96.mixbits_table`` of a campaign's next ``count`` sessions.
+
+    Their nonces are drawn ahead on a copy of ``rng``, through the helpers
+    and in the order each session draws them: drop decision, forced keys,
+    nonces.  ``rng`` itself is not read.
+    """
+    ahead = NonceStream(0)
+    ahead.setstate(rng.getstate())
+    forced = forcing.key_mode is not _AS_STORED
+    n1s, n2s = [], []
+    for _ in range(count):
+        _draw_drop(config, ahead)
+        if forced:
+            _draw_keys(forcing, ahead)
+        n1, n2 = _draw_nonces(forcing, ahead)
+        n1s.append(n1)
+        n2s.append(n2)
+    return mixbits_table(n1s, n2s)
+
+
 def iter_campaign(tag: SimTag, store: Store,
                   config: CampaignConfig) -> Iterator[tuple[Transcript, GroundTruth]]:
-    """Lazily run the campaign's sessions in order against one tag."""
+    """Lazily run the campaign's sessions in order against one tag.
+
+    For original Gossamer, each block of CHAIN_BLOCK sessions starts by
+    computing the MixBits chains of all its sessions at once
+    (``_chain_table``), and every session runs with the block's table
+    installed in ``word96``.  Reader and tag still call MixBits on their
+    own inputs: the table only answers them, exactly.  The table is
+    cleared when the generator finishes or is closed.
+    """
     rng = NonceStream(config.seed)
     forcing = Forcing(nonce_mode=config.nonce_mode, key_mode=config.key_mode)
-    for index in range(config.sessions):
-        forcing.drop_d = config.drop_d_rate > 0 and rng.chance(config.drop_d_rate)
-        yield run_session(tag, store, forcing, rng, session_index=index)
+    chained = tag.protocol is Protocol.GOSSAMER
+    try:
+        for index in range(config.sessions):
+            if chained:
+                if index % CHAIN_BLOCK == 0:
+                    table = _chain_table(config, forcing, rng,
+                                         min(CHAIN_BLOCK, config.sessions - index))
+                # again each session: another campaign may have run in between
+                use_mixbits_table(table)
+            forcing.drop_d = _draw_drop(config, rng)
+            yield run_session(tag, store, forcing, rng, session_index=index)
+    finally:
+        if chained:
+            use_mixbits_table({})
 
 
 def run_campaign(tag: SimTag, store: Store, config: CampaignConfig) -> CampaignResult:

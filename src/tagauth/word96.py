@@ -8,10 +8,16 @@ form is exactly 24 lowercase hex digits, most significant nibble first.
 
 ``mixbits_original_lanes`` runs the shift MixBits of many independent word
 pairs at once, each pair in its own lane of one big int; its docstring says
-why no lane disturbs another.
+why no lane disturbs another.  ``mixbits_chains`` runs a session's three
+shift MixBits calls (n3, n1', n2') for many sessions as three lane calls.
 
-All functions are pure; they can be called from any number of threads with
-no coordination.
+``mixbits_original`` first looks its inputs up in one table of values that
+a caller computed ahead (``mixbits_table``, installed by
+``use_mixbits_table``; a campaign installs its next sessions' chains).
+The table holds only exact values and is replaced whole, never edited, so
+a miss costs time, never correctness: every function returns the same
+value for the same inputs from any number of threads, whatever table is
+installed.
 """
 
 WIDTH = 96
@@ -57,13 +63,29 @@ def mixbits_original(x: Word96, y: Word96) -> Word96:
     """Shift-based MixBits: 32 rounds of Z <- (Z >> 1) + Z + Z + Y.
 
     Addition wraps mod 2**96 every round; >> is a logical one-bit shift.
-    Note mixbits_original(0, 0) == 0, the fixed point the zero-nonce
-    attack rides on.
+    A round runs as Z <- (5Z >> 1) + Y: (z >> 1) + z + z is floor(z / 2)
+    + 2z = floor(5z / 2), since 2z is whole.  An (x, y) in the installed
+    table (``use_mixbits_table``) is answered from it.  Note
+    mixbits_original(0, 0) == 0, the fixed point the zero-nonce attack
+    rides on.
     """
-    z = x
-    for _ in range(MIXBITS_ROUNDS):
-        z = ((z >> 1) + z + z + y) & MASK
+    z = _table.get((x, y))
+    if z is None:
+        z = x
+        for _ in range(MIXBITS_ROUNDS):
+            z = ((z * 5 >> 1) + y) & MASK
     return z
+
+
+# (x, y) -> mixbits_original(x, y), exact values only; see use_mixbits_table
+_table: dict[tuple[Word96, Word96], Word96] = {}
+
+
+def use_mixbits_table(table: dict[tuple[Word96, Word96], Word96]) -> None:
+    """Install ``table`` (from ``mixbits_table``) for mixbits_original to
+    answer from, replacing the one installed; ``{}`` clears it."""
+    global _table
+    _table = table
 
 
 # A lane of mixbits_original_lanes: 13 bytes, 8 spare bits above each word.
@@ -81,14 +103,14 @@ def mixbits_original_lanes(xs: list[Word96], ys: list[Word96]) -> list[Word96]:
 
     Word i of each list goes into bits 104i..104i+95 of one int (13 bytes a
     lane, little-endian), and each round runs once over every lane as
-    Z <- (5Z >> 1) + Y, masked to the low 96 bits of each lane.  That is
-    exact: (z >> 1) + z + z is floor(5z / 2), and 5z < 2**99 stays inside
-    its lane.  The only bit that crosses a lane boundary is the low bit of
-    5z in lane i + 1, which the shift moves to bit 103 of lane i; adding
-    y < 2**96 to floor(5z / 2) < 2**98 never carries into it, and the mask
-    clears it.  A round thus costs four big-int operations over the whole
-    block instead of one loop per word.  ``xs`` and ``ys`` are equally
-    long lists of words in [0, 2**96).
+    mixbits_original's Z <- (5Z >> 1) + Y, masked to the low 96 bits of
+    each lane.  That is exact: 5z < 2**99 stays inside its lane.  The only
+    bit that crosses a lane boundary is the low bit of 5z in lane i + 1,
+    which the shift moves to bit 103 of lane i; adding y < 2**96 to
+    floor(5z / 2) < 2**98 never carries into it, and the mask clears it.
+    A round thus costs four big-int operations over the whole block
+    instead of one loop per word.  ``xs`` and ``ys`` are equally long
+    lists of words in [0, 2**96).
     """
     n = len(xs)
     if len(ys) != n:
@@ -100,6 +122,27 @@ def mixbits_original_lanes(xs: list[Word96], ys: list[Word96]) -> list[Word96]:
     data = z.to_bytes(_LANE_BYTES * n, "little")
     return [int.from_bytes(data[i:i + _LANE_BYTES], "little")
             for i in range(0, _LANE_BYTES * n, _LANE_BYTES)]
+
+
+def mixbits_chains(n1s: list[Word96],
+                   n2s: list[Word96]) -> tuple[list[Word96], list[Word96], list[Word96]]:
+    """The original Gossamer MixBits chain of each nonce pair (n1, n2), as
+    three lane calls: n3 = MixBits(n1, n2), n1' = MixBits(n3, n2) and
+    n2' = MixBits(n1', n3), returned as the lists (n3s, n1's, n2's)."""
+    n3s = mixbits_original_lanes(n1s, n2s)
+    n1ps = mixbits_original_lanes(n3s, n2s)
+    return n3s, n1ps, mixbits_original_lanes(n1ps, n3s)
+
+
+def mixbits_table(n1s: list[Word96],
+                  n2s: list[Word96]) -> dict[tuple[Word96, Word96], Word96]:
+    """The table of every scalar MixBits call the sessions with these nonce
+    pairs make: {(n1, n2): n3, (n3, n2): n1', (n1', n3): n2'}."""
+    n3s, n1ps, n2ps = mixbits_chains(n1s, n2s)
+    table = dict(zip(zip(n1s, n2s), n3s))
+    table.update(zip(zip(n3s, n2s), n1ps))
+    table.update(zip(zip(n1ps, n3s), n2ps))
+    return table
 
 
 def mixbits_modified(x: Word96, y: Word96) -> Word96:

@@ -2,13 +2,14 @@
 
 import json
 import re
+from itertools import zip_longest
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagauth import simulator
+from tagauth import gossamer, simulator, word96
 from tagauth.simulator import (
     CampaignConfig,
     Forcing,
@@ -28,12 +29,14 @@ from tagauth.simulator import (
     provision,
     run_campaign,
     run_session,
+    save_tags,
     transcript_from_dict,
     transcript_from_line,
     transcript_line,
     transcript_to_dict,
 )
 from tagauth.store import Store
+from tagauth.tagstate import TagState
 from tagauth.word96 import MASK
 
 ALL_PROTOCOLS = list(Protocol)
@@ -61,6 +64,14 @@ class TestNonceStream:
         for _ in range(1000):
             value = rng.multiple_of_96()
             assert value % 96 == 0 and 0 <= value < (1 << 96)
+
+    def test_state_copy_resumes_the_stream(self):
+        rng = NonceStream(5)
+        rng.word()
+        copy = NonceStream(0)
+        copy.setstate(rng.getstate())
+        ahead = [copy.word(), copy.multiple_of_96(), copy.chance(0.5), copy.word()]
+        assert [rng.word(), rng.multiple_of_96(), rng.chance(0.5), rng.word()] == ahead
 
     def test_residue_coverage(self):
         # 10^5 draws per run here; the acceptance suite does the 10^6 version
@@ -235,6 +246,109 @@ class TestCampaign:
         tag2, store2 = one_tag_world(Protocol.SASI, seed=8)
         result = run_campaign(tag2, store2, CampaignConfig(Protocol.SASI, 20, seed=9))
         assert collected == [transcript_to_dict(t) for t in result.transcripts]
+
+
+# campaign lengths on each side of one and two CHAIN_BLOCK boundaries
+CHAIN_LENGTHS = (0, 1, 255, 256, 257, 700)
+
+
+def count_mixbits(monkeypatch) -> list[bool]:
+    """Whether each scalar MixBits call the Gossamer engine makes from now
+    on finds its inputs in the installed table, in call order."""
+    hits = []
+    mix = gossamer.mixbits_original
+
+    def counted(x, y):
+        hits.append((x, y) in word96._table)
+        return mix(x, y)
+
+    monkeypatch.setattr(gossamer, "mixbits_original", counted)
+    return hits
+
+
+def campaign_bytes(tmp_path, config):
+    """Every transcript and ground-truth line of an original-Gossamer
+    campaign, then the store and tag files it leaves."""
+    tag, store = one_tag_world(Protocol.GOSSAMER)
+    lines = [transcript_line(t) + ground_truth_line(g)
+             for t, g in iter_campaign(tag, store, config)]
+    store.save(tmp_path / "db.json")
+    save_tags({tag.label: tag}, tmp_path / "db.json.tags")
+    return lines + [(tmp_path / name).read_text() for name in ("db.json", "db.json.tags")]
+
+
+class TestChainTable:
+    """An original-Gossamer campaign answers every scalar MixBits call of its
+    honest sessions from its blocks' chain tables, and changes no byte."""
+
+    @pytest.mark.parametrize("drop", (0.0, 0.2))
+    @pytest.mark.parametrize("key_mode", list(KeyMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("nonce_mode", list(NonceMode), ids=lambda m: m.value)
+    def test_same_bytes_and_every_call_hit(self, tmp_path, monkeypatch, nonce_mode,
+                                           key_mode, drop):
+        for sessions in CHAIN_LENGTHS:
+            config = CampaignConfig(Protocol.GOSSAMER, sessions, seed=sessions + 40,
+                                    nonce_mode=nonce_mode, key_mode=key_mode,
+                                    drop_d_rate=drop)
+            with monkeypatch.context() as patch:
+                hits = count_mixbits(patch)
+                tabled = campaign_bytes(tmp_path, config)
+            # three calls by the reader and three by the tag, each session
+            assert hits == [True] * 6 * sessions, sessions
+            assert word96._table == {}
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_chain_table", lambda *args: {})
+                assert campaign_bytes(tmp_path, config) == tabled, sessions
+
+    def test_interleaved_campaigns_match_sequential_ones(self, monkeypatch):
+        configs = [CampaignConfig(Protocol.GOSSAMER, 300, seed=50, drop_d_rate=0.2),
+                   CampaignConfig(Protocol.GOSSAMER, 270, seed=51,
+                                  key_mode=KeyMode.ZERO_MOD_96)]
+        seeds = (52, 53)
+        sequential = []
+        for seed, config in zip(seeds, configs):
+            tag, store = one_tag_world(Protocol.GOSSAMER, seed)
+            sequential.append([transcript_line(t) + ground_truth_line(g)
+                               for t, g in iter_campaign(tag, store, config)])
+        hits = count_mixbits(monkeypatch)
+        runs = [iter_campaign(*one_tag_world(Protocol.GOSSAMER, seed), config)
+                for seed, config in zip(seeds, configs)]
+        interleaved = [[], []]
+        for steps in zip_longest(*runs):  # one session of each in turn
+            for side, step in enumerate(steps):
+                if step is not None:
+                    interleaved[side].append(transcript_line(step[0])
+                                             + ground_truth_line(step[1]))
+        assert interleaved == sequential
+        # each generator installs its own table again on each resume
+        assert hits == [True] * 6 * (300 + 270)
+        assert word96._table == {}
+
+    def test_a_tag_that_peels_other_nonces_misses_the_table(self, monkeypatch):
+        tag, store = one_tag_world(Protocol.GOSSAMER)
+        run = iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER, 2, seed=6))
+        transcript, truth = next(run)  # the table of both sessions stays installed
+        pre = truth.tag_pre
+        hits = count_mixbits(monkeypatch)
+        for a, answered in ((transcript.a ^ 1, False), (transcript.a, True)):
+            state = TagState(truth.id, pre.ids, pre.k1, pre.k2, pre.ids_old, pre.k1_old,
+                             pre.k2_old)
+            d = gossamer.tag_respond(state, a, transcript.b, transcript.c,
+                                     gossamer.Variant.ORIGINAL)
+            # a flipped bit of A peels another n1: MixBits runs its rounds,
+            # and the rebuilt C refuses the challenge
+            assert (d == transcript.d) if answered else (d is None)
+            assert hits and all(hit is answered for hit in hits)
+            hits.clear()
+        run.close()
+
+    def test_closing_a_campaign_clears_the_table(self):
+        tag, store = one_tag_world(Protocol.GOSSAMER)
+        run = iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER, 10, seed=5))
+        next(run)
+        assert word96._table != {}
+        run.close()
+        assert word96._table == {}
 
 
 class TestSerialization:
