@@ -13,8 +13,8 @@ is the registry of attack kinds by name; it holds only public facts.
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import Variant, derive_auth, derive_update, id_from_d
-from .word96 import MASK, PI, Word96, mixbits_chains
+from .gossamer import Variant, derive_auth, derive_update, id_from_d, mixbits_chains
+from .word96 import MASK, PI, Word96
 
 
 @dataclass
@@ -92,11 +92,10 @@ def zero_key_chains(transcripts: list) -> list[tuple]:
 
     With K1 = K2 = 0 the original tag's peel (``recover_nonces``) is
     n1 = A - IDS - PI and n2 = B - IDS - PI, and the session's three MixBits
-    calls run for the whole list as one ``mixbits_chains`` call.
+    calls run for the whole list as one ``gossamer.mixbits_chains`` call.
     """
-    n1s = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
-    n2s = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
-    return list(zip(n1s, n2s, *mixbits_chains(n1s, n2s)))
+    return mixbits_chains([(t.a - t.announced_ids - PI) & MASK for t in transcripts],
+                          [(t.b - t.announced_ids - PI) & MASK for t in transcripts])
 
 
 def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
@@ -111,15 +110,10 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
     evaluator passes each trial its entry of one call over all its trials.
-    A call without it peels n1 and n2 alone and lets gossamer's equations
-    run their own scalar MixBits.
+    A call without it is a block of one.
     """
     ids = transcript.announced_ids
-    if chain is None:
-        n1, n2 = (transcript.a - ids - PI) & MASK, (transcript.b - ids - PI) & MASK
-        n3 = n1p = n2p = None
-    else:
-        n1, n2, n3, n1p, n2p = chain
+    n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
     vals = derive_auth(Variant.ORIGINAL, ids, 0, 0, 0, n1, n2, n3, n1p)
     if vals.c != transcript.c:
         return AttackVerdict(fired=False)

@@ -48,7 +48,7 @@ from .simulator import (
     transcript_line,
     transcript_to_dict,
 )
-from .store import Store, load_envelope, parse_entries, read_text, save_envelope
+from .store import Store, load_envelope, open_text, parse_entries, read_text, save_envelope
 from .word96 import to_hex
 
 log = logging.getLogger("tagauth")
@@ -150,14 +150,11 @@ def _save_world(opts: dict, store: Store, tags: dict) -> None:
 def _read_jsonl(path: str, parse) -> list:
     """``parse`` applied to every non-blank line; a bad line, or bytes that
     are not UTF-8, raise a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_entries(path, "line",
-                                 ((number, line) for number, line in enumerate(fh, 1)
-                                  if line.strip()),
-                                 parse)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open_text(path) as fh:
+        return parse_entries(path, "line",
+                             ((number, line) for number, line in enumerate(fh, 1)
+                              if line.strip()),
+                             parse)
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -58,7 +58,8 @@ update timing and reader_finish are shared with SASI (``tagstate``).
 from enum import Enum
 
 from .tagstate import SessionValues, TagState, rotate, tuple_of
-from .word96 import MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original, rotl, rotr
+from .word96 import (MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original,
+                     mixbits_original_lanes, rotl, rotr)
 
 
 class Variant(Enum):
@@ -72,7 +73,8 @@ def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     """Evaluate the session equations through D (no update values yet).
 
     ``n3`` and ``n1p``, when given, are MixBits(n1, n2) and MixBits(n3, n2)
-    already computed by the caller, as the zero-key attack does in lanes.
+    already computed by the caller, as the zero-key attack does in lanes
+    (``mixbits_chains``).
     """
     original = variant is Variant.ORIGINAL
     if n3 is None:
@@ -118,6 +120,23 @@ def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
                      + k1s + k1_next) & MASK, n1p if original else k2s) + k1_next) & MASK
     vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, ids_next, k1_next, k2_next
     return vals
+
+
+def mixbits_chains(n1s: list[Word96], n2s: list[Word96]) -> list[tuple]:
+    """The original variant's chain (n1, n2, n3, n1', n2') of each nonce pair:
+    the three MixBits calls above, for all pairs as three lane calls."""
+    n3s = mixbits_original_lanes(n1s, n2s)
+    n1ps = mixbits_original_lanes(n3s, n2s)
+    return list(zip(n1s, n2s, n3s, n1ps, mixbits_original_lanes(n1ps, n3s)))
+
+
+def mixbits_table(chains) -> dict[tuple[Word96, Word96], Word96]:
+    """The ``word96.use_mixbits_table`` table of every MixBits call the sessions
+    with these chains make: {(n1, n2): n3, (n3, n2): n1', (n1', n3): n2'}."""
+    table = {}
+    for n1, n2, n3, n1p, n2p in chains:
+        table[n1, n2], table[n3, n2], table[n1p, n3] = n3, n1p, n2p
+    return table
 
 
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,

@@ -10,8 +10,9 @@ transcript, ground-truth record and summary.  Nonces come from a seeded
 Mersenne Twister (stdlib ``random.Random``) behind NonceStream; per
 session the draw order is fixed (drop decision, forced keys, nonces).  An
 original-Gossamer campaign also draws each block of sessions ahead, in that
-order, to compute their MixBits chains at once; the look-ahead reads a copy
-of the stream, so the sessions' own draws are the same with it or without.
+order, and installs their MixBits chains' table for one session at a time;
+the look-ahead reads a copy of the stream, so the sessions' own draws are
+the same with it or without.
 
 Per-tag session order is total: a campaign drives one tag sequentially,
 which is what consecutive-transcript attacks rely on.  Campaigns against
@@ -34,7 +35,7 @@ from .gossamer import Variant
 from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store, TagRecordRow,
                     decode, exactly, json_loads, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
-from .word96 import WIDTH, Word96, mixbits_table, to_hex, use_mixbits_table
+from .word96 import WIDTH, Word96, to_hex, use_mixbits_table
 from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
 
 HELLO_BITS = 40  # 5-byte hello
@@ -369,7 +370,7 @@ def _draw_drop(config: CampaignConfig, rng: NonceStream) -> bool:
 
 def _chain_table(config: CampaignConfig, forcing: Forcing, rng: NonceStream,
                  count: int) -> dict:
-    """The ``word96.mixbits_table`` of a campaign's next ``count`` sessions.
+    """The ``gossamer.mixbits_table`` of a campaign's next ``count`` sessions.
 
     Their nonces are drawn ahead on a copy of ``rng``, through the helpers
     and in the order each session draws them: drop decision, forced keys,
@@ -386,7 +387,7 @@ def _chain_table(config: CampaignConfig, forcing: Forcing, rng: NonceStream,
         n1, n2 = _draw_nonces(forcing, ahead)
         n1s.append(n1)
         n2s.append(n2)
-    return mixbits_table(n1s, n2s)
+    return gossamer.mixbits_table(gossamer.mixbits_chains(n1s, n2s))
 
 
 def iter_campaign(tag: SimTag, store: Store,
@@ -395,27 +396,26 @@ def iter_campaign(tag: SimTag, store: Store,
 
     For original Gossamer, each block of CHAIN_BLOCK sessions starts by
     computing the MixBits chains of all its sessions at once
-    (``_chain_table``), and every session runs with the block's table
-    installed in ``word96``.  Reader and tag still call MixBits on their
-    own inputs: the table only answers them, exactly.  The table is
-    cleared when the generator finishes or is closed.
+    (``_chain_table``), and each session runs with the block's table
+    installed in ``word96`` and cleared after it, so none is installed
+    while the generator waits.  Reader and tag still call MixBits on their
+    own inputs: the table only answers them, exactly.  A config for
+    another protocol than the tag's is a ValueError.
     """
+    if config.protocol is not tag.protocol:
+        raise ValueError(f"a {config.protocol.value} config for a {tag.protocol.value} tag")
     rng = NonceStream(config.seed)
     forcing = Forcing(nonce_mode=config.nonce_mode, key_mode=config.key_mode)
-    chained = tag.protocol is Protocol.GOSSAMER
-    try:
-        for index in range(config.sessions):
-            if chained:
-                if index % CHAIN_BLOCK == 0:
-                    table = _chain_table(config, forcing, rng,
-                                         min(CHAIN_BLOCK, config.sessions - index))
-                # again each session: another campaign may have run in between
-                use_mixbits_table(table)
-            forcing.drop_d = _draw_drop(config, rng)
-            yield run_session(tag, store, forcing, rng, session_index=index)
-    finally:
-        if chained:
-            use_mixbits_table({})
+    table = {}
+    for index in range(config.sessions):
+        if index % CHAIN_BLOCK == 0 and tag.protocol is Protocol.GOSSAMER:
+            table = _chain_table(config, forcing, rng,
+                                 min(CHAIN_BLOCK, config.sessions - index))
+        forcing.drop_d = _draw_drop(config, rng)
+        use_mixbits_table(table)
+        session = run_session(tag, store, forcing, rng, session_index=index)
+        use_mixbits_table({})
+        yield session
 
 
 def run_campaign(tag: SimTag, store: Store, config: CampaignConfig) -> CampaignResult:

@@ -276,13 +276,21 @@ def json_loads(text: str):
         raise ValueError("nested too deeply") from None
 
 
-def read_text(path: str) -> str:
-    """The text of ``path``; bytes that are no UTF-8 are a ValueError naming it."""
+@contextlib.contextmanager
+def open_text(path: str):
+    """``path`` open for reading as UTF-8; bytes read from it that are not
+    UTF-8 are a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
-        except ValueError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})") from None
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_text(path: str) -> str:
+    """The text of ``path``, read through ``open_text``."""
+    with open_text(path) as fh:
+        return fh.read()
 
 
 def load_envelope(path: str, format_name: str, text: str) -> dict:

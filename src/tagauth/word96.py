@@ -8,16 +8,15 @@ form is exactly 24 lowercase hex digits, most significant nibble first.
 
 ``mixbits_original_lanes`` runs the shift MixBits of many independent word
 pairs at once, each pair in its own lane of one big int; its docstring says
-why no lane disturbs another.  ``mixbits_chains`` runs a session's three
-shift MixBits calls (n3, n1', n2') for many sessions as three lane calls.
+why no lane disturbs another.
 
 ``mixbits_original`` first looks its inputs up in one table of values that
-a caller computed ahead (``mixbits_table``, installed by
-``use_mixbits_table``; a campaign installs its next sessions' chains).
-The table holds only exact values and is replaced whole, never edited, so
-a miss costs time, never correctness: every function returns the same
-value for the same inputs from any number of threads, whatever table is
-installed.
+a caller computed ahead and installed with ``use_mixbits_table`` (an
+original-Gossamer campaign installs its block's ``gossamer.mixbits_table``
+for the length of each session).  The table holds only exact values and
+is replaced whole, never edited, so a miss costs time, never correctness:
+every function returns the same value for the same inputs from any
+number of threads, whatever table is installed.
 """
 
 WIDTH = 96
@@ -82,8 +81,9 @@ _table: dict[tuple[Word96, Word96], Word96] = {}
 
 
 def use_mixbits_table(table: dict[tuple[Word96, Word96], Word96]) -> None:
-    """Install ``table`` (from ``mixbits_table``) for mixbits_original to
-    answer from, replacing the one installed; ``{}`` clears it."""
+    """Install ``table``, {(x, y): mixbits_original(x, y)}, for
+    mixbits_original to answer from, replacing the one installed; ``{}``
+    clears it."""
     global _table
     _table = table
 
@@ -122,27 +122,6 @@ def mixbits_original_lanes(xs: list[Word96], ys: list[Word96]) -> list[Word96]:
     data = z.to_bytes(_LANE_BYTES * n, "little")
     return [int.from_bytes(data[i:i + _LANE_BYTES], "little")
             for i in range(0, _LANE_BYTES * n, _LANE_BYTES)]
-
-
-def mixbits_chains(n1s: list[Word96],
-                   n2s: list[Word96]) -> tuple[list[Word96], list[Word96], list[Word96]]:
-    """The original Gossamer MixBits chain of each nonce pair (n1, n2), as
-    three lane calls: n3 = MixBits(n1, n2), n1' = MixBits(n3, n2) and
-    n2' = MixBits(n1', n3), returned as the lists (n3s, n1's, n2's)."""
-    n3s = mixbits_original_lanes(n1s, n2s)
-    n1ps = mixbits_original_lanes(n3s, n2s)
-    return n3s, n1ps, mixbits_original_lanes(n1ps, n3s)
-
-
-def mixbits_table(n1s: list[Word96],
-                  n2s: list[Word96]) -> dict[tuple[Word96, Word96], Word96]:
-    """The table of every scalar MixBits call the sessions with these nonce
-    pairs make: {(n1, n2): n3, (n3, n2): n1', (n1', n3): n2'}."""
-    n3s, n1ps, n2ps = mixbits_chains(n1s, n2s)
-    table = dict(zip(zip(n1s, n2s), n3s))
-    table.update(zip(zip(n3s, n2s), n1ps))
-    table.update(zip(zip(n1ps, n3s), n2ps))
-    return table
 
 
 def mixbits_modified(x: Word96, y: Word96) -> Word96:

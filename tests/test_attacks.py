@@ -7,7 +7,7 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tagauth import attacks
+from tagauth import attacks, gossamer
 from tagauth.gossamer import Variant, derive_update, recover_nonces
 from tagauth.simulator import (
     CampaignConfig,
@@ -171,6 +171,21 @@ class TestGossamerAttack2Blocks:
         _, scored = evaluate_attack("gossamer-2", transcripts, truths)
         assert scored["matched"] == scored["fired"] == summary["fired"]
         assert calls == [len(pairs), len(pairs)]
+
+    def test_no_scalar_mixbits_alone_or_in_a_block(self, monkeypatch):
+        # a lone call is a block of one: its chain runs as lane calls, so the
+        # scalar MixBits of gossamer's equations never runs, fired or not
+        transcripts, _ = mixed_stream(30, {7})
+        scalar = []
+        mix = gossamer.mixbits_original
+        monkeypatch.setattr(gossamer, "mixbits_original",
+                            lambda x, y: scalar.append((x, y)) or mix(x, y))
+        fired = [attacks.gossamer_attack2(t).fired for t in transcripts
+                 if t.outcome is Outcome.MUTUAL_SUCCESS]
+        assert True in fired and False in fired
+        _, summary = evaluate_attack("gossamer-2", transcripts)
+        assert 0 < summary["fired"] < summary["trials"]
+        assert scalar == []
 
     def test_empty_stream_summary(self, monkeypatch):
         calls = count_zero_key_chains(monkeypatch)

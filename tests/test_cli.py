@@ -540,6 +540,23 @@ class TestMalformedInput:
         assert code == 2
         assert f"{bad}: not UTF-8 text" in caplog.text
 
+    @pytest.mark.parametrize("which", ["store", "tags", "manifest"])
+    def test_json_file_not_utf8_names_file(self, tmp_path, capsys, caplog, which):
+        # the same message as for a JSONL file
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "3", "--seed", "5",
+                "--store", str(store), "--output", str(out))
+        session = ["session", "run", "--tag", "tag-000", "--seed", "2", "--store", str(store)]
+        manifest = tmp_path / "t.manifest.json"
+        bad, argv = {"store": (store, session),
+                     "tags": (tmp_path / "db.json.tags", session),
+                     "manifest": (manifest, ["--manifest", str(manifest)])}[which]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"{bad}: not UTF-8 text (invalid start byte)" in caplog.text
+
     @pytest.mark.parametrize("which, field, value", [
         ("t.jsonl", "session", "x"),
         ("t.jsonl", "session", True),

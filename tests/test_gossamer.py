@@ -295,3 +295,24 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
     assert found is only
     found, survivors = outcomes[2]
     assert found is None and len(survivors) >= 2
+
+
+# where one lane's carry would most likely spill into its neighbour's
+lane_words = st.sampled_from((0, 1, MASK, MASK - 1, 1 << 95)) | words
+
+
+class TestMixBitsChains:
+    @given(pairs=st.lists(st.tuples(lane_words, lane_words), max_size=5))
+    @settings(max_examples=100)
+    @example(pairs=[(0, 0), (0, 0)])
+    def test_chains_and_table_match_the_oracle(self, pairs):
+        n1s, n2s = [x for x, _ in pairs], [y for _, y in pairs]
+        chains = gossamer.mixbits_chains(n1s, n2s)
+        table = gossamer.mixbits_table(chains)
+        assert [chain[:2] for chain in chains] == pairs
+        for n1, n2, n3, n1p, n2p in chains:
+            assert n3 == oracles.mixbits_shift(n1, n2)
+            assert n1p == oracles.mixbits_shift(n3, n2)
+            assert n2p == oracles.mixbits_shift(n1p, n3)
+            assert (table[n1, n2], table[n3, n2], table[n1p, n3]) == (n3, n1p, n2p)
+        assert all(value == oracles.mixbits_shift(*key) for key, value in table.items())

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from itertools import zip_longest
 from unittest import mock
 
@@ -247,6 +248,17 @@ class TestCampaign:
         result = run_campaign(tag2, store2, CampaignConfig(Protocol.SASI, 20, seed=9))
         assert collected == [transcript_to_dict(t) for t in result.transcripts]
 
+    def test_config_for_another_protocol_is_refused_before_any_session(self):
+        # such a campaign would name the config's protocol in its summary and
+        # the tag's in its transcripts
+        tag, store = one_tag_world(Protocol.GOSSAMER, seed=2)
+        state = replace(tag.state)
+        with pytest.raises(ValueError, match="a sasi config for a gossamer tag"):
+            run_campaign(tag, store, CampaignConfig(Protocol.SASI, 3, seed=2))
+        with pytest.raises(ValueError):
+            next(iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER_MOD, 3, seed=2)))
+        assert tag.state == state
+
 
 # campaign lengths on each side of one and two CHAIN_BLOCK boundaries
 CHAIN_LENGTHS = (0, 1, 255, 256, 257, 700)
@@ -320,33 +332,40 @@ class TestChainTable:
                     interleaved[side].append(transcript_line(step[0])
                                              + ground_truth_line(step[1]))
         assert interleaved == sequential
-        # each generator installs its own table again on each resume
+        # each session runs with its own campaign's table installed
         assert hits == [True] * 6 * (300 + 270)
         assert word96._table == {}
 
     def test_a_tag_that_peels_other_nonces_misses_the_table(self, monkeypatch):
         tag, store = one_tag_world(Protocol.GOSSAMER)
-        run = iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER, 2, seed=6))
-        transcript, truth = next(run)  # the table of both sessions stays installed
+        config = CampaignConfig(Protocol.GOSSAMER, 2, seed=6)
+        transcript, truth = next(iter_campaign(tag, store, config))
         pre = truth.tag_pre
         hits = count_mixbits(monkeypatch)
-        for a, answered in ((transcript.a ^ 1, False), (transcript.a, True)):
-            state = TagState(truth.id, pre.ids, pre.k1, pre.k2, pre.ids_old, pre.k1_old,
-                             pre.k2_old)
-            d = gossamer.tag_respond(state, a, transcript.b, transcript.c,
-                                     gossamer.Variant.ORIGINAL)
-            # a flipped bit of A peels another n1: MixBits runs its rounds,
-            # and the rebuilt C refuses the challenge
-            assert (d == transcript.d) if answered else (d is None)
-            assert hits and all(hit is answered for hit in hits)
-            hits.clear()
-        run.close()
+        try:
+            # the table of both sessions, as the campaign installs it
+            word96.use_mixbits_table(simulator._chain_table(config, Forcing(),
+                                                            NonceStream(6), 2))
+            for a, answered in ((transcript.a ^ 1, False), (transcript.a, True)):
+                state = TagState(truth.id, pre.ids, pre.k1, pre.k2, pre.ids_old,
+                                 pre.k1_old, pre.k2_old)
+                d = gossamer.tag_respond(state, a, transcript.b, transcript.c,
+                                         gossamer.Variant.ORIGINAL)
+                # a flipped bit of A peels another n1: MixBits runs its rounds,
+                # and the rebuilt C refuses the challenge
+                assert (d == transcript.d) if answered else (d is None)
+                assert hits and all(hit is answered for hit in hits)
+                hits.clear()
+        finally:
+            word96.use_mixbits_table({})
 
     def test_closing_a_campaign_clears_the_table(self):
+        # each session's table is cleared before the session is yielded
         tag, store = one_tag_world(Protocol.GOSSAMER)
         run = iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER, 10, seed=5))
-        next(run)
-        assert word96._table != {}
+        for _ in range(3):
+            next(run)
+            assert word96._table == {}
         run.close()
         assert word96._table == {}
 
