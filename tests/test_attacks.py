@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,23 @@ class TestGossamerAttack2:
         result = forced_campaign(Protocol.GOSSAMER, 60, 103)
         for t in result.transcripts:
             assert not attacks.gossamer_attack2(t).fired
+
+    def test_fires_without_d_and_recovers_no_id(self):
+        # C confirms the zero-key hypothesis, so the state is recovered, but
+        # only D carries the ID
+        tags, store = provision(1, Protocol.GOSSAMER, seed=3)
+        result = run_campaign(tags["tag-000"], store, CampaignConfig(
+            Protocol.GOSSAMER, 40, 3, key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
+        dropped = [(t, g) for t, g in zip(result.transcripts, result.ground_truths)
+                   if t.d is None]
+        assert len(dropped) == 10
+        for t, g in dropped:
+            verdict = attacks.gossamer_attack2(t)
+            assert verdict.fired and verdict.recovered_id is None
+            rs = verdict.recovered_state
+            assert (rs.n1, rs.n2, rs.n3, rs.n1p, rs.n2p) == (g.n1, g.n2, g.n3, g.n1p, g.n2p)
+            assert (rs.k1_star, rs.k2_star) == (g.k1_star, g.k2_star)
+            assert rs.next_ids == g.tag_post.ids
 
 
 def reference_attack2(transcript):
@@ -390,6 +408,61 @@ class TestEvaluateAgainstReference:
         assert repr(records) == repr(expected_records)
         assert json.dumps(summary) == json.dumps(expected_summary)
 
+
+# -- one call per pair, as the sasi-fleet benchmark makes them -------------------
+
+# each kind's protocol, and the forcing under which it fires
+FLEET = {
+    "sasi": (Protocol.SASI, {"key_mode": KeyMode.EXACT_ZERO}),
+    "gossamer-1": (Protocol.GOSSAMER, {"nonce_mode": NonceMode.EXACT_ZERO}),
+    "gossamer-2": (Protocol.GOSSAMER, {"key_mode": KeyMode.EXACT_ZERO}),
+}
+
+
+def fleet_streams(protocol, forced, seed, tags=6, sessions=300):
+    """Each tag's (transcripts, ground truths) from an interleaved fleet run:
+    a random tag per session, per-tag session indices, about 10% of D
+    dropped, and about half the sessions forced as ``forced`` says."""
+    fleet, store = provision(tags, protocol, seed=seed)
+    labels = sorted(fleet)
+    rng, pick = NonceStream(seed + 1), random.Random(seed + 2)
+    streams = {label: ([], []) for label in labels}
+    for _ in range(sessions):
+        label = labels[pick.randrange(tags)]
+        forcing = Forcing(**(forced if pick.random() < 0.5 else {}),
+                          drop_d=pick.random() < 0.1)
+        transcripts, truths = streams[label]
+        transcript, truth = run_session(fleet[label], store, forcing, rng, len(transcripts))
+        transcripts.append(transcript)
+        truths.append(truth)
+    return streams
+
+
+def summary_counts(summary):
+    counts = Counter({key: summary[key] for key in ("trials", "fired", "scored", "matched")})
+    counts["prediction_confirmed"] = summary.get("prediction_confirmed", 0)
+    for gap, count in summary.get("near_miss_histogram", {}).items():
+        counts["gap " + gap] = count
+    return counts
+
+
+@pytest.mark.parametrize("kind", list(attacks.ATTACKS))
+def test_one_call_per_pair_adds_up_to_the_whole_stream(kind):
+    protocol, forced = FLEET[kind]
+    totals = Counter()
+    for transcripts, truths in fleet_streams(protocol, forced, seed=50).values():
+        records, summary = evaluate_attack(kind, transcripts, truths)
+        pair_records, pair_counts = [], Counter()
+        for i in range(len(transcripts) - 1):
+            found, part = evaluate_attack(kind, [transcripts[i], transcripts[i + 1]],
+                                          [truths[i]])
+            pair_records += found
+            pair_counts.update(summary_counts(part))
+        assert repr(pair_records) == repr(records)
+        assert pair_counts == summary_counts(summary)
+        totals.update(summary_counts(summary))
+    assert 0 < totals["matched"] <= totals["fired"] < totals["trials"] == totals["scored"]
+    assert totals["trials"] < 300 - 6  # the dropped D's broke some pairs
 
 def test_evaluate_attack_reads_iterators_and_generators():
     result = forced_campaign(Protocol.GOSSAMER, 12, 120, key_mode=KeyMode.EXACT_ZERO)

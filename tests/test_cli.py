@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tagauth
-from tagauth import simulator
+from tagauth import cli, simulator
 from tagauth import store as store_module
 from tagauth.cli import main
 
@@ -272,6 +272,31 @@ class TestAttack:
         assert code == 0
         assert summary["scored"] == 0 and summary["match_rate"] is None
 
+
+    def test_errors_between_two_runs_leave_the_runs_identical(self, tmp_path, capsys):
+        # the parser is built once per process: an argparse error and a usage
+        # error in between must not leave anything behind in it
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store, variant="sasi")
+        run_cli(capsys, "campaign", "--sessions", "30", "--seed", "8", "--store", str(store),
+                "--output", str(out), "--drop-d-rate", "0.2")
+        verdicts = tmp_path / "v.jsonl"
+        argv = ["attack", "sasi", "--input", str(out),
+                "--ground-truth", str(tmp_path / "t.gt.jsonl"), "--output", str(verdicts)]
+
+        def attack():
+            assert main(argv) == 0
+            return (capsys.readouterr().out, verdicts.read_bytes(),
+                    (tmp_path / "v.manifest.json").read_bytes())
+
+        first = attack()
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "sasi", "--input", str(out), "--output"])
+        assert exc.value.code == 2
+        assert main(["attack", "gossamer-2", "--input", str(out), "--output", str(out)]) == 2
+        capsys.readouterr()
+        assert attack() == first
+        assert cli._build_parser() is cli._build_parser()
 
 class TestBench:
     def test_cost_accounting_numbers(self, tmp_path, capsys):

@@ -189,6 +189,23 @@ class TestReplays:
         assert truth.tag_post == truth.tag_pre
 
 
+    @pytest.mark.parametrize("mode, message", [
+        ("replay_abc", "has no A||B||C"),
+        ("replay_d", "has no D"),
+    ])
+    def test_replaying_a_message_that_never_crossed_the_air(self, mode, message):
+        # refused before the forced keys are written or any nonce is drawn
+        tag, store = one_tag_world(Protocol.GOSSAMER)
+        rng = NonceStream(18)
+        dropped, _ = run_session(tag, store, Forcing(drop_d=True), rng, 0)
+        assert dropped.d is None and dropped.a is not None
+        captured = replace(dropped, a=None, b=None, c=None) if mode == "replay_abc" else dropped
+        before = repr(tag.state), repr(store.rows), rng.getstate()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_session(tag, store, Forcing(key_mode=KeyMode.EXACT_ZERO, **{mode: captured}),
+                        rng, 1)
+        assert (repr(tag.state), repr(store.rows), rng.getstate()) == before
+
 class TestLookupFailure:
     def test_unregistered_tag_surfaces_as_outcome(self):
         tag, _ = one_tag_world(Protocol.GOSSAMER, seed=21)
