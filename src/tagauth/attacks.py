@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import Variant, derive_auth, derive_update, id_from_d, mixbits_chains
+from .gossamer import (SessionValues, Variant, derive_keys, derive_update, id_from_d,
+                       mixbits_chains)
 from .word96 import MASK, PI, Word96
 
 
@@ -103,11 +104,11 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     """Zero-key full disclosure against original Gossamer (one transcript).
 
     Hypothesizes K1 = K2 = 0, under which the transcript is the original
-    tag's view with known keys: its nonce recovery (with ID = 0, which
-    only D involves) unwinds A and B and replays the protocol equations
-    from public data.  The hypothesis is confirmed when the recomputed C
-    equals the transmitted one; on confirmation ``id_from_d`` inverts D
-    to the static ID and the next pseudonym is predicted.  A transcript
+    tag's view with known keys: its nonce recovery unwinds A and B, and
+    ``derive_keys`` replays K1*, K2* and C from public data.  A C that
+    differs from the transmitted one refutes the hypothesis, and nothing
+    further is computed.  On confirmation the update predicts the next
+    pseudonym and ``id_from_d`` inverts D to the static ID.  A transcript
     whose D never crossed the air still fires, with the recovered state
     and ``recovered_id`` None: C has confirmed the hypothesis, and only D
     carries the ID.
@@ -116,17 +117,16 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     evaluator passes each trial its entry of one call over all its trials.
     A call without it is a block of one.
     """
-    ids = transcript.announced_ids
     n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
-    vals = derive_auth(Variant.ORIGINAL, ids, 0, 0, 0, n1, n2, n3, n1p)
-    if vals.c != transcript.c:
+    k1s, k2s, c = derive_keys(Variant.ORIGINAL, 0, 0, n1, n2, n3, n1p)
+    if c != transcript.c:
         return AttackVerdict(False)
-    derive_update(Variant.ORIGINAL, ids, vals, n2p)
-    state = RecoveredSecrets(vals.k1_star, vals.k2_star, vals.n1, vals.n2, vals.n3,
-                             vals.n1p, vals.n2p, vals.ids_next)
     d = transcript.d
+    # under the hypothesis A and B are the transmitted ones; D is what crossed the air
+    vals = derive_update(Variant.ORIGINAL, transcript.announced_ids, SessionValues(
+        n1, n2, n3, n1p, None, k1s, k2s, transcript.a, transcript.b, c, d), n2p)
     return AttackVerdict(True, None if d is None else id_from_d(Variant.ORIGINAL, vals, d),
-                         state)
+                         RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p, vals.ids_next))
 
 
 @dataclass(frozen=True)

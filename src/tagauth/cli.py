@@ -337,7 +337,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "provision", help="create tags and their backend store")
     p.add_argument("--count", type=_ranged(int, 0), required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_ranged(int, 0), required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--tags", help="tag-state file (default: <store>.tags)")
 
@@ -348,7 +348,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     run.add_argument("--variant", choices=VARIANTS,
                      help="checked against the tag's provisioned protocol")
     run.add_argument("--tag", required=True)
-    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--seed", type=_ranged(int, 0), required=True)
     run.add_argument("--store", required=True)
     run.add_argument("--tags")
     run.add_argument("--drop-d", action="store_true", dest="drop_d",
@@ -365,7 +365,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = commands["campaign"] = sub.add_parser(
         "campaign", help="run many sessions against one tag")
     p.add_argument("--sessions", type=_ranged(int, 1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_ranged(int, 0), required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--tags")
     p.add_argument("--tag", help="label; may be omitted for a one-tag store")

@@ -51,6 +51,10 @@ candidates whose n2 lands back on r.  Either tag accepts only if exactly
 one survivor reproduces the received C (rejecting on none or several
 rather than guessing).
 
+K1*, K2* and C read neither IDS nor ID; ``derive_keys`` is their one
+definition.  ``derive_auth`` builds a session's values through it, and the
+zero-key attack (``attacks.gossamer_attack2``) stops after it when C differs.
+
 The session record, the two-tuple tag state, its announce/retry step, the
 update timing and reader_finish are shared with SASI (``tagstate``).
 """
@@ -58,8 +62,8 @@ update timing and reader_finish are shared with SASI (``tagstate``).
 from enum import Enum
 
 from .tagstate import SessionValues, TagState, rotate, tuple_of
-from .word96 import (MASK, PI, WIDTH, Word96, mixbits_modified, mixbits_original,
-                     mixbits_original_lanes, rotl, rotr)
+from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, mixbits_modified,
+                     mixbits_original, mixbits_original_lanes, rotl, rotr, to_lanes)
 
 
 class Variant(Enum):
@@ -67,28 +71,30 @@ class Variant(Enum):
     MODIFIED = "modified"
 
 
-def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
-                id_: Word96, n1: Word96, n2: Word96,
-                n3: Word96 | None = None, n1p: Word96 | None = None) -> SessionValues:
-    """Evaluate the session equations through D (no update values yet).
-
-    ``n3`` and ``n1p``, when given, are MixBits(n1, n2) and MixBits(n3, n2)
-    already computed by the caller, as the zero-key attack does in lanes
-    (``mixbits_chains``).
-    """
+def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
+                n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
+    """(K1*, K2*, C), the session keys and the message that confirms them:
+    the one definition of their equations above."""
     original = variant is Variant.ORIGINAL
-    if n3 is None:
-        mix = mixbits_original if original else mixbits_modified
-        n3 = mix(n1, n2)
-        n1p = mix(n3, n2)
-    a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK, k1 if original else n2)
-    b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK, k2 if original else n1)
     k1s = rotl((rotl((n2 + k1 + PI + n3) & MASK, n2) + (k2 ^ n3)) & MASK,
                n1 if original else k1) ^ n3
     k2s = (rotl((rotl((n1 + k2 + PI + n3) & MASK, n1) + k1 + n3) & MASK,
                 n2 if original else k2) + n3) & MASK
     c = rotl((rotl((n3 + k1s + PI + n1p) & MASK, n3) + (k2s ^ n1p)) & MASK,
              n2 if original else k2s) ^ n1p
+    return k1s, k2s, c
+
+
+def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
+                id_: Word96, n1: Word96, n2: Word96) -> SessionValues:
+    """Evaluate the session equations through D (no update values yet)."""
+    original = variant is Variant.ORIGINAL
+    mix = mixbits_original if original else mixbits_modified
+    n3 = mix(n1, n2)
+    n1p = mix(n3, n2)
+    k1s, k2s, c = derive_keys(variant, k1, k2, n1, n2, n3, n1p)
+    a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK, k1 if original else n2)
+    b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK, k2 if original else n1)
     d = (rotl((rotl((n2 + k2s + id_ + n1p) & MASK, n2) + k1s + n1p) & MASK,
               n3 if original else k1s) + n1p) & MASK
     return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, a, b, c, d)
@@ -124,10 +130,17 @@ def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
 
 def mixbits_chains(n1s: list[Word96], n2s: list[Word96]) -> list[tuple]:
     """The original variant's chain (n1, n2, n3, n1', n2') of each nonce pair:
-    the three MixBits calls above, for all pairs as three lane calls."""
-    n3s = mixbits_original_lanes(n1s, n2s)
-    n1ps = mixbits_original_lanes(n3s, n2s)
-    return list(zip(n1s, n2s, n3s, n1ps, mixbits_original_lanes(n1ps, n3s)))
+    the three MixBits calls above, for all pairs as three lane passes that
+    keep n2, n3 and n1' in the lane form between them."""
+    n = len(n1s)
+    if len(n2s) != n:
+        raise ValueError(f"{n} n1 words but {len(n2s)} n2 words")
+    n2_lanes = to_lanes(n2s)
+    n3_lanes = mixbits_original_lanes(to_lanes(n1s), n2_lanes, n)
+    n1p_lanes = mixbits_original_lanes(n3_lanes, n2_lanes, n)
+    n2p_lanes = mixbits_original_lanes(n1p_lanes, n3_lanes, n)
+    return list(zip(n1s, n2s, from_lanes(n3_lanes, n), from_lanes(n1p_lanes, n),
+                    from_lanes(n2p_lanes, n)))
 
 
 def mixbits_table(chains) -> dict[tuple[Word96, Word96], Word96]:

@@ -157,6 +157,9 @@ class NonceStream:
     _MULTIPLES_OF_96 = (1 << WIDTH) // 96 + 1
 
     def __init__(self, seed: int) -> None:
+        # random.Random seeds from abs(seed): -7 would replay the stream of 7
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0, not {seed}")
         self._rng = random.Random(seed)
 
     def word(self) -> Word96:
@@ -233,6 +236,7 @@ _AS_STORED, _ZERO_KEYS = KeyMode.AS_STORED, KeyMode.EXACT_ZERO
 _SUCCESS, _READER_REJECTED, _TAG_REJECTED, _D_DROPPED, _LOOKUP_FAILED = (
     Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED, Outcome.TAG_REJECTED,
     Outcome.D_DROPPED, Outcome.LOOKUP_FAILED)
+_OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
 
 def _snapshot(holder) -> StateSnapshot | None:
@@ -636,11 +640,12 @@ def transcript_to_dict(t: Transcript) -> dict:
 def _transcript(variant: str, session: int, ids: Word96, a, b, c, d, outcome: str,
                 bits: int) -> Transcript:
     """The transcript of decoded fields, checked as ``transcript_from_dict`` says."""
-    outcome = Outcome(outcome)
-    nulls = [key for key, value in (("a", a), ("b", b), ("c", c)) if value is None]
-    if nulls and (len(nulls) < 3 or outcome is not _LOOKUP_FAILED):
-        raise ValueError(f"{nulls[0]}: null; a, b and c are all words, "
-                         "or all null with outcome lookup_failed")
+    outcome = _OUTCOMES.get(outcome) or Outcome(outcome)  # a miss raises Enum's error
+    if a is None or b is None or c is None:
+        nulls = [key for key, value in (("a", a), ("b", b), ("c", c)) if value is None]
+        if len(nulls) < 3 or outcome is not _LOOKUP_FAILED:
+            raise ValueError(f"{nulls[0]}: null; a, b and c are all words, "
+                             "or all null with outcome lookup_failed")
     if d is None and outcome is _SUCCESS:
         raise ValueError(f"d: null, but outcome is {outcome.value}")
     return Transcript(variant, session, ids, a, b, c, d, outcome, bits)

@@ -7,8 +7,8 @@ wraps modulo 2**96 and never overflows or saturates.  The canonical text
 form is exactly 24 lowercase hex digits, most significant nibble first.
 
 ``mixbits_original_lanes`` runs the shift MixBits of many independent word
-pairs at once, each pair in its own lane of one big int; its docstring says
-why no lane disturbs another.
+pairs at once, each pair in its own lane of one big int (``to_lanes``,
+``from_lanes``); its docstring says why no lane disturbs another.
 
 ``mixbits_original`` first looks its inputs up in one table of values that
 a caller computed ahead and installed with ``use_mixbits_table`` (an
@@ -88,40 +88,42 @@ def use_mixbits_table(table: dict[tuple[Word96, Word96], Word96]) -> None:
     _table = table
 
 
-# A lane of mixbits_original_lanes: 13 bytes, 8 spare bits above each word.
+# A lane of the lane form: 13 bytes, 8 spare bits above each word.
 _LANE_BYTES = 13
 _LANE_MASK_BYTES = MASK.to_bytes(_LANE_BYTES, "little")
 
 
-def _lanes(words: list[Word96]) -> int:
+def to_lanes(words: list[Word96]) -> int:
+    """The lane form of ``words``: word i in bits 104i..104i+95 of one int
+    (13 bytes a lane, little-endian), the spare bits above each word zero."""
     return int.from_bytes(b"".join([x.to_bytes(_LANE_BYTES, "little") for x in words]),
                           "little")
 
 
-def mixbits_original_lanes(xs: list[Word96], ys: list[Word96]) -> list[Word96]:
-    """[mixbits_original(x, y) for x, y in zip(xs, ys)], all lanes in one int.
-
-    Word i of each list goes into bits 104i..104i+95 of one int (13 bytes a
-    lane, little-endian), and each round runs once over every lane as
-    mixbits_original's Z <- (5Z >> 1) + Y, masked to the low 96 bits of
-    each lane.  That is exact: 5z < 2**99 stays inside its lane.  The only
-    bit that crosses a lane boundary is the low bit of 5z in lane i + 1,
-    which the shift moves to bit 103 of lane i; adding y < 2**96 to
-    floor(5z / 2) < 2**98 never carries into it, and the mask clears it.
-    A round thus costs four big-int operations over the whole block
-    instead of one loop per word.  ``xs`` and ``ys`` are equally long
-    lists of words in [0, 2**96).
-    """
-    n = len(xs)
-    if len(ys) != n:
-        raise ValueError(f"{n} x words but {len(ys)} y words")
-    z, y = _lanes(xs), _lanes(ys)
-    mask = int.from_bytes(_LANE_MASK_BYTES * n, "little")
-    for _ in range(MIXBITS_ROUNDS):
-        z = ((z * 5 >> 1) + y) & mask
+def from_lanes(z: int, n: int) -> list[Word96]:
+    """The ``n`` words of the lane form ``z``; the inverse of ``to_lanes``."""
     data = z.to_bytes(_LANE_BYTES * n, "little")
     return [int.from_bytes(data[i:i + _LANE_BYTES], "little")
             for i in range(0, _LANE_BYTES * n, _LANE_BYTES)]
+
+
+def mixbits_original_lanes(z: int, y: int, n: int) -> int:
+    """The lane form of mixbits_original(x, y) for each lane of the ``n``-lane
+    forms ``z`` (of the x words) and ``y``, so that chained calls pack their
+    inputs and unpack their results once.
+
+    Each round runs once over every lane as mixbits_original's
+    Z <- (5Z >> 1) + Y, masked to the low 96 bits of each lane.  That is
+    exact: 5z < 2**99 stays inside its lane.  The only bit that crosses a
+    lane boundary is the low bit of 5z in lane i + 1, which the shift moves
+    to bit 103 of lane i; adding y < 2**96 to floor(5z / 2) < 2**98 never
+    carries into it, and the mask clears it.  A round thus costs four
+    big-int operations over the whole block instead of one loop per word.
+    """
+    mask = int.from_bytes(_LANE_MASK_BYTES * n, "little")
+    for _ in range(MIXBITS_ROUNDS):
+        z = ((z * 5 >> 1) + y) & mask
+    return z
 
 
 def mixbits_modified(x: Word96, y: Word96) -> Word96:

@@ -120,21 +120,50 @@ class TestGossamerAttack2:
 
 
 def reference_attack2(transcript):
-    # gossamer_attack2 as it was before its MixBits chain moved into lanes:
-    # the original tag's own peel under K1 = K2 = 0, one scalar call per MixBits
+    # gossamer_attack2 as it was before its MixBits chain moved into lanes and
+    # before it stopped at C: the original tag's own peel under K1 = K2 = 0,
+    # which rebuilds every session value through derive_auth (one scalar call
+    # per MixBits) and then checks C
     ids = transcript.announced_ids
     vals = recover_nonces(Variant.ORIGINAL, ids, 0, 0, 0,
                           transcript.a, transcript.b, transcript.c)
     if vals is None:
         return attacks.AttackVerdict(fired=False)
     derive_update(Variant.ORIGINAL, ids, vals)
-    step = rotr((transcript.d - vals.n1p) & MASK, vals.n3)
-    step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
+    recovered_id = None
+    if transcript.d is not None:  # only D carries the ID
+        step = rotr((transcript.d - vals.n1p) & MASK, vals.n3)
+        step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
+        recovered_id = (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
     return attacks.AttackVerdict(
-        fired=True, recovered_id=(step - vals.n2 - vals.k2_star - vals.n1p) & MASK,
+        fired=True, recovered_id=recovered_id,
         recovered_state=attacks.RecoveredSecrets(
             k1_star=vals.k1_star, k2_star=vals.k2_star, n1=vals.n1, n2=vals.n2, n3=vals.n3,
             n1p=vals.n1p, n2p=vals.n2p, next_ids=vals.ids_next))
+
+
+@pytest.mark.parametrize("protocol,key_mode,seed", [
+    (Protocol.GOSSAMER, KeyMode.EXACT_ZERO, 40),
+    (Protocol.GOSSAMER, KeyMode.AS_STORED, 41),
+    (Protocol.GOSSAMER_MOD, KeyMode.EXACT_ZERO, 42),
+    (Protocol.GOSSAMER_MOD, KeyMode.AS_STORED, 43),
+])
+def test_attack2_agrees_with_the_scalar_reference_on_both_variants(protocol, key_mode, seed):
+    tags, store = provision(1, protocol, seed=seed)
+    result = run_campaign(tags["tag-000"], store, CampaignConfig(
+        protocol, 60, seed, key_mode=key_mode, drop_d_rate=0.3))
+    transcripts = [t for t in result.transcripts if t.c is not None]
+    expected = [reference_attack2(t) for t in transcripts]
+    alone = [attacks.gossamer_attack2(t) for t in transcripts]
+    in_block = [attacks.gossamer_attack2(t, chain) for t, chain
+                in zip(transcripts, attacks.zero_key_chains(transcripts))]
+    assert repr(alone) == repr(in_block) == repr(expected)
+    kinds = {(v.fired, v.recovered_id is not None) for v in expected}
+    if protocol is Protocol.GOSSAMER and key_mode is KeyMode.EXACT_ZERO:
+        # every transcript fires; the ones whose D was dropped recover no ID
+        assert kinds == {(True, True), (True, False)}
+    else:
+        assert kinds == {(False, False)}
 
 
 def mixed_stream(sessions, drops):

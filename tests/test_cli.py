@@ -1047,6 +1047,9 @@ class TestNumericOptionRanges:
          "--drop-d-rate", "7"],
         ["campaign", "--sessions", "2", "--seed", "1", "--output", "t.jsonl",
          "--drop-d-rate", "-0.1"],
+        ["provision", "--count", "1", "--variant", "sasi", "--seed", "-7"],
+        ["campaign", "--sessions", "2", "--seed", "-7", "--output", "t.jsonl"],
+        ["session", "run", "--tag", "tag-000", "--seed", "-7"],
     ])
     def test_out_of_range_on_command_line(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1067,6 +1070,8 @@ class TestNumericOptionRanges:
         ("t.manifest.json", "sessions", -5),
         ("t.manifest.json", "sessions", "3"),
         ("t.manifest.json", "drop_d_rate", 7),
+        ("db.manifest.json", "seed", -1),
+        ("t.manifest.json", "seed", -1),
     ])
     def test_out_of_range_in_manifest(self, tmp_path, capsys, manifest, option, value):
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
@@ -1079,3 +1084,21 @@ class TestNumericOptionRanges:
         path.write_text(json.dumps(payload))
         code, _ = run_cli(capsys, "--manifest", str(path))
         assert code == 2
+
+    def test_negative_seed_in_a_manifest_is_named(self, tmp_path, capsys, caplog):
+        # random.Random seeds from abs(seed): a seed of -1 would replay seed 1
+        store = tmp_path / "db.json"
+        provision(capsys, store)
+        run_cli(capsys, "session", "run", "--tag", "tag-000", "--seed", "1",
+                "--store", str(store), "--output", str(tmp_path / "s.jsonl"))
+        run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                "--store", str(store), "--output", str(tmp_path / "t.jsonl"))
+        for name in ("db", "s", "t"):
+            path = tmp_path / f"{name}.manifest.json"
+            payload = json.loads(path.read_text())
+            payload["args"]["seed"] = -1
+            path.write_text(json.dumps(payload))
+            caplog.clear()
+            code, _ = run_cli(capsys, "--manifest", str(path))
+            assert code == 2
+            assert f"{path}: --seed: must be at least 0, not -1" in caplog.text

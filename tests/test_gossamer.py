@@ -1,17 +1,18 @@
 """Gossamer engine: closed forms, oracle vectors, round trips, the search."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import words
+from conftest import LANE_WORDS, lane_words, words
 from tagauth import gossamer
 from tagauth.gossamer import Variant
 from tagauth.tagstate import SessionValues, TagState, reader_finish, tag_announce
-from tagauth.word96 import MASK, PI, mixbits_modified
+from tagauth.word96 import MASK, PI, mixbits_modified, mixbits_original
 
 ID = 0x00112233445566778899AABB
 IDS = 0x0F1E2D3C4B5A69788796A5B4
@@ -297,8 +298,18 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
     assert found is None and len(survivors) >= 2
 
 
-# where one lane's carry would most likely spill into its neighbour's
-lane_words = st.sampled_from((0, 1, MASK, MASK - 1, 1 << 95)) | words
+def scalar_chain(n1, n2):
+    """(n1, n2, n3, n1', n2') by the scalar MixBits, as derive_auth and
+    derive_update chain it."""
+    n3 = mixbits_original(n1, n2)
+    n1p = mixbits_original(n3, n2)
+    return n1, n2, n3, n1p, mixbits_original(n1p, n3)
+
+
+def oracle_chain(n1, n2):
+    n3 = oracles.mixbits_shift(n1, n2)
+    n1p = oracles.mixbits_shift(n3, n2)
+    return n1, n2, n3, n1p, oracles.mixbits_shift(n1p, n3)
 
 
 class TestMixBitsChains:
@@ -316,3 +327,32 @@ class TestMixBitsChains:
             assert n2p == oracles.mixbits_shift(n1p, n3)
             assert (table[n1, n2], table[n3, n2], table[n1p, n3]) == (n3, n1p, n2p)
         assert all(value == oracles.mixbits_shift(*key) for key, value in table.items())
+
+    @pytest.mark.parametrize("lanes", [0, 1, 255, 256, 257])
+    def test_lane_counts_match_scalar_and_oracle(self, lanes):
+        rng = random.Random(lanes)
+        n1s = [rng.choice(LANE_WORDS) if rng.random() < 0.2 else rng.getrandbits(96)
+               for _ in range(lanes)]
+        n2s = [rng.getrandbits(96) for _ in range(lanes)]
+        chains = gossamer.mixbits_chains(n1s, n2s)
+        assert chains == [scalar_chain(*pair) for pair in zip(n1s, n2s)]
+        assert chains == [oracle_chain(*pair) for pair in zip(n1s, n2s)]
+
+    def test_every_three_lanes_of_edge_words(self):
+        # each lane's n3 and n1' feed the next pass, so an edge word leaking
+        # into a neighbour in one pass would surface in a later one
+        for n1s in product(LANE_WORDS, repeat=3):
+            for n2s in (n1s, n1s[::-1], (MASK, 0, 1 << 95)):
+                chains = gossamer.mixbits_chains(list(n1s), list(n2s))
+                assert chains == [scalar_chain(*pair) for pair in zip(n1s, n2s)]
+                assert chains == [oracle_chain(*pair) for pair in zip(n1s, n2s)]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@given(k1=words, k2=words, n1=words, n2=words)
+@example(k1=0, k2=0, n1=0, n2=0)
+@settings(max_examples=60, deadline=None)
+def test_derive_keys_matches_oracle(variant, k1, k2, n1, n2):
+    ref = oracles.gossamer_session(variant.value, 0, 0, k1, k2, n1, n2)
+    assert gossamer.derive_keys(variant, k1, k2, n1, n2, ref["n3"], ref["n1p"]) == (
+        ref["k1s"], ref["k2s"], ref["c"])

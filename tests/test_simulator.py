@@ -56,6 +56,14 @@ class TestNonceStream:
         assert first == second
         assert len(set(first)) == 50  # and the stream actually moves
 
+    def test_negative_seed_is_an_error(self):
+        # random.Random would seed from abs(-7), replaying the stream of 7
+        with pytest.raises(ValueError, match="seed must be at least 0, not -7"):
+            NonceStream(-7)
+        with pytest.raises(ValueError, match="not -7"):
+            provision(1, Protocol.SASI, -7)
+        assert NonceStream(0).word() == NonceStream(0).word()
+
     def test_words_in_range(self):
         rng = NonceStream(3)
         assert all(0 <= rng.word() < (1 << 96) for _ in range(1000))

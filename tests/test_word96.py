@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import words
+from conftest import LANE_WORDS, lane_words, words
+from tagauth import gossamer
 from tagauth import word96 as w
 
 # frozen from tests/oracles.py
@@ -148,15 +149,15 @@ class TestMixBits:
         assert w.mixbits_original(1, 0) == MIX_SHIFT_1_0
 
 
-# where one lane's word could leak into its neighbour: all bits set, the top
-# bit alone, and odd and even words (5z is odd exactly when z is, and that
-# low bit of lane i + 1 is the one the shift moves towards lane i)
-LANE_WORDS = (0, 1, 2, w.MASK, w.MASK - 1, 1 << 95, (1 << 95) + 1)
-lane_words = st.sampled_from(LANE_WORDS) | words
-
-
 def scalar_mixbits(xs, ys):
     return [w.mixbits_original(x, y) for x, y in zip(xs, ys)]
+
+
+def lane_mixbits(xs, ys):
+    """mixbits_original of each pair through the lane form, as
+    ``gossamer.mixbits_chains`` runs each of its passes."""
+    n = len(xs)
+    return w.from_lanes(w.mixbits_original_lanes(w.to_lanes(xs), w.to_lanes(ys), n), n)
 
 
 class TestMixBitsLanes:
@@ -168,14 +169,14 @@ class TestMixBitsLanes:
     @example(pairs=[(1 << 95, 1), (w.MASK, 1 << 95)])
     def test_matches_scalar_and_oracle(self, pairs):
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        lanes = w.mixbits_original_lanes(xs, ys)
+        lanes = lane_mixbits(xs, ys)
         assert lanes == scalar_mixbits(xs, ys)
         assert lanes == [oracles.mixbits_shift(x, y) for x, y in pairs]
 
     def test_edge_lanes_between_odd_and_even_neighbours(self):
         for xs in product(LANE_WORDS, repeat=3):
             for ys in (xs, xs[::-1], (w.MASK, 0, 1 << 95)):
-                assert w.mixbits_original_lanes(list(xs), list(ys)) == scalar_mixbits(xs, ys)
+                assert lane_mixbits(list(xs), list(ys)) == scalar_mixbits(xs, ys)
 
     @given(seed=st.integers(min_value=0, max_value=2**32), extra=st.integers(0, 3))
     @settings(max_examples=10, deadline=None)
@@ -186,13 +187,13 @@ class TestMixBitsLanes:
         xs = [rng.choice(LANE_WORDS) if rng.random() < 0.2 else rng.getrandbits(96)
               for _ in range(n)]
         ys = [rng.getrandbits(96) for _ in range(n)]
-        lanes = w.mixbits_original_lanes(xs, ys)
+        lanes = lane_mixbits(xs, ys)
         assert lanes == scalar_mixbits(xs, ys)
         assert lanes == [oracles.mixbits_shift(x, y) for x, y in zip(xs, ys)]
 
     def test_lists_of_unequal_length_are_an_error(self):
         with pytest.raises(ValueError):
-            w.mixbits_original_lanes([1, 2], [3])
+            gossamer.mixbits_chains([1, 2], [3])
 
 
 # hex digits plus what a canonical word must not hold: uppercase, "x",
