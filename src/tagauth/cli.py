@@ -20,7 +20,6 @@ import os
 import reprlib
 import sys
 from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 
 from .attacks import ATTACKS, AttackVerdict, RecoveredSecrets, attack_kind
@@ -63,9 +62,14 @@ class UsageError(Exception):
     pass
 
 
-_RECOVERED_NAMES = [field.name for field in fields(RecoveredSecrets)]
-_RECOVERED_JSON = "{%s}" % ",".join(f'"{name}":"%s"' for name in _RECOVERED_NAMES)
-_RECOVERED_WORDS = attrgetter(*_RECOVERED_NAMES)
+# A verdict line's pieces in key order, each a %-format; the line of a
+# verdict with every key and an ID that is a word is all of them in one.
+_VERDICT_HEAD = '{"session":%d,"fired":%s'
+_VERDICT_WORD_ID = ',"recovered_id":"%s"'
+_VERDICT_STATE = ',"recovered_state":{%s}' % ",".join(
+    f'"{field.name}":"%s"' for field in fields(RecoveredSecrets))
+_VERDICT_BOOLS = (',"prediction_confirmed":%s', ',"ground_truth_match":%s')
+_VERDICT_FULL = _VERDICT_HEAD + _VERDICT_WORD_ID + _VERDICT_STATE + "".join(_VERDICT_BOOLS) + "}\n"
 _JSON_BOOLS = {True: "true", False: "false"}
 
 
@@ -269,6 +273,12 @@ def cmd_campaign(opts: dict) -> int:
     return 0
 
 
+def _recovered_hex(s: RecoveredSecrets) -> tuple[str, ...]:
+    # in field order; a call each, as through map it would cost more
+    return (to_hex(s.k1_star), to_hex(s.k2_star), to_hex(s.n1), to_hex(s.n2), to_hex(s.n3),
+            to_hex(s.n1p), to_hex(s.n2p), to_hex(s.next_ids))
+
+
 def _verdict_line(residue_id: bool, record: dict) -> str:
     """One verdict as a compact JSON line; a value that is None leaves its key out.
 
@@ -276,19 +286,22 @@ def _verdict_line(residue_id: bool, record: dict) -> str:
     that is a residue is written as a number, a word as hex.
     """
     verdict: AttackVerdict = record["verdict"]
-    line = '{"session":%d,"fired":%s' % (record["session"], _JSON_BOOLS[verdict.fired])
+    session, fired = record["session"], _JSON_BOOLS[verdict.fired]
     rid, state = verdict.recovered_id, verdict.recovered_state
-    if rid is not None:
-        line += (',"recovered_id":%d' % rid if residue_id
-                 else ',"recovered_id":"%s"' % to_hex(rid))
-    if state is not None:
-        line += ',"recovered_state":' + _RECOVERED_JSON % tuple(
-            map(to_hex, _RECOVERED_WORDS(state)))
-    for key, value in (("prediction_confirmed", record["prediction_confirmed"]),
-                       ("ground_truth_match", verdict.ground_truth_match)):
-        if value is not None:
-            line += ',"%s":%s' % (key, _JSON_BOOLS[value])
-    return line + "}\n"
+    confirmed, match = record["prediction_confirmed"], verdict.ground_truth_match
+    if rid is None or residue_id or state is None or confirmed is None or match is None:
+        line = _VERDICT_HEAD % (session, fired)
+        if rid is not None:
+            line += (',"recovered_id":%d' % rid if residue_id
+                     else _VERDICT_WORD_ID % to_hex(rid))
+        if state is not None:
+            line += _VERDICT_STATE % _recovered_hex(state)
+        for piece, value in zip(_VERDICT_BOOLS, (confirmed, match)):
+            if value is not None:
+                line += piece % _JSON_BOOLS[value]
+        return line + "}\n"
+    return _VERDICT_FULL % (session, fired, to_hex(rid), *_recovered_hex(state),
+                            _JSON_BOOLS[confirmed], _JSON_BOOLS[match])
 
 
 def _verdict_to_dict(kind: str, record: dict) -> dict:
@@ -359,7 +372,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                      dest="replay_mode",
                      help="replay the challenge to the tag (abc) or the response "
                           "to the reader (d)")
-    run.add_argument("--session-index", type=int, default=0, dest="session_index")
+    run.add_argument("--session-index", type=_ranged(int, 0), default=0, dest="session_index")
     run.add_argument("--output", help="append the transcript (JSONL) here")
 
     p = commands["campaign"] = sub.add_parser(

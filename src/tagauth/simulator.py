@@ -614,23 +614,37 @@ _TRANSCRIPT_LINE, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_FIELDS)
 _TRANSCRIPT_KEYS = [key for key, _ in _TRANSCRIPT_FIELDS]
 _GROUND_TRUTH_LINE, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
 
+# The line of a record with no null: every word's quotes and snapshot's
+# template written into the line's own, so that it renders in one %.
+_TRANSCRIPT_FULL = _TRANSCRIPT_LINE.replace("%d", "%%d") % (
+    "%s", "%s", *('"%s"',) * 4, "%s")
+_GROUND_TRUTH_FULL = _GROUND_TRUTH_LINE.replace("%d", "%%d") % (
+    "%s", *('"%s"',) * 7, *(_SNAPSHOT_JSON,) * 4)
+_SNAPSHOTS = attrgetter("tag_pre", "tag_post", "reader_pre", "reader_post")
+
 
 def _word(x: Word96 | None) -> str:
     return "null" if x is None else '"%s"' % to_hex(x)
 
 
+def _snapshot_hex(s: StateSnapshot) -> tuple[str, ...]:
+    return (to_hex(s.ids), to_hex(s.k1), to_hex(s.k2), to_hex(s.ids_old), to_hex(s.k1_old),
+            to_hex(s.k2_old))
+
+
 def _snapshot_json(s: StateSnapshot | None) -> str:
-    return "null" if s is None else _SNAPSHOT_JSON % (
-        to_hex(s.ids), to_hex(s.k1), to_hex(s.k2), to_hex(s.ids_old), to_hex(s.k1_old),
-        to_hex(s.k2_old))
+    return "null" if s is None else _SNAPSHOT_JSON % _snapshot_hex(s)
 
 
 def transcript_line(t: Transcript) -> str:
     """``json.dumps(transcript_to_dict(t), separators=(",", ":")) + "\\n"``."""
-    return _TRANSCRIPT_LINE % (
-        encode_basestring_ascii(t.variant), t.session_index, to_hex(t.announced_ids),
-        _word(t.a), _word(t.b), _word(t.c), _word(t.d),
-        encode_basestring_ascii(t.outcome.value), t.bit_cost)
+    a, b, c, d = t.a, t.b, t.c, t.d
+    if a is None or b is None or c is None or d is None:
+        line, a, b, c, d = _TRANSCRIPT_LINE, _word(a), _word(b), _word(c), _word(d)
+    else:
+        line, a, b, c, d = _TRANSCRIPT_FULL, to_hex(a), to_hex(b), to_hex(c), to_hex(d)
+    return line % (encode_basestring_ascii(t.variant), t.session_index, to_hex(t.announced_ids),
+                   a, b, c, d, encode_basestring_ascii(t.outcome.value), t.bit_cost)
 
 
 def transcript_to_dict(t: Transcript) -> dict:
@@ -670,12 +684,19 @@ def transcript_from_line(line: str) -> Transcript:
 
 def ground_truth_line(truth: GroundTruth) -> str:
     """``json.dumps(ground_truth_to_dict(truth), separators=(",", ":")) + "\\n"``."""
-    return _GROUND_TRUTH_LINE % (
-        truth.session_index, to_hex(truth.id),
-        _word(truth.n1), _word(truth.n2), _word(truth.n3), _word(truth.n1p),
-        _word(truth.n2p), _word(truth.k1_star), _word(truth.k2_star),
-        _snapshot_json(truth.tag_pre), _snapshot_json(truth.tag_post),
-        _snapshot_json(truth.reader_pre), _snapshot_json(truth.reader_post))
+    internals = _INTERNALS(truth)
+    snapshots = tag_pre, tag_post, reader_pre, reader_post = _SNAPSHOTS(truth)
+    # ``None in snapshots`` would call each snapshot's Python __eq__
+    if (None in internals or tag_pre is None or tag_post is None
+            or reader_pre is None or reader_post is None):
+        return _GROUND_TRUTH_LINE % (truth.session_index, to_hex(truth.id),
+                                     *map(_word, internals), *map(_snapshot_json, snapshots))
+    # explicit calls: a to_hex called through map or a comprehension costs more
+    return _GROUND_TRUTH_FULL % (
+        truth.session_index, to_hex(truth.id), to_hex(truth.n1), to_hex(truth.n2),
+        to_hex(truth.n3), to_hex(truth.n1p), to_hex(truth.n2p), to_hex(truth.k1_star),
+        to_hex(truth.k2_star), *_snapshot_hex(tag_pre), *_snapshot_hex(tag_post),
+        *_snapshot_hex(reader_pre), *_snapshot_hex(reader_post))
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:

@@ -4,13 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagauth
+from conftest import words
 from tagauth import cli, simulator
 from tagauth import store as store_module
+from tagauth.attacks import AttackVerdict, RecoveredSecrets
 from tagauth.cli import main
 
 
@@ -297,6 +303,31 @@ class TestAttack:
         capsys.readouterr()
         assert attack() == first
         assert cli._build_parser() is cli._build_parser()
+
+class TestVerdictLine:
+    @settings(max_examples=50)
+    @given(session=st.integers(0, 2**63), rid=words,
+           state=st.builds(RecoveredSecrets, *[words] * 8))
+    def test_every_shape_is_compact_json(self, session, rid, state):
+        # every key present or left out, and an ID as a residue or a word,
+        # so that both the one-template line and the line built key by key run
+        for fired, id_form, has_state, confirmed, match in product(
+                (False, True), (None, "residue", "word"), (False, True),
+                (None, False, True), (None, False, True)):
+            residue_id = id_form == "residue"
+            recovered_id = None if id_form is None else rid % 96 if residue_id else rid
+            verdict = AttackVerdict(fired, recovered_id, state if has_state else None, match)
+            record = {"session": session, "verdict": verdict, "prediction_confirmed": confirmed}
+            d = {"session": session, "fired": fired,
+                 "recovered_id": recovered_id if id_form != "word" else "%024x" % rid,
+                 "recovered_state": {key: "%024x" % value
+                                     for key, value in asdict(state).items()}
+                 if has_state else None,
+                 "prediction_confirmed": confirmed, "ground_truth_match": match}
+            expected = json.dumps({key: value for key, value in d.items() if value is not None},
+                                  separators=(",", ":")) + "\n"
+            assert cli._verdict_line(residue_id, record) == expected
+
 
 class TestBench:
     def test_cost_accounting_numbers(self, tmp_path, capsys):
@@ -1102,3 +1133,24 @@ class TestNumericOptionRanges:
             code, _ = run_cli(capsys, "--manifest", str(path))
             assert code == 2
             assert f"{path}: --seed: must be at least 0, not -1" in caplog.text
+
+    def test_negative_session_index_is_an_error(self, tmp_path, capsys, caplog):
+        # it would be written into the transcript as "session":-3
+        store, out = tmp_path / "db.json", tmp_path / "s.jsonl"
+        provision(capsys, store)
+        argv = ["session", "run", "--tag", "tag-000", "--seed", "1", "--store", str(store),
+                "--output", str(out), "--session-index"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-3"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        code, summary = run_cli(capsys, *argv, "0")
+        assert code == 0 and summary["transcript"]["session"] == 0
+        path = tmp_path / "s.manifest.json"
+        payload = json.loads(path.read_text())
+        payload["args"]["session_index"] = -1
+        path.write_text(json.dumps(payload))
+        caplog.clear()
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert f"{path}: --session-index: must be at least 0, not -1" in caplog.text

@@ -7,7 +7,7 @@ from itertools import zip_longest
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagauth import gossamer, simulator, word96
@@ -455,6 +455,17 @@ ground_truths = st.builds(
     GroundTruth, counts, words, snapshots, snapshots,
     st.none() | snapshots, st.none() | snapshots,
     *[optional_words] * 7)
+# no null: nine fields above may each be null, so a truth with none is rarely drawn
+full_ground_truths = st.builds(GroundTruth, counts, words, *[snapshots] * 4, *[words] * 7)
+
+# a record with no null and one with every null a writer allows, so that each
+# writer's one-template line and its line built field by field run every time
+SNAPSHOT = StateSnapshot(*range(1, 7))
+FULL_TRANSCRIPT = Transcript("gossamer", 3, MASK, 1, 2, 3, 4, Outcome.MUTUAL_SUCCESS, 520)
+NULL_TRANSCRIPT = Transcript("gossamer", 3, MASK, None, None, None, None,
+                             Outcome.LOOKUP_FAILED, 136)
+FULL_GROUND_TRUTH = GroundTruth(2**63, MASK, *[SNAPSHOT] * 4, *range(7))
+NULL_GROUND_TRUTH = GroundTruth(0, 0, SNAPSHOT, SNAPSHOT, None, None, *[None] * 7)
 
 
 def hex_or_null(word):
@@ -475,6 +486,8 @@ class TestLineWriters:
 
     @settings(max_examples=300)
     @given(t=transcripts())
+    @example(t=FULL_TRANSCRIPT)
+    @example(t=NULL_TRANSCRIPT)
     def test_transcript_line(self, t):
         d = {"variant": t.variant, "session": t.session_index,
              "ids": hex_or_null(t.announced_ids), "a": hex_or_null(t.a),
@@ -486,7 +499,9 @@ class TestLineWriters:
             assert transcript_from_dict(d) == t
 
     @settings(max_examples=300)
-    @given(truth=ground_truths)
+    @given(truth=ground_truths | full_ground_truths)
+    @example(truth=FULL_GROUND_TRUTH)
+    @example(truth=NULL_GROUND_TRUTH)
     def test_ground_truth_line(self, truth):
         d = {"session": truth.session_index, "id": hex_or_null(truth.id),
              "n1": hex_or_null(truth.n1), "n2": hex_or_null(truth.n2),

@@ -221,6 +221,17 @@ class TestHexForm:
     def test_round_trip(self, x):
         assert w.from_hex(w.to_hex(x)) == x
 
+    @given(x=lane_words)
+    @example(x=w.MASK)
+    def test_render_is_the_printf_form(self, x):
+        assert w.to_hex(x) == "%024x" % x
+
+    @pytest.mark.parametrize("bad", [1 << 96, -1, 1 << 200, -(1 << 96)])
+    def test_out_of_range_is_an_error(self, bad):
+        # "%024x" would give 25 digits for 2**96 and "-00000000000000000000001" for -1
+        with pytest.raises(OverflowError):
+            w.to_hex(bad)
+
     @pytest.mark.parametrize("bad", [
         "", "00", "3243F6A8885A308D313198A2",  # uppercase
         "3243f6a8885a308d313198a",             # 23 digits
