@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import (SessionValues, Variant, derive_keys, derive_update, id_from_d,
-                       mixbits_chains)
+from .gossamer import (SessionValues, Variant, derive_keys, id_from_d, mixbits_chains,
+                       next_ids)
 from .word96 import MASK, PI, Word96
+
+_ORIGINAL = Variant.ORIGINAL  # bound once: a read through the enum class costs more
 
 
 @dataclass(slots=True)
@@ -107,26 +109,30 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     tag's view with known keys: its nonce recovery unwinds A and B, and
     ``derive_keys`` replays K1*, K2* and C from public data.  A C that
     differs from the transmitted one refutes the hypothesis, and nothing
-    further is computed.  On confirmation the update predicts the next
-    pseudonym and ``id_from_d`` inverts D to the static ID.  A transcript
-    whose D never crossed the air still fires, with the recovered state
-    and ``recovered_id`` None: C has confirmed the hypothesis, and only D
-    carries the ID.
+    further is computed.  A fired trial then computes two more words:
+    ``next_ids``, the next pseudonym it predicts, and ``id_from_d``, D
+    inverted to the static ID.  It skips the rest of the update, K1+ and
+    K2+, which no verdict reports.  A transcript whose D never crossed the
+    air still fires, with the recovered state and ``recovered_id`` None: C
+    has confirmed the hypothesis, and only D carries the ID.
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
     evaluator passes each trial its entry of one call over all its trials.
     A call without it is a block of one.
     """
     n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
-    k1s, k2s, c = derive_keys(Variant.ORIGINAL, 0, 0, n1, n2, n3, n1p)
+    k1s, k2s, c = derive_keys(_ORIGINAL, 0, 0, n1, n2, n3, n1p)
     if c != transcript.c:
         return AttackVerdict(False)
     d = transcript.d
-    # under the hypothesis A and B are the transmitted ones; D is what crossed the air
-    vals = derive_update(Variant.ORIGINAL, transcript.announced_ids, SessionValues(
-        n1, n2, n3, n1p, None, k1s, k2s, transcript.a, transcript.b, c, d), n2p)
-    return AttackVerdict(True, None if d is None else id_from_d(Variant.ORIGINAL, vals, d),
-                         RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p, vals.ids_next))
+    recovered_id = None
+    if d is not None:
+        # under the hypothesis A and B are the transmitted ones; D is what crossed the air
+        recovered_id = id_from_d(_ORIGINAL, SessionValues(
+            n1, n2, n3, n1p, n2p, k1s, k2s, transcript.a, transcript.b, c, d), d)
+    return AttackVerdict(True, recovered_id, RecoveredSecrets(
+        k1s, k2s, n1, n2, n3, n1p, n2p,
+        next_ids(_ORIGINAL, transcript.announced_ids, n3, n1p, n2p, k1s, k2s)))
 
 
 @dataclass(frozen=True)

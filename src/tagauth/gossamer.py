@@ -54,6 +54,8 @@ rather than guessing).
 K1*, K2* and C read neither IDS nor ID; ``derive_keys`` is their one
 definition.  ``derive_auth`` builds a session's values through it, and the
 zero-key attack (``attacks.gossamer_attack2``) stops after it when C differs.
+IDS+ has its own, ``next_ids``: ``derive_update`` stages it with K1+ and
+K2+, and the zero-key attack computes it alone.
 
 The session record, the two-tuple tag state, its announce/retry step, the
 update timing and reader_finish are shared with SASI (``tagstate``).
@@ -69,6 +71,9 @@ from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, mixbits_modified,
 class Variant(Enum):
     ORIGINAL = "original"
     MODIFIED = "modified"
+
+
+_ORIGINAL = Variant.ORIGINAL  # bound once: a read through the enum class costs more
 
 
 def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
@@ -108,6 +113,13 @@ def id_from_d(variant: Variant, vals: SessionValues, d: Word96) -> Word96:
     return (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
 
 
+def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
+             k1s: Word96, k2s: Word96) -> Word96:
+    """IDS+, the next pseudonym: the one definition of its equation above."""
+    return rotl((rotl((n1p + k1s + ids + n2p) & MASK, n1p) + (k2s ^ n2p)) & MASK,
+                n3 if variant is _ORIGINAL else k1s) ^ n2p
+
+
 def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
                   n2p: Word96 | None = None) -> SessionValues:
     """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple.
@@ -118,8 +130,7 @@ def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
     n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1_star, vals.k2_star
     if n2p is None:
         n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
-    ids_next = rotl((rotl((n1p + k1s + ids + n2p) & MASK, n1p) + (k2s ^ n2p)) & MASK,
-                    n3 if original else k1s) ^ n2p
+    ids_next = next_ids(variant, ids, n3, n1p, n2p, k1s, k2s)
     k1_next = (rotl((rotl((n3 + k2s + PI + n2p) & MASK, n3) + k1s + n2p) & MASK,
                     vals.n2 if original else k1s) + n2p) & MASK
     k2_next = (rotl((rotl((ids_next + k2s + PI + k1_next) & MASK, ids_next)

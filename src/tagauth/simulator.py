@@ -25,9 +25,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from . import attacks, gossamer, sasi
@@ -497,7 +497,11 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     Python 3.11.7, 2-CPU host): a call per pair of a tag's sessions is cheap.
     Returns (records, summary); records carry the verdict per trial, and
     for the one-session disclosure also whether its next-pseudonym
-    prediction matched the following announcement (a public check).
+    prediction matched the following announcement (a public check).  A
+    trial is scored when its first session has ground truth:
+    ``match_rate`` is matched over scored trials, and
+    ``conditional_match_rate`` matched over the fired trials that were
+    scored; each is None when it would divide by 0.
     """
     attack = attacks.attack_kind(kind)
     run, one_session, near_miss, residue_id = (attack.run, attack.arity == 1,
@@ -508,7 +512,7 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         truth_by_session[t.session_index] = t
     records: list[dict] = []
     near_misses: dict[int, int] = {}
-    fired = matched = scored = confirmed = 0
+    fired = matched = scored = fired_scored = confirmed = 0
     for first, second, note in attack.trials(transcripts, consecutive_success):
         verdict = run(first, second, note)
         prediction_confirmed = None
@@ -525,6 +529,7 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         if verdict.fired:
             fired += 1
             if truth is not None:
+                fired_scored += 1
                 verdict.ground_truth_match = match = _matches(verdict, truth, residue_id)
                 matched += match
         records.append({"session": first.session_index, "verdict": verdict,
@@ -538,7 +543,7 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         "scored": scored,
         "matched": matched,
         "match_rate": matched / scored if scored else None,
-        "conditional_match_rate": matched / fired if fired and scored else None,
+        "conditional_match_rate": matched / fired_scored if fired_scored else None,
     }
     if near_miss:
         histogram = summary["near_miss_histogram"] = {}
@@ -623,6 +628,31 @@ _GROUND_TRUTH_FULL = _GROUND_TRUTH_LINE.replace("%d", "%%d") % (
 _SNAPSHOTS = attrgetter("tag_pre", "tag_post", "reader_pre", "reader_post")
 
 
+def _no_null(key: str, kind: Kind) -> Kind:
+    """The kind of ``key`` in a ground-truth line with no null.  A snapshot is
+    one group of its whole text; a reader snapshot whose text is the tag's, as
+    in every synchronized session, matches it by back-reference and leaves
+    its group None."""
+    if kind is _WORD_OR_NULL:
+        return WORD
+    if kind is not _SNAPSHOT_OR_NULL:
+        return kind
+    text = _snapshot_pattern.replace("(", "(?:")  # its words' groups dropped
+    if key.startswith("tag_"):
+        return kind._replace(pattern=f"(?P<{key}>{text})")
+    return kind._replace(pattern=f"(?:(?P={key.replace('reader_', 'tag_')})|({text}))")
+
+
+_GROUND_TRUTH_FULL_RE = _line_formats(
+    [(key, _no_null(key, kind)) for key, kind in _GROUND_TRUTH_FIELDS])[1]
+# The six words' texts of a snapshot's text, at the offsets _SNAPSHOT_JSON
+# gives them
+_DIGITS = WIDTH // 4
+_SNAPSHOT_WORDS = itemgetter(*[slice(end - _DIGITS, end) for end in accumulate(
+    len(piece) + _DIGITS for piece in _SNAPSHOT_JSON.split("%s")[:-1])])
+_BASE_16 = (16,) * 8  # int's base for each word that one map converts
+
+
 def _word(x: Word96 | None) -> str:
     return "null" if x is None else '"%s"' % to_hex(x)
 
@@ -676,10 +706,12 @@ def transcript_from_line(line: str) -> Transcript:
     match = _TRANSCRIPT_RE.fullmatch(line)
     if match is None:
         return transcript_from_dict(json_loads(line))
-    variant, session, *words, outcome, bits = match.groups()  # words: ids, a, b, c, d
-    return _transcript(variant, int(session),
-                       *[None if text is None else int(text, 16) for text in words],
-                       outcome, int(bits))
+    variant, session, ids, a, b, c, d, outcome, bits = match.groups()
+    if a is None or b is None or c is None or d is None:
+        words = [None if text is None else int(text, 16) for text in (a, b, c, d)]
+    else:
+        words = map(int, (a, b, c, d), _BASE_16)
+    return _transcript(variant, int(session), int(ids, 16), *words, outcome, int(bits))
 
 
 def ground_truth_line(truth: GroundTruth) -> str:
@@ -719,7 +751,26 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
 
 
 def ground_truth_from_line(line: str) -> GroundTruth:
-    """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it."""
+    """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it.
+
+    A line with no null takes ``_GROUND_TRUTH_FULL_RE``: each snapshot's words
+    are sliced from its text, and a reader snapshot that repeats the tag's
+    takes the tag's words, decoded once.  Any other line takes the regex
+    that allows nulls.
+    """
+    match = _GROUND_TRUTH_FULL_RE.fullmatch(line)
+    if match is not None:
+        session, id_, *internals, tag_pre, tag_post, reader_pre, reader_post = match.groups()
+        tag_pre = tuple(map(int, _SNAPSHOT_WORDS(tag_pre), _BASE_16))
+        tag_post = tuple(map(int, _SNAPSHOT_WORDS(tag_post), _BASE_16))
+        # a reader snapshot's group is None where it repeats the tag's
+        reader_pre = (tag_pre if reader_pre is None
+                      else map(int, _SNAPSHOT_WORDS(reader_pre), _BASE_16))
+        reader_post = (tag_post if reader_post is None
+                       else map(int, _SNAPSHOT_WORDS(reader_post), _BASE_16))
+        return GroundTruth(int(session), int(id_, 16), StateSnapshot(*tag_pre),
+                           StateSnapshot(*tag_post), StateSnapshot(*reader_pre),
+                           StateSnapshot(*reader_post), *map(int, internals, _BASE_16))
     match = _GROUND_TRUTH_RE.fullmatch(line)
     if match is None:
         return ground_truth_from_dict(json_loads(line))

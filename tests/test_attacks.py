@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +96,22 @@ class TestGossamerAttack2:
         records, _ = evaluate_attack("gossamer-2", result.transcripts, result.ground_truths)
         assert len(records) == len(pairs)
         assert all(record["verdict"].ground_truth_match for record in records)
+
+    def test_conditional_match_rate_counts_only_scored_fired_trials(self):
+        # ground truth for the first 5 of 20 sessions: the 14 fired trials
+        # with none were never checked, so they do not count against the rate
+        result = forced_campaign(Protocol.GOSSAMER, 20, 102, key_mode=KeyMode.EXACT_ZERO)
+        _, summary = evaluate_attack("gossamer-2", result.transcripts,
+                                     result.ground_truths[:5])
+        assert (summary["trials"], summary["fired"], summary["scored"],
+                summary["matched"]) == (19, 19, 5, 5)
+        assert summary["match_rate"] == summary["conditional_match_rate"] == 1.0
+        # scored trials but no fired one among them: no rate to give
+        _, summary = evaluate_attack("gossamer-2", result.transcripts[:1] + [
+            replace(t, c=t.c ^ 1) for t in result.transcripts[1:3]],
+            result.ground_truths[1:2])
+        assert (summary["trials"], summary["fired"], summary["scored"]) == (2, 1, 1)
+        assert summary["conditional_match_rate"] is None
 
     def test_unforced_traffic_does_not_fire(self):
         result = forced_campaign(Protocol.GOSSAMER, 60, 103)
@@ -378,6 +395,8 @@ def reference_evaluate(kind, transcripts, ground_truths=None):
                         "prediction_confirmed": prediction_confirmed})
     trials = len(records)
     fired = sum(1 for r in records if r["verdict"].fired)
+    # a fired trial is scored when its verdict was checked against ground truth
+    fired_scored = sum(1 for r in records if r["verdict"].ground_truth_match is not None)
     matched = sum(1 for r in records if r["verdict"].ground_truth_match)
     summary = {
         "attack": kind,
@@ -387,7 +406,7 @@ def reference_evaluate(kind, transcripts, ground_truths=None):
         "scored": scored,
         "matched": matched,
         "match_rate": matched / scored if scored else None,
-        "conditional_match_rate": matched / fired if fired and scored else None,
+        "conditional_match_rate": matched / fired_scored if fired_scored else None,
     }
     if kind == "sasi":
         summary["near_miss_histogram"] = {

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import zip_longest
 from unittest import mock
 
@@ -36,7 +36,7 @@ from tagauth.simulator import (
     transcript_line,
     transcript_to_dict,
 )
-from tagauth.store import Store
+from tagauth.store import TUPLE_WORDS, Store
 from tagauth.tagstate import TagState
 from tagauth.word96 import MASK
 
@@ -135,8 +135,8 @@ class TestDeterminism:
     def test_provision_deterministic(self):
         a = provision(3, Protocol.GOSSAMER, seed=6)
         b = provision(3, Protocol.GOSSAMER, seed=6)
-        assert [r.__dict__ for r in a[1].rows.values()] == \
-               [r.__dict__ for r in b[1].rows.values()]
+        assert [asdict(r) for r in a[1].rows.values()] == \
+               [asdict(r) for r in b[1].rows.values()]
 
 
 class TestDropDRecovery:
@@ -533,6 +533,28 @@ def any_transcripts(draw):
 any_ground_truths = st.builds(
     GroundTruth, signed_counts, words, *[st.none() | snapshots] * 4,
     *[optional_words] * 7)
+# no null, and a variant that JSON does not escape: lines that the readers'
+# no-null paths take, which the strategies above seldom draw
+full_transcripts = st.builds(
+    Transcript, st.sampled_from([p.value for p in Protocol]) | st.text("abcdefgmosu-"),
+    signed_counts, words, words, words, words, words, st.sampled_from(Outcome), signed_counts)
+
+
+@st.composite
+def synced_ground_truths(draw):
+    """Truths with no null whose reader snapshots may each repeat the tag's,
+    as they do in every synchronized session."""
+    truth = draw(full_ground_truths)
+    if draw(st.booleans()):
+        truth.reader_pre = replace(truth.tag_pre)
+    if draw(st.booleans()):
+        truth.reader_post = replace(truth.tag_post)
+    return truth
+
+
+# four snapshots with a letter in every word's text
+SNAPSHOTS = [StateSnapshot(*(0xfedcba9876543210fedcba98 - 16 * j - i for i in range(6)))
+             for j in range(4)]
 
 
 def read(parse, text):
@@ -556,7 +578,8 @@ class TestLineReaders:
     any line to the record, or the error, ``X_from_dict(json.loads(line))`` gives."""
 
     @settings(max_examples=300)
-    @given(t=any_transcripts())
+    @given(t=any_transcripts() | full_transcripts)
+    @example(t=FULL_TRANSCRIPT)
     def test_transcript_from_line(self, t):
         line = transcript_line(t)
         with spy_json_loads() as loads:
@@ -573,9 +596,19 @@ class TestLineReaders:
             assert got[0] is ValueError
 
     @settings(max_examples=300)
-    @given(truth=any_ground_truths)
+    @given(truth=any_ground_truths | synced_ground_truths())
+    # no null, in each of the four ways the reader's snapshots can repeat the tag's
+    @example(truth=GroundTruth(2**63, MASK, *SNAPSHOTS[:2], *SNAPSHOTS[:2], *range(7)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS[:3], SNAPSHOTS[1], *range(7)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS[:2], SNAPSHOTS[0], SNAPSHOTS[2], *range(7)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *range(7)))
     def test_ground_truth_from_line(self, truth):
         line = ground_truth_line(truth)
+        full = simulator._GROUND_TRUTH_FULL_RE.fullmatch(line)
+        if full is not None:
+            # a reader snapshot that repeats the tag's matched it by back-reference
+            assert [group is None for group in full.groups()[-2:]] == [
+                truth.reader_pre == truth.tag_pre, truth.reader_post == truth.tag_post]
         with spy_json_loads() as loads:
             got = read(ground_truth_from_line, line)
         assert not loads.called
@@ -584,6 +617,33 @@ class TestLineReaders:
             assert got[0] is ValueError
         else:
             assert got == truth
+            # the reader's snapshots are records of their own, not the tag's
+            assert got.reader_pre is not got.tag_pre and got.reader_post is not got.tag_post
+
+    @pytest.mark.parametrize("key", ["reader_pre", "reader_post"])
+    @pytest.mark.parametrize("word", TUPLE_WORDS)
+    def test_reader_snapshot_one_digit_or_case_off_the_tags(self, key, word):
+        # a synchronized session's line, whose reader snapshots repeat the tag's
+        truth = GroundTruth(5, MASK, *SNAPSHOTS[:2], *SNAPSHOTS[:2], *range(7))
+        d = json.loads(ground_truth_line(truth))
+        text = d[key][word]
+        # one hex digit changed: a canonical line, read to the reader's own words
+        d[key][word] = text[:-1] + ("0" if text[-1] != "0" else "1")
+        line = compact(d)
+        with spy_json_loads() as loads:
+            got = read(ground_truth_from_line, line)
+        assert not loads.called
+        assert got == read(ground_truth_from_dict, json.loads(line))
+        assert got == replace(truth, **{key: replace(getattr(truth, key), **{
+            word: int(d[key][word], 16)})})
+        # only the letter case changed: not canonical, so json.loads and its error
+        d[key][word] = text.upper()
+        line = compact(d)
+        with spy_json_loads() as loads:
+            got = read(ground_truth_from_line, line)
+        assert loads.called
+        assert got == read(ground_truth_from_dict, json.loads(line)) == (
+            ValueError, f"{key}.{word}: not a canonical 96-bit hex word: {text.upper()!r}")
 
     @pytest.mark.parametrize("rewrite", [
         lambda d: json.dumps(d) + "\n",

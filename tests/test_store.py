@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -208,8 +209,8 @@ class TestPersistence:
         path = tmp_path / "db.json"
         store.save(path)
         loaded = Store.load(path)
-        assert [r.__dict__ for r in loaded.rows.values()] == \
-               [r.__dict__ for r in store.rows.values()]
+        assert [asdict(r) for r in loaded.rows.values()] == \
+               [asdict(r) for r in store.rows.values()]
 
     def test_save_twice_identical_bytes(self, tmp_path):
         _, store = provision(2, Protocol.SASI, seed=12)
@@ -368,11 +369,11 @@ class TestRecordFiles:
         store.save(store_path)
         save_tags(tags, tags_path)
         assert store_path.read_bytes() == (json.dumps({"format": STORE_FORMAT, "rows": [
-            entry(vars(store.rows[label])) for label in sorted(store.rows)]},
+            entry(asdict(store.rows[label])) for label in sorted(store.rows)]},
             indent=2) + "\n").encode()
         assert tags_path.read_bytes() == (json.dumps({"format": TAGS_FORMAT, "tags": [
             entry({"tag_label": label, "variant": tags[label].protocol.value,
-                   **vars(tags[label].state)}) for label in sorted(tags)]},
+                   **asdict(tags[label].state)}) for label in sorted(tags)]},
             indent=2) + "\n").encode()
         # with a record and no text to escape, the files are read without json.loads
         plain = bool(tags) and all(json.dumps(label) == f'"{label}"' for label in tags)
@@ -565,11 +566,11 @@ def test_fallback_errors(tmp_path, kind, faults, expected):
 class TestSessionCommitDiscipline:
     def test_exactly_one_row_changes_per_session(self):
         tags, store = provision(3, Protocol.GOSSAMER, seed=18)
-        before = {label: dict(r.__dict__) for label, r in store.rows.items()}
+        before = {label: asdict(r) for label, r in store.rows.items()}
         transcript, _ = run_session(tags["tag-001"], store, Forcing(), NonceStream(19), 0)
         assert transcript.outcome is Outcome.MUTUAL_SUCCESS
         changed = [label for label, r in store.rows.items()
-                   if dict(r.__dict__) != before[label]]
+                   if asdict(r) != before[label]]
         assert changed == ["tag-001"]
         # and its old tuple is the tuple the session started from
         assert store.rows["tag-001"].ids_old == before["tag-001"]["ids"]
