@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import (SessionValues, Variant, derive_keys, id_from_d, mixbits_chains,
-                       next_ids)
+from .gossamer import Variant, derive_keys, id_from_d, mixbits_chains, next_ids
 from .word96 import MASK, PI, Word96
 
 _ORIGINAL = Variant.ORIGINAL  # bound once: a read through the enum class costs more
@@ -50,13 +49,16 @@ class AttackVerdict:
     ground_truth_match: bool | None = None
 
 
-def sasi_residue_gap(transcript) -> int:
+def sasi_residue_gap(transcript) -> int | None:
     """Circular mod-96 distance between C and its A/B-derived estimate.
 
     With both hidden rotation amounts ≡ 0 mod 96 the estimate
     (A xor IDS) + (B - IDS) equals C exactly; the gap distribution over
-    unforced traffic shows how sharp that approximation is.
+    unforced traffic shows how sharp that approximation is.  None for a
+    transcript with no A||B||C.
     """
+    if transcript.c is None:
+        return None
     ids = transcript.announced_ids
     return ((transcript.c - (transcript.a ^ ids) - transcript.b + ids) & MASK) % 96
 
@@ -68,6 +70,7 @@ def sasi_attack(first, second, gap: int | None = None) -> AttackVerdict:
     of key rotation amounts collapsing); the pseudonym step then leaks
     ID mod 96.  The recovered value is a 96-residue, not the full word.
     ``gap``, when given, is ``sasi_residue_gap(first)`` already computed.
+    A first transcript with no A||B||C has no gap and does not fire.
     """
     if (sasi_residue_gap(first) if gap is None else gap) != 0:
         return AttackVerdict(False)
@@ -80,8 +83,11 @@ def gossamer_attack1(first, second) -> AttackVerdict:
     When both session nonces and the derived nonces vanish, C, D and the
     pseudonym step all reduce to sums of K1*, K2* and known constants, so
     C - PI = IDS_next - IDS flags the collapse and D - C + PI is the
-    static ID, cross-checked against D - IDS_next + IDS.
+    static ID, cross-checked against D - IDS_next + IDS.  Without a first D
+    (no A||B||C, or D dropped) it does not fire: only D carries the ID.
     """
+    if first.d is None:
+        return AttackVerdict(False)
     if (first.c - PI) & MASK != (second.announced_ids - first.announced_ids) & MASK:
         return AttackVerdict(False)
     id_from_messages = (first.d - first.c + PI) & MASK
@@ -111,80 +117,82 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     differs from the transmitted one refutes the hypothesis, and nothing
     further is computed.  A fired trial then computes two more words:
     ``next_ids``, the next pseudonym it predicts, and ``id_from_d``, D
-    inverted to the static ID.  It skips the rest of the update, K1+ and
-    K2+, which no verdict reports.  A transcript whose D never crossed the
-    air still fires, with the recovered state and ``recovered_id`` None: C
-    has confirmed the hypothesis, and only D carries the ID.
+    inverted to the static ID from the recovered state.  It skips the rest
+    of the update, K1+ and K2+, which no verdict reports.  A transcript
+    whose D never crossed the air still fires, with the recovered state and
+    ``recovered_id`` None: C has confirmed the hypothesis, and only D
+    carries the ID.  A transcript with no A||B||C does not fire.
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
     evaluator passes each trial its entry of one call over all its trials.
     A call without it is a block of one.
     """
+    if transcript.c is None:
+        return AttackVerdict(False)
     n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
     k1s, k2s, c = derive_keys(_ORIGINAL, 0, 0, n1, n2, n3, n1p)
     if c != transcript.c:
         return AttackVerdict(False)
+    state = RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p,
+                             next_ids(_ORIGINAL, transcript.announced_ids,
+                                      n3, n1p, n2p, k1s, k2s))
     d = transcript.d
-    recovered_id = None
-    if d is not None:
-        # under the hypothesis A and B are the transmitted ones; D is what crossed the air
-        recovered_id = id_from_d(_ORIGINAL, SessionValues(
-            n1, n2, n3, n1p, n2p, k1s, k2s, transcript.a, transcript.b, c, d), d)
-    return AttackVerdict(True, recovered_id, RecoveredSecrets(
-        k1s, k2s, n1, n2, n3, n1p, n2p,
-        next_ids(_ORIGINAL, transcript.announced_ids, n3, n1p, n2p, k1s, k2s)))
+    return AttackVerdict(True, None if d is None else id_from_d(_ORIGINAL, state, d), state)
 
 
 @dataclass(frozen=True)
 class Attack:
     """One attack kind as the evaluator runs it.
 
-    ``trials(transcripts, consecutive)`` turns a transcript stream into the
-    kind's trials ``(first, second, note)``, one for each adjacent pair that
-    ``consecutive(first, second)`` accepts, and ``run`` takes each trial
-    whole.  ``arity`` is how many transcripts of a pair the attack reads: a
-    one-transcript attack recovers the tag state, and its predicted next
-    IDS is checked against the pair's second transcript.  ``residue_id``
-    marks a recovered_id that is the ID mod 96 (an int 0..95), not a full
-    word.  ``near_miss`` marks notes that are the first transcript's
-    distance from firing, histogrammed over the trials.
+    ``trials(transcripts, consecutive)`` runs the kind on each adjacent pair
+    that ``consecutive(first, second)`` accepts and yields ``(first, verdict,
+    note, confirmed)``.  ``arity`` is how many transcripts of a pair the
+    attack reads: a one-transcript attack recovers the tag state, and
+    ``confirmed`` is whether its predicted next IDS is the pair's second
+    announcement (None for ``arity`` 2).  ``residue_id`` marks a
+    recovered_id that is the ID mod 96 (an int 0..95), not a full word.
+    ``near_miss`` marks notes that are the first transcript's distance from
+    firing, histogrammed over the trials.
     """
 
-    run: Callable[[object, object, object], AttackVerdict]
     arity: int
-    trials: Callable[[Iterable, Callable[[object, object], bool]], Iterable[tuple]]
+    trials: Callable[[Iterable, Callable[[object, object], bool]], Iterator[tuple]]
     residue_id: bool = False
     near_miss: bool = False
 
 
-def _noted_trials(note: Callable[[object], object]) -> Callable:
-    """The ``trials`` of a kind whose note is ``note(first)``: one lazy
-    generator from the transcripts to the trials."""
-    def trials(transcripts, consecutive) -> Iterator[tuple]:
-        for first, second in pairwise(transcripts):
-            if consecutive(first, second):
-                yield first, second, note(first)
-    return trials
+# Each kind's trials look its attack up in this module at call time, so a
+# wrapper set on the module attribute (perfbench/tracing.py's span of
+# gossamer_attack2) sees each call.
+
+def _sasi_trials(transcripts, consecutive) -> Iterator[tuple]:
+    for first, second in pairwise(transcripts):
+        if consecutive(first, second):
+            gap = sasi_residue_gap(first)
+            yield first, sasi_attack(first, second, gap), gap, None
 
 
-def _zero_key_trials(transcripts, consecutive) -> list[tuple]:
-    """Each pair with its first transcript's chain, from one ``zero_key_chains``
-    call over them all."""
+def _zero_nonce_trials(transcripts, consecutive) -> Iterator[tuple]:
+    for first, second in pairwise(transcripts):
+        if consecutive(first, second):
+            yield first, gossamer_attack1(first, second), None, None
+
+
+def _zero_key_trials(transcripts, consecutive) -> Iterator[tuple]:
+    """Each pair's first transcript attacked with its chain, from one
+    ``zero_key_chains`` call over them all."""
     pairs = [pair for pair in pairwise(transcripts) if consecutive(*pair)]
     chains = zero_key_chains([first for first, _ in pairs])
-    return [(first, second, chain) for (first, second), chain in zip(pairs, chains)]
+    for (first, second), chain in zip(pairs, chains):
+        verdict = gossamer_attack2(first, chain)
+        yield first, verdict, None, (verdict.fired and
+                                     verdict.recovered_state.next_ids == second.announced_ids)
 
 
-# gossamer-2 and its trials look gossamer_attack2 and zero_key_chains up in
-# this module at call time, so a wrapper set on the module attribute
-# (perfbench/tracing.py's span of gossamer_attack2) sees each call.
 ATTACKS = {
-    "sasi": Attack(sasi_attack, 2, _noted_trials(sasi_residue_gap),
-                   residue_id=True, near_miss=True),
-    "gossamer-1": Attack(lambda first, second, _: gossamer_attack1(first, second), 2,
-                         _noted_trials(lambda first: None)),
-    "gossamer-2": Attack(lambda first, _, chain: gossamer_attack2(first, chain), 1,
-                         _zero_key_trials),
+    "sasi": Attack(2, _sasi_trials, residue_id=True, near_miss=True),
+    "gossamer-1": Attack(2, _zero_nonce_trials),
+    "gossamer-2": Attack(1, _zero_key_trials),
 }
 
 

@@ -244,7 +244,6 @@ def cmd_campaign(opts: dict) -> int:
         raise UsageError(f"unknown tag {label!r} in {_tags_path(opts)}")
     tag = tags[label]
     config = CampaignConfig(
-        protocol=tag.protocol,
         sessions=opts["sessions"],
         seed=opts["seed"],
         nonce_mode=NonceMode(opts["forcing"]),
@@ -259,7 +258,7 @@ def cmd_campaign(opts: dict) -> int:
                 t_fh.write(transcript_line(transcript))
                 g_fh.write(ground_truth_line(truth))
                 yield transcript
-        summary = campaign_summary(config, streamed())
+        summary = campaign_summary(tag.protocol, config, streamed())
     _save_world(opts, store, tags)
     _write_manifest("campaign", opts, output)
     log.info("campaign wrote %d transcripts to %s", config.sessions, output)

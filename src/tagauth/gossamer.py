@@ -105,9 +105,10 @@ def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, a, b, c, d)
 
 
-def id_from_d(variant: Variant, vals: SessionValues, d: Word96) -> Word96:
+def id_from_d(variant: Variant, vals, d: Word96) -> Word96:
     """The ID that D carries, given the session's other values: D inverted,
-    with r_d = n3 (original) or K1* (modified)."""
+    with r_d = n3 (original) or K1* (modified).  Of ``vals`` (a SessionValues
+    or RecoveredSecrets) it reads only n2, n3, n1p, k1_star and k2_star."""
     step = rotr((d - vals.n1p) & MASK, vals.n3 if variant is Variant.ORIGINAL else vals.k1_star)
     step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
     return (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
@@ -120,16 +121,11 @@ def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96
                 n3 if variant is _ORIGINAL else k1s) ^ n2p
 
 
-def derive_update(variant: Variant, ids: Word96, vals: SessionValues,
-                  n2p: Word96 | None = None) -> SessionValues:
-    """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple.
-
-    ``n2p``, when given, is MixBits(n1', n3) already computed by the caller.
-    """
+def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
+    """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple."""
     original = variant is Variant.ORIGINAL
     n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1_star, vals.k2_star
-    if n2p is None:
-        n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
+    n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
     ids_next = next_ids(variant, ids, n3, n1p, n2p, k1s, k2s)
     k1_next = (rotl((rotl((n3 + k2s + PI + n2p) & MASK, n3) + k1s + n2p) & MASK,
                     vals.n2 if original else k1s) + n2p) & MASK

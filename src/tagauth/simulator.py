@@ -353,7 +353,8 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
 
 @dataclass
 class CampaignConfig:
-    protocol: Protocol
+    """A campaign's settings; it runs the protocol of the tag it is given."""
+
     sessions: int
     seed: int
     nonce_mode: NonceMode = NonceMode.RANDOM
@@ -408,11 +409,8 @@ def iter_campaign(tag: SimTag, store: Store,
     (``_chain_table``), and each session runs with the block's table
     installed in ``word96`` and cleared after it, so none is installed
     while the generator waits.  Reader and tag still call MixBits on their
-    own inputs: the table only answers them, exactly.  A config for
-    another protocol than the tag's is a ValueError.
+    own inputs: the table only answers them, exactly.
     """
-    if config.protocol is not tag.protocol:
-        raise ValueError(f"a {config.protocol.value} config for a {tag.protocol.value} tag")
     rng = NonceStream(config.seed)
     forcing = Forcing(nonce_mode=config.nonce_mode, key_mode=config.key_mode)
     table = {}
@@ -433,18 +431,19 @@ def run_campaign(tag: SimTag, store: Store, config: CampaignConfig) -> CampaignR
     for transcript, truth in iter_campaign(tag, store, config):
         transcripts.append(transcript)
         truths.append(truth)
-    return CampaignResult(transcripts, truths, campaign_summary(config, transcripts))
+    return CampaignResult(transcripts, truths,
+                          campaign_summary(tag.protocol, config, transcripts))
 
 
-def campaign_summary(config: CampaignConfig, transcripts) -> dict:
-    """Config, outcome counts and total bits; ``transcripts`` is read once."""
+def campaign_summary(protocol: Protocol, config: CampaignConfig, transcripts) -> dict:
+    """Protocol, config, outcome counts and total bits; ``transcripts`` is read once."""
     outcomes: Counter = Counter()
     bits_total = 0
     for transcript in transcripts:
         outcomes[transcript.outcome.value] += 1
         bits_total += transcript.bit_cost
     return {
-        "protocol": config.protocol.value,
+        "protocol": protocol.value,
         "sessions": config.sessions,
         "seed": config.seed,
         "forcing": {"nonces": config.nonce_mode.value, "keys": config.key_mode.value},
@@ -491,10 +490,11 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     ``transcripts`` and ``ground_truths`` may be any iterables (a list, an
     iterator, a generator); each is read once, and the trials run in one
     pass over the transcripts.  Each trial is one consecutive
-    mutually-successful pair with its attack kind's note, and every kind
-    runs each of its trials the same way.  A call costs about 1.4 µs beyond
-    its trials, and one on a single SASI pair about 3.2 µs (best passes,
-    Python 3.11.7, 2-CPU host): a call per pair of a tag's sessions is cheap.
+    mutually-successful pair, which the attack kind's ``trials`` runs and
+    yields with its note, and every kind's trials are scored the same way.
+    A call costs about 1.4 µs beyond its trials, and one on a single SASI
+    pair about 3.2 µs (best passes, Python 3.11.7, 2-CPU host): a call per
+    pair of a tag's sessions is cheap.
     Returns (records, summary); records carry the verdict per trial, and
     for the one-session disclosure also whether its next-pseudonym
     prediction matched the following announcement (a public check).  A
@@ -504,8 +504,7 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     scored; each is None when it would divide by 0.
     """
     attack = attacks.attack_kind(kind)
-    run, one_session, near_miss, residue_id = (attack.run, attack.arity == 1,
-                                               attack.near_miss, attack.residue_id)
+    near_miss, residue_id = attack.near_miss, attack.residue_id
     # plain loops, not comprehensions: a comprehension is a frame per call
     truth_by_session = {}
     for t in ground_truths or ():
@@ -513,14 +512,10 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     records: list[dict] = []
     near_misses: dict[int, int] = {}
     fired = matched = scored = fired_scored = confirmed = 0
-    for first, second, note in attack.trials(transcripts, consecutive_success):
-        verdict = run(first, second, note)
-        prediction_confirmed = None
-        if one_session:
-            prediction_confirmed = bool(
-                verdict.fired
-                and verdict.recovered_state.next_ids == second.announced_ids)
-            confirmed += prediction_confirmed
+    for first, verdict, note, prediction_confirmed in attack.trials(transcripts,
+                                                                    consecutive_success):
+        if prediction_confirmed:
+            confirmed += 1
         if near_miss:
             near_misses[note] = near_misses.get(note, 0) + 1
         truth = truth_by_session.get(first.session_index)
@@ -550,7 +545,7 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
         # a call on one pair has at most one gap, and one gap needs no sort
         for gap in sorted(near_misses) if len(near_misses) > 1 else near_misses:
             histogram[str(gap)] = near_misses[gap]
-    if one_session:
+    if attack.arity == 1:
         summary["prediction_confirmed"] = confirmed
     return records, summary
 

@@ -52,7 +52,7 @@ def one_tag_world(protocol: Protocol, seed: int):
 def forced_campaign(protocol, sessions, seed, nonce_mode=NonceMode.RANDOM,
                     key_mode=KeyMode.AS_STORED):
     tag, store = one_tag_world(protocol, seed)
-    config = CampaignConfig(protocol, sessions, seed + 1,
+    config = CampaignConfig(sessions, seed + 1,
                             nonce_mode=nonce_mode, key_mode=key_mode)
     return run_campaign(tag, store, config)
 
@@ -72,7 +72,7 @@ def test_criterion_01_round_trip_all_variants():
     elapsed = 0.0
     for protocol in ALL_PROTOCOLS:
         tag, store = one_tag_world(protocol, seed=1001)
-        config = CampaignConfig(protocol, sessions, seed=11)
+        config = CampaignConfig(sessions, seed=11)
         start = time.monotonic()
         for transcript, truth in iter_campaign(tag, store, config):
             assert transcript.outcome is Outcome.MUTUAL_SUCCESS, transcript
@@ -88,7 +88,7 @@ def test_criterion_02_desync_recovery_under_20pct_drops():
     sessions = 1000
     for protocol in ALL_PROTOCOLS:
         tag, store = one_tag_world(protocol, seed=1002)
-        config = CampaignConfig(protocol, sessions, seed=22, drop_d_rate=0.2)
+        config = CampaignConfig(sessions, seed=22, drop_d_rate=0.2)
         result = run_campaign(tag, store, config)
         transcripts = result.transcripts
         outcomes = result.summary["outcomes"]
@@ -264,7 +264,7 @@ def test_criterion_08_sasi_attack():
     # unforced firing rate over 10^5 sessions, reported
     sessions = 100_000
     tag, store = one_tag_world(Protocol.SASI, seed=1012)
-    config = CampaignConfig(Protocol.SASI, sessions, seed=55)
+    config = CampaignConfig(sessions, seed=55)
     fired = 0
     fired_and_correct = 0
     pairs_seen = 0

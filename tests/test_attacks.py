@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import words
 from tagauth import attacks, gossamer
 from tagauth.gossamer import Variant, derive_update, recover_nonces
 from tagauth.simulator import (
@@ -25,13 +26,14 @@ from tagauth.simulator import (
     run_campaign,
     run_session,
 )
+from tagauth.store import Store
 from tagauth.word96 import MASK, PI, add, rotr, sub
 
 
 def forced_campaign(protocol, sessions, seed, nonce_mode=NonceMode.RANDOM,
                     key_mode=KeyMode.AS_STORED):
     tags, store = provision(1, protocol, seed=seed)
-    config = CampaignConfig(protocol, sessions, seed + 1,
+    config = CampaignConfig(sessions, seed + 1,
                             nonce_mode=nonce_mode, key_mode=key_mode)
     return run_campaign(tags["tag-000"], store, config)
 
@@ -123,7 +125,7 @@ class TestGossamerAttack2:
         # only D carries the ID
         tags, store = provision(1, Protocol.GOSSAMER, seed=3)
         result = run_campaign(tags["tag-000"], store, CampaignConfig(
-            Protocol.GOSSAMER, 40, 3, key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
+            40, 3, key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
         dropped = [(t, g) for t, g in zip(result.transcripts, result.ground_truths)
                    if t.d is None]
         assert len(dropped) == 10
@@ -134,6 +136,30 @@ class TestGossamerAttack2:
             assert (rs.n1, rs.n2, rs.n3, rs.n1p, rs.n2p) == (g.n1, g.n2, g.n3, g.n1p, g.n2p)
             assert (rs.k1_star, rs.k2_star) == (g.k1_star, g.k2_star)
             assert rs.next_ids == g.tag_post.ids
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words, d=words)
+@settings(max_examples=60, deadline=None)
+def test_id_from_d_reads_recovered_secrets_as_the_session_values(variant, id_, ids, k1, k2,
+                                                                  n1, n2, d):
+    vals = derive_update(variant, ids, gossamer.derive_auth(variant, ids, k1, k2, id_, n1, n2))
+    state = attacks.RecoveredSecrets(vals.k1_star, vals.k2_star, vals.n1, vals.n2, vals.n3,
+                                     vals.n1p, vals.n2p, vals.ids_next)
+    for sent in (vals.d, d):
+        assert gossamer.id_from_d(variant, state, sent) == gossamer.id_from_d(variant, vals, sent)
+
+
+def test_a_transcript_with_no_challenge_fires_nothing():
+    # an empty store fails the lookup, so no A||B||C (and no D) crosses the air
+    tags, _ = provision(1, Protocol.GOSSAMER, seed=1)
+    transcript, _ = run_session(tags["tag-000"], Store(), Forcing(), NonceStream(1), 0)
+    assert transcript.outcome is Outcome.LOOKUP_FAILED and transcript.c is None
+    assert attacks.sasi_residue_gap(transcript) is None
+    quiet = attacks.AttackVerdict(False)
+    assert attacks.sasi_attack(transcript, transcript) == quiet
+    assert attacks.gossamer_attack1(transcript, transcript) == quiet
+    assert attacks.gossamer_attack2(transcript) == quiet
 
 
 def reference_attack2(transcript):
@@ -168,7 +194,7 @@ def reference_attack2(transcript):
 def test_attack2_agrees_with_the_scalar_reference_on_both_variants(protocol, key_mode, seed):
     tags, store = provision(1, protocol, seed=seed)
     result = run_campaign(tags["tag-000"], store, CampaignConfig(
-        protocol, 60, seed, key_mode=key_mode, drop_d_rate=0.3))
+        60, seed, key_mode=key_mode, drop_d_rate=0.3))
     transcripts = [t for t in result.transcripts if t.c is not None]
     expected = [reference_attack2(t) for t in transcripts]
     alone = [attacks.gossamer_attack2(t) for t in transcripts]
@@ -444,7 +470,7 @@ class TestEvaluateAgainstReference:
             self, protocol, nonce_mode, key_mode, drop_d_rate, seed, kind, captured, truths):
         tags, store = provision(1, protocol, seed=seed)
         result = run_campaign(tags["tag-000"], store, CampaignConfig(
-            protocol, _SESSIONS, seed + 1, nonce_mode=nonce_mode, key_mode=key_mode,
+            _SESSIONS, seed + 1, nonce_mode=nonce_mode, key_mode=key_mode,
             drop_d_rate=drop_d_rate))
         transcripts = [t for t in result.transcripts
                        if captured is None or t.session_index in captured]

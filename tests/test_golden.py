@@ -62,7 +62,7 @@ def _protocol_lines(protocol: Protocol):
     """Campaigns under every forcing, all three attacks over each, two replays."""
     for seed, (name, forcing) in enumerate(FORCINGS.items(), 1):
         tags, store = provision(1, protocol, seed=seed)
-        config = CampaignConfig(protocol, SESSIONS, seed + 100, **forcing)
+        config = CampaignConfig(SESSIONS, seed + 100, **forcing)
         result = run_campaign(tags["tag-000"], store, config)
         yield _line({"campaign": name, "summary": result.summary})
         for transcript, truth in zip(result.transcripts, result.ground_truths):
@@ -79,7 +79,7 @@ def _protocol_lines(protocol: Protocol):
     # challenge replayed to the tag
     tags, store = provision(1, protocol, seed=50)
     tag = tags["tag-000"]
-    result = run_campaign(tag, store, CampaignConfig(protocol, 3, 51))
+    result = run_campaign(tag, store, CampaignConfig(3, 51))
     captured = result.transcripts[-1]
     for index, forcing in enumerate((Forcing(replay_d=captured),
                                      Forcing(replay_abc=captured)), 3):
@@ -160,7 +160,7 @@ def test_block_crossing_campaign_is_unchanged(tmp_path):
     boundaries, under zero-mod-96 keys with 20% of D dropped: summary,
     transcripts, ground truth, then the final store and tag files."""
     tags, store = provision(1, Protocol.GOSSAMER, seed=71)
-    config = CampaignConfig(Protocol.GOSSAMER, 700, 72, key_mode=KeyMode.ZERO_MOD_96,
+    config = CampaignConfig(700, 72, key_mode=KeyMode.ZERO_MOD_96,
                             drop_d_rate=0.2)
     result = run_campaign(tags["tag-000"], store, config)
     lines = [_line({"summary": result.summary})]

@@ -128,7 +128,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             tag, store = one_tag_world(protocol, seed=7)
-            result = run_campaign(tag, store, CampaignConfig(protocol, 30, seed=5))
+            result = run_campaign(tag, store, CampaignConfig(30, seed=5))
             runs.append([transcript_to_dict(t) for t in result.transcripts])
         assert runs[0] == runs[1]
 
@@ -259,7 +259,7 @@ class TestForcing:
 class TestCampaign:
     def test_summary_counts_outcomes(self):
         tag, store = one_tag_world(Protocol.SASI)
-        result = run_campaign(tag, store, CampaignConfig(Protocol.SASI, 100, seed=30,
+        result = run_campaign(tag, store, CampaignConfig(100, seed=30,
                                                          drop_d_rate=0.3))
         assert sum(result.summary["outcomes"].values()) == 100
         assert result.summary["outcomes"].get("d_dropped", 0) > 0
@@ -268,21 +268,10 @@ class TestCampaign:
     def test_iter_campaign_is_lazy_and_equivalent(self):
         tag, store = one_tag_world(Protocol.SASI, seed=8)
         collected = [transcript_to_dict(t) for t, _ in
-                     iter_campaign(tag, store, CampaignConfig(Protocol.SASI, 20, seed=9))]
+                     iter_campaign(tag, store, CampaignConfig(20, seed=9))]
         tag2, store2 = one_tag_world(Protocol.SASI, seed=8)
-        result = run_campaign(tag2, store2, CampaignConfig(Protocol.SASI, 20, seed=9))
+        result = run_campaign(tag2, store2, CampaignConfig(20, seed=9))
         assert collected == [transcript_to_dict(t) for t in result.transcripts]
-
-    def test_config_for_another_protocol_is_refused_before_any_session(self):
-        # such a campaign would name the config's protocol in its summary and
-        # the tag's in its transcripts
-        tag, store = one_tag_world(Protocol.GOSSAMER, seed=2)
-        state = replace(tag.state)
-        with pytest.raises(ValueError, match="a sasi config for a gossamer tag"):
-            run_campaign(tag, store, CampaignConfig(Protocol.SASI, 3, seed=2))
-        with pytest.raises(ValueError):
-            next(iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER_MOD, 3, seed=2)))
-        assert tag.state == state
 
 
 # campaign lengths on each side of one and two CHAIN_BLOCK boundaries
@@ -324,7 +313,7 @@ class TestChainTable:
     def test_same_bytes_and_every_call_hit(self, tmp_path, monkeypatch, nonce_mode,
                                            key_mode, drop):
         for sessions in CHAIN_LENGTHS:
-            config = CampaignConfig(Protocol.GOSSAMER, sessions, seed=sessions + 40,
+            config = CampaignConfig(sessions, seed=sessions + 40,
                                     nonce_mode=nonce_mode, key_mode=key_mode,
                                     drop_d_rate=drop)
             with monkeypatch.context() as patch:
@@ -338,8 +327,8 @@ class TestChainTable:
                 assert campaign_bytes(tmp_path, config) == tabled, sessions
 
     def test_interleaved_campaigns_match_sequential_ones(self, monkeypatch):
-        configs = [CampaignConfig(Protocol.GOSSAMER, 300, seed=50, drop_d_rate=0.2),
-                   CampaignConfig(Protocol.GOSSAMER, 270, seed=51,
+        configs = [CampaignConfig(300, seed=50, drop_d_rate=0.2),
+                   CampaignConfig(270, seed=51,
                                   key_mode=KeyMode.ZERO_MOD_96)]
         seeds = (52, 53)
         sequential = []
@@ -363,7 +352,7 @@ class TestChainTable:
 
     def test_a_tag_that_peels_other_nonces_misses_the_table(self, monkeypatch):
         tag, store = one_tag_world(Protocol.GOSSAMER)
-        config = CampaignConfig(Protocol.GOSSAMER, 2, seed=6)
+        config = CampaignConfig(2, seed=6)
         transcript, truth = next(iter_campaign(tag, store, config))
         pre = truth.tag_pre
         hits = count_mixbits(monkeypatch)
@@ -387,7 +376,7 @@ class TestChainTable:
     def test_closing_a_campaign_clears_the_table(self):
         # each session's table is cleared before the session is yielded
         tag, store = one_tag_world(Protocol.GOSSAMER)
-        run = iter_campaign(tag, store, CampaignConfig(Protocol.GOSSAMER, 10, seed=5))
+        run = iter_campaign(tag, store, CampaignConfig(10, seed=5))
         for _ in range(3):
             next(run)
             assert word96._table == {}
@@ -658,7 +647,7 @@ class TestLineReaders:
     def test_non_canonical_lines_take_json_loads(self, rewrite):
         tag, store = one_tag_world(Protocol.GOSSAMER, seed=9)
         result = run_campaign(tag, store, CampaignConfig(
-            Protocol.GOSSAMER, 8, seed=3, key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
+            8, seed=3, key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
         # a failed lookup (an empty store) nulls a, b, c, d and both reader snapshots
         failed = run_session(tag, Store(), Forcing(), NonceStream(1), 8)
         assert failed[0].outcome is Outcome.LOOKUP_FAILED

@@ -50,7 +50,7 @@ def test_tracer_sees_every_layer(tracing, protocol):
     tracer.install()
     try:
         run_campaign(tags["tag-000"], store,
-                     CampaignConfig(protocol, 5, seed=4, drop_d_rate=0.3))
+                     CampaignConfig(5, seed=4, drop_d_rate=0.3))
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
@@ -66,7 +66,7 @@ def test_tracer_sees_every_layer(tracing, protocol):
 def test_tracer_sees_the_attack_registry(tracing):
     tags, store = provision(1, Protocol.GOSSAMER, seed=3)
     result = run_campaign(tags["tag-000"], store,
-                          CampaignConfig(Protocol.GOSSAMER, 4, seed=4,
+                          CampaignConfig(4, seed=4,
                                          key_mode=KeyMode.EXACT_ZERO))
     tracer = tracing.Tracer()
     tracer.install()
@@ -91,7 +91,7 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
     # one hex span per word converted, through every writer and reader of records
     tags, store = provision(2, Protocol.GOSSAMER, seed=3)
     result = run_campaign(tags["tag-000"], store,
-                          CampaignConfig(Protocol.GOSSAMER, 6, seed=4,
+                          CampaignConfig(6, seed=4,
                                          key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.3))
     records, _ = evaluate_attack("gossamer-2", result.transcripts)
     assert any(r["verdict"].fired for r in records)
@@ -149,7 +149,7 @@ def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, can
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        run_campaign(tags["tag-000"], store, CampaignConfig(protocol, 20, seed=4))
+        run_campaign(tags["tag-000"], store, CampaignConfig(20, seed=4))
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
@@ -169,7 +169,7 @@ def test_traced_work_counts_of_a_sasi_campaign(tracing):
     tracer.install()
     try:
         result = run_campaign(tags["tag-000"], store,
-                              CampaignConfig(Protocol.SASI, 20, seed=4, drop_d_rate=0.3))
+                              CampaignConfig(20, seed=4, drop_d_rate=0.3))
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
