@@ -52,8 +52,11 @@ one survivor reproduces the received C (rejecting on none or several
 rather than guessing).
 
 K1*, K2* and C read neither IDS nor ID; ``derive_keys`` is their one
-definition.  ``derive_auth`` builds a session's values through it, and the
-zero-key attack (``attacks.gossamer_attack2``) stops after it when C differs.
+definition.  ``derive_auth`` builds a session's values through it, all but
+A and B, and the zero-key attack (``attacks.gossamer_attack2``) stops after
+it when C differs.  A and B have one computing site, ``reader_begin``; the
+tag's peel gives its accepted nonces the A and B it received, which are
+what rebuilding them would give.
 IDS+ has its own, ``next_ids``: ``derive_update`` stages it with K1+ and
 K2+, and the zero-key attack computes it alone.
 
@@ -80,7 +83,7 @@ def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96
                 n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
     """(K1*, K2*, C), the session keys and the message that confirms them:
     the one definition of their equations above."""
-    original = variant is Variant.ORIGINAL
+    original = variant is _ORIGINAL
     k1s = rotl((rotl((n2 + k1 + PI + n3) & MASK, n2) + (k2 ^ n3)) & MASK,
                n1 if original else k1) ^ n3
     k2s = (rotl((rotl((n1 + k2 + PI + n3) & MASK, n1) + k1 + n3) & MASK,
@@ -90,26 +93,27 @@ def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96
     return k1s, k2s, c
 
 
-def derive_auth(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
-                id_: Word96, n1: Word96, n2: Word96) -> SessionValues:
-    """Evaluate the session equations through D (no update values yet)."""
-    original = variant is Variant.ORIGINAL
+def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
+                n1: Word96, n2: Word96) -> SessionValues:
+    """Evaluate the session equations through D (no update values yet), all
+    but A and B, which stay None: ``reader_begin`` builds them, and the tag
+    received them.  Of the equations through D only A and B read IDS, so
+    this takes none."""
+    original = variant is _ORIGINAL
     mix = mixbits_original if original else mixbits_modified
     n3 = mix(n1, n2)
     n1p = mix(n3, n2)
     k1s, k2s, c = derive_keys(variant, k1, k2, n1, n2, n3, n1p)
-    a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK, k1 if original else n2)
-    b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK, k2 if original else n1)
     d = (rotl((rotl((n2 + k2s + id_ + n1p) & MASK, n2) + k1s + n1p) & MASK,
               n3 if original else k1s) + n1p) & MASK
-    return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, a, b, c, d)
+    return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, None, None, c, d)
 
 
 def id_from_d(variant: Variant, vals, d: Word96) -> Word96:
     """The ID that D carries, given the session's other values: D inverted,
     with r_d = n3 (original) or K1* (modified).  Of ``vals`` (a SessionValues
     or RecoveredSecrets) it reads only n2, n3, n1p, k1_star and k2_star."""
-    step = rotr((d - vals.n1p) & MASK, vals.n3 if variant is Variant.ORIGINAL else vals.k1_star)
+    step = rotr((d - vals.n1p) & MASK, vals.n3 if variant is _ORIGINAL else vals.k1_star)
     step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
     return (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
 
@@ -123,7 +127,7 @@ def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96
 
 def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
     """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple."""
-    original = variant is Variant.ORIGINAL
+    original = variant is _ORIGINAL
     n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1_star, vals.k2_star
     n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
     ids_next = next_ids(variant, ids, n3, n1p, n2p, k1s, k2s)
@@ -163,9 +167,15 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                  n1: Word96, n2: Word96,
                  variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
     """Build A||B||C for the matched record and stage the update; returns
-    (a, b, c, pending), pending holding every value of the session."""
-    vals = derive_update(variant, ids, derive_auth(variant, ids, k1, k2, id_, n1, n2))
-    return vals.a, vals.b, vals.c, vals
+    (a, b, c, pending), pending holding every value of the session.  A and B
+    are computed here and nowhere else (``derive_auth`` leaves them None)."""
+    original = variant is _ORIGINAL
+    vals = derive_update(variant, ids, derive_auth(variant, k1, k2, id_, n1, n2))
+    a = vals.a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK,
+                      k1 if original else n2)
+    b = vals.b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK,
+                      k2 if original else n1)
+    return a, b, vals.c, vals
 
 
 def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
@@ -179,10 +189,14 @@ def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     mod 96 and the doubled words A*2^96 + A and B*2^96 + B (whose shift
     right by s < 96, masked, is rotr by s) are taken once, and a candidate
     costs shifts, subtractions and masks with no calls.  Only survivors
-    rebuild C via derive_auth.  Returns the unique survivor that
+    rebuild C via derive_auth, which leaves A and B None.  They need no
+    rebuilding: the peel inverted the received A and B by the amounts a
+    survivor's own A and B rotate by (K1 and K2; for the modified tag
+    n2 = r mod 96, and n1), so they would come back as received, and the
+    accepted survivor takes them.  Returns the unique survivor that
     reproduces C, or None when zero or several do.
     """
-    original = variant is Variant.ORIGINAL
+    original = variant is _ORIGINAL
     c1 = ids + k1 + PI
     c2 = ids + k2 + PI
     aa = a << WIDTH | a
@@ -197,11 +211,13 @@ def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
         n2 = (((step << WIDTH | step) >> rk1) - c2) & MASK
         if not original and n2 % WIDTH != r:
             continue
-        vals = derive_auth(variant, ids, k1, k2, id_, n1, n2)
+        vals = derive_auth(variant, k1, k2, id_, n1, n2)
         if vals.c == c:
             if match is not None:
                 return None
             match = vals
+    if match is not None:
+        match.a, match.b = a, b
     return match
 
 

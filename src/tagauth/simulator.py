@@ -237,6 +237,8 @@ _SUCCESS, _READER_REJECTED, _TAG_REJECTED, _D_DROPPED, _LOOKUP_FAILED = (
     Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED, Outcome.TAG_REJECTED,
     Outcome.D_DROPPED, Outcome.LOOKUP_FAILED)
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
+# each outcome's JSON text, for the transcript writer: .value costs more
+_OUTCOME_JSON = {outcome: encode_basestring_ascii(outcome.value) for outcome in Outcome}
 
 
 def _snapshot(holder) -> StateSnapshot | None:
@@ -440,7 +442,7 @@ def campaign_summary(protocol: Protocol, config: CampaignConfig, transcripts) ->
     outcomes: Counter = Counter()
     bits_total = 0
     for transcript in transcripts:
-        outcomes[transcript.outcome.value] += 1
+        outcomes[transcript.outcome] += 1  # counted by member, named once below
         bits_total += transcript.bit_cost
     return {
         "protocol": protocol.value,
@@ -448,7 +450,7 @@ def campaign_summary(protocol: Protocol, config: CampaignConfig, transcripts) ->
         "seed": config.seed,
         "forcing": {"nonces": config.nonce_mode.value, "keys": config.key_mode.value},
         "drop_d_rate": config.drop_d_rate,
-        "outcomes": dict(sorted(outcomes.items())),
+        "outcomes": dict(sorted((outcome.value, n) for outcome, n in outcomes.items())),
         "bits_total": bits_total,
     }
 
@@ -669,7 +671,7 @@ def transcript_line(t: Transcript) -> str:
     else:
         line, a, b, c, d = _TRANSCRIPT_FULL, to_hex(a), to_hex(b), to_hex(c), to_hex(d)
     return line % (encode_basestring_ascii(t.variant), t.session_index, to_hex(t.announced_ids),
-                   a, b, c, d, encode_basestring_ascii(t.outcome.value), t.bit_cost)
+                   a, b, c, d, _OUTCOME_JSON[t.outcome], t.bit_cost)
 
 
 def transcript_to_dict(t: Transcript) -> dict:

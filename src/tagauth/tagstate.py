@@ -49,7 +49,9 @@ class SessionValues:
     first seven fields are the internals ground truth records under the
     same names.  SASI has no n3, n1' or n2' (None), and its session keys
     K1'/K2' are both k1_star/k2_star and its staged keys.  Gossamer's n2p
-    and update fields stay None until derive_update runs.
+    and update fields stay None until derive_update runs, and its a/b until
+    the side that owns them fills them: the reader's reader_begin builds
+    them, the tag's recover_nonces copies in the ones it received.
     """
 
     n1: Word96
@@ -59,8 +61,8 @@ class SessionValues:
     n2p: Word96 | None
     k1_star: Word96
     k2_star: Word96
-    a: Word96
-    b: Word96
+    a: Word96 | None
+    b: Word96 | None
     c: Word96
     d: Word96
     ids_next: Word96 | None = None

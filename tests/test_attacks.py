@@ -143,7 +143,7 @@ class TestGossamerAttack2:
 @settings(max_examples=60, deadline=None)
 def test_id_from_d_reads_recovered_secrets_as_the_session_values(variant, id_, ids, k1, k2,
                                                                   n1, n2, d):
-    vals = derive_update(variant, ids, gossamer.derive_auth(variant, ids, k1, k2, id_, n1, n2))
+    vals = derive_update(variant, ids, gossamer.derive_auth(variant, k1, k2, id_, n1, n2))
     state = attacks.RecoveredSecrets(vals.k1_star, vals.k2_star, vals.n1, vals.n2, vals.n3,
                                      vals.n1p, vals.n2p, vals.ids_next)
     for sent in (vals.d, d):

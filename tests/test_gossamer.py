@@ -117,7 +117,7 @@ def test_all_zero_modified_diverges():
 @example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
 @settings(max_examples=60, deadline=None)
 def test_id_from_d_inverts_d(variant, id_, ids, k1, k2, n1, n2):
-    vals = gossamer.derive_auth(variant, ids, k1, k2, id_, n1, n2)
+    vals = gossamer.derive_auth(variant, k1, k2, id_, n1, n2)
     assert gossamer.id_from_d(variant, vals, vals.d) == id_
 
 
@@ -209,6 +209,8 @@ def reference_search(variant, ids, k1, k2, id_, a, b, c):
 
     Original: one peel with outer amounts K1 and K2.  Modified: the 96
     residues r of n2 as A's outer amount, n1 as B's, and n2 = r (mod 96).
+    Every residue survivor rebuilds the received A and B, which is why the
+    tag need not rebuild them.
     """
     mod, bits = oracles.MOD, oracles.BITS
     original = variant is Variant.ORIGINAL
@@ -222,14 +224,15 @@ def reference_search(variant, ids, k1, k2, id_, a, b, c):
         if not original and n2 % bits != r_a:
             continue
         ref = oracles.gossamer_session(variant.value, id_, ids, k1, k2, n1, n2)
+        assert (ref["a"], ref["b"]) == (a, b), (r_a, n1, n2)
         if ref["c"] == c:
-            found.append((n1, n2, ref["c"], ref["d"]))
+            found.append((n1, n2, ref["a"], ref["b"], ref["c"], ref["d"]))
     return found[0] if len(found) == 1 else None
 
 
 def search(variant, ids, k1, k2, id_, a, b, c):
     vals = gossamer.recover_nonces(variant, ids, k1, k2, id_, a, b, c)
-    return None if vals is None else (vals.n1, vals.n2, vals.c, vals.d)
+    return None if vals is None else (vals.n1, vals.n2, vals.a, vals.b, vals.c, vals.d)
 
 
 # zero or a multiple of 96: the hoisted rotation amount K mod 96 is 0
@@ -269,7 +272,8 @@ class TestSearchAgainstReference:
 
     def test_genuine_messages_are_found(self, variant):
         a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
-        assert search(variant, IDS, K1, K2, ID, a, b, c) == (N1, N2, pending.c, pending.d)
+        found = search(variant, IDS, K1, K2, ID, a, b, c)
+        assert found == (N1, N2, a, b, pending.c, pending.d)
 
 
 def test_several_survivors_reproducing_c_reject(monkeypatch):
