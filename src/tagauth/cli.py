@@ -13,6 +13,7 @@ Exit codes: 0 success; 1 protocol rejection in single-session mode;
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -211,15 +212,20 @@ def cmd_session(opts: dict) -> int:
             f"tag {label!r} was provisioned as {tag.protocol.value}, not {opts['variant']}")
     forcing = _forcing_from_session_opts(opts)
     rng = NonceStream(opts["seed"])
-    transcript, truth = run_session(tag, store, forcing, rng,
-                                    session_index=opts["session_index"])
-    _save_world(opts, store, tags)
     output = opts.get("output")
+    with contextlib.ExitStack() as stack:
+        if output:
+            # opened before the session runs, so that an output that cannot
+            # be written fails the run before it commits the session
+            t_fh, g_fh = (stack.enter_context(open(path, "a", encoding="utf-8"))
+                          for path in (output, _ground_truth_path(output)))
+        transcript, truth = run_session(tag, store, forcing, rng,
+                                        session_index=opts["session_index"])
+        _save_world(opts, store, tags)
+        if output:
+            t_fh.write(transcript_line(transcript))
+            g_fh.write(ground_truth_line(truth))
     if output:
-        with open(output, "a", encoding="utf-8") as fh:
-            fh.write(transcript_line(transcript))
-        with open(_ground_truth_path(output), "a", encoding="utf-8") as fh:
-            fh.write(ground_truth_line(truth))
         _write_manifest("session-run", opts, output)
     _print_summary({
         "subcommand": "session-run",

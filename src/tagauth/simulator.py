@@ -32,8 +32,8 @@ from typing import Iterator
 
 from . import attacks, gossamer, sasi
 from .gossamer import Variant
-from .store import (HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store, TagRecordRow,
-                    decode, exactly, json_loads, record_formats)
+from .store import (_ROWS, HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store,
+                    TagRecordRow, decode, exactly, json_loads, record_formats)
 from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, to_hex, use_mixbits_table
 from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
@@ -579,16 +579,23 @@ def cost_accounting(variant: str = "gossamer") -> dict:
 
 TAGS_FORMAT = "rfid-tagfleet/1"
 
-# Kinds only JSONL lines hold.  The line readers take their groups by
-# position, so these kinds have no ``parse``: a word or null is one group,
-# None for null, and a snapshot or null six such groups.
+# Kinds only JSONL lines hold: a word or a snapshot, each of which may be null.
+# The line readers take their groups by position, so these kinds have no
+# ``parse``: a word or null is one group, None for null, and a snapshot or
+# null one group of its text or ``null``.
 _WORD_OR_NULL = Kind("%s", f"(?:{HEX}|null)", None,
                      lambda value, key: None if value is None else WORD.decode(value, key))
 _INT = Kind("%d", "(-?(?:0|[1-9][0-9]*))", None, exactly(int))
 _SNAPSHOT_FIELDS = [(key, WORD) for key in TUPLE_WORDS]
 _SNAPSHOT_JSON, _snapshot_pattern = record_formats(_SNAPSHOT_FIELDS)
-_SNAPSHOT_OR_NULL = Kind("%s", f"(?:{_snapshot_pattern}|null)", None, lambda value, key: (
-    None if value is None else StateSnapshot(**decode(_SNAPSHOT_FIELDS, value, key + "."))))
+_SNAPSHOT_OR_NULL = Kind("%s", "(?:%s|null)" % _snapshot_pattern.replace("(", "(?:"), None,
+                         lambda value, key: None if value is None else StateSnapshot(
+                             **decode(_SNAPSHOT_FIELDS, value, key + ".")))
+# The slot of each kind that may be null, in a line with no null: a word's
+# quotes and a snapshot's template written into the line's own, so that it
+# renders in one %.  Keyed by ``decode``, which each snapshot field's own
+# pattern below keeps.
+_NO_NULL_SLOTS = {_WORD_OR_NULL.decode: WORD.slot, _SNAPSHOT_OR_NULL.decode: _SNAPSHOT_JSON}
 
 # The field table of each record kind: the one place its keys, their order
 # and their kinds are written.  A canonical line or file is what the writers
@@ -597,51 +604,32 @@ _TRANSCRIPT_FIELDS = [
     ("variant", STR), ("session", _INT), ("ids", WORD), ("a", _WORD_OR_NULL),
     ("b", _WORD_OR_NULL), ("c", _WORD_OR_NULL), ("d", _WORD_OR_NULL),
     ("outcome", STR), ("bits", _INT)]
+# A reader snapshot matches the tag's by back-reference where its text repeats
+# it, as in every synchronized session, and leaves its group None.  A null tag
+# snapshot's group holds ``null``, so a null reader's group is None after it.
 _GROUND_TRUTH_FIELDS = [
     ("session", _INT), ("id", WORD),
     *[(key, _WORD_OR_NULL) for key in ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")],
-    *[(key, _SNAPSHOT_OR_NULL) for key in ("tag_pre", "tag_post", "reader_pre", "reader_post")]]
-_TAGS = RecordList(TAGS_FORMAT, "tags", "tag", [
-    ("tag_label", STR), ("variant", STR), *[(key, WORD) for key in ("id",) + TUPLE_WORDS],
-    ("last_announced", STR)])
+    *[(f"tag_{when}", _SNAPSHOT_OR_NULL._replace(
+        pattern=f"(?P<{when}>{_SNAPSHOT_OR_NULL.pattern})")) for when in ("pre", "post")],
+    *[(f"reader_{when}", _SNAPSHOT_OR_NULL._replace(
+        pattern=f"(?:(?P={when})|({_SNAPSHOT_OR_NULL.pattern}))")) for when in ("pre", "post")]]
+_TAGS = RecordList(TAGS_FORMAT, "tags", "tag", [*_ROWS.fields, ("last_announced", STR)])
 
 
-def _line_formats(fields) -> tuple[str, re.Pattern]:
-    """A line's %-format, and the compiled regex of a canonical line."""
+def _line_formats(fields) -> tuple[str, str, re.Pattern]:
+    """A line's %-format, its %-format when no field is null, and the compiled
+    regex of a canonical line, all three built from the field table."""
     template, pattern = record_formats(fields)
-    return template + "\n", re.compile(pattern + "\n?")
+    no_null = [(key, kind._replace(slot=_NO_NULL_SLOTS.get(kind.decode, kind.slot)))
+               for key, kind in fields]
+    return template + "\n", record_formats(no_null)[0] + "\n", re.compile(pattern + "\n?")
 
 
-_TRANSCRIPT_LINE, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_FIELDS)
+_TRANSCRIPT_LINE, _TRANSCRIPT_FULL, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_FIELDS)
 _TRANSCRIPT_KEYS = [key for key, _ in _TRANSCRIPT_FIELDS]
-_GROUND_TRUTH_LINE, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
-
-# The line of a record with no null: every word's quotes and snapshot's
-# template written into the line's own, so that it renders in one %.
-_TRANSCRIPT_FULL = _TRANSCRIPT_LINE.replace("%d", "%%d") % (
-    "%s", "%s", *('"%s"',) * 4, "%s")
-_GROUND_TRUTH_FULL = _GROUND_TRUTH_LINE.replace("%d", "%%d") % (
-    "%s", *('"%s"',) * 7, *(_SNAPSHOT_JSON,) * 4)
+_GROUND_TRUTH_LINE, _GROUND_TRUTH_FULL, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
 _SNAPSHOTS = attrgetter("tag_pre", "tag_post", "reader_pre", "reader_post")
-
-
-def _no_null(key: str, kind: Kind) -> Kind:
-    """The kind of ``key`` in a ground-truth line with no null.  A snapshot is
-    one group of its whole text; a reader snapshot whose text is the tag's, as
-    in every synchronized session, matches it by back-reference and leaves
-    its group None."""
-    if kind is _WORD_OR_NULL:
-        return WORD
-    if kind is not _SNAPSHOT_OR_NULL:
-        return kind
-    text = _snapshot_pattern.replace("(", "(?:")  # its words' groups dropped
-    if key.startswith("tag_"):
-        return kind._replace(pattern=f"(?P<{key}>{text})")
-    return kind._replace(pattern=f"(?:(?P={key.replace('reader_', 'tag_')})|({text}))")
-
-
-_GROUND_TRUTH_FULL_RE = _line_formats(
-    [(key, _no_null(key, kind)) for key, kind in _GROUND_TRUTH_FIELDS])[1]
 # The six words' texts of a snapshot's text, at the offsets _SNAPSHOT_JSON
 # gives them
 _DIGITS = WIDTH // 4
@@ -750,35 +738,28 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
 def ground_truth_from_line(line: str) -> GroundTruth:
     """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it.
 
-    A line with no null takes ``_GROUND_TRUTH_FULL_RE``: each snapshot's words
-    are sliced from its text, and a reader snapshot that repeats the tag's
-    takes the tag's words, decoded once.  Any other line takes the regex
-    that allows nulls.
+    Each snapshot's words are sliced from its text; a reader snapshot that
+    repeats the tag's takes the tag's words, decoded once.
     """
-    match = _GROUND_TRUTH_FULL_RE.fullmatch(line)
-    if match is not None:
-        session, id_, *internals, tag_pre, tag_post, reader_pre, reader_post = match.groups()
-        tag_pre = tuple(map(int, _SNAPSHOT_WORDS(tag_pre), _BASE_16))
-        tag_post = tuple(map(int, _SNAPSHOT_WORDS(tag_post), _BASE_16))
-        # a reader snapshot's group is None where it repeats the tag's
-        reader_pre = (tag_pre if reader_pre is None
-                      else map(int, _SNAPSHOT_WORDS(reader_pre), _BASE_16))
-        reader_post = (tag_post if reader_post is None
-                       else map(int, _SNAPSHOT_WORDS(reader_post), _BASE_16))
-        return GroundTruth(int(session), int(id_, 16), StateSnapshot(*tag_pre),
-                           StateSnapshot(*tag_post), StateSnapshot(*reader_pre),
-                           StateSnapshot(*reader_post), *map(int, internals, _BASE_16))
     match = _GROUND_TRUTH_RE.fullmatch(line)
     if match is None:
         return ground_truth_from_dict(json_loads(line))
-    session, *texts = match.groups()
-    # id, the seven internals, then six words for each of the four snapshots
-    words = [None if text is None else int(text, 16) for text in texts]
-    tag_pre, tag_post, reader_pre, reader_post = [
-        None if words[i] is None else StateSnapshot(*words[i:i + 6]) for i in range(8, 32, 6)]
-    _check_tag_snapshots(tag_pre, tag_post)
-    return GroundTruth(int(session), words[0], tag_pre, tag_post, reader_pre, reader_post,
-                       *words[1:8])
+    session, id_, *internals, tag_pre, tag_post, reader_pre, reader_post = match.groups()
+    if tag_pre == "null" or tag_post == "null":
+        _check_tag_snapshots(*[None if text == "null" else text for text in (tag_pre, tag_post)])
+    tag_pre = tuple(map(int, _SNAPSHOT_WORDS(tag_pre), _BASE_16))
+    tag_post = tuple(map(int, _SNAPSHOT_WORDS(tag_post), _BASE_16))
+    # a reader snapshot's group is None where its text repeats the tag's
+    reader_pre = (StateSnapshot(*tag_pre) if reader_pre is None
+                  else None if reader_pre == "null"
+                  else StateSnapshot(*map(int, _SNAPSHOT_WORDS(reader_pre), _BASE_16)))
+    reader_post = (StateSnapshot(*tag_post) if reader_post is None
+                   else None if reader_post == "null"
+                   else StateSnapshot(*map(int, _SNAPSHOT_WORDS(reader_post), _BASE_16)))
+    internals = (map(int, internals, _BASE_16) if None not in internals
+                 else [None if text is None else int(text, 16) for text in internals])
+    return GroundTruth(int(session), int(id_, 16), StateSnapshot(*tag_pre),
+                       StateSnapshot(*tag_post), reader_pre, reader_post, *internals)
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:

@@ -180,6 +180,45 @@ class TestSessionRun:
         assert secrets() == before
 
 
+# a transcript whose D was dropped, and one whose lookup failed
+DROPPED_D_LINE = simulator.transcript_line(simulator.Transcript(
+    "gossamer", 0, 1, 2, 3, 4, None, simulator.Outcome.D_DROPPED, 424))
+LOOKUP_FAILED_LINE = simulator.transcript_line(simulator.Transcript(
+    "gossamer", 0, 1, None, None, None, None, simulator.Outcome.LOOKUP_FAILED, 136))
+SESSION_RUN = ["session", "run", "--tag", "tag-000", "--seed", "1", "--store", "db.json"]
+
+
+class TestRefusedRuns:
+    """A run the options, inputs or outputs make impossible exits 2, names
+    why, and writes nothing: the store and tag files stay as they were."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*SESSION_RUN, "--replay", "empty.jsonl"],
+         "replay file empty.jsonl holds no transcripts"),
+        ([*SESSION_RUN, "--replay", "dropped.jsonl", "--replay-mode", "d"],
+         "replay file dropped.jsonl: last transcript has no D"),
+        ([*SESSION_RUN, "--replay", "failed.jsonl"],
+         "replay file failed.jsonl: last transcript has no A||B||C"),
+        (["campaign", "--sessions", "3", "--seed", "1", "--store", "db.json",
+          "--tag", "nope", "--output", "c.jsonl"], "unknown tag 'nope' in db.json.tags"),
+        (["session"], "usage: tagauth session run ..."),
+        # the session is not committed when its output cannot be written
+        ([*SESSION_RUN, "--output", "nodir/t.jsonl"], "nodir/t.jsonl: No such file or directory"),
+    ], ids=["replay-empty", "replay-no-d", "replay-no-abc", "campaign-unknown-tag",
+            "session-without-run", "session-output-in-no-dir"])
+    def test_exits_two_naming_why(self, tmp_path, capsys, caplog, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        provision(capsys, "db.json")
+        (tmp_path / "empty.jsonl").write_text("\n")
+        (tmp_path / "dropped.jsonl").write_text(LOOKUP_FAILED_LINE + DROPPED_D_LINE)
+        (tmp_path / "failed.jsonl").write_text(DROPPED_D_LINE + LOOKUP_FAILED_LINE)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, summary = run_cli(capsys, *argv)
+        assert code == 2 and summary is None
+        assert message in caplog.text
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 class TestCampaign:
     def test_writes_everything_and_reports(self, tmp_path, capsys):
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"

@@ -593,7 +593,7 @@ class TestLineReaders:
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *range(7)))
     def test_ground_truth_from_line(self, truth):
         line = ground_truth_line(truth)
-        full = simulator._GROUND_TRUTH_FULL_RE.fullmatch(line)
+        full = simulator._GROUND_TRUTH_RE.fullmatch(line)
         if full is not None:
             # a reader snapshot that repeats the tag's matched it by back-reference
             assert [group is None for group in full.groups()[-2:]] == [

@@ -236,6 +236,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="bogus.json"):
             Store.load(path)
 
+    @pytest.mark.parametrize("rows", ["", ', "rows": {}', ', "rows": null'])
+    def test_load_rejects_rows_that_are_no_list(self, tmp_path, rows):
+        path = tmp_path / "db.json"
+        path.write_text('{"format": "rfid-tagstore/1"%s}' % rows)
+        with pytest.raises(ValueError, match="db.json: no rows list$"):
+            Store.load(path)
+
     def test_load_missing_file_names_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             Store.load(tmp_path / "absent.json")
@@ -243,6 +250,18 @@ class TestPersistence:
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, store = provision(1, Protocol.GOSSAMER, seed=14)
         store.save(tmp_path / "db.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.json"]
+
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        # the second row by label is written after the temp file opened
+        _, store = provision(2, Protocol.GOSSAMER, seed=14)
+        path = tmp_path / "db.json"
+        store.save(path)
+        before = path.read_bytes()
+        store.rows["tag-001"].k1 = MASK + 1
+        with pytest.raises(OverflowError, match="int too big to convert"):
+            store.save(path)
+        assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["db.json"]
 
     def test_restart_between_sessions_still_authenticates(self, tmp_path):
