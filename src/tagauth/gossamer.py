@@ -49,7 +49,13 @@ tag runs a bounded consistency search: for each of the 96 possible
 residues r of n2 it peels A with r_a = r, peels B with r_b = n1, and keeps
 candidates whose n2 lands back on r.  Either tag accepts only if exactly
 one survivor reproduces the received C (rejecting on none or several
-rather than guessing).
+rather than guessing).  The search runs as lanes, not as a loop over r:
+``word96.peel_rotations`` peels A for all 96 r, and B for all 96 residues
+s that n1 can take, each in one int of 96 lanes, and reads every peel's
+value mod 96 out as one byte per lane; r survives where B's byte at
+s = n1(r) mod 96 is r, which one translate finds for every r at once.
+Only survivors are decoded, and they reach derive_auth in ascending r,
+as the loop's did.
 
 K1*, K2* and C read neither IDS nor ID; ``derive_keys`` is their one
 definition.  ``derive_auth`` builds a session's values through it, all but
@@ -67,8 +73,9 @@ update timing and reader_finish are shared with SASI (``tagstate``).
 from enum import Enum
 
 from .tagstate import SessionValues, TagState, rotate, tuple_of
-from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, mixbits_modified,
-                     mixbits_original, mixbits_original_lanes, rotl, rotr, to_lanes)
+from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
+                     mixbits_original, mixbits_original_lanes, peel_rotations, rotl, rotr,
+                     to_lanes)
 
 
 class Variant(Enum):
@@ -182,35 +189,31 @@ def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
                    id_: Word96, a: Word96, b: Word96, c: Word96) -> SessionValues | None:
     """The tag's nonces from A||B||C: the one peel above, for both variants.
 
-    The original tag peels one candidate, with r_a = K1 and r_b = K2.  The
-    modified tag tries each of the 96 residues r of n2 as r_a, with
-    r_b = n1, and keeps r only when n2 = r (mod 96).  Everything but r and
-    n1 is fixed for the call, so IDS + K1 + PI, IDS + K2 + PI, K1 and K2
-    mod 96 and the doubled words A*2^96 + A and B*2^96 + B (whose shift
-    right by s < 96, masked, is rotr by s) are taken once, and a candidate
-    costs shifts, subtractions and masks with no calls.  Only survivors
-    rebuild C via derive_auth, which leaves A and B None.  They need no
-    rebuilding: the peel inverted the received A and B by the amounts a
-    survivor's own A and B rotate by (K1 and K2; for the modified tag
-    n2 = r mod 96, and n1), so they would come back as received, and the
-    accepted survivor takes them.  Returns the unique survivor that
-    reproduces C, or None when zero or several do.
+    The original tag peels one candidate, with r_a = K1 and r_b = K2, on
+    the doubled words A*2^96 + A and B*2^96 + B (whose shift right by
+    s < 96, masked, is rotr by s).  The modified tag tries each of the 96
+    residues r of n2 as r_a, with r_b = n1, and keeps r only when n2 = r
+    (mod 96): ``_residue_survivors`` gives those candidates in ascending r.
+    Only candidates rebuild C via derive_auth, which leaves A and B None.
+    They need no rebuilding: the peel inverted the received A and B by the
+    amounts a candidate's own A and B rotate by (K1 and K2; for the
+    modified tag n2 = r mod 96, and n1), so they would come back as
+    received, and the accepted candidate takes them.  Returns the unique
+    candidate that reproduces C, or None when zero or several do.
     """
-    original = variant is _ORIGINAL
     c1 = ids + k1 + PI
     c2 = ids + k2 + PI
-    aa = a << WIDTH | a
-    bb = b << WIDTH | b
-    rk1 = k1 % WIDTH
-    rk2 = k2 % WIDTH
-    match: SessionValues | None = None
-    for r in (rk1,) if original else range(WIDTH):
-        step = ((aa >> r) - k1) & MASK
+    if variant is _ORIGINAL:
+        rk1 = k1 % WIDTH
+        rk2 = k2 % WIDTH
+        step = (((a << WIDTH | a) >> rk1) - k1) & MASK
         n1 = (((step << WIDTH | step) >> rk2) - c1) & MASK
-        step = ((bb >> (rk2 if original else n1 % WIDTH)) - k2) & MASK
-        n2 = (((step << WIDTH | step) >> rk1) - c2) & MASK
-        if not original and n2 % WIDTH != r:
-            continue
+        step = (((b << WIDTH | b) >> rk2) - k2) & MASK
+        candidates = ((n1, (((step << WIDTH | step) >> rk1) - c2) & MASK),)
+    else:
+        candidates = _residue_survivors(k1, k2, a, b, c1, c2)
+    match: SessionValues | None = None
+    for n1, n2 in candidates:
         vals = derive_auth(variant, k1, k2, id_, n1, n2)
         if vals.c == c:
             if match is not None:
@@ -219,6 +222,33 @@ def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
     if match is not None:
         match.a, match.b = a, b
     return match
+
+
+# the residues 0..95 as one int of 96 bytes, and the 160 bytes that make
+# 96 residues a 256-byte translate table
+_RESIDUES = int.from_bytes(bytes(range(WIDTH)), "little")
+_TABLE_PAD = bytes(256 - WIDTH)
+
+
+def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
+                       c1: int, c2: int):
+    """The modified tag's (n1, n2) candidates, in ascending residue r.
+
+    ``word96.peel_rotations`` peels A for every r at once (lane r holds the
+    n1 of r_a = r) and B for every residue s of n1 (lane s holds the n2 of
+    r_b = s), each with the residues of its 96 words.  ``f.translate(g +
+    pad)`` reads, for every r, the residue of B's lane f[r], the n2 of r's
+    own n1; r survives where that byte equals r, which is where the XOR
+    with the bytes 0..95 is 0.  Only survivors' lanes are decoded.
+    """
+    res_a, lanes_a = peel_rotations(a, k1, k2, c1)
+    res_b, lanes_b = peel_rotations(b, k2, k1, c2)
+    hits = (int.from_bytes(res_a.translate(res_b + _TABLE_PAD), "little")
+            ^ _RESIDUES).to_bytes(WIDTH, "little")
+    r = hits.find(0)
+    while r >= 0:
+        yield lane_word(lanes_a, r), lane_word(lanes_b, res_a[r])
+        r = hits.find(0, r + 1)
 
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,

@@ -302,6 +302,56 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
     assert found is None and len(survivors) >= 2
 
 
+def scalar_survivors(ids, k1, k2, a, b):
+    """The modified search's (n1, n2) residue survivors in ascending r, by
+    the plain 96-residue loop over tests/oracles.py rotations."""
+    mod, bits = oracles.MOD, oracles.BITS
+    found = []
+    for r in range(bits):
+        n1 = (oracles.rot_left((oracles.rot_left(a, -r) - k1) % mod, -k2)
+              - ids - k1 - oracles.PI) % mod
+        n2 = (oracles.rot_left((oracles.rot_left(b, -n1) - k2) % mod, -k1)
+              - ids - k2 - oracles.PI) % mod
+        if n2 % bits == r:
+            found.append((n1, n2))
+    return found
+
+
+class TestSurvivorsInOrder:
+    """Every candidate the modified search hands to derive_auth, in order,
+    is the scalar loop's."""
+
+    @staticmethod
+    def candidates(ids, k1, k2, id_, a, b, c):
+        seen = []
+        real = gossamer.derive_auth
+
+        def recording(variant, k1, k2, id_, n1, n2):
+            seen.append((n1, n2))
+            return real(variant, k1, k2, id_, n1, n2)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gossamer, "derive_auth", recording)
+            gossamer.recover_nonces(Variant.MODIFIED, ids, k1, k2, id_, a, b, c)
+        return seen
+
+    @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
+    @settings(max_examples=30, deadline=None)
+    def test_genuine_messages(self, id_, ids, k1, k2, n1, n2):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        assert (self.candidates(ids, k1, k2, id_, a, b, c)
+                == scalar_survivors(ids, k1, k2, a, b))
+
+    @given(ids=lane_words, k1=lane_words | zero_mod_96, k2=lane_words | zero_mod_96,
+           a=lane_words, b=lane_words)
+    @settings(max_examples=60, deadline=None)
+    @example(ids=MASK, k1=MASK, k2=MASK, a=0, b=MASK)
+    @example(ids=0, k1=0, k2=0, a=0, b=0)
+    def test_random_messages(self, ids, k1, k2, a, b):
+        assert (self.candidates(ids, k1, k2, 0, a, b, 0)
+                == scalar_survivors(ids, k1, k2, a, b))
+
+
 def scalar_chain(n1, n2):
     """(n1, n2, n3, n1', n2') by the scalar MixBits, as derive_auth and
     derive_update chain it."""

@@ -195,6 +195,53 @@ class TestMixBitsLanes:
         with pytest.raises(ValueError):
             gossamer.mixbits_chains([1, 2], [3])
 
+    @pytest.mark.parametrize("bad", [1 << 96, (1 << 102) + 3, (1 << 104) - 1, -1])
+    def test_a_word_out_of_range_is_an_error(self, bad):
+        # a word in [2**96, 2**104) used to fill its 13-byte lane and carry
+        # into the next lane's first round
+        with pytest.raises(OverflowError):
+            w.to_lanes([bad, 7])
+        with pytest.raises(OverflowError):
+            gossamer.mixbits_chains([bad, 7], [1, 2])
+
+
+def scalar_peels(x, k, q, c):
+    """rotr(rotr(x, t) - k, q) - c for every t, from tests/oracles.py."""
+    mod = oracles.MOD
+    return [(oracles.rot_left((oracles.rot_left(x, -t) - k) % mod, -q) - c) % mod
+            for t in range(96)]
+
+
+# keys that are multiples of 96 (a rotation by them is none) and constants
+# c = IDS + K + PI up to 3 * 2**96, as the modified tag's peel passes them
+peel_keys = lane_words | words.map(lambda x: x - x % 96)
+peel_constants = lane_words | st.tuples(words, words, words).map(sum)
+
+
+class TestPeelRotations:
+    @given(x=lane_words, k=peel_keys, q=st.sampled_from([0, 95]) | st.integers(0, 10**4),
+           c=peel_constants)
+    @settings(max_examples=300, deadline=None)
+    @example(x=0, k=0, q=0, c=0)
+    @example(x=w.MASK, k=w.MASK, q=95, c=3 * w.MASK)
+    @example(x=w.MASK, k=0, q=0, c=1)
+    @example(x=1 << 95, k=96, q=95, c=w.PI + 2 * w.MASK)
+    def test_every_lane_matches_the_scalar_peel(self, x, k, q, c):
+        residues, lanes = w.peel_rotations(x, k, q, c)
+        expected = scalar_peels(x, k, q, c)
+        assert [w.lane_word(lanes, t) for t in range(96)] == expected
+        assert list(residues) == [v % 96 for v in expected]
+
+    def test_every_residue_table_matches_a_brute_force_crt(self):
+        # byte: v (bit 0), u (bit 1), V mod 32 (bits 2..6), t odd (bit 7)
+        assert len(w._RESIDUE_TABLES) == 18
+        for (alpha, beta, sigma), table in w._RESIDUE_TABLES.items():
+            for byte in range(256):
+                v, u, m32, odd = byte & 1, byte >> 1 & 1, byte >> 2 & 31, byte >> 7
+                m3 = (alpha * (2 if odd else 1) + beta - sigma * u - v) % 3
+                (n,) = [n for n in range(96) if n % 32 == m32 and n % 3 == m3]
+                assert table[byte] == n, (alpha, beta, sigma, byte)
+
 
 # hex digits plus what a canonical word must not hold: uppercase, "x",
 # "_", signs and whitespace (each of which int(text, 16) accepts somewhere)
