@@ -86,6 +86,13 @@ def _ranged(parse, low, high=None):
     return checked
 
 
+def _path(text: str) -> str:
+    """argparse type of every path option: an empty one would name no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _tags_path(opts: dict) -> str:
     return opts.get("tags") or f"{opts['store']}.tags"
 
@@ -131,10 +138,13 @@ def _print_summary(summary: dict) -> None:
 
 
 def _load_world(opts: dict):
-    """The store and its tags; a store row whose ``variant`` is no protocol,
-    or not its tag's, is a ValueError naming the store file and row."""
+    """The store, its tags and the tag the run takes: ``--tag``, else the only
+    tag of a one-tag fleet.  A store row whose ``variant`` is no protocol, or
+    not its tag's, is a ValueError naming the store file and row; no such
+    tag is a UsageError naming the tags file."""
     store = Store.load(opts["store"])
-    tags = load_tags(_tags_path(opts))
+    tags_path = _tags_path(opts)
+    tags = load_tags(tags_path)
 
     def check(row) -> None:
         if row.variant not in VARIANTS:
@@ -145,7 +155,15 @@ def _load_world(opts: dict):
                              f"is {tag.protocol.value}")
 
     parse_entries(opts["store"], "row", enumerate(store.rows.values()), check)
-    return store, tags
+    label = opts.get("tag")
+    if label is None:
+        if len(tags) != 1:
+            raise UsageError(f"{tags_path} holds {len(tags)} tags; "
+                             + ("--tag must name one" if tags else "there is none to run"))
+        label = next(iter(tags))
+    if label not in tags:
+        raise UsageError(f"unknown tag {label!r} in {tags_path}")
+    return store, tags, tags[label]
 
 
 def _save_world(opts: dict, store: Store, tags: dict) -> None:
@@ -202,14 +220,7 @@ def _forcing_from_session_opts(opts: dict) -> Forcing:
 
 
 def cmd_session(opts: dict) -> int:
-    store, tags = _load_world(opts)
-    label = opts["tag"]
-    if label not in tags:
-        raise UsageError(f"unknown tag {label!r} in {_tags_path(opts)}")
-    tag = tags[label]
-    if opts.get("variant") and opts["variant"] != tag.protocol.value:
-        raise UsageError(
-            f"tag {label!r} was provisioned as {tag.protocol.value}, not {opts['variant']}")
+    store, tags, tag = _load_world(opts)
     forcing = _forcing_from_session_opts(opts)
     rng = NonceStream(opts["seed"])
     output = opts.get("output")
@@ -229,7 +240,7 @@ def cmd_session(opts: dict) -> int:
         _write_manifest("session-run", opts, output)
     _print_summary({
         "subcommand": "session-run",
-        "tag": label,
+        "tag": tag.label,
         "outcome": transcript.outcome.value,
         "transcript": transcript_to_dict(transcript),
     })
@@ -239,16 +250,7 @@ def cmd_session(opts: dict) -> int:
 
 
 def cmd_campaign(opts: dict) -> int:
-    store, tags = _load_world(opts)
-    label = opts.get("tag")
-    if label is None:
-        if len(tags) != 1:
-            raise UsageError(f"{_tags_path(opts)} holds {len(tags)} tags; "
-                             + ("--tag must name one" if tags else "a campaign needs one"))
-        label = next(iter(tags))
-    if label not in tags:
-        raise UsageError(f"unknown tag {label!r} in {_tags_path(opts)}")
-    tag = tags[label]
+    store, tags, tag = _load_world(opts)
     config = CampaignConfig(
         sessions=opts["sessions"],
         seed=opts["seed"],
@@ -270,7 +272,7 @@ def cmd_campaign(opts: dict) -> int:
     log.info("campaign wrote %d transcripts to %s", config.sessions, output)
     _print_summary({
         "subcommand": "campaign",
-        "tag": label,
+        "tag": tag.label,
         **summary,
         "output": output,
         "ground_truth": str(_ground_truth_path(output)),
@@ -346,7 +348,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         prog="tagauth",
         description="Ultralightweight RFID mutual-authentication workbench "
                     "(SASI, Gossamer, modified Gossamer).")
-    parser.add_argument("--manifest", metavar="FILE",
+    parser.add_argument("--manifest", type=_path, metavar="FILE",
                         help="replay a previous run from its manifest")
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -356,38 +358,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--count", type=_ranged(int, 0), required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--seed", type=_ranged(int, 0), required=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--tags", help="tag-state file (default: <store>.tags)")
+    p.add_argument("--store", type=_path, required=True)
+    p.add_argument("--tags", type=_path, help="tag-state file (default: <store>.tags)")
 
     p = sub.add_parser("session", help="single-session operations")
     session_sub = p.add_subparsers(dest="session_command")
     run = commands["session-run"] = session_sub.add_parser(
         "run", help="run one authentication session")
-    run.add_argument("--variant", choices=VARIANTS,
-                     help="checked against the tag's provisioned protocol")
-    run.add_argument("--tag", required=True)
+    run.add_argument("--tag", help="label; may be omitted for a one-tag store")
     run.add_argument("--seed", type=_ranged(int, 0), required=True)
-    run.add_argument("--store", required=True)
-    run.add_argument("--tags")
+    run.add_argument("--store", type=_path, required=True)
+    run.add_argument("--tags", type=_path)
     run.add_argument("--drop-d", action="store_true", dest="drop_d",
                      help="lose the final message in transit")
-    run.add_argument("--replay", metavar="FILE",
+    run.add_argument("--replay", type=_path, metavar="FILE",
                      help="replay the last transcript in FILE instead of honest traffic")
     run.add_argument("--replay-mode", choices=["abc", "d"], default="abc",
                      dest="replay_mode",
                      help="replay the challenge to the tag (abc) or the response "
                           "to the reader (d)")
     run.add_argument("--session-index", type=_ranged(int, 0), default=0, dest="session_index")
-    run.add_argument("--output", help="append the transcript (JSONL) here")
+    run.add_argument("--output", type=_path, help="append the transcript (JSONL) here")
 
     p = commands["campaign"] = sub.add_parser(
         "campaign", help="run many sessions against one tag")
     p.add_argument("--sessions", type=_ranged(int, 1), required=True)
     p.add_argument("--seed", type=_ranged(int, 0), required=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--tags")
+    p.add_argument("--store", type=_path, required=True)
+    p.add_argument("--tags", type=_path)
     p.add_argument("--tag", help="label; may be omitted for a one-tag store")
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", type=_path, required=True)
     p.add_argument("--forcing", choices=[m.value for m in NonceMode], default="random",
                    help="nonce forcing")
     p.add_argument("--force-keys", choices=[m.value for m in KeyMode],
@@ -398,10 +398,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = commands["attack"] = sub.add_parser(
         "attack", help="evaluate a passive attack over transcripts")
     p.add_argument("kind", choices=list(ATTACKS))
-    p.add_argument("--input", required=True, help="transcript JSONL")
-    p.add_argument("--ground-truth", dest="ground_truth",
+    p.add_argument("--input", type=_path, required=True, help="transcript JSONL")
+    p.add_argument("--ground-truth", type=_path, dest="ground_truth",
                    help="ground-truth JSONL for scoring")
-    p.add_argument("--output", help="write per-trial verdicts (JSONL) here")
+    p.add_argument("--output", type=_path, help="write per-trial verdicts (JSONL) here")
 
     p = commands["bench"] = sub.add_parser("bench", help="print protocol cost accounting")
     p.add_argument("what", choices=["cost"])
@@ -489,16 +489,13 @@ def main(argv=None) -> int:
             name, opts = _opts_from_namespace(ns)
         _check_files(name, opts)
         return _RUNNERS[name](opts)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         log.error("%s", exc)
         return 2
     except OSError as exc:
         name = str(exc.filename or "I/O error")  # past 163 characters, only its two ends
         log.error("%s: %s", name if len(name) <= 163 else f"{name[:80]}...{name[-80:]}",
                   exc.strerror or exc)
-        return 2
-    except ValueError as exc:
-        log.error("%s", exc)
         return 2
 
 

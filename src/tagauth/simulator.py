@@ -251,17 +251,17 @@ def _snapshot(holder) -> StateSnapshot | None:
 
 # -- session and campaign ----------------------------------------------------
 
-def _draw_nonces(forcing: Forcing, rng: NonceStream) -> tuple[Word96, Word96]:
-    if forcing.nonce_mode is _RANDOM:
+def _draw_nonces(mode: NonceMode, rng: NonceStream) -> tuple[Word96, Word96]:
+    if mode is _RANDOM:
         return rng.word(), rng.word()
-    if forcing.nonce_mode is _ZERO_MOD_96:
+    if mode is _ZERO_MOD_96:
         return rng.multiple_of_96(), rng.multiple_of_96()
     return 0, 0
 
 
-def _draw_keys(forcing: Forcing, rng: NonceStream) -> tuple[Word96, Word96]:
+def _draw_keys(mode: KeyMode, rng: NonceStream) -> tuple[Word96, Word96]:
     """The forced K1 and K2 of a session whose key mode is not as-stored."""
-    if forcing.key_mode is _ZERO_KEYS:
+    if mode is _ZERO_KEYS:
         return 0, 0
     return rng.multiple_of_96(), rng.multiple_of_96()
 
@@ -295,7 +295,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     state = tag.state
     mirror = store.rows.get(tag.label)
     if forcing.key_mode is not _AS_STORED:
-        _force_keys(state, mirror, *_draw_keys(forcing, rng))
+        _force_keys(state, mirror, *_draw_keys(forcing.key_mode, rng))
     tag_pre = _snapshot(state)
     reader_pre = _snapshot(mirror)
     a = b = c = d = pending = hit = None
@@ -308,7 +308,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         d = module.tag_respond(state, a, b, c, *extra)
         outcome = _READER_REJECTED if d is None else _D_DROPPED
     else:
-        n1, n2 = _draw_nonces(forcing, rng)
+        n1, n2 = _draw_nonces(forcing.nonce_mode, rng)
         if replayed is not None:
             announced = replayed.announced_ids
             hit = store.lookup(announced, variant)
@@ -380,8 +380,7 @@ def _draw_drop(config: CampaignConfig, rng: NonceStream) -> bool:
     return config.drop_d_rate > 0 and rng.chance(config.drop_d_rate)
 
 
-def _chain_table(config: CampaignConfig, forcing: Forcing, rng: NonceStream,
-                 count: int) -> dict:
+def _chain_table(config: CampaignConfig, rng: NonceStream, count: int) -> dict:
     """The ``gossamer.mixbits_table`` of a campaign's next ``count`` sessions.
 
     Their nonces are drawn ahead on a copy of ``rng``, through the helpers
@@ -390,13 +389,13 @@ def _chain_table(config: CampaignConfig, forcing: Forcing, rng: NonceStream,
     """
     ahead = NonceStream(0)
     ahead.setstate(rng.getstate())
-    forced = forcing.key_mode is not _AS_STORED
+    forced = config.key_mode is not _AS_STORED
     n1s, n2s = [], []
     for _ in range(count):
         _draw_drop(config, ahead)
         if forced:
-            _draw_keys(forcing, ahead)
-        n1, n2 = _draw_nonces(forcing, ahead)
+            _draw_keys(config.key_mode, ahead)
+        n1, n2 = _draw_nonces(config.nonce_mode, ahead)
         n1s.append(n1)
         n2s.append(n2)
     return gossamer.mixbits_table(gossamer.mixbits_chains(n1s, n2s))
@@ -418,8 +417,7 @@ def iter_campaign(tag: SimTag, store: Store,
     table = {}
     for index in range(config.sessions):
         if index % CHAIN_BLOCK == 0 and tag.protocol is Protocol.GOSSAMER:
-            table = _chain_table(config, forcing, rng,
-                                 min(CHAIN_BLOCK, config.sessions - index))
+            table = _chain_table(config, rng, min(CHAIN_BLOCK, config.sessions - index))
         forcing.drop_d = _draw_drop(config, rng)
         use_mixbits_table(table)
         session = run_session(tag, store, forcing, rng, session_index=index)

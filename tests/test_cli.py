@@ -80,12 +80,19 @@ class TestSessionRun:
                           "--seed", "1", "--store", str(store))
         assert code == 2
 
-    def test_variant_mismatch_is_usage_error(self, tmp_path, capsys):
-        store = tmp_path / "db.json"
-        provision(capsys, store, variant="sasi")
-        code, _ = run_cli(capsys, "session", "run", "--variant", "gossamer",
-                          "--tag", "tag-000", "--seed", "1", "--store", str(store))
-        assert code == 2
+    def test_one_tag_store_needs_no_tag_flag(self, tmp_path, capsys):
+        # the run that names the only tag and the run that does not are one run
+        runs = []
+        for name, flag in (("named", ["--tag", "tag-000"]), ("implied", [])):
+            (tmp_path / name).mkdir()
+            store, out = tmp_path / name / "db.json", tmp_path / name / "t.jsonl"
+            provision(capsys, store, variant="sasi")
+            code, summary = run_cli(capsys, "session", "run", *flag, "--seed", "3",
+                                    "--store", str(store), "--output", str(out))
+            assert code == 0
+            runs.append((summary, *(path.read_bytes() for path in (
+                out, tmp_path / name / "t.gt.jsonl", store, tmp_path / name / "db.json.tags"))))
+        assert runs[0] == runs[1]
 
     def test_missing_store_is_io_error(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "session", "run", "--tag", "tag-000",
@@ -186,6 +193,9 @@ DROPPED_D_LINE = simulator.transcript_line(simulator.Transcript(
 LOOKUP_FAILED_LINE = simulator.transcript_line(simulator.Transcript(
     "gossamer", 0, 1, None, None, None, None, simulator.Outcome.LOOKUP_FAILED, 136))
 SESSION_RUN = ["session", "run", "--tag", "tag-000", "--seed", "1", "--store", "db.json"]
+CAMPAIGN = ["campaign", "--sessions", "3", "--seed", "1", "--output", "c.jsonl"]
+ATTACK = ["attack", "gossamer-2", "--input", "c.jsonl"]
+EMPTY_PATH = "an empty path names no file"
 
 
 class TestRefusedRuns:
@@ -199,23 +209,61 @@ class TestRefusedRuns:
          "replay file dropped.jsonl: last transcript has no D"),
         ([*SESSION_RUN, "--replay", "failed.jsonl"],
          "replay file failed.jsonl: last transcript has no A||B||C"),
-        (["campaign", "--sessions", "3", "--seed", "1", "--store", "db.json",
-          "--tag", "nope", "--output", "c.jsonl"], "unknown tag 'nope' in db.json.tags"),
+        # both commands pick their tag by one rule and refuse a bad one alike
+        ([*CAMPAIGN, "--store", "db.json", "--tag", "nope"],
+         "unknown tag 'nope' in db.json.tags"),
+        (["session", "run", "--tag", "nope", "--seed", "1", "--store", "db.json"],
+         "unknown tag 'nope' in db.json.tags"),
+        ([*CAMPAIGN, "--store", "zero.json"], "zero.json.tags holds 0 tags; there is none to run"),
+        (["session", "run", "--seed", "1", "--store", "zero.json"],
+         "zero.json.tags holds 0 tags; there is none to run"),
+        ([*CAMPAIGN, "--store", "two.json"], "two.json.tags holds 2 tags; --tag must name one"),
+        (["session", "run", "--seed", "1", "--store", "two.json"],
+         "two.json.tags holds 2 tags; --tag must name one"),
         (["session"], "usage: tagauth session run ..."),
         # the session is not committed when its output cannot be written
         ([*SESSION_RUN, "--output", "nodir/t.jsonl"], "nodir/t.jsonl: No such file or directory"),
+        # an empty path is refused by every path option, before any file is read
+        ([*SESSION_RUN, "--replay", "", "--replay-mode", "d"], f"--replay: {EMPTY_PATH}"),
+        ([*SESSION_RUN, "--output", ""], f"--output: {EMPTY_PATH}"),
+        ([*SESSION_RUN, "--tags", ""], f"--tags: {EMPTY_PATH}"),
+        ([*CAMPAIGN, "--store", ""], f"--store: {EMPTY_PATH}"),
+        (["campaign", "--sessions", "3", "--seed", "1", "--store", "db.json", "--output", ""],
+         f"--output: {EMPTY_PATH}"),
+        (["attack", "gossamer-2", "--input", ""], f"--input: {EMPTY_PATH}"),
+        ([*ATTACK, "--ground-truth", ""], f"--ground-truth: {EMPTY_PATH}"),
+        ([*ATTACK, "--output", ""], f"--output: {EMPTY_PATH}"),
+        (["provision", "--count", "1", "--variant", "sasi", "--seed", "1", "--store", ""],
+         f"--store: {EMPTY_PATH}"),
+        (["--manifest", ""], f"--manifest: {EMPTY_PATH}"),
+        (["--manifest", "empty-store.manifest.json"],
+         f"empty-store.manifest.json: --store: {EMPTY_PATH}"),
     ], ids=["replay-empty", "replay-no-d", "replay-no-abc", "campaign-unknown-tag",
-            "session-without-run", "session-output-in-no-dir"])
+            "session-unknown-tag", "campaign-zero-tags", "session-zero-tags",
+            "campaign-two-tags", "session-two-tags", "session-without-run",
+            "session-output-in-no-dir", "session-empty-replay", "session-empty-output",
+            "session-empty-tags", "campaign-empty-store", "campaign-empty-output",
+            "attack-empty-input", "attack-empty-ground-truth", "attack-empty-output",
+            "provision-empty-store", "empty-manifest", "manifest-empty-store"])
     def test_exits_two_naming_why(self, tmp_path, capsys, caplog, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         provision(capsys, "db.json")
+        provision(capsys, "zero.json", count=0)
+        provision(capsys, "two.json", count=2)
+        run_cli(capsys, *CAMPAIGN, "--store", "db.json")
         (tmp_path / "empty.jsonl").write_text("\n")
         (tmp_path / "dropped.jsonl").write_text(LOOKUP_FAILED_LINE + DROPPED_D_LINE)
         (tmp_path / "failed.jsonl").write_text(DROPPED_D_LINE + LOOKUP_FAILED_LINE)
+        manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+        manifest["args"]["store"] = ""
+        (tmp_path / "empty-store.manifest.json").write_text(json.dumps(manifest))
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        code, summary = run_cli(capsys, *argv)
+        try:
+            code, summary = run_cli(capsys, *argv)
+        except SystemExit as exc:  # refused by argparse, which writes to stderr
+            code, summary = exc.code, None
         assert code == 2 and summary is None
-        assert message in caplog.text
+        assert message in caplog.text + capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

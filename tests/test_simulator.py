@@ -358,8 +358,7 @@ class TestChainTable:
         hits = count_mixbits(monkeypatch)
         try:
             # the table of both sessions, as the campaign installs it
-            word96.use_mixbits_table(simulator._chain_table(config, Forcing(),
-                                                            NonceStream(6), 2))
+            word96.use_mixbits_table(simulator._chain_table(config, NonceStream(6), 2))
             for a, answered in ((transcript.a ^ 1, False), (transcript.a, True)):
                 state = TagState(truth.id, pre.ids, pre.k1, pre.k2, pre.ids_old,
                                  pre.k1_old, pre.k2_old)
