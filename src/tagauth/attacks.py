@@ -11,7 +11,6 @@ is the registry of attack kinds by name; it holds only public facts.
 """
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Callable, Iterable, Iterator
 
 from .gossamer import Variant, derive_keys, id_from_d, mixbits_chains, next_ids
@@ -144,10 +143,10 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
 class Attack:
     """One attack kind as the evaluator runs it.
 
-    ``trials(transcripts, consecutive)`` runs the kind on each adjacent pair
-    that ``consecutive(first, second)`` accepts and yields ``(first, verdict,
-    note, confirmed)``.  ``arity`` is how many transcripts of a pair the
-    attack reads: a one-transcript attack recovers the tag state, and
+    ``trials(pairs)`` runs the kind on each ``(first, second)`` of the
+    consecutive successful pairs the evaluator selects and yields ``(first,
+    verdict, note, confirmed)``.  ``arity`` is how many transcripts of a pair
+    the attack reads: a one-transcript attack recovers the tag state, and
     ``confirmed`` is whether its predicted next IDS is the pair's second
     announcement (None for ``arity`` 2).  ``residue_id`` marks a
     recovered_id that is the ID mod 96 (an int 0..95), not a full word.
@@ -156,7 +155,7 @@ class Attack:
     """
 
     arity: int
-    trials: Callable[[Iterable, Callable[[object, object], bool]], Iterator[tuple]]
+    trials: Callable[[Iterable[tuple]], Iterator[tuple]]
     residue_id: bool = False
     near_miss: bool = False
 
@@ -165,23 +164,21 @@ class Attack:
 # wrapper set on the module attribute (perfbench/tracing.py's span of
 # gossamer_attack2) sees each call.
 
-def _sasi_trials(transcripts, consecutive) -> Iterator[tuple]:
-    for first, second in pairwise(transcripts):
-        if consecutive(first, second):
-            gap = sasi_residue_gap(first)
-            yield first, sasi_attack(first, second, gap), gap, None
+def _sasi_trials(pairs) -> Iterator[tuple]:
+    for first, second in pairs:
+        gap = sasi_residue_gap(first)
+        yield first, sasi_attack(first, second, gap), gap, None
 
 
-def _zero_nonce_trials(transcripts, consecutive) -> Iterator[tuple]:
-    for first, second in pairwise(transcripts):
-        if consecutive(first, second):
-            yield first, gossamer_attack1(first, second), None, None
+def _zero_nonce_trials(pairs) -> Iterator[tuple]:
+    for first, second in pairs:
+        yield first, gossamer_attack1(first, second), None, None
 
 
-def _zero_key_trials(transcripts, consecutive) -> Iterator[tuple]:
+def _zero_key_trials(pairs) -> Iterator[tuple]:
     """Each pair's first transcript attacked with its chain, from one
     ``zero_key_chains`` call over them all."""
-    pairs = [pair for pair in pairwise(transcripts) if consecutive(*pair)]
+    pairs = list(pairs)
     chains = zero_key_chains([first for first, _ in pairs])
     for (first, second), chain in zip(pairs, chains):
         verdict = gossamer_attack2(first, chain)

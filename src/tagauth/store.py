@@ -216,8 +216,8 @@ class RecordList:
         first = next(records, None)
         if first is None:
             return save_envelope(path, self.format_name, **{self.key: []})
-        _write_atomic(path, chain((self.head, first), (",\n" + text for text in records),
-                                 ("\n  ]\n}\n",)))
+        write_atomic(path, chain((self.head, first), (",\n" + text for text in records),
+                                ("\n  ]\n}\n",)))
 
     def load(self, path: str, build) -> list:
         """``build`` of each record's values, in file order."""
@@ -246,7 +246,7 @@ class RecordList:
         return None
 
 
-def _write_atomic(path: str, chunks) -> None:
+def write_atomic(path: str, chunks) -> None:
     """Write ``chunks`` via a temp file; a failure removes it and keeps ``path``."""
     tmp = f"{path}.tmp"
     try:
@@ -264,7 +264,7 @@ def save_envelope(path: str, format_name: str, **fields) -> None:
     for key, value in fields.items():
         if type(value) is list and any(type(record) is not dict for record in value):
             raise TypeError(f"{key}: not a list of records")
-    _write_atomic(path, (json.dumps({"format": format_name, **fields}, indent=2), "\n"))
+    write_atomic(path, (json.dumps({"format": format_name, **fields}, indent=2), "\n"))
 
 
 def json_loads(text: str):

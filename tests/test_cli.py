@@ -238,13 +238,17 @@ class TestRefusedRuns:
         (["--manifest", ""], f"--manifest: {EMPTY_PATH}"),
         (["--manifest", "empty-store.manifest.json"],
          f"empty-store.manifest.json: --store: {EMPTY_PATH}"),
+        # a manifest names its own run: a subcommand beside it is refused, not ignored
+        (["--manifest", "db.manifest.json", *CAMPAIGN, "--store", "other.json"],
+         "--manifest takes no subcommand; 'campaign' given"),
     ], ids=["replay-empty", "replay-no-d", "replay-no-abc", "campaign-unknown-tag",
             "session-unknown-tag", "campaign-zero-tags", "session-zero-tags",
             "campaign-two-tags", "session-two-tags", "session-without-run",
             "session-output-in-no-dir", "session-empty-replay", "session-empty-output",
             "session-empty-tags", "campaign-empty-store", "campaign-empty-output",
             "attack-empty-input", "attack-empty-ground-truth", "attack-empty-output",
-            "provision-empty-store", "empty-manifest", "manifest-empty-store"])
+            "provision-empty-store", "empty-manifest", "manifest-empty-store",
+            "manifest-with-subcommand"])
     def test_exits_two_naming_why(self, tmp_path, capsys, caplog, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         provision(capsys, "db.json")
@@ -390,6 +394,29 @@ class TestAttack:
         capsys.readouterr()
         assert attack() == first
         assert cli._build_parser() is cli._build_parser()
+
+    def test_failed_verdict_write_leaves_the_old_file(self, tmp_path, capsys, monkeypatch):
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "6", "--seed", "9", "--store", str(store),
+                "--output", str(out))
+        argv = ["attack", "gossamer-1", "--input", str(out), "--output", str(tmp_path / "v.jsonl")]
+        assert run_cli(capsys, *argv)[0] == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        verdict_line, written = cli._verdict_line, []
+
+        def fail_second(residue_id, record):
+            written.append(record)
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            return verdict_line(residue_id, record)
+
+        monkeypatch.setattr(cli, "_verdict_line", fail_second)
+        assert run_cli(capsys, *argv) == (2, None)
+        assert len(written) == 2
+        # the old verdicts and manifest stay whole, and no temp file is left
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 class TestVerdictLine:
     @settings(max_examples=50)
