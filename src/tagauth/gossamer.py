@@ -3,32 +3,18 @@
 Implements the three-phase flow (identification, mutual authentication,
 updating) of Gossamer (Peris-Lopez et al. 2008) over 96-bit words, plus a
 Modified variant that re-targets the outer rotation amounts and swaps in
-the counter-based MixBits.  Both variants share every formula below; they
-differ ONLY in the r_* column and in which MixBits they call.
+the counter-based MixBits; the variants differ in nothing else.
 
-    n3   = MixBits(n1, n2)
-    A    = Rot(Rot(IDS + K1 + PI + n1, K2) + K1, r_a)
-    B    = Rot(Rot(IDS + K2 + PI + n2, K1) + K2, r_b)
-    K1*  = Rot(Rot(n2 + K1 + PI + n3, n2) + (K2 xor n3), r_k1s) xor n3
-    K2*  = Rot(Rot(n1 + K2 + PI + n3, n1) + K1 + n3, r_k2s) + n3
-    n1'  = MixBits(n3, n2)
-    C    = Rot(Rot(n3 + K1* + PI + n1', n3) + (K2* xor n1'), r_c) xor n1'
-    D    = Rot(Rot(n2 + K2* + ID + n1', n2) + K1* + n1', r_d) + n1'
-    n2'  = MixBits(n1', n3)
-    IDS+ = Rot(Rot(n1' + K1* + IDS + n2', n1') + (K2* xor n2'), r_ids) xor n2'
-    K1+  = Rot(Rot(n3 + K2* + PI + n2', n3) + K1* + n2', r_k1n) + n2'
-    K2+  = Rot(Rot(IDS+ + K2* + PI + K1+, IDS+) + K1* + K1+, r_k2n) + K1+
-
-    amount    Original   Modified
-    r_a       K1         n2
-    r_b       K2         n1
-    r_k1s     n1         K1
-    r_k2s     n2         K2
-    r_c       n2         K2*
-    r_d       n3         K1*
-    r_ids     n3         K1*
-    r_k1n     n2         K1*
-    r_k2n     n1'        K2*
+``EQUATIONS`` (with ``MIXBITS``) is the one source of the session
+equations, each Rot(Rot(P + Q + R + S, inner) + (T op V), outer) op V with
+its outer amount per variant.  ``render`` turns it into the straight-line
+phases between the rendered-code markers: ``reader_begin`` (every value of
+a session in one pass), ``derive_auth`` (through D, but A and B),
+``derive_keys`` (K1*, K2* and C, which read neither IDS nor ID),
+``next_ids`` (IDS+) and ``derive_update`` (n2' and the staged tuple).  Edit
+the table, then re-render with ``PYTHONPATH=src python -m tagauth.gossamer``;
+a test fails while the two disagree.  A phase looks ``mixbits_original`` or
+``mixbits_modified`` up in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
 vanishes when the nonces are multiples of 96, while A/B rotate by key-only
@@ -37,45 +23,28 @@ what the passive attacks force.  The Modified column crosses keys into the
 nonce-only sites and nonces into A/B, so no single all-nonce or all-key
 forcing flattens a transcript.
 
-A consequence of rotating A by an n2-derived amount and B by an n1-derived
-one is that the Modified tag cannot invert either message directly.  Both
-tags undo A and B with one peel (``recover_nonces``):
+So the Modified tag cannot invert A or B directly.  Both tags undo them
+with one peel (``recover_nonces``), r_a and r_b being their outer amounts:
 
     n1 = rotr(rotr(A, r_a) - K1, K2) - (IDS + K1 + PI)
     n2 = rotr(rotr(B, r_b) - K2, K1) - (IDS + K2 + PI)
 
 The Original tag knows r_a = K1 and r_b = K2 and peels once.  The Modified
-tag runs a bounded consistency search: for each of the 96 possible
-residues r of n2 it peels A with r_a = r, peels B with r_b = n1, and keeps
-candidates whose n2 lands back on r.  Either tag accepts only if exactly
-one survivor reproduces the received C (rejecting on none or several
-rather than guessing).  The search runs as lanes, not as a loop over r:
-``word96.peel_rotations`` peels A for all 96 r, and B for all 96 residues
-s that n1 can take, each in one int of 96 lanes, and reads every peel's
-value mod 96 out as one byte per lane; r survives where B's byte at
-s = n1(r) mod 96 is r, which one translate finds for every r at once.
-Only survivors are decoded, and they reach derive_auth in ascending r,
-as the loop's did.
-
-K1*, K2* and C read neither IDS nor ID; ``derive_keys`` is their one
-definition.  ``derive_auth`` builds a session's values through it, all but
-A and B, and the zero-key attack (``attacks.gossamer_attack2``) stops after
-it when C differs.  A and B have one computing site, ``reader_begin``; the
-tag's peel gives its accepted nonces the A and B it received, which are
-what rebuilding them would give.
-IDS+ has its own, ``next_ids``: ``derive_update`` stages it with K1+ and
-K2+, and the zero-key attack computes it alone.
+tag keeps each residue r of n2 for which the peels with r_a = r and r_b =
+n1 give n2 = r (mod 96), trying all 96 at once as lanes
+(``_residue_survivors``).  Either tag accepts only if exactly one candidate
+reproduces the received C, and gives it the received A and B.
 
 The session record, the two-tuple tag state, its announce/retry step, the
 update timing and reader_finish are shared with SASI (``tagstate``).
 """
 
+from collections import Counter
 from enum import Enum
 
 from .tagstate import SessionValues, TagState, rotate, tuple_of
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
-                     mixbits_original, mixbits_original_lanes, peel_rotations, rotl, rotr,
-                     to_lanes)
+                     mixbits_original, mixbits_original_lanes, peel_rotations, rotr, to_lanes)
 
 
 class Variant(Enum):
@@ -86,34 +55,240 @@ class Variant(Enum):
 _ORIGINAL = Variant.ORIGINAL  # bound once: a read through the enum class costs more
 
 
-def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
-                n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
-    """(K1*, K2*, C), the session keys and the message that confirms them:
-    the one definition of their equations above."""
-    original = variant is _ORIGINAL
-    k1s = rotl((rotl((n2 + k1 + PI + n3) & MASK, n2) + (k2 ^ n3)) & MASK,
-               n1 if original else k1) ^ n3
-    k2s = (rotl((rotl((n1 + k2 + PI + n3) & MASK, n1) + k1 + n3) & MASK,
-                n2 if original else k2) + n3) & MASK
-    c = rotl((rotl((n3 + k1s + PI + n1p) & MASK, n3) + (k2s ^ n1p)) & MASK,
-             n2 if original else k2s) ^ n1p
-    return k1s, k2s, c
+# The session equations in the code's names (k1s is K1*, n1p is n1', idsn is IDS+,
+# k1n is K1+): target = Rot(Rot(P + Q + R + S, inner) + (T op V), outer) op V, the
+# outer amount per variant; A and B have no V: Rot(Rot(P + Q + R + S, inner) + T, outer).
+EQUATIONS = (
+    # target P, Q, R, S                      inner   T      op   outer: orig., mod.  V
+    ("a",    ("ids", "k1", "PI", "n1"),      "k2",   "k1",  "+", ("k1", "n2"),       None),
+    ("b",    ("ids", "k2", "PI", "n2"),      "k1",   "k2",  "+", ("k2", "n1"),       None),
+    ("k1s",  ("n2", "k1", "PI", "n3"),       "n2",   "k2",  "^", ("n1", "k1"),       "n3"),
+    ("k2s",  ("n1", "k2", "PI", "n3"),       "n1",   "k1",  "+", ("n2", "k2"),       "n3"),
+    ("c",    ("n3", "k1s", "PI", "n1p"),     "n3",   "k2s", "^", ("n2", "k2s"),      "n1p"),
+    ("d",    ("n2", "k2s", "id_", "n1p"),    "n2",   "k1s", "+", ("n3", "k1s"),      "n1p"),
+    ("idsn", ("n1p", "k1s", "ids", "n2p"),   "n1p",  "k2s", "^", ("n3", "k1s"),      "n2p"),
+    ("k1n",  ("n3", "k2s", "PI", "n2p"),     "n3",   "k1s", "+", ("n2", "k1s"),      "n2p"),
+    ("k2n",  ("idsn", "k2s", "PI", "k1n"),   "idsn", "k1s", "+", ("n1p", "k2s"),     "k1n"),
+)
+MIXBITS = {"n3": ("n1", "n2"), "n1p": ("n3", "n2"), "n2p": ("n1p", "n3")}  # target: MixBits(x, y)
 
-
-def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
+# Each rendered phase: its head (signature, docstring), what it computes in order, its tail.
+PHASES = (
+    ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
+                 n1: Word96, n2: Word96,
+                 variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
+    """(A, B, C, pending) for the matched record, pending holding every session value."""''',
+     ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
+     "return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)"),
+    ('''def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
                 n1: Word96, n2: Word96) -> SessionValues:
-    """Evaluate the session equations through D (no update values yet), all
-    but A and B, which stay None: ``reader_begin`` builds them, and the tag
-    received them.  Of the equations through D only A and B read IDS, so
-    this takes none."""
+    """The session's values through D; A and B stay None, since the tag received them."""''',
+     ("n3", "n1p", "k1s", "k2s", "c", "d"),
+     "return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, None, None, c, d)"),
+    ('''def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
+                n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
+    """(K1*, K2*, C), the session keys and the message that confirms them."""''',
+     ("k1s", "k2s", "c"), "return k1s, k2s, c"),
+    ('''def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
+             k1s: Word96, k2s: Word96) -> Word96:
+    """IDS+, the next pseudonym."""''', ("idsn",), "return idsn"),
+    ('''def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
+    """Fill in n2' and the staged (IDS, K1, K2) of ``derive_auth``'s values."""
+    n2, n3, n1p, k1s, k2s = vals.n2, vals.n3, vals.n1p, vals.k1_star, vals.k2_star''',
+     ("n2p", "idsn", "k1n", "k2n"),
+     "vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, idsn, k1n, k2n\n"
+     "return vals"),
+)
+
+
+def render() -> str:
+    """The code of PHASES from EQUATIONS and MIXBITS, straight-line: a rotation
+    left by r is one shift-or of the masked word x, (x << 96 | x) >> (-r % 96);
+    an amount that rotates more than once in a phase is reduced once, to r_<amount>."""
+    rows = {row[0]: row for row in EQUATIONS}
+    code = []
+    for head, targets, tail in PHASES:
+        lines = ["original = variant is _ORIGINAL"]
+        if MIXBITS.keys() & set(targets):
+            lines.append("mix = mixbits_original if original else mixbits_modified")
+        uses = Counter(amount for target in targets if target in rows
+                       for amount in (rows[target][2], *rows[target][5]))
+        reduced = set()
+
+        def shift(amount):
+            if uses[amount] == 1:
+                return f"(-{amount} % 96)"
+            if amount not in reduced:
+                reduced.add(amount)
+                lines.append(f"r_{amount} = -{amount} % 96")
+            return f"r_{amount}"
+
+        for target in targets:
+            if target in MIXBITS:
+                lines.append(f"{target} = mix({', '.join(MIXBITS[target])})")
+                continue
+            _, terms, inner, t, op, (orig, mod), v = rows[target]
+            inner_shift = shift(inner)
+            rot = f"((x << 96 | x) >> ({shift(orig)} if original else {shift(mod)}))"
+            mid, last = (t, "") if v is None else (f"({t} {op} {v})", f" {op} {v}")
+            lines += [f"# {target} = Rot(Rot({' + '.join(terms)}, {inner}) + {mid}, "
+                      f"{orig} if original else {mod}){last}",
+                      f"x = ({' + '.join(terms)}) & MASK",
+                      f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK",
+                      f"{target} = ({rot}{last}) & MASK" if last else f"{target} = {rot} & MASK"]
+        code.append("\n    ".join([head, *lines, *tail.split("\n")]))
+    return "\n\n\n".join(code)
+
+
+# the lines around the rendered code, which only ``render`` writes
+BEGIN = "\n# ---- rendered from EQUATIONS by python -m tagauth.gossamer; do not edit ----\n\n\n"
+END = "\n\n\n# ---- end of rendered code ----\n"
+# ---- rendered from EQUATIONS by python -m tagauth.gossamer; do not edit ----
+
+
+def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
+                 n1: Word96, n2: Word96,
+                 variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
+    """(A, B, C, pending) for the matched record, pending holding every session value."""
     original = variant is _ORIGINAL
     mix = mixbits_original if original else mixbits_modified
     n3 = mix(n1, n2)
     n1p = mix(n3, n2)
-    k1s, k2s, c = derive_keys(variant, k1, k2, n1, n2, n3, n1p)
-    d = (rotl((rotl((n2 + k2s + id_ + n1p) & MASK, n2) + k1s + n1p) & MASK,
-              n3 if original else k1s) + n1p) & MASK
+    r_n2 = -n2 % 96
+    r_n1 = -n1 % 96
+    r_k1 = -k1 % 96
+    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1 if original else k1) ^ n3
+    x = (n2 + k1 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
+    k1s = (((x << 96 | x) >> (r_n1 if original else r_k1)) ^ n3) & MASK
+    r_k2 = -k2 % 96
+    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2 if original else k2) + n3
+    x = (n1 + k2 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
+    k2s = (((x << 96 | x) >> (r_n2 if original else r_k2)) + n3) & MASK
+    r_n3 = -n3 % 96
+    r_k2s = -k2s % 96
+    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2 if original else k2s) ^ n1p
+    x = (n3 + k1s + PI + n1p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
+    c = (((x << 96 | x) >> (r_n2 if original else r_k2s)) ^ n1p) & MASK
+    r_k1s = -k1s % 96
+    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3 if original else k1s) + n1p
+    x = (n2 + k2s + id_ + n1p) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k1s + n1p)) & MASK
+    d = (((x << 96 | x) >> (r_n3 if original else r_k1s)) + n1p) & MASK
+    n2p = mix(n1p, n3)
+    r_n1p = -n1p % 96
+    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3 if original else k1s) ^ n2p
+    x = (n1p + k1s + ids + n2p) & MASK
+    x = (((x << 96 | x) >> r_n1p) + (k2s ^ n2p)) & MASK
+    idsn = (((x << 96 | x) >> (r_n3 if original else r_k1s)) ^ n2p) & MASK
+    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), n2 if original else k1s) + n2p
+    x = (n3 + k2s + PI + n2p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
+    k1n = (((x << 96 | x) >> (r_n2 if original else r_k1s)) + n2p) & MASK
+    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), n1p if original else k2s) + k1n
+    x = (idsn + k2s + PI + k1n) & MASK
+    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
+    k2n = (((x << 96 | x) >> (r_n1p if original else r_k2s)) + k1n) & MASK
+    # a = Rot(Rot(ids + k1 + PI + n1, k2) + k1, k1 if original else n2)
+    x = (ids + k1 + PI + n1) & MASK
+    x = (((x << 96 | x) >> r_k2) + k1) & MASK
+    a = ((x << 96 | x) >> (r_k1 if original else r_n2)) & MASK
+    # b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2 if original else n1)
+    x = (ids + k2 + PI + n2) & MASK
+    x = (((x << 96 | x) >> r_k1) + k2) & MASK
+    b = ((x << 96 | x) >> (r_k2 if original else r_n1)) & MASK
+    return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)
+
+
+def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
+                n1: Word96, n2: Word96) -> SessionValues:
+    """The session's values through D; A and B stay None, since the tag received them."""
+    original = variant is _ORIGINAL
+    mix = mixbits_original if original else mixbits_modified
+    n3 = mix(n1, n2)
+    n1p = mix(n3, n2)
+    r_n2 = -n2 % 96
+    r_n1 = -n1 % 96
+    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1 if original else k1) ^ n3
+    x = (n2 + k1 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
+    k1s = (((x << 96 | x) >> (r_n1 if original else (-k1 % 96))) ^ n3) & MASK
+    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2 if original else k2) + n3
+    x = (n1 + k2 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
+    k2s = (((x << 96 | x) >> (r_n2 if original else (-k2 % 96))) + n3) & MASK
+    r_n3 = -n3 % 96
+    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2 if original else k2s) ^ n1p
+    x = (n3 + k1s + PI + n1p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
+    c = (((x << 96 | x) >> (r_n2 if original else (-k2s % 96))) ^ n1p) & MASK
+    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3 if original else k1s) + n1p
+    x = (n2 + k2s + id_ + n1p) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k1s + n1p)) & MASK
+    d = (((x << 96 | x) >> (r_n3 if original else (-k1s % 96))) + n1p) & MASK
     return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, None, None, c, d)
+
+
+def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
+                n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
+    """(K1*, K2*, C), the session keys and the message that confirms them."""
+    original = variant is _ORIGINAL
+    r_n2 = -n2 % 96
+    r_n1 = -n1 % 96
+    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1 if original else k1) ^ n3
+    x = (n2 + k1 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
+    k1s = (((x << 96 | x) >> (r_n1 if original else (-k1 % 96))) ^ n3) & MASK
+    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2 if original else k2) + n3
+    x = (n1 + k2 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
+    k2s = (((x << 96 | x) >> (r_n2 if original else (-k2 % 96))) + n3) & MASK
+    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2 if original else k2s) ^ n1p
+    x = (n3 + k1s + PI + n1p) & MASK
+    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
+    c = (((x << 96 | x) >> (r_n2 if original else (-k2s % 96))) ^ n1p) & MASK
+    return k1s, k2s, c
+
+
+def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
+             k1s: Word96, k2s: Word96) -> Word96:
+    """IDS+, the next pseudonym."""
+    original = variant is _ORIGINAL
+    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3 if original else k1s) ^ n2p
+    x = (n1p + k1s + ids + n2p) & MASK
+    x = (((x << 96 | x) >> (-n1p % 96)) + (k2s ^ n2p)) & MASK
+    idsn = (((x << 96 | x) >> ((-n3 % 96) if original else (-k1s % 96))) ^ n2p) & MASK
+    return idsn
+
+
+def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
+    """Fill in n2' and the staged (IDS, K1, K2) of ``derive_auth``'s values."""
+    n2, n3, n1p, k1s, k2s = vals.n2, vals.n3, vals.n1p, vals.k1_star, vals.k2_star
+    original = variant is _ORIGINAL
+    mix = mixbits_original if original else mixbits_modified
+    n2p = mix(n1p, n3)
+    r_n1p = -n1p % 96
+    r_n3 = -n3 % 96
+    r_k1s = -k1s % 96
+    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3 if original else k1s) ^ n2p
+    x = (n1p + k1s + ids + n2p) & MASK
+    x = (((x << 96 | x) >> r_n1p) + (k2s ^ n2p)) & MASK
+    idsn = (((x << 96 | x) >> (r_n3 if original else r_k1s)) ^ n2p) & MASK
+    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), n2 if original else k1s) + n2p
+    x = (n3 + k2s + PI + n2p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
+    k1n = (((x << 96 | x) >> ((-n2 % 96) if original else r_k1s)) + n2p) & MASK
+    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), n1p if original else k2s) + k1n
+    x = (idsn + k2s + PI + k1n) & MASK
+    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
+    k2n = (((x << 96 | x) >> (r_n1p if original else (-k2s % 96))) + k1n) & MASK
+    vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, idsn, k1n, k2n
+    return vals
+
+
+# ---- end of rendered code ----
 
 
 def id_from_d(variant: Variant, vals, d: Word96) -> Word96:
@@ -123,27 +298,6 @@ def id_from_d(variant: Variant, vals, d: Word96) -> Word96:
     step = rotr((d - vals.n1p) & MASK, vals.n3 if variant is _ORIGINAL else vals.k1_star)
     step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
     return (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
-
-
-def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
-             k1s: Word96, k2s: Word96) -> Word96:
-    """IDS+, the next pseudonym: the one definition of its equation above."""
-    return rotl((rotl((n1p + k1s + ids + n2p) & MASK, n1p) + (k2s ^ n2p)) & MASK,
-                n3 if variant is _ORIGINAL else k1s) ^ n2p
-
-
-def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
-    """Fill in n2' and the staged (IDS, K1, K2) for the session's tuple."""
-    original = variant is _ORIGINAL
-    n3, n1p, k1s, k2s = vals.n3, vals.n1p, vals.k1_star, vals.k2_star
-    n2p = (mixbits_original if original else mixbits_modified)(n1p, n3)
-    ids_next = next_ids(variant, ids, n3, n1p, n2p, k1s, k2s)
-    k1_next = (rotl((rotl((n3 + k2s + PI + n2p) & MASK, n3) + k1s + n2p) & MASK,
-                    vals.n2 if original else k1s) + n2p) & MASK
-    k2_next = (rotl((rotl((ids_next + k2s + PI + k1_next) & MASK, ids_next)
-                     + k1s + k1_next) & MASK, n1p if original else k2s) + k1_next) & MASK
-    vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, ids_next, k1_next, k2_next
-    return vals
 
 
 def mixbits_chains(n1s: list[Word96], n2s: list[Word96]) -> list[tuple]:
@@ -170,42 +324,21 @@ def mixbits_table(chains) -> dict[tuple[Word96, Word96], Word96]:
     return table
 
 
-def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
-                 n1: Word96, n2: Word96,
-                 variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
-    """Build A||B||C for the matched record and stage the update; returns
-    (a, b, c, pending), pending holding every value of the session.  A and B
-    are computed here and nowhere else (``derive_auth`` leaves them None)."""
-    original = variant is _ORIGINAL
-    vals = derive_update(variant, ids, derive_auth(variant, k1, k2, id_, n1, n2))
-    a = vals.a = rotl((rotl((ids + k1 + PI + n1) & MASK, k2) + k1) & MASK,
-                      k1 if original else n2)
-    b = vals.b = rotl((rotl((ids + k2 + PI + n2) & MASK, k1) + k2) & MASK,
-                      k2 if original else n1)
-    return a, b, vals.c, vals
-
-
 def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
                    id_: Word96, a: Word96, b: Word96, c: Word96) -> SessionValues | None:
     """The tag's nonces from A||B||C: the one peel above, for both variants.
 
     The original tag peels one candidate, with r_a = K1 and r_b = K2, on
     the doubled words A*2^96 + A and B*2^96 + B (whose shift right by
-    s < 96, masked, is rotr by s).  The modified tag tries each of the 96
-    residues r of n2 as r_a, with r_b = n1, and keeps r only when n2 = r
-    (mod 96): ``_residue_survivors`` gives those candidates in ascending r.
-    Only candidates rebuild C via derive_auth, which leaves A and B None.
-    They need no rebuilding: the peel inverted the received A and B by the
-    amounts a candidate's own A and B rotate by (K1 and K2; for the
-    modified tag n2 = r mod 96, and n1), so they would come back as
-    received, and the accepted candidate takes them.  Returns the unique
+    s < 96, masked, is rotr by s); the modified tag's candidates are
+    ``_residue_survivors``.  Only candidates rebuild C, via derive_auth.
+    The peel inverted A and B by a candidate's own outer amounts, so the
+    accepted one takes the received A and B as its own.  Returns the unique
     candidate that reproduces C, or None when zero or several do.
     """
-    c1 = ids + k1 + PI
-    c2 = ids + k2 + PI
+    c1, c2 = ids + k1 + PI, ids + k2 + PI
     if variant is _ORIGINAL:
-        rk1 = k1 % WIDTH
-        rk2 = k2 % WIDTH
+        rk1, rk2 = k1 % WIDTH, k2 % WIDTH
         step = (((a << WIDTH | a) >> rk1) - k1) & MASK
         n1 = (((step << WIDTH | step) >> rk2) - c1) & MASK
         step = (((b << WIDTH | b) >> rk2) - k2) & MASK
@@ -253,12 +386,8 @@ def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
                 variant: Variant) -> Word96 | None:
-    """Authenticate the reader from A||B||C; emit D and commit, or reject.
-
-    Both variants recover the nonces with recover_nonces, which accepts
-    only a pair whose locally rebuilt C matches the received one.  On
-    rejection the state is untouched and None is returned.
-    """
+    """Authenticate the reader from A||B||C (``recover_nonces``); emit D and
+    commit, or reject with the state untouched and return None."""
     ids, k1, k2 = tuple_of(tag, tag.last_announced)
     vals = recover_nonces(variant, ids, k1, k2, tag.id, a, b, c)
     if vals is None:
@@ -266,3 +395,11 @@ def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
     derive_update(variant, ids, vals)
     rotate(tag, tag.last_announced, (vals.ids_next, vals.k1_next, vals.k2_next))
     return vals.d
+
+
+if __name__ == "__main__":  # re-render the code between BEGIN and END in place
+    with open(__file__, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(BEGIN) + len(BEGIN)
+    with open(__file__, "w", encoding="utf-8") as fh:
+        fh.write(text[:start] + render() + text[text.index(END, start):])

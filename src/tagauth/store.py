@@ -12,8 +12,8 @@ ordered field table per kind builds the writer's ``%`` template and the
 regex of a canonical record (``record_formats``), and its kinds ``decode``
 what ``json.loads`` gives.  A canonical JSONL line or ``RecordList`` file is
 read by that regex, any other through ``json.loads`` and ``decode`` to the
-same record or error.  Files are written through a temp file and a rename,
-so a crash never leaves a torn file.
+same record or error.  Each write goes through a temp file of its own and a
+rename, so neither a crash nor an overlapping write leaves a torn file.
 
 Single writer, any number of readers; the simulator serializes commits.
 """
@@ -25,7 +25,7 @@ import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 
 from .tagstate import NEXT as MATCH_NEXT, OLD as MATCH_OLD  # the tuple a lookup matched
@@ -33,6 +33,7 @@ from .tagstate import rotate
 from .word96 import Word96, from_hex, to_hex
 
 log = logging.getLogger(__name__)
+_temp_ids = count()  # numbers each write_atomic call's temp file
 
 STORE_FORMAT = "rfid-tagstore/1"
 
@@ -247,10 +248,13 @@ class RecordList:
 
 
 def write_atomic(path: str, chunks) -> None:
-    """Write ``chunks`` via a temp file; a failure removes it and keeps ``path``."""
-    tmp = f"{path}.tmp"
+    """Write ``chunks`` via a new temp file of this call's own, renamed over
+    ``path`` (of overlapping writes the last renamed wins, whole); a failure
+    removes it and keeps ``path``."""
+    tmp = f"{path}.{os.getpid()}.{next(_temp_ids)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

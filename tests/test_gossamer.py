@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -410,3 +411,49 @@ def test_derive_keys_matches_oracle(variant, k1, k2, n1, n2):
     ref = oracles.gossamer_session(variant.value, 0, 0, k1, k2, n1, n2)
     assert gossamer.derive_keys(variant, k1, k2, n1, n2, ref["n3"], ref["n1p"]) == (
         ref["k1s"], ref["k2s"], ref["c"])
+
+
+def test_rendered_phases_are_the_table_rendered():
+    # the code between the markers, byte for byte, is what render() makes of
+    # EQUATIONS: a hand edit of it, or a table edit not re-rendered, fails
+    text = Path(gossamer.__file__).read_bytes().decode("utf-8")
+    start = text.index(gossamer.BEGIN) + len(gossamer.BEGIN)
+    assert text[start:text.index(gossamer.END, start)] == gossamer.render()
+
+
+# Words at a rotation's edges: amounts of 0, 1 and 95 (mod 96), the words 0
+# and MASK, and any word; keys are often zero, as the zero-key attack forces.
+edge_words = (st.sampled_from((0, MASK))
+              | st.builds(lambda q, r: 96 * q + r, st.integers(0, (MASK - 95) // 96),
+                          st.sampled_from((0, 1, 95)))
+              | words)
+edge_keys = st.just(0) | edge_words
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
+       n2=edge_words)
+@example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
+@example(id_=MASK, ids=MASK, k1=MASK, k2=MASK, n1=MASK, n2=MASK)
+@settings(max_examples=150, deadline=None)
+def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
+    ref = oracles.gossamer_session(variant.value, id_, ids, k1, k2, n1, n2)
+    want = {field: ref[ORACLE_KEY.get(field, field)] for field in FIELDS}
+    a, b, c, pending = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+    assert (a, b, c) == (want["a"], want["b"], want["c"])
+    assert {field: getattr(pending, field) for field in FIELDS} == want
+    assert (pending.n1, pending.n2) == (n1, n2)
+
+    # derive_auth leaves A, B and the update None; derive_update fills the update in
+    vals = gossamer.derive_auth(variant, k1, k2, id_, n1, n2)
+    through_d = {field: getattr(vals, field) for field in FIELDS}
+    assert through_d == {field: None if field in ("a", "b", "n2p", "ids_next", "k1_next",
+                                                  "k2_next") else want[field]
+                         for field in FIELDS}
+    assert gossamer.derive_update(variant, ids, vals) is vals
+    assert {field: getattr(vals, field) for field in FIELDS} == {**want, "a": None, "b": None}
+
+    assert gossamer.derive_keys(variant, k1, k2, n1, n2, want["n3"], want["n1p"]) == (
+        want["k1_star"], want["k2_star"], want["c"])
+    assert gossamer.next_ids(variant, ids, want["n3"], want["n1p"], want["n2p"],
+                             want["k1_star"], want["k2_star"]) == want["ids_next"]

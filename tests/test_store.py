@@ -3,6 +3,8 @@
 import json
 import logging
 import re
+import sys
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -246,6 +248,51 @@ class TestPersistence:
     def test_load_missing_file_names_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             Store.load(tmp_path / "absent.json")
+
+    def test_nested_write_of_one_path_leaves_one_write_whole(self, tmp_path):
+        # the inner write starts and renames while the outer one is open:
+        # each has its own temp file, so the outer one, renamed last, wins
+        path = tmp_path / "f.txt"
+
+        def outer():
+            yield "A1\n"
+            store_module.write_atomic(path, ["B1\n", "B2\n", "B3\n"])
+            assert path.read_text() == "B1\nB2\nB3\n"
+            yield "A2\n"
+
+        store_module.write_atomic(path, outer())
+        assert path.read_text() == "A1\nA2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+    def test_threads_writing_one_path_never_tear_it(self, tmp_path):
+        # more writers than cores, switching often: every write completes,
+        # and every read sees one writer's whole file
+        path = tmp_path / "f.txt"
+        whole = {"".join(f"{w}-{i}\n" for i in range(40)) for w in range(4)}
+        errors, seen = [], set()
+
+        def writer(w):
+            try:
+                for _ in range(40):
+                    store_module.write_atomic(path, (f"{w}-{i}\n" for i in range(40)))
+                    seen.add(path.read_text())
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen <= whole and path.read_text() in whole
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, store = provision(1, Protocol.GOSSAMER, seed=14)
