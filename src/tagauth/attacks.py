@@ -99,7 +99,7 @@ def gossamer_attack1(first, second) -> AttackVerdict:
 def zero_key_chains(transcripts: list) -> list[tuple]:
     """The zero-key MixBits chain (n1, n2, n3, n1', n2') of each transcript.
 
-    With K1 = K2 = 0 the original tag's peel (``recover_nonces``) is
+    With K1 = K2 = 0 the original tag's peel (``peel_original``) is
     n1 = A - IDS - PI and n2 = B - IDS - PI, and the session's three MixBits
     calls run for the whole list as one ``gossamer.mixbits_chains`` call.
     """

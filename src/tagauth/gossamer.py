@@ -11,10 +11,14 @@ its outer amount per variant.  ``render`` turns it into the straight-line
 phases between the rendered-code markers: ``reader_begin`` (every value of
 a session in one pass), ``derive_auth`` (through D, but A and B),
 ``derive_keys`` (K1*, K2* and C, which read neither IDS nor ID),
-``next_ids`` (IDS+) and ``derive_update`` (n2' and the staged tuple).  Edit
-the table, then re-render with ``PYTHONPATH=src python -m tagauth.gossamer``;
-a test fails while the two disagree.  A phase looks ``mixbits_original`` or
-``mixbits_modified`` up in this module's globals when it runs.
+``next_ids`` (IDS+) and ``derive_update`` (n2' and the staged tuple), and
+the original tag's two: ``peel_original`` (n1 and n2, the ``a`` and ``b``
+rows inverted with the Original outer amounts, as ``PEELS`` names them) and
+``accept_original``, its one phase (that peel, C rebuilt and checked, then
+D and the staged tuple as plain words).  Edit the table, then re-render
+with ``PYTHONPATH=src python -m tagauth.gossamer``; a test fails while the
+two disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified``
+up in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
 vanishes when the nonces are multiples of 96, while A/B rotate by key-only
@@ -24,16 +28,17 @@ nonce-only sites and nonces into A/B, so no single all-nonce or all-key
 forcing flattens a transcript.
 
 So the Modified tag cannot invert A or B directly.  Both tags undo them
-with one peel (``recover_nonces``), r_a and r_b being their outer amounts:
+with one peel, r_a and r_b being their outer amounts:
 
     n1 = rotr(rotr(A, r_a) - K1, K2) - (IDS + K1 + PI)
     n2 = rotr(rotr(B, r_b) - K2, K1) - (IDS + K2 + PI)
 
-The Original tag knows r_a = K1 and r_b = K2 and peels once.  The Modified
-tag keeps each residue r of n2 for which the peels with r_a = r and r_b =
-n1 give n2 = r (mod 96), trying all 96 at once as lanes
-(``_residue_survivors``).  Either tag accepts only if exactly one candidate
-reproduces the received C, and gives it the received A and B.
+The Original tag knows r_a = K1 and r_b = K2 and peels once, in its one
+phase.  The Modified tag keeps each residue r of n2 for which the peels
+with r_a = r and r_b = n1 give n2 = r (mod 96), trying all 96 at once as
+lanes (``_residue_survivors``), and ``recover_nonces`` rebuilds C from
+each candidate.  Either tag accepts only if exactly one candidate
+reproduces the received C.
 
 The session record, the two-tuple tag state, its announce/retry step, the
 update timing and reader_finish are shared with SASI (``tagstate``).
@@ -71,71 +76,110 @@ EQUATIONS = (
     ("k2n",  ("idsn", "k2s", "PI", "k1n"),   "idsn", "k1s", "+", ("n1p", "k2s"),     "k1n"),
 )
 MIXBITS = {"n3": ("n1", "n2"), "n1p": ("n3", "n2"), "n2p": ("n1p", "n3")}  # target: MixBits(x, y)
+PEELS = {"n1": "a", "n2": "b"}  # nonce: the row of A or B whose inverse, original column, gives it
 
-# Each rendered phase: its head (signature, docstring), what it computes in order, its tail.
+# Each rendered phase: its head (signature, docstring), its variant (None: the
+# variant argument picks each outer amount), what it computes in order, its tail.
+# A target "c?" rebuilds C and returns None unless it equals the received c.
 PHASES = (
     ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
                  n1: Word96, n2: Word96,
                  variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
     """(A, B, C, pending) for the matched record, pending holding every session value."""''',
-     ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
+     None, ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
      "return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)"),
     ('''def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
                 n1: Word96, n2: Word96) -> SessionValues:
     """The session's values through D; A and B stay None, since the tag received them."""''',
-     ("n3", "n1p", "k1s", "k2s", "c", "d"),
+     None, ("n3", "n1p", "k1s", "k2s", "c", "d"),
      "return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, None, None, c, d)"),
     ('''def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
                 n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
     """(K1*, K2*, C), the session keys and the message that confirms them."""''',
-     ("k1s", "k2s", "c"), "return k1s, k2s, c"),
+     None, ("k1s", "k2s", "c"), "return k1s, k2s, c"),
     ('''def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
              k1s: Word96, k2s: Word96) -> Word96:
-    """IDS+, the next pseudonym."""''', ("idsn",), "return idsn"),
+    """IDS+, the next pseudonym."""''', None, ("idsn",), "return idsn"),
     ('''def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
     """Fill in n2' and the staged (IDS, K1, K2) of ``derive_auth``'s values."""
     n2, n3, n1p, k1s, k2s = vals.n2, vals.n3, vals.n1p, vals.k1_star, vals.k2_star''',
-     ("n2p", "idsn", "k1n", "k2n"),
+     None, ("n2p", "idsn", "k1n", "k2n"),
      "vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, idsn, k1n, k2n\n"
      "return vals"),
+    ('''def peel_original(ids: Word96, k1: Word96, k2: Word96,
+                  a: Word96, b: Word96) -> tuple[Word96, Word96]:
+    """(n1, n2) that the original A and B carry: each undone by its outer amounts."""''',
+     Variant.ORIGINAL, ("n1", "n2"), "return n1, n2"),
+    ('''def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
+                    b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+    """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
+    None when the nonces peeled from A and B do not rebuild C."""''',
+     Variant.ORIGINAL,
+     ("n1", "n2", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
+     "return d, (idsn, k1n, k2n)"),
 )
 
 
 def render() -> str:
-    """The code of PHASES from EQUATIONS and MIXBITS, straight-line: a rotation
-    left by r is one shift-or of the masked word x, (x << 96 | x) >> (-r % 96);
-    an amount that rotates more than once in a phase is reduced once, to r_<amount>."""
+    """The code of PHASES from EQUATIONS, MIXBITS and PEELS, straight-line: a
+    rotation left by r is one shift-or of the masked word x, (x << 96 | x) >>
+    (-r % 96), and a rotation right (the peel) shifts by r % 96; an amount
+    that rotates one way more than once in a phase is reduced once, to
+    r_<amount> (left) or rr_<amount> (right)."""
     rows = {row[0]: row for row in EQUATIONS}
     code = []
-    for head, targets, tail in PHASES:
-        lines = ["original = variant is _ORIGINAL"]
-        if MIXBITS.keys() & set(targets):
-            lines.append("mix = mixbits_original if original else mixbits_modified")
-        uses = Counter(amount for target in targets if target in rows
-                       for amount in (rows[target][2], *rows[target][5]))
+    for head, variant, targets, tail in PHASES:
+        names = [target.rstrip("?") for target in targets]
+        if variant is None:
+            lines, mix, pick = ["original = variant is _ORIGINAL"], "mix", slice(None)
+            if MIXBITS.keys() & set(names):
+                lines.append("mix = mixbits_original if original else mixbits_modified")
+        else:
+            column = list(Variant).index(variant)
+            lines, mix, pick = [], f"mixbits_{variant.value}", slice(column, column + 1)
+        uses = Counter()  # (amount, right): the rotations by an amount in this phase
+        for name in names:
+            row = rows.get(PEELS.get(name, name))
+            if row is not None:
+                uses.update((amount, name in PEELS) for amount in (row[2], *row[5][pick]))
         reduced = set()
 
-        def shift(amount):
-            if uses[amount] == 1:
-                return f"(-{amount} % 96)"
-            if amount not in reduced:
-                reduced.add(amount)
-                lines.append(f"r_{amount} = -{amount} % 96")
-            return f"r_{amount}"
+        def shift(amount, right=False):
+            name, value = (f"rr_{amount}", f"{amount} % 96") if right else (f"r_{amount}",
+                                                                           f"-{amount} % 96")
+            if uses[amount, right] == 1:
+                return f"({value})"
+            if name not in reduced:
+                reduced.add(name)
+                lines.append(f"{name} = {value}")
+            return name
 
-        for target in targets:
-            if target in MIXBITS:
-                lines.append(f"{target} = mix({', '.join(MIXBITS[target])})")
+        for target, name in zip(targets, names):
+            if name in MIXBITS:
+                lines.append(f"{name} = {mix}({', '.join(MIXBITS[name])})")
                 continue
-            _, terms, inner, t, op, (orig, mod), v = rows[target]
+            if name in PEELS:  # the row solved for its nonce, rotating right
+                word, terms, inner, t, _, outer, _ = rows[PEELS[name]]
+                (outer,) = outer[pick]  # the one variant's: a phase that peels has one
+                rest = " + ".join(term for term in terms if term != name)
+                lines += [f"# {name} from {word} = Rot(Rot({' + '.join(terms)}, {inner}) + {t}, "
+                          f"{outer})",
+                          f"x = ((({word} << 96 | {word}) >> {shift(outer, True)}) - {t}) & MASK",
+                          f"{name} = (((x << 96 | x) >> {shift(inner, True)}) - ({rest})) & MASK"]
+                continue
+            _, terms, inner, t, op, outer, v = rows[name]
             inner_shift = shift(inner)
-            rot = f"((x << 96 | x) >> ({shift(orig)} if original else {shift(mod)}))"
+            chosen = " if original else ".join(map(shift, outer[pick]))
+            rot = f"((x << 96 | x) >> {chosen if len(outer[pick]) == 1 else f'({chosen})'})"
             mid, last = (t, "") if v is None else (f"({t} {op} {v})", f" {op} {v}")
-            lines += [f"# {target} = Rot(Rot({' + '.join(terms)}, {inner}) + {mid}, "
-                      f"{orig} if original else {mod}){last}",
+            lines += [f"# {name} = Rot(Rot({' + '.join(terms)}, {inner}) + {mid}, "
+                      f"{' if original else '.join(outer[pick])}){last}",
                       f"x = ({' + '.join(terms)}) & MASK",
-                      f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK",
-                      f"{target} = ({rot}{last}) & MASK" if last else f"{target} = {rot} & MASK"]
+                      f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK"]
+            if target != name:
+                lines += [f"if ({rot}{last}) & MASK != {name}:", "    return None"]
+            else:
+                lines.append(f"{name} = ({rot}{last}) & MASK" if last else f"{name} = {rot} & MASK")
         code.append("\n    ".join([head, *lines, *tail.split("\n")]))
     return "\n\n\n".join(code)
 
@@ -288,6 +332,71 @@ def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> Session
     return vals
 
 
+def peel_original(ids: Word96, k1: Word96, k2: Word96,
+                  a: Word96, b: Word96) -> tuple[Word96, Word96]:
+    """(n1, n2) that the original A and B carry: each undone by its outer amounts."""
+    rr_k1 = k1 % 96
+    rr_k2 = k2 % 96
+    # n1 from a = Rot(Rot(ids + k1 + PI + n1, k2) + k1, k1)
+    x = (((a << 96 | a) >> rr_k1) - k1) & MASK
+    n1 = (((x << 96 | x) >> rr_k2) - (ids + k1 + PI)) & MASK
+    # n2 from b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2)
+    x = (((b << 96 | b) >> rr_k2) - k2) & MASK
+    n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
+    return n1, n2
+
+
+def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
+                    b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+    """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
+    None when the nonces peeled from A and B do not rebuild C."""
+    rr_k1 = k1 % 96
+    rr_k2 = k2 % 96
+    # n1 from a = Rot(Rot(ids + k1 + PI + n1, k2) + k1, k1)
+    x = (((a << 96 | a) >> rr_k1) - k1) & MASK
+    n1 = (((x << 96 | x) >> rr_k2) - (ids + k1 + PI)) & MASK
+    # n2 from b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2)
+    x = (((b << 96 | b) >> rr_k2) - k2) & MASK
+    n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
+    n3 = mixbits_original(n1, n2)
+    n1p = mixbits_original(n3, n2)
+    r_n2 = -n2 % 96
+    r_n1 = -n1 % 96
+    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1) ^ n3
+    x = (n2 + k1 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
+    k1s = (((x << 96 | x) >> r_n1) ^ n3) & MASK
+    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2) + n3
+    x = (n1 + k2 + PI + n3) & MASK
+    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
+    k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
+    r_n3 = -n3 % 96
+    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
+    x = (n3 + k1s + PI + n1p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
+    if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
+        return None
+    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3) + n1p
+    x = (n2 + k2s + id_ + n1p) & MASK
+    x = (((x << 96 | x) >> r_n2) + (k1s + n1p)) & MASK
+    d = (((x << 96 | x) >> r_n3) + n1p) & MASK
+    n2p = mixbits_original(n1p, n3)
+    r_n1p = -n1p % 96
+    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3) ^ n2p
+    x = (n1p + k1s + ids + n2p) & MASK
+    x = (((x << 96 | x) >> r_n1p) + (k2s ^ n2p)) & MASK
+    idsn = (((x << 96 | x) >> r_n3) ^ n2p) & MASK
+    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), n2) + n2p
+    x = (n3 + k2s + PI + n2p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
+    k1n = (((x << 96 | x) >> r_n2) + n2p) & MASK
+    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), n1p) + k1n
+    x = (idsn + k2s + PI + k1n) & MASK
+    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
+    k2n = (((x << 96 | x) >> r_n1p) + k1n) & MASK
+    return d, (idsn, k1n, k2n)
+
+
 # ---- end of rendered code ----
 
 
@@ -328,23 +437,17 @@ def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
                    id_: Word96, a: Word96, b: Word96, c: Word96) -> SessionValues | None:
     """The tag's nonces from A||B||C: the one peel above, for both variants.
 
-    The original tag peels one candidate, with r_a = K1 and r_b = K2, on
-    the doubled words A*2^96 + A and B*2^96 + B (whose shift right by
-    s < 96, masked, is rotr by s); the modified tag's candidates are
-    ``_residue_survivors``.  Only candidates rebuild C, via derive_auth.
-    The peel inverted A and B by a candidate's own outer amounts, so the
-    accepted one takes the received A and B as its own.  Returns the unique
-    candidate that reproduces C, or None when zero or several do.
+    The original tag's one candidate is ``peel_original``'s, r_a = K1 and
+    r_b = K2; the modified tag's candidates are ``_residue_survivors``.
+    Only candidates rebuild C, via derive_auth.  The peel inverted A and B
+    by a candidate's own outer amounts, so the accepted one takes the
+    received A and B as its own.  Returns the unique candidate that
+    reproduces C, or None when zero or several do.
     """
-    c1, c2 = ids + k1 + PI, ids + k2 + PI
     if variant is _ORIGINAL:
-        rk1, rk2 = k1 % WIDTH, k2 % WIDTH
-        step = (((a << WIDTH | a) >> rk1) - k1) & MASK
-        n1 = (((step << WIDTH | step) >> rk2) - c1) & MASK
-        step = (((b << WIDTH | b) >> rk2) - k2) & MASK
-        candidates = ((n1, (((step << WIDTH | step) >> rk1) - c2) & MASK),)
+        candidates = (peel_original(ids, k1, k2, a, b),)
     else:
-        candidates = _residue_survivors(k1, k2, a, b, c1, c2)
+        candidates = _residue_survivors(k1, k2, a, b, ids + k1 + PI, ids + k2 + PI)
     match: SessionValues | None = None
     for n1, n2 in candidates:
         vals = derive_auth(variant, k1, k2, id_, n1, n2)
@@ -386,9 +489,16 @@ def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
                 variant: Variant) -> Word96 | None:
-    """Authenticate the reader from A||B||C (``recover_nonces``); emit D and
+    """Authenticate the reader from A||B||C (``accept_original``, or
+    ``recover_nonces`` and ``derive_update`` on the modified tag); emit D and
     commit, or reject with the state untouched and return None."""
     ids, k1, k2 = tuple_of(tag, tag.last_announced)
+    if variant is _ORIGINAL:
+        answer = accept_original(ids, k1, k2, tag.id, a, b, c)
+        if answer is None:
+            return None
+        rotate(tag, tag.last_announced, answer[1])
+        return answer[0]
     vals = recover_nonces(variant, ids, k1, k2, tag.id, a, b, c)
     if vals is None:
         return None

@@ -13,7 +13,8 @@ regex of a canonical record (``record_formats``), and its kinds ``decode``
 what ``json.loads`` gives.  A canonical JSONL line or ``RecordList`` file is
 read by that regex, any other through ``json.loads`` and ``decode`` to the
 same record or error.  Each write goes through a temp file of its own and a
-rename, so neither a crash nor an overlapping write leaves a torn file.
+rename, so neither a crash nor an overlapping write leaves a torn file;
+the next write of a path removes the temp files that killed writers left.
 
 Single writer, any number of readers; the simulator serializes commits.
 """
@@ -34,6 +35,7 @@ from .word96 import Word96, from_hex, to_hex
 
 log = logging.getLogger(__name__)
 _temp_ids = count()  # numbers each write_atomic call's temp file
+_TEMP_FILE = re.compile(r"(.+)\.(\d+)\.\d+\.tmp")  # a write_atomic temp file: path, pid
 
 STORE_FORMAT = "rfid-tagstore/1"
 
@@ -250,7 +252,8 @@ class RecordList:
 def write_atomic(path: str, chunks) -> None:
     """Write ``chunks`` via a new temp file of this call's own, renamed over
     ``path`` (of overlapping writes the last renamed wins, whole); a failure
-    removes it and keeps ``path``."""
+    removes it and keeps ``path``.  After the rename, the temp files of
+    ``path`` that writers no longer running left behind are removed."""
     tmp = f"{path}.{os.getpid()}.{next(_temp_ids)}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
@@ -261,6 +264,33 @@ def write_atomic(path: str, chunks) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    _remove_dead_temps(path)
+
+
+def _remove_dead_temps(path: str) -> None:
+    """Remove each ``<path>.<pid>.<n>.tmp`` whose pid names no process, as
+    ``os.kill(pid, 0)`` raising ProcessLookupError says: a writer killed
+    mid-write.  One of a live pid, or of a pid whose check raises anything
+    else (PermissionError: a process of another user), stays.  POSIX only,
+    since elsewhere ``os.kill`` ends the process it names."""
+    if os.name != "posix":
+        return
+    folder, name = os.path.split(os.fspath(path))
+    try:
+        siblings = os.listdir(folder or ".")
+    except OSError:
+        return
+    for sibling in siblings:
+        match = _TEMP_FILE.fullmatch(sibling)
+        if match is None or match[1] != name:
+            continue
+        try:
+            os.kill(int(match[2]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(OSError):  # gone already, or not ours to remove
+                os.remove(os.path.join(folder, sibling))
+        except (OSError, OverflowError):
+            pass
 
 
 def save_envelope(path: str, format_name: str, **fields) -> None:

@@ -51,7 +51,9 @@ class SessionValues:
     K1'/K2' are both k1_star/k2_star and its staged keys.  Gossamer's n2p
     and update fields stay None until derive_update runs, and its a/b until
     the side that owns them fills them: the reader's reader_begin builds
-    them, the tag's recover_nonces copies in the ones it received.
+    them, and recover_nonces copies the received ones into its accepted
+    candidate.  Of the two tags only the modified one builds these, one per
+    search candidate; the original tag's one phase returns plain words.
     """
 
     n1: Word96

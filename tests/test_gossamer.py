@@ -457,3 +457,86 @@ def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
         want["k1_star"], want["k2_star"], want["c"])
     assert gossamer.next_ids(variant, ids, want["n3"], want["n1p"], want["n2p"],
                              want["k1_star"], want["k2_star"]) == want["ids_next"]
+
+
+def oracle_peel(ids, k1, k2, a, b):
+    """The original tag's (n1, n2), A and B unwound through tests/oracles.py."""
+    mod, rot = oracles.MOD, oracles.rot_left
+    n1 = (rot((rot(a, -k1) - k1) % mod, -k2) - ids - k1 - oracles.PI) % mod
+    n2 = (rot((rot(b, -k2) - k2) % mod, -k1) - ids - k2 - oracles.PI) % mod
+    return n1, n2
+
+
+class TestOriginalTagPhase:
+    """``accept_original``, the original tag's one phase, and ``peel_original``."""
+
+    @given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
+           n2=edge_words)
+    @example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
+    @example(id_=MASK, ids=MASK, k1=MASK, k2=MASK, n1=MASK, n2=MASK)
+    @settings(max_examples=150, deadline=None)
+    def test_genuine_messages_give_the_oracle_d_and_update(self, id_, ids, k1, k2, n1, n2):
+        ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
+        a, b, c = ref["a"], ref["b"], ref["c"]
+        assert gossamer.peel_original(ids, k1, k2, a, b) == (n1, n2)
+        assert gossamer.accept_original(ids, k1, k2, id_, a, b, c) == (
+            ref["d"], (ref["ids_next"], ref["k1_next"], ref["k2_next"]))
+
+    @given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
+           n2=edge_words, word=st.sampled_from("abc"), bit=st.integers(0, 95))
+    @example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0, word="c", bit=0)
+    @settings(max_examples=150, deadline=None)
+    def test_a_flipped_bit_is_rejected_and_the_tag_kept(self, id_, ids, k1, k2, n1, n2,
+                                                         word, bit):
+        ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
+        messages = {key: ref[key] for key in "abc"}
+        messages[word] ^= 1 << bit
+        assert gossamer.accept_original(ids, k1, k2, id_, *messages.values()) is None
+        tag = fresh_tag(id_, ids, k1, k2)
+        before = TagState(**vars(tag))
+        assert gossamer.tag_respond(tag, *messages.values(), Variant.ORIGINAL) is None
+        assert tag == before
+
+    @given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, a=edge_words,
+           b=edge_words, c=st.none() | edge_words)
+    @example(id_=0, ids=0, k1=0, k2=0, a=0, b=0, c=None)
+    @settings(max_examples=150, deadline=None)
+    def test_random_messages_accepted_exactly_when_the_reference_finds_them(
+            self, id_, ids, k1, k2, a, b, c):
+        # c None: the C that the nonces peeled from this A and B rebuild
+        n1, n2 = oracle_peel(ids, k1, k2, a, b)
+        assert gossamer.peel_original(ids, k1, k2, a, b) == (n1, n2)
+        if c is None:
+            c = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)["c"]
+        found = reference_search(Variant.ORIGINAL, ids, k1, k2, id_, a, b, c)
+        answer = gossamer.accept_original(ids, k1, k2, id_, a, b, c)
+        assert (answer is None) == (found is None)
+        if found is not None:
+            assert answer[0] == found[5]
+
+    @pytest.mark.parametrize("flip", [0, 1])
+    def test_mixbits_calls_accepted_3_rejected_2(self, monkeypatch, flip):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return mixbits_original(x, y)
+
+        a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
+        monkeypatch.setattr(gossamer, "mixbits_original", counted)
+        d = gossamer.tag_respond(fresh_tag(), a, b, c ^ flip, Variant.ORIGINAL)
+        assert (d is None) == bool(flip)
+        assert len(calls) == (2 if flip else 3)
+
+    def test_tag_respond_builds_no_session_values(self, monkeypatch):
+        # the original tag answers through its one phase: neither the
+        # candidate evaluator nor the update of a SessionValues runs
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
+        for name in ("derive_auth", "derive_update", "recover_nonces", "SessionValues"):
+            monkeypatch.setattr(gossamer, name, forbidden)
+        tag = fresh_tag()
+        assert gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL) == pending.d
+        assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)

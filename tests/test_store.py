@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import asdict
@@ -293,6 +294,41 @@ class TestPersistence:
         assert errors == []
         assert seen <= whole and path.read_text() in whole
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+    def test_temp_file_of_an_exited_writer_goes_with_the_next_write(self, tmp_path):
+        # a writer killed mid-write leaves <path>.<pid>.<n>.tmp; once its pid
+        # names no process, the next write of the path removes it
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        path = tmp_path / "db.json"
+        (tmp_path / f"db.json.{child.pid}.0.tmp").write_text("torn")
+        (tmp_path / f"other.json.{child.pid}.0.tmp").write_text("another path's")
+        store_module.write_atomic(path, ["whole\n"])
+        assert path.read_text() == "whole\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "db.json", f"other.json.{child.pid}.0.tmp"]
+
+    def test_temp_file_of_a_live_writer_stays(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            temp = tmp_path / f"db.json.{child.pid}.3.tmp"
+            temp.write_text("being written")
+            store_module.write_atomic(tmp_path / "db.json", ["whole\n"])
+            assert temp.read_text() == "being written"
+        finally:
+            child.kill()
+            child.wait()
+
+    def test_temp_file_whose_pid_cannot_be_checked_stays(self, tmp_path, monkeypatch):
+        # a process of another user: os.kill(pid, 0) raises PermissionError
+        def forbidden(pid, signal):
+            raise PermissionError(1, "Operation not permitted")
+
+        temp = tmp_path / "db.json.4242.0.tmp"
+        temp.write_text("another user's")
+        monkeypatch.setattr(store_module.os, "kill", forbidden)
+        store_module.write_atomic(tmp_path / "db.json", ["whole\n"])
+        assert temp.read_text() == "another user's"
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, store = provision(1, Protocol.GOSSAMER, seed=14)
