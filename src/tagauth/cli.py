@@ -36,7 +36,6 @@ from .simulator import (
     cost_accounting,
     evaluate_attack,
     ground_truth_from_dict,  # unused here, but perfbench/tracing.py wraps it
-    ground_truth_from_line,
     ground_truth_line,
     ground_truth_to_dict,  # unused here, but perfbench/tracing.py wraps it
     iter_campaign,
@@ -44,6 +43,7 @@ from .simulator import (
     provision,
     run_session,
     save_tags,
+    scored_truth_from_line,
     transcript_from_dict,  # unused here, but perfbench/tracing.py wraps it
     transcript_from_line,
     transcript_line,
@@ -321,7 +321,7 @@ def cmd_attack(opts: dict) -> int:
     transcripts = _read_jsonl(opts["input"], transcript_from_line)
     truths = None
     if opts.get("ground_truth"):
-        truths = _read_jsonl(opts["ground_truth"], ground_truth_from_line)
+        truths = _read_jsonl(opts["ground_truth"], scored_truth_from_line)
     records, summary = evaluate_attack(kind, transcripts, truths)
     output = opts.get("output")
     if output:

@@ -25,9 +25,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterator
 
 from . import attacks, gossamer, sasi
@@ -118,6 +118,29 @@ class GroundTruth:
     tag_post: StateSnapshot
     reader_pre: StateSnapshot | None
     reader_post: StateSnapshot | None
+    n1: Word96 | None = None
+    n2: Word96 | None = None
+    n3: Word96 | None = None
+    n1p: Word96 | None = None
+    n2p: Word96 | None = None
+    k1_star: Word96 | None = None
+    k2_star: Word96 | None = None
+
+    @property
+    def next_ids(self) -> Word96:
+        """The tag's IDS after the session: the one word of its snapshots
+        that scoring reads."""
+        return self.tag_post.ids
+
+
+@dataclass(slots=True)
+class ScoredTruth:
+    """The words of one session's ground truth that scoring reads: the ID,
+    the tag's next IDS and the internals, as in ``GroundTruth``."""
+
+    session_index: int
+    id: Word96
+    next_ids: Word96
     n1: Word96 | None = None
     n2: Word96 | None = None
     n3: Word96 | None = None
@@ -469,7 +492,8 @@ def consecutive_success_pairs(transcripts) -> Iterator[tuple]:
     return filter(_consecutive_success, pairwise(transcripts))
 
 
-def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: bool) -> bool:
+def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth | ScoredTruth,
+             residue_id: bool) -> bool:
     """Whether a fired verdict agrees with the session's ground truth.
 
     A match needs the recovered ID (mod 96 for a residue attack) and, when
@@ -478,7 +502,7 @@ def _matches(verdict: attacks.AttackVerdict, truth: GroundTruth, residue_id: boo
     """
     rs = verdict.recovered_state
     return verdict.recovered_id == (truth.id % 96 if residue_id else truth.id) and (
-        rs is None or (rs.next_ids == truth.tag_post.ids
+        rs is None or (rs.next_ids == truth.next_ids
                        and _INTERNALS(rs) == _INTERNALS(truth)))
 
 
@@ -501,6 +525,10 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     ``match_rate`` is matched over scored trials, and
     ``conditional_match_rate`` matched over the fired trials that were
     scored; each is None when it would divide by 0.
+    Ground truth (``GroundTruth`` or ``ScoredTruth`` records, which score
+    alike) joins the trials by session index: its records may come in any
+    order, a later record of a session replaces an earlier one, and a
+    record of a session that starts no trial is ignored.
     """
     attack = attacks.attack_kind(kind)
     near_miss, residue_id = attack.near_miss, attack.residue_id
@@ -628,11 +656,10 @@ _TRANSCRIPT_LINE, _TRANSCRIPT_FULL, _TRANSCRIPT_RE = _line_formats(_TRANSCRIPT_F
 _TRANSCRIPT_KEYS = [key for key, _ in _TRANSCRIPT_FIELDS]
 _GROUND_TRUTH_LINE, _GROUND_TRUTH_FULL, _GROUND_TRUTH_RE = _line_formats(_GROUND_TRUTH_FIELDS)
 _SNAPSHOTS = attrgetter("tag_pre", "tag_post", "reader_pre", "reader_post")
-# The six words' texts of a snapshot's text, at the offsets _SNAPSHOT_JSON
-# gives them
-_DIGITS = WIDTH // 4
-_SNAPSHOT_WORDS = itemgetter(*[slice(end - _DIGITS, end) for end in accumulate(
-    len(piece) + _DIGITS for piece in _SNAPSHOT_JSON.split("%s")[:-1])])
+# The text of a snapshot's first word, ids, within the snapshot's text: no
+# word precedes it in _SNAPSHOT_JSON, so its offset there is its offset in the text
+_IDS_AT = _SNAPSHOT_JSON.index("%s")
+_SNAPSHOT_IDS = slice(_IDS_AT, _IDS_AT + WIDTH // 4)
 _BASE_16 = (16,) * 8  # int's base for each word that one map converts
 
 
@@ -733,31 +760,28 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
     return GroundTruth(session_index=values.pop("session"), **values)
 
 
-def ground_truth_from_line(line: str) -> GroundTruth:
-    """``ground_truth_from_dict(json.loads(line))``, a canonical line read without it.
+def scored_truth(truth: GroundTruth) -> ScoredTruth:
+    """The words of ``truth`` that scoring reads."""
+    return ScoredTruth(truth.session_index, truth.id, truth.next_ids, *_INTERNALS(truth))
 
-    Each snapshot's words are sliced from its text; a reader snapshot that
-    repeats the tag's takes the tag's words, decoded once.
+
+def scored_truth_from_line(line: str) -> ScoredTruth:
+    """``scored_truth(ground_truth_from_dict(json.loads(line)))``, a canonical
+    line read without it.
+
+    The regex checks the whole line, every word of its four snapshots too,
+    so that a line is accepted, or refused with its error, as the full
+    reader would; of the snapshots only the tag's next IDS is then decoded.
     """
     match = _GROUND_TRUTH_RE.fullmatch(line)
     if match is None:
-        return ground_truth_from_dict(json_loads(line))
-    session, id_, *internals, tag_pre, tag_post, reader_pre, reader_post = match.groups()
+        return scored_truth(ground_truth_from_dict(json_loads(line)))
+    session, id_, *internals, tag_pre, tag_post, _, _ = match.groups()
     if tag_pre == "null" or tag_post == "null":
         _check_tag_snapshots(*[None if text == "null" else text for text in (tag_pre, tag_post)])
-    tag_pre = tuple(map(int, _SNAPSHOT_WORDS(tag_pre), _BASE_16))
-    tag_post = tuple(map(int, _SNAPSHOT_WORDS(tag_post), _BASE_16))
-    # a reader snapshot's group is None where its text repeats the tag's
-    reader_pre = (StateSnapshot(*tag_pre) if reader_pre is None
-                  else None if reader_pre == "null"
-                  else StateSnapshot(*map(int, _SNAPSHOT_WORDS(reader_pre), _BASE_16)))
-    reader_post = (StateSnapshot(*tag_post) if reader_post is None
-                   else None if reader_post == "null"
-                   else StateSnapshot(*map(int, _SNAPSHOT_WORDS(reader_post), _BASE_16)))
     internals = (map(int, internals, _BASE_16) if None not in internals
                  else [None if text is None else int(text, 16) for text in internals])
-    return GroundTruth(int(session), int(id_, 16), StateSnapshot(*tag_pre),
-                       StateSnapshot(*tag_post), reader_pre, reader_post, *internals)
+    return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16), *internals)
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:

@@ -20,11 +20,15 @@ from tagauth.simulator import (
     NonceStream,
     Outcome,
     Protocol,
+    ScoredTruth,
     consecutive_success_pairs,
     evaluate_attack,
+    ground_truth_line,
     provision,
     run_campaign,
     run_session,
+    scored_truth,
+    scored_truth_from_line,
 )
 from tagauth.store import Store
 from tagauth.word96 import MASK, PI, add, rotr, sub
@@ -481,6 +485,48 @@ class TestEvaluateAgainstReference:
         # repr shows every field of every verdict, and True apart from 1
         assert repr(records) == repr(expected_records)
         assert json.dumps(summary) == json.dumps(expected_summary)
+
+
+# -- scoring reads only what ScoredTruth holds ----------------------------------
+
+class TestScoredTruthScoresAsGroundTruth:
+    # ``failed``: sessions run against an empty store, whose lookup fails and
+    # whose internals are null.  ``relabel`` moves each truth to another
+    # session, so that trials are scored against truths of every shape, null
+    # internals too; ``order`` puts the truths in any order.
+    @settings(max_examples=150, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)),
+           nonce_mode=st.sampled_from(list(NonceMode)),
+           key_mode=st.sampled_from(list(KeyMode)),
+           drop_d_rate=st.sampled_from([0.0, 0.2, 0.5]),
+           seed=st.integers(min_value=0, max_value=2**16),
+           kind=st.sampled_from(list(attacks.ATTACKS)),
+           failed=_indices,
+           relabel=st.just(list(range(_SESSIONS))) | st.permutations(range(_SESSIONS)),
+           order=st.randoms(use_true_random=False))
+    # a full disclosure, every trial matched
+    @example(protocol=Protocol.GOSSAMER, nonce_mode=NonceMode.RANDOM,
+             key_mode=KeyMode.EXACT_ZERO, drop_d_rate=0.0, seed=4, kind="gossamer-2",
+             failed=set(), relabel=list(range(_SESSIONS)), order=random.Random(0))
+    def test_records_and_summary_are_equal(self, protocol, nonce_mode, key_mode, drop_d_rate,
+                                           seed, kind, failed, relabel, order):
+        tags, store = provision(1, protocol, seed=seed)
+        rng = NonceStream(seed + 1)
+        transcripts, truths = [], []
+        for index in range(_SESSIONS):
+            forcing = Forcing(nonce_mode=nonce_mode, key_mode=key_mode,
+                              drop_d=rng.chance(drop_d_rate))
+            transcript, truth = run_session(tags["tag-000"], Store() if index in failed else store,
+                                            forcing, rng, index)
+            transcripts.append(transcript)
+            truths.append(replace(truth, session_index=relabel[index]))
+        order.shuffle(truths)
+        projections = [scored_truth_from_line(ground_truth_line(truth)) for truth in truths]
+        assert projections == [scored_truth(truth) for truth in truths]
+        assert all(type(p) is ScoredTruth for p in projections)
+        # repr shows every field of every verdict, and True apart from 1
+        assert repr(evaluate_attack(kind, transcripts, projections)) == repr(
+            evaluate_attack(kind, transcripts, truths))
 
 
 # -- one call per pair, as the sasi-fleet benchmark makes them -------------------

@@ -350,6 +350,41 @@ class TestAttack:
         assert all(v["fired"] and v["ground_truth_match"] for v in verdicts)
         assert "recovered_state" in verdicts[0]
 
+    def test_ground_truth_join_rule(self, tmp_path, capsys):
+        # lines in any order, the later of two lines of one session wins on
+        # either read path, and a line of a session that starts no trial is ignored
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "21", "--seed", "5",
+                "--store", str(store), "--output", str(out), "--force-keys", "zero")
+        truths = {d["session"]: d for d in map(
+            json.loads, (tmp_path / "t.gt.jsonl").read_text().splitlines())}
+
+        def line(session, wrong=False, canonical=True):
+            d = dict(truths[session])
+            if wrong:
+                d["id"] = "%024x" % (int(d["id"], 16) ^ 1)
+            return json.dumps(d, separators=(",", ":") if canonical else None) + "\n"
+
+        # session 20 starts no trial, and no session 99 ran
+        truths[99] = {**truths[20], "session": 99}
+        kept = [s for s in sorted(truths, reverse=True) if s not in (3, 5, 7, 9, 10, 20, 99)]
+        lines = [line(3, wrong=True), line(5, canonical=False), line(7, wrong=True, canonical=False),
+                 line(9, wrong=True, canonical=False), line(20, wrong=True), line(99, wrong=True),
+                 *map(line, kept), line(3), line(5, wrong=True, canonical=False), line(7),
+                 line(9, wrong=True)]
+        gt = tmp_path / "mixed.gt.jsonl"
+        gt.write_text("".join(lines))
+        code, summary = run_cli(capsys, "attack", "gossamer-2", "--input", str(out),
+                                "--ground-truth", str(gt), "--output", str(tmp_path / "v.jsonl"))
+        assert code == 0
+        # session 10 has no truth; 5 and 9 end on a wrong one
+        assert (summary["trials"], summary["fired"], summary["scored"], summary["matched"]) == (
+            20, 20, 19, 17)
+        matches = {v["session"]: v.get("ground_truth_match") for v in map(
+            json.loads, (tmp_path / "v.jsonl").read_text().splitlines())}
+        assert matches == {s: None if s == 10 else s not in (5, 9) for s in range(20)}
+
     def test_sasi_attack_reports_histogram(self, tmp_path, capsys):
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
         provision(capsys, store, variant="sasi")

@@ -20,10 +20,10 @@ from tagauth.simulator import (
     NonceStream,
     Outcome,
     Protocol,
+    ScoredTruth,
     StateSnapshot,
     Transcript,
     ground_truth_from_dict,
-    ground_truth_from_line,
     ground_truth_line,
     ground_truth_to_dict,
     iter_campaign,
@@ -31,6 +31,8 @@ from tagauth.simulator import (
     run_campaign,
     run_session,
     save_tags,
+    scored_truth,
+    scored_truth_from_line,
     transcript_from_dict,
     transcript_from_line,
     transcript_line,
@@ -561,9 +563,34 @@ def compact(d) -> str:
     return json.dumps(d, separators=(",", ":")) + "\n"
 
 
+def scored_words(record):
+    """What scoring reads of a ``GroundTruth`` or a ``ScoredTruth``, in one tuple."""
+    return (record.session_index, record.id, record.next_ids, record.n1, record.n2,
+            record.n3, record.n1p, record.n2p, record.k1_star, record.k2_star)
+
+
+def read_scored_line(line):
+    """The scored words of the ``ScoredTruth`` that ``scored_truth_from_line``
+    gives for ``line``, or its error's type and message."""
+    got = read(scored_truth_from_line, line)
+    if isinstance(got, tuple):
+        return got
+    assert type(got) is ScoredTruth
+    return scored_words(got)
+
+
+def read_full(line):
+    """The scored words of ``ground_truth_from_dict(json.loads(line))``, the
+    full reader that ``scored_truth_from_line`` answers for, or its error."""
+    got = read(lambda text: ground_truth_from_dict(json.loads(text)), line)
+    return got if isinstance(got, tuple) else scored_words(got)
+
+
 class TestLineReaders:
-    """``X_from_line`` reads what ``X_line`` writes without ``json.loads``, and
-    any line to the record, or the error, ``X_from_dict(json.loads(line))`` gives."""
+    """``transcript_from_line`` and ``scored_truth_from_line`` read what the
+    line writers write without ``json.loads``, and any line to the record,
+    or the error, ``X_from_dict(json.loads(line))`` gives: for ground truth,
+    that record's scored words."""
 
     @settings(max_examples=300)
     @given(t=any_transcripts() | full_transcripts)
@@ -590,7 +617,7 @@ class TestLineReaders:
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS[:3], SNAPSHOTS[1], *range(7)))
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS[:2], SNAPSHOTS[0], SNAPSHOTS[2], *range(7)))
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *range(7)))
-    def test_ground_truth_from_line(self, truth):
+    def test_scored_truth_from_line(self, truth):
         line = ground_truth_line(truth)
         full = simulator._GROUND_TRUTH_RE.fullmatch(line)
         if full is not None:
@@ -598,15 +625,13 @@ class TestLineReaders:
             assert [group is None for group in full.groups()[-2:]] == [
                 truth.reader_pre == truth.tag_pre, truth.reader_post == truth.tag_post]
         with spy_json_loads() as loads:
-            got = read(ground_truth_from_line, line)
+            got = read_scored_line(line)
         assert not loads.called
-        assert got == read(ground_truth_from_dict, json.loads(line))
+        assert got == read_full(line)
         if truth.tag_pre is None or truth.tag_post is None:
             assert got[0] is ValueError
         else:
-            assert got == truth
-            # the reader's snapshots are records of their own, not the tag's
-            assert got.reader_pre is not got.tag_pre and got.reader_post is not got.tag_post
+            assert got == scored_words(truth) == scored_words(scored_truth(truth))
 
     @pytest.mark.parametrize("key", ["reader_pre", "reader_post"])
     @pytest.mark.parametrize("word", TUPLE_WORDS)
@@ -619,18 +644,19 @@ class TestLineReaders:
         d[key][word] = text[:-1] + ("0" if text[-1] != "0" else "1")
         line = compact(d)
         with spy_json_loads() as loads:
-            got = read(ground_truth_from_line, line)
+            got = read_scored_line(line)
         assert not loads.called
-        assert got == read(ground_truth_from_dict, json.loads(line))
-        assert got == replace(truth, **{key: replace(getattr(truth, key), **{
-            word: int(d[key][word], 16)})})
+        # the full reader takes the reader's own words, which scoring does not read
+        assert read(ground_truth_from_dict, json.loads(line)) == replace(truth, **{
+            key: replace(getattr(truth, key), **{word: int(d[key][word], 16)})})
+        assert got == read_full(line) == scored_words(truth)
         # only the letter case changed: not canonical, so json.loads and its error
         d[key][word] = text.upper()
         line = compact(d)
         with spy_json_loads() as loads:
-            got = read(ground_truth_from_line, line)
+            got = read_scored_line(line)
         assert loads.called
-        assert got == read(ground_truth_from_dict, json.loads(line)) == (
+        assert got == read_full(line) == (
             ValueError, f"{key}.{word}: not a canonical 96-bit hex word: {text.upper()!r}")
 
     @pytest.mark.parametrize("rewrite", [
@@ -650,26 +676,28 @@ class TestLineReaders:
         # a failed lookup (an empty store) nulls a, b, c, d and both reader snapshots
         failed = run_session(tag, Store(), Forcing(), NonceStream(1), 8)
         assert failed[0].outcome is Outcome.LOOKUP_FAILED
-        for records, to_dict, from_line, from_dict in [
-                ([*result.transcripts, failed[0]], transcript_to_dict,
-                 transcript_from_line, transcript_from_dict),
-                ([*result.ground_truths, failed[1]], ground_truth_to_dict,
-                 ground_truth_from_line, ground_truth_from_dict)]:
-            for record in records:
-                line = rewrite(to_dict(record))
-                with spy_json_loads() as loads:
-                    got = read(from_line, line)
-                assert loads.called
-                assert got == read(from_dict, json.loads(line))
+        for record in [*result.transcripts, failed[0]]:
+            line = rewrite(transcript_to_dict(record))
+            with spy_json_loads() as loads:
+                got = read(transcript_from_line, line)
+            assert loads.called
+            assert got == read(transcript_from_dict, json.loads(line))
+        for record in [*result.ground_truths, failed[1]]:
+            line = rewrite(ground_truth_to_dict(record))
+            with spy_json_loads() as loads:
+                got = read_scored_line(line)
+            assert loads.called
+            assert got == read_full(line)
 
     def test_int_past_the_digit_limit(self):
         # canonical, but int() refuses it, as json.loads does
         tag, store = one_tag_world(Protocol.GOSSAMER)
         transcript, truth = run_session(tag, store, Forcing(), NonceStream(5), 7)
-        for line, from_line, from_dict in [
-                (transcript_line(transcript), transcript_from_line, transcript_from_dict),
-                (ground_truth_line(truth), ground_truth_from_line, ground_truth_from_dict)]:
+        for line, from_line, full in [
+                (transcript_line(transcript), lambda text: read(transcript_from_line, text),
+                 lambda text: read(lambda line: transcript_from_dict(json.loads(line)), text)),
+                (ground_truth_line(truth), read_scored_line, read_full)]:
             line = line.replace('"session":7,', '"session":%s,' % ("7" * 5000))
-            got = read(from_line, line)
+            got = from_line(line)
             assert got[0] is ValueError and "limit" in got[1]
-            assert got == read(lambda text: from_dict(json.loads(text)), line)
+            assert got == full(line)
