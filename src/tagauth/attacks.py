@@ -8,6 +8,10 @@ job, which keeps the passive boundary visible in the imports.
 
 A verdict that does not fire is a valid result, not an error.  ``ATTACKS``
 is the registry of attack kinds by name; it holds only public facts.
+
+The zero-key attack is the original tag itself under K1 = K2 = 0: its peel
+in ``zero_key_chains``, and ``gossamer.derive_keys`` and
+``gossamer.next_ids``, phases rendered from the Original column.
 """
 
 from dataclasses import dataclass
@@ -99,9 +103,10 @@ def gossamer_attack1(first, second) -> AttackVerdict:
 def zero_key_chains(transcripts: list) -> list[tuple]:
     """The zero-key MixBits chain (n1, n2, n3, n1', n2') of each transcript.
 
-    With K1 = K2 = 0 the original tag's peel (``peel_original``) is
-    n1 = A - IDS - PI and n2 = B - IDS - PI, and the session's three MixBits
-    calls run for the whole list as one ``gossamer.mixbits_chains`` call.
+    With K1 = K2 = 0 the original tag's peel (the first step of
+    ``gossamer.accept_original``) is n1 = A - IDS - PI and n2 = B - IDS - PI,
+    and the session's three MixBits calls run for the whole list as one
+    ``gossamer.mixbits_chains`` call.
     """
     return mixbits_chains([(t.a - t.announced_ids - PI) & MASK for t in transcripts],
                           [(t.b - t.announced_ids - PI) & MASK for t in transcripts])
@@ -129,12 +134,11 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     if transcript.c is None:
         return AttackVerdict(False)
     n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
-    k1s, k2s, c = derive_keys(_ORIGINAL, 0, 0, n1, n2, n3, n1p)
+    k1s, k2s, c = derive_keys(0, 0, n1, n2, n3, n1p)
     if c != transcript.c:
         return AttackVerdict(False)
     state = RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p,
-                             next_ids(_ORIGINAL, transcript.announced_ids,
-                                      n3, n1p, n2p, k1s, k2s))
+                             next_ids(transcript.announced_ids, n3, n1p, n2p, k1s, k2s))
     d = transcript.d
     return AttackVerdict(True, None if d is None else id_from_d(_ORIGINAL, state, d), state)
 

@@ -8,17 +8,17 @@ the counter-based MixBits; the variants differ in nothing else.
 ``EQUATIONS`` (with ``MIXBITS``) is the one source of the session
 equations, each Rot(Rot(P + Q + R + S, inner) + (T op V), outer) op V with
 its outer amount per variant.  ``render`` turns it into the straight-line
-phases between the rendered-code markers: ``reader_begin`` (every value of
-a session in one pass), ``derive_auth`` (through D, but A and B),
-``derive_keys`` (K1*, K2* and C, which read neither IDS nor ID),
-``next_ids`` (IDS+) and ``derive_update`` (n2' and the staged tuple), and
-the original tag's two: ``peel_original`` (n1 and n2, the ``a`` and ``b``
-rows inverted with the Original outer amounts, as ``PEELS`` names them) and
-``accept_original``, its one phase (that peel, C rebuilt and checked, then
-D and the staged tuple as plain words).  Edit the table, then re-render
-with ``PYTHONPATH=src python -m tagauth.gossamer``; a test fails while the
-two disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified``
-up in this module's globals when it runs.
+phases between the rendered-code markers, each from the column of the
+variant that calls it: ``reader_begin`` (every value of a session in one
+pass, either variant, as the reader serves both), the two tags' phases,
+``derive_auth`` (one modified search candidate: C rebuilt and checked,
+then D and the staged tuple) and ``accept_original`` (n1 and n2 peeled
+from the ``a`` and ``b`` rows inverted, as ``PEELS`` names them, then the
+same), and the zero-key attack's ``derive_keys`` (K1*, K2* and C) and
+``next_ids`` (IDS+) of the original variant.  Edit the table, then
+re-render with ``PYTHONPATH=src python -m tagauth.gossamer``; a test fails
+while the two disagree.  A phase looks ``mixbits_original`` or
+``mixbits_modified`` up in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
 vanishes when the nonces are multiples of 96, while A/B rotate by key-only
@@ -36,9 +36,9 @@ with one peel, r_a and r_b being their outer amounts:
 The Original tag knows r_a = K1 and r_b = K2 and peels once, in its one
 phase.  The Modified tag keeps each residue r of n2 for which the peels
 with r_a = r and r_b = n1 give n2 = r (mod 96), trying all 96 at once as
-lanes (``_residue_survivors``), and ``recover_nonces`` rebuilds C from
-each candidate.  Either tag accepts only if exactly one candidate
-reproduces the received C.
+lanes (``_residue_survivors``), and ``accept_modified`` hands each
+candidate to ``derive_auth``.  Either tag accepts only if exactly one
+candidate reproduces the received C, and answers (D, staged tuple).
 
 The session record, the two-tuple tag state, its announce/retry step, the
 update timing and reader_finish are shared with SASI (``tagstate``).
@@ -88,28 +88,20 @@ PHASES = (
     """(A, B, C, pending) for the matched record, pending holding every session value."""''',
      None, ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
      "return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)"),
-    ('''def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
-                n1: Word96, n2: Word96) -> SessionValues:
-    """The session's values through D; A and B stay None, since the tag received them."""''',
-     None, ("n3", "n1p", "k1s", "k2s", "c", "d"),
-     "return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, None, None, c, d)"),
-    ('''def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
-                n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
-    """(K1*, K2*, C), the session keys and the message that confirms them."""''',
-     None, ("k1s", "k2s", "c"), "return k1s, k2s, c"),
-    ('''def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
-             k1s: Word96, k2s: Word96) -> Word96:
-    """IDS+, the next pseudonym."""''', None, ("idsn",), "return idsn"),
-    ('''def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
-    """Fill in n2' and the staged (IDS, K1, K2) of ``derive_auth``'s values."""
-    n2, n3, n1p, k1s, k2s = vals.n2, vals.n3, vals.n1p, vals.k1_star, vals.k2_star''',
-     None, ("n2p", "idsn", "k1n", "k2n"),
-     "vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, idsn, k1n, k2n\n"
-     "return vals"),
-    ('''def peel_original(ids: Word96, k1: Word96, k2: Word96,
-                  a: Word96, b: Word96) -> tuple[Word96, Word96]:
-    """(n1, n2) that the original A and B carry: each undone by its outer amounts."""''',
-     Variant.ORIGINAL, ("n1", "n2"), "return n1, n2"),
+    ('''def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
+                c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+    """The modified tag's answer for one search candidate (n1, n2): (D, staged
+    (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
+     Variant.MODIFIED, ("n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
+     "return d, (idsn, k1n, k2n)"),
+    ('''def derive_keys(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
+                n1p: Word96) -> tuple[Word96, Word96, Word96]:
+    """(K1*, K2*, C) of the original variant, the session keys and the message
+    that confirms them."""''', Variant.ORIGINAL, ("k1s", "k2s", "c"), "return k1s, k2s, c"),
+    ('''def next_ids(ids: Word96, n3: Word96, n1p: Word96, n2p: Word96, k1s: Word96,
+             k2s: Word96) -> Word96:
+    """IDS+ of the original variant, the next pseudonym."""''', Variant.ORIGINAL, ("idsn",),
+     "return idsn"),
     ('''def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
                     b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
@@ -246,104 +238,78 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
     return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)
 
 
-def derive_auth(variant: Variant, k1: Word96, k2: Word96, id_: Word96,
-                n1: Word96, n2: Word96) -> SessionValues:
-    """The session's values through D; A and B stay None, since the tag received them."""
-    original = variant is _ORIGINAL
-    mix = mixbits_original if original else mixbits_modified
-    n3 = mix(n1, n2)
-    n1p = mix(n3, n2)
+def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
+                c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+    """The modified tag's answer for one search candidate (n1, n2): (D, staged
+    (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""
+    n3 = mixbits_modified(n1, n2)
+    n1p = mixbits_modified(n3, n2)
     r_n2 = -n2 % 96
-    r_n1 = -n1 % 96
-    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1 if original else k1) ^ n3
+    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), k1) ^ n3
     x = (n2 + k1 + PI + n3) & MASK
     x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
-    k1s = (((x << 96 | x) >> (r_n1 if original else (-k1 % 96))) ^ n3) & MASK
-    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2 if original else k2) + n3
+    k1s = (((x << 96 | x) >> (-k1 % 96)) ^ n3) & MASK
+    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), k2) + n3
     x = (n1 + k2 + PI + n3) & MASK
-    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
-    k2s = (((x << 96 | x) >> (r_n2 if original else (-k2 % 96))) + n3) & MASK
+    x = (((x << 96 | x) >> (-n1 % 96)) + (k1 + n3)) & MASK
+    k2s = (((x << 96 | x) >> (-k2 % 96)) + n3) & MASK
     r_n3 = -n3 % 96
-    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2 if original else k2s) ^ n1p
+    r_k2s = -k2s % 96
+    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), k2s) ^ n1p
     x = (n3 + k1s + PI + n1p) & MASK
     x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
-    c = (((x << 96 | x) >> (r_n2 if original else (-k2s % 96))) ^ n1p) & MASK
-    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3 if original else k1s) + n1p
+    if (((x << 96 | x) >> r_k2s) ^ n1p) & MASK != c:
+        return None
+    r_k1s = -k1s % 96
+    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), k1s) + n1p
     x = (n2 + k2s + id_ + n1p) & MASK
     x = (((x << 96 | x) >> r_n2) + (k1s + n1p)) & MASK
-    d = (((x << 96 | x) >> (r_n3 if original else (-k1s % 96))) + n1p) & MASK
-    return SessionValues(n1, n2, n3, n1p, None, k1s, k2s, None, None, c, d)
+    d = (((x << 96 | x) >> r_k1s) + n1p) & MASK
+    n2p = mixbits_modified(n1p, n3)
+    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), k1s) ^ n2p
+    x = (n1p + k1s + ids + n2p) & MASK
+    x = (((x << 96 | x) >> (-n1p % 96)) + (k2s ^ n2p)) & MASK
+    idsn = (((x << 96 | x) >> r_k1s) ^ n2p) & MASK
+    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), k1s) + n2p
+    x = (n3 + k2s + PI + n2p) & MASK
+    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
+    k1n = (((x << 96 | x) >> r_k1s) + n2p) & MASK
+    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), k2s) + k1n
+    x = (idsn + k2s + PI + k1n) & MASK
+    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
+    k2n = (((x << 96 | x) >> r_k2s) + k1n) & MASK
+    return d, (idsn, k1n, k2n)
 
 
-def derive_keys(variant: Variant, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
-                n3: Word96, n1p: Word96) -> tuple[Word96, Word96, Word96]:
-    """(K1*, K2*, C), the session keys and the message that confirms them."""
-    original = variant is _ORIGINAL
+def derive_keys(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
+                n1p: Word96) -> tuple[Word96, Word96, Word96]:
+    """(K1*, K2*, C) of the original variant, the session keys and the message
+    that confirms them."""
     r_n2 = -n2 % 96
     r_n1 = -n1 % 96
-    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1 if original else k1) ^ n3
+    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1) ^ n3
     x = (n2 + k1 + PI + n3) & MASK
     x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
-    k1s = (((x << 96 | x) >> (r_n1 if original else (-k1 % 96))) ^ n3) & MASK
-    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2 if original else k2) + n3
+    k1s = (((x << 96 | x) >> r_n1) ^ n3) & MASK
+    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2) + n3
     x = (n1 + k2 + PI + n3) & MASK
     x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
-    k2s = (((x << 96 | x) >> (r_n2 if original else (-k2 % 96))) + n3) & MASK
-    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2 if original else k2s) ^ n1p
+    k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
+    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
     x = (n3 + k1s + PI + n1p) & MASK
     x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
-    c = (((x << 96 | x) >> (r_n2 if original else (-k2s % 96))) ^ n1p) & MASK
+    c = (((x << 96 | x) >> r_n2) ^ n1p) & MASK
     return k1s, k2s, c
 
 
-def next_ids(variant: Variant, ids: Word96, n3: Word96, n1p: Word96, n2p: Word96,
-             k1s: Word96, k2s: Word96) -> Word96:
-    """IDS+, the next pseudonym."""
-    original = variant is _ORIGINAL
-    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3 if original else k1s) ^ n2p
+def next_ids(ids: Word96, n3: Word96, n1p: Word96, n2p: Word96, k1s: Word96,
+             k2s: Word96) -> Word96:
+    """IDS+ of the original variant, the next pseudonym."""
+    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3) ^ n2p
     x = (n1p + k1s + ids + n2p) & MASK
     x = (((x << 96 | x) >> (-n1p % 96)) + (k2s ^ n2p)) & MASK
-    idsn = (((x << 96 | x) >> ((-n3 % 96) if original else (-k1s % 96))) ^ n2p) & MASK
+    idsn = (((x << 96 | x) >> (-n3 % 96)) ^ n2p) & MASK
     return idsn
-
-
-def derive_update(variant: Variant, ids: Word96, vals: SessionValues) -> SessionValues:
-    """Fill in n2' and the staged (IDS, K1, K2) of ``derive_auth``'s values."""
-    n2, n3, n1p, k1s, k2s = vals.n2, vals.n3, vals.n1p, vals.k1_star, vals.k2_star
-    original = variant is _ORIGINAL
-    mix = mixbits_original if original else mixbits_modified
-    n2p = mix(n1p, n3)
-    r_n1p = -n1p % 96
-    r_n3 = -n3 % 96
-    r_k1s = -k1s % 96
-    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3 if original else k1s) ^ n2p
-    x = (n1p + k1s + ids + n2p) & MASK
-    x = (((x << 96 | x) >> r_n1p) + (k2s ^ n2p)) & MASK
-    idsn = (((x << 96 | x) >> (r_n3 if original else r_k1s)) ^ n2p) & MASK
-    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), n2 if original else k1s) + n2p
-    x = (n3 + k2s + PI + n2p) & MASK
-    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
-    k1n = (((x << 96 | x) >> ((-n2 % 96) if original else r_k1s)) + n2p) & MASK
-    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), n1p if original else k2s) + k1n
-    x = (idsn + k2s + PI + k1n) & MASK
-    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
-    k2n = (((x << 96 | x) >> (r_n1p if original else (-k2s % 96))) + k1n) & MASK
-    vals.n2p, vals.ids_next, vals.k1_next, vals.k2_next = n2p, idsn, k1n, k2n
-    return vals
-
-
-def peel_original(ids: Word96, k1: Word96, k2: Word96,
-                  a: Word96, b: Word96) -> tuple[Word96, Word96]:
-    """(n1, n2) that the original A and B carry: each undone by its outer amounts."""
-    rr_k1 = k1 % 96
-    rr_k2 = k2 % 96
-    # n1 from a = Rot(Rot(ids + k1 + PI + n1, k2) + k1, k1)
-    x = (((a << 96 | a) >> rr_k1) - k1) & MASK
-    n1 = (((x << 96 | x) >> rr_k2) - (ids + k1 + PI)) & MASK
-    # n2 from b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2)
-    x = (((b << 96 | b) >> rr_k2) - k2) & MASK
-    n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
-    return n1, n2
 
 
 def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
@@ -433,31 +399,20 @@ def mixbits_table(chains) -> dict[tuple[Word96, Word96], Word96]:
     return table
 
 
-def recover_nonces(variant: Variant, ids: Word96, k1: Word96, k2: Word96,
-                   id_: Word96, a: Word96, b: Word96, c: Word96) -> SessionValues | None:
-    """The tag's nonces from A||B||C: the one peel above, for both variants.
-
-    The original tag's one candidate is ``peel_original``'s, r_a = K1 and
-    r_b = K2; the modified tag's candidates are ``_residue_survivors``.
-    Only candidates rebuild C, via derive_auth.  The peel inverted A and B
-    by a candidate's own outer amounts, so the accepted one takes the
-    received A and B as its own.  Returns the unique candidate that
-    reproduces C, or None when zero or several do.
-    """
-    if variant is _ORIGINAL:
-        candidates = (peel_original(ids, k1, k2, a, b),)
-    else:
-        candidates = _residue_survivors(k1, k2, a, b, ids + k1 + PI, ids + k2 + PI)
-    match: SessionValues | None = None
-    for n1, n2 in candidates:
-        vals = derive_auth(variant, k1, k2, id_, n1, n2)
-        if vals.c == c:
-            if match is not None:
+def accept_modified(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
+                    b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+    """The modified tag's answer to A||B||C: ``derive_auth`` of each
+    ``_residue_survivors`` candidate, in ascending residue.  Returns the one
+    candidate's (D, staged (IDS+, K1+, K2+)), or None when zero or several
+    candidates rebuild C."""
+    answer = None
+    for n1, n2 in _residue_survivors(k1, k2, a, b, ids + k1 + PI, ids + k2 + PI):
+        found = derive_auth(ids, k1, k2, id_, n1, n2, c)
+        if found is not None:
+            if answer is not None:
                 return None
-            match = vals
-    if match is not None:
-        match.a, match.b = a, b
-    return match
+            answer = found
+    return answer
 
 
 # the residues 0..95 as one int of 96 bytes, and the 160 bytes that make
@@ -489,27 +444,23 @@ def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
                 variant: Variant) -> Word96 | None:
-    """Authenticate the reader from A||B||C (``accept_original``, or
-    ``recover_nonces`` and ``derive_update`` on the modified tag); emit D and
-    commit, or reject with the state untouched and return None."""
+    """Authenticate the reader from A||B||C (``accept_original`` or
+    ``accept_modified``); emit D and commit, or reject with the state
+    untouched and return None."""
     ids, k1, k2 = tuple_of(tag, tag.last_announced)
-    if variant is _ORIGINAL:
-        answer = accept_original(ids, k1, k2, tag.id, a, b, c)
-        if answer is None:
-            return None
-        rotate(tag, tag.last_announced, answer[1])
-        return answer[0]
-    vals = recover_nonces(variant, ids, k1, k2, tag.id, a, b, c)
-    if vals is None:
+    accept = accept_original if variant is _ORIGINAL else accept_modified
+    answer = accept(ids, k1, k2, tag.id, a, b, c)
+    if answer is None:
         return None
-    derive_update(variant, ids, vals)
-    rotate(tag, tag.last_announced, (vals.ids_next, vals.k1_next, vals.k2_next))
-    return vals.d
+    rotate(tag, tag.last_announced, answer[1])
+    return answer[0]
 
 
 if __name__ == "__main__":  # re-render the code between BEGIN and END in place
     with open(__file__, encoding="utf-8") as fh:
         text = fh.read()
     start = text.index(BEGIN) + len(BEGIN)
+    # built before the file is opened for writing: a render() that raises leaves it whole
+    text = text[:start] + render() + text[text.index(END, start):]
     with open(__file__, "w", encoding="utf-8") as fh:
-        fh.write(text[:start] + render() + text[text.index(END, start):])
+        fh.write(text)

@@ -1,5 +1,6 @@
 """Tag state shared by SASI and Gossamer: static id, next and old tuples;
-and the one record of a session's values (``SessionValues``).
+and the one record of a session's values (``SessionValues``), the
+readers' pending context.
 
 The tag keeps two (IDS, K1, K2) tuples, the potential-next one and the one
 used last, so a lost D never strands it: when the backend does not
@@ -48,12 +49,10 @@ class SessionValues:
     final message and (ids_next, k1_next, k2_next) the staged update.  The
     first seven fields are the internals ground truth records under the
     same names.  SASI has no n3, n1' or n2' (None), and its session keys
-    K1'/K2' are both k1_star/k2_star and its staged keys.  Gossamer's n2p
-    and update fields stay None until derive_update runs, and its a/b until
-    the side that owns them fills them: the reader's reader_begin builds
-    them, and recover_nonces copies the received ones into its accepted
-    candidate.  Of the two tags only the modified one builds these, one per
-    search candidate; the original tag's one phase returns plain words.
+    K1'/K2' are both k1_star/k2_star and its staged keys.  Two builders make
+    one, each filling every field: ``gossamer.reader_begin`` (the Gossamer
+    reader) and ``sasi.session_values`` (both SASI sides).  The Gossamer
+    tags' phases answer with plain words.
     """
 
     n1: Word96
@@ -63,13 +62,13 @@ class SessionValues:
     n2p: Word96 | None
     k1_star: Word96
     k2_star: Word96
-    a: Word96 | None
-    b: Word96 | None
+    a: Word96
+    b: Word96
     c: Word96
     d: Word96
-    ids_next: Word96 | None = None
-    k1_next: Word96 | None = None
-    k2_next: Word96 | None = None
+    ids_next: Word96
+    k1_next: Word96
+    k2_next: Word96
 
 
 def tag_announce(tag: TagState, retry: bool = False) -> Word96:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import words
 from tagauth import attacks, gossamer
-from tagauth.gossamer import Variant, derive_update, recover_nonces
+from tagauth.gossamer import Variant
 from tagauth.simulator import (
     CampaignConfig,
     Forcing,
@@ -31,7 +32,7 @@ from tagauth.simulator import (
     scored_truth_from_line,
 )
 from tagauth.store import Store
-from tagauth.word96 import MASK, PI, add, rotr, sub
+from tagauth.word96 import MASK, PI, add, sub
 
 
 def forced_campaign(protocol, sessions, seed, nonce_mode=NonceMode.RANDOM,
@@ -147,7 +148,7 @@ class TestGossamerAttack2:
 @settings(max_examples=60, deadline=None)
 def test_id_from_d_reads_recovered_secrets_as_the_session_values(variant, id_, ids, k1, k2,
                                                                   n1, n2, d):
-    vals = derive_update(variant, ids, gossamer.derive_auth(variant, k1, k2, id_, n1, n2))
+    vals = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)[3]
     state = attacks.RecoveredSecrets(vals.k1_star, vals.k2_star, vals.n1, vals.n2, vals.n3,
                                      vals.n1p, vals.n2p, vals.ids_next)
     for sent in (vals.d, d):
@@ -167,26 +168,26 @@ def test_a_transcript_with_no_challenge_fires_nothing():
 
 
 def reference_attack2(transcript):
-    # gossamer_attack2 as it was before its MixBits chain moved into lanes and
-    # before it stopped at C: the original tag's own peel under K1 = K2 = 0,
-    # which rebuilds every session value through derive_auth (one scalar call
-    # per MixBits) and then checks C
-    ids = transcript.announced_ids
-    vals = recover_nonces(Variant.ORIGINAL, ids, 0, 0, 0,
-                          transcript.a, transcript.b, transcript.c)
-    if vals is None:
+    # gossamer_attack2 written plainly from tests/oracles.py: the original
+    # tag's own peel under K1 = K2 = 0, where each rotation is by 0, then
+    # every session value from the oracle (one scalar call per MixBits), C
+    # checked, and D inverted
+    ids, mod = transcript.announced_ids, oracles.MOD
+    n1 = (transcript.a - ids - oracles.PI) % mod
+    n2 = (transcript.b - ids - oracles.PI) % mod
+    ref = oracles.gossamer_session("original", 0, ids, 0, 0, n1, n2)
+    if ref["c"] != transcript.c:
         return attacks.AttackVerdict(fired=False)
-    derive_update(Variant.ORIGINAL, ids, vals)
     recovered_id = None
     if transcript.d is not None:  # only D carries the ID
-        step = rotr((transcript.d - vals.n1p) & MASK, vals.n3)
-        step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
-        recovered_id = (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
+        step = oracles.rot_left((transcript.d - ref["n1p"]) % mod, -ref["n3"])
+        step = oracles.rot_left((step - ref["k1s"] - ref["n1p"]) % mod, -n2)
+        recovered_id = (step - n2 - ref["k2s"] - ref["n1p"]) % mod
     return attacks.AttackVerdict(
         fired=True, recovered_id=recovered_id,
         recovered_state=attacks.RecoveredSecrets(
-            k1_star=vals.k1_star, k2_star=vals.k2_star, n1=vals.n1, n2=vals.n2, n3=vals.n3,
-            n1p=vals.n1p, n2p=vals.n2p, next_ids=vals.ids_next))
+            k1_star=ref["k1s"], k2_star=ref["k2s"], n1=n1, n2=n2, n3=ref["n3"],
+            n1p=ref["n1p"], n2p=ref["n2p"], next_ids=ref["ids_next"]))
 
 
 @pytest.mark.parametrize("protocol,key_mode,seed", [

@@ -1,6 +1,10 @@
 """Gossamer engine: closed forms, oracle vectors, round trips, the search."""
 
+import os
 import random
+import shutil
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -118,7 +122,7 @@ def test_all_zero_modified_diverges():
 @example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
 @settings(max_examples=60, deadline=None)
 def test_id_from_d_inverts_d(variant, id_, ids, k1, k2, n1, n2):
-    vals = gossamer.derive_auth(variant, k1, k2, id_, n1, n2)
+    vals = session_values(variant, ids, k1, k2, id_, n1, n2)
     assert gossamer.id_from_d(variant, vals, vals.d) == id_
 
 
@@ -206,7 +210,9 @@ def test_modified_search_recovers_true_nonces():
 
 
 def reference_search(variant, ids, k1, k2, id_, a, b, c):
-    """The tag's nonce recovery written plainly from tests/oracles.py.
+    """The tag's answer to A||B||C written plainly from tests/oracles.py:
+    (D, staged (IDS+, K1+, K2+)) of the one candidate that rebuilds C, or
+    None when zero or several do.
 
     Original: one peel with outer amounts K1 and K2.  Modified: the 96
     residues r of n2 as A's outer amount, n1 as B's, and n2 = r (mod 96).
@@ -227,58 +233,57 @@ def reference_search(variant, ids, k1, k2, id_, a, b, c):
         ref = oracles.gossamer_session(variant.value, id_, ids, k1, k2, n1, n2)
         assert (ref["a"], ref["b"]) == (a, b), (r_a, n1, n2)
         if ref["c"] == c:
-            found.append((n1, n2, ref["a"], ref["b"], ref["c"], ref["d"]))
+            found.append((ref["d"], (ref["ids_next"], ref["k1_next"], ref["k2_next"])))
     return found[0] if len(found) == 1 else None
-
-
-def search(variant, ids, k1, k2, id_, a, b, c):
-    vals = gossamer.recover_nonces(variant, ids, k1, k2, id_, a, b, c)
-    return None if vals is None else (vals.n1, vals.n2, vals.a, vals.b, vals.c, vals.d)
 
 
 # zero or a multiple of 96: the hoisted rotation amount K mod 96 is 0
 zero_mod_96 = st.one_of(st.just(0), words.map(lambda x: x - x % 96))
 
 
-@pytest.mark.parametrize("variant", list(Variant))
 class TestSearchAgainstReference:
+    """``accept_modified``, the modified tag's search, answers as the plain
+    96-residue loop does."""
+
+    @staticmethod
+    def check(ids, k1, k2, id_, a, b, c):
+        assert (gossamer.accept_modified(ids, k1, k2, id_, a, b, c)
+                == reference_search(Variant.MODIFIED, ids, k1, k2, id_, a, b, c))
+
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
     @settings(max_examples=40, deadline=None)
-    def test_genuine_messages(self, variant, id_, ids, k1, k2, n1, n2):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
-        args = (variant, ids, k1, k2, id_, a, b, c)
-        assert search(*args) == reference_search(*args)
+    def test_genuine_messages(self, id_, ids, k1, k2, n1, n2):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        self.check(ids, k1, k2, id_, a, b, c)
 
     @given(id_=words, ids=words, k1=words, k2=words, a=words, b=words, c=words)
     @settings(max_examples=40, deadline=None)
-    def test_random_messages(self, variant, id_, ids, k1, k2, a, b, c):
-        args = (variant, ids, k1, k2, id_, a, b, c)
-        assert search(*args) == reference_search(*args)
+    def test_random_messages(self, id_, ids, k1, k2, a, b, c):
+        self.check(ids, k1, k2, id_, a, b, c)
 
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words,
            bit=st.integers(min_value=0, max_value=95))
     @settings(max_examples=40, deadline=None)
-    def test_genuine_a_b_with_flipped_c(self, variant, id_, ids, k1, k2, n1, n2, bit):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
-        args = (variant, ids, k1, k2, id_, a, b, c ^ 1 << bit)
-        assert search(*args) == reference_search(*args)
+    def test_genuine_a_b_with_flipped_c(self, id_, ids, k1, k2, n1, n2, bit):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        self.check(ids, k1, k2, id_, a, b, c ^ 1 << bit)
 
     @given(id_=words, ids=words, k1=zero_mod_96, k2=zero_mod_96, n1=words, n2=words,
            flip=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_keys_zero_mod_96(self, variant, id_, ids, k1, k2, n1, n2, flip):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
-        args = (variant, ids, k1, k2, id_, a, b, c ^ flip)
-        assert search(*args) == reference_search(*args)
+    def test_keys_zero_mod_96(self, id_, ids, k1, k2, n1, n2, flip):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        self.check(ids, k1, k2, id_, a, b, c ^ flip)
 
-    def test_genuine_messages_are_found(self, variant):
-        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
-        found = search(variant, IDS, K1, K2, ID, a, b, c)
-        assert found == (N1, N2, a, b, pending.c, pending.d)
+    def test_genuine_messages_are_found(self):
+        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
+        assert gossamer.accept_modified(IDS, K1, K2, ID, a, b, c) == (
+            pending.d, (pending.ids_next, pending.k1_next, pending.k2_next))
 
 
 def test_several_survivors_reproducing_c_reject(monkeypatch):
-    # every residue survivor made to rebuild the received C: one is accepted, several are not
+    # every residue survivor made to rebuild the received C, by checking it
+    # against its own C: one is accepted, several are not
     real = gossamer.derive_auth
     rng = random.Random(7)
     outcomes = {}
@@ -287,14 +292,14 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
         a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
         survivors = []
 
-        def always_c(*args):
-            vals = real(*args)
-            vals.c = c
-            survivors.append(vals)
-            return vals
+        def always_c(ids, k1, k2, id_, n1, n2, c):
+            own_c = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)[2]
+            answer = real(ids, k1, k2, id_, n1, n2, own_c)
+            survivors.append(answer)
+            return answer
 
         monkeypatch.setattr(gossamer, "derive_auth", always_c)
-        found = gossamer.recover_nonces(Variant.MODIFIED, ids, k1, k2, id_, a, b, c)
+        found = gossamer.accept_modified(ids, k1, k2, id_, a, b, c)
         monkeypatch.setattr(gossamer, "derive_auth", real)
         outcomes[min(len(survivors), 2)] = (found, survivors)
     found, (only,) = outcomes[1]
@@ -327,13 +332,13 @@ class TestSurvivorsInOrder:
         seen = []
         real = gossamer.derive_auth
 
-        def recording(variant, k1, k2, id_, n1, n2):
+        def recording(ids, k1, k2, id_, n1, n2, c):
             seen.append((n1, n2))
-            return real(variant, k1, k2, id_, n1, n2)
+            return real(ids, k1, k2, id_, n1, n2, c)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gossamer, "derive_auth", recording)
-            gossamer.recover_nonces(Variant.MODIFIED, ids, k1, k2, id_, a, b, c)
+            gossamer.accept_modified(ids, k1, k2, id_, a, b, c)
         return seen
 
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
@@ -354,8 +359,8 @@ class TestSurvivorsInOrder:
 
 
 def scalar_chain(n1, n2):
-    """(n1, n2, n3, n1', n2') by the scalar MixBits, as derive_auth and
-    derive_update chain it."""
+    """(n1, n2, n3, n1', n2') by the scalar MixBits, as the original tag's
+    phase chains it."""
     n3 = mixbits_original(n1, n2)
     n1p = mixbits_original(n3, n2)
     return n1, n2, n3, n1p, mixbits_original(n1p, n3)
@@ -403,13 +408,12 @@ class TestMixBitsChains:
                 assert chains == [oracle_chain(*pair) for pair in zip(n1s, n2s)]
 
 
-@pytest.mark.parametrize("variant", list(Variant))
 @given(k1=words, k2=words, n1=words, n2=words)
 @example(k1=0, k2=0, n1=0, n2=0)
 @settings(max_examples=60, deadline=None)
-def test_derive_keys_matches_oracle(variant, k1, k2, n1, n2):
-    ref = oracles.gossamer_session(variant.value, 0, 0, k1, k2, n1, n2)
-    assert gossamer.derive_keys(variant, k1, k2, n1, n2, ref["n3"], ref["n1p"]) == (
+def test_derive_keys_matches_oracle(k1, k2, n1, n2):
+    ref = oracles.gossamer_session("original", 0, 0, k1, k2, n1, n2)
+    assert gossamer.derive_keys(k1, k2, n1, n2, ref["n3"], ref["n1p"]) == (
         ref["k1s"], ref["k2s"], ref["c"])
 
 
@@ -444,19 +448,16 @@ def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
     assert {field: getattr(pending, field) for field in FIELDS} == want
     assert (pending.n1, pending.n2) == (n1, n2)
 
-    # derive_auth leaves A, B and the update None; derive_update fills the update in
-    vals = gossamer.derive_auth(variant, k1, k2, id_, n1, n2)
-    through_d = {field: getattr(vals, field) for field in FIELDS}
-    assert through_d == {field: None if field in ("a", "b", "n2p", "ids_next", "k1_next",
-                                                  "k2_next") else want[field]
-                         for field in FIELDS}
-    assert gossamer.derive_update(variant, ids, vals) is vals
-    assert {field: getattr(vals, field) for field in FIELDS} == {**want, "a": None, "b": None}
-
-    assert gossamer.derive_keys(variant, k1, k2, n1, n2, want["n3"], want["n1p"]) == (
-        want["k1_star"], want["k2_star"], want["c"])
-    assert gossamer.next_ids(variant, ids, want["n3"], want["n1p"], want["n2p"],
-                             want["k1_star"], want["k2_star"]) == want["ids_next"]
+    # every other phase on the one column it is rendered from
+    if variant is Variant.MODIFIED:
+        assert gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c) == (
+            want["d"], (want["ids_next"], want["k1_next"], want["k2_next"]))
+        assert gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c ^ 1) is None
+    else:
+        assert gossamer.derive_keys(k1, k2, n1, n2, want["n3"], want["n1p"]) == (
+            want["k1_star"], want["k2_star"], want["c"])
+        assert gossamer.next_ids(ids, want["n3"], want["n1p"], want["n2p"],
+                                 want["k1_star"], want["k2_star"]) == want["ids_next"]
 
 
 def oracle_peel(ids, k1, k2, a, b):
@@ -468,7 +469,7 @@ def oracle_peel(ids, k1, k2, a, b):
 
 
 class TestOriginalTagPhase:
-    """``accept_original``, the original tag's one phase, and ``peel_original``."""
+    """``accept_original``, the original tag's one phase."""
 
     @given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
            n2=edge_words)
@@ -478,7 +479,6 @@ class TestOriginalTagPhase:
     def test_genuine_messages_give_the_oracle_d_and_update(self, id_, ids, k1, k2, n1, n2):
         ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
         a, b, c = ref["a"], ref["b"], ref["c"]
-        assert gossamer.peel_original(ids, k1, k2, a, b) == (n1, n2)
         assert gossamer.accept_original(ids, k1, k2, id_, a, b, c) == (
             ref["d"], (ref["ids_next"], ref["k1_next"], ref["k2_next"]))
 
@@ -505,38 +505,85 @@ class TestOriginalTagPhase:
             self, id_, ids, k1, k2, a, b, c):
         # c None: the C that the nonces peeled from this A and B rebuild
         n1, n2 = oracle_peel(ids, k1, k2, a, b)
-        assert gossamer.peel_original(ids, k1, k2, a, b) == (n1, n2)
         if c is None:
             c = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)["c"]
-        found = reference_search(Variant.ORIGINAL, ids, k1, k2, id_, a, b, c)
-        answer = gossamer.accept_original(ids, k1, k2, id_, a, b, c)
-        assert (answer is None) == (found is None)
-        if found is not None:
-            assert answer[0] == found[5]
+        assert gossamer.accept_original(ids, k1, k2, id_, a, b, c) == reference_search(
+            Variant.ORIGINAL, ids, k1, k2, id_, a, b, c)
 
-    @pytest.mark.parametrize("flip", [0, 1])
-    def test_mixbits_calls_accepted_3_rejected_2(self, monkeypatch, flip):
-        calls = []
 
-        def counted(x, y):
-            calls.append((x, y))
-            return mixbits_original(x, y)
+@given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
+       n2=edge_words, bit=st.integers(0, 95))
+@example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0, bit=0)
+@settings(max_examples=150, deadline=None)
+def test_modified_tag_rejects_a_flipped_bit_of_c_and_keeps_its_state(id_, ids, k1, k2, n1,
+                                                                      n2, bit):
+    ref = oracles.gossamer_session("modified", id_, ids, k1, k2, n1, n2)
+    a, b, c = ref["a"], ref["b"], ref["c"] ^ 1 << bit
+    assert gossamer.accept_modified(ids, k1, k2, id_, a, b, c) is None
+    tag = fresh_tag(id_, ids, k1, k2)
+    before = TagState(**vars(tag))
+    assert gossamer.tag_respond(tag, a, b, c, Variant.MODIFIED) is None
+    assert tag == before
 
-        a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
-        monkeypatch.setattr(gossamer, "mixbits_original", counted)
-        d = gossamer.tag_respond(fresh_tag(), a, b, c ^ flip, Variant.ORIGINAL)
-        assert (d is None) == bool(flip)
-        assert len(calls) == (2 if flip else 3)
 
-    def test_tag_respond_builds_no_session_values(self, monkeypatch):
-        # the original tag answers through its one phase: neither the
-        # candidate evaluator nor the update of a SessionValues runs
-        def forbidden(*args):
-            raise AssertionError("called")
+@pytest.mark.parametrize("flip", [0, 1])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_mixbits_calls_accepted_3_rejected_2(monkeypatch, variant, flip):
+    # a candidate rejected at C has made 2 MixBits calls and the accepted one
+    # 3: the original tag has one candidate, the modified tag one per
+    # derive_auth call
+    name = f"mixbits_{variant.value}"
+    real_mix, real_auth = getattr(gossamer, name), gossamer.derive_auth
+    calls, candidates = [], []
 
-        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
-        for name in ("derive_auth", "derive_update", "recover_nonces", "SessionValues"):
-            monkeypatch.setattr(gossamer, name, forbidden)
-        tag = fresh_tag()
-        assert gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL) == pending.d
-        assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+    def counted(x, y):
+        calls.append((x, y))
+        return real_mix(x, y)
+
+    def recording(*args):
+        candidates.append(args)
+        return real_auth(*args)
+
+    a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+    monkeypatch.setattr(gossamer, name, counted)
+    monkeypatch.setattr(gossamer, "derive_auth", recording)
+    d = gossamer.tag_respond(fresh_tag(), a, b, c ^ flip, variant)
+    assert (d is None) == bool(flip)
+    searched = len(candidates) if variant is Variant.MODIFIED else 1
+    assert searched >= 1
+    assert len(calls) == 2 * searched + (not flip)
+
+
+@pytest.mark.parametrize("variant,forbidden", [
+    (Variant.ORIGINAL, ("SessionValues", "accept_modified", "derive_auth")),
+    (Variant.MODIFIED, ("SessionValues", "accept_original")),
+], ids=["original", "modified"])
+def test_tag_respond_builds_no_session_values(monkeypatch, variant, forbidden):
+    # each tag answers through its own phase with plain words: no
+    # SessionValues is built and the other tag's phase never runs
+    def forbidden_call(*args):
+        raise AssertionError("called")
+
+    a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+    for name in forbidden:
+        monkeypatch.setattr(gossamer, name, forbidden_call)
+    tag = fresh_tag()
+    assert gossamer.tag_respond(tag, a, b, c, variant) == pending.d
+    assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+
+
+def test_re_rendering_leaves_the_module_whole_when_render_raises(tmp_path):
+    # a PEELS entry naming a missing row makes render() raise KeyError; the
+    # module is written only after its new text is built, so it is untouched
+    shutil.copytree(Path(gossamer.__file__).parent, tmp_path / "tagauth",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "tagauth" / "gossamer.py"
+    text = module.read_bytes()
+    broken = text.replace(b'PEELS = {"n1": "a",', b'PEELS = {"n1": "missing",', 1)
+    assert broken != text
+    module.write_bytes(broken)
+    run = subprocess.run([sys.executable, "-m", "tagauth.gossamer"], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode != 0 and "KeyError" in run.stderr
+    assert module.read_bytes() == broken
