@@ -241,43 +241,46 @@ def reference_search(variant, ids, k1, k2, id_, a, b, c):
 zero_mod_96 = st.one_of(st.just(0), words.map(lambda x: x - x % 96))
 
 
+@pytest.mark.parametrize("variant", list(Variant))
 class TestSearchAgainstReference:
-    """``accept_modified``, the modified tag's search, answers as the plain
-    96-residue loop does."""
+    """``accept_<variant>``, the tag's answer, is the plain reference's:
+    one peel for the original tag, the 96-residue loop for the modified."""
 
     @staticmethod
-    def check(ids, k1, k2, id_, a, b, c):
-        assert (gossamer.accept_modified(ids, k1, k2, id_, a, b, c)
-                == reference_search(Variant.MODIFIED, ids, k1, k2, id_, a, b, c))
+    def check(variant, ids, k1, k2, id_, a, b, c):
+        accept = getattr(gossamer, f"accept_{variant.value}")
+        assert (accept(ids, k1, k2, id_, a, b, c)
+                == reference_search(variant, ids, k1, k2, id_, a, b, c))
 
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
     @settings(max_examples=40, deadline=None)
-    def test_genuine_messages(self, id_, ids, k1, k2, n1, n2):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
-        self.check(ids, k1, k2, id_, a, b, c)
+    def test_genuine_messages(self, variant, id_, ids, k1, k2, n1, n2):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        self.check(variant, ids, k1, k2, id_, a, b, c)
 
     @given(id_=words, ids=words, k1=words, k2=words, a=words, b=words, c=words)
     @settings(max_examples=40, deadline=None)
-    def test_random_messages(self, id_, ids, k1, k2, a, b, c):
-        self.check(ids, k1, k2, id_, a, b, c)
+    def test_random_messages(self, variant, id_, ids, k1, k2, a, b, c):
+        self.check(variant, ids, k1, k2, id_, a, b, c)
 
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words,
            bit=st.integers(min_value=0, max_value=95))
     @settings(max_examples=40, deadline=None)
-    def test_genuine_a_b_with_flipped_c(self, id_, ids, k1, k2, n1, n2, bit):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
-        self.check(ids, k1, k2, id_, a, b, c ^ 1 << bit)
+    def test_genuine_a_b_with_flipped_c(self, variant, id_, ids, k1, k2, n1, n2, bit):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        self.check(variant, ids, k1, k2, id_, a, b, c ^ 1 << bit)
 
     @given(id_=words, ids=words, k1=zero_mod_96, k2=zero_mod_96, n1=words, n2=words,
            flip=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_keys_zero_mod_96(self, id_, ids, k1, k2, n1, n2, flip):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
-        self.check(ids, k1, k2, id_, a, b, c ^ flip)
+    def test_keys_zero_mod_96(self, variant, id_, ids, k1, k2, n1, n2, flip):
+        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        self.check(variant, ids, k1, k2, id_, a, b, c ^ flip)
 
-    def test_genuine_messages_are_found(self):
-        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
-        assert gossamer.accept_modified(IDS, K1, K2, ID, a, b, c) == (
+    def test_genuine_messages_are_found(self, variant):
+        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+        accept = getattr(gossamer, f"accept_{variant.value}")
+        assert accept(IDS, K1, K2, ID, a, b, c) == (
             pending.d, (pending.ids_next, pending.k1_next, pending.k2_next))
 
 
