@@ -10,17 +10,15 @@ A verdict that does not fire is a valid result, not an error.  ``ATTACKS``
 is the registry of attack kinds by name; it holds only public facts.
 
 The zero-key attack is the original tag itself under K1 = K2 = 0: its peel
-in ``zero_key_chains``, and ``gossamer.derive_keys`` and
-``gossamer.next_ids``, phases rendered from the Original column.
+in ``zero_key_chains``, then ``gossamer.disclose_original``, one phase
+rendered from the Original column.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import Variant, derive_keys, id_from_d, mixbits_chains, next_ids
+from .gossamer import disclose_original, mixbits_chains
 from .word96 import MASK, PI, Word96
-
-_ORIGINAL = Variant.ORIGINAL  # bound once: a read through the enum class costs more
 
 
 @dataclass(slots=True)
@@ -116,16 +114,13 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     """Zero-key full disclosure against original Gossamer (one transcript).
 
     Hypothesizes K1 = K2 = 0, under which the transcript is the original
-    tag's view with known keys: its nonce recovery unwinds A and B, and
-    ``derive_keys`` replays K1*, K2* and C from public data.  A C that
-    differs from the transmitted one refutes the hypothesis, and nothing
-    further is computed.  A fired trial then computes two more words:
-    ``next_ids``, the next pseudonym it predicts, and ``id_from_d``, D
-    inverted to the static ID from the recovered state.  It skips the rest
-    of the update, K1+ and K2+, which no verdict reports.  A transcript
-    whose D never crossed the air still fires, with the recovered state and
-    ``recovered_id`` None: C has confirmed the hypothesis, and only D
-    carries the ID.  A transcript with no A||B||C does not fire.
+    tag's view with known keys: A and B unwind to the nonces, and
+    ``gossamer.disclose_original`` rebuilds C, which refutes the hypothesis
+    at once if it differs from the transmitted one, and otherwise gives
+    K1*, K2*, the next pseudonym and D inverted to the ID.  A transcript
+    whose D never crossed the air still fires, with ``recovered_id`` None:
+    C has confirmed the hypothesis, and only D carries the ID.  A
+    transcript with no A||B||C does not fire.
 
     ``chain`` is the transcript's entry of ``zero_key_chains``: the
     evaluator passes each trial its entry of one call over all its trials.
@@ -134,13 +129,14 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     if transcript.c is None:
         return AttackVerdict(False)
     n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
-    k1s, k2s, c = derive_keys(0, 0, n1, n2, n3, n1p)
-    if c != transcript.c:
-        return AttackVerdict(False)
-    state = RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p,
-                             next_ids(transcript.announced_ids, n3, n1p, n2p, k1s, k2s))
     d = transcript.d
-    return AttackVerdict(True, None if d is None else id_from_d(_ORIGINAL, state, d), state)
+    found = disclose_original(transcript.announced_ids, 0, 0, n1, n2, n3, n1p, n2p,
+                              transcript.c, 0 if d is None else d)
+    if found is None:
+        return AttackVerdict(False)
+    k1s, k2s, next_ids, id_ = found
+    return AttackVerdict(True, None if d is None else id_,
+                         RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p, next_ids))
 
 
 @dataclass(frozen=True)

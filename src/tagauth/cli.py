@@ -178,7 +178,7 @@ def _read_jsonl(path: str, parse) -> list:
     with open_text(path) as fh:
         return parse_entries(path, "line",
                              ((number, line) for number, line in enumerate(fh, 1)
-                              if line.strip()),
+                              if not line.isspace()),
                              parse)
 
 

@@ -14,10 +14,10 @@ pass, either variant, as the reader serves both), the two tags' phases,
 ``derive_auth`` (one modified search candidate: C rebuilt and checked,
 then D and the staged tuple) and ``accept_original`` (n1 and n2 peeled
 from the ``a`` and ``b`` rows inverted, as ``PEELS`` names them, then the
-same), and the zero-key attack's ``derive_keys`` (K1*, K2* and C) and
-``next_ids`` (IDS+) of the original variant.  Edit the table, then
-re-render with ``PYTHONPATH=src python -m tagauth.gossamer``; a test fails
-while the two disagree.  A phase looks ``mixbits_original`` or
+same), and the zero-key attack's ``disclose_original`` (C checked, then
+IDS+ and the ID, the ``d`` row inverted).  Edit the table, then re-render
+with ``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the
+two disagree.  A phase looks ``mixbits_original`` or
 ``mixbits_modified`` up in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
@@ -49,7 +49,7 @@ from enum import Enum
 
 from .tagstate import SessionValues, TagState, rotate, tuple_of
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
-                     mixbits_original, mixbits_original_lanes, peel_rotations, rotr, to_lanes)
+                     mixbits_original, mixbits_original_lanes, peel_rotations, to_lanes)
 
 
 class Variant(Enum):
@@ -76,7 +76,7 @@ EQUATIONS = (
     ("k2n",  ("idsn", "k2s", "PI", "k1n"),   "idsn", "k1s", "+", ("n1p", "k2s"),     "k1n"),
 )
 MIXBITS = {"n3": ("n1", "n2"), "n1p": ("n3", "n2"), "n2p": ("n1p", "n3")}  # target: MixBits(x, y)
-PEELS = {"n1": "a", "n2": "b"}  # nonce: the row of A or B whose inverse, original column, gives it
+PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Original) gives it
 
 # Each rendered phase: its head (signature, docstring), its variant (None: the
 # variant argument picks each outer amount), what it computes in order, its tail.
@@ -94,14 +94,12 @@ PHASES = (
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
      Variant.MODIFIED, ("n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
      "return d, (idsn, k1n, k2n)"),
-    ('''def derive_keys(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
-                n1p: Word96) -> tuple[Word96, Word96, Word96]:
-    """(K1*, K2*, C) of the original variant, the session keys and the message
-    that confirms them."""''', Variant.ORIGINAL, ("k1s", "k2s", "c"), "return k1s, k2s, c"),
-    ('''def next_ids(ids: Word96, n3: Word96, n1p: Word96, n2p: Word96, k1s: Word96,
-             k2s: Word96) -> Word96:
-    """IDS+ of the original variant, the next pseudonym."""''', Variant.ORIGINAL, ("idsn",),
-     "return idsn"),
+    ('''def disclose_original(ids: Word96, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
+                      n3: Word96, n1p: Word96, n2p: Word96, c: Word96,
+                      d: Word96) -> tuple[Word96, Word96, Word96, Word96] | None:
+    """(K1*, K2*, IDS+, ID) of an original-variant session, or None when the
+    rebuilt C differs from c.  With K1 = K2 = 0 it reads only public words."""''',
+     Variant.ORIGINAL, ("k1s", "k2s", "c?", "idsn", "id_"), "return k1s, k2s, idsn, id_"),
     ('''def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
                     b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
@@ -150,22 +148,26 @@ def render() -> str:
             if name in MIXBITS:
                 lines.append(f"{name} = {mix}({', '.join(MIXBITS[name])})")
                 continue
-            if name in PEELS:  # the row solved for its nonce, rotating right
-                word, terms, inner, t, _, outer, _ = rows[PEELS[name]]
+            peel = PEELS.get(name)
+            word, terms, inner, t, op, outer, v = rows[peel or name]
+            mid, last = (t, "") if v is None else (f"({t} {op} {v})", f" {op} {v}")
+            equation = (f"Rot(Rot({' + '.join(terms)}, {inner}) + {mid}, "
+                        f"{' if original else '.join(outer[pick])}){last}")
+            if peel:  # the row solved for its term: op V undone, then each rotation, right
                 (outer,) = outer[pick]  # the one variant's: a phase that peels has one
+                rr_outer, rr_inner = shift(outer, True), shift(inner, True)
+                lines.append(f"# {name} from {word} = {equation}")
+                if v is not None:
+                    lines.append(f"x = ({word} {'-' if op == '+' else '^'} {v}) & MASK")
+                    word = "x"
                 rest = " + ".join(term for term in terms if term != name)
-                lines += [f"# {name} from {word} = Rot(Rot({' + '.join(terms)}, {inner}) + {t}, "
-                          f"{outer})",
-                          f"x = ((({word} << 96 | {word}) >> {shift(outer, True)}) - {t}) & MASK",
-                          f"{name} = (((x << 96 | x) >> {shift(inner, True)}) - ({rest})) & MASK"]
+                lines += [f"x = ((({word} << 96 | {word}) >> {rr_outer}) - {mid}) & MASK",
+                          f"{name} = (((x << 96 | x) >> {rr_inner}) - ({rest})) & MASK"]
                 continue
-            _, terms, inner, t, op, outer, v = rows[name]
             inner_shift = shift(inner)
             chosen = " if original else ".join(map(shift, outer[pick]))
             rot = f"((x << 96 | x) >> {chosen if len(outer[pick]) == 1 else f'({chosen})'})"
-            mid, last = (t, "") if v is None else (f"({t} {op} {v})", f" {op} {v}")
-            lines += [f"# {name} = Rot(Rot({' + '.join(terms)}, {inner}) + {mid}, "
-                      f"{' if original else '.join(outer[pick])}){last}",
+            lines += [f"# {name} = {equation}",
                       f"x = ({' + '.join(terms)}) & MASK",
                       f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK"]
             if target != name:
@@ -177,9 +179,9 @@ def render() -> str:
 
 
 # the lines around the rendered code, which only ``render`` writes
-BEGIN = "\n# ---- rendered from EQUATIONS by python -m tagauth.gossamer; do not edit ----\n\n\n"
+BEGIN = "\n# ---- rendered from EQUATIONS by python -m tagauth.rerender; do not edit ----\n\n\n"
 END = "\n\n\n# ---- end of rendered code ----\n"
-# ---- rendered from EQUATIONS by python -m tagauth.gossamer; do not edit ----
+# ---- rendered from EQUATIONS by python -m tagauth.rerender; do not edit ----
 
 
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
@@ -281,10 +283,11 @@ def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2
     return d, (idsn, k1n, k2n)
 
 
-def derive_keys(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
-                n1p: Word96) -> tuple[Word96, Word96, Word96]:
-    """(K1*, K2*, C) of the original variant, the session keys and the message
-    that confirms them."""
+def disclose_original(ids: Word96, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
+                      n3: Word96, n1p: Word96, n2p: Word96, c: Word96,
+                      d: Word96) -> tuple[Word96, Word96, Word96, Word96] | None:
+    """(K1*, K2*, IDS+, ID) of an original-variant session, or None when the
+    rebuilt C differs from c.  With K1 = K2 = 0 it reads only public words."""
     r_n2 = -n2 % 96
     r_n1 = -n1 % 96
     # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1) ^ n3
@@ -295,21 +298,21 @@ def derive_keys(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
     x = (n1 + k2 + PI + n3) & MASK
     x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
     k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
+    r_n3 = -n3 % 96
     # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
     x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
-    c = (((x << 96 | x) >> r_n2) ^ n1p) & MASK
-    return k1s, k2s, c
-
-
-def next_ids(ids: Word96, n3: Word96, n1p: Word96, n2p: Word96, k1s: Word96,
-             k2s: Word96) -> Word96:
-    """IDS+ of the original variant, the next pseudonym."""
+    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
+    if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
+        return None
     # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3) ^ n2p
     x = (n1p + k1s + ids + n2p) & MASK
     x = (((x << 96 | x) >> (-n1p % 96)) + (k2s ^ n2p)) & MASK
-    idsn = (((x << 96 | x) >> (-n3 % 96)) ^ n2p) & MASK
-    return idsn
+    idsn = (((x << 96 | x) >> r_n3) ^ n2p) & MASK
+    # id_ from d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3) + n1p
+    x = (d - n1p) & MASK
+    x = (((x << 96 | x) >> (n3 % 96)) - (k1s + n1p)) & MASK
+    id_ = (((x << 96 | x) >> (n2 % 96)) - (n2 + k2s + n1p)) & MASK
+    return k1s, k2s, idsn, id_
 
 
 def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
@@ -364,15 +367,6 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
 
 
 # ---- end of rendered code ----
-
-
-def id_from_d(variant: Variant, vals, d: Word96) -> Word96:
-    """The ID that D carries, given the session's other values: D inverted,
-    with r_d = n3 (original) or K1* (modified).  Of ``vals`` (a SessionValues
-    or RecoveredSecrets) it reads only n2, n3, n1p, k1_star and k2_star."""
-    step = rotr((d - vals.n1p) & MASK, vals.n3 if variant is _ORIGINAL else vals.k1_star)
-    step = rotr((step - vals.k1_star - vals.n1p) & MASK, vals.n2)
-    return (step - vals.n2 - vals.k2_star - vals.n1p) & MASK
 
 
 def mixbits_chains(n1s: list[Word96], n2s: list[Word96]) -> list[tuple]:
@@ -455,12 +449,3 @@ def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
     rotate(tag, tag.last_announced, answer[1])
     return answer[0]
 
-
-if __name__ == "__main__":  # re-render the code between BEGIN and END in place
-    with open(__file__, encoding="utf-8") as fh:
-        text = fh.read()
-    start = text.index(BEGIN) + len(BEGIN)
-    # built before the file is opened for writing: a render() that raises leaves it whole
-    text = text[:start] + render() + text[text.index(END, start):]
-    with open(__file__, "w", encoding="utf-8") as fh:
-        fh.write(text)

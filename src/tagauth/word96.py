@@ -56,8 +56,7 @@ def rotl(x: Word96, y: Word96) -> Word96:
     The amount is reduced modulo 96 on the full value of y, so
     rotl(x, y) == rotl(x, y + 96k) for any k.  Bijective in x for fixed y.
     """
-    n = y % WIDTH
-    return ((x << n) | (x >> (WIDTH - n))) & MASK
+    return rotr(x, -y)
 
 
 def rotr(x: Word96, y: Word96) -> Word96:

@@ -10,9 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import words
 from tagauth import attacks, gossamer
-from tagauth.gossamer import Variant
 from tagauth.simulator import (
     CampaignConfig,
     Forcing,
@@ -141,18 +139,6 @@ class TestGossamerAttack2:
             assert (rs.n1, rs.n2, rs.n3, rs.n1p, rs.n2p) == (g.n1, g.n2, g.n3, g.n1p, g.n2p)
             assert (rs.k1_star, rs.k2_star) == (g.k1_star, g.k2_star)
             assert rs.next_ids == g.tag_post.ids
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-@given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words, d=words)
-@settings(max_examples=60, deadline=None)
-def test_id_from_d_reads_recovered_secrets_as_the_session_values(variant, id_, ids, k1, k2,
-                                                                  n1, n2, d):
-    vals = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)[3]
-    state = attacks.RecoveredSecrets(vals.k1_star, vals.k2_star, vals.n1, vals.n2, vals.n3,
-                                     vals.n1p, vals.n2p, vals.ids_next)
-    for sent in (vals.d, d):
-        assert gossamer.id_from_d(variant, state, sent) == gossamer.id_from_d(variant, vals, sent)
 
 
 def test_a_transcript_with_no_challenge_fires_nothing():

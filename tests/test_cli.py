@@ -385,6 +385,32 @@ class TestAttack:
             json.loads, (tmp_path / "v.jsonl").read_text().splitlines())}
         assert matches == {s: None if s == 10 else s not in (5, 9) for s in range(20)}
 
+    def test_blank_lines_between_records_are_skipped(self, tmp_path, capsys):
+        # lines of only whitespace between the records of the input and of the
+        # ground truth read as no record: verdicts and summary are unchanged
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "12", "--seed", "9", "--store", str(store),
+                "--output", str(out), "--force-keys", "zero", "--drop-d-rate", "0.2")
+
+        def spaced(path):
+            lines = path.read_bytes().splitlines(keepends=True)
+            copy = path.with_name("spaced." + path.name)
+            copy.write_bytes(b"\n" + b"".join(
+                line + (b"\n", b" \t\r\n")[number % 2] for number, line in enumerate(lines)))
+            return copy
+
+        def attack(transcripts, truths, verdicts):
+            code, summary = run_cli(capsys, "attack", "gossamer-2", "--input", str(transcripts),
+                                    "--ground-truth", str(truths), "--output", str(verdicts))
+            assert code == 0
+            return summary, verdicts.read_bytes()
+
+        truths = tmp_path / "t.gt.jsonl"
+        plain = attack(out, truths, tmp_path / "v.jsonl")
+        assert plain[0]["trials"] == plain[0]["fired"] == 5
+        assert attack(spaced(out), spaced(truths), tmp_path / "spaced.v.jsonl") == plain
+
     def test_sasi_attack_reports_histogram(self, tmp_path, capsys):
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
         provision(capsys, store, variant="sasi")

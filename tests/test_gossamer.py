@@ -1,5 +1,6 @@
 """Gossamer engine: closed forms, oracle vectors, round trips, the search."""
 
+import functools
 import os
 import random
 import shutil
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import LANE_WORDS, lane_words, words
-from tagauth import gossamer
+from tagauth import gossamer, rerender
 from tagauth.gossamer import Variant
 from tagauth.tagstate import SessionValues, TagState, reader_finish, tag_announce
 from tagauth.word96 import MASK, PI, mixbits_modified, mixbits_original
@@ -115,15 +116,6 @@ def test_all_zero_modified_diverges():
     vals = session_values(Variant.MODIFIED, 0, 0, 0, 0, 0, 0)
     assert vals.n3 == mixbits_modified(0, 0) != 0
     assert vals.c != 3 * PI & MASK
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-@given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
-@example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
-@settings(max_examples=60, deadline=None)
-def test_id_from_d_inverts_d(variant, id_, ids, k1, k2, n1, n2):
-    vals = session_values(variant, ids, k1, k2, id_, n1, n2)
-    assert gossamer.id_from_d(variant, vals, vals.d) == id_
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -411,21 +403,28 @@ class TestMixBitsChains:
                 assert chains == [oracle_chain(*pair) for pair in zip(n1s, n2s)]
 
 
-@given(k1=words, k2=words, n1=words, n2=words)
-@example(k1=0, k2=0, n1=0, n2=0)
-@settings(max_examples=60, deadline=None)
-def test_derive_keys_matches_oracle(k1, k2, n1, n2):
-    ref = oracles.gossamer_session("original", 0, 0, k1, k2, n1, n2)
-    assert gossamer.derive_keys(k1, k2, n1, n2, ref["n3"], ref["n1p"]) == (
-        ref["k1s"], ref["k2s"], ref["c"])
+# a key or nonce at random, exactly zero, or a multiple of 96
+forced_words = words | zero_mod_96
+
+
+@given(id_=words, ids=words, k1=forced_words, k2=forced_words, n1=forced_words,
+       n2=forced_words)
+@example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
+@settings(max_examples=100, deadline=None)
+def test_disclose_original_matches_oracle(id_, ids, k1, k2, n1, n2):
+    # K1*, K2*, IDS+ and the ID the oracle's D carries, or None once C differs
+    ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
+    session = (ids, k1, k2, n1, n2, ref["n3"], ref["n1p"], ref["n2p"])
+    assert gossamer.disclose_original(*session, ref["c"], ref["d"]) == (
+        ref["k1s"], ref["k2s"], ref["ids_next"], id_)
+    assert gossamer.disclose_original(*session, ref["c"] ^ 1, ref["d"]) is None
 
 
 def test_rendered_phases_are_the_table_rendered():
-    # the code between the markers, byte for byte, is what render() makes of
-    # EQUATIONS: a hand edit of it, or a table edit not re-rendered, fails
+    # the module, byte for byte, is what the re-render makes of it: a hand
+    # edit of the rendered code, or a table edit not re-rendered, fails
     text = Path(gossamer.__file__).read_bytes().decode("utf-8")
-    start = text.index(gossamer.BEGIN) + len(gossamer.BEGIN)
-    assert text[start:text.index(gossamer.END, start)] == gossamer.render()
+    assert rerender.rerendered(text) == text
 
 
 # Words at a rotation's edges: amounts of 0, 1 and 95 (mod 96), the words 0
@@ -457,10 +456,41 @@ def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
             want["d"], (want["ids_next"], want["k1_next"], want["k2_next"]))
         assert gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c ^ 1) is None
     else:
-        assert gossamer.derive_keys(k1, k2, n1, n2, want["n3"], want["n1p"]) == (
-            want["k1_star"], want["k2_star"], want["c"])
-        assert gossamer.next_ids(ids, want["n3"], want["n1p"], want["n2p"],
-                                 want["k1_star"], want["k2_star"]) == want["ids_next"]
+        session = (ids, k1, k2, n1, n2, want["n3"], want["n1p"], want["n2p"])
+        assert gossamer.disclose_original(*session, c, want["d"]) == (
+            want["k1_star"], want["k2_star"], want["ids_next"], id_)
+        assert gossamer.disclose_original(*session, c ^ 1, want["d"]) is None
+
+
+@functools.cache
+def rendered_peels(variant):
+    """``render()`` of two peels on ``variant``'s column, compiled: ``id_``
+    from the ``d`` row (op +, with V) and ``ids`` from the ``idsn`` row (op
+    ^, with V)."""
+    phases = (("def peel_id(d, n2, k2s, n1p, k1s, n3):", variant, ("id_",), "return id_"),
+              ("def peel_ids(idsn, n1p, k1s, n2p, k2s, n3):", variant, ("ids",), "return ids"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gossamer, "PHASES", phases)
+        patch.setattr(gossamer, "PEELS", {"id_": "d", "ids": "idsn"})
+        code = gossamer.render()
+    namespace = dict(vars(gossamer))
+    exec(compile(code, "<rendered peels>", "exec"), namespace)
+    return namespace["peel_id"], namespace["peel_ids"]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
+       n2=edge_words)
+@example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
+@example(id_=MASK, ids=MASK, k1=MASK, k2=MASK, n1=MASK, n2=MASK)
+@settings(max_examples=100, deadline=None)
+def test_rendered_peels_undo_rows_with_a_last_term(variant, id_, ids, k1, k2, n1, n2):
+    # each peel gives back the term its forward row, in the oracle, consumed
+    ref = oracles.gossamer_session(variant.value, id_, ids, k1, k2, n1, n2)
+    peel_id, peel_ids = rendered_peels(variant)
+    assert peel_id(ref["d"], n2, ref["k2s"], ref["n1p"], ref["k1s"], ref["n3"]) == id_
+    assert peel_ids(ref["ids_next"], ref["n1p"], ref["k1s"], ref["n2p"], ref["k2s"],
+                    ref["n3"]) == ids
 
 
 def oracle_peel(ids, k1, k2, a, b):
@@ -575,18 +605,33 @@ def test_tag_respond_builds_no_session_values(monkeypatch, variant, forbidden):
     assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
 
 
-def test_re_rendering_leaves_the_module_whole_when_render_raises(tmp_path):
-    # a PEELS entry naming a missing row makes render() raise KeyError; the
-    # module is written only after its new text is built, so it is untouched
+def rerender_copy(tmp_path, edit):
+    """``python -m tagauth.rerender`` run on a copy of the package whose
+    gossamer.py is ``edit`` of its bytes: (the run, the copy's gossamer.py)."""
     shutil.copytree(Path(gossamer.__file__).parent, tmp_path / "tagauth",
                     ignore=shutil.ignore_patterns("__pycache__"))
     module = tmp_path / "tagauth" / "gossamer.py"
-    text = module.read_bytes()
-    broken = text.replace(b'PEELS = {"n1": "a",', b'PEELS = {"n1": "missing",', 1)
-    assert broken != text
-    module.write_bytes(broken)
-    run = subprocess.run([sys.executable, "-m", "tagauth.gossamer"], cwd=tmp_path,
+    module.write_bytes(edit(module.read_bytes()))
+    run = subprocess.run([sys.executable, "-m", "tagauth.rerender"], cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(tmp_path)},
                          capture_output=True, text=True, timeout=60)
+    return run, module
+
+
+def test_re_rendering_runs_the_module_once_and_rewrites_it_byte_for_byte(tmp_path):
+    # a line appended to the copy prints once each time the module is executed
+    ran = b'print("gossamer executed")\n'
+    run, module = rerender_copy(tmp_path, lambda text: text + ran)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "gossamer executed\n", "")
+    assert module.read_bytes() == Path(gossamer.__file__).read_bytes() + ran
+
+
+def test_re_rendering_leaves_the_module_whole_when_render_raises(tmp_path):
+    # a PEELS entry naming a missing row makes render() raise KeyError; the
+    # module is written only after its new text is built, so it is untouched
+    text = Path(gossamer.__file__).read_bytes()
+    broken = text.replace(b'PEELS = {"n1": "a",', b'PEELS = {"n1": "missing",', 1)
+    assert broken != text
+    run, module = rerender_copy(tmp_path, lambda _: broken)
     assert run.returncode != 0 and "KeyError" in run.stderr
     assert module.read_bytes() == broken
