@@ -40,14 +40,15 @@ lanes (``_residue_survivors``), and ``accept_modified`` hands each
 candidate to ``derive_auth``.  Either tag accepts only if exactly one
 candidate reproduces the received C, and answers (D, staged tuple).
 
-The session record, the two-tuple tag state, its announce/retry step, the
-update timing and reader_finish are shared with SASI (``tagstate``).
+The plain-word returns, the two-tuple tag state, its announce/retry step,
+the update timing and the tag body ``respond`` are shared with SASI
+(``tagstate``).
 """
 
 from collections import Counter
 from enum import Enum
 
-from .tagstate import SessionValues, TagState, rotate, tuple_of
+from .tagstate import TagState, respond
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
                      mixbits_original, mixbits_original_lanes, peel_rotations, to_lanes)
 
@@ -82,12 +83,11 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 # variant argument picks each outer amount), what it computes in order, its tail.
 # A target "c?" rebuilds C and returns None unless it equals the received c.
 PHASES = (
-    ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
-                 n1: Word96, n2: Word96,
-                 variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
-    """(A, B, C, pending) for the matched record, pending holding every session value."""''',
+    ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
+                 variant: Variant) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
+    """(A, B, C, D, staged, internals) of a session on the matched record."""''',
      None, ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
-     "return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)"),
+     "return a, b, c, d, (idsn, k1n, k2n), (n1, n2, n3, n1p, n2p, k1s, k2s)"),
     ('''def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
                 c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
@@ -184,10 +184,9 @@ END = "\n\n\n# ---- end of rendered code ----\n"
 # ---- rendered from EQUATIONS by python -m tagauth.rerender; do not edit ----
 
 
-def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
-                 n1: Word96, n2: Word96,
-                 variant: Variant) -> tuple[Word96, Word96, Word96, SessionValues]:
-    """(A, B, C, pending) for the matched record, pending holding every session value."""
+def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
+                 variant: Variant) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
+    """(A, B, C, D, staged, internals) of a session on the matched record."""
     original = variant is _ORIGINAL
     mix = mixbits_original if original else mixbits_modified
     n3 = mix(n1, n2)
@@ -237,7 +236,7 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96,
     x = (ids + k2 + PI + n2) & MASK
     x = (((x << 96 | x) >> r_k1) + k2) & MASK
     b = ((x << 96 | x) >> (r_k2 if original else r_n1)) & MASK
-    return a, b, c, SessionValues(n1, n2, n3, n1p, n2p, k1s, k2s, a, b, c, d, idsn, k1n, k2n)
+    return a, b, c, d, (idsn, k1n, k2n), (n1, n2, n3, n1p, n2p, k1s, k2s)
 
 
 def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
@@ -441,11 +440,4 @@ def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
     """Authenticate the reader from A||B||C (``accept_original`` or
     ``accept_modified``); emit D and commit, or reject with the state
     untouched and return None."""
-    ids, k1, k2 = tuple_of(tag, tag.last_announced)
-    accept = accept_original if variant is _ORIGINAL else accept_modified
-    answer = accept(ids, k1, k2, tag.id, a, b, c)
-    if answer is None:
-        return None
-    rotate(tag, tag.last_announced, answer[1])
-    return answer[0]
-
+    return respond(tag, accept_original if variant is _ORIGINAL else accept_modified, a, b, c)

@@ -34,7 +34,7 @@ from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import (_ROWS, HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store,
                     TagRecordRow, decode, exactly, json_loads, record_formats)
-from .tagstate import NEXT, OLD, TagState, reader_finish, tag_announce, tuple_of
+from .tagstate import NEXT, OLD, TagState, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, to_hex, use_mixbits_table
 from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
 
@@ -106,10 +106,10 @@ class StateSnapshot:
 class GroundTruth:
     """Secrets of one session, recorded for scoring and invariant checks only.
 
-    The internals n1 .. k2_star are the session values' fields of the same
-    names (``tagstate.SessionValues``), so for SASI sessions k1_star/k2_star
-    hold K1'/K2' and n3, n1p, n2p stay None.  Internals are None when the
-    session never reached the challenge (or was a replay of A||B||C).
+    The internals n1 .. k2_star are the last words ``reader_begin`` returns,
+    in this order, so for SASI sessions k1_star/k2_star hold K1'/K2' and n3,
+    n1p, n2p stay None.  Internals are None when the session never reached
+    the challenge (or was a replay of A||B||C).
     """
 
     session_index: int
@@ -237,20 +237,19 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 
 # Protocol -> (variant, module, extra).  ``variant`` is the protocol's
 # value, the store's variant string.  ``module`` (sasi or gossamer)
-# supplies reader_begin and tag_respond, whose pending values are one
-# ``tagstate.SessionValues`` for every protocol; run_session looks them up
-# on the module at each call so that a wrapper set on the module attribute
-# (perfbench/tracing.py's spans) sees every session.  ``extra`` is the
-# trailing argument both take: the Gossamer variant, nothing for SASI.
+# supplies reader_begin, whose plain words (A, B, C, D, staged, internals)
+# are the same for every protocol, and tag_respond; run_session looks them
+# up on the module at each call so that a wrapper set on the module
+# attribute (perfbench/tracing.py's spans) sees every session.  ``extra``
+# is the trailing argument both take: the Gossamer variant, nothing for SASI.
 _ENGINES = {
     Protocol.SASI: (Protocol.SASI.value, sasi, ()),
     Protocol.GOSSAMER: (Protocol.GOSSAMER.value, gossamer, (Variant.ORIGINAL,)),
     Protocol.GOSSAMER_MOD: (Protocol.GOSSAMER_MOD.value, gossamer, (Variant.MODIFIED,)),
 }
-# The seven internals that session values, ground truth and recovered
-# secrets all hold under these names, in ground truth's field order
+# The seven internals that ground truth and recovered secrets hold under
+# these names, in ground truth's field order, which reader_begin's follow
 _INTERNALS = attrgetter("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
-_NO_INTERNALS = (None,) * 7  # a session that never reached the challenge
 
 # Enum members a session reads, bound once: a read through the class costs
 # about ten times a global's
@@ -321,7 +320,8 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         _force_keys(state, mirror, *_draw_keys(forcing.key_mode, rng))
     tag_pre = _snapshot(state)
     reader_pre = _snapshot(mirror)
-    a = b = c = d = pending = hit = None
+    a = b = c = d = hit = None
+    internals = ()  # a session that never reached the challenge
 
     if captured is not None:
         announced = tag_announce(state)
@@ -346,7 +346,8 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
 
     if hit is not None:
         row, side = hit
-        a, b, c, pending = module.reader_begin(*tuple_of(row, side), row.id, n1, n2, *extra)
+        a, b, c, expected, staged, internals = module.reader_begin(*tuple_of(row, side), row.id,
+                                                                   n1, n2, *extra)
         outcome = None
         if replayed is not None:
             # a captured D answers the reader in place of the genuine tag
@@ -358,9 +359,8 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
             elif forcing.drop_d:
                 d, outcome = None, _D_DROPPED
         if outcome is None:
-            if reader_finish(pending, d):
-                store.commit(row.tag_label, (pending.ids_next, pending.k1_next,
-                                             pending.k2_next), side)
+            if d == expected:
+                store.commit(row.tag_label, staged, side)
                 outcome = _SUCCESS
             else:
                 outcome = _TAG_REJECTED
@@ -372,8 +372,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         bits += WIDTH
     return (Transcript(variant, session_index, announced, a, b, c, d, outcome, bits),
             GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
-                        reader_pre, _snapshot(mirror),
-                        *(_NO_INTERNALS if pending is None else _INTERNALS(pending))))
+                        reader_pre, _snapshot(mirror), *internals))
 
 
 @dataclass

@@ -1,6 +1,5 @@
-"""Tag state shared by SASI and Gossamer: static id, next and old tuples;
-and the one record of a session's values (``SessionValues``), the
-readers' pending context.
+"""Tag state shared by SASI and Gossamer: static id, next and old tuples,
+and the one tag body (``respond``) every protocol answers through.
 
 The tag keeps two (IDS, K1, K2) tuples, the potential-next one and the one
 used last, so a lost D never strands it: when the backend does not
@@ -13,6 +12,12 @@ share the six tuple field names), follow one rule: a session runs on the
 tuple the announced IDS matched (``tuple_of``), and its commit makes that
 tuple the old one and the staged tuple the next one (``rotate``).  On an
 old-side session the old tuple therefore stays, and the next is replaced.
+
+Every protocol speaks in plain words.  Its reader phase, ``reader_begin``,
+returns (A, B, C, D, staged, internals): the expected D, the staged
+(IDS+, K1+, K2+), and the seven internals in ground truth's field order
+(n1, n2, n3, n1', n2', K1*, K2*).  Its tag phase, ``accept_<protocol>``,
+returns (D, staged) or None, and ``respond`` is the tag body around it.
 """
 
 from dataclasses import dataclass
@@ -41,36 +46,6 @@ class TagState:
     last_announced: str = NEXT
 
 
-@dataclass(slots=True)
-class SessionValues:
-    """All internal and public values of one session, for every protocol.
-
-    Returned by reader_begin as the pending context: ``d`` is the expected
-    final message and (ids_next, k1_next, k2_next) the staged update.  The
-    first seven fields are the internals ground truth records under the
-    same names.  SASI has no n3, n1' or n2' (None), and its session keys
-    K1'/K2' are both k1_star/k2_star and its staged keys.  Two builders make
-    one, each filling every field: ``gossamer.reader_begin`` (the Gossamer
-    reader) and ``sasi.session_values`` (both SASI sides).  The Gossamer
-    tags' phases answer with plain words.
-    """
-
-    n1: Word96
-    n2: Word96
-    n3: Word96 | None
-    n1p: Word96 | None
-    n2p: Word96 | None
-    k1_star: Word96
-    k2_star: Word96
-    a: Word96
-    b: Word96
-    c: Word96
-    d: Word96
-    ids_next: Word96
-    k1_next: Word96
-    k2_next: Word96
-
-
 def tag_announce(tag: TagState, retry: bool = False) -> Word96:
     """Answer an interrogation: next-tuple IDS first, old-tuple IDS on retry."""
     tag.last_announced = OLD if retry else NEXT
@@ -90,6 +65,12 @@ def rotate(holder, side: str, staged: tuple[Word96, Word96, Word96]) -> None:
     holder.ids, holder.k1, holder.k2 = staged
 
 
-def reader_finish(pending, d: Word96) -> bool:
-    """True iff D proves the tag derived this session; the caller commits."""
-    return d == pending.d
+def respond(tag: TagState, accept, a: Word96, b: Word96, c: Word96) -> Word96 | None:
+    """Authenticate the reader from A||B||C with the protocol's ``accept``
+    phase, called on the announced tuple and the id: emit D and commit on
+    its answer (D, staged tuple), or return None with the state untouched."""
+    answer = accept(*tuple_of(tag, tag.last_announced), tag.id, a, b, c)
+    if answer is None:
+        return None
+    rotate(tag, tag.last_announced, answer[1])
+    return answer[0]

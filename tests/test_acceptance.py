@@ -15,7 +15,7 @@ import oracles
 from tagauth import word96 as w
 from tagauth.attacks import gossamer_attack1, gossamer_attack2, sasi_attack
 from tagauth.cli import main as cli_main
-from tagauth.sasi import session_values as sasi_session_values
+from tagauth.sasi import reader_begin as sasi_reader_begin
 from tagauth.simulator import (
     CampaignConfig,
     Forcing,
@@ -258,8 +258,8 @@ def test_criterion_08_sasi_attack():
     rng = random.Random(1011)
     for _ in range(1000):
         id_, ids, k2, n1, n2 = (rng.getrandbits(96) for _ in range(5))
-        vals = sasi_session_values(ids, 0, k2, id_, n1, n2)
-        assert w.sub(vals.ids_next, ids) == id_
+        *_, (ids_next, _, _), _ = sasi_reader_begin(ids, 0, k2, id_, n1, n2)
+        assert w.sub(ids_next, ids) == id_
 
     # unforced firing rate over 10^5 sessions, reported
     sessions = 100_000

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import LANE_WORDS, lane_words, words
-from tagauth import gossamer, rerender
+from conftest import LANE_WORDS, lane_words, named, words
+from tagauth import gossamer, rerender, sasi
 from tagauth.gossamer import Variant
-from tagauth.tagstate import SessionValues, TagState, reader_finish, tag_announce
+from tagauth.tagstate import TagState, tag_announce
 from tagauth.word96 import MASK, PI, mixbits_modified, mixbits_original
 
 ID = 0x00112233445566778899AABB
@@ -67,9 +67,9 @@ def fresh_tag(id_=ID, ids=IDS, k1=K1, k2=K2):
     return TagState(id_, ids, k1, k2, ids, k1, k2)
 
 
-def session_values(variant, ids, k1, k2, id_, n1, n2):
-    """Every value of a session, as the reader's pending context holds them."""
-    return gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)[3]
+def reader_words(variant, ids, k1, k2, id_, n1, n2):
+    """Every value of a session, the words reader_begin returns, by name."""
+    return named(gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant))
 
 
 @pytest.mark.parametrize("variant,vector", [
@@ -77,8 +77,9 @@ def session_values(variant, ids, k1, k2, id_, n1, n2):
     (Variant.MODIFIED, VECTOR_MODIFIED),
 ])
 def test_reader_begin_matches_frozen_oracle(variant, vector):
-    vals = session_values(variant, IDS, K1, K2, ID, N1, N2)
-    assert isinstance(vals, SessionValues)
+    returned = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+    vals = named(returned)
+    assert (len(returned), len(returned[4]), len(returned[5])) == (6, 3, 7)
     for field in FIELDS:
         assert getattr(vals, field) == vector[field], (variant, field)
 
@@ -86,7 +87,7 @@ def test_reader_begin_matches_frozen_oracle(variant, vector):
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=60, deadline=None)
 def test_reader_begin_matches_oracle_original(id_, ids, k1, k2, n1, n2):
-    vals = session_values(Variant.ORIGINAL, ids, k1, k2, id_, n1, n2)
+    vals = reader_words(Variant.ORIGINAL, ids, k1, k2, id_, n1, n2)
     ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
     for field in FIELDS:
         assert getattr(vals, field) == ref[ORACLE_KEY.get(field, field)], field
@@ -95,7 +96,7 @@ def test_reader_begin_matches_oracle_original(id_, ids, k1, k2, n1, n2):
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=60, deadline=None)
 def test_reader_begin_matches_oracle_modified(id_, ids, k1, k2, n1, n2):
-    vals = session_values(Variant.MODIFIED, ids, k1, k2, id_, n1, n2)
+    vals = reader_words(Variant.MODIFIED, ids, k1, k2, id_, n1, n2)
     ref = oracles.gossamer_session("modified", id_, ids, k1, k2, n1, n2)
     for field in FIELDS:
         assert getattr(vals, field) == ref[ORACLE_KEY.get(field, field)], field
@@ -103,7 +104,7 @@ def test_reader_begin_matches_oracle_modified(id_, ids, k1, k2, n1, n2):
 
 def test_all_zero_original_closed_form():
     # every rotation amount and additive nonce is exactly zero
-    vals = session_values(Variant.ORIGINAL, 0, 0, 0, 0, 0, 0)
+    vals = reader_words(Variant.ORIGINAL, 0, 0, 0, 0, 0, 0)
     assert vals.k1_star == PI and vals.k2_star == PI
     assert vals.a == PI and vals.b == PI
     assert vals.c == 3 * PI & MASK
@@ -113,7 +114,7 @@ def test_all_zero_original_closed_form():
 
 
 def test_all_zero_modified_diverges():
-    vals = session_values(Variant.MODIFIED, 0, 0, 0, 0, 0, 0)
+    vals = reader_words(Variant.MODIFIED, 0, 0, 0, 0, 0, 0)
     assert vals.n3 == mixbits_modified(0, 0) != 0
     assert vals.c != 3 * PI & MASK
 
@@ -123,20 +124,20 @@ def test_all_zero_modified_diverges():
 @settings(max_examples=40, deadline=None)
 def test_round_trip_and_matching_updates(variant, id_, ids, k1, k2, n1, n2):
     tag = TagState(id_, ids, k1, k2, ids, k1, k2)
-    a, b, c, pending = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+    a, b, c, expected, staged, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
     d = gossamer.tag_respond(tag, a, b, c, variant)
     assert d is not None
-    assert reader_finish(pending, d)
-    assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+    assert d == expected
+    assert (tag.ids, tag.k1, tag.k2) == staged
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (ids, k1, k2)
 
 
 def test_all_zero_round_trip_original():
     tag = fresh_tag(0, 0, 0, 0)
-    a, b, c, pending = gossamer.reader_begin(0, 0, 0, 0, 0, 0, Variant.ORIGINAL)
+    a, b, c, expected, *_ = gossamer.reader_begin(0, 0, 0, 0, 0, 0, Variant.ORIGINAL)
     d = gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL)
     assert d == 2 * PI & MASK
-    assert reader_finish(pending, d)
+    assert d == expected
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -145,7 +146,7 @@ def test_single_bit_corruption_of_c_rejects(variant):
     for _ in range(40):
         id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
         tag = TagState(id_, ids, k1, k2, ids, k1, k2)
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         before = (tag.ids, tag.k1, tag.k2)
         flipped = c ^ (1 << rng.randrange(96))
         assert gossamer.tag_respond(tag, a, b, flipped, variant) is None
@@ -158,21 +159,21 @@ def test_corrupted_a_or_b_rejects(variant):
     for _ in range(20):
         id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
         tag = TagState(id_, ids, k1, k2, ids, k1, k2)
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         assert gossamer.tag_respond(tag, a ^ 2, b, c, variant) is None
         assert gossamer.tag_respond(tag, a, b ^ 2, c, variant) is None
 
 
 def test_wrong_tuple_rejects():
     tag = fresh_tag()
-    a, b, c, _ = gossamer.reader_begin(IDS, K1 ^ 5, K2, ID, N1, N2, Variant.ORIGINAL)
+    a, b, c, *_ = gossamer.reader_begin(IDS, K1 ^ 5, K2, ID, N1, N2, Variant.ORIGINAL)
     assert gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL) is None
 
 
 def test_announce_first_then_retry_old():
     tag = fresh_tag()
     assert tag_announce(tag) == IDS
-    a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
+    a, b, c, *_ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.ORIGINAL)
     assert gossamer.tag_respond(tag, a, b, c, Variant.ORIGINAL) is not None
     fresh_ids = tag_announce(tag)
     assert fresh_ids != IDS  # a fresh pseudonym is backscattered
@@ -182,23 +183,23 @@ def test_announce_first_then_retry_old():
 @pytest.mark.parametrize("variant", list(Variant))
 def test_session_on_old_tuple_after_retry(variant):
     tag = fresh_tag()
-    a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+    a, b, c, *_ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
     assert gossamer.tag_respond(tag, a, b, c, variant) is not None
     # reader never learned the update; it challenges the old tuple again
     tag_announce(tag, retry=True)
-    a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N2, N1, variant)
+    a, b, c, expected, staged, _ = gossamer.reader_begin(IDS, K1, K2, ID, N2, N1, variant)
     d = gossamer.tag_respond(tag, a, b, c, variant)
-    assert d is not None and reader_finish(pending, d)
+    assert d is not None and d == expected
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (IDS, K1, K2)
-    assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+    assert (tag.ids, tag.k1, tag.k2) == staged
 
 
 def test_modified_search_recovers_true_nonces():
     # tag_respond's D implies its search landed on the generated nonce pair
     tag = fresh_tag()
-    a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
+    a, b, c, expected, *_ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, Variant.MODIFIED)
     d = gossamer.tag_respond(tag, a, b, c, Variant.MODIFIED)
-    assert d == pending.d
+    assert d == expected
 
 
 def reference_search(variant, ids, k1, k2, id_, a, b, c):
@@ -247,7 +248,7 @@ class TestSearchAgainstReference:
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
     @settings(max_examples=40, deadline=None)
     def test_genuine_messages(self, variant, id_, ids, k1, k2, n1, n2):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         self.check(variant, ids, k1, k2, id_, a, b, c)
 
     @given(id_=words, ids=words, k1=words, k2=words, a=words, b=words, c=words)
@@ -259,21 +260,20 @@ class TestSearchAgainstReference:
            bit=st.integers(min_value=0, max_value=95))
     @settings(max_examples=40, deadline=None)
     def test_genuine_a_b_with_flipped_c(self, variant, id_, ids, k1, k2, n1, n2, bit):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         self.check(variant, ids, k1, k2, id_, a, b, c ^ 1 << bit)
 
     @given(id_=words, ids=words, k1=zero_mod_96, k2=zero_mod_96, n1=words, n2=words,
            flip=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_keys_zero_mod_96(self, variant, id_, ids, k1, k2, n1, n2, flip):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
         self.check(variant, ids, k1, k2, id_, a, b, c ^ flip)
 
     def test_genuine_messages_are_found(self, variant):
-        a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+        a, b, c, expected, staged, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
         accept = getattr(gossamer, f"accept_{variant.value}")
-        assert accept(IDS, K1, K2, ID, a, b, c) == (
-            pending.d, (pending.ids_next, pending.k1_next, pending.k2_next))
+        assert accept(IDS, K1, K2, ID, a, b, c) == (expected, staged)
 
 
 def test_several_survivors_reproducing_c_reject(monkeypatch):
@@ -284,7 +284,7 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
     outcomes = {}
     while len(outcomes) < 2:
         id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
         survivors = []
 
         def always_c(ids, k1, k2, id_, n1, n2, c):
@@ -339,7 +339,7 @@ class TestSurvivorsInOrder:
     @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
     @settings(max_examples=30, deadline=None)
     def test_genuine_messages(self, id_, ids, k1, k2, n1, n2):
-        a, b, c, _ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
+        a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
         assert (self.candidates(ids, k1, k2, id_, a, b, c)
                 == scalar_survivors(ids, k1, k2, a, b))
 
@@ -445,10 +445,11 @@ edge_keys = st.just(0) | edge_words
 def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
     ref = oracles.gossamer_session(variant.value, id_, ids, k1, k2, n1, n2)
     want = {field: ref[ORACLE_KEY.get(field, field)] for field in FIELDS}
-    a, b, c, pending = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+    vals = named(gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant))
+    a, b, c = vals.a, vals.b, vals.c
     assert (a, b, c) == (want["a"], want["b"], want["c"])
-    assert {field: getattr(pending, field) for field in FIELDS} == want
-    assert (pending.n1, pending.n2) == (n1, n2)
+    assert {field: getattr(vals, field) for field in FIELDS} == want
+    assert (vals.n1, vals.n2) == (n1, n2)
 
     # every other phase on the one column it is rendered from
     if variant is Variant.MODIFIED:
@@ -577,7 +578,7 @@ def test_mixbits_calls_accepted_3_rejected_2(monkeypatch, variant, flip):
         candidates.append(args)
         return real_auth(*args)
 
-    a, b, c, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+    a, b, c, *_ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
     monkeypatch.setattr(gossamer, name, counted)
     monkeypatch.setattr(gossamer, "derive_auth", recording)
     d = gossamer.tag_respond(fresh_tag(), a, b, c ^ flip, variant)
@@ -587,22 +588,40 @@ def test_mixbits_calls_accepted_3_rejected_2(monkeypatch, variant, flip):
     assert len(calls) == 2 * searched + (not flip)
 
 
-@pytest.mark.parametrize("variant,forbidden", [
-    (Variant.ORIGINAL, ("SessionValues", "accept_modified", "derive_auth")),
-    (Variant.MODIFIED, ("SessionValues", "accept_original")),
-], ids=["original", "modified"])
-def test_tag_respond_builds_no_session_values(monkeypatch, variant, forbidden):
-    # each tag answers through its own phase with plain words: no
-    # SessionValues is built and the other tag's phase never runs
-    def forbidden_call(*args):
-        raise AssertionError("called")
+# each tag's accept phase, and derive_auth, which only the modified tag's calls
+TAG_PHASES = ((sasi, "accept_sasi"), (gossamer, "accept_original"),
+              (gossamer, "accept_modified"), (gossamer, "derive_auth"))
 
-    a, b, c, pending = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
-    for name in forbidden:
-        monkeypatch.setattr(gossamer, name, forbidden_call)
+
+@pytest.mark.parametrize("protocol", ["sasi", "original", "modified"])
+def test_each_tag_respond_runs_its_own_accept_phase_once(monkeypatch, protocol):
+    # every tag answers through tagstate.respond and its own accept phase,
+    # called once with plain words; no other tag's phase runs
+    if protocol == "sasi":
+        returned = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
+        module, args, own = sasi, (), "accept_sasi"
+    else:
+        variant = Variant(protocol)
+        returned = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
+        module, args, own = gossamer, (variant,), f"accept_{protocol}"
+    calls = []
+
+    def recorded(name, real):
+        def phase(*args):
+            calls.append(name)
+            return real(*args)
+        return phase
+
+    for phase_module, name in TAG_PHASES:
+        monkeypatch.setattr(phase_module, name, recorded(name, getattr(phase_module, name)))
+    monkeypatch.setattr(module, "respond", recorded("respond", module.respond))
+    a, b, c, expected, staged, _ = returned
     tag = fresh_tag()
-    assert gossamer.tag_respond(tag, a, b, c, variant) == pending.d
-    assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+    assert module.tag_respond(tag, a, b, c, *args) == expected
+    assert (tag.ids, tag.k1, tag.k2) == staged
+    searched = calls.count("derive_auth")
+    assert [name for name in calls if name != "derive_auth"] == ["respond", own]
+    assert searched >= 1 if protocol == "modified" else searched == 0
 
 
 def rerender_copy(tmp_path, edit):

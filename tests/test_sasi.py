@@ -1,13 +1,15 @@
-"""SASI state machines: oracle vector, round trips, the zero-key algebra."""
+"""SASI phases: oracle vector, round trips, the zero-key algebra."""
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 
 import oracles
-from conftest import words
+from conftest import named, words
 from tagauth import sasi
-from tagauth.tagstate import NEXT, OLD, SessionValues, TagState, reader_finish, tag_announce
+from tagauth.simulator import Forcing, NonceStream, Outcome, Protocol, provision, run_session
+from tagauth.tagstate import NEXT, OLD, TagState, tag_announce
 from tagauth.word96 import MASK, sub
 
 ID = 0x00112233445566778899AABB
@@ -33,19 +35,21 @@ def fresh_tag(id_=ID, ids=IDS, k1=K1, k2=K2):
     return TagState(id_, ids, k1, k2, ids, k1, k2)
 
 
-def test_session_values_match_frozen_oracle():
-    vals = sasi.session_values(IDS, K1, K2, ID, N1, N2)
+def test_reader_begin_matches_frozen_oracle():
+    returned = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
+    vals = named(returned)
     for field, expected in VECTOR.items():
         assert getattr(vals, field) == expected, field
-    assert isinstance(vals, SessionValues)
+    assert (len(returned), len(returned[4]), len(returned[5])) == (6, 3, 7)
+    assert (vals.n1, vals.n2) == (N1, N2)
     assert vals.n3 is None and vals.n1p is None and vals.n2p is None
     assert (vals.k1_star, vals.k2_star) == (vals.k1_next, vals.k2_next)
 
 
 @given(id_=words, ids=words, k1=words, k2=words, n1=words, n2=words)
 @settings(max_examples=100, deadline=None)
-def test_session_values_match_oracle(id_, ids, k1, k2, n1, n2):
-    vals = sasi.session_values(ids, k1, k2, id_, n1, n2)
+def test_reader_begin_matches_oracle(id_, ids, k1, k2, n1, n2):
+    vals = named(sasi.reader_begin(ids, k1, k2, id_, n1, n2))
     ref = oracles.sasi_session(id_, ids, k1, k2, n1, n2)
     assert (vals.a, vals.b, vals.c, vals.d) == (ref["a"], ref["b"], ref["c"], ref["d"])
     assert (vals.k1_next, vals.k2_next, vals.ids_next) == (
@@ -56,18 +60,18 @@ def test_session_values_match_oracle(id_, ids, k1, k2, n1, n2):
 @settings(max_examples=100, deadline=None)
 def test_round_trip_and_matching_updates(id_, ids, k1, k2, n1, n2):
     tag = TagState(id_, ids, k1, k2, ids, k1, k2)
-    a, b, c, pending = sasi.reader_begin(ids, k1, k2, id_, n1, n2)
+    a, b, c, expected, staged, _ = sasi.reader_begin(ids, k1, k2, id_, n1, n2)
     d = sasi.tag_respond(tag, a, b, c)
     assert d is not None
-    assert reader_finish(pending, d)
+    assert d == expected
     # both sides stage the same next tuple; tag has already committed
-    assert (tag.ids, tag.k1, tag.k2) == (pending.ids_next, pending.k1_next, pending.k2_next)
+    assert (tag.ids, tag.k1, tag.k2) == staged
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (ids, k1, k2)
 
 
 def test_zero_keys_force_session_keys_to_nonces():
     # with K1 = K2 = 0: K1' = Rot(n2, 0) = n2, K2' = n1, C = n2 + n1
-    vals = sasi.session_values(IDS, 0, 0, ID, N1, N2)
+    vals = named(sasi.reader_begin(IDS, 0, 0, ID, N1, N2))
     assert vals.k1_next == N2
     assert vals.k2_next == N1
     assert vals.c == (N2 + N1) & MASK
@@ -77,12 +81,12 @@ def test_zero_k1_makes_pseudonym_step_equal_id():
     rng = random.Random(20)
     for _ in range(50):
         id_, ids, k2, n1, n2 = (rng.getrandbits(96) for _ in range(5))
-        vals = sasi.session_values(ids, 0, k2, id_, n1, n2)
+        vals = named(sasi.reader_begin(ids, 0, k2, id_, n1, n2))
         assert sub(vals.ids_next, ids) == id_
 
 
 def test_all_zero_state_produces_all_zero_session():
-    vals = sasi.session_values(0, 0, 0, 0, 0, 0)
+    vals = named(sasi.reader_begin(0, 0, 0, 0, 0, 0))
     assert (vals.a, vals.b, vals.c, vals.d, vals.ids_next) == (0, 0, 0, 0, 0)
     tag = fresh_tag(0, 0, 0, 0)
     assert sasi.tag_respond(tag, 0, 0, 0) == 0
@@ -90,26 +94,36 @@ def test_all_zero_state_produces_all_zero_session():
 
 def test_tampered_c_is_rejected_and_state_untouched():
     tag = fresh_tag()
-    a, b, c, _ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
+    a, b, c, *_ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
     before = (tag.ids, tag.k1, tag.k2, tag.ids_old, tag.k1_old, tag.k2_old)
-    assert sasi.tag_respond(tag, a, b, c ^ (1 << 17)) is None
-    assert (tag.ids, tag.k1, tag.k2, tag.ids_old, tag.k1_old, tag.k2_old) == before
+    for flip in (1, 1 << 17):
+        assert sasi.accept_sasi(IDS, K1, K2, ID, a, b, c ^ flip) is None
+        assert sasi.tag_respond(tag, a, b, c ^ flip) is None
+        assert (tag.ids, tag.k1, tag.k2, tag.ids_old, tag.k1_old, tag.k2_old) == before
 
 
 def test_wrong_keys_are_rejected():
     tag = fresh_tag()
-    a, b, c, _ = sasi.reader_begin(IDS, K1 ^ 1, K2, ID, N1, N2)
+    a, b, c, *_ = sasi.reader_begin(IDS, K1 ^ 1, K2, ID, N1, N2)
     assert sasi.tag_respond(tag, a, b, c) is None
 
 
 def test_wrong_d_fails_reader_verification():
-    _, _, _, pending = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
-    assert not reader_finish(pending, pending.d ^ 1)
+    # the reader commits only when the D it receives equals the D its
+    # reader_begin computed; a captured D with one bit flipped is refused
+    tags, store = provision(1, Protocol.SASI, seed=1)
+    tag = tags["tag-000"]
+    rng = NonceStream(3)
+    captured, _ = run_session(tag, store, Forcing(), rng, 0)
+    forged = replace(captured, d=captured.d ^ 1)
+    replayed, truth = run_session(tag, store, Forcing(replay_d=forged), rng, 1)
+    assert replayed.outcome is Outcome.TAG_REJECTED
+    assert truth.reader_post == truth.reader_pre
 
 
 def test_announce_tracks_tuple_and_retry_uses_old():
     tag = fresh_tag()
-    a, b, c, _ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
+    a, b, c, *_ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
     assert sasi.tag_respond(tag, a, b, c) is not None
     assert tag_announce(tag) == tag.ids
     assert tag.last_announced == NEXT
@@ -119,11 +133,11 @@ def test_announce_tracks_tuple_and_retry_uses_old():
 
 def test_session_on_old_tuple_after_retry():
     tag = fresh_tag()
-    a, b, c, _ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
+    a, b, c, *_ = sasi.reader_begin(IDS, K1, K2, ID, N1, N2)
     assert sasi.tag_respond(tag, a, b, c) is not None
     # reader never learned the update; it challenges the old tuple again
     tag_announce(tag, retry=True)
-    a, b, c, pending = sasi.reader_begin(IDS, K1, K2, ID, N2, N1)
+    a, b, c, expected, *_ = sasi.reader_begin(IDS, K1, K2, ID, N2, N1)
     d = sasi.tag_respond(tag, a, b, c)
-    assert d is not None and reader_finish(pending, d)
+    assert d is not None and d == expected
     assert (tag.ids_old, tag.k1_old, tag.k2_old) == (IDS, K1, K2)
