@@ -110,6 +110,10 @@ class GroundTruth:
     in this order, so for SASI sessions k1_star/k2_star hold K1'/K2' and n3,
     n1p, n2p stay None.  Internals are None when the session never reached
     the challenge (or was a replay of A||B||C).
+
+    Snapshots may be shared: in a synchronized session ``reader_pre`` is
+    ``tag_pre`` and ``reader_post`` is ``tag_post``, the same object.  No
+    code mutates a snapshot once it is taken.
     """
 
     session_index: int
@@ -263,12 +267,19 @@ _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 _OUTCOME_JSON = {outcome: encode_basestring_ascii(outcome.value) for outcome in Outcome}
 
 
-def _snapshot(holder) -> StateSnapshot | None:
-    """Both tuples of a tag state or a store row; None for a missing row."""
-    if holder is None:
-        return None
-    return StateSnapshot(holder.ids, holder.k1, holder.k2,
-                         holder.ids_old, holder.k1_old, holder.k2_old)
+_BOTH_TUPLES = attrgetter(*TUPLE_WORDS)
+
+
+def _snapshots(state: TagState, mirror) -> tuple[StateSnapshot, StateSnapshot | None]:
+    """Snapshots of the tag's state and of its store row, None for a missing
+    row.  A row that holds exactly the tag's six tuple words, as in every
+    synchronized session, gets the tag's own snapshot object."""
+    words = _BOTH_TUPLES(state)
+    tag = StateSnapshot(*words)
+    if mirror is None:
+        return tag, None
+    held = _BOTH_TUPLES(mirror)
+    return tag, (tag if held == words else StateSnapshot(*held))
 
 
 # -- session and campaign ----------------------------------------------------
@@ -304,9 +315,11 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     (the tag on emitting D, the reader on verifying it).  A pseudonym that
     matches neither tuple in the store ends in lookup_failed.  Every path
     falls through to one Transcript, which counts the bits of each message
-    that crossed the channel, and one GroundTruth.  Replaying a message that
-    never crossed the air is a ValueError, raised before any key is forced
-    or nonce drawn.
+    that crossed the channel, and one GroundTruth.  Its snapshots are taken
+    once before and once after the session: where the store row holds
+    exactly the tag's six tuple words, the reader's snapshot is the tag's
+    (``_snapshots``).  Replaying a message that never crossed the air is a
+    ValueError, raised before any key is forced or nonce drawn.
     """
     captured, replayed = forcing.replay_abc, forcing.replay_d
     if captured is not None and captured.a is None:
@@ -318,8 +331,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     mirror = store.rows.get(tag.label)
     if forcing.key_mode is not _AS_STORED:
         _force_keys(state, mirror, *_draw_keys(forcing.key_mode, rng))
-    tag_pre = _snapshot(state)
-    reader_pre = _snapshot(mirror)
+    tag_pre, reader_pre = _snapshots(state, mirror)
     a = b = c = d = hit = None
     internals = ()  # a session that never reached the challenge
 
@@ -370,9 +382,10 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         bits += CHALLENGE_BITS
     if d is not None:
         bits += WIDTH
+    tag_post, reader_post = _snapshots(state, mirror)
     return (Transcript(variant, session_index, announced, a, b, c, d, outcome, bits),
-            GroundTruth(session_index, state.id, tag_pre, _snapshot(state),
-                        reader_pre, _snapshot(mirror), *internals))
+            GroundTruth(session_index, state.id, tag_pre, tag_post, reader_pre, reader_post,
+                        *internals))
 
 
 @dataclass
@@ -675,6 +688,26 @@ def _snapshot_json(s: StateSnapshot | None) -> str:
     return "null" if s is None else _SNAPSHOT_JSON % _snapshot_hex(s)
 
 
+def _half_hex(ids: Word96, k1: Word96, k2: Word96, pre: StateSnapshot,
+              pre_hex: tuple[str, ...]) -> tuple[str, ...]:
+    """The hex words of the tuple (ids, k1, k2): the text in ``pre_hex`` of an
+    equal half of ``pre``, whose hex words ``pre_hex`` holds, or three new ones."""
+    if ids == pre.ids and k1 == pre.k1 and k2 == pre.k2:
+        return pre_hex[:3]
+    if ids == pre.ids_old and k1 == pre.k1_old and k2 == pre.k2_old:
+        return pre_hex[3:]
+    return to_hex(ids), to_hex(k1), to_hex(k2)
+
+
+def _post_hex(pre: StateSnapshot, pre_hex: tuple[str, ...],
+              post: StateSnapshot) -> tuple[str, ...]:
+    """The hex words of ``post``, a later snapshot than ``pre``, each half of it
+    that repeats a half of ``pre`` reusing that half's text: after a commit,
+    its old half is the half the session ran on."""
+    return (_half_hex(post.ids, post.k1, post.k2, pre, pre_hex)
+            + _half_hex(post.ids_old, post.k1_old, post.k2_old, pre, pre_hex))
+
+
 def transcript_line(t: Transcript) -> str:
     """``json.dumps(transcript_to_dict(t), separators=(",", ":")) + "\\n"``."""
     a, b, c, d = t.a, t.b, t.c, t.d
@@ -724,20 +757,34 @@ def transcript_from_line(line: str) -> Transcript:
 
 
 def ground_truth_line(truth: GroundTruth) -> str:
-    """``json.dumps(ground_truth_to_dict(truth), separators=(",", ":")) + "\\n"``."""
+    """``json.dumps(ground_truth_to_dict(truth), separators=(",", ":")) + "\\n"``.
+
+    Each distinct snapshot half is converted once: a reader snapshot that is
+    the tag's own object reuses the tag's hex words, and a half of
+    ``tag_post`` that repeats a half of ``tag_pre`` reuses that half's.  Every
+    other word is one ``to_hex`` call.
+    """
     internals = _INTERNALS(truth)
     snapshots = tag_pre, tag_post, reader_pre, reader_post = _SNAPSHOTS(truth)
-    # ``None in snapshots`` would call each snapshot's Python __eq__
-    if (None in internals or tag_pre is None or tag_post is None
-            or reader_pre is None or reader_post is None):
+    if tag_pre is None or tag_post is None:  # never so from run_session
         return _GROUND_TRUTH_LINE % (truth.session_index, to_hex(truth.id),
                                      *map(_word, internals), *map(_snapshot_json, snapshots))
+    pre = _snapshot_hex(tag_pre)
+    post = _post_hex(tag_pre, pre, tag_post)
+    # ``None in snapshots`` would call each snapshot's Python __eq__
+    if None in internals or reader_pre is None or reader_post is None:
+        pre_json, post_json = _SNAPSHOT_JSON % pre, _SNAPSHOT_JSON % post
+        return _GROUND_TRUTH_LINE % (
+            truth.session_index, to_hex(truth.id), *map(_word, internals), pre_json, post_json,
+            pre_json if reader_pre is tag_pre else _snapshot_json(reader_pre),
+            post_json if reader_post is tag_post else _snapshot_json(reader_post))
     # explicit calls: a to_hex called through map or a comprehension costs more
     return _GROUND_TRUTH_FULL % (
         truth.session_index, to_hex(truth.id), to_hex(truth.n1), to_hex(truth.n2),
         to_hex(truth.n3), to_hex(truth.n1p), to_hex(truth.n2p), to_hex(truth.k1_star),
-        to_hex(truth.k2_star), *_snapshot_hex(tag_pre), *_snapshot_hex(tag_post),
-        *_snapshot_hex(reader_pre), *_snapshot_hex(reader_post))
+        to_hex(truth.k2_star), *pre, *post,
+        *(pre if reader_pre is tag_pre else _snapshot_hex(reader_pre)),
+        *(post if reader_post is tag_post else _snapshot_hex(reader_post)))
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
