@@ -87,8 +87,21 @@ def _words(value) -> int:
     return isinstance(value, str) and re.fullmatch("[0-9a-f]{24}", value) is not None
 
 
+def _reused(truth) -> int:
+    """How many words of ``truth``'s line ``ground_truth_line`` takes from
+    words it already converted: 6 for each reader snapshot that is the tag's
+    own object, 3 for each half of ``tag_post`` whose words repeat a half of
+    ``tag_pre``."""
+    pre, post = truth.tag_pre, truth.tag_post
+    halves = [(pre.ids, pre.k1, pre.k2), (pre.ids_old, pre.k1_old, pre.k2_old)]
+    return (6 * ((truth.reader_pre is pre) + (truth.reader_post is post))
+            + 3 * sum(half in halves for half in [(post.ids, post.k1, post.k2),
+                                                  (post.ids_old, post.k1_old, post.k2_old)]))
+
+
 def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
-    # one hex span per word converted, through every writer and reader of records
+    # one hex span per word converted, through every writer and reader of
+    # records; a ground-truth line converts each distinct snapshot half once
     tags, store = provision(2, Protocol.GOSSAMER, seed=3)
     result = run_campaign(tags["tag-000"], store,
                           CampaignConfig(6, seed=4,
@@ -120,16 +133,21 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
         spaced.write_text(json.dumps(json.loads(path.read_text()), indent=4))
         _, calls = traced(lambda: load(spaced))
         assert calls == 14
-    for to_dict, from_dict, items in [
+    for to_dict, from_dict, items, reused in [
             (simulator.transcript_to_dict, simulator.transcript_from_dict,
-             result.transcripts),
+             result.transcripts, lambda transcript: 0),
             (simulator.ground_truth_to_dict, simulator.ground_truth_from_dict,
-             result.ground_truths)]:
+             result.ground_truths, _reused)]:
         for item in items:
             data, calls = traced(lambda: to_dict(item))
-            assert calls == _words(data) > 0
+            assert calls == _words(data) - reused(item) > 0
             _, calls = traced(lambda: from_dict(data))
             assert calls == _words(data)
+    synchronized = [truth for truth in result.ground_truths if truth.reader_pre == truth.tag_pre]
+    assert synchronized
+    for truth in synchronized:
+        data, calls = traced(lambda: simulator.ground_truth_to_dict(truth))
+        assert calls < _words(data)
     for record in records:
         data, calls = traced(lambda: cli._verdict_to_dict("gossamer-2", record))
         assert calls == _words(data) == (9 if record["verdict"].fired else 0)
