@@ -18,9 +18,9 @@ import sys
 import oracles
 from tagauth import gossamer, sasi, word96
 from tagauth.gossamer import Variant
-from tagauth.simulator import (Forcing, KeyMode, NonceMode, NonceStream, Protocol,
-                               ground_truth_from_dict, ground_truth_line, provision,
-                               run_session, scored_truth_from_line)
+from tagauth.simulator import (Forcing, GroundTruth, KeyMode, NonceMode, NonceStream, Protocol,
+                               StateSnapshot, ground_truth_from_dict, ground_truth_line,
+                               provision, run_session, scored_truth_from_line)
 from tagauth.store import Store
 
 MOD, BITS, PI = oracles.MOD, oracles.BITS, oracles.PI
@@ -202,8 +202,67 @@ def scored_truth(cases: int) -> str:
             f"error matches; {accepted} of {2 * cases} read to a record")
 
 
+def ground_truth_writer(cases: int) -> str:
+    """Ground truths whose snapshots repeat each other's words in each way
+    ``ground_truth_line`` reuses text, or nearly: each half of ``tag_post``
+    one word off a half of ``tag_pre``, or equal to its next or its old
+    half; each reader snapshot one word off the tag's at the same instant,
+    the tag's own object, an equal copy, or None.  A tenth have both halves
+    of ``tag_pre`` equal, as a tag is provisioned; three in twenty have
+    every internal null, and three in twenty each at even odds.  Each line
+    against ``json.dumps`` of its record written out word by word with
+    ``"%024x"``."""
+    keys = ("ids", "k1", "k2", "ids_old", "k1_old", "k2_old")
+    rng = random.Random(20244)
+
+    def word():
+        # a fifth of the words short, so that their text has leading zeros
+        return rng.getrandbits(96 if rng.random() < 0.8 else 16)
+
+    def one_off(words, at):
+        return [*words[:at], words[at] ^ 1 << rng.randrange(96), *words[at + 1:]]
+
+    def text(snapshot):
+        return None if snapshot is None else {
+            key: "%024x" % getattr(snapshot, key) for key in keys}
+
+    nulls = 0
+    for case in range(cases):
+        pre = [word() for _ in range(3)] * 2 if rng.random() < 0.1 else [
+            word() for _ in range(6)]
+        halves, post = (pre[:3], pre[3:]), []
+        # which half a half is one word off, and in which word, move with the
+        # case: in case 0 the next half is off tag_pre's next in K1, and the
+        # old half off its old in K2, so each shares its IDS with that half
+        for i, kind in enumerate((case % 3, case // 3 % 3)):
+            post += (one_off(halves[(i + case // 9) % 2], (i + 1 + case // 18) % 3) if kind == 0
+                     else halves[kind - 1])
+        tag_pre, tag_post = StateSnapshot(*pre), StateSnapshot(*post)
+        readers = []
+        for tag, kind in ((tag_pre, case // 9 % 4), (tag_post, case // 36 % 4)):
+            words = [getattr(tag, key) for key in keys]
+            readers.append((StateSnapshot(*one_off(words, rng.randrange(6))), tag,
+                            StateSnapshot(*words), None)[kind])
+        odds = rng.choice((0,) * 14 + (0.5,) * 3 + (1,) * 3)
+        internals = [None if rng.random() < odds else word() for _ in range(7)]
+        truth = GroundTruth(case, word(), tag_pre, tag_post, *readers, *internals)
+        expected = {
+            "session": case, "id": "%024x" % truth.id,
+            **{key: None if value is None else "%024x" % value for key, value in zip(
+                ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star"), internals)},
+            "tag_pre": text(tag_pre), "tag_post": text(tag_post),
+            "reader_pre": text(readers[0]), "reader_post": text(readers[1])}
+        line = ground_truth_line(truth)
+        if line != json.dumps(expected, separators=(",", ":")) + "\n":
+            raise AssertionError(f"case {case}: {line!r} is not the record's words")
+        nulls += "null" in line
+    return (f"{cases} ground truths, their snapshots sharing words in each way: every line is "
+            f"its record's compact JSON; {nulls} with a null")
+
+
 SWEEPS = {"modified-search": modified_search, "gossamer-phases": gossamer_phases,
-          "sasi-phases": sasi_phases, "scored-truth": scored_truth}
+          "sasi-phases": sasi_phases, "scored-truth": scored_truth,
+          "ground-truth-writer": ground_truth_writer}
 
 
 if __name__ == "__main__":

@@ -233,6 +233,51 @@ class TestLookupFailure:
         assert transcript.outcome is Outcome.LOOKUP_FAILED
 
 
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+class TestSnapshotSharing:
+    """A reader snapshot is the tag's own object where the store row holds
+    exactly the tag's six tuple words, and its own snapshot elsewhere."""
+
+    def test_synchronized_session_shares_both_snapshots(self, protocol):
+        tag, store = one_tag_world(protocol)
+        transcript, truth = run_session(tag, store, Forcing(), NonceStream(40), 0)
+        assert transcript.outcome is Outcome.MUTUAL_SUCCESS
+        assert truth.reader_pre is truth.tag_pre
+        assert truth.reader_post is truth.tag_post
+
+    def test_dropped_d_leaves_the_reader_behind(self, protocol):
+        tag, store = one_tag_world(protocol)
+        rng = NonceStream(41)
+        transcript, truth = run_session(tag, store, Forcing(drop_d=True), rng, 0)
+        assert transcript.outcome is Outcome.D_DROPPED
+        assert truth.reader_pre is truth.tag_pre
+        assert truth.reader_post is not truth.tag_post
+        assert truth.reader_post != truth.tag_post
+        # the old-side session after it starts apart and ends in step
+        transcript, truth = run_session(tag, store, Forcing(), rng, 1)
+        assert transcript.outcome is Outcome.MUTUAL_SUCCESS
+        assert truth.reader_pre is not truth.tag_pre
+        assert truth.reader_pre != truth.tag_pre
+        assert truth.reader_post is truth.tag_post
+
+    def test_failed_lookup_has_no_reader_snapshots(self, protocol):
+        tag, _ = one_tag_world(protocol)
+        transcript, truth = run_session(tag, Store(), Forcing(), NonceStream(42), 0)
+        assert transcript.outcome is Outcome.LOOKUP_FAILED
+        assert truth.reader_pre is None and truth.reader_post is None
+
+    def test_replayed_challenge_keeps_the_readers_words(self, protocol):
+        tag, store = one_tag_world(protocol)
+        rng = NonceStream(43)
+        captured, _ = run_session(tag, store, Forcing(), rng, 0)
+        row = store.rows[tag.label]
+        words = [getattr(row, key) for key in TUPLE_WORDS]
+        replayed, truth = run_session(tag, store, Forcing(replay_abc=captured), rng, 1)
+        assert replayed.a == captured.a
+        assert [getattr(row, key) for key in TUPLE_WORDS] == words
+        assert StateSnapshot(*words) == truth.reader_pre == truth.reader_post
+
+
 class TestForcing:
     def test_exact_zero_keys_visible_in_ground_truth(self):
         tag, store = one_tag_world(Protocol.GOSSAMER)
