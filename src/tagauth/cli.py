@@ -59,7 +59,7 @@ MANIFEST_FORMAT = "rfid-manifest/1"
 
 # The buffer size of campaign's two JSONL outputs: a 1000-session campaign
 # writes about 1.4 MB, which the 8 KiB default flushes some 170 times
-CAMPAIGN_BUFFER = 64 * 1024
+_CAMPAIGN_BUFFER = 64 * 1024
 
 VARIANTS = [p.value for p in Protocol]
 
@@ -264,8 +264,8 @@ def cmd_campaign(opts: dict) -> int:
         drop_d_rate=opts["drop_d_rate"],
     )
     output = opts["output"]
-    with open(output, "w", CAMPAIGN_BUFFER, encoding="utf-8") as t_fh, \
-            open(_ground_truth_path(output), "w", CAMPAIGN_BUFFER, encoding="utf-8") as g_fh:
+    with open(output, "w", _CAMPAIGN_BUFFER, encoding="utf-8") as t_fh, \
+            open(_ground_truth_path(output), "w", _CAMPAIGN_BUFFER, encoding="utf-8") as g_fh:
         def streamed():
             for transcript, truth in iter_campaign(tag, store, config):
                 t_fh.write(transcript_line(transcript))

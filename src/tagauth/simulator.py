@@ -690,22 +690,14 @@ def _snapshot_json(s: StateSnapshot | None) -> str:
 
 def _half_hex(ids: Word96, k1: Word96, k2: Word96, pre: StateSnapshot,
               pre_hex: tuple[str, ...]) -> tuple[str, ...]:
-    """The hex words of the tuple (ids, k1, k2): the text in ``pre_hex`` of an
-    equal half of ``pre``, whose hex words ``pre_hex`` holds, or three new ones."""
+    """The hex words of the tuple (ids, k1, k2): those of the half of ``pre``
+    that holds the same three words, taken from ``pre_hex`` (the hex words
+    of ``pre``), or three new ones."""
     if ids == pre.ids and k1 == pre.k1 and k2 == pre.k2:
         return pre_hex[:3]
     if ids == pre.ids_old and k1 == pre.k1_old and k2 == pre.k2_old:
         return pre_hex[3:]
     return to_hex(ids), to_hex(k1), to_hex(k2)
-
-
-def _post_hex(pre: StateSnapshot, pre_hex: tuple[str, ...],
-              post: StateSnapshot) -> tuple[str, ...]:
-    """The hex words of ``post``, a later snapshot than ``pre``, each half of it
-    that repeats a half of ``pre`` reusing that half's text: after a commit,
-    its old half is the half the session ran on."""
-    return (_half_hex(post.ids, post.k1, post.k2, pre, pre_hex)
-            + _half_hex(post.ids_old, post.k1_old, post.k2_old, pre, pre_hex))
 
 
 def transcript_line(t: Transcript) -> str:
@@ -770,7 +762,9 @@ def ground_truth_line(truth: GroundTruth) -> str:
         return _GROUND_TRUTH_LINE % (truth.session_index, to_hex(truth.id),
                                      *map(_word, internals), *map(_snapshot_json, snapshots))
     pre = _snapshot_hex(tag_pre)
-    post = _post_hex(tag_pre, pre, tag_post)
+    # after a commit, tag_post's old half is the half the session ran on
+    post = (_half_hex(tag_post.ids, tag_post.k1, tag_post.k2, tag_pre, pre)
+            + _half_hex(tag_post.ids_old, tag_post.k1_old, tag_post.k2_old, tag_pre, pre))
     # ``None in snapshots`` would call each snapshot's Python __eq__
     if None in internals or reader_pre is None or reader_post is None:
         pre_json, post_json = _SNAPSHOT_JSON % pre, _SNAPSHOT_JSON % post
