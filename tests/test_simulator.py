@@ -245,6 +245,16 @@ class TestSnapshotSharing:
         assert truth.reader_pre is truth.tag_pre
         assert truth.reader_post is truth.tag_post
 
+    def test_a_row_one_word_off_gets_its_own_snapshot(self, protocol):
+        # the session runs on the next tuple, so only the pre snapshots differ
+        tag, store = one_tag_world(protocol)
+        store.rows[tag.label].k2_old ^= 1
+        transcript, truth = run_session(tag, store, Forcing(), NonceStream(44), 0)
+        assert transcript.outcome is Outcome.MUTUAL_SUCCESS
+        assert truth.reader_pre is not truth.tag_pre
+        assert truth.reader_pre == replace(truth.tag_pre, k2_old=truth.tag_pre.k2_old ^ 1)
+        assert truth.reader_post is truth.tag_post
+
     def test_dropped_d_leaves_the_reader_behind(self, protocol):
         tag, store = one_tag_world(protocol)
         rng = NonceStream(41)
