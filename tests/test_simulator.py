@@ -261,12 +261,10 @@ class TestSnapshotSharing:
         transcript, truth = run_session(tag, store, Forcing(drop_d=True), rng, 0)
         assert transcript.outcome is Outcome.D_DROPPED
         assert truth.reader_pre is truth.tag_pre
-        assert truth.reader_post is not truth.tag_post
         assert truth.reader_post != truth.tag_post
         # the old-side session after it starts apart and ends in step
         transcript, truth = run_session(tag, store, Forcing(), rng, 1)
         assert transcript.outcome is Outcome.MUTUAL_SUCCESS
-        assert truth.reader_pre is not truth.tag_pre
         assert truth.reader_pre != truth.tag_pre
         assert truth.reader_post is truth.tag_post
 
@@ -282,8 +280,7 @@ class TestSnapshotSharing:
         captured, _ = run_session(tag, store, Forcing(), rng, 0)
         row = store.rows[tag.label]
         words = [getattr(row, key) for key in TUPLE_WORDS]
-        replayed, truth = run_session(tag, store, Forcing(replay_abc=captured), rng, 1)
-        assert replayed.a == captured.a
+        _, truth = run_session(tag, store, Forcing(replay_abc=captured), rng, 1)
         assert [getattr(row, key) for key in TUPLE_WORDS] == words
         assert StateSnapshot(*words) == truth.reader_pre == truth.reader_post
 
