@@ -629,11 +629,12 @@ _SNAPSHOT_JSON, _snapshot_pattern = record_formats(_SNAPSHOT_FIELDS)
 _SNAPSHOT_OR_NULL = Kind("%s", "(?:%s|null)" % _snapshot_pattern.replace("(", "(?:"), None,
                          lambda value, key: None if value is None else StateSnapshot(
                              **decode(_SNAPSHOT_FIELDS, value, key + ".")))
-# The slot of each kind that may be null, in a line with no null: a word's
-# quotes and a snapshot's template written into the line's own, so that it
-# renders in one %.  Keyed by ``decode``, which each snapshot field's own
-# pattern below keeps.
-_NO_NULL_SLOTS = {_WORD_OR_NULL.decode: WORD.slot, _SNAPSHOT_OR_NULL.decode: _SNAPSHOT_JSON}
+# The slot of a word that may be null, in a line with no null word: its
+# quotes written into the line's own template, so that the line renders in
+# one %.  A snapshot keeps its %s slot, which takes the snapshot's text or
+# ``null``: ground_truth_line renders each snapshot's text first, once for a
+# reader snapshot that is the tag's.  Keyed by ``decode``.
+_NO_NULL_SLOTS = {_WORD_OR_NULL.decode: WORD.slot}
 
 # The field table of each record kind: the one place its keys, their order
 # and their kinds are written.  A canonical line or file is what the writers
@@ -752,33 +753,32 @@ def ground_truth_line(truth: GroundTruth) -> str:
     """``json.dumps(ground_truth_to_dict(truth), separators=(",", ":")) + "\\n"``.
 
     Each distinct snapshot half is converted once: a reader snapshot that is
-    the tag's own object reuses the tag's hex words, and a half of
-    ``tag_post`` that repeats a half of ``tag_pre`` reuses that half's.  Every
+    the tag's own object reuses the tag's text, and a half of ``tag_post``
+    that repeats a half of ``tag_pre`` reuses that half's hex words.  Every
     other word is one ``to_hex`` call.
     """
-    internals = _INTERNALS(truth)
-    snapshots = tag_pre, tag_post, reader_pre, reader_post = _SNAPSHOTS(truth)
+    tag_pre, tag_post, reader_pre, reader_post = _SNAPSHOTS(truth)
     if tag_pre is None or tag_post is None:  # never so from run_session
-        return _GROUND_TRUTH_LINE % (truth.session_index, to_hex(truth.id),
-                                     *map(_word, internals), *map(_snapshot_json, snapshots))
-    pre = _snapshot_hex(tag_pre)
-    # after a commit, tag_post's old half is the half the session ran on
-    post = (_half_hex(tag_post.ids, tag_post.k1, tag_post.k2, tag_pre, pre)
+        pre_json, post_json = _snapshot_json(tag_pre), _snapshot_json(tag_post)
+    else:
+        pre = _snapshot_hex(tag_pre)
+        pre_json = _SNAPSHOT_JSON % pre
+        # after a commit, tag_post's old half is the half the session ran on
+        post_json = _SNAPSHOT_JSON % (
+            _half_hex(tag_post.ids, tag_post.k1, tag_post.k2, tag_pre, pre)
             + _half_hex(tag_post.ids_old, tag_post.k1_old, tag_post.k2_old, tag_pre, pre))
-    # ``None in snapshots`` would call each snapshot's Python __eq__
-    if None in internals or reader_pre is None or reader_post is None:
-        pre_json, post_json = _SNAPSHOT_JSON % pre, _SNAPSHOT_JSON % post
-        return _GROUND_TRUTH_LINE % (
-            truth.session_index, to_hex(truth.id), *map(_word, internals), pre_json, post_json,
-            pre_json if reader_pre is tag_pre else _snapshot_json(reader_pre),
-            post_json if reader_post is tag_post else _snapshot_json(reader_post))
+    snapshots = (pre_json, post_json,
+                 pre_json if reader_pre is tag_pre else _snapshot_json(reader_pre),
+                 post_json if reader_post is tag_post else _snapshot_json(reader_post))
+    internals = _INTERNALS(truth)
+    if None in internals:
+        return _GROUND_TRUTH_LINE % (truth.session_index, to_hex(truth.id),
+                                     *map(_word, internals), *snapshots)
     # explicit calls: a to_hex called through map or a comprehension costs more
     return _GROUND_TRUTH_FULL % (
         truth.session_index, to_hex(truth.id), to_hex(truth.n1), to_hex(truth.n2),
         to_hex(truth.n3), to_hex(truth.n1p), to_hex(truth.n2p), to_hex(truth.k1_star),
-        to_hex(truth.k2_star), *pre, *post,
-        *(pre if reader_pre is tag_pre else _snapshot_hex(reader_pre)),
-        *(post if reader_post is tag_post else _snapshot_hex(reader_post)))
+        to_hex(truth.k2_star), *snapshots)
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
