@@ -312,8 +312,11 @@ def _verdict_line(residue_id: bool, record: dict) -> str:
             if value is not None:
                 line += piece % _JSON_BOOLS[value]
         return line + "}\n"
-    return _VERDICT_FULL % (session, fired, to_hex(rid), *_recovered_hex(state),
-                            _JSON_BOOLS[confirmed], _JSON_BOOLS[match])
+    # a to_hex call each: _recovered_hex's tuple, unpacked, costs more
+    return _VERDICT_FULL % (
+        session, fired, to_hex(rid), to_hex(state.k1_star), to_hex(state.k2_star),
+        to_hex(state.n1), to_hex(state.n2), to_hex(state.n3), to_hex(state.n1p),
+        to_hex(state.n2p), to_hex(state.next_ids), _JSON_BOOLS[confirmed], _JSON_BOOLS[match])
 
 
 def _verdict_to_dict(kind: str, record: dict) -> dict:

@@ -528,8 +528,9 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     kind's ``trials`` maps the pairs to verdicts and notes, and every kind's
     trials are scored the same way.
     A call costs about 1.3 µs beyond its trials, and one on a single SASI
-    pair about 3.1 µs (best passes, Python 3.11.7, 2-CPU host): a call per
-    pair of a tag's sessions is cheap.
+    pair about 3.1-3.3 µs, some 4.3 times the same trial called directly
+    (best passes, Python 3.11.7, 2-CPU host): a call per pair of a tag's
+    sessions gives the same records at about four times the trials' cost.
     Returns (records, summary); records carry the verdict per trial, and
     for the one-session disclosure also whether its next-pseudonym
     prediction matched the following announcement (a public check).  A
@@ -542,7 +543,8 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     order, a later record of a session replaces an earlier one, and a
     record of a session that starts no trial is ignored.
     """
-    attack = attacks.attack_kind(kind)
+    # the registry read directly; attack_kind only raises the error of a miss
+    attack = attacks.ATTACKS.get(kind) or attacks.attack_kind(kind)
     near_miss, residue_id = attack.near_miss, attack.residue_id
     # plain loops, not comprehensions: a comprehension is a frame per call
     truth_by_session = {}
@@ -673,7 +675,6 @@ _SNAPSHOTS = attrgetter("tag_pre", "tag_post", "reader_pre", "reader_post")
 # word precedes it in _SNAPSHOT_JSON, so its offset there is its offset in the text
 _IDS_AT = _SNAPSHOT_JSON.index("%s")
 _SNAPSHOT_IDS = slice(_IDS_AT, _IDS_AT + WIDTH // 4)
-_BASE_16 = (16,) * 8  # int's base for each word that one map converts
 
 
 def _word(x: Word96 | None) -> str:
@@ -744,9 +745,9 @@ def transcript_from_line(line: str) -> Transcript:
     variant, session, ids, a, b, c, d, outcome, bits = match.groups()
     if a is None or b is None or c is None or d is None:
         words = [None if text is None else int(text, 16) for text in (a, b, c, d)]
-    else:
-        words = map(int, (a, b, c, d), _BASE_16)
-    return _transcript(variant, int(session), int(ids, 16), *words, outcome, int(bits))
+        return _transcript(variant, int(session), int(ids, 16), *words, outcome, int(bits))
+    return _transcript(variant, int(session), int(ids, 16), int(a, 16), int(b, 16), int(c, 16),
+                       int(d, 16), outcome, int(bits))
 
 
 def ground_truth_line(truth: GroundTruth) -> str:
@@ -774,7 +775,8 @@ def ground_truth_line(truth: GroundTruth) -> str:
     if None in internals:
         return _GROUND_TRUTH_LINE % (truth.session_index, to_hex(truth.id),
                                      *map(_word, internals), *snapshots)
-    # explicit calls: a to_hex called through map or a comprehension costs more
+    # explicit calls: a to_hex called through map or a comprehension costs
+    # more, as does an int(text, 16) in the line readers
     return _GROUND_TRUTH_FULL % (
         truth.session_index, to_hex(truth.id), to_hex(truth.n1), to_hex(truth.n2),
         to_hex(truth.n3), to_hex(truth.n1p), to_hex(truth.n2p), to_hex(truth.k1_star),
@@ -816,12 +818,18 @@ def scored_truth_from_line(line: str) -> ScoredTruth:
     match = _GROUND_TRUTH_RE.fullmatch(line)
     if match is None:
         return scored_truth(ground_truth_from_dict(json_loads(line)))
-    session, id_, *internals, tag_pre, tag_post, _, _ = match.groups()
+    session, id_, n1, n2, n3, n1p, n2p, k1_star, k2_star, tag_pre, tag_post, _, _ = match.groups()
     if tag_pre == "null" or tag_post == "null":
         _check_tag_snapshots(*[None if text == "null" else text for text in (tag_pre, tag_post)])
-    internals = (map(int, internals, _BASE_16) if None not in internals
-                 else [None if text is None else int(text, 16) for text in internals])
-    return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16), *internals)
+    if (n1 is None or n2 is None or n3 is None or n1p is None or n2p is None or k1_star is None
+            or k2_star is None):
+        internals = [None if text is None else int(text, 16)
+                     for text in (n1, n2, n3, n1p, n2p, k1_star, k2_star)]
+        return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16),
+                           *internals)
+    return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16), int(n1, 16),
+                       int(n2, 16), int(n3, 16), int(n1p, 16), int(n2p, 16), int(k1_star, 16),
+                       int(k2_star, 16))
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:

@@ -19,8 +19,9 @@ import oracles
 from tagauth import gossamer, sasi, word96
 from tagauth.gossamer import Variant
 from tagauth.simulator import (Forcing, GroundTruth, KeyMode, NonceMode, NonceStream, Protocol,
-                               StateSnapshot, ground_truth_from_dict, ground_truth_line,
-                               provision, run_session, scored_truth_from_line)
+                               StateSnapshot, Transcript, ground_truth_from_dict,
+                               ground_truth_line, provision, run_session, scored_truth_from_line,
+                               transcript_from_dict, transcript_from_line, transcript_line)
 from tagauth.store import Store
 
 MOD, BITS, PI = oracles.MOD, oracles.BITS, oracles.PI
@@ -160,38 +161,50 @@ def sasi_phases(cases: int) -> str:
     return f"{cases} cases: every SASI phase matches the oracle"
 
 
-def scored_truth(cases: int) -> str:
-    """Ground-truth lines, a third each of the three protocols, under every
-    nonce x key forcing, about a fifth with D dropped and a tenth against an
-    empty store (lookup_failed, null internals), each also with one
-    character replaced at random: the scored words
-    ``scored_truth_from_line`` reads from each line, or its error, against
-    ``ground_truth_from_dict(json.loads(line))``."""
-    def scored(parse, line):
-        try:
-            t = parse(line)
-        except (KeyError, TypeError, ValueError) as exc:
-            return type(exc), str(exc)
-        return (t.session_index, t.id, t.next_ids, t.n1, t.n2, t.n3, t.n1p, t.n2p,
-                t.k1_star, t.k2_star)
-
-    def full(line):
-        return ground_truth_from_dict(json.loads(line))
-
-    rng, nonces = random.Random(20242), NonceStream(20242)
+def _session_lines(seed: int, cases: int, write):
+    """Case by case: ``write(transcript, truth)`` of one session, a third
+    each of the three protocols, under every nonce x key forcing, about a
+    fifth with D dropped and a tenth against an empty store (lookup_failed:
+    null a, b, c and d, null internals); and that line with one character
+    replaced at random."""
+    rng, nonces = random.Random(seed), NonceStream(seed)
     worlds = {protocol: provision(1, protocol, seed=1) for protocol in Protocol}
     noise = "0123456789abcdefABCDEF\"{}[],:-nul \x00\xe9"
-    accepted = 0
     for case in range(cases):
         protocol = list(Protocol)[case % 3]
         tags, store = worlds[protocol]
         forcing = Forcing(nonce_mode=list(NonceMode)[case // 3 % 3],
                           key_mode=list(KeyMode)[case // 9 % 3], drop_d=rng.random() < 0.2)
         lookup = Store() if rng.random() < 0.1 else store
-        _, truth = run_session(tags["tag-000"], lookup, forcing, nonces, case)
-        line = ground_truth_line(truth)
+        line = write(*run_session(tags["tag-000"], lookup, forcing, nonces, case))
         at = rng.randrange(len(line))
-        damaged = line[:at] + rng.choice(noise.replace(line[at], "")) + line[at + 1:]
+        yield case, line, line[:at] + rng.choice(noise.replace(line[at], "")) + line[at + 1:]
+
+
+def _read(parse, line):
+    """What ``parse`` makes of ``line``: its record, or its error's type and text."""
+    try:
+        return parse(line)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def scored_truth(cases: int) -> str:
+    """Ground-truth lines of ``_session_lines``, and their corruptions: the
+    scored words ``scored_truth_from_line`` reads from each line, or its
+    error, against ``ground_truth_from_dict(json.loads(line))``."""
+    def scored(parse, line):
+        t = _read(parse, line)
+        return t if type(t) is tuple else (
+            t.session_index, t.id, t.next_ids, t.n1, t.n2, t.n3, t.n1p, t.n2p, t.k1_star,
+            t.k2_star)
+
+    def full(line):
+        return ground_truth_from_dict(json.loads(line))
+
+    accepted = 0
+    lines = _session_lines(20242, cases, lambda _, truth: ground_truth_line(truth))
+    for case, line, damaged in lines:
         for text in (line, damaged):
             got = scored(scored_truth_from_line, text)
             if got != scored(full, text):
@@ -200,6 +213,26 @@ def scored_truth(cases: int) -> str:
             accepted += type(got[0]) is int
     return (f"{cases} lines and their one-character corruptions: every scored word and "
             f"error matches; {accepted} of {2 * cases} read to a record")
+
+
+def transcript_reader(cases: int) -> str:
+    """Transcript lines of ``_session_lines``, and their corruptions: the
+    record ``transcript_from_line`` reads from each line, or its error,
+    against ``transcript_from_dict(json.loads(line))``."""
+    def full(line):
+        return transcript_from_dict(json.loads(line))
+
+    accepted = 0
+    lines = _session_lines(20245, cases, lambda transcript, _: transcript_line(transcript))
+    for case, line, damaged in lines:
+        for text in (line, damaged):
+            got = _read(transcript_from_line, text)
+            if got != _read(full, text):
+                raise AssertionError(f"case {case}: {text!r} reads {got}, "
+                                     f"not {_read(full, text)}")
+            accepted += type(got) is Transcript
+    return (f"{cases} lines and their one-character corruptions: every record and error "
+            f"matches; {accepted} of {2 * cases} read to a record")
 
 
 def ground_truth_writer(cases: int) -> str:
@@ -262,7 +295,7 @@ def ground_truth_writer(cases: int) -> str:
 
 SWEEPS = {"modified-search": modified_search, "gossamer-phases": gossamer_phases,
           "sasi-phases": sasi_phases, "scored-truth": scored_truth,
-          "ground-truth-writer": ground_truth_writer}
+          "transcript-reader": transcript_reader, "ground-truth-writer": ground_truth_writer}
 
 
 if __name__ == "__main__":

@@ -474,6 +474,40 @@ class TestEvaluateAgainstReference:
         assert json.dumps(summary) == json.dumps(expected_summary)
 
 
+# -- the kind lookup -------------------------------------------------------------
+
+# a campaign in which each kind fires: (protocol, nonce mode, key mode)
+_FIRING = {"sasi": (Protocol.SASI, NonceMode.RANDOM, KeyMode.EXACT_ZERO),
+           "gossamer-1": (Protocol.GOSSAMER, NonceMode.EXACT_ZERO, KeyMode.AS_STORED),
+           "gossamer-2": (Protocol.GOSSAMER, NonceMode.RANDOM, KeyMode.EXACT_ZERO)}
+
+
+def test_an_unknown_kind_raises_before_either_iterable_is_read():
+    def unread():
+        raise AssertionError("read")
+        yield
+
+    with pytest.raises(ValueError) as raised:
+        evaluate_attack("nope", unread(), unread())
+    assert str(raised.value) == "unknown attack kind: nope"
+
+
+@pytest.mark.parametrize("kind", list(attacks.ATTACKS))
+def test_each_kind_evaluates_as_attack_kind_names_it(kind):
+    entry = attacks.attack_kind(kind)
+    protocol, nonce_mode, key_mode = _FIRING[kind]
+    result = forced_campaign(protocol, 12, 7, nonce_mode=nonce_mode, key_mode=key_mode)
+    records, summary = evaluate_attack(kind, result.transcripts, result.ground_truths)
+    expected = list(entry.trials(consecutive_success_pairs(result.transcripts)))
+    assert [(r["session"], replace(r["verdict"], ground_truth_match=None),
+             r["prediction_confirmed"]) for r in records] == [
+        (first.session_index, verdict, confirmed) for first, verdict, _, confirmed in expected]
+    # every trial fires and matches, scored with the entry's residue_id
+    assert summary["fired"] == summary["matched"] == len(records) == 11
+    assert ("near_miss_histogram" in summary) == entry.near_miss
+    assert ("prediction_confirmed" in summary) == (entry.arity == 1)
+
+
 # -- scoring reads only what ScoredTruth holds ----------------------------------
 
 class TestScoredTruthScoresAsGroundTruth:
