@@ -10,15 +10,16 @@ A verdict that does not fire is a valid result, not an error.  ``ATTACKS``
 is the registry of attack kinds by name; it holds only public facts.
 
 The zero-key attack is the original tag itself under K1 = K2 = 0: its peel
-in ``zero_key_chains``, then ``gossamer.disclose_original``, one phase
-rendered from the Original column.
+and first two MixBits in ``zero_key_chains``, then
+``gossamer.confirm_original`` and, once C holds, ``gossamer.disclose_original``,
+two phases rendered from the Original column.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import disclose_original, mixbits_chains
-from .word96 import MASK, PI, Word96
+from .gossamer import confirm_original, disclose_original
+from .word96 import MASK, PI, Word96, from_lanes, mixbits_original_lanes, to_lanes
 
 
 @dataclass(slots=True)
@@ -98,16 +99,22 @@ def gossamer_attack1(first, second) -> AttackVerdict:
     return AttackVerdict(True, id_from_messages)
 
 
-def zero_key_chains(transcripts: list) -> list[tuple]:
-    """The zero-key MixBits chain (n1, n2, n3, n1', n2') of each transcript.
+def zero_key_chains(transcripts: list) -> tuple[list[Word96], list[Word96], int, int]:
+    """The zero-key n1 and n2 of each transcript, and the lane forms
+    (``word96.to_lanes``) of their n3 and n1'.
 
     With K1 = K2 = 0 the original tag's peel (the first step of
-    ``gossamer.accept_original``) is n1 = A - IDS - PI and n2 = B - IDS - PI,
-    and the session's three MixBits calls run for the whole list as one
-    ``gossamer.mixbits_chains`` call.
+    ``gossamer.accept_original``) is n1 = A - IDS - PI and n2 = B - IDS - PI;
+    n3 and n1' are the first two lane passes of ``gossamer.mixbits_chains``,
+    for the whole list.  The third, n2' = MixBits(n1', n3), is the caller's:
+    only a trial whose C holds reads it.
     """
-    return mixbits_chains([(t.a - t.announced_ids - PI) & MASK for t in transcripts],
-                          [(t.b - t.announced_ids - PI) & MASK for t in transcripts])
+    n = len(transcripts)
+    n1s = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
+    n2s = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
+    n2_lanes = to_lanes(n2s)
+    n3_lanes = mixbits_original_lanes(to_lanes(n1s), n2_lanes, n)
+    return n1s, n2s, n3_lanes, mixbits_original_lanes(n3_lanes, n2_lanes, n)
 
 
 def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
@@ -115,26 +122,36 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
 
     Hypothesizes K1 = K2 = 0, under which the transcript is the original
     tag's view with known keys: A and B unwind to the nonces, and
-    ``gossamer.disclose_original`` rebuilds C, which refutes the hypothesis
-    at once if it differs from the transmitted one, and otherwise gives
-    K1*, K2*, the next pseudonym and D inverted to the ID.  A transcript
-    whose D never crossed the air still fires, with ``recovered_id`` None:
-    C has confirmed the hypothesis, and only D carries the ID.  A
-    transcript with no A||B||C does not fire.
+    ``gossamer.confirm_original`` gives K1*, K2* and rebuilds C, which
+    refutes the hypothesis at once if it differs from the transmitted one.
+    Only then is n2' read, and ``gossamer.disclose_original`` gives the
+    next pseudonym and D inverted to the ID.  A transcript whose D never
+    crossed the air still fires, with ``recovered_id`` None: C has
+    confirmed the hypothesis, and only D carries the ID.  A transcript with
+    no A||B||C does not fire.
 
-    ``chain`` is the transcript's entry of ``zero_key_chains``: the
-    evaluator passes each trial its entry of one call over all its trials.
-    A call without it is a block of one.
+    ``chain`` is the transcript's (n1, n2, n3, n1', n2') from one
+    ``zero_key_chains`` call over all the evaluator's trials, with n2' None
+    until the evaluator has run that pass.  A trial that fires with n2'
+    None computes its own as a one-pair lane call.  A call without a chain
+    is a block of one, so the scalar MixBits never runs.
     """
     if transcript.c is None:
         return AttackVerdict(False)
-    n1, n2, n3, n1p, n2p = chain or zero_key_chains([transcript])[0]
-    d = transcript.d
-    found = disclose_original(transcript.announced_ids, 0, 0, n1, n2, n3, n1p, n2p,
-                              transcript.c, 0 if d is None else d)
-    if found is None:
+    if chain is None:  # a block of one, whose lane forms are its words
+        (n1,), (n2,), n3, n1p = zero_key_chains([transcript])
+        n2p = None
+    else:
+        n1, n2, n3, n1p, n2p = chain
+    keys = confirm_original(0, 0, n1, n2, n3, n1p, transcript.c)
+    if keys is None:
         return AttackVerdict(False)
-    k1s, k2s, next_ids, id_ = found
+    if n2p is None:  # a one-pair lane call, whose lane forms are the words
+        n2p = mixbits_original_lanes(n1p, n3, 1)
+    k1s, k2s = keys
+    d = transcript.d
+    next_ids, id_ = disclose_original(transcript.announced_ids, k1s, k2s, n2, n3, n1p, n2p,
+                                      0 if d is None else d)
     return AttackVerdict(True, None if d is None else id_,
                          RecoveredSecrets(k1s, k2s, n1, n2, n3, n1p, n2p, next_ids))
 
@@ -177,12 +194,21 @@ def _zero_nonce_trials(pairs) -> Iterator[tuple]:
 
 def _zero_key_trials(pairs) -> Iterator[tuple]:
     """Each pair's first transcript attacked with its chain, from one
-    ``zero_key_chains`` call over them all."""
+    ``zero_key_chains`` call over them all.  The n2' lane pass runs over
+    them all at most once: right after the first trial that fires, which
+    computed its own n2', for the trials after it.  A block in which no
+    trial fires runs two lane passes, not three."""
     pairs = list(pairs)
-    chains = zero_key_chains([first for first, _ in pairs])
-    for (first, second), chain in zip(pairs, chains):
-        verdict = gossamer_attack2(first, chain)
-        yield first, verdict, None, (verdict.fired and
+    n = len(pairs)
+    n1s, n2s, n3_lanes, n1p_lanes = zero_key_chains([first for first, _ in pairs])
+    n3s, n1ps = from_lanes(n3_lanes, n), from_lanes(n1p_lanes, n)
+    n2ps = None
+    for i, (first, second) in enumerate(pairs):
+        verdict = gossamer_attack2(first, (n1s[i], n2s[i], n3s[i], n1ps[i], n2ps and n2ps[i]))
+        fired = verdict.fired
+        if fired and n2ps is None:
+            n2ps = from_lanes(mixbits_original_lanes(n1p_lanes, n3_lanes, n), n)
+        yield first, verdict, None, (fired and
                                      verdict.recovered_state.next_ids == second.announced_ids)
 
 

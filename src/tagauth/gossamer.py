@@ -14,10 +14,11 @@ pass, either variant, as the reader serves both), the two tags' phases,
 ``derive_auth`` (one modified search candidate: C rebuilt and checked,
 then D and the staged tuple) and ``accept_original`` (n1 and n2 peeled
 from the ``a`` and ``b`` rows inverted, as ``PEELS`` names them, then the
-same), and the zero-key attack's ``disclose_original`` (C checked, then
-IDS+ and the ID, the ``d`` row inverted).  Edit the table, then re-render
-with ``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the
-two disagree.  A phase looks ``mixbits_original`` or
+same), and the zero-key attack's two: ``confirm_original`` (K1*, K2* and
+C checked) and ``disclose_original`` (IDS+, and the ID, the ``d`` row
+inverted), split at C so that n2' is needed only once C holds.  Edit the
+table, then re-render with ``PYTHONPATH=src python -m tagauth.rerender``; a
+test fails while the two disagree.  A phase looks ``mixbits_original`` or
 ``mixbits_modified`` up in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
@@ -94,12 +95,16 @@ PHASES = (
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
      Variant.MODIFIED, ("n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
      "return d, (idsn, k1n, k2n)"),
-    ('''def disclose_original(ids: Word96, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
-                      n3: Word96, n1p: Word96, n2p: Word96, c: Word96,
-                      d: Word96) -> tuple[Word96, Word96, Word96, Word96] | None:
-    """(K1*, K2*, IDS+, ID) of an original-variant session, or None when the
-    rebuilt C differs from c.  With K1 = K2 = 0 it reads only public words."""''',
-     Variant.ORIGINAL, ("k1s", "k2s", "c?", "idsn", "id_"), "return k1s, k2s, idsn, id_"),
+    ('''def confirm_original(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
+                     n1p: Word96, c: Word96) -> tuple[Word96, Word96] | None:
+    """(K1*, K2*) of an original-variant session, or None when the rebuilt C
+    differs from c.  C reads no IDS, and no n2'."""''',
+     Variant.ORIGINAL, ("k1s", "k2s", "c?"), "return k1s, k2s"),
+    ('''def disclose_original(ids: Word96, k1s: Word96, k2s: Word96, n2: Word96, n3: Word96,
+                      n1p: Word96, n2p: Word96, d: Word96) -> tuple[Word96, Word96]:
+    """(IDS+, ID) of an original-variant session whose C ``confirm_original``
+    has confirmed, from its K1* and K2*."""''',
+     Variant.ORIGINAL, ("idsn", "id_"), "return idsn, id_"),
     ('''def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
                     b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
@@ -282,11 +287,10 @@ def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2
     return d, (idsn, k1n, k2n)
 
 
-def disclose_original(ids: Word96, k1: Word96, k2: Word96, n1: Word96, n2: Word96,
-                      n3: Word96, n1p: Word96, n2p: Word96, c: Word96,
-                      d: Word96) -> tuple[Word96, Word96, Word96, Word96] | None:
-    """(K1*, K2*, IDS+, ID) of an original-variant session, or None when the
-    rebuilt C differs from c.  With K1 = K2 = 0 it reads only public words."""
+def confirm_original(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
+                     n1p: Word96, c: Word96) -> tuple[Word96, Word96] | None:
+    """(K1*, K2*) of an original-variant session, or None when the rebuilt C
+    differs from c.  C reads no IDS, and no n2'."""
     r_n2 = -n2 % 96
     r_n1 = -n1 % 96
     # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1) ^ n3
@@ -297,21 +301,27 @@ def disclose_original(ids: Word96, k1: Word96, k2: Word96, n1: Word96, n2: Word9
     x = (n1 + k2 + PI + n3) & MASK
     x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
     k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
-    r_n3 = -n3 % 96
     # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
     x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
+    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
     if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
         return None
+    return k1s, k2s
+
+
+def disclose_original(ids: Word96, k1s: Word96, k2s: Word96, n2: Word96, n3: Word96,
+                      n1p: Word96, n2p: Word96, d: Word96) -> tuple[Word96, Word96]:
+    """(IDS+, ID) of an original-variant session whose C ``confirm_original``
+    has confirmed, from its K1* and K2*."""
     # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3) ^ n2p
     x = (n1p + k1s + ids + n2p) & MASK
     x = (((x << 96 | x) >> (-n1p % 96)) + (k2s ^ n2p)) & MASK
-    idsn = (((x << 96 | x) >> r_n3) ^ n2p) & MASK
+    idsn = (((x << 96 | x) >> (-n3 % 96)) ^ n2p) & MASK
     # id_ from d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3) + n1p
     x = (d - n1p) & MASK
     x = (((x << 96 | x) >> (n3 % 96)) - (k1s + n1p)) & MASK
     id_ = (((x << 96 | x) >> (n2 % 96)) - (n2 + k2s + n1p)) & MASK
-    return k1s, k2s, idsn, id_
+    return idsn, id_
 
 
 def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,

@@ -16,11 +16,12 @@ import random
 import sys
 
 import oracles
-from tagauth import gossamer, sasi, word96
+from tagauth import attacks, gossamer, sasi, word96
 from tagauth.gossamer import Variant
 from tagauth.simulator import (Forcing, GroundTruth, KeyMode, NonceMode, NonceStream, Protocol,
-                               StateSnapshot, Transcript, ground_truth_from_dict,
-                               ground_truth_line, provision, run_session, scored_truth_from_line,
+                               StateSnapshot, Transcript, consecutive_success_pairs,
+                               evaluate_attack, ground_truth_from_dict, ground_truth_line,
+                               provision, run_session, scored_truth_from_line,
                                transcript_from_dict, transcript_from_line, transcript_line)
 from tagauth.store import Store
 
@@ -99,10 +100,10 @@ def gossamer_phases(cases: int) -> str:
     phase on the variant it is rendered for, against tests/oracles.py.  On
     both variants every word ``reader_begin`` returns; on the modified
     variant derive_auth's D and staged tuple from the genuine C and its None
-    with C xor 1; on the original variant disclose_original's K1*, K2*,
-    IDS+ and ID from the genuine C and its None with C xor 1, and
-    accept_original's D and staged tuple from the genuine A||B||C and its
-    None with C xor 1."""
+    with C xor 1; on the original variant confirm_original's K1* and K2*
+    from the genuine C and its None with C xor 1, disclose_original's IDS+
+    and ID from them, and accept_original's D and staged tuple from the
+    genuine A||B||C and its None with C xor 1."""
     rng = random.Random(20241)
     for case in range(cases):
         id_, ids, k1, k2, n1, n2 = (rng.getrandbits(96) for _ in range(6))
@@ -121,11 +122,13 @@ def gossamer_phases(cases: int) -> str:
                     gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c) == answer
                     and gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c ^ 1) is None)
             else:
-                session = (ids, k1, k2, n1, n2, ref["n3"], ref["n1p"], ref["n2p"])
-                checks["disclose_original"] = (
-                    gossamer.disclose_original(*session, c, ref["d"])
-                    == (ref["k1s"], ref["k2s"], ref["ids_next"], id_)
-                    and gossamer.disclose_original(*session, c ^ 1, ref["d"]) is None)
+                confirm = (k1, k2, n1, n2, ref["n3"], ref["n1p"])
+                checks["confirm_original"] = (
+                    gossamer.confirm_original(*confirm, c) == (ref["k1s"], ref["k2s"])
+                    and gossamer.confirm_original(*confirm, c ^ 1) is None)
+                checks["disclose_original"] = gossamer.disclose_original(
+                    ids, ref["k1s"], ref["k2s"], n2, ref["n3"], ref["n1p"], ref["n2p"],
+                    ref["d"]) == (ref["ids_next"], id_)
                 checks["accept_original"] = (
                     gossamer.accept_original(ids, k1, k2, id_, a, b, c) == answer
                     and gossamer.accept_original(ids, k1, k2, id_, a, b, c ^ 1) is None)
@@ -293,9 +296,59 @@ def ground_truth_writer(cases: int) -> str:
             f"its record's compact JSON; {nulls} with a null")
 
 
+def zero_key_attack(cases: int) -> str:
+    """Streams of 1 to 12 sessions of one tag, nine in ten original Gossamer
+    and the rest modified, each session's keys zero, as stored or multiples
+    of 96 at random and its D dropped at one in five: gossamer-2's records
+    from ``evaluate_attack`` (session, verdict repr, prediction_confirmed)
+    against a ``gossamer_attack2`` call per trial, and its MixBits lane
+    passes: n3 and n1' over the trials, then, only if some trial fired, the
+    first fired trial's own n2' and the n2' pass over the trials."""
+    passes = []
+    real = attacks.mixbits_original_lanes
+
+    def counting(z, y, n):
+        passes.append(n)
+        return real(z, y, n)
+
+    rng, nonces = random.Random(20246), NonceStream(20246)
+    worlds = {protocol: provision(1, protocol, seed=1)
+              for protocol in (Protocol.GOSSAMER, Protocol.GOSSAMER_MOD)}
+    fired_streams = 0
+    attacks.mixbits_original_lanes = counting
+    try:
+        for case in range(cases):
+            tags, store = worlds[Protocol.GOSSAMER_MOD if case % 10 == 9 else Protocol.GOSSAMER]
+            transcripts = [run_session(tags["tag-000"], store, Forcing(
+                key_mode=rng.choice(list(KeyMode)), drop_d=rng.random() < 0.2), nonces,
+                index)[0] for index in range(rng.randint(1, 12))]
+            pairs = list(consecutive_success_pairs(transcripts))
+            verdicts = [attacks.gossamer_attack2(first) for first, _ in pairs]
+            expected = [(first.session_index, repr(v),
+                         v.fired and v.recovered_state.next_ids == second.announced_ids)
+                        for v, (first, second) in zip(verdicts, pairs)]
+            passes.clear()
+            records, _ = evaluate_attack("gossamer-2", transcripts)
+            got = [(r["session"], repr(r["verdict"]), r["prediction_confirmed"])
+                   for r in records]
+            if got != expected:
+                raise AssertionError(f"case {case}: records {got} != {expected}")
+            fired = any(v.fired for v in verdicts)
+            n = len(pairs)
+            if passes != [n, n] + [1, n] * fired:
+                raise AssertionError(f"case {case}: lane passes {passes} over {n} trials, "
+                                     f"{'some' if fired else 'none'} fired")
+            fired_streams += fired
+    finally:
+        attacks.mixbits_original_lanes = real
+    return (f"{cases} streams: every record matches a call per trial, and {fired_streams} "
+            f"with a fired trial ran the n2' pass, the others not")
+
+
 SWEEPS = {"modified-search": modified_search, "gossamer-phases": gossamer_phases,
           "sasi-phases": sasi_phases, "scored-truth": scored_truth,
-          "transcript-reader": transcript_reader, "ground-truth-writer": ground_truth_writer}
+          "transcript-reader": transcript_reader, "ground-truth-writer": ground_truth_writer,
+          "zero-key-attack": zero_key_attack}
 
 
 if __name__ == "__main__":

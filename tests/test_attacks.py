@@ -30,7 +30,7 @@ from tagauth.simulator import (
     scored_truth_from_line,
 )
 from tagauth.store import Store
-from tagauth.word96 import MASK, PI, add, sub
+from tagauth.word96 import MASK, PI, add, from_lanes, mixbits_original_lanes, sub
 
 
 def forced_campaign(protocol, sessions, seed, nonce_mode=NonceMode.RANDOM,
@@ -189,15 +189,28 @@ def test_attack2_agrees_with_the_scalar_reference_on_both_variants(protocol, key
     transcripts = [t for t in result.transcripts if t.c is not None]
     expected = [reference_attack2(t) for t in transcripts]
     alone = [attacks.gossamer_attack2(t) for t in transcripts]
-    in_block = [attacks.gossamer_attack2(t, chain) for t, chain
-                in zip(transcripts, attacks.zero_key_chains(transcripts))]
-    assert repr(alone) == repr(in_block) == repr(expected)
+    # each chain in full, and with its n2' left for the trial to compute
+    chains = block_chains(transcripts)
+    in_block = [attacks.gossamer_attack2(t, chain) for t, chain in zip(transcripts, chains)]
+    no_n2p = [attacks.gossamer_attack2(t, (*chain[:4], None))
+              for t, chain in zip(transcripts, chains)]
+    assert repr(alone) == repr(in_block) == repr(no_n2p) == repr(expected)
     kinds = {(v.fired, v.recovered_id is not None) for v in expected}
     if protocol is Protocol.GOSSAMER and key_mode is KeyMode.EXACT_ZERO:
         # every transcript fires; the ones whose D was dropped recover no ID
         assert kinds == {(True, True), (True, False)}
     else:
         assert kinds == {(False, False)}
+
+
+def block_chains(transcripts):
+    """The full zero-key chain (n1, n2, n3, n1', n2') of each transcript, from
+    ``zero_key_chains`` and the third lane pass over them all."""
+    n = len(transcripts)
+    n1s, n2s, n3_lanes, n1p_lanes = attacks.zero_key_chains(transcripts)
+    n2p_lanes = mixbits_original_lanes(n1p_lanes, n3_lanes, n)
+    return list(zip(n1s, n2s, *(from_lanes(lanes, n) for lanes in (n3_lanes, n1p_lanes,
+                                                                    n2p_lanes))))
 
 
 def mixed_stream(sessions, drops):
@@ -212,13 +225,25 @@ def mixed_stream(sessions, drops):
     return [t for t, _ in results], [g for _, g in results]
 
 
-def count_zero_key_chains(monkeypatch):
-    """The number of transcripts of each ``attacks.zero_key_chains`` call, as a list."""
-    calls = []
-    chains = attacks.zero_key_chains
-    monkeypatch.setattr(attacks, "zero_key_chains",
-                        lambda firsts: calls.append(len(firsts)) or chains(firsts))
-    return calls
+def log_lane_passes(monkeypatch):
+    """The attacks' MixBits lane passes and trials in the order they run, as
+    a list: ("pass", lanes) for each pass, and ("trial", fired) as each
+    ``gossamer_attack2`` call returns."""
+    log = []
+    lanes, attack = attacks.mixbits_original_lanes, attacks.gossamer_attack2
+
+    def lane_pass(z, y, n):
+        log.append(("pass", n))
+        return lanes(z, y, n)
+
+    def trial(transcript, chain=None):
+        verdict = attack(transcript, chain)
+        log.append(("trial", verdict.fired))
+        return verdict
+
+    monkeypatch.setattr(attacks, "mixbits_original_lanes", lane_pass)
+    monkeypatch.setattr(attacks, "gossamer_attack2", trial)
+    return log
 
 
 class TestGossamerAttack2Blocks:
@@ -241,9 +266,16 @@ class TestGossamerAttack2Blocks:
         assert [pairs[i][0].session_index for i in (511, 512)] == [513, 517]
         expected = [attacks.gossamer_attack2(first) for first, _ in pairs]
         assert 0 < sum(v.fired for v in expected) < len(expected)
-        calls = count_zero_key_chains(monkeypatch)
+        log = log_lane_passes(monkeypatch)
         records, summary = evaluate_attack("gossamer-2", iter(transcripts))
-        assert calls == [len(pairs)]
+        # n3 and n1' over the block; trial 0 has its keys as stored, so
+        # trial 1 fires first and computes its n2' as one pair, and the n2'
+        # pass over the block runs right after it, once
+        n = len(pairs)
+        assert not expected[0].fired and expected[1].fired
+        once = [("pass", n), ("pass", n), ("trial", False), ("pass", 1), ("trial", True),
+                ("pass", n), *(("trial", v.fired) for v in expected[2:])]
+        assert log == once
         assert [r["session"] for r in records] == [first.session_index for first, _ in pairs]
         assert repr([r["verdict"] for r in records]) == repr(expected)
         assert [r["prediction_confirmed"] for r in records] == [
@@ -251,7 +283,22 @@ class TestGossamerAttack2Blocks:
             for v, (_, second) in zip(expected, pairs)]
         _, scored = evaluate_attack("gossamer-2", transcripts, truths)
         assert scored["matched"] == scored["fired"] == summary["fired"]
-        assert calls == [len(pairs), len(pairs)]
+        assert log == once * 2
+
+    def test_no_trial_fires_two_passes(self, monkeypatch):
+        # zero keys on the modified variant: every trial is refuted at C, so
+        # no trial reads n2' and its pass never runs, nor any one-pair call
+        result = forced_campaign(Protocol.GOSSAMER_MOD, 80, 44, key_mode=KeyMode.EXACT_ZERO)
+        pairs = list(consecutive_success_pairs(result.transcripts))
+        expected = [attacks.gossamer_attack2(first) for first, _ in pairs]
+        assert len(pairs) > 1 and not any(v.fired for v in expected)
+        log = log_lane_passes(monkeypatch)
+        for _ in range(2):
+            records, summary = evaluate_attack("gossamer-2", result.transcripts)
+            assert repr([r["verdict"] for r in records]) == repr(expected)
+        assert summary["fired"] == 0
+        n = len(pairs)
+        assert log == ([("pass", n)] * 2 + [("trial", False)] * n) * 2
 
     def test_no_scalar_mixbits_alone_or_in_a_block(self, monkeypatch):
         # a lone call is a block of one: its chain runs as lane calls, so the
@@ -269,12 +316,12 @@ class TestGossamerAttack2Blocks:
         assert scalar == []
 
     def test_empty_stream_summary(self, monkeypatch):
-        calls = count_zero_key_chains(monkeypatch)
+        log = log_lane_passes(monkeypatch)
         empty = {"trials": 0, "fired": 0, "fired_rate": 0.0, "scored": 0, "matched": 0,
                  "match_rate": None, "conditional_match_rate": None}
         assert evaluate_attack("gossamer-2", []) == (
             [], {"attack": "gossamer-2", **empty, "prediction_confirmed": 0})
-        assert calls == [0]
+        assert log == [("pass", 0)] * 2
         assert evaluate_attack("sasi", []) == (
             [], {"attack": "sasi", **empty, "near_miss_histogram": {}})
         assert evaluate_attack("gossamer-1", iter(())) == ([], {"attack": "gossamer-1", **empty})

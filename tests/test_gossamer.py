@@ -412,12 +412,13 @@ forced_words = words | zero_mod_96
 @example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
 @settings(max_examples=100, deadline=None)
 def test_disclose_original_matches_oracle(id_, ids, k1, k2, n1, n2):
-    # K1*, K2*, IDS+ and the ID the oracle's D carries, or None once C differs
+    # K1* and K2*, or None once C differs; then IDS+ and the ID the oracle's D carries
     ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
-    session = (ids, k1, k2, n1, n2, ref["n3"], ref["n1p"], ref["n2p"])
-    assert gossamer.disclose_original(*session, ref["c"], ref["d"]) == (
-        ref["k1s"], ref["k2s"], ref["ids_next"], id_)
-    assert gossamer.disclose_original(*session, ref["c"] ^ 1, ref["d"]) is None
+    confirm = (k1, k2, n1, n2, ref["n3"], ref["n1p"])
+    assert gossamer.confirm_original(*confirm, ref["c"]) == (ref["k1s"], ref["k2s"])
+    assert gossamer.confirm_original(*confirm, ref["c"] ^ 1) is None
+    assert gossamer.disclose_original(ids, ref["k1s"], ref["k2s"], n2, ref["n3"], ref["n1p"],
+                                      ref["n2p"], ref["d"]) == (ref["ids_next"], id_)
 
 
 def test_rendered_phases_are_the_table_rendered():
@@ -457,10 +458,12 @@ def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
             want["d"], (want["ids_next"], want["k1_next"], want["k2_next"]))
         assert gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c ^ 1) is None
     else:
-        session = (ids, k1, k2, n1, n2, want["n3"], want["n1p"], want["n2p"])
-        assert gossamer.disclose_original(*session, c, want["d"]) == (
-            want["k1_star"], want["k2_star"], want["ids_next"], id_)
-        assert gossamer.disclose_original(*session, c ^ 1, want["d"]) is None
+        confirm = (k1, k2, n1, n2, want["n3"], want["n1p"])
+        assert gossamer.confirm_original(*confirm, c) == (want["k1_star"], want["k2_star"])
+        assert gossamer.confirm_original(*confirm, c ^ 1) is None
+        assert gossamer.disclose_original(ids, want["k1_star"], want["k2_star"], n2, want["n3"],
+                                          want["n1p"], want["n2p"], want["d"]) == (
+            want["ids_next"], id_)
 
 
 @functools.cache
