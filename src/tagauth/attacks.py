@@ -10,16 +10,16 @@ A verdict that does not fire is a valid result, not an error.  ``ATTACKS``
 is the registry of attack kinds by name; it holds only public facts.
 
 The zero-key attack is the original tag itself under K1 = K2 = 0: its peel
-and first two MixBits in ``zero_key_chains``, then
-``gossamer.confirm_original`` and, once C holds, ``gossamer.disclose_original``,
-two phases rendered from the Original column.
+and MixBits in a ``ZeroKeyBlock``, then ``gossamer.confirm_original`` and,
+once C holds, ``gossamer.disclose_original``: two Original-column phases.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import confirm_original, disclose_original
-from .word96 import MASK, PI, Word96, from_lanes, mixbits_original_lanes, to_lanes
+from .gossamer import confirm_original, disclose_original, mixbits_passes
+from .word96 import MASK, PI, Word96, from_lanes, to_lanes
 
 
 @dataclass(slots=True)
@@ -99,25 +99,30 @@ def gossamer_attack1(first, second) -> AttackVerdict:
     return AttackVerdict(True, id_from_messages)
 
 
-def zero_key_chains(transcripts: list) -> tuple[list[Word96], list[Word96], int, int]:
-    """The zero-key n1 and n2 of each transcript, and the lane forms
-    (``word96.to_lanes``) of their n3 and n1'.
+class ZeroKeyBlock:
+    """The zero-key words of a block of transcripts, transcript i's at index i:
+    the original tag's peel under K1 = K2 = 0 (n1 = A - IDS - PI, n2 = B -
+    IDS - PI), then its MixBits by ``gossamer.mixbits_passes``, n2' only at
+    the first ``n2p`` call, since only a trial whose C holds reads it."""
 
-    With K1 = K2 = 0 the original tag's peel (the first step of
-    ``gossamer.accept_original``) is n1 = A - IDS - PI and n2 = B - IDS - PI;
-    n3 and n1' are the first two lane passes of ``gossamer.mixbits_chains``,
-    for the whole list.  The third, n2' = MixBits(n1', n3), is the caller's:
-    only a trial whose C holds reads it.
-    """
-    n = len(transcripts)
-    n1s = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
-    n2s = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
-    n2_lanes = to_lanes(n2s)
-    n3_lanes = mixbits_original_lanes(to_lanes(n1s), n2_lanes, n)
-    return n1s, n2s, n3_lanes, mixbits_original_lanes(n3_lanes, n2_lanes, n)
+    __slots__ = ("n1", "n2", "n3", "n1p", "_n2ps", "_passes")
+
+    def __init__(self, transcripts: list):
+        n = len(transcripts)
+        self.n1 = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
+        self.n2 = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
+        self._passes = mixbits_passes({"n1": to_lanes(self.n1), "n2": to_lanes(self.n2)}, n)
+        self.n3, self.n1p = [from_lanes(z, n) for _, z in islice(self._passes, 2)]
+        self._n2ps = None
+
+    def n2p(self, i: int) -> Word96:
+        if self._n2ps is None:
+            _, z = next(self._passes)
+            self._n2ps = from_lanes(z, len(self.n1))
+        return self._n2ps[i]
 
 
-def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
+def gossamer_attack2(transcript, block: ZeroKeyBlock | None = None, i: int = 0) -> AttackVerdict:
     """Zero-key full disclosure against original Gossamer (one transcript).
 
     Hypothesizes K1 = K2 = 0, under which the transcript is the original
@@ -130,24 +135,19 @@ def gossamer_attack2(transcript, chain: tuple | None = None) -> AttackVerdict:
     confirmed the hypothesis, and only D carries the ID.  A transcript with
     no A||B||C does not fire.
 
-    ``chain`` is the transcript's (n1, n2, n3, n1', n2') from one
-    ``zero_key_chains`` call over all the evaluator's trials, with n2' None
-    until the evaluator has run that pass.  A trial that fires with n2'
-    None computes its own as a one-pair lane call.  A call without a chain
-    is a block of one, so the scalar MixBits never runs.
+    The words are transcript ``i``'s of ``block``, a ``ZeroKeyBlock`` over
+    all the evaluator's trials; a call without one makes a block of one, so
+    the scalar MixBits never runs.
     """
     if transcript.c is None:
         return AttackVerdict(False)
-    if chain is None:  # a block of one, whose lane forms are its words
-        (n1,), (n2,), n3, n1p = zero_key_chains([transcript])
-        n2p = None
-    else:
-        n1, n2, n3, n1p, n2p = chain
+    if block is None:
+        block = ZeroKeyBlock([transcript])
+    n1, n2, n3, n1p = block.n1[i], block.n2[i], block.n3[i], block.n1p[i]
     keys = confirm_original(0, 0, n1, n2, n3, n1p, transcript.c)
     if keys is None:
         return AttackVerdict(False)
-    if n2p is None:  # a one-pair lane call, whose lane forms are the words
-        n2p = mixbits_original_lanes(n1p, n3, 1)
+    n2p = block.n2p(i)
     k1s, k2s = keys
     d = transcript.d
     next_ids, id_ = disclose_original(transcript.announced_ids, k1s, k2s, n2, n3, n1p, n2p,
@@ -193,22 +193,14 @@ def _zero_nonce_trials(pairs) -> Iterator[tuple]:
 
 
 def _zero_key_trials(pairs) -> Iterator[tuple]:
-    """Each pair's first transcript attacked with its chain, from one
-    ``zero_key_chains`` call over them all.  The n2' lane pass runs over
-    them all at most once: right after the first trial that fires, which
-    computed its own n2', for the trials after it.  A block in which no
-    trial fires runs two lane passes, not three."""
+    """Each pair's first transcript attacked in one ``ZeroKeyBlock`` of them
+    all, whose n2' pass runs at most once: at the first trial that fires.
+    A block in which no trial fires runs two lane passes, not three."""
     pairs = list(pairs)
-    n = len(pairs)
-    n1s, n2s, n3_lanes, n1p_lanes = zero_key_chains([first for first, _ in pairs])
-    n3s, n1ps = from_lanes(n3_lanes, n), from_lanes(n1p_lanes, n)
-    n2ps = None
+    block = ZeroKeyBlock([first for first, _ in pairs])
     for i, (first, second) in enumerate(pairs):
-        verdict = gossamer_attack2(first, (n1s[i], n2s[i], n3s[i], n1ps[i], n2ps and n2ps[i]))
-        fired = verdict.fired
-        if fired and n2ps is None:
-            n2ps = from_lanes(mixbits_original_lanes(n1p_lanes, n3_lanes, n), n)
-        yield first, verdict, None, (fired and
+        verdict = gossamer_attack2(first, block, i)
+        yield first, verdict, None, (verdict.fired and
                                      verdict.recovered_state.next_ids == second.announced_ids)
 
 

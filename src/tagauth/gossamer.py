@@ -48,6 +48,7 @@ the update timing and the tag body ``respond`` are shared with SASI
 
 from collections import Counter
 from enum import Enum
+from typing import Iterator
 
 from .tagstate import TagState, respond
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
@@ -378,27 +379,29 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
 # ---- end of rendered code ----
 
 
-def mixbits_chains(n1s: list[Word96], n2s: list[Word96]) -> list[tuple]:
-    """The original variant's chain (n1, n2, n3, n1', n2') of each nonce pair:
-    the three MixBits calls above, for all pairs as three lane passes that
-    keep n2, n3 and n1' in the lane form between them."""
+def mixbits_passes(lanes: dict[str, int], n: int) -> Iterator[tuple[str, int]]:
+    """The original variant's ``MIXBITS`` calls over ``n`` sessions, one lane
+    pass each, run lazily in table order: each target missing from ``lanes``
+    (name -> lane form of that word of every session, ``word96.to_lanes``)
+    gets its pass, stored there and yielded as (target, lane form)."""
+    for target, (x, y) in MIXBITS.items():
+        if target not in lanes:
+            lanes[target] = z = mixbits_original_lanes(lanes[x], lanes[y], n)
+            yield target, z
+
+
+def mixbits_table(n1s: list[Word96], n2s: list[Word96]) -> dict[tuple[Word96, Word96], Word96]:
+    """The ``word96.use_mixbits_table`` table of every MixBits call the
+    original-variant sessions with these nonce pairs make, {(x, y):
+    MixBits(x, y)} for each ``MIXBITS`` call, from ``mixbits_passes``."""
     n = len(n1s)
     if len(n2s) != n:
         raise ValueError(f"{n} n1 words but {len(n2s)} n2 words")
-    n2_lanes = to_lanes(n2s)
-    n3_lanes = mixbits_original_lanes(to_lanes(n1s), n2_lanes, n)
-    n1p_lanes = mixbits_original_lanes(n3_lanes, n2_lanes, n)
-    n2p_lanes = mixbits_original_lanes(n1p_lanes, n3_lanes, n)
-    return list(zip(n1s, n2s, from_lanes(n3_lanes, n), from_lanes(n1p_lanes, n),
-                    from_lanes(n2p_lanes, n)))
-
-
-def mixbits_table(chains) -> dict[tuple[Word96, Word96], Word96]:
-    """The ``word96.use_mixbits_table`` table of every MixBits call the sessions
-    with these chains make: {(n1, n2): n3, (n3, n2): n1', (n1', n3): n2'}."""
-    table = {}
-    for n1, n2, n3, n1p, n2p in chains:
-        table[n1, n2], table[n3, n2], table[n1p, n3] = n3, n1p, n2p
+    table, words = {}, {"n1": n1s, "n2": n2s}
+    for target, z in mixbits_passes({"n1": to_lanes(n1s), "n2": to_lanes(n2s)}, n):
+        x, y = MIXBITS[target]
+        words[target] = from_lanes(z, n)
+        table.update(zip(zip(words[x], words[y]), words[target]))
     return table
 
 

@@ -433,7 +433,7 @@ def _chain_table(config: CampaignConfig, rng: NonceStream, count: int) -> dict:
         n1, n2 = _draw_nonces(config.nonce_mode, ahead)
         n1s.append(n1)
         n2s.append(n2)
-    return gossamer.mixbits_table(gossamer.mixbits_chains(n1s, n2s))
+    return gossamer.mixbits_table(n1s, n2s)
 
 
 def iter_campaign(tag: SimTag, store: Store,

@@ -302,10 +302,10 @@ def zero_key_attack(cases: int) -> str:
     of 96 at random and its D dropped at one in five: gossamer-2's records
     from ``evaluate_attack`` (session, verdict repr, prediction_confirmed)
     against a ``gossamer_attack2`` call per trial, and its MixBits lane
-    passes: n3 and n1' over the trials, then, only if some trial fired, the
-    first fired trial's own n2' and the n2' pass over the trials."""
+    passes, [n, n] + [n]·fired over its n trials: n3 and n1', then, only if
+    some trial fired, n2'."""
     passes = []
-    real = attacks.mixbits_original_lanes
+    real = gossamer.mixbits_original_lanes
 
     def counting(z, y, n):
         passes.append(n)
@@ -315,7 +315,7 @@ def zero_key_attack(cases: int) -> str:
     worlds = {protocol: provision(1, protocol, seed=1)
               for protocol in (Protocol.GOSSAMER, Protocol.GOSSAMER_MOD)}
     fired_streams = 0
-    attacks.mixbits_original_lanes = counting
+    gossamer.mixbits_original_lanes = counting
     try:
         for case in range(cases):
             tags, store = worlds[Protocol.GOSSAMER_MOD if case % 10 == 9 else Protocol.GOSSAMER]
@@ -335,12 +335,12 @@ def zero_key_attack(cases: int) -> str:
                 raise AssertionError(f"case {case}: records {got} != {expected}")
             fired = any(v.fired for v in verdicts)
             n = len(pairs)
-            if passes != [n, n] + [1, n] * fired:
+            if passes != [n, n] + [n] * fired:
                 raise AssertionError(f"case {case}: lane passes {passes} over {n} trials, "
                                      f"{'some' if fired else 'none'} fired")
             fired_streams += fired
     finally:
-        attacks.mixbits_original_lanes = real
+        gossamer.mixbits_original_lanes = real
     return (f"{cases} streams: every record matches a call per trial, and {fired_streams} "
             f"with a fired trial ran the n2' pass, the others not")
 

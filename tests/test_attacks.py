@@ -30,7 +30,7 @@ from tagauth.simulator import (
     scored_truth_from_line,
 )
 from tagauth.store import Store
-from tagauth.word96 import MASK, PI, add, from_lanes, mixbits_original_lanes, sub
+from tagauth.word96 import MASK, PI, add, sub
 
 
 def forced_campaign(protocol, sessions, seed, nonce_mode=NonceMode.RANDOM,
@@ -189,28 +189,15 @@ def test_attack2_agrees_with_the_scalar_reference_on_both_variants(protocol, key
     transcripts = [t for t in result.transcripts if t.c is not None]
     expected = [reference_attack2(t) for t in transcripts]
     alone = [attacks.gossamer_attack2(t) for t in transcripts]
-    # each chain in full, and with its n2' left for the trial to compute
-    chains = block_chains(transcripts)
-    in_block = [attacks.gossamer_attack2(t, chain) for t, chain in zip(transcripts, chains)]
-    no_n2p = [attacks.gossamer_attack2(t, (*chain[:4], None))
-              for t, chain in zip(transcripts, chains)]
-    assert repr(alone) == repr(in_block) == repr(no_n2p) == repr(expected)
+    block = attacks.ZeroKeyBlock(transcripts)
+    in_block = [attacks.gossamer_attack2(t, block, i) for i, t in enumerate(transcripts)]
+    assert repr(alone) == repr(in_block) == repr(expected)
     kinds = {(v.fired, v.recovered_id is not None) for v in expected}
     if protocol is Protocol.GOSSAMER and key_mode is KeyMode.EXACT_ZERO:
         # every transcript fires; the ones whose D was dropped recover no ID
         assert kinds == {(True, True), (True, False)}
     else:
         assert kinds == {(False, False)}
-
-
-def block_chains(transcripts):
-    """The full zero-key chain (n1, n2, n3, n1', n2') of each transcript, from
-    ``zero_key_chains`` and the third lane pass over them all."""
-    n = len(transcripts)
-    n1s, n2s, n3_lanes, n1p_lanes = attacks.zero_key_chains(transcripts)
-    n2p_lanes = mixbits_original_lanes(n1p_lanes, n3_lanes, n)
-    return list(zip(n1s, n2s, *(from_lanes(lanes, n) for lanes in (n3_lanes, n1p_lanes,
-                                                                    n2p_lanes))))
 
 
 def mixed_stream(sessions, drops):
@@ -230,18 +217,18 @@ def log_lane_passes(monkeypatch):
     a list: ("pass", lanes) for each pass, and ("trial", fired) as each
     ``gossamer_attack2`` call returns."""
     log = []
-    lanes, attack = attacks.mixbits_original_lanes, attacks.gossamer_attack2
+    lanes, attack = gossamer.mixbits_original_lanes, attacks.gossamer_attack2
 
     def lane_pass(z, y, n):
         log.append(("pass", n))
         return lanes(z, y, n)
 
-    def trial(transcript, chain=None):
-        verdict = attack(transcript, chain)
+    def trial(transcript, block=None, i=0):
+        verdict = attack(transcript, block, i)
         log.append(("trial", verdict.fired))
         return verdict
 
-    monkeypatch.setattr(attacks, "mixbits_original_lanes", lane_pass)
+    monkeypatch.setattr(gossamer, "mixbits_original_lanes", lane_pass)
     monkeypatch.setattr(attacks, "gossamer_attack2", trial)
     return log
 
@@ -269,12 +256,12 @@ class TestGossamerAttack2Blocks:
         log = log_lane_passes(monkeypatch)
         records, summary = evaluate_attack("gossamer-2", iter(transcripts))
         # n3 and n1' over the block; trial 0 has its keys as stored, so
-        # trial 1 fires first and computes its n2' as one pair, and the n2'
-        # pass over the block runs right after it, once
+        # trial 1 fires first, and the n2' pass over the block runs inside
+        # it, once
         n = len(pairs)
         assert not expected[0].fired and expected[1].fired
-        once = [("pass", n), ("pass", n), ("trial", False), ("pass", 1), ("trial", True),
-                ("pass", n), *(("trial", v.fired) for v in expected[2:])]
+        once = [("pass", n), ("pass", n), ("trial", False), ("pass", n), ("trial", True),
+                *(("trial", v.fired) for v in expected[2:])]
         assert log == once
         assert [r["session"] for r in records] == [first.session_index for first, _ in pairs]
         assert repr([r["verdict"] for r in records]) == repr(expected)
@@ -287,7 +274,7 @@ class TestGossamerAttack2Blocks:
 
     def test_no_trial_fires_two_passes(self, monkeypatch):
         # zero keys on the modified variant: every trial is refuted at C, so
-        # no trial reads n2' and its pass never runs, nor any one-pair call
+        # no trial reads n2' and its pass never runs
         result = forced_campaign(Protocol.GOSSAMER_MOD, 80, 44, key_mode=KeyMode.EXACT_ZERO)
         pairs = list(consecutive_success_pairs(result.transcripts))
         expected = [attacks.gossamer_attack2(first) for first, _ in pairs]

@@ -367,19 +367,23 @@ def oracle_chain(n1, n2):
     return n1, n2, n3, n1p, oracles.mixbits_shift(n1p, n3)
 
 
+def chain_table(chain, n1s, n2s):
+    """The table {(x, y): MixBits(x, y)} of the three MixBits calls of each
+    ``chain(n1, n2)``, as ``gossamer.mixbits_table`` gives it."""
+    table = {}
+    for n1, n2, n3, n1p, n2p in map(chain, n1s, n2s):
+        table[n1, n2], table[n3, n2], table[n1p, n3] = n3, n1p, n2p
+    return table
+
+
 class TestMixBitsChains:
     @given(pairs=st.lists(st.tuples(lane_words, lane_words), max_size=5))
     @settings(max_examples=100)
     @example(pairs=[(0, 0), (0, 0)])
     def test_chains_and_table_match_the_oracle(self, pairs):
-        n1s, n2s = [x for x, _ in pairs], [y for _, y in pairs]
-        chains = gossamer.mixbits_chains(n1s, n2s)
-        table = gossamer.mixbits_table(chains)
-        assert [chain[:2] for chain in chains] == pairs
-        for n1, n2, n3, n1p, n2p in chains:
-            assert n3 == oracles.mixbits_shift(n1, n2)
-            assert n1p == oracles.mixbits_shift(n3, n2)
-            assert n2p == oracles.mixbits_shift(n1p, n3)
+        table = gossamer.mixbits_table([x for x, _ in pairs], [y for _, y in pairs])
+        for n1, n2 in pairs:
+            _, _, n3, n1p, n2p = oracle_chain(n1, n2)
             assert (table[n1, n2], table[n3, n2], table[n1p, n3]) == (n3, n1p, n2p)
         assert all(value == oracles.mixbits_shift(*key) for key, value in table.items())
 
@@ -389,18 +393,18 @@ class TestMixBitsChains:
         n1s = [rng.choice(LANE_WORDS) if rng.random() < 0.2 else rng.getrandbits(96)
                for _ in range(lanes)]
         n2s = [rng.getrandbits(96) for _ in range(lanes)]
-        chains = gossamer.mixbits_chains(n1s, n2s)
-        assert chains == [scalar_chain(*pair) for pair in zip(n1s, n2s)]
-        assert chains == [oracle_chain(*pair) for pair in zip(n1s, n2s)]
+        table = gossamer.mixbits_table(n1s, n2s)
+        assert table == chain_table(scalar_chain, n1s, n2s)
+        assert table == chain_table(oracle_chain, n1s, n2s)
 
     def test_every_three_lanes_of_edge_words(self):
         # each lane's n3 and n1' feed the next pass, so an edge word leaking
         # into a neighbour in one pass would surface in a later one
         for n1s in product(LANE_WORDS, repeat=3):
             for n2s in (n1s, n1s[::-1], (MASK, 0, 1 << 95)):
-                chains = gossamer.mixbits_chains(list(n1s), list(n2s))
-                assert chains == [scalar_chain(*pair) for pair in zip(n1s, n2s)]
-                assert chains == [oracle_chain(*pair) for pair in zip(n1s, n2s)]
+                table = gossamer.mixbits_table(list(n1s), list(n2s))
+                assert table == chain_table(scalar_chain, n1s, n2s)
+                assert table == chain_table(oracle_chain, n1s, n2s)
 
 
 # a key or nonce at random, exactly zero, or a multiple of 96

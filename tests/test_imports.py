@@ -50,3 +50,31 @@ def test_attacks_import_only_gossamer_and_word96():
     within = {module.split(".")[0] for level, module in imports(PACKAGE / "attacks.py")
               if level}
     assert within <= ATTACKS_MAY_IMPORT
+
+
+def callers(name: str) -> set[tuple[str, str]]:
+    """(module, function) of each function in the package that calls ``name``,
+    bare or as an attribute; a call outside any function is the module's,
+    ``<module>``."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return found
+
+
+def test_one_function_runs_the_mixbits_lane_passes():
+    # the chain order is written once, in gossamer.MIXBITS, and read by the
+    # one generator of its lane passes; the campaign table and the zero-key
+    # attack both take their passes from it
+    assert callers("mixbits_original_lanes") == {("gossamer", "mixbits_passes")}

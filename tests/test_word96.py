@@ -155,7 +155,7 @@ def scalar_mixbits(xs, ys):
 
 def lane_mixbits(xs, ys):
     """mixbits_original of each pair through the lane form, as
-    ``gossamer.mixbits_chains`` runs each of its passes."""
+    ``gossamer.mixbits_passes`` runs each of its passes."""
     n = len(xs)
     return w.from_lanes(w.mixbits_original_lanes(w.to_lanes(xs), w.to_lanes(ys), n), n)
 
@@ -193,7 +193,7 @@ class TestMixBitsLanes:
 
     def test_lists_of_unequal_length_are_an_error(self):
         with pytest.raises(ValueError):
-            gossamer.mixbits_chains([1, 2], [3])
+            gossamer.mixbits_table([1, 2], [3])
 
     @pytest.mark.parametrize("bad", [1 << 96, (1 << 102) + 3, (1 << 104) - 1, -1])
     def test_a_word_out_of_range_is_an_error(self, bad):
@@ -202,7 +202,7 @@ class TestMixBitsLanes:
         with pytest.raises(OverflowError):
             w.to_lanes([bad, 7])
         with pytest.raises(OverflowError):
-            gossamer.mixbits_chains([bad, 7], [1, 2])
+            gossamer.mixbits_table([bad, 7], [1, 2])
 
 
 def scalar_peels(x, k, q, c):
