@@ -209,11 +209,3 @@ ATTACKS = {
     "gossamer-1": Attack(2, _zero_nonce_trials),
     "gossamer-2": Attack(1, _zero_key_trials),
 }
-
-
-def attack_kind(kind: str) -> Attack:
-    """The registry entry for ``kind``; an unknown kind is a ValueError."""
-    try:
-        return ATTACKS[kind]
-    except KeyError:
-        raise ValueError(f"unknown attack kind: {kind}") from None

@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .attacks import ATTACKS, AttackVerdict, RecoveredSecrets, attack_kind
+from .attacks import ATTACKS, AttackVerdict, RecoveredSecrets
 from .simulator import (
     CampaignConfig,
     Forcing,
@@ -319,10 +319,6 @@ def _verdict_line(residue_id: bool, record: dict) -> str:
         to_hex(state.n2p), to_hex(state.next_ids), _JSON_BOOLS[confirmed], _JSON_BOOLS[match])
 
 
-def _verdict_to_dict(kind: str, record: dict) -> dict:
-    return json.loads(_verdict_line(attack_kind(kind).residue_id, record))
-
-
 def cmd_attack(opts: dict) -> int:
     kind = opts["kind"]
     transcripts = _read_jsonl(opts["input"], transcript_from_line)
@@ -332,7 +328,8 @@ def cmd_attack(opts: dict) -> int:
     records, summary = evaluate_attack(kind, transcripts, truths)
     output = opts.get("output")
     if output:
-        residue_id = attack_kind(kind).residue_id
+        # argparse and manifest replay refuse an unknown kind before this
+        residue_id = ATTACKS[kind].residue_id
         write_atomic(output, (_verdict_line(residue_id, record) for record in records))
         _write_manifest("attack", opts, output)
     _print_summary(summary)

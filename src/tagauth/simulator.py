@@ -526,11 +526,8 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     pass over the transcripts.  Each trial is one pair of
     ``consecutive_success_pairs``, which the evaluator selects; the attack
     kind's ``trials`` maps the pairs to verdicts and notes, and every kind's
-    trials are scored the same way.
-    A call costs about 1.3 µs beyond its trials, and one on a single SASI
-    pair about 3.1-3.3 µs, some 4.3 times the same trial called directly
-    (best passes, Python 3.11.7, 2-CPU host): a call per pair of a tag's
-    sessions gives the same records at about four times the trials' cost.
+    trials are scored the same way.  An unknown kind is a ValueError,
+    raised before either iterable is read.
     Returns (records, summary); records carry the verdict per trial, and
     for the one-session disclosure also whether its next-pseudonym
     prediction matched the following announcement (a public check).  A
@@ -543,8 +540,9 @@ def evaluate_attack(kind: str, transcripts, ground_truths=None) -> tuple[list[di
     order, a later record of a session replaces an earlier one, and a
     record of a session that starts no trial is ignored.
     """
-    # the registry read directly; attack_kind only raises the error of a miss
-    attack = attacks.ATTACKS.get(kind) or attacks.attack_kind(kind)
+    attack = attacks.ATTACKS.get(kind)
+    if attack is None:
+        raise ValueError(f"unknown attack kind: {kind}")
     near_miss, residue_id = attack.near_miss, attack.residue_id
     # plain loops, not comprehensions: a comprehension is a frame per call
     truth_by_session = {}
@@ -631,12 +629,6 @@ _SNAPSHOT_JSON, _snapshot_pattern = record_formats(_SNAPSHOT_FIELDS)
 _SNAPSHOT_OR_NULL = Kind("%s", "(?:%s|null)" % _snapshot_pattern.replace("(", "(?:"), None,
                          lambda value, key: None if value is None else StateSnapshot(
                              **decode(_SNAPSHOT_FIELDS, value, key + ".")))
-# The slot of a word that may be null, in a line with no null word: its
-# quotes written into the line's own template, so that the line renders in
-# one %.  A snapshot keeps its %s slot, which takes the snapshot's text or
-# ``null``: ground_truth_line renders each snapshot's text first, once for a
-# reader snapshot that is the tag's.  Keyed by ``decode``.
-_NO_NULL_SLOTS = {_WORD_OR_NULL.decode: WORD.slot}
 
 # The field table of each record kind: the one place its keys, their order
 # and their kinds are written.  A canonical line or file is what the writers
@@ -660,10 +652,15 @@ _TAGS = RecordList(TAGS_FORMAT, "tags", "tag", [*_ROWS.fields, ("last_announced"
 
 def _line_formats(fields) -> tuple[str, str, re.Pattern]:
     """A line's %-format, its %-format when no field is null, and the compiled
-    regex of a canonical line, all three built from the field table."""
+    regex of a canonical line, all three built from the field table.
+
+    With no null, a word's quotes are written into the template, so that the
+    line renders in one %.  A snapshot keeps its %s slot, which takes the
+    snapshot's text or ``null``: ground_truth_line renders each snapshot's
+    text first, once for a reader snapshot that is the tag's.
+    """
     template, pattern = record_formats(fields)
-    no_null = [(key, kind._replace(slot=_NO_NULL_SLOTS.get(kind.decode, kind.slot)))
-               for key, kind in fields]
+    no_null = [(key, WORD if kind is _WORD_OR_NULL else kind) for key, kind in fields]
     return template + "\n", record_formats(no_null)[0] + "\n", re.compile(pattern + "\n?")
 
 
@@ -743,11 +740,9 @@ def transcript_from_line(line: str) -> Transcript:
     if match is None:
         return transcript_from_dict(json_loads(line))
     variant, session, ids, a, b, c, d, outcome, bits = match.groups()
-    if a is None or b is None or c is None or d is None:
-        words = [None if text is None else int(text, 16) for text in (a, b, c, d)]
-        return _transcript(variant, int(session), int(ids, 16), *words, outcome, int(bits))
-    return _transcript(variant, int(session), int(ids, 16), int(a, 16), int(b, 16), int(c, 16),
-                       int(d, 16), outcome, int(bits))
+    # a null word's group is None, and a word's text is never empty
+    return _transcript(variant, int(session), int(ids, 16), a and int(a, 16), b and int(b, 16),
+                       c and int(c, 16), d and int(d, 16), outcome, int(bits))
 
 
 def ground_truth_line(truth: GroundTruth) -> str:
@@ -821,15 +816,10 @@ def scored_truth_from_line(line: str) -> ScoredTruth:
     session, id_, n1, n2, n3, n1p, n2p, k1_star, k2_star, tag_pre, tag_post, _, _ = match.groups()
     if tag_pre == "null" or tag_post == "null":
         _check_tag_snapshots(*[None if text == "null" else text for text in (tag_pre, tag_post)])
-    if (n1 is None or n2 is None or n3 is None or n1p is None or n2p is None or k1_star is None
-            or k2_star is None):
-        internals = [None if text is None else int(text, 16)
-                     for text in (n1, n2, n3, n1p, n2p, k1_star, k2_star)]
-        return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16),
-                           *internals)
-    return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16), int(n1, 16),
-                       int(n2, 16), int(n3, 16), int(n1p, 16), int(n2p, 16), int(k1_star, 16),
-                       int(k2_star, 16))
+    return ScoredTruth(int(session), int(id_, 16), int(tag_post[_SNAPSHOT_IDS], 16),
+                       n1 and int(n1, 16), n2 and int(n2, 16), n3 and int(n3, 16),
+                       n1p and int(n1p, 16), n2p and int(n2p, 16), k1_star and int(k1_star, 16),
+                       k2_star and int(k2_star, 16))
 
 
 def save_tags(tags: dict[str, SimTag], path: str) -> None:

@@ -1,9 +1,12 @@
-"""Shared test strategies."""
+"""Shared test strategies and helpers."""
 
+import json
 from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
+from tagauth import cli
+from tagauth.attacks import ATTACKS
 from tagauth.word96 import MASK
 
 words = st.integers(min_value=0, max_value=MASK)
@@ -24,3 +27,8 @@ def named(returned) -> SimpleNamespace:
     a, b, c, d, (ids_next, k1_next, k2_next), internals = returned
     return SimpleNamespace(a=a, b=b, c=c, d=d, ids_next=ids_next, k1_next=k1_next,
                            k2_next=k2_next, **dict(zip(INTERNALS, internals, strict=True)))
+
+
+def verdict_dict(kind: str, record: dict) -> dict:
+    """An ``evaluate_attack`` record of ``kind`` as its verdict file line holds it."""
+    return json.loads(cli._verdict_line(ATTACKS[kind].residue_id, record))

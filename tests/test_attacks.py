@@ -373,11 +373,6 @@ class TestResistance:
             v2 = attacks.gossamer_attack2(first)
             assert not v2.fired or v2.recovered_id != truth[first.session_index].id
 
-    def test_unknown_kind_raises(self):
-        import pytest
-        with pytest.raises(ValueError):
-            attacks.attack_kind("nope")
-
 
 def test_verdicts_never_set_ground_truth_match():
     # only the simulator may score; the attack itself leaves the field unset
@@ -409,7 +404,7 @@ _REFERENCE_INTERNALS = ("n1", "n2", "n3", "n1p", "n2p", "k1_star", "k2_star")
 def reference_score(kind, verdict, truth):
     if not verdict.fired:
         return
-    expected_id = truth.id % 96 if attacks.attack_kind(kind).residue_id else truth.id
+    expected_id = truth.id % 96 if attacks.ATTACKS[kind].residue_id else truth.id
     rs = verdict.recovered_state
     verdict.ground_truth_match = verdict.recovered_id == expected_id and (
         rs is None or (rs.next_ids == truth.tag_post.ids and all(
@@ -527,8 +522,8 @@ def test_an_unknown_kind_raises_before_either_iterable_is_read():
 
 
 @pytest.mark.parametrize("kind", list(attacks.ATTACKS))
-def test_each_kind_evaluates_as_attack_kind_names_it(kind):
-    entry = attacks.attack_kind(kind)
+def test_each_kind_evaluates_as_its_attacks_entry_names_it(kind):
+    entry = attacks.ATTACKS[kind]
     protocol, nonce_mode, key_mode = _FIRING[kind]
     result = forced_campaign(protocol, 12, 7, nonce_mode=nonce_mode, key_mode=key_mode)
     records, summary = evaluate_attack(kind, result.transcripts, result.ground_truths)

@@ -559,6 +559,25 @@ class TestManifest:
         assert code == 2
         assert "kind" in caplog.text
 
+    def test_attack_manifest_unknown_kind(self, tmp_path, capsys, caplog):
+        # refused before the run, so cmd_attack only ever sees a kind of ATTACKS
+        store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
+        provision(capsys, store)
+        run_cli(capsys, "campaign", "--sessions", "2", "--seed", "1",
+                "--store", str(store), "--output", str(out))
+        run_cli(capsys, "attack", "gossamer-2", "--input", str(out),
+                "--output", str(tmp_path / "v.jsonl"))
+        payload = json.loads((tmp_path / "v.manifest.json").read_text())
+        verdicts = tmp_path / "w.jsonl"
+        payload["args"].update(kind="nope", output=str(verdicts))
+        path = tmp_path / "nope.json"
+        path.write_text(json.dumps(payload))
+        code, _ = run_cli(capsys, "--manifest", str(path))
+        assert code == 2
+        assert "kind: 'nope' is not a valid value" in caplog.text
+        assert not verdicts.exists()
+        assert not verdicts.with_suffix(".manifest.json").exists()
+
     def test_bench_manifest_takes_argparse_defaults(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format": "rfid-manifest/1", "subcommand": "bench",

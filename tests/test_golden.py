@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from conftest import verdict_dict
 from tagauth import cli
 from tagauth.simulator import (
     CampaignConfig,
@@ -73,7 +74,7 @@ def _protocol_lines(protocol: Protocol):
                                                result.ground_truths)
             yield _line({"attack": kind, "summary": summary})
             for record in records:
-                yield _line(cli._verdict_to_dict(kind, record))
+                yield _line(verdict_dict(kind, record))
 
     # the last session's response replayed to the reader, then its
     # challenge replayed to the tag

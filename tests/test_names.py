@@ -23,7 +23,6 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 KEPT = {
     ("word96", "add"): "the mod-2^96 wrap acceptance criterion 10 checks, named in README",
     ("word96", "sub"): "the mod-2^96 wrap acceptance criterion 10 checks, named in README",
-    ("cli", "_verdict_to_dict"): "tests/test_golden.py pins verdict files through it",
     ("simulator", "ground_truth_to_dict"): "cli imports it, and reads it nowhere, only for "
                                            "perfbench/tracing.py to wrap cli.ground_truth_to_dict",
 }

@@ -599,6 +599,11 @@ SNAPSHOTS = [StateSnapshot(*(0xfedcba9876543210fedcba98 - 16 * j - i for i in ra
              for j in range(4)]
 
 
+def internals_null_at(i):
+    """Seven internals, 0 to 6, with the one at place ``i`` null."""
+    return [*range(i), None, *range(i + 1, 7)]
+
+
 def read(parse, text):
     """The record ``parse`` gives for ``text``, or its error's type and message."""
     try:
@@ -647,6 +652,8 @@ class TestLineReaders:
     @settings(max_examples=300)
     @given(t=any_transcripts() | full_transcripts)
     @example(t=FULL_TRANSCRIPT)
+    # d alone null, as in every session whose D was dropped
+    @example(t=Transcript("gossamer", 3, MASK, 1, 2, 3, None, Outcome.D_DROPPED, 424))
     def test_transcript_from_line(self, t):
         line = transcript_line(t)
         with spy_json_loads() as loads:
@@ -669,6 +676,14 @@ class TestLineReaders:
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS[:3], SNAPSHOTS[1], *range(7)))
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS[:2], SNAPSHOTS[0], SNAPSHOTS[2], *range(7)))
     @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *range(7)))
+    # one null internal, at each of the seven places
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(0)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(1)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(2)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(3)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(4)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(5)))
+    @example(truth=GroundTruth(0, MASK, *SNAPSHOTS, *internals_null_at(6)))
     def test_scored_truth_from_line(self, truth):
         line = ground_truth_line(truth)
         full = simulator._GROUND_TRUTH_RE.fullmatch(line)

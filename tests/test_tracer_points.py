@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from tagauth import cli, simulator
+from conftest import verdict_dict
+from tagauth import simulator
 from tagauth.simulator import (
     CampaignConfig,
     KeyMode,
@@ -149,7 +150,7 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
         data, calls = traced(lambda: simulator.ground_truth_to_dict(truth))
         assert calls < _words(data)
     for record in records:
-        data, calls = traced(lambda: cli._verdict_to_dict("gossamer-2", record))
+        data, calls = traced(lambda: verdict_dict("gossamer-2", record))
         assert calls == _words(data) == (9 if record["verdict"].fired else 0)
 
 
