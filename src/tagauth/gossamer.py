@@ -14,12 +14,14 @@ pass, either variant, as the reader serves both), the two tags' phases,
 ``derive_auth`` (one modified search candidate: C rebuilt and checked,
 then D and the staged tuple) and ``accept_original`` (n1 and n2 peeled
 from the ``a`` and ``b`` rows inverted, as ``PEELS`` names them, then the
-same), and the zero-key attack's two: ``confirm_original`` (K1*, K2* and
-C checked) and ``disclose_original`` (IDS+, and the ID, the ``d`` row
-inverted), split at C so that n2' is needed only once C holds.  Edit the
-table, then re-render with ``PYTHONPATH=src python -m tagauth.rerender``; a
-test fails while the two disagree.  A phase looks ``mixbits_original`` or
-``mixbits_modified`` up in this module's globals when it runs.
+same; either answers from the reader's ``tagstate.DERIVED`` entry, C
+compared, when that holds its inputs), and the zero-key attack's two:
+``confirm_original`` (K1*, K2* and C checked) and ``disclose_original``
+(IDS+, and the ID, the ``d`` row inverted), split at C so that n2' is
+needed only once C holds.  Edit the table, then re-render with
+``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the two
+disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified`` up
+in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
 vanishes when the nonces are multiples of 96, while A/B rotate by key-only
@@ -50,7 +52,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterator
 
-from .tagstate import TagState, respond
+from .tagstate import DERIVED, TagState, respond
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
                      mixbits_original, mixbits_original_lanes, peel_rotations, to_lanes)
 
@@ -60,7 +62,8 @@ class Variant(Enum):
     MODIFIED = "modified"
 
 
-_ORIGINAL = Variant.ORIGINAL  # bound once: a read through the enum class costs more
+# bound once: a read through the enum class costs more
+_ORIGINAL, _MODIFIED = Variant.ORIGINAL, Variant.MODIFIED
 
 
 # The session equations in the code's names (k1s is K1*, n1p is n1', idsn is IDS+,
@@ -83,7 +86,9 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 
 # Each rendered phase: its head (signature, docstring), its variant (None: the
 # variant argument picks each outer amount), what it computes in order, its tail.
-# A target "c?" rebuilds C and returns None unless it equals the received c.
+# A target "c?" rebuilds C and returns None unless it equals the received c; the
+# target "derived" answers from the reader's entry (tagstate.DERIVED) when that
+# holds this phase's inputs, so that a tag does not derive the reader's session again.
 PHASES = (
     ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
                  variant: Variant) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
@@ -94,7 +99,8 @@ PHASES = (
                 c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
-     Variant.MODIFIED, ("n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
+     Variant.MODIFIED,
+     ("derived", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
      "return d, (idsn, k1n, k2n)"),
     ('''def confirm_original(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
                      n1p: Word96, c: Word96) -> tuple[Word96, Word96] | None:
@@ -111,7 +117,8 @@ PHASES = (
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
     None when the nonces peeled from A and B do not rebuild C."""''',
      Variant.ORIGINAL,
-     ("n1", "n2", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
+     ("n1", "n2", "derived", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n",
+      "k2n"),
      "return d, (idsn, k1n, k2n)"),
 )
 
@@ -151,6 +158,11 @@ def render() -> str:
             return name
 
         for target, name in zip(targets, names):
+            if name == "derived":  # keyed as the reader's reader_begin arguments
+                lines += [f"derived = DERIVED.get((ids, k1, k2, id_, n1, n2, _{variant.name}))",
+                          "if derived is not None:",
+                          "    return derived[1:] if derived[0] == c else None"]
+                continue
             if name in MIXBITS:
                 lines.append(f"{name} = {mix}({', '.join(MIXBITS[name])})")
                 continue
@@ -249,6 +261,9 @@ def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2
                 c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""
+    derived = DERIVED.get((ids, k1, k2, id_, n1, n2, _MODIFIED))
+    if derived is not None:
+        return derived[1:] if derived[0] == c else None
     n3 = mixbits_modified(n1, n2)
     n1p = mixbits_modified(n3, n2)
     r_n2 = -n2 % 96
@@ -337,6 +352,9 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
     # n2 from b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2)
     x = (((b << 96 | b) >> rr_k2) - k2) & MASK
     n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
+    derived = DERIVED.get((ids, k1, k2, id_, n1, n2, _ORIGINAL))
+    if derived is not None:
+        return derived[1:] if derived[0] == c else None
     n3 = mixbits_original(n1, n2)
     n1p = mixbits_original(n3, n2)
     r_n2 = -n2 % 96

@@ -34,7 +34,7 @@ from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import (_ROWS, HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store,
                     TagRecordRow, decode, exactly, json_loads, record_formats)
-from .tagstate import NEXT, OLD, TagState, tag_announce, tuple_of
+from .tagstate import DERIVED, NEXT, OLD, TagState, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, to_hex, use_mixbits_table
 from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
 
@@ -320,6 +320,12 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     exactly the tag's six tuple words, the reader's snapshot is the tag's
     (``_snapshots``).  Replaying a message that never crossed the air is a
     ValueError, raised before any key is forced or nonce drawn.
+
+    The reader's derivation is installed in ``tagstate.DERIVED`` for the
+    length of the tag's phase, keyed by the arguments of ``reader_begin``,
+    and cleared after it, so the tag of an honest session compares C and
+    answers without deriving the session again; a replayed A||B||C has no
+    reader, and its tag derives.
     """
     captured, replayed = forcing.replay_abc, forcing.replay_d
     if captured is not None and captured.a is None:
@@ -358,14 +364,19 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
 
     if hit is not None:
         row, side = hit
-        a, b, c, expected, staged, internals = module.reader_begin(*tuple_of(row, side), row.id,
-                                                                   n1, n2, *extra)
+        derivation = (*tuple_of(row, side), row.id, n1, n2, *extra)
+        a, b, c, expected, staged, internals = module.reader_begin(*derivation)
         outcome = None
         if replayed is not None:
             # a captured D answers the reader in place of the genuine tag
             d = replayed.d
         else:
-            d = module.tag_respond(state, a, b, c, *extra)
+            # the tag answers from the reader's derivation if it recovers these nonces
+            DERIVED[derivation] = c, expected, staged
+            try:
+                d = module.tag_respond(state, a, b, c, *extra)
+            finally:
+                DERIVED.clear()
             if d is None:
                 outcome = _READER_REJECTED
             elif forcing.drop_d:
@@ -443,9 +454,11 @@ def iter_campaign(tag: SimTag, store: Store,
     For original Gossamer, each block of CHAIN_BLOCK sessions starts by
     computing the MixBits chains of all its sessions at once
     (``_chain_table``), and each session runs with the block's table
-    installed in ``word96`` and cleared after it, so none is installed
-    while the generator waits.  Reader and tag still call MixBits on their
-    own inputs: the table only answers them, exactly.
+    installed in ``word96`` and cleared after it, even by a session that
+    raises, so none is installed while the generator waits.  The reader
+    still calls MixBits on its own inputs, and the table only answers it,
+    exactly; an honest session's tag answers from the reader's derivation
+    (``run_session``) and calls none.
     """
     rng = NonceStream(config.seed)
     forcing = Forcing(nonce_mode=config.nonce_mode, key_mode=config.key_mode)
@@ -455,8 +468,10 @@ def iter_campaign(tag: SimTag, store: Store,
             table = _chain_table(config, rng, min(CHAIN_BLOCK, config.sessions - index))
         forcing.drop_d = _draw_drop(config, rng)
         use_mixbits_table(table)
-        session = run_session(tag, store, forcing, rng, session_index=index)
-        use_mixbits_table({})
+        try:
+            session = run_session(tag, store, forcing, rng, session_index=index)
+        finally:
+            use_mixbits_table({})
         yield session
 
 

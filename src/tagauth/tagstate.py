@@ -18,6 +18,14 @@ returns (A, B, C, D, staged, internals): the expected D, the staged
 (IDS+, K1+, K2+), and the seven internals in ground truth's field order
 (n1, n2, n3, n1', n2', K1*, K2*).  Its tag phase, ``accept_<protocol>``,
 returns (D, staged) or None, and ``respond`` is the tag body around it.
+
+``DERIVED`` holds the reader's derivation of the running session for the
+tag to answer from.  The tag of an honest session recovers the very nonces
+the reader drew, so its C, D and staged tuple would be the reader's, computed
+again; its accept phase looks up the inputs it has recovered and, on a hit,
+only compares C.  The entry is exact, keyed by all the derivation reads, so
+a miss (a tampered message, other nonces, no reader) costs time, never
+correctness.
 """
 
 from dataclasses import dataclass
@@ -26,6 +34,12 @@ from .word96 import Word96
 
 NEXT = "next"
 OLD = "old"
+
+# {the arguments of the reader's reader_begin: (C, D, staged)}: the matched
+# (IDS, K1, K2), the ID, n1, n2 and, for Gossamer, the variant.  It holds
+# one entry, installed by simulator.run_session for the length of the tag's
+# phase and cleared after it, and only exact values
+DERIVED: dict[tuple, tuple[Word96, Word96, tuple[Word96, Word96, Word96]]] = {}
 
 
 @dataclass
