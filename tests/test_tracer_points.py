@@ -155,15 +155,16 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
 
 
 @pytest.mark.parametrize("protocol,spans,candidates", [
-    (Protocol.GOSSAMER, 120, 0),
-    (Protocol.GOSSAMER_MOD, 166, 43),
+    (Protocol.GOSSAMER, 60, 0),
+    (Protocol.GOSSAMER_MOD, 106, 43),
 ], ids=["gossamer", "gossamer-mod"])
 def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, candidates):
     # Per-layer benchmark numbers compare only while these counts hold.  20
-    # sessions call MixBits 3 times on the reader and 1 time in the tag's
-    # update; the original tag rebuilds its one candidate with 2 more calls
-    # (60 + 20 + 2 * 20 = 120) and the modified tag makes 2 per search
-    # candidate (60 + 20 + 2 * 43 = 166).  Only the modified tag searches.
+    # sessions call MixBits 3 times on the reader (60).  Each tag answers the
+    # nonces the reader drew from the reader's derivation, with no call: the
+    # original tag's one candidate is always those, and of the modified tag's
+    # 43 search candidates 20 are; each of the other 23 makes 2 calls before
+    # its C fails (60 + 2 * 23 = 106).  Only the modified tag searches.
     tags, store = provision(1, protocol, seed=3)
     tracer = tracing.Tracer()
     tracer.install()
