@@ -24,6 +24,7 @@ from tagauth.simulator import (Forcing, GroundTruth, KeyMode, NonceMode, NonceSt
                                provision, run_session, scored_truth_from_line,
                                transcript_from_dict, transcript_from_line, transcript_line)
 from tagauth.store import Store
+from tagauth.tagstate import DERIVED
 
 MOD, BITS, PI = oracles.MOD, oracles.BITS, oracles.PI
 
@@ -162,6 +163,76 @@ def sasi_phases(cases: int) -> str:
         if failed:
             raise AssertionError(f"case {case}: {failed} differ from the oracle")
     return f"{cases} cases: every SASI phase matches the oracle"
+
+
+def derivation(cases: int) -> str:
+    """Each case on all three protocols, in the nine key and nonce mixes: the
+    tag's answer (``accept_sasi``, ``accept_original``, ``accept_modified``)
+    with a reader's ``tagstate.DERIVED`` entry installed, against its answer
+    with none, and for the modified tag the candidates ``derive_auth`` sees,
+    in order.  The tag answers the genuine A||B||C with the reader's own entry,
+    from that entry (its staged tuple is the entry's object), and then, in
+    turn, A, B or C with one bit flipped; its tuple or ID one word off the
+    row; or the genuine A||B||C with the entry of another session (other
+    nonces) or of another protocol (the same words) installed instead."""
+    seen = []
+    real = gossamer.derive_auth
+
+    def recording(ids, k1, k2, id_, n1, n2, c):
+        seen.append((n1, n2))
+        return real(ids, k1, k2, id_, n1, n2, c)
+
+    def answer(accept, entry, words, messages):
+        """The tag's answer with ``entry`` installed, and the candidates it saw."""
+        seen.clear()
+        DERIVED.update(entry)
+        try:
+            return accept(*words, *messages), list(seen)
+        finally:
+            DERIVED.clear()
+
+    protocols = {"sasi": (sasi.reader_begin, (), sasi.accept_sasi),
+                 "original": (gossamer.reader_begin, (Variant.ORIGINAL,),
+                              gossamer.accept_original),
+                 "modified": (gossamer.reader_begin, (Variant.MODIFIED,),
+                              gossamer.accept_modified)}
+    names = list(protocols)
+    rng = random.Random(20247)
+    gossamer.derive_auth = recording
+    try:
+        for case in range(cases):
+            id_, ids, k1, k2, n1, n2, m1, m2 = (rng.getrandbits(96) for _ in range(8))
+            k1, k2, n1, n2 = _mix(case, k1, k2, n1, n2)
+            words, kind, bit = (ids, k1, k2, id_), case // 9 % 6, rng.randrange(96)
+            entries, sessions = {}, {}
+            for name, (begin, extra, _) in protocols.items():
+                a, b, c, d, staged, _ = sessions[name] = begin(*words, n1, n2, *extra)
+                entries[name] = {(*words, n1, n2, *extra): (c, d, staged)}
+            for at, (name, (begin, extra, accept)) in enumerate(protocols.items()):
+                a, b, c, d, staged, _ = sessions[name]
+                got, candidates = answer(accept, entries[name], words, (a, b, c))
+                if got != (d, staged) or got[1] is not staged:
+                    raise AssertionError(f"case {case}, {name}: the genuine challenge is not "
+                                         f"answered from the entry")
+                if (got, candidates) != answer(accept, {}, words, (a, b, c)):
+                    raise AssertionError(f"case {case}, {name}: the entry changes the answer "
+                                         f"to the genuine challenge")
+                entry, tag, messages = entries[name], list(words), [a, b, c]
+                if kind < 3:
+                    messages[kind] ^= 1 << bit
+                elif kind == 3:
+                    tag[bit % 4] ^= 1 << bit
+                elif kind == 4:
+                    entry = {(*words, m1, m2, *extra): begin(*words, m1, m2, *extra)[2:5]}
+                else:
+                    entry = entries[names[(at + 1) % 3]]
+                if answer(accept, entry, tag, messages) != answer(accept, {}, tag, messages):
+                    raise AssertionError(f"case {case}, {name}: the entry changes the answer "
+                                         f"in kind {kind}")
+    finally:
+        gossamer.derive_auth = real
+    return (f"{cases} cases on all three protocols: every genuine challenge answered from the "
+            f"entry, and every answer and candidate the same as with no entry")
 
 
 def _session_lines(seed: int, cases: int, write):
@@ -348,7 +419,7 @@ def zero_key_attack(cases: int) -> str:
 SWEEPS = {"modified-search": modified_search, "gossamer-phases": gossamer_phases,
           "sasi-phases": sasi_phases, "scored-truth": scored_truth,
           "transcript-reader": transcript_reader, "ground-truth-writer": ground_truth_writer,
-          "zero-key-attack": zero_key_attack}
+          "zero-key-attack": zero_key_attack, "derivation": derivation}
 
 
 if __name__ == "__main__":

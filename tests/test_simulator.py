@@ -39,7 +39,7 @@ from tagauth.simulator import (
     transcript_to_dict,
 )
 from tagauth.store import TUPLE_WORDS, Store
-from tagauth.tagstate import TagState
+from tagauth.tagstate import DERIVED, TagState
 from tagauth.word96 import MASK
 
 ALL_PROTOCOLS = list(Protocol)
@@ -436,6 +436,90 @@ class TestChainTable:
             assert word96._table == {}
         run.close()
         assert word96._table == {}
+
+    def test_a_session_that_raises_clears_the_table(self, monkeypatch):
+        tag, store = one_tag_world(Protocol.GOSSAMER)
+        installed = []
+
+        def failing(*args, **kwargs):
+            installed.append(word96._table)
+            raise RuntimeError("the session failed")
+
+        monkeypatch.setattr(simulator, "run_session", failing)
+        run = iter_campaign(tag, store, CampaignConfig(10, seed=5))
+        with pytest.raises(RuntimeError, match="the session failed"):
+            next(run)
+        # the block's table, secret nonces and all, was installed, and is no more
+        assert len(installed) == 1 and installed[0]
+        assert word96._table == {}
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+class TestDerivedEntry:
+    """The reader's derivation (``tagstate.DERIVED``) is installed for the
+    tag's phase of a session with a reader and for nothing else, so no secret
+    is held between sessions."""
+
+    def spy(self, monkeypatch, protocol) -> list[dict]:
+        """A copy of the entries installed at each of the tag's phases from now on."""
+        module = simulator._ENGINES[protocol][1]
+        respond, seen = module.tag_respond, []
+
+        def spied(*args):
+            seen.append(dict(DERIVED))
+            return respond(*args)
+
+        monkeypatch.setattr(module, "tag_respond", spied)
+        return seen
+
+    def test_no_outcome_leaves_an_entry(self, monkeypatch, protocol):
+        tag, store = one_tag_world(protocol)
+        seen = self.spy(monkeypatch, protocol)
+        rng = NonceStream(19)
+        captured, truth = run_session(tag, store, Forcing(), rng, 0)
+        pre, extra = truth.reader_pre, simulator._ENGINES[protocol][2]
+        # the tag's phase saw the reader's derivation, keyed by reader_begin's arguments
+        assert seen == [{(pre.ids, pre.k1, pre.k2, truth.id, truth.n1, truth.n2, *extra): (
+            captured.c, captured.d, (truth.reader_post.ids, truth.reader_post.k1,
+                                     truth.reader_post.k2))}]
+        outcomes = [captured.outcome]
+        for forcing in (Forcing(replay_d=captured), Forcing(replay_abc=captured),
+                        Forcing(drop_d=True), Forcing()):
+            outcomes.append(run_session(tag, store, forcing, rng, len(outcomes))[0].outcome)
+            assert DERIVED == {}
+        tag.state.k1 ^= 1  # off its row: the tag refuses the reader
+        outcomes.append(run_session(tag, store, Forcing(), rng, len(outcomes))[0].outcome)
+        assert DERIVED == {}
+        outcomes.append(run_session(tag, Store(), Forcing(), rng, len(outcomes))[0].outcome)
+        assert DERIVED == {}
+        assert outcomes == [Outcome.MUTUAL_SUCCESS, Outcome.TAG_REJECTED, Outcome.D_DROPPED,
+                            Outcome.D_DROPPED, Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED,
+                            Outcome.LOOKUP_FAILED]
+        # one entry for each tag that answered a reader; none for the replayed
+        # challenge, which has no reader (a replayed D has no tag)
+        assert [len(entry) for entry in seen] == [1, 0, 1, 1, 1]
+
+    def test_a_tag_phase_that_raises_leaves_no_entry(self, monkeypatch, protocol):
+        tag, store = one_tag_world(protocol)
+
+        def failing(*args):
+            assert len(DERIVED) == 1
+            raise RuntimeError("the tag failed")
+
+        monkeypatch.setattr(simulator._ENGINES[protocol][1], "tag_respond", failing)
+        with pytest.raises(RuntimeError, match="the tag failed"):
+            run_session(tag, store, Forcing(), NonceStream(20), 0)
+        assert DERIVED == {}
+
+    def test_closing_a_campaign_leaves_no_entry(self, monkeypatch, protocol):
+        tag, store = one_tag_world(protocol)
+        seen = self.spy(monkeypatch, protocol)
+        run = iter_campaign(tag, store, CampaignConfig(10, seed=5, drop_d_rate=0.3))
+        for _ in range(3):
+            next(run)
+            assert DERIVED == {}
+        run.close()
+        assert DERIVED == {} and [len(entry) for entry in seen] == [1, 1, 1]
 
 
 class TestSerialization:
