@@ -12,9 +12,7 @@ rotation by y mod 96:
     IDS_next = (IDS + ID) xor (n2 xor K1')
 
 ``_derive`` is the single definition site of all but A and B, which
-``reader_begin`` builds and ``accept_sasi`` inverts; the tag answers
-from the reader's derivation (``tagstate.DERIVED``) when it recovers the
-reader's own nonces.  Both phases answer in
+``reader_begin`` builds and ``accept_sasi`` inverts.  Both phases answer in
 the plain words ``tagstate`` describes: SASI has no n3, n1' or n2' (None),
 and its session keys K1'/K2' are both K1*/K2* and the staged keys.  Unlike
 Gossamer's, these equations OR and rotate by keys alone, so they are
@@ -50,8 +48,7 @@ def accept_sasi(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
                 b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The tag's answer to A||B||C: (D, staged), or None when the nonces
     peeled from A and B (exactly: XOR and addition invert) do not rebuild C.
-    The derivation is the reader's ``DERIVED`` entry when that holds these
-    inputs."""
+    C, D and staged are the reader's ``DERIVED`` entry if it holds these inputs."""
     n1, n2 = a ^ ids ^ k1, (b - (ids | k2)) & MASK
     derived = DERIVED.get((ids, k1, k2, id_, n1, n2))
     rebuilt, d, staged = _derive(ids, k1, k2, id_, n1, n2) if derived is None else derived

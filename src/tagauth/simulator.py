@@ -371,7 +371,6 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
             # a captured D answers the reader in place of the genuine tag
             d = replayed.d
         else:
-            # the tag answers from the reader's derivation if it recovers these nonces
             DERIVED[derivation] = c, expected, staged
             try:
                 d = module.tag_respond(state, a, b, c, *extra)

@@ -35,10 +35,9 @@ from .word96 import Word96
 NEXT = "next"
 OLD = "old"
 
-# {the arguments of the reader's reader_begin: (C, D, staged)}: the matched
-# (IDS, K1, K2), the ID, n1, n2 and, for Gossamer, the variant.  It holds
-# one entry, installed by simulator.run_session for the length of the tag's
-# phase and cleared after it, and only exact values
+# {arguments of reader_begin (the matched (IDS, K1, K2), ID, n1, n2 and, for
+# Gossamer, the variant): (C, D, staged)}; simulator.run_session installs one
+# entry for the length of the tag's phase
 DERIVED: dict[tuple, tuple[Word96, Word96, tuple[Word96, Word96, Word96]]] = {}
 
 
