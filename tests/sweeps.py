@@ -206,8 +206,8 @@ def derivation(cases: int) -> str:
             words, kind, bit = (ids, k1, k2, id_), case // 9 % 6, rng.randrange(96)
             entries, sessions = {}, {}
             for name, (begin, extra, _) in protocols.items():
-                a, b, c, d, staged, _ = sessions[name] = begin(*words, n1, n2, *extra)
-                entries[name] = {(*words, n1, n2, *extra): (c, d, staged)}
+                sessions[name] = begin(*words, n1, n2, *extra)
+                entries[name] = {(*words, n1, n2, *extra): sessions[name][2:5]}  # C, D, staged
             for at, (name, (begin, extra, accept)) in enumerate(protocols.items()):
                 a, b, c, d, staged, _ = sessions[name]
                 got, candidates = answer(accept, entries[name], words, (a, b, c))
