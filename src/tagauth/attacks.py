@@ -9,16 +9,17 @@ job, which keeps the passive boundary visible in the imports.
 A verdict that does not fire is a valid result, not an error.  ``ATTACKS``
 is the registry of attack kinds by name; it holds only public facts.
 
-The zero-key attack is the original tag itself under K1 = K2 = 0: its peel
-and MixBits in a ``ZeroKeyBlock``, then ``gossamer.confirm_original`` and,
-once C holds, ``gossamer.disclose_original``: two Original-column phases.
+The zero-key attack is the original tag itself under K1 = K2 = 0: its peel,
+MixBits and C check in a ``ZeroKeyBlock``, the check being
+``gossamer.confirm_zero_key`` over the whole block, then, once C holds,
+``gossamer.disclose_original``: two Original-column phases.
 """
 
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .gossamer import confirm_original, disclose_original, mixbits_passes
+from .gossamer import confirm_zero_key, disclose_original, mixbits_passes
 from .word96 import MASK, PI, Word96, from_lanes, to_lanes
 
 
@@ -102,10 +103,12 @@ def gossamer_attack1(first, second) -> AttackVerdict:
 class ZeroKeyBlock:
     """The zero-key words of a block of transcripts, transcript i's at index i:
     the original tag's peel under K1 = K2 = 0 (n1 = A - IDS - PI, n2 = B -
-    IDS - PI), then its MixBits by ``gossamer.mixbits_passes``, n2' only at
-    the first ``n2p`` call, since only a trial whose C holds reads it."""
+    IDS - PI), then its MixBits by ``gossamer.mixbits_passes`` and, in
+    ``keys``, each transcript's (K1*, K2*), or None where its C refutes the
+    hypothesis (``gossamer.confirm_zero_key``); n2' only at the first
+    ``n2p`` call, since only a trial whose C holds reads it."""
 
-    __slots__ = ("n1", "n2", "n3", "n1p", "_n2ps", "_passes")
+    __slots__ = ("n1", "n2", "n3", "n1p", "keys", "_n2ps", "_passes")
 
     def __init__(self, transcripts: list):
         n = len(transcripts)
@@ -113,6 +116,8 @@ class ZeroKeyBlock:
         self.n2 = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
         self._passes = mixbits_passes({"n1": to_lanes(self.n1), "n2": to_lanes(self.n2)}, n)
         self.n3, self.n1p = [from_lanes(z, n) for _, z in islice(self._passes, 2)]
+        self.keys = confirm_zero_key(self.n1, self.n2, self.n3, self.n1p,
+                                     [t.c for t in transcripts])
         self._n2ps = None
 
     def n2p(self, i: int) -> Word96:
@@ -127,28 +132,27 @@ def gossamer_attack2(transcript, block: ZeroKeyBlock | None = None, i: int = 0) 
 
     Hypothesizes K1 = K2 = 0, under which the transcript is the original
     tag's view with known keys: A and B unwind to the nonces, and
-    ``gossamer.confirm_original`` gives K1*, K2* and rebuilds C, which
+    ``gossamer.confirm_zero_key`` gives K1*, K2* and rebuilds C, which
     refutes the hypothesis at once if it differs from the transmitted one.
-    Only then is n2' read, and ``gossamer.disclose_original`` gives the
+    Only then are the block's words and n2' read, and ``gossamer.disclose_original`` gives the
     next pseudonym and D inverted to the ID.  A transcript whose D never
     crossed the air still fires, with ``recovered_id`` None: C has
     confirmed the hypothesis, and only D carries the ID.  A transcript with
     no A||B||C does not fire.
 
-    The words are transcript ``i``'s of ``block``, a ``ZeroKeyBlock`` over
-    all the evaluator's trials; a call without one makes a block of one, so
-    the scalar MixBits never runs.
+    The words and the C check are transcript ``i``'s of ``block``, a
+    ``ZeroKeyBlock`` over all the evaluator's trials; a call without one
+    makes a block of one, so the scalar MixBits never runs.
     """
     if transcript.c is None:
         return AttackVerdict(False)
     if block is None:
         block = ZeroKeyBlock([transcript])
-    n1, n2, n3, n1p = block.n1[i], block.n2[i], block.n3[i], block.n1p[i]
-    keys = confirm_original(0, 0, n1, n2, n3, n1p, transcript.c)
+    keys = block.keys[i]
     if keys is None:
         return AttackVerdict(False)
-    n2p = block.n2p(i)
     k1s, k2s = keys
+    n1, n2, n3, n1p, n2p = block.n1[i], block.n2[i], block.n3[i], block.n1p[i], block.n2p(i)
     d = transcript.d
     next_ids, id_ = disclose_original(transcript.announced_ids, k1s, k2s, n2, n3, n1p, n2p,
                                       0 if d is None else d)
@@ -194,8 +198,9 @@ def _zero_nonce_trials(pairs) -> Iterator[tuple]:
 
 def _zero_key_trials(pairs) -> Iterator[tuple]:
     """Each pair's first transcript attacked in one ``ZeroKeyBlock`` of them
-    all, whose n2' pass runs at most once: at the first trial that fires.
-    A block in which no trial fires runs two lane passes, not three."""
+    all, whose C check runs once, over the block, before any trial, and
+    whose n2' pass at most once: at the first trial that fires.  A block in
+    which no trial fires runs two lane passes, not three."""
     pairs = list(pairs)
     block = ZeroKeyBlock([first for first, _ in pairs])
     for i, (first, second) in enumerate(pairs):

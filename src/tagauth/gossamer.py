@@ -16,9 +16,10 @@ then D and the staged tuple) and ``accept_original`` (n1 and n2 peeled
 from the ``a`` and ``b`` rows inverted, as ``PEELS`` names them, then the
 same; either answers from the reader's ``tagstate.DERIVED`` entry, C
 compared, when that holds its inputs), and the zero-key attack's two:
-``confirm_original`` (K1*, K2* and C checked) and ``disclose_original``
-(IDS+, and the ID, the ``d`` row inverted), split at C so that n2' is
-needed only once C holds.  Edit the table, then re-render with
+``confirm_zero_key`` (K1* and K2*, and C checked, with K1 = K2 = 0 folded
+in, for a whole block of transcripts in one loop) and
+``disclose_original`` (IDS+, and the ID, the ``d`` row inverted), split at
+C so that n2' is needed only once C holds.  Edit the table, then re-render with
 ``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the two
 disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified`` up
 in this module's globals when it runs.
@@ -48,6 +49,7 @@ the update timing and the tag body ``respond`` are shared with SASI
 (``tagstate``).
 """
 
+import re
 from collections import Counter
 from enum import Enum
 from typing import Iterator
@@ -89,6 +91,11 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 # A target "c?" rebuilds C and returns None unless it equals the received c; the
 # target "derived" answers from the reader's entry (tagstate.DERIVED) when that
 # holds this phase's inputs, so that a tag does not derive the reader's session again.
+# Two more columns are optional: a forcing, the words fixed to 0, which render()
+# folds out (the head leaves them out of the signature); and a block form, the
+# words the phase takes as lists (each named with an "s"), whose body then runs
+# once per element in one zip loop and appends what its tail returns, or None
+# where "c?" fails.
 PHASES = (
     ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
                  variant: Variant) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
@@ -102,14 +109,16 @@ PHASES = (
      Variant.MODIFIED,
      ("derived", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
      "return d, (idsn, k1n, k2n)"),
-    ('''def confirm_original(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
-                     n1p: Word96, c: Word96) -> tuple[Word96, Word96] | None:
-    """(K1*, K2*) of an original-variant session, or None when the rebuilt C
-    differs from c.  C reads no IDS, and no n2'."""''',
-     Variant.ORIGINAL, ("k1s", "k2s", "c?"), "return k1s, k2s"),
+    ('''def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
+                     n1ps: list[Word96], cs: list[Word96]) -> list[tuple[Word96, Word96] | None]:
+    """For each element, (K1*, K2*) of an original-variant session under
+    K1 = K2 = 0, or None when the rebuilt C differs from c.  C reads no IDS,
+    and no n2'."""''',
+     Variant.ORIGINAL, ("k1s", "k2s", "c?"), "return k1s, k2s", ("k1", "k2"),
+     ("n1", "n2", "n3", "n1p", "c")),
     ('''def disclose_original(ids: Word96, k1s: Word96, k2s: Word96, n2: Word96, n3: Word96,
                       n1p: Word96, n2p: Word96, d: Word96) -> tuple[Word96, Word96]:
-    """(IDS+, ID) of an original-variant session whose C ``confirm_original``
+    """(IDS+, ID) of an original-variant session whose C ``confirm_zero_key``
     has confirmed, from its K1* and K2*."""''',
      Variant.ORIGINAL, ("idsn", "id_"), "return idsn, id_"),
     ('''def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
@@ -128,10 +137,14 @@ def render() -> str:
     rotation left by r is one shift-or of the masked word x, (x << 96 | x) >>
     (-r % 96), and a rotation right (the peel) shifts by r % 96; an amount
     that rotates one way more than once in a phase is reduced once, to
-    r_<amount> (left) or rr_<amount> (right)."""
+    r_<amount> (left) or rr_<amount> (right).  A forced word leaves its sum,
+    and (0 op V) becomes V; a forced word that neither rule removes raises
+    ValueError."""
     rows = {row[0]: row for row in EQUATIONS}
     code = []
-    for head, variant, targets, tail in PHASES:
+    for head, variant, targets, tail, *columns in PHASES:
+        forced, block = columns or ((), ())
+        fail = ["    append(None)", "    continue"] if block else ["    return None"]
         names = [target.rstrip("?") for target in targets]
         if variant is None:
             lines, mix, pick = ["original = variant is _ORIGINAL"], "mix", slice(None)
@@ -168,7 +181,9 @@ def render() -> str:
                 continue
             peel = PEELS.get(name)
             word, terms, inner, t, op, outer, v = rows[peel or name]
-            mid, last = (t, "") if v is None else (f"({t} {op} {v})", f" {op} {v}")
+            terms = [term for term in terms if term not in forced]
+            mid, last = (t, "") if v is None else (v if t in forced else f"({t} {op} {v})",
+                                                   f" {op} {v}")
             equation = (f"Rot(Rot({' + '.join(terms)}, {inner}) + {mid}, "
                         f"{' if original else '.join(outer[pick])}){last}")
             if peel:  # the row solved for its term: op V undone, then each rotation, right
@@ -189,9 +204,18 @@ def render() -> str:
                       f"x = ({' + '.join(terms)}) & MASK",
                       f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK"]
             if target != name:
-                lines += [f"if ({rot}{last}) & MASK != {name}:", "    return None"]
+                lines += [f"if ({rot}{last}) & MASK != {name}:", *fail]
             else:
                 lines.append(f"{name} = ({rot}{last}) & MASK" if last else f"{name} = {rot} & MASK")
+        unfolded = [word for word in forced if re.search(rf"\b{word}\b", "\n".join(lines))]
+        if unfolded:
+            raise ValueError(f"{head.split('(')[0]}: no rule folds {unfolded} out")
+        if block:  # the answers: one appended per element, where the tail would return it
+            lines = ["answers = []", "append = answers.append",
+                     f"for {', '.join(block)} in zip({', '.join(f'{word}s' for word in block)}):",
+                     *(f"    {line}" for line in lines),
+                     f"    append(({tail.removeprefix('return ')}))"]
+            tail = "return answers"
         code.append("\n    ".join([head, *lines, *tail.split("\n")]))
     return "\n\n\n".join(code)
 
@@ -303,31 +327,37 @@ def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2
     return d, (idsn, k1n, k2n)
 
 
-def confirm_original(k1: Word96, k2: Word96, n1: Word96, n2: Word96, n3: Word96,
-                     n1p: Word96, c: Word96) -> tuple[Word96, Word96] | None:
-    """(K1*, K2*) of an original-variant session, or None when the rebuilt C
-    differs from c.  C reads no IDS, and no n2'."""
-    r_n2 = -n2 % 96
-    r_n1 = -n1 % 96
-    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1) ^ n3
-    x = (n2 + k1 + PI + n3) & MASK
-    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
-    k1s = (((x << 96 | x) >> r_n1) ^ n3) & MASK
-    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2) + n3
-    x = (n1 + k2 + PI + n3) & MASK
-    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
-    k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
-    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
-    x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
-    if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
-        return None
-    return k1s, k2s
+def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
+                     n1ps: list[Word96], cs: list[Word96]) -> list[tuple[Word96, Word96] | None]:
+    """For each element, (K1*, K2*) of an original-variant session under
+    K1 = K2 = 0, or None when the rebuilt C differs from c.  C reads no IDS,
+    and no n2'."""
+    answers = []
+    append = answers.append
+    for n1, n2, n3, n1p, c in zip(n1s, n2s, n3s, n1ps, cs):
+        r_n2 = -n2 % 96
+        r_n1 = -n1 % 96
+        # k1s = Rot(Rot(n2 + PI + n3, n2) + n3, n1) ^ n3
+        x = (n2 + PI + n3) & MASK
+        x = (((x << 96 | x) >> r_n2) + n3) & MASK
+        k1s = (((x << 96 | x) >> r_n1) ^ n3) & MASK
+        # k2s = Rot(Rot(n1 + PI + n3, n1) + n3, n2) + n3
+        x = (n1 + PI + n3) & MASK
+        x = (((x << 96 | x) >> r_n1) + n3) & MASK
+        k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
+        # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
+        x = (n3 + k1s + PI + n1p) & MASK
+        x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
+        if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
+            append(None)
+            continue
+        append((k1s, k2s))
+    return answers
 
 
 def disclose_original(ids: Word96, k1s: Word96, k2s: Word96, n2: Word96, n3: Word96,
                       n1p: Word96, n2p: Word96, d: Word96) -> tuple[Word96, Word96]:
-    """(IDS+, ID) of an original-variant session whose C ``confirm_original``
+    """(IDS+, ID) of an original-variant session whose C ``confirm_zero_key``
     has confirmed, from its K1* and K2*."""
     # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3) ^ n2p
     x = (n1p + k1s + ids + n2p) & MASK

@@ -11,6 +11,7 @@ on every version:
 The seeds are fixed, so a case number names the same inputs at any count.
 """
 
+import functools
 import json
 import random
 import sys
@@ -43,6 +44,25 @@ def _peels(x: int, k: int, q: int, c: int) -> list[int]:
     t) - k, q) - c."""
     return [(oracles.rot_left((oracles.rot_left(x, -t) - k) % MOD, -q) - c) % MOD
             for t in range(BITS)]
+
+
+@functools.cache
+def confirm_unforced():
+    """The ``confirm_zero_key`` row of ``gossamer.PHASES`` rendered without its
+    forcing and block columns, compiled: ``confirm(k1, k2, n1, n2, n3, n1p, c)``
+    gives (K1*, K2*) of one original-variant session with any keys, or None
+    when the rebuilt C differs from c."""
+    ((_, variant, targets, tail, *_),) = [row for row in gossamer.PHASES
+                                          if row[0].startswith("def confirm_zero_key(")]
+    rows = gossamer.PHASES
+    gossamer.PHASES = (("def confirm(k1, k2, n1, n2, n3, n1p, c):", variant, targets, tail),)
+    try:
+        code = gossamer.render()
+    finally:
+        gossamer.PHASES = rows
+    namespace = dict(vars(gossamer))
+    exec(compile(code, "<unforced confirm>", "exec"), namespace)
+    return namespace["confirm"]
 
 
 def modified_search(cases: int) -> str:
@@ -101,8 +121,9 @@ def gossamer_phases(cases: int) -> str:
     phase on the variant it is rendered for, against tests/oracles.py.  On
     both variants every word ``reader_begin`` returns; on the modified
     variant derive_auth's D and staged tuple from the genuine C and its None
-    with C xor 1; on the original variant confirm_original's K1* and K2*
-    from the genuine C and its None with C xor 1, disclose_original's IDS+
+    with C xor 1; on the original variant the K1* and K2* of
+    ``confirm_zero_key``'s row rendered unforced (``confirm_unforced``) from
+    the genuine C and its None with C xor 1, disclose_original's IDS+
     and ID from them, and accept_original's D and staged tuple from the
     genuine A||B||C and its None with C xor 1."""
     rng = random.Random(20241)
@@ -124,9 +145,9 @@ def gossamer_phases(cases: int) -> str:
                     and gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c ^ 1) is None)
             else:
                 confirm = (k1, k2, n1, n2, ref["n3"], ref["n1p"])
-                checks["confirm_original"] = (
-                    gossamer.confirm_original(*confirm, c) == (ref["k1s"], ref["k2s"])
-                    and gossamer.confirm_original(*confirm, c ^ 1) is None)
+                checks["confirm (unforced)"] = (
+                    confirm_unforced()(*confirm, c) == (ref["k1s"], ref["k2s"])
+                    and confirm_unforced()(*confirm, c ^ 1) is None)
                 checks["disclose_original"] = gossamer.disclose_original(
                     ids, ref["k1s"], ref["k2s"], n2, ref["n3"], ref["n1p"], ref["n2p"],
                     ref["d"]) == (ref["ids_next"], id_)
@@ -416,10 +437,85 @@ def zero_key_attack(cases: int) -> str:
             f"with a fired trial ran the n2' pass, the others not")
 
 
+def zero_key_fold(cases: int) -> str:
+    """``gossamer.confirm_zero_key``'s answers, element by element, against
+    its row rendered unforced (``confirm_unforced``) and run with K1 = K2 =
+    0.  A third of the cases are blocks of 0 to 12 random words: nonces
+    random, zero or multiples of 96, n3 and n1' their MixBits or, at one in
+    four, random, and c the zero-key session's C, C xor 1 or a random word.
+    The rest are streams of 1 to 12 sessions of one tag, original and
+    modified Gossamer in turn, each session's keys zero, as stored or
+    multiples of 96 at random and its D dropped at one in five: the answers
+    of a ``ZeroKeyBlock`` of the evaluator's trials, each of which fires
+    exactly where its answer is not None.  Each ``evaluate_attack`` makes
+    exactly one ``confirm_zero_key`` call, and no ``gossamer_attack2`` call
+    makes one."""
+    calls, inside = [], []
+    real_confirm, real_attack = attacks.confirm_zero_key, attacks.gossamer_attack2
+
+    def confirm(*lists):
+        calls.append(bool(inside))
+        return real_confirm(*lists)
+
+    def attack(transcript, block=None, i=0):
+        inside.append(True)
+        try:
+            return real_attack(transcript, block, i)
+        finally:
+            inside.pop()
+
+    unforced = confirm_unforced()
+    rng, nonces = random.Random(20248), NonceStream(20248)
+    worlds = [provision(1, protocol, seed=1)
+              for protocol in (Protocol.GOSSAMER, Protocol.GOSSAMER_MOD)]
+    held = 0
+    attacks.confirm_zero_key, attacks.gossamer_attack2 = confirm, attack
+    try:
+        for case in range(cases):
+            if case % 3 == 0:
+                words = []
+                for _ in range(rng.randint(0, 12)):
+                    ids, n1, n2 = (rng.getrandbits(96) for _ in range(3))
+                    _, _, n1, n2 = _mix(rng.randrange(3), 0, 0, n1, n2)
+                    _, _, c, _, _, (_, _, n3, n1p, *_) = gossamer.reader_begin(
+                        ids, 0, 0, 0, n1, n2, Variant.ORIGINAL)
+                    if rng.random() < 0.25:
+                        n3, n1p = rng.getrandbits(96), rng.getrandbits(96)
+                    words.append((n1, n2, n3, n1p, c ^ rng.choice((0, 1, rng.getrandbits(96)))))
+                got = gossamer.confirm_zero_key(*([w[j] for w in words] for j in range(5)))
+            else:
+                tags, store = worlds[case % 3 - 1]
+                transcripts = [run_session(tags["tag-000"], store, Forcing(
+                    key_mode=rng.choice(list(KeyMode)), drop_d=rng.random() < 0.2), nonces,
+                    index)[0] for index in range(rng.randint(1, 12))]
+                firsts = [first for first, _ in consecutive_success_pairs(transcripts)]
+                block = attacks.ZeroKeyBlock(firsts)
+                words = [(*w, t.c) for w, t in zip(
+                    zip(block.n1, block.n2, block.n3, block.n1p), firsts)]
+                got = block.keys
+                calls.clear()
+                records, _ = evaluate_attack("gossamer-2", transcripts)
+                if calls != [False]:
+                    raise AssertionError(f"case {case}: C checks {calls} in one evaluation "
+                                         f"(True: inside a gossamer_attack2 call)")
+                if [r["verdict"].fired for r in records] != [k is not None for k in got]:
+                    raise AssertionError(f"case {case}: a trial fires where C fails, or not "
+                                         f"where it holds")
+            expected = [unforced(0, 0, *w) for w in words]
+            if got != expected:
+                raise AssertionError(f"case {case}: block answers {got} != {expected}")
+            held += sum(k is not None for k in got)
+    finally:
+        attacks.confirm_zero_key, attacks.gossamer_attack2 = real_confirm, real_attack
+    return (f"{cases} blocks: every answer matches the unforced row under zero keys, "
+            f"{held} with C holding; one C check per evaluation, none in a trial")
+
+
 SWEEPS = {"modified-search": modified_search, "gossamer-phases": gossamer_phases,
           "sasi-phases": sasi_phases, "scored-truth": scored_truth,
           "transcript-reader": transcript_reader, "ground-truth-writer": ground_truth_writer,
-          "zero-key-attack": zero_key_attack, "derivation": derivation}
+          "zero-key-attack": zero_key_attack, "derivation": derivation,
+          "zero-key-fold": zero_key_fold}
 
 
 if __name__ == "__main__":

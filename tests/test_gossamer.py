@@ -3,6 +3,7 @@
 import functools
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import LANE_WORDS, lane_words, named, words
+from sweeps import confirm_unforced
 from tagauth import gossamer, rerender, sasi
 from tagauth.gossamer import Variant
 from tagauth.tagstate import TagState, tag_announce
@@ -416,11 +418,17 @@ forced_words = words | zero_mod_96
 @example(id_=0, ids=0, k1=0, k2=0, n1=0, n2=0)
 @settings(max_examples=100, deadline=None)
 def test_disclose_original_matches_oracle(id_, ids, k1, k2, n1, n2):
-    # K1* and K2*, or None once C differs; then IDS+ and the ID the oracle's D carries
+    # K1* and K2*, or None once C differs, from the confirm row rendered
+    # unforced, and from the zero-key block row on the session with K1 = K2
+    # = 0; then IDS+ and the ID the oracle's D carries
     ref = oracles.gossamer_session("original", id_, ids, k1, k2, n1, n2)
     confirm = (k1, k2, n1, n2, ref["n3"], ref["n1p"])
-    assert gossamer.confirm_original(*confirm, ref["c"]) == (ref["k1s"], ref["k2s"])
-    assert gossamer.confirm_original(*confirm, ref["c"] ^ 1) is None
+    assert confirm_unforced()(*confirm, ref["c"]) == (ref["k1s"], ref["k2s"])
+    assert confirm_unforced()(*confirm, ref["c"] ^ 1) is None
+    zero = oracles.gossamer_session("original", id_, ids, 0, 0, n1, n2)
+    assert gossamer.confirm_zero_key([n1] * 2, [n2] * 2, [zero["n3"]] * 2, [zero["n1p"]] * 2,
+                                     [zero["c"], zero["c"] ^ 1]) == [
+        (zero["k1s"], zero["k2s"]), None]
     assert gossamer.disclose_original(ids, ref["k1s"], ref["k2s"], n2, ref["n3"], ref["n1p"],
                                       ref["n2p"], ref["d"]) == (ref["ids_next"], id_)
 
@@ -463,8 +471,8 @@ def test_every_rendered_phase_matches_oracle(variant, id_, ids, k1, k2, n1, n2):
         assert gossamer.derive_auth(ids, k1, k2, id_, n1, n2, c ^ 1) is None
     else:
         confirm = (k1, k2, n1, n2, want["n3"], want["n1p"])
-        assert gossamer.confirm_original(*confirm, c) == (want["k1_star"], want["k2_star"])
-        assert gossamer.confirm_original(*confirm, c ^ 1) is None
+        assert confirm_unforced()(*confirm, c) == (want["k1_star"], want["k2_star"])
+        assert confirm_unforced()(*confirm, c ^ 1) is None
         assert gossamer.disclose_original(ids, want["k1_star"], want["k2_star"], n2, want["n3"],
                                           want["n1p"], want["n2p"], want["d"]) == (
             want["ids_next"], id_)
@@ -499,6 +507,70 @@ def test_rendered_peels_undo_rows_with_a_last_term(variant, id_, ids, k1, k2, n1
     assert peel_id(ref["d"], n2, ref["k2s"], ref["n1p"], ref["k1s"], ref["n3"]) == id_
     assert peel_ids(ref["ids_next"], ref["n1p"], ref["k1s"], ref["n2p"], ref["k2s"],
                     ref["n3"]) == ids
+
+
+def rendered(phase):
+    """``render()`` of the one row ``phase``: its code, and its function ``f`` compiled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gossamer, "PHASES", (phase,))
+        code = gossamer.render()
+    namespace = dict(vars(gossamer))
+    exec(compile(code, "<rendered row>", "exec"), namespace)
+    return code, namespace["f"]
+
+
+key_words = st.fixed_dictionaries({name: edge_words for name in ("k1", "k2", "n1", "n2", "n3")})
+
+
+@given(values=key_words)
+@settings(max_examples=50, deadline=None)
+def test_a_forced_term_leaves_its_sum(values):
+    # K1 is a term of K1*'s inner sum, and appears nowhere else in its row
+    code, folded = rendered(("def f(k2, n1, n2, n3):", Variant.ORIGINAL, ("k1s",), "return k1s",
+                             ("k1",), ()))
+    _, unforced = rendered(("def f(k1, k2, n1, n2, n3):", Variant.ORIGINAL, ("k1s",),
+                            "return k1s"))
+    assert "x = (n2 + PI + n3) & MASK" in code and re.search(r"\bk1\b", code) is None
+    del values["k1"]
+    assert folded(**values) == unforced(k1=0, **values)
+
+
+@pytest.mark.parametrize("target,word,op", [("k1s", "k2", "^"), ("k2s", "k1", "+")])
+@given(values=key_words)
+@settings(max_examples=50, deadline=None)
+def test_zero_op_v_becomes_v(target, word, op, values):
+    # K2 (in K1*) and K1 (in K2*) appear in their rows only as (T op V)'s T
+    del values[word]
+    code, folded = rendered((f"def f({', '.join(values)}):", Variant.ORIGINAL, (target,),
+                             f"return {target}", (word,), ()))
+    plain, unforced = rendered(("def f(k1, k2, n1, n2, n3):", Variant.ORIGINAL, (target,),
+                                f"return {target}"))
+    assert f"({word} {op} n3)" in plain and re.search(rf"\b{word}\b", code) is None
+    assert folded(**values) == unforced(**{word: 0}, **values)
+
+
+def test_a_forced_word_no_rule_folds_raises():
+    # n1 is a term of K2*'s sum, and also its inner rotation amount
+    with pytest.raises(ValueError, match=r"f: no rule folds \['n1'\] out"):
+        rendered(("def f(k1, k2, n2, n3):", Variant.ORIGINAL, ("k2s",), "return k2s", ("n1",),
+                  ()))
+
+
+@given(elements=st.lists(st.tuples(edge_words, edge_words, st.sampled_from((0, 1)) | words),
+                         max_size=8))
+@example(elements=[])
+@example(elements=[(0, 0, 0)])
+@example(elements=[(N1, N2, 0), (N1, N2, 1), (0, MASK, 0), (96, 192, 1), (MASK, 0, ID)])
+@settings(max_examples=100, deadline=None)
+def test_zero_key_block_row_is_its_row_unforced_at_zero_keys(elements):
+    # each element's n3 and n1' its MixBits, and its c the zero-key session's
+    # C, C xor 1 or C xor any word; blocks of 0, 1 and many
+    block = []
+    for n1, n2, flip in elements:
+        ref = oracles.gossamer_session("original", 0, 0, 0, 0, n1, n2)
+        block.append((n1, n2, ref["n3"], ref["n1p"], ref["c"] ^ flip))
+    assert gossamer.confirm_zero_key(*([w[j] for w in block] for j in range(5))) == [
+        confirm_unforced()(0, 0, *w) for w in block]
 
 
 def oracle_peel(ids, k1, k2, a, b):

@@ -79,6 +79,23 @@ def test_tracer_sees_the_attack_registry(tracing):
     assert tracer.counts["attack2.fired"] == 3
 
 
+def test_tracer_sees_every_refuted_trial(tracing):
+    # zero keys on the modified variant: every trial is refuted at C, which
+    # its block checks before any trial, and the tracer still sees each trial
+    tags, store = provision(1, Protocol.GOSSAMER_MOD, seed=3)
+    result = run_campaign(tags["tag-000"], store,
+                          CampaignConfig(12, seed=4, key_mode=KeyMode.EXACT_ZERO))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, summary = evaluate_attack("gossamer-2", result.transcripts)
+    finally:
+        tracer.uninstall()
+    assert summary["trials"] == 11 and summary["fired"] == 0
+    assert tracer.counts["attack2.calls"] == 11
+    assert tracer.counts["attack2.fired"] == 0
+
+
 def _words(value) -> int:
     """How many canonical hex words a JSON value holds, at any depth."""
     if isinstance(value, dict):
