@@ -134,11 +134,11 @@ def gossamer_attack2(transcript, block: ZeroKeyBlock | None = None, i: int = 0) 
     tag's view with known keys: A and B unwind to the nonces, and
     ``gossamer.confirm_zero_key`` gives K1*, K2* and rebuilds C, which
     refutes the hypothesis at once if it differs from the transmitted one.
-    Only then are the block's words and n2' read, and ``gossamer.disclose_original`` gives the
-    next pseudonym and D inverted to the ID.  A transcript whose D never
-    crossed the air still fires, with ``recovered_id`` None: C has
-    confirmed the hypothesis, and only D carries the ID.  A transcript with
-    no A||B||C does not fire.
+    Only then are the block's words and n2' read, and
+    ``gossamer.disclose_original`` gives the next pseudonym and D inverted
+    to the ID.  A transcript whose D never crossed the air still fires, with
+    ``recovered_id`` None: C has confirmed the hypothesis, and only D
+    carries the ID.  A transcript with no A||B||C does not fire.
 
     The words and the C check are transcript ``i``'s of ``block``, a
     ``ZeroKeyBlock`` over all the evaluator's trials; a call without one

@@ -19,9 +19,9 @@ compared, when that holds its inputs), and the zero-key attack's two:
 ``confirm_zero_key`` (K1* and K2*, and C checked, with K1 = K2 = 0 folded
 in, for a whole block of transcripts in one loop) and
 ``disclose_original`` (IDS+, and the ID, the ``d`` row inverted), split at
-C so that n2' is needed only once C holds.  Edit the table, then re-render with
-``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the two
-disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified`` up
+C so that n2' is needed only once C holds.  Edit the table, then re-render
+with ``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the
+two disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified`` up
 in this module's globals when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
