@@ -105,26 +105,21 @@ class ZeroKeyBlock:
     the original tag's peel under K1 = K2 = 0 (n1 = A - IDS - PI, n2 = B -
     IDS - PI), then its MixBits by ``gossamer.mixbits_passes`` and, in
     ``keys``, each transcript's (K1*, K2*), or None where its C refutes the
-    hypothesis (``gossamer.confirm_zero_key``); n2' only at the first
-    ``n2p`` call, since only a trial whose C holds reads it."""
+    hypothesis (``gossamer.confirm_zero_key``); ``n2p`` is None when every C
+    does, since only a trial whose C holds reads n2'."""
 
-    __slots__ = ("n1", "n2", "n3", "n1p", "keys", "_n2ps", "_passes")
+    __slots__ = ("n1", "n2", "n3", "n1p", "keys", "n2p")
 
     def __init__(self, transcripts: list):
         n = len(transcripts)
         self.n1 = [(t.a - t.announced_ids - PI) & MASK for t in transcripts]
         self.n2 = [(t.b - t.announced_ids - PI) & MASK for t in transcripts]
-        self._passes = mixbits_passes({"n1": to_lanes(self.n1), "n2": to_lanes(self.n2)}, n)
-        self.n3, self.n1p = [from_lanes(z, n) for _, z in islice(self._passes, 2)]
+        passes = mixbits_passes({"n1": to_lanes(self.n1), "n2": to_lanes(self.n2)}, n)
+        self.n3, self.n1p = [from_lanes(z, n) for _, z in islice(passes, 2)]
         self.keys = confirm_zero_key(self.n1, self.n2, self.n3, self.n1p,
                                      [t.c for t in transcripts])
-        self._n2ps = None
-
-    def n2p(self, i: int) -> Word96:
-        if self._n2ps is None:
-            _, z = next(self._passes)
-            self._n2ps = from_lanes(z, len(self.n1))
-        return self._n2ps[i]
+        # a (K1*, K2*) pair is never falsy
+        self.n2p = from_lanes(next(passes)[1], n) if any(self.keys) else None
 
 
 def gossamer_attack2(transcript, block: ZeroKeyBlock | None = None, i: int = 0) -> AttackVerdict:
@@ -152,7 +147,7 @@ def gossamer_attack2(transcript, block: ZeroKeyBlock | None = None, i: int = 0) 
     if keys is None:
         return AttackVerdict(False)
     k1s, k2s = keys
-    n1, n2, n3, n1p, n2p = block.n1[i], block.n2[i], block.n3[i], block.n1p[i], block.n2p(i)
+    n1, n2, n3, n1p, n2p = block.n1[i], block.n2[i], block.n3[i], block.n1p[i], block.n2p[i]
     d = transcript.d
     next_ids, id_ = disclose_original(transcript.announced_ids, k1s, k2s, n2, n3, n1p, n2p,
                                       0 if d is None else d)
@@ -198,9 +193,8 @@ def _zero_nonce_trials(pairs) -> Iterator[tuple]:
 
 def _zero_key_trials(pairs) -> Iterator[tuple]:
     """Each pair's first transcript attacked in one ``ZeroKeyBlock`` of them
-    all, whose C check runs once, over the block, before any trial, and
-    whose n2' pass at most once: at the first trial that fires.  A block in
-    which no trial fires runs two lane passes, not three."""
+    all, whose C check and n2' pass run once, over the block, before any
+    trial.  A block in which no trial fires runs two lane passes, not three."""
     pairs = list(pairs)
     block = ZeroKeyBlock([first for first, _ in pairs])
     for i, (first, second) in enumerate(pairs):

@@ -10,12 +10,14 @@ equations, each Rot(Rot(P + Q + R + S, inner) + (T op V), outer) op V with
 its outer amount per variant.  ``render`` turns it into the straight-line
 phases between the rendered-code markers, each from the column of the
 variant that calls it: ``reader_begin`` (every value of a session in one
-pass, either variant, as the reader serves both), the two tags' phases,
-``derive_auth`` (one modified search candidate: C rebuilt and checked,
-then D and the staged tuple) and ``accept_original`` (n1 and n2 peeled
-from the ``a`` and ``b`` rows inverted, as ``PEELS`` names them, then the
-same; either answers from the reader's ``tagstate.DERIVED`` entry, C
-compared, when that holds its inputs), and the zero-key attack's two:
+pass, either variant, as the reader serves both, and the one place D and
+the update are derived), the two tags' phases, ``derive_auth`` (one
+modified search candidate: C rebuilt and checked) and ``accept_original``
+(n1 and n2 peeled from the ``a`` and ``b`` rows inverted, as ``PEELS``
+names them, then the same; either answers from the reader's
+``tagstate.DERIVED`` entry, C compared, when that holds its inputs, and
+otherwise, once C holds, with ``reader_begin``'s D and staged tuple), and
+the zero-key attack's two:
 ``confirm_zero_key`` (K1* and K2*, and C checked, with K1 = K2 = 0 folded
 in, for a whole block of transcripts in one loop) and
 ``disclose_original`` (IDS+, and the ID, the ``d`` row inverted), split at
@@ -42,7 +44,9 @@ phase.  The Modified tag keeps each residue r of n2 for which the peels
 with r_a = r and r_b = n1 give n2 = r (mod 96), trying all 96 at once as
 lanes (``_residue_survivors``), and ``accept_modified`` hands each
 candidate to ``derive_auth``.  Either tag accepts only if exactly one
-candidate reproduces the received C, and answers (D, staged tuple).
+candidate reproduces the received C, and answers (D, staged tuple).  A
+candidate refused at C costs two MixBits calls, an accepted one without
+the reader's entry five: two, then ``reader_begin``'s three.
 
 The plain-word returns, the two-tuple tag state, its announce/retry step,
 the update timing and the tag body ``respond`` are shared with SASI
@@ -90,7 +94,8 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 # variant argument picks each outer amount), what it computes in order, its tail.
 # A target "c?" rebuilds C and returns None unless it equals the received c; the
 # target "derived" answers from the reader's entry (tagstate.DERIVED) when that
-# holds this phase's inputs, so that a tag does not derive the reader's session again.
+# holds this phase's inputs, so that a tag does not derive the reader's session again;
+# without it, a tag phase checks C and takes D and the update from reader_begin.
 # Two more columns are optional: a forcing, the words fixed to 0, which render()
 # folds out (the head leaves them out of the signature); and a block form, the
 # words the phase takes as lists (each named with an "s"), whose body then runs
@@ -106,9 +111,8 @@ PHASES = (
                 c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
-     Variant.MODIFIED,
-     ("derived", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n", "k2n"),
-     "return d, (idsn, k1n, k2n)"),
+     Variant.MODIFIED, ("derived", "n3", "n1p", "k1s", "k2s", "c?"),
+     "return reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED)[3:5]"),
     ('''def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
                      n1ps: list[Word96], cs: list[Word96]) -> list[tuple[Word96, Word96] | None]:
     """For each element, (K1*, K2*) of an original-variant session under
@@ -125,10 +129,8 @@ PHASES = (
                     b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
     None when the nonces peeled from A and B do not rebuild C."""''',
-     Variant.ORIGINAL,
-     ("n1", "n2", "derived", "n3", "n1p", "k1s", "k2s", "c?", "d", "n2p", "idsn", "k1n",
-      "k2n"),
-     "return d, (idsn, k1n, k2n)"),
+     Variant.ORIGINAL, ("n1", "n2", "derived", "n3", "n1p", "k1s", "k2s", "c?"),
+     "return reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL)[3:5]"),
 )
 
 
@@ -290,41 +292,20 @@ def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2
         return derived[1:] if derived[0] == c else None
     n3 = mixbits_modified(n1, n2)
     n1p = mixbits_modified(n3, n2)
-    r_n2 = -n2 % 96
     # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), k1) ^ n3
     x = (n2 + k1 + PI + n3) & MASK
-    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
+    x = (((x << 96 | x) >> (-n2 % 96)) + (k2 ^ n3)) & MASK
     k1s = (((x << 96 | x) >> (-k1 % 96)) ^ n3) & MASK
     # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), k2) + n3
     x = (n1 + k2 + PI + n3) & MASK
     x = (((x << 96 | x) >> (-n1 % 96)) + (k1 + n3)) & MASK
     k2s = (((x << 96 | x) >> (-k2 % 96)) + n3) & MASK
-    r_n3 = -n3 % 96
-    r_k2s = -k2s % 96
     # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), k2s) ^ n1p
     x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
-    if (((x << 96 | x) >> r_k2s) ^ n1p) & MASK != c:
+    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
+    if (((x << 96 | x) >> (-k2s % 96)) ^ n1p) & MASK != c:
         return None
-    r_k1s = -k1s % 96
-    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), k1s) + n1p
-    x = (n2 + k2s + id_ + n1p) & MASK
-    x = (((x << 96 | x) >> r_n2) + (k1s + n1p)) & MASK
-    d = (((x << 96 | x) >> r_k1s) + n1p) & MASK
-    n2p = mixbits_modified(n1p, n3)
-    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), k1s) ^ n2p
-    x = (n1p + k1s + ids + n2p) & MASK
-    x = (((x << 96 | x) >> (-n1p % 96)) + (k2s ^ n2p)) & MASK
-    idsn = (((x << 96 | x) >> r_k1s) ^ n2p) & MASK
-    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), k1s) + n2p
-    x = (n3 + k2s + PI + n2p) & MASK
-    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
-    k1n = (((x << 96 | x) >> r_k1s) + n2p) & MASK
-    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), k2s) + k1n
-    x = (idsn + k2s + PI + k1n) & MASK
-    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
-    k2n = (((x << 96 | x) >> r_k2s) + k1n) & MASK
-    return d, (idsn, k1n, k2n)
+    return reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED)[3:5]
 
 
 def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
@@ -397,31 +378,12 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
     x = (n1 + k2 + PI + n3) & MASK
     x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
     k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
-    r_n3 = -n3 % 96
     # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
     x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
+    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
     if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
         return None
-    # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3) + n1p
-    x = (n2 + k2s + id_ + n1p) & MASK
-    x = (((x << 96 | x) >> r_n2) + (k1s + n1p)) & MASK
-    d = (((x << 96 | x) >> r_n3) + n1p) & MASK
-    n2p = mixbits_original(n1p, n3)
-    r_n1p = -n1p % 96
-    # idsn = Rot(Rot(n1p + k1s + ids + n2p, n1p) + (k2s ^ n2p), n3) ^ n2p
-    x = (n1p + k1s + ids + n2p) & MASK
-    x = (((x << 96 | x) >> r_n1p) + (k2s ^ n2p)) & MASK
-    idsn = (((x << 96 | x) >> r_n3) ^ n2p) & MASK
-    # k1n = Rot(Rot(n3 + k2s + PI + n2p, n3) + (k1s + n2p), n2) + n2p
-    x = (n3 + k2s + PI + n2p) & MASK
-    x = (((x << 96 | x) >> r_n3) + (k1s + n2p)) & MASK
-    k1n = (((x << 96 | x) >> r_n2) + n2p) & MASK
-    # k2n = Rot(Rot(idsn + k2s + PI + k1n, idsn) + (k1s + k1n), n1p) + k1n
-    x = (idsn + k2s + PI + k1n) & MASK
-    x = (((x << 96 | x) >> (-idsn % 96)) + (k1s + k1n)) & MASK
-    k2n = (((x << 96 | x) >> r_n1p) + k1n) & MASK
-    return d, (idsn, k1n, k2n)
+    return reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL)[3:5]
 
 
 # ---- end of rendered code ----
@@ -429,13 +391,12 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
 
 def mixbits_passes(lanes: dict[str, int], n: int) -> Iterator[tuple[str, int]]:
     """The original variant's ``MIXBITS`` calls over ``n`` sessions, one lane
-    pass each, run lazily in table order: each target missing from ``lanes``
-    (name -> lane form of that word of every session, ``word96.to_lanes``)
-    gets its pass, stored there and yielded as (target, lane form)."""
+    pass each, run lazily in table order from ``lanes``, which holds n1 and
+    n2 (name -> lane form of that word of every session, ``word96.to_lanes``):
+    each target's pass is stored there and yielded as (target, lane form)."""
     for target, (x, y) in MIXBITS.items():
-        if target not in lanes:
-            lanes[target] = z = mixbits_original_lanes(lanes[x], lanes[y], n)
-            yield target, z
+        lanes[target] = z = mixbits_original_lanes(lanes[x], lanes[y], n)
+        yield target, z
 
 
 def mixbits_table(n1s: list[Word96], n2s: list[Word96]) -> dict[tuple[Word96, Word96], Word96]:

@@ -23,8 +23,10 @@ returns (D, staged) or None, and ``respond`` is the tag body around it.
 tag to answer from.  The tag of an honest session recovers the very nonces
 the reader drew, so its C, D and staged tuple would be the reader's, computed
 again; its accept phase looks up the inputs it has recovered and, on a hit,
-only compares C.  The entry is exact, keyed by all the derivation reads, so
-a miss (a tampered message, other nonces, no reader) costs time, never
+only compares C.  On a miss (a tampered message, other nonces, no reader)
+it calls the protocol's ``reader_begin`` itself, Gossamer's once its own
+rebuilt C holds, so each protocol derives a session in one place.  The entry
+is exact, keyed by all the derivation reads, so a miss costs time, never
 correctness.
 """
 

@@ -168,9 +168,12 @@ class TestSessionRun:
         assert code == 1
         assert summary["outcome"] == "tag_rejected"
 
-    def test_replayed_challenge_is_harmless(self, tmp_path, capsys):
+    @pytest.mark.parametrize("variant", ["sasi", "gossamer", "gossamer-mod"])
+    def test_replayed_challenge_is_harmless(self, tmp_path, capsys, variant):
+        # the replayed A||B||C has no reader, so the tag accepts it without
+        # the reader's entry, and its answer rewrites the same tuples
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
-        provision(capsys, store)
+        provision(capsys, store, variant)
         run_cli(capsys, "session", "run", "--tag", "tag-000", "--seed", "1",
                 "--store", str(store), "--output", str(out))
 

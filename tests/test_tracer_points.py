@@ -181,7 +181,8 @@ def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, can
     # nonces the reader drew from the reader's derivation, with no call: the
     # original tag's one candidate is always those, and of the modified tag's
     # 43 search candidates 20 are; each of the other 23 makes 2 calls before
-    # its C fails (60 + 2 * 23 = 106).  Only the modified tag searches.
+    # its C fails (60 + 2 * 23 = 106).  Only the modified tag searches, and
+    # only the reader calls reader_begin, once a session.
     tags, store = provision(1, protocol, seed=3)
     tracer = tracing.Tracer()
     tracer.install()
@@ -190,7 +191,8 @@ def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, can
     finally:
         tracer.uninstall()
     assert tracer.missing == set()
-    assert sum(span[0] == "word96.mixbits" for span in tracer.spans) == spans
+    counts = Counter(span[0] for span in tracer.spans)
+    assert counts["word96.mixbits"] == spans and counts["gossamer.reader_begin"] == 20
     assert tracer.counts["search.candidates"] == candidates
     if protocol is Protocol.GOSSAMER_MOD:
         assert tracer.counts["search.sessions"] == tracer.counts["search.accepted"] == 20
