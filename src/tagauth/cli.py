@@ -209,6 +209,8 @@ def _forcing_from_session_opts(opts: dict) -> Forcing:
     forcing = Forcing(drop_d=opts["drop_d"])
     replay_file = opts.get("replay")
     if replay_file:
+        if forcing.drop_d:
+            raise UsageError("--drop-d with --replay: the reader gets no D of the tag's to drop")
         captured_all = _read_jsonl(replay_file, transcript_from_line)
         if not captured_all:
             raise UsageError(f"replay file {replay_file} holds no transcripts")

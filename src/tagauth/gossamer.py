@@ -14,9 +14,9 @@ pass, either variant, as the reader serves both, and the one place D and
 the update are derived), the two tags' phases, ``derive_auth`` (one
 modified search candidate: C rebuilt and checked) and ``accept_original``
 (n1 and n2 peeled from the ``a`` and ``b`` rows inverted, as ``PEELS``
-names them, then the same; either answers from the reader's
-``tagstate.DERIVED`` entry, C compared, when that holds its inputs, and
-otherwise, once C holds, with ``reader_begin``'s D and staged tuple), and
+names them, then the same; either answers from the reader's ``derived``,
+C compared, when that matches its inputs, and otherwise, once C holds,
+with ``reader_begin``'s D and staged tuple), and
 the zero-key attack's two:
 ``confirm_zero_key`` (K1* and K2*, and C checked, with K1 = K2 = 0 folded
 in, for a whole block of transcripts in one loop) and
@@ -46,7 +46,7 @@ lanes (``_residue_survivors``), and ``accept_modified`` hands each
 candidate to ``derive_auth``.  Either tag accepts only if exactly one
 candidate reproduces the received C, and answers (D, staged tuple).  A
 candidate refused at C costs two MixBits calls, an accepted one without
-the reader's entry five: two, then ``reader_begin``'s three.
+the reader's derivation five: two, then ``reader_begin``'s three.
 
 The plain-word returns, the two-tuple tag state, its announce/retry step,
 the update timing and the tag body ``respond`` are shared with SASI
@@ -58,7 +58,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterator
 
-from .tagstate import DERIVED, TagState, respond
+from .tagstate import Answer, TagState, respond
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
                      mixbits_original, mixbits_original_lanes, peel_rotations, to_lanes)
 
@@ -93,9 +93,9 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 # Each rendered phase: its head (signature, docstring), its variant (None: the
 # variant argument picks each outer amount), what it computes in order, its tail.
 # A target "c?" rebuilds C and returns None unless it equals the received c; the
-# target "derived" answers from the reader's entry (tagstate.DERIVED) when that
-# holds this phase's inputs, so that a tag does not derive the reader's session again;
-# without it, a tag phase checks C and takes D and the update from reader_begin.
+# target "derived" answers from the argument derived when that matches this phase's
+# inputs, so that a tag does not derive the reader's session again; otherwise a
+# tag phase checks C and takes D and the update from reader_begin.
 # Two more columns are optional: a forcing, the words fixed to 0, which render()
 # folds out (the head leaves them out of the signature); and a block form, the
 # words the phase takes as lists (each named with an "s"), whose body then runs
@@ -108,7 +108,7 @@ PHASES = (
      None, ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
      "return a, b, c, d, (idsn, k1n, k2n), (n1, n2, n3, n1p, n2p, k1s, k2s)"),
     ('''def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
-                c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+                c: Word96, derived: tuple | None = None) -> Answer:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
      Variant.MODIFIED, ("derived", "n3", "n1p", "k1s", "k2s", "c?"),
@@ -126,7 +126,7 @@ PHASES = (
     has confirmed, from its K1* and K2*."""''',
      Variant.ORIGINAL, ("idsn", "id_"), "return idsn, id_"),
     ('''def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
-                    b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+                    b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
     None when the nonces peeled from A and B do not rebuild C."""''',
      Variant.ORIGINAL, ("n1", "n2", "derived", "n3", "n1p", "k1s", "k2s", "c?"),
@@ -173,10 +173,10 @@ def render() -> str:
             return name
 
         for target, name in zip(targets, names):
-            if name == "derived":  # keyed as the reader's reader_begin arguments
-                lines += [f"derived = DERIVED.get((ids, k1, k2, id_, n1, n2, _{variant.name}))",
-                          "if derived is not None:",
-                          "    return derived[1:] if derived[0] == c else None"]
+            if name == "derived":  # matched on the reader's reader_begin arguments
+                lines += ["if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, "
+                          f"_{variant.name}):",
+                          "    return derived[2] if derived[1] == c else None"]
                 continue
             if name in MIXBITS:
                 lines.append(f"{name} = {mix}({', '.join(MIXBITS[name])})")
@@ -284,12 +284,11 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n
 
 
 def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
-                c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+                c: Word96, derived: tuple | None = None) -> Answer:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""
-    derived = DERIVED.get((ids, k1, k2, id_, n1, n2, _MODIFIED))
-    if derived is not None:
-        return derived[1:] if derived[0] == c else None
+    if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, _MODIFIED):
+        return derived[2] if derived[1] == c else None
     n3 = mixbits_modified(n1, n2)
     n1p = mixbits_modified(n3, n2)
     # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), k1) ^ n3
@@ -352,7 +351,7 @@ def disclose_original(ids: Word96, k1s: Word96, k2s: Word96, n2: Word96, n3: Wor
 
 
 def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
-                    b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+                    b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
     None when the nonces peeled from A and B do not rebuild C."""
     rr_k1 = k1 % 96
@@ -363,9 +362,8 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
     # n2 from b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2)
     x = (((b << 96 | b) >> rr_k2) - k2) & MASK
     n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
-    derived = DERIVED.get((ids, k1, k2, id_, n1, n2, _ORIGINAL))
-    if derived is not None:
-        return derived[1:] if derived[0] == c else None
+    if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, _ORIGINAL):
+        return derived[2] if derived[1] == c else None
     n3 = mixbits_original(n1, n2)
     n1p = mixbits_original(n3, n2)
     r_n2 = -n2 % 96
@@ -415,14 +413,14 @@ def mixbits_table(n1s: list[Word96], n2s: list[Word96]) -> dict[tuple[Word96, Wo
 
 
 def accept_modified(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
-                    b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+                    b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The modified tag's answer to A||B||C: ``derive_auth`` of each
-    ``_residue_survivors`` candidate, in ascending residue.  Returns the one
-    candidate's (D, staged (IDS+, K1+, K2+)), or None when zero or several
-    candidates rebuild C."""
+    ``_residue_survivors`` candidate, with ``derived``, in ascending residue.
+    Returns the one candidate's (D, staged (IDS+, K1+, K2+)), or None when
+    zero or several candidates rebuild C."""
     answer = None
     for n1, n2 in _residue_survivors(k1, k2, a, b, ids + k1 + PI, ids + k2 + PI):
-        found = derive_auth(ids, k1, k2, id_, n1, n2, c)
+        found = derive_auth(ids, k1, k2, id_, n1, n2, c, derived)
         if found is not None:
             if answer is not None:
                 return None
@@ -457,9 +455,10 @@ def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
         r = hits.find(0, r + 1)
 
 
-def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
-                variant: Variant) -> Word96 | None:
+def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96, variant: Variant,
+                derived: tuple | None = None) -> Word96 | None:
     """Authenticate the reader from A||B||C (``accept_original`` or
     ``accept_modified``); emit D and commit, or reject with the state
     untouched and return None."""
-    return respond(tag, accept_original if variant is _ORIGINAL else accept_modified, a, b, c)
+    return respond(tag, accept_original if variant is _ORIGINAL else accept_modified,
+                   a, b, c, derived)

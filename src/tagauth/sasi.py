@@ -12,19 +12,18 @@ rotation by y mod 96:
     IDS_next = (IDS + ID) xor (n2 xor K1')
 
 ``reader_begin`` is the one place they are computed.  ``accept_sasi``
-inverts A and B and takes C, D and the update from the reader's
-``tagstate.DERIVED`` entry, or from ``reader_begin`` when the entry does not
-hold its inputs.  Both phases answer in the plain words ``tagstate``
-describes: SASI has no n3, n1' or n2' (None), and its session keys K1'/K2'
-are both K1*/K2* and the staged keys.  Unlike Gossamer's, these equations
-OR and rotate by keys alone, so they are written by hand rather than
-rendered from a table.
+inverts A and B and takes C, D and the update from the reader's ``derived``
+when that matches its inputs, else from ``reader_begin``.  Both phases
+answer in the plain words ``tagstate`` describes: SASI has no n3, n1' or
+n2' (None), and its session keys K1'/K2' are both K1*/K2* and the staged
+keys.  Unlike Gossamer's, these equations OR and rotate by keys alone, so
+they are written by hand rather than rendered from a table.
 
-State objects are plain mutable values; a session touches only its own
-tag, so concurrent sessions against distinct tags need no coordination.
+A session reads only its own tag and its arguments, so sessions on distinct
+tags need no coordination; a campaign's MixBits table is still one per process.
 """
 
-from .tagstate import DERIVED, TagState, respond
+from .tagstate import Answer, TagState, respond
 from .word96 import MASK, Word96, rotl
 
 
@@ -41,17 +40,20 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96,
 
 
 def accept_sasi(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
-                b: Word96, c: Word96) -> tuple[Word96, tuple[Word96, Word96, Word96]] | None:
+                b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The tag's answer to A||B||C: (D, staged), or None when the nonces
     peeled from A and B (exactly: XOR and addition invert) do not rebuild C.
-    C, D and staged are the reader's ``DERIVED`` entry if it holds these
-    inputs, else ``reader_begin``'s of them."""
+    C, D and staged are the reader's ``derived`` if it was derived from
+    these inputs, else ``reader_begin``'s of them."""
     key = (ids, k1, k2, id_, a ^ ids ^ k1, (b - (ids | k2)) & MASK)
-    rebuilt, d, staged = DERIVED.get(key) or reader_begin(*key)[2:5]
+    if derived is not None and derived[0] == key:
+        return derived[2] if derived[1] == c else None
+    rebuilt, d, staged = reader_begin(*key)[2:5]
     return (d, staged) if rebuilt == c else None
 
 
-def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96) -> Word96 | None:
+def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,
+                derived: tuple | None = None) -> Word96 | None:
     """Authenticate the reader from A||B||C (``accept_sasi``); emit D and
     commit, or reject with the state untouched and return None."""
-    return respond(tag, accept_sasi, a, b, c)
+    return respond(tag, accept_sasi, a, b, c, derived)

@@ -16,7 +16,8 @@ the same with it or without.
 
 Per-tag session order is total: a campaign drives one tag sequentially,
 which is what consecutive-transcript attacks rely on.  Campaigns against
-distinct tags are independent and may run in separate processes.
+distinct tags are independent and may run in separate processes; the only
+module state a session writes is an original-Gossamer campaign's MixBits table.
 """
 
 import json
@@ -34,7 +35,7 @@ from . import attacks, gossamer, sasi
 from .gossamer import Variant
 from .store import (_ROWS, HEX, STR, TUPLE_WORDS, WORD, Kind, RecordList, Store,
                     TagRecordRow, decode, exactly, json_loads, record_formats)
-from .tagstate import DERIVED, NEXT, OLD, TagState, tag_announce, tuple_of
+from .tagstate import NEXT, OLD, TagState, tag_announce, tuple_of
 from .word96 import WIDTH, Word96, to_hex, use_mixbits_table
 from .word96 import from_hex  # unused here, but perfbench/tracing.py wraps it
 
@@ -245,7 +246,7 @@ def provision(count: int, protocol: Protocol, seed: int) -> tuple[dict[str, SimT
 # are the same for every protocol, and tag_respond; run_session looks them
 # up on the module at each call so that a wrapper set on the module
 # attribute (perfbench/tracing.py's spans) sees every session.  ``extra``
-# is the trailing argument both take: the Gossamer variant, nothing for SASI.
+# is the Gossamer variant, nothing for SASI; tag_respond takes it before ``derived``.
 _ENGINES = {
     Protocol.SASI: (Protocol.SASI.value, sasi, ()),
     Protocol.GOSSAMER: (Protocol.GOSSAMER.value, gossamer, (Variant.ORIGINAL,)),
@@ -318,20 +319,20 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
     that crossed the channel, and one GroundTruth.  Its snapshots are taken
     once before and once after the session: where the store row holds
     exactly the tag's six tuple words, the reader's snapshot is the tag's
-    (``_snapshots``).  Replaying a message that never crossed the air is a
-    ValueError, raised before any key is forced or nonce drawn.
-
-    The reader's derivation is installed in ``tagstate.DERIVED`` for the
-    length of the tag's phase, keyed by the arguments of ``reader_begin``,
-    and cleared after it, so the tag of an honest session compares C and
-    answers without deriving the session again; a replayed A||B||C has no
-    reader, and its tag derives.
+    (``_snapshots``).  Replaying a message that never crossed the air, or
+    dropping a replayed session's D, is a ValueError, raised before any key
+    is forced or nonce drawn.  The tag's phase is given the reader's
+    derivation, ``(reader_begin's arguments, C, (D, staged))``, or None for
+    a replayed A||B||C, which has no reader.
     """
     captured, replayed = forcing.replay_abc, forcing.replay_d
-    if captured is not None and captured.a is None:
-        raise ValueError("replay_abc: the captured transcript has no A||B||C")
-    if replayed is not None and replayed.d is None:
-        raise ValueError("replay_d: the captured transcript has no D")
+    if captured is not None or replayed is not None:
+        if captured is not None and captured.a is None:
+            raise ValueError("replay_abc: the captured transcript has no A||B||C")
+        if replayed is not None and replayed.d is None:
+            raise ValueError("replay_d: the captured transcript has no D")
+        if forcing.drop_d:
+            raise ValueError("drop_d: a replayed session has no D of the tag's to drop")
     variant, module, extra = _ENGINES[tag.protocol]
     state = tag.state
     mirror = store.rows.get(tag.label)
@@ -346,7 +347,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
         if announced != captured.announced_ids:
             announced = tag_announce(state, retry=True)
         a, b, c = captured.a, captured.b, captured.c
-        d = module.tag_respond(state, a, b, c, *extra)
+        d = module.tag_respond(state, a, b, c, *extra, None)  # no reader ran
         outcome = _READER_REJECTED if d is None else _D_DROPPED
     else:
         n1, n2 = _draw_nonces(forcing.nonce_mode, rng)
@@ -371,11 +372,7 @@ def run_session(tag: SimTag, store: Store, forcing: Forcing, rng: NonceStream,
             # a captured D answers the reader in place of the genuine tag
             d = replayed.d
         else:
-            DERIVED[derivation] = c, expected, staged
-            try:
-                d = module.tag_respond(state, a, b, c, *extra)
-            finally:
-                DERIVED.clear()
+            d = module.tag_respond(state, a, b, c, *extra, (derivation, c, (expected, staged)))
             if d is None:
                 outcome = _READER_REJECTED
             elif forcing.drop_d:

@@ -19,15 +19,15 @@ returns (A, B, C, D, staged, internals): the expected D, the staged
 (n1, n2, n3, n1', n2', K1*, K2*).  Its tag phase, ``accept_<protocol>``,
 returns (D, staged) or None, and ``respond`` is the tag body around it.
 
-``DERIVED`` holds the reader's derivation of the running session for the
-tag to answer from.  The tag of an honest session recovers the very nonces
-the reader drew, so its C, D and staged tuple would be the reader's, computed
-again; its accept phase looks up the inputs it has recovered and, on a hit,
-only compares C.  On a miss (a tampered message, other nonces, no reader)
-it calls the protocol's ``reader_begin`` itself, Gossamer's once its own
-rebuilt C holds, so each protocol derives a session in one place.  The entry
-is exact, keyed by all the derivation reads, so a miss costs time, never
-correctness.
+A tag phase also takes ``derived``: the reader's derivation of the session,
+``(reader_begin's arguments, C, (D, staged))``, or None when no reader ran.
+The tag of an honest session recovers the very nonces the reader drew, so
+its C, D and staged tuple would be the reader's, computed again; its accept
+phase compares the inputs it has recovered with ``derived[0]`` and, on a
+match, only compares C.  Otherwise (a tampered message, other nonces, no
+reader) it calls the protocol's ``reader_begin`` itself, Gossamer's once its
+own rebuilt C holds, so each protocol derives a session in one place.  The
+match is exact, so a miss costs time, never correctness.
 """
 
 from dataclasses import dataclass
@@ -36,11 +36,7 @@ from .word96 import Word96
 
 NEXT = "next"
 OLD = "old"
-
-# {arguments of reader_begin (the matched (IDS, K1, K2), ID, n1, n2 and, for
-# Gossamer, the variant): (C, D, staged)}; simulator.run_session installs one
-# entry for the length of the tag's phase
-DERIVED: dict[tuple, tuple[Word96, Word96, tuple[Word96, Word96, Word96]]] = {}
+Answer = tuple[Word96, tuple[Word96, Word96, Word96]] | None  # a tag phase's (D, staged) or None
 
 
 @dataclass
@@ -80,11 +76,12 @@ def rotate(holder, side: str, staged: tuple[Word96, Word96, Word96]) -> None:
     holder.ids, holder.k1, holder.k2 = staged
 
 
-def respond(tag: TagState, accept, a: Word96, b: Word96, c: Word96) -> Word96 | None:
+def respond(tag: TagState, accept, a: Word96, b: Word96, c: Word96,
+            derived: tuple | None) -> Word96 | None:
     """Authenticate the reader from A||B||C with the protocol's ``accept``
-    phase, called on the announced tuple and the id: emit D and commit on
-    its answer (D, staged tuple), or return None with the state untouched."""
-    answer = accept(*tuple_of(tag, tag.last_announced), tag.id, a, b, c)
+    phase, called on the announced tuple, the id and ``derived``: emit D and
+    commit on its answer (D, staged), or return None with the state untouched."""
+    answer = accept(*tuple_of(tag, tag.last_announced), tag.id, a, b, c, derived)
     if answer is None:
         return None
     rotate(tag, tag.last_announced, answer[1])

@@ -25,7 +25,6 @@ from tagauth.simulator import (Forcing, GroundTruth, KeyMode, NonceMode, NonceSt
                                provision, run_session, scored_truth_from_line,
                                transcript_from_dict, transcript_from_line, transcript_line)
 from tagauth.store import Store
-from tagauth.tagstate import DERIVED
 
 MOD, BITS, PI = oracles.MOD, oracles.BITS, oracles.PI
 
@@ -75,9 +74,9 @@ def modified_search(cases: int) -> str:
     seen = []
     real = gossamer.derive_auth
 
-    def recording(ids, k1, k2, id_, n1, n2, c):
+    def recording(ids, k1, k2, id_, n1, n2, c, derived):
         seen.append((n1, n2))
-        return real(ids, k1, k2, id_, n1, n2, c)
+        return real(ids, k1, k2, id_, n1, n2, c, derived)
 
     gossamer.derive_auth = recording
     try:
@@ -189,28 +188,25 @@ def sasi_phases(cases: int) -> str:
 def derivation(cases: int) -> str:
     """Each case on all three protocols, in the nine key and nonce mixes: the
     tag's answer (``accept_sasi``, ``accept_original``, ``accept_modified``)
-    with a reader's ``tagstate.DERIVED`` entry installed, against its answer
-    with none, and for the modified tag the candidates ``derive_auth`` sees,
-    in order.  The tag answers the genuine A||B||C with the reader's own entry,
-    from that entry (its staged tuple is the entry's object), and then, in
-    turn, A, B or C with one bit flipped; its tuple or ID one word off the
-    row; or the genuine A||B||C with the entry of another session (other
-    nonces) or of another protocol (the same words) installed instead."""
+    given a reader's derivation, ``(reader_begin's arguments, C, (D,
+    staged))``, against its answer given None, and for the modified tag the
+    candidates ``derive_auth`` sees, in order.  The tag answers the genuine
+    A||B||C given the reader's own derivation from it (its staged tuple is
+    the derivation's object), and then, in turn, A, B or C with one bit
+    flipped; its tuple or ID one word off the row; or the genuine A||B||C
+    given the derivation of another session (other nonces) or of another
+    protocol (the same words) instead."""
     seen = []
     real = gossamer.derive_auth
 
-    def recording(ids, k1, k2, id_, n1, n2, c):
+    def recording(ids, k1, k2, id_, n1, n2, c, derived):
         seen.append((n1, n2))
-        return real(ids, k1, k2, id_, n1, n2, c)
+        return real(ids, k1, k2, id_, n1, n2, c, derived)
 
-    def answer(accept, entry, words, messages):
-        """The tag's answer with ``entry`` installed, and the candidates it saw."""
+    def answer(accept, derived, words, messages):
+        """The tag's answer given ``derived``, and the candidates it saw."""
         seen.clear()
-        DERIVED.update(entry)
-        try:
-            return accept(*words, *messages), list(seen)
-        finally:
-            DERIVED.clear()
+        return accept(*words, *messages, derived), list(seen)
 
     protocols = {"sasi": (sasi.reader_begin, (), sasi.accept_sasi),
                  "original": (gossamer.reader_begin, (Variant.ORIGINAL,),
@@ -225,35 +221,37 @@ def derivation(cases: int) -> str:
             id_, ids, k1, k2, n1, n2, m1, m2 = (rng.getrandbits(96) for _ in range(8))
             k1, k2, n1, n2 = _mix(case, k1, k2, n1, n2)
             words, kind, bit = (ids, k1, k2, id_), case // 9 % 6, rng.randrange(96)
-            entries, sessions = {}, {}
+            derivations, sessions = {}, {}
             for name, (begin, extra, _) in protocols.items():
                 sessions[name] = begin(*words, n1, n2, *extra)
-                entries[name] = {(*words, n1, n2, *extra): sessions[name][2:5]}  # C, D, staged
+                a, b, c, d, staged, _ = sessions[name]
+                derivations[name] = ((*words, n1, n2, *extra), c, (d, staged))
             for at, (name, (begin, extra, accept)) in enumerate(protocols.items()):
                 a, b, c, d, staged, _ = sessions[name]
-                got, candidates = answer(accept, entries[name], words, (a, b, c))
+                got, candidates = answer(accept, derivations[name], words, (a, b, c))
                 if got != (d, staged) or got[1] is not staged:
                     raise AssertionError(f"case {case}, {name}: the genuine challenge is not "
-                                         f"answered from the entry")
-                if (got, candidates) != answer(accept, {}, words, (a, b, c)):
-                    raise AssertionError(f"case {case}, {name}: the entry changes the answer "
-                                         f"to the genuine challenge")
-                entry, tag, messages = entries[name], list(words), [a, b, c]
+                                         f"answered from the derivation")
+                if (got, candidates) != answer(accept, None, words, (a, b, c)):
+                    raise AssertionError(f"case {case}, {name}: the derivation changes the "
+                                         f"answer to the genuine challenge")
+                derived, tag, messages = derivations[name], list(words), [a, b, c]
                 if kind < 3:
                     messages[kind] ^= 1 << bit
                 elif kind == 3:
                     tag[bit % 4] ^= 1 << bit
                 elif kind == 4:
-                    entry = {(*words, m1, m2, *extra): begin(*words, m1, m2, *extra)[2:5]}
+                    other = begin(*words, m1, m2, *extra)
+                    derived = ((*words, m1, m2, *extra), other[2], (other[3], other[4]))
                 else:
-                    entry = entries[names[(at + 1) % 3]]
-                if answer(accept, entry, tag, messages) != answer(accept, {}, tag, messages):
-                    raise AssertionError(f"case {case}, {name}: the entry changes the answer "
-                                         f"in kind {kind}")
+                    derived = derivations[names[(at + 1) % 3]]
+                if answer(accept, derived, tag, messages) != answer(accept, None, tag, messages):
+                    raise AssertionError(f"case {case}, {name}: the derivation changes the "
+                                         f"answer in kind {kind}")
     finally:
         gossamer.derive_auth = real
     return (f"{cases} cases on all three protocols: every genuine challenge answered from the "
-            f"entry, and every answer and candidate the same as with no entry")
+            f"derivation, and every answer and candidate the same as given None")
 
 
 def _session_lines(seed: int, cases: int, write):

@@ -171,7 +171,7 @@ class TestSessionRun:
     @pytest.mark.parametrize("variant", ["sasi", "gossamer", "gossamer-mod"])
     def test_replayed_challenge_is_harmless(self, tmp_path, capsys, variant):
         # the replayed A||B||C has no reader, so the tag accepts it without
-        # the reader's entry, and its answer rewrites the same tuples
+        # the reader's derivation, and its answer rewrites the same tuples
         store, out = tmp_path / "db.json", tmp_path / "t.jsonl"
         provision(capsys, store, variant)
         run_cli(capsys, "session", "run", "--tag", "tag-000", "--seed", "1",
@@ -199,6 +199,7 @@ SESSION_RUN = ["session", "run", "--tag", "tag-000", "--seed", "1", "--store", "
 CAMPAIGN = ["campaign", "--sessions", "3", "--seed", "1", "--output", "c.jsonl"]
 ATTACK = ["attack", "gossamer-2", "--input", "c.jsonl"]
 EMPTY_PATH = "an empty path names no file"
+DROP_REPLAYED = "--drop-d with --replay: the reader gets no D of the tag's to drop"
 
 
 class TestRefusedRuns:
@@ -212,6 +213,10 @@ class TestRefusedRuns:
          "replay file dropped.jsonl: last transcript has no D"),
         ([*SESSION_RUN, "--replay", "failed.jsonl"],
          "replay file failed.jsonl: last transcript has no A||B||C"),
+        # a replayed session sends the reader no D of the tag's, so none can be dropped
+        ([*SESSION_RUN, "--replay", "c.jsonl", "--drop-d"], DROP_REPLAYED),
+        ([*SESSION_RUN, "--replay", "c.jsonl", "--replay-mode", "d", "--drop-d"], DROP_REPLAYED),
+        (["--manifest", "drop-replayed.manifest.json"], DROP_REPLAYED),
         # both commands pick their tag by one rule and refuse a bad one alike
         ([*CAMPAIGN, "--store", "db.json", "--tag", "nope"],
          "unknown tag 'nope' in db.json.tags"),
@@ -244,7 +249,8 @@ class TestRefusedRuns:
         # a manifest names its own run: a subcommand beside it is refused, not ignored
         (["--manifest", "db.manifest.json", *CAMPAIGN, "--store", "other.json"],
          "--manifest takes no subcommand; 'campaign' given"),
-    ], ids=["replay-empty", "replay-no-d", "replay-no-abc", "campaign-unknown-tag",
+    ], ids=["replay-empty", "replay-no-d", "replay-no-abc", "replay-abc-drop-d",
+            "replay-d-drop-d", "manifest-replay-drop-d", "campaign-unknown-tag",
             "session-unknown-tag", "campaign-zero-tags", "session-zero-tags",
             "campaign-two-tags", "session-two-tags", "session-without-run",
             "session-output-in-no-dir", "session-empty-replay", "session-empty-output",
@@ -264,6 +270,10 @@ class TestRefusedRuns:
         manifest = json.loads((tmp_path / "c.manifest.json").read_text())
         manifest["args"]["store"] = ""
         (tmp_path / "empty-store.manifest.json").write_text(json.dumps(manifest))
+        manifest.update(subcommand="session-run", args={
+            "tag": "tag-000", "seed": 1, "store": "db.json", "drop_d": True,
+            "replay": "c.jsonl", "replay_mode": "d"})
+        (tmp_path / "drop-replayed.manifest.json").write_text(json.dumps(manifest))
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         try:
             code, summary = run_cli(capsys, *argv)

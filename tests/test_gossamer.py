@@ -19,7 +19,7 @@ from conftest import LANE_WORDS, lane_words, named, words
 from sweeps import confirm_unforced
 from tagauth import gossamer, rerender, sasi
 from tagauth.gossamer import Variant
-from tagauth.tagstate import DERIVED, TagState, tag_announce
+from tagauth.tagstate import TagState, tag_announce
 from tagauth.word96 import MASK, PI, mixbits_modified, mixbits_original
 
 ID = 0x00112233445566778899AABB
@@ -289,9 +289,9 @@ def test_several_survivors_reproducing_c_reject(monkeypatch):
         a, b, c, *_ = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)
         survivors = []
 
-        def always_c(ids, k1, k2, id_, n1, n2, c):
+        def always_c(ids, k1, k2, id_, n1, n2, c, derived):
             own_c = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, Variant.MODIFIED)[2]
-            answer = real(ids, k1, k2, id_, n1, n2, own_c)
+            answer = real(ids, k1, k2, id_, n1, n2, own_c, derived)
             survivors.append(answer)
             return answer
 
@@ -329,9 +329,9 @@ class TestSurvivorsInOrder:
         seen = []
         real = gossamer.derive_auth
 
-        def recording(ids, k1, k2, id_, n1, n2, c):
+        def recording(ids, k1, k2, id_, n1, n2, c, derived):
             seen.append((n1, n2))
-            return real(ids, k1, k2, id_, n1, n2, c)
+            return real(ids, k1, k2, id_, n1, n2, c, derived)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gossamer, "derive_auth", recording)
@@ -644,8 +644,8 @@ def test_modified_tag_rejects_a_flipped_bit_of_c_and_keeps_its_state(id_, ids, k
 @pytest.mark.parametrize("variant", list(Variant))
 def test_mixbits_calls_accepted_5_rejected_2(monkeypatch, variant, flip, entry):
     # a candidate rejected at C has made 2 MixBits calls and the accepted one
-    # 5, its own 2 and then reader_begin's 3; with the reader's entry
-    # installed, the reader's own candidate makes none, accepted or not.  The
+    # 5, its own 2 and then reader_begin's 3; given the reader's derivation,
+    # the reader's own candidate makes none, accepted or not.  The
     # original tag has one candidate, the modified tag one per derive_auth call
     name = f"mixbits_{variant.value}"
     real_mix, real_auth = getattr(gossamer, name), gossamer.derive_auth
@@ -660,11 +660,11 @@ def test_mixbits_calls_accepted_5_rejected_2(monkeypatch, variant, flip, entry):
         return real_auth(*args)
 
     a, b, c, d, staged, _ = gossamer.reader_begin(IDS, K1, K2, ID, N1, N2, variant)
-    if entry:
-        monkeypatch.setitem(DERIVED, (IDS, K1, K2, ID, N1, N2, variant), (c, d, staged))
+    derived = ((IDS, K1, K2, ID, N1, N2, variant), c, (d, staged)) if entry else None
     monkeypatch.setattr(gossamer, name, counted)
     monkeypatch.setattr(gossamer, "derive_auth", recording)
-    assert gossamer.tag_respond(fresh_tag(), a, b, c ^ flip, variant) == (None if flip else d)
+    assert gossamer.tag_respond(fresh_tag(), a, b, c ^ flip, variant, derived) == (
+        None if flip else d)
     searched = len(candidates) if variant is Variant.MODIFIED else 1
     assert searched >= 1
     if entry:
@@ -678,9 +678,9 @@ def test_mixbits_calls_accepted_5_rejected_2(monkeypatch, variant, flip, entry):
 @pytest.mark.parametrize("protocol", ["sasi", "original", "modified"])
 def test_a_tag_derives_only_through_reader_begin(monkeypatch, protocol, flip, entry):
     # reader_begin is each protocol's one derivation: without the reader's
-    # entry a tag phase calls it once when C holds, and SASI, which has no
-    # C of its own, also when it does not; a Gossamer candidate refused at C
-    # never calls it.  With the entry installed no tag phase calls it
+    # derivation a tag phase calls it once when C holds, and SASI, which has
+    # no C of its own, also when it does not; a Gossamer candidate refused at
+    # C never calls it.  Given the derivation, no tag phase calls it
     if protocol == "sasi":
         module, extra, accept = sasi, (), sasi.accept_sasi
     else:
@@ -688,11 +688,10 @@ def test_a_tag_derives_only_through_reader_begin(monkeypatch, protocol, flip, en
         accept = getattr(gossamer, f"accept_{protocol}")
     key = (IDS, K1, K2, ID, N1, N2, *extra)
     a, b, c, d, staged, _ = module.reader_begin(*key)
-    if entry:
-        monkeypatch.setitem(DERIVED, key, (c, d, staged))
+    derived = (key, c, (d, staged)) if entry else None
     begun, real = [], module.reader_begin
     monkeypatch.setattr(module, "reader_begin", lambda *args: begun.append(args) or real(*args))
-    assert accept(IDS, K1, K2, ID, a, b, c ^ flip) == (None if flip else (d, staged))
+    assert accept(IDS, K1, K2, ID, a, b, c ^ flip, derived) == (None if flip else (d, staged))
     assert begun == ([] if entry or (flip and protocol != "sasi") else [key])
 
 

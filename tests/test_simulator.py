@@ -39,7 +39,7 @@ from tagauth.simulator import (
     transcript_to_dict,
 )
 from tagauth.store import TUPLE_WORDS, Store
-from tagauth.tagstate import DERIVED, TagState
+from tagauth.tagstate import TagState
 from tagauth.word96 import MASK
 
 ALL_PROTOCOLS = list(Protocol)
@@ -215,6 +215,20 @@ class TestReplays:
             run_session(tag, store, Forcing(key_mode=KeyMode.EXACT_ZERO, **{mode: captured}),
                         rng, 1)
         assert (repr(tag.state), repr(store.rows), rng.getstate()) == before
+
+    @pytest.mark.parametrize("mode", ["replay_abc", "replay_d"])
+    def test_dropping_the_d_of_a_replayed_session(self, mode):
+        # a replayed session sends the reader no D of the tag's: dropping one
+        # is refused, before the forced keys are written or any nonce is drawn
+        tag, store = one_tag_world(Protocol.GOSSAMER)
+        rng = NonceStream(18)
+        captured, _ = run_session(tag, store, Forcing(), rng, 0)
+        before = repr(tag.state), repr(store.rows), rng.getstate()
+        with pytest.raises(ValueError, match="drop_d: a replayed session has no D"):
+            run_session(tag, store, Forcing(key_mode=KeyMode.EXACT_ZERO, drop_d=True,
+                                            **{mode: captured}), rng, 1)
+        assert (repr(tag.state), repr(store.rows), rng.getstate()) == before
+
 
 class TestLookupFailure:
     def test_unregistered_tag_surfaces_as_outcome(self):
@@ -455,71 +469,68 @@ class TestChainTable:
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-class TestDerivedEntry:
-    """The reader's derivation (``tagstate.DERIVED``) is installed for the
-    tag's phase of a session with a reader and for nothing else, so no secret
-    is held between sessions."""
+class TestDerivedArgument:
+    """The tag's phase of a session with a reader is given the reader's
+    derivation as its last argument, and that of a replayed challenge None,
+    so no secret is held between sessions or shared between them."""
 
-    def spy(self, monkeypatch, protocol) -> list[dict]:
-        """A copy of the entries installed at each of the tag's phases from now on."""
+    @staticmethod
+    def spy(monkeypatch, protocol, during=None) -> list:
+        """The derivation given to each of the tag's phases from now on;
+        ``during()``, if given, runs inside the first of them."""
         module = simulator._ENGINES[protocol][1]
         respond, seen = module.tag_respond, []
 
         def spied(*args):
-            seen.append(dict(DERIVED))
+            seen.append(args[-1])
+            if during is not None and len(seen) == 1:
+                during()
             return respond(*args)
 
         monkeypatch.setattr(module, "tag_respond", spied)
         return seen
 
-    def test_no_outcome_leaves_an_entry(self, monkeypatch, protocol):
+    def test_the_tag_is_given_the_readers_derivation(self, monkeypatch, protocol):
         tag, store = one_tag_world(protocol)
         seen = self.spy(monkeypatch, protocol)
         rng = NonceStream(19)
         captured, truth = run_session(tag, store, Forcing(), rng, 0)
-        pre, extra = truth.reader_pre, simulator._ENGINES[protocol][2]
-        # the tag's phase saw the reader's derivation, keyed by reader_begin's arguments
-        assert seen == [{(pre.ids, pre.k1, pre.k2, truth.id, truth.n1, truth.n2, *extra): (
-            captured.c, captured.d, (truth.reader_post.ids, truth.reader_post.k1,
-                                     truth.reader_post.k2))}]
+        pre, post, extra = truth.reader_pre, truth.reader_post, simulator._ENGINES[protocol][2]
+        # reader_begin's arguments, C, and the answer (D, staged)
+        assert seen == [((pre.ids, pre.k1, pre.k2, truth.id, truth.n1, truth.n2, *extra),
+                         captured.c, (captured.d, (post.ids, post.k1, post.k2)))]
         outcomes = [captured.outcome]
         for forcing in (Forcing(replay_d=captured), Forcing(replay_abc=captured),
                         Forcing(drop_d=True), Forcing()):
             outcomes.append(run_session(tag, store, forcing, rng, len(outcomes))[0].outcome)
-            assert DERIVED == {}
         tag.state.k1 ^= 1  # off its row: the tag refuses the reader
         outcomes.append(run_session(tag, store, Forcing(), rng, len(outcomes))[0].outcome)
-        assert DERIVED == {}
         outcomes.append(run_session(tag, Store(), Forcing(), rng, len(outcomes))[0].outcome)
-        assert DERIVED == {}
         assert outcomes == [Outcome.MUTUAL_SUCCESS, Outcome.TAG_REJECTED, Outcome.D_DROPPED,
                             Outcome.D_DROPPED, Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED,
                             Outcome.LOOKUP_FAILED]
-        # one entry for each tag that answered a reader; none for the replayed
-        # challenge, which has no reader (a replayed D has no tag)
-        assert [len(entry) for entry in seen] == [1, 0, 1, 1, 1]
+        # a derivation for each tag that answered a reader; None for the
+        # replayed challenge, which has no reader (a replayed D has no tag)
+        assert [derived is None for derived in seen] == [False, True, False, False, False]
 
-    def test_a_tag_phase_that_raises_leaves_no_entry(self, monkeypatch, protocol):
+    def test_a_nested_session_leaves_the_outer_tag_its_own_derivation(self, monkeypatch,
+                                                                       protocol):
+        # a session of another tag run inside this tag's phase: each tag still
+        # answers from its own reader's derivation, so reader_begin runs once
+        # a session, for the reader, and never for a tag
         tag, store = one_tag_world(protocol)
-
-        def failing(*args):
-            assert len(DERIVED) == 1
-            raise RuntimeError("the tag failed")
-
-        monkeypatch.setattr(simulator._ENGINES[protocol][1], "tag_respond", failing)
-        with pytest.raises(RuntimeError, match="the tag failed"):
-            run_session(tag, store, Forcing(), NonceStream(20), 0)
-        assert DERIVED == {}
-
-    def test_closing_a_campaign_leaves_no_entry(self, monkeypatch, protocol):
-        tag, store = one_tag_world(protocol)
-        seen = self.spy(monkeypatch, protocol)
-        run = iter_campaign(tag, store, CampaignConfig(10, seed=5, drop_d_rate=0.3))
-        for _ in range(3):
-            next(run)
-            assert DERIVED == {}
-        run.close()
-        assert DERIVED == {} and [len(entry) for entry in seen] == [1, 1, 1]
+        other, other_store = one_tag_world(protocol, seed=2)
+        nested = []
+        seen = self.spy(monkeypatch, protocol, lambda: nested.append(
+            run_session(other, other_store, Forcing(), NonceStream(21), 0)[0].outcome))
+        module = simulator._ENGINES[protocol][1]
+        begun, real = [], module.reader_begin
+        monkeypatch.setattr(module, "reader_begin",
+                            lambda *args: begun.append(args) or real(*args))
+        outer, _ = run_session(tag, store, Forcing(), NonceStream(20), 0)
+        assert [outer.outcome, *nested] == [Outcome.MUTUAL_SUCCESS] * 2
+        assert len(seen) == len(begun) == 2 and seen[0] != seen[1]
+        assert [derived[0] for derived in seen] == begun
 
 
 class TestSerialization:
