@@ -10,14 +10,14 @@ equations, each Rot(Rot(P + Q + R + S, inner) + (T op V), outer) op V with
 its outer amount per variant.  ``render`` turns it into the straight-line
 phases between the rendered-code markers, each from the column of the
 variant that calls it: ``reader_begin`` (every value of a session in one
-pass, either variant, as the reader serves both, and the one place D and
-the update are derived), the two tags' phases, ``derive_auth`` (one
-modified search candidate: C rebuilt and checked) and ``accept_original``
+pass, either variant, as the reader serves both, and the one place C, D
+and the update are derived; given ``sent``, the C a tag received, it
+returns None as soon as its C differs), the two tags' phases,
+``derive_auth`` (one modified search candidate) and ``accept_original``
 (n1 and n2 peeled from the ``a`` and ``b`` rows inverted, as ``PEELS``
-names them, then the same; either answers from the reader's ``derived``,
-C compared, when that matches its inputs, and otherwise, once C holds,
-with ``reader_begin``'s D and staged tuple), and
-the zero-key attack's two:
+names them; either answers from the reader's ``derived``, C compared, when
+that matches its inputs, and otherwise with ``reader_begin``'s D and
+staged tuple, or None), and the zero-key attack's two:
 ``confirm_zero_key`` (K1* and K2*, and C checked, with K1 = K2 = 0 folded
 in, for a whole block of transcripts in one loop) and
 ``disclose_original`` (IDS+, and the ID, the ``d`` row inverted), split at
@@ -42,11 +42,11 @@ with one peel, r_a and r_b being their outer amounts:
 The Original tag knows r_a = K1 and r_b = K2 and peels once, in its one
 phase.  The Modified tag keeps each residue r of n2 for which the peels
 with r_a = r and r_b = n1 give n2 = r (mod 96), trying all 96 at once as
-lanes (``_residue_survivors``), and ``accept_modified`` hands each
-candidate to ``derive_auth``.  Either tag accepts only if exactly one
-candidate reproduces the received C, and answers (D, staged tuple).  A
-candidate refused at C costs two MixBits calls, an accepted one without
-the reader's derivation five: two, then ``reader_begin``'s three.
+lanes, and ``accept_modified`` hands each candidate to ``derive_auth``.
+Either tag accepts only if exactly one candidate reproduces the received
+C, and answers (D, staged tuple).  Without the reader's derivation, a
+candidate refused at C costs two MixBits calls and an accepted one three,
+all in ``reader_begin``.
 
 The plain-word returns, the two-tuple tag state, its announce/retry step,
 the update timing and the tag body ``respond`` are shared with SASI
@@ -92,10 +92,10 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 
 # Each rendered phase: its head (signature, docstring), its variant (None: the
 # variant argument picks each outer amount), what it computes in order, its tail.
-# A target "c?" rebuilds C and returns None unless it equals the received c; the
-# target "derived" answers from the argument derived when that matches this phase's
-# inputs, so that a tag does not derive the reader's session again; otherwise a
-# tag phase checks C and takes D and the update from reader_begin.
+# A target "c?" rebuilds C and gives None unless it equals the received c, and
+# "sent?" gives None when the argument sent (a tag's received C) is not None and
+# not c; the target "derived" answers from the argument derived when that matches
+# this phase's inputs, so that a tag does not derive the reader's session again.
 # Two more columns are optional: a forcing, the words fixed to 0, which render()
 # folds out (the head leaves them out of the signature); and a block form, the
 # words the phase takes as lists (each named with an "s"), whose body then runs
@@ -103,16 +103,19 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 # where "c?" fails.
 PHASES = (
     ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
-                 variant: Variant) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
-    """(A, B, C, D, staged, internals) of a session on the matched record."""''',
-     None, ("n3", "n1p", "k1s", "k2s", "c", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
+                 variant: Variant, sent: Word96 | None = None
+                 ) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple] | None:
+    """(A, B, C, D, staged, internals) of a session on the matched record, or
+    None, before D and the update, when ``sent`` is given and is not C."""''',
+     None, ("n3", "n1p", "k1s", "k2s", "c", "sent?", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
      "return a, b, c, d, (idsn, k1n, k2n), (n1, n2, n3, n1p, n2p, k1s, k2s)"),
     ('''def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
                 c: Word96, derived: tuple | None = None) -> Answer:
     """The modified tag's answer for one search candidate (n1, n2): (D, staged
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
-     Variant.MODIFIED, ("derived", "n3", "n1p", "k1s", "k2s", "c?"),
-     "return reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED)[3:5]"),
+     Variant.MODIFIED, ("derived",),
+     "session = reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED, c)\n"
+     "return None if session is None else session[3:5]"),
     ('''def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
                      n1ps: list[Word96], cs: list[Word96]) -> list[tuple[Word96, Word96] | None]:
     """For each element, (K1*, K2*) of an original-variant session under
@@ -129,8 +132,9 @@ PHASES = (
                     b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
     None when the nonces peeled from A and B do not rebuild C."""''',
-     Variant.ORIGINAL, ("n1", "n2", "derived", "n3", "n1p", "k1s", "k2s", "c?"),
-     "return reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL)[3:5]"),
+     Variant.ORIGINAL, ("n1", "n2", "derived"),
+     "session = reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL, c)\n"
+     "return None if session is None else session[3:5]"),
 )
 
 
@@ -177,6 +181,9 @@ def render() -> str:
                 lines += ["if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, "
                           f"_{variant.name}):",
                           "    return derived[2] if derived[1] == c else None"]
+                continue
+            if name == "sent":  # a tag's call: refuse the C it received
+                lines += ["if sent is not None and sent != c:", *fail]
                 continue
             if name in MIXBITS:
                 lines.append(f"{name} = {mix}({', '.join(MIXBITS[name])})")
@@ -229,8 +236,10 @@ END = "\n\n\n# ---- end of rendered code ----\n"
 
 
 def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
-                 variant: Variant) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
-    """(A, B, C, D, staged, internals) of a session on the matched record."""
+                 variant: Variant, sent: Word96 | None = None
+                 ) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple] | None:
+    """(A, B, C, D, staged, internals) of a session on the matched record, or
+    None, before D and the update, when ``sent`` is given and is not C."""
     original = variant is _ORIGINAL
     mix = mixbits_original if original else mixbits_modified
     n3 = mix(n1, n2)
@@ -253,6 +262,8 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n
     x = (n3 + k1s + PI + n1p) & MASK
     x = (((x << 96 | x) >> r_n3) + (k2s ^ n1p)) & MASK
     c = (((x << 96 | x) >> (r_n2 if original else r_k2s)) ^ n1p) & MASK
+    if sent is not None and sent != c:
+        return None
     r_k1s = -k1s % 96
     # d = Rot(Rot(n2 + k2s + id_ + n1p, n2) + (k1s + n1p), n3 if original else k1s) + n1p
     x = (n2 + k2s + id_ + n1p) & MASK
@@ -289,22 +300,8 @@ def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2
     (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""
     if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, _MODIFIED):
         return derived[2] if derived[1] == c else None
-    n3 = mixbits_modified(n1, n2)
-    n1p = mixbits_modified(n3, n2)
-    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), k1) ^ n3
-    x = (n2 + k1 + PI + n3) & MASK
-    x = (((x << 96 | x) >> (-n2 % 96)) + (k2 ^ n3)) & MASK
-    k1s = (((x << 96 | x) >> (-k1 % 96)) ^ n3) & MASK
-    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), k2) + n3
-    x = (n1 + k2 + PI + n3) & MASK
-    x = (((x << 96 | x) >> (-n1 % 96)) + (k1 + n3)) & MASK
-    k2s = (((x << 96 | x) >> (-k2 % 96)) + n3) & MASK
-    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), k2s) ^ n1p
-    x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
-    if (((x << 96 | x) >> (-k2s % 96)) ^ n1p) & MASK != c:
-        return None
-    return reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED)[3:5]
+    session = reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED, c)
+    return None if session is None else session[3:5]
 
 
 def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
@@ -364,24 +361,8 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
     n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
     if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, _ORIGINAL):
         return derived[2] if derived[1] == c else None
-    n3 = mixbits_original(n1, n2)
-    n1p = mixbits_original(n3, n2)
-    r_n2 = -n2 % 96
-    r_n1 = -n1 % 96
-    # k1s = Rot(Rot(n2 + k1 + PI + n3, n2) + (k2 ^ n3), n1) ^ n3
-    x = (n2 + k1 + PI + n3) & MASK
-    x = (((x << 96 | x) >> r_n2) + (k2 ^ n3)) & MASK
-    k1s = (((x << 96 | x) >> r_n1) ^ n3) & MASK
-    # k2s = Rot(Rot(n1 + k2 + PI + n3, n1) + (k1 + n3), n2) + n3
-    x = (n1 + k2 + PI + n3) & MASK
-    x = (((x << 96 | x) >> r_n1) + (k1 + n3)) & MASK
-    k2s = (((x << 96 | x) >> r_n2) + n3) & MASK
-    # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
-    x = (n3 + k1s + PI + n1p) & MASK
-    x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
-    if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
-        return None
-    return reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL)[3:5]
+    session = reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL, c)
+    return None if session is None else session[3:5]
 
 
 # ---- end of rendered code ----
@@ -412,31 +393,18 @@ def mixbits_table(n1s: list[Word96], n2s: list[Word96]) -> dict[tuple[Word96, Wo
     return table
 
 
-def accept_modified(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
-                    b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
-    """The modified tag's answer to A||B||C: ``derive_auth`` of each
-    ``_residue_survivors`` candidate, with ``derived``, in ascending residue.
-    Returns the one candidate's (D, staged (IDS+, K1+, K2+)), or None when
-    zero or several candidates rebuild C."""
-    answer = None
-    for n1, n2 in _residue_survivors(k1, k2, a, b, ids + k1 + PI, ids + k2 + PI):
-        found = derive_auth(ids, k1, k2, id_, n1, n2, c, derived)
-        if found is not None:
-            if answer is not None:
-                return None
-            answer = found
-    return answer
-
-
 # the residues 0..95 as one int of 96 bytes, and the 160 bytes that make
 # 96 residues a 256-byte translate table
 _RESIDUES = int.from_bytes(bytes(range(WIDTH)), "little")
 _TABLE_PAD = bytes(256 - WIDTH)
 
 
-def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
-                       c1: int, c2: int):
-    """The modified tag's (n1, n2) candidates, in ascending residue r.
+def accept_modified(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
+                    b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
+    """The modified tag's answer to A||B||C: ``derive_auth`` of each (n1, n2)
+    candidate, with ``derived``, in ascending residue r.  Returns the one
+    candidate's (D, staged (IDS+, K1+, K2+)), or None when zero or several
+    candidates rebuild C.
 
     ``word96.peel_rotations`` peels A for every r at once (lane r holds the
     n1 of r_a = r) and B for every residue s of n1 (lane s holds the n2 of
@@ -445,14 +413,21 @@ def _residue_survivors(k1: Word96, k2: Word96, a: Word96, b: Word96,
     own n1; r survives where that byte equals r, which is where the XOR
     with the bytes 0..95 is 0.  Only survivors' lanes are decoded.
     """
-    res_a, lanes_a = peel_rotations(a, k1, k2, c1)
-    res_b, lanes_b = peel_rotations(b, k2, k1, c2)
+    res_a, lanes_a = peel_rotations(a, k1, k2, ids + k1 + PI)
+    res_b, lanes_b = peel_rotations(b, k2, k1, ids + k2 + PI)
     hits = (int.from_bytes(res_a.translate(res_b + _TABLE_PAD), "little")
             ^ _RESIDUES).to_bytes(WIDTH, "little")
+    answer = None
     r = hits.find(0)
     while r >= 0:
-        yield lane_word(lanes_a, r), lane_word(lanes_b, res_a[r])
+        found = derive_auth(ids, k1, k2, id_, lane_word(lanes_a, r),
+                            lane_word(lanes_b, res_a[r]), c, derived)
+        if found is not None:
+            if answer is not None:
+                return None
+            answer = found
         r = hits.find(0, r + 1)
+    return answer
 
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96, variant: Variant,

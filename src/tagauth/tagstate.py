@@ -25,9 +25,9 @@ The tag of an honest session recovers the very nonces the reader drew, so
 its C, D and staged tuple would be the reader's, computed again; its accept
 phase compares the inputs it has recovered with ``derived[0]`` and, on a
 match, only compares C.  Otherwise (a tampered message, other nonces, no
-reader) it calls the protocol's ``reader_begin`` itself, Gossamer's once its
-own rebuilt C holds, so each protocol derives a session in one place.  The
-match is exact, so a miss costs time, never correctness.
+reader) it calls the protocol's ``reader_begin`` itself, Gossamer's with the
+C it received, which refuses it at C, so each protocol derives a session in
+one place.  The match is exact, so a miss costs time, never correctness.
 """
 
 from dataclasses import dataclass

@@ -71,16 +71,13 @@ def mixbits_original(x: Word96, y: Word96) -> Word96:
     Addition wraps mod 2**96 every round; >> is a logical one-bit shift.
     A round runs as Z <- (5Z >> 1) + Y: (z >> 1) + z + z is floor(z / 2)
     + 2z = floor(5z / 2), since 2z is whole.  An (x, y) in the installed
-    table (``use_mixbits_table``) is answered from it.  Note
-    mixbits_original(0, 0) == 0, the fixed point the zero-nonce attack
-    rides on.
+    table (``use_mixbits_table``) is answered from it, any other as the one
+    lane of ``mixbits_original_lanes``, whose lane form of a word is the
+    word itself and whose mask is then MASK.  Note mixbits_original(0, 0)
+    == 0, the fixed point the zero-nonce attack rides on.
     """
     z = _table.get((x, y))
-    if z is None:
-        z = x
-        for _ in range(MIXBITS_ROUNDS):
-            z = ((z * 5 >> 1) + y) & MASK
-    return z
+    return mixbits_original_lanes(x, y, 1) if z is None else z
 
 
 # (x, y) -> mixbits_original(x, y), exact values only; see use_mixbits_table

@@ -1,9 +1,13 @@
-"""Exact interpreter work of a session: its ``sys.settrace`` opcode events.
+"""Exact interpreter work of a session and of an attack trial: its
+``sys.settrace`` opcode events.
 
 For each protocol, one freshly provisioned tag (tag seed 7) runs an
 ``iter_campaign`` (campaign seed 3) with ``f_trace_opcodes`` set on every
-frame, and the opcode events are counted per code object.  Printed as JSON:
-the events a session, and the code objects with the most of them.
+frame, and the opcode events are counted per code object.  For each attack
+kind, a campaign of the regime it attacks (``REGIMES``, same seeds) is run
+untraced and kept in memory, and ``evaluate_attack`` over it is counted the
+same way.  Printed as JSON: the events a session, and a trial, and the code
+objects with the most of them.
 
     PYTHONPATH=src python tests/ledger.py [SESSIONS]
 
@@ -18,20 +22,33 @@ runs 20-50x slower than an untraced one.
 import json
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
 
-from tagauth.simulator import CampaignConfig, Protocol, iter_campaign, provision
+from tagauth.attacks import ATTACKS
+from tagauth.simulator import (CampaignConfig, KeyMode, NonceMode, Protocol, evaluate_attack,
+                               iter_campaign, provision)
 
 TAG_SEED, CAMPAIGN_SEED, SESSIONS = 7, 3, 300
-TOP = 5  # code objects listed per protocol
+TOP = 5  # code objects listed per protocol and per attack kind
+
+# attack kind: the protocol it attacks and the forcing its campaign runs with
+REGIMES = {
+    "sasi": (Protocol.SASI, {}),
+    "gossamer-1": (Protocol.GOSSAMER, {"nonce_mode": NonceMode.EXACT_ZERO}),
+    "gossamer-2": (Protocol.GOSSAMER, {"key_mode": KeyMode.EXACT_ZERO}),
+}
 
 
-def opcode_events(protocol: Protocol, sessions: int) -> Counter:
-    """{code object: opcode events} of a ``sessions``-session campaign of
-    one tag; the trace function set before is set again after."""
+def campaign(protocol: Protocol, sessions: int, **forcing):
+    """The lazy ``iter_campaign`` of one fresh tag of ``protocol``."""
     tags, store = provision(1, protocol, TAG_SEED)
     (tag,) = tags.values()
-    run = iter_campaign(tag, store, CampaignConfig(sessions, seed=CAMPAIGN_SEED))
+    return iter_campaign(tag, store, CampaignConfig(sessions, seed=CAMPAIGN_SEED, **forcing))
+
+
+def opcode_events(function, *args) -> tuple[Counter, object]:
+    """{code object: opcode events} of ``function(*args)``, and what it
+    returned; the trace function set before is set again after."""
     events = Counter()
 
     def count(frame, event, arg):
@@ -49,11 +66,10 @@ def opcode_events(protocol: Protocol, sessions: int) -> Counter:
     sys._getframe().f_trace_opcodes = True
     sys.settrace(call)
     try:
-        for _ in run:
-            pass
+        returned = function(*args)
     finally:
         sys.settrace(before)
-    return events
+    return events, returned
 
 
 def _name(code) -> str:
@@ -63,21 +79,36 @@ def _name(code) -> str:
     return f"{stem}.{getattr(code, 'co_qualname', code.co_name)}"
 
 
+def _per(events: Counter, n: int, unit: str) -> dict:
+    """The opcode events per ``unit`` over ``n`` of them, and the TOP code
+    objects' events per ``unit``."""
+    by_name = Counter()
+    for code, count in events.items():
+        by_name[_name(code)] += count
+    return {f"events_per_{unit}": round(sum(by_name.values()) / n, 2),
+            "top": {name: round(count / n, 2) for name, count in by_name.most_common(TOP)}}
+
+
 def ledger(sessions: int = SESSIONS) -> dict:
-    """The Python version, the session count, and per protocol the opcode
-    events a session and the TOP code objects' events a session."""
+    """The Python version, the session count, per protocol the opcode events
+    a session, and per attack kind its trials and the events a trial, each
+    with the TOP code objects' share.  A campaign is consumed by a C-level
+    ``deque``, so no frame of this module is counted.  A trial is a pair of
+    sessions, so fewer than two sessions is a ValueError."""
+    if sessions < 2:
+        raise ValueError(f"an attack trial needs two sessions, not {sessions}")
     protocols = {}
     for protocol in Protocol:
-        by_name = Counter()
-        for code, events in opcode_events(protocol, sessions).items():
-            by_name[_name(code)] += events
-        protocols[protocol.value] = {
-            "events_per_session": round(sum(by_name.values()) / sessions, 2),
-            "top": {name: round(events / sessions, 2)
-                    for name, events in by_name.most_common(TOP)},
-        }
+        events, _ = opcode_events(deque, campaign(protocol, sessions), 0)
+        protocols[protocol.value] = _per(events, sessions, "session")
+    attacks = {}
+    for kind in ATTACKS:
+        protocol, forcing = REGIMES[kind]
+        transcripts, truths = zip(*campaign(protocol, sessions, **forcing))
+        events, (_, summary) = opcode_events(evaluate_attack, kind, transcripts, truths)
+        attacks[kind] = {"trials": summary["trials"], **_per(events, summary["trials"], "trial")}
     return {"python": "%d.%d" % sys.version_info[:2], "sessions": sessions,
-            "protocols": protocols}
+            "protocols": protocols, "attacks": attacks}
 
 
 if __name__ == "__main__":

@@ -642,11 +642,11 @@ def test_modified_tag_rejects_a_flipped_bit_of_c_and_keeps_its_state(id_, ids, k
 @pytest.mark.parametrize("entry", [False, True], ids=["no-entry", "entry"])
 @pytest.mark.parametrize("flip", [0, 1])
 @pytest.mark.parametrize("variant", list(Variant))
-def test_mixbits_calls_accepted_5_rejected_2(monkeypatch, variant, flip, entry):
-    # a candidate rejected at C has made 2 MixBits calls and the accepted one
-    # 5, its own 2 and then reader_begin's 3; given the reader's derivation,
-    # the reader's own candidate makes none, accepted or not.  The
-    # original tag has one candidate, the modified tag one per derive_auth call
+def test_mixbits_calls_accepted_3_rejected_2(monkeypatch, variant, flip, entry):
+    # every candidate's MixBits calls are reader_begin's: one refused at C has
+    # made 2 and the accepted one 3; given the reader's derivation, the
+    # reader's own candidate makes none, accepted or not.  The original tag
+    # has one candidate, the modified tag one per derive_auth call
     name = f"mixbits_{variant.value}"
     real_mix, real_auth = getattr(gossamer, name), gossamer.derive_auth
     calls, candidates = [], []
@@ -670,7 +670,26 @@ def test_mixbits_calls_accepted_5_rejected_2(monkeypatch, variant, flip, entry):
     if entry:
         assert len(calls) == 2 * (searched - 1)
     else:
-        assert len(calls) == 2 * searched + 3 * (not flip)
+        assert len(calls) == 2 * searched + (not flip)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
+       n2=edge_words, bit=st.integers(0, 95))
+@settings(max_examples=100, deadline=None)
+def test_reader_begin_given_the_sent_c(variant, id_, ids, k1, k2, n1, n2, bit):
+    # given its own C, reader_begin returns the whole session; given any
+    # other, None, once it has called MixBits for n3 and n1' only
+    session = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
+    assert gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant, session[2]) == session
+    name, calls = f"mixbits_{variant.value}", []
+    real = getattr(gossamer, name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gossamer, name, lambda x, y: calls.append((x, y)) or real(x, y))
+        assert gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant,
+                                     session[2] ^ 1 << bit) is None
+    n3 = session[5][2]
+    assert calls == [(n1, n2), (n3, n2)]
 
 
 @pytest.mark.parametrize("entry", [False, True], ids=["no-entry", "entry"])
@@ -678,9 +697,10 @@ def test_mixbits_calls_accepted_5_rejected_2(monkeypatch, variant, flip, entry):
 @pytest.mark.parametrize("protocol", ["sasi", "original", "modified"])
 def test_a_tag_derives_only_through_reader_begin(monkeypatch, protocol, flip, entry):
     # reader_begin is each protocol's one derivation: without the reader's
-    # derivation a tag phase calls it once when C holds, and SASI, which has
-    # no C of its own, also when it does not; a Gossamer candidate refused at
-    # C never calls it.  Given the derivation, no tag phase calls it
+    # derivation a tag phase calls it once per candidate, refused or not, and
+    # a Gossamer tag's call carries the C it received, at which reader_begin
+    # refuses the candidate.  Given the derivation, the reader's own
+    # candidate calls it not at all
     if protocol == "sasi":
         module, extra, accept = sasi, (), sasi.accept_sasi
     else:
@@ -691,8 +711,16 @@ def test_a_tag_derives_only_through_reader_begin(monkeypatch, protocol, flip, en
     derived = (key, c, (d, staged)) if entry else None
     begun, real = [], module.reader_begin
     monkeypatch.setattr(module, "reader_begin", lambda *args: begun.append(args) or real(*args))
+    candidates = [key[:6]]  # the modified tag's: one per derive_auth call
+    if protocol == "modified":
+        candidates, real_auth = [], gossamer.derive_auth
+        monkeypatch.setattr(gossamer, "derive_auth",
+                            lambda *args: candidates.append(args[:6]) or real_auth(*args))
     assert accept(IDS, K1, K2, ID, a, b, c ^ flip, derived) == (None if flip else (d, staged))
-    assert begun == ([] if entry or (flip and protocol != "sasi") else [key])
+    assert key[:6] in candidates
+    sent = (c ^ flip,) if extra else ()
+    assert begun == [(*found, *extra, *sent) for found in candidates
+                     if not (entry and found == key[:6])]
 
 
 # each tag's accept phase, and derive_auth, which only the modified tag's calls

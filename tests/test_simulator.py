@@ -517,7 +517,8 @@ class TestDerivedArgument:
                                                                        protocol):
         # a session of another tag run inside this tag's phase: each tag still
         # answers from its own reader's derivation, so reader_begin runs once
-        # a session, for the reader, and never for a tag
+        # a session for the reader.  A modified tag's refused candidates call
+        # it too, with the sent C as an eighth argument; those are not counted
         tag, store = one_tag_world(protocol)
         other, other_store = one_tag_world(protocol, seed=2)
         nested = []
@@ -529,8 +530,9 @@ class TestDerivedArgument:
                             lambda *args: begun.append(args) or real(*args))
         outer, _ = run_session(tag, store, Forcing(), NonceStream(20), 0)
         assert [outer.outcome, *nested] == [Outcome.MUTUAL_SUCCESS] * 2
-        assert len(seen) == len(begun) == 2 and seen[0] != seen[1]
-        assert [derived[0] for derived in seen] == begun
+        readers = [args for args in begun if len(args) < 8]
+        assert len(seen) == len(readers) == 2 and seen[0] != seen[1]
+        assert [derived[0] for derived in seen] == readers
 
 
 class TestSerialization:

@@ -171,18 +171,21 @@ def test_tracer_counts_every_codec_conversion(tracing, tmp_path):
         assert calls == _words(data) == (9 if record["verdict"].fired else 0)
 
 
-@pytest.mark.parametrize("protocol,spans,candidates", [
-    (Protocol.GOSSAMER, 60, 0),
-    (Protocol.GOSSAMER_MOD, 106, 43),
+@pytest.mark.parametrize("protocol,spans,candidates,begun", [
+    (Protocol.GOSSAMER, 60, 0, 20),
+    (Protocol.GOSSAMER_MOD, 106, 43, 43),
 ], ids=["gossamer", "gossamer-mod"])
-def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, candidates):
+def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, candidates,
+                                                   begun):
     # Per-layer benchmark numbers compare only while these counts hold.  20
-    # sessions call MixBits 3 times on the reader (60).  Each tag answers the
-    # nonces the reader drew from the reader's derivation, with no call: the
-    # original tag's one candidate is always those, and of the modified tag's
-    # 43 search candidates 20 are; each of the other 23 makes 2 calls before
-    # its C fails (60 + 2 * 23 = 106).  Only the modified tag searches, and
-    # only the reader calls reader_begin, once a session.
+    # sessions call MixBits 3 times on the reader (60), in reader_begin.  Each
+    # tag answers the nonces the reader drew from the reader's derivation,
+    # with no call: the original tag's one candidate is always those, and of
+    # the modified tag's 43 search candidates 20 are; each of the other 23
+    # calls reader_begin with the C it received, which refuses it after 2
+    # calls (60 + 2 * 23 = 106).  Only the modified tag searches.  A reader's
+    # span of reader_begin (3 MixBits) lies under no tag's span, a refusal
+    # (2 MixBits) under one
     tags, store = provision(1, protocol, seed=3)
     tracer = tracing.Tracer()
     tracer.install()
@@ -192,10 +195,22 @@ def test_traced_work_counts_of_a_gossamer_campaign(tracing, protocol, spans, can
         tracer.uninstall()
     assert tracer.missing == set()
     counts = Counter(span[0] for span in tracer.spans)
-    assert counts["word96.mixbits"] == spans and counts["gossamer.reader_begin"] == 20
+    assert counts["word96.mixbits"] == spans and counts["gossamer.reader_begin"] == begun
     assert tracer.counts["search.candidates"] == candidates
     if protocol is Protocol.GOSSAMER_MOD:
         assert tracer.counts["search.sessions"] == tracer.counts["search.accepted"] == 20
+    mixbits = Counter(span[3] for span in tracer.spans if span[0] == "word96.mixbits")
+
+    def under_a_tag(i):
+        while i >= 0:
+            i = tracer.spans[i][3]
+            if i >= 0 and tracer.spans[i][0] == "gossamer.tag_respond":
+                return True
+        return False
+
+    begins = [i for i, span in enumerate(tracer.spans) if span[0] == "gossamer.reader_begin"]
+    assert sorted(mixbits[i] for i in begins) == [2] * (begun - 20) + [3] * 20
+    assert all(under_a_tag(i) == (mixbits[i] == 2) for i in begins)
 
 
 def test_traced_work_counts_of_a_sasi_campaign(tracing):
