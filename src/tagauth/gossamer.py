@@ -12,19 +12,17 @@ phases between the rendered-code markers, each from the column of the
 variant that calls it: ``reader_begin`` (every value of a session in one
 pass, either variant, as the reader serves both, and the one place C, D
 and the update are derived; given ``sent``, the C a tag received, it
-returns None as soon as its C differs), the two tags' phases,
-``derive_auth`` (one modified search candidate) and ``accept_original``
-(n1 and n2 peeled from the ``a`` and ``b`` rows inverted, as ``PEELS``
-names them; either answers from the reader's ``derived``, C compared, when
-that matches its inputs, and otherwise with ``reader_begin``'s D and
-staged tuple, or None), and the zero-key attack's two:
-``confirm_zero_key`` (K1* and K2*, and C checked, with K1 = K2 = 0 folded
-in, for a whole block of transcripts in one loop) and
-``disclose_original`` (IDS+, and the ID, the ``d`` row inverted), split at
-C so that n2' is needed only once C holds.  Edit the table, then re-render
-with ``PYTHONPATH=src python -m tagauth.rerender``; a test fails while the
-two disagree.  A phase looks ``mixbits_original`` or ``mixbits_modified`` up
-in this module's globals when it runs.
+returns None as soon as its C differs), the original tag's
+``accept_original`` (n1 and n2 peeled from the ``a`` and ``b`` rows
+inverted, as ``PEELS`` names them, then ``tagstate.answer``), and the
+zero-key attack's two: ``confirm_zero_key`` (K1* and K2*, and C checked
+against the sent C, with K1 = K2 = 0 folded in, for a whole block of
+transcripts in one loop) and ``disclose_original`` (IDS+, and the ID, the
+``d`` row inverted), split at C so that n2' is needed only once C holds.
+Edit the table, then re-render with ``PYTHONPATH=src python -m
+tagauth.rerender``; a test fails while the two disagree.  A phase looks
+``mixbits_original`` or ``mixbits_modified`` up in this module's globals
+when it runs.
 
 In the Original column every amount outside A/B is nonce-derived and
 vanishes when the nonces are multiples of 96, while A/B rotate by key-only
@@ -42,7 +40,8 @@ with one peel, r_a and r_b being their outer amounts:
 The Original tag knows r_a = K1 and r_b = K2 and peels once, in its one
 phase.  The Modified tag keeps each residue r of n2 for which the peels
 with r_a = r and r_b = n1 give n2 = r (mod 96), trying all 96 at once as
-lanes, and ``accept_modified`` hands each candidate to ``derive_auth``.
+lanes, and ``accept_modified`` hands each candidate to ``derive_auth``,
+which answers through ``tagstate.answer`` as ``accept_original`` does.
 Either tag accepts only if exactly one candidate reproduces the received
 C, and answers (D, staged tuple).  Without the reader's derivation, a
 candidate refused at C costs two MixBits calls and an accepted one three,
@@ -58,7 +57,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterator
 
-from .tagstate import Answer, TagState, respond
+from .tagstate import Answer, TagState, answer, respond
 from .word96 import (MASK, PI, WIDTH, Word96, from_lanes, lane_word, mixbits_modified,
                      mixbits_original, mixbits_original_lanes, peel_rotations, to_lanes)
 
@@ -92,15 +91,12 @@ PEELS = {"n1": "a", "n2": "b", "id_": "d"}  # term: the row whose inverse (Origi
 
 # Each rendered phase: its head (signature, docstring), its variant (None: the
 # variant argument picks each outer amount), what it computes in order, its tail.
-# A target "c?" rebuilds C and gives None unless it equals the received c, and
-# "sent?" gives None when the argument sent (a tag's received C) is not None and
-# not c; the target "derived" answers from the argument derived when that matches
-# this phase's inputs, so that a tag does not derive the reader's session again.
-# Two more columns are optional: a forcing, the words fixed to 0, which render()
-# folds out (the head leaves them out of the signature); and a block form, the
-# words the phase takes as lists (each named with an "s"), whose body then runs
-# once per element in one zip loop and appends what its tail returns, or None
-# where "c?" fails.
+# The target "sent?" gives None when the argument sent (the C a tag received, or
+# a transcript's) is not None and not c.  Two more columns are optional: a
+# forcing, the words fixed to 0, which render() folds out (the head leaves them
+# out of the signature); and a block form, the words the phase takes as lists
+# (each named with an "s"), whose body then runs once per element in one zip
+# loop and appends what its tail returns, or None where "sent?" refuses.
 PHASES = (
     ('''def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
                  variant: Variant, sent: Word96 | None = None
@@ -109,20 +105,14 @@ PHASES = (
     None, before D and the update, when ``sent`` is given and is not C."""''',
      None, ("n3", "n1p", "k1s", "k2s", "c", "sent?", "d", "n2p", "idsn", "k1n", "k2n", "a", "b"),
      "return a, b, c, d, (idsn, k1n, k2n), (n1, n2, n3, n1p, n2p, k1s, k2s)"),
-    ('''def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
-                c: Word96, derived: tuple | None = None) -> Answer:
-    """The modified tag's answer for one search candidate (n1, n2): (D, staged
-    (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""''',
-     Variant.MODIFIED, ("derived",),
-     "session = reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED, c)\n"
-     "return None if session is None else session[3:5]"),
     ('''def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
-                     n1ps: list[Word96], cs: list[Word96]) -> list[tuple[Word96, Word96] | None]:
+                     n1ps: list[Word96], sents: list[Word96]
+                     ) -> list[tuple[Word96, Word96] | None]:
     """For each element, (K1*, K2*) of an original-variant session under
-    K1 = K2 = 0, or None when the rebuilt C differs from c.  C reads no IDS,
-    and no n2'."""''',
-     Variant.ORIGINAL, ("k1s", "k2s", "c?"), "return k1s, k2s", ("k1", "k2"),
-     ("n1", "n2", "n3", "n1p", "c")),
+    K1 = K2 = 0, or None when the rebuilt C differs from the sent C.  C reads
+    no IDS, and no n2'."""''',
+     Variant.ORIGINAL, ("k1s", "k2s", "c", "sent?"), "return k1s, k2s", ("k1", "k2"),
+     ("n1", "n2", "n3", "n1p", "sent")),
     ('''def disclose_original(ids: Word96, k1s: Word96, k2s: Word96, n2: Word96, n3: Word96,
                       n1p: Word96, n2p: Word96, d: Word96) -> tuple[Word96, Word96]:
     """(IDS+, ID) of an original-variant session whose C ``confirm_zero_key``
@@ -132,9 +122,8 @@ PHASES = (
                     b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The original tag's answer to A||B||C: (D, staged (IDS+, K1+, K2+)), or
     None when the nonces peeled from A and B do not rebuild C."""''',
-     Variant.ORIGINAL, ("n1", "n2", "derived"),
-     "session = reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL, c)\n"
-     "return None if session is None else session[3:5]"),
+     Variant.ORIGINAL, ("n1", "n2"),
+     "return answer(reader_begin, (ids, k1, k2, id_, n1, n2, _ORIGINAL), c, derived)"),
 )
 
 
@@ -176,13 +165,8 @@ def render() -> str:
                 lines.append(f"{name} = {value}")
             return name
 
-        for target, name in zip(targets, names):
-            if name == "derived":  # matched on the reader's reader_begin arguments
-                lines += ["if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, "
-                          f"_{variant.name}):",
-                          "    return derived[2] if derived[1] == c else None"]
-                continue
-            if name == "sent":  # a tag's call: refuse the C it received
+        for name in names:
+            if name == "sent":  # refuse a sent C (a tag's, or a transcript's) that is not c
                 lines += ["if sent is not None and sent != c:", *fail]
                 continue
             if name in MIXBITS:
@@ -211,11 +195,8 @@ def render() -> str:
             rot = f"((x << 96 | x) >> {chosen if len(outer[pick]) == 1 else f'({chosen})'})"
             lines += [f"# {name} = {equation}",
                       f"x = ({' + '.join(terms)}) & MASK",
-                      f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK"]
-            if target != name:
-                lines += [f"if ({rot}{last}) & MASK != {name}:", *fail]
-            else:
-                lines.append(f"{name} = ({rot}{last}) & MASK" if last else f"{name} = {rot} & MASK")
+                      f"x = (((x << 96 | x) >> {inner_shift}) + {mid}) & MASK",
+                      f"{name} = ({rot}{last}) & MASK" if last else f"{name} = {rot} & MASK"]
         unfolded = [word for word in forced if re.search(rf"\b{word}\b", "\n".join(lines))]
         if unfolded:
             raise ValueError(f"{head.split('(')[0]}: no rule folds {unfolded} out")
@@ -294,24 +275,15 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n
     return a, b, c, d, (idsn, k1n, k2n), (n1, n2, n3, n1p, n2p, k1s, k2s)
 
 
-def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
-                c: Word96, derived: tuple | None = None) -> Answer:
-    """The modified tag's answer for one search candidate (n1, n2): (D, staged
-    (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""
-    if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, _MODIFIED):
-        return derived[2] if derived[1] == c else None
-    session = reader_begin(ids, k1, k2, id_, n1, n2, _MODIFIED, c)
-    return None if session is None else session[3:5]
-
-
 def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
-                     n1ps: list[Word96], cs: list[Word96]) -> list[tuple[Word96, Word96] | None]:
+                     n1ps: list[Word96], sents: list[Word96]
+                     ) -> list[tuple[Word96, Word96] | None]:
     """For each element, (K1*, K2*) of an original-variant session under
-    K1 = K2 = 0, or None when the rebuilt C differs from c.  C reads no IDS,
-    and no n2'."""
+    K1 = K2 = 0, or None when the rebuilt C differs from the sent C.  C reads
+    no IDS, and no n2'."""
     answers = []
     append = answers.append
-    for n1, n2, n3, n1p, c in zip(n1s, n2s, n3s, n1ps, cs):
+    for n1, n2, n3, n1p, sent in zip(n1s, n2s, n3s, n1ps, sents):
         r_n2 = -n2 % 96
         r_n1 = -n1 % 96
         # k1s = Rot(Rot(n2 + PI + n3, n2) + n3, n1) ^ n3
@@ -325,7 +297,8 @@ def confirm_zero_key(n1s: list[Word96], n2s: list[Word96], n3s: list[Word96],
         # c = Rot(Rot(n3 + k1s + PI + n1p, n3) + (k2s ^ n1p), n2) ^ n1p
         x = (n3 + k1s + PI + n1p) & MASK
         x = (((x << 96 | x) >> (-n3 % 96)) + (k2s ^ n1p)) & MASK
-        if (((x << 96 | x) >> r_n2) ^ n1p) & MASK != c:
+        c = (((x << 96 | x) >> r_n2) ^ n1p) & MASK
+        if sent is not None and sent != c:
             append(None)
             continue
         append((k1s, k2s))
@@ -359,10 +332,7 @@ def accept_original(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
     # n2 from b = Rot(Rot(ids + k2 + PI + n2, k1) + k2, k2)
     x = (((b << 96 | b) >> rr_k2) - k2) & MASK
     n2 = (((x << 96 | x) >> rr_k1) - (ids + k2 + PI)) & MASK
-    if derived is not None and derived[0] == (ids, k1, k2, id_, n1, n2, _ORIGINAL):
-        return derived[2] if derived[1] == c else None
-    session = reader_begin(ids, k1, k2, id_, n1, n2, _ORIGINAL, c)
-    return None if session is None else session[3:5]
+    return answer(reader_begin, (ids, k1, k2, id_, n1, n2, _ORIGINAL), c, derived)
 
 
 # ---- end of rendered code ----
@@ -399,6 +369,13 @@ _RESIDUES = int.from_bytes(bytes(range(WIDTH)), "little")
 _TABLE_PAD = bytes(256 - WIDTH)
 
 
+def derive_auth(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
+                c: Word96, derived: tuple | None = None) -> Answer:
+    """The modified tag's answer for one search candidate (n1, n2): (D, staged
+    (IDS+, K1+, K2+)), or None when the candidate does not rebuild C."""
+    return answer(reader_begin, (ids, k1, k2, id_, n1, n2, _MODIFIED), c, derived)
+
+
 def accept_modified(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
                     b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The modified tag's answer to A||B||C: ``derive_auth`` of each (n1, n2)
@@ -417,17 +394,17 @@ def accept_modified(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
     res_b, lanes_b = peel_rotations(b, k2, k1, ids + k2 + PI)
     hits = (int.from_bytes(res_a.translate(res_b + _TABLE_PAD), "little")
             ^ _RESIDUES).to_bytes(WIDTH, "little")
-    answer = None
+    accepted = None
     r = hits.find(0)
     while r >= 0:
         found = derive_auth(ids, k1, k2, id_, lane_word(lanes_a, r),
                             lane_word(lanes_b, res_a[r]), c, derived)
         if found is not None:
-            if answer is not None:
+            if accepted is not None:
                 return None
-            answer = found
+            accepted = found
         r = hits.find(0, r + 1)
-    return answer
+    return accepted
 
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96, variant: Variant,

@@ -11,29 +11,34 @@ rotation by y mod 96:
     D        = (K2' + ID) xor ((K1 xor K2) or K1')
     IDS_next = (IDS + ID) xor (n2 xor K1')
 
-``reader_begin`` is the one place they are computed.  ``accept_sasi``
-inverts A and B and takes C, D and the update from the reader's ``derived``
-when that matches its inputs, else from ``reader_begin``.  Both phases
-answer in the plain words ``tagstate`` describes: SASI has no n3, n1' or
-n2' (None), and its session keys K1'/K2' are both K1*/K2* and the staged
-keys.  Unlike Gossamer's, these equations OR and rotate by keys alone, so
-they are written by hand rather than rendered from a table.
+``reader_begin`` is the one place they are computed; given ``sent``, the
+C a tag received, it stops at C, before A, B, D and the update, when the two
+differ.  ``accept_sasi`` inverts A and B and answers through
+``tagstate.answer``.  Both phases answer in the plain words ``tagstate``
+describes: SASI has no n3, n1' or n2' (None), and its session keys K1'/K2'
+are both K1*/K2* and the staged keys.  Unlike Gossamer's, these equations
+OR and rotate by keys alone, so they are written by hand rather than
+rendered from a table.
 
 A session reads only its own tag and its arguments, so sessions on distinct
 tags need no coordination; a campaign's MixBits table is still one per process.
 """
 
-from .tagstate import Answer, TagState, respond
+from .tagstate import Answer, TagState, answer, respond
 from .word96 import MASK, Word96, rotl
 
 
-def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96,
-                 n2: Word96) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple]:
-    """(A, B, C, D, staged, internals) of a session on the matched record."""
+def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96, n2: Word96,
+                 sent: Word96 | None = None
+                 ) -> tuple[Word96, Word96, Word96, Word96, tuple, tuple] | None:
+    """(A, B, C, D, staged, internals) of a session on the matched record, or
+    None, before A, B, D and the update, when ``sent`` is given and is not C."""
     k1n = rotl(k1 ^ n2, k1)
     k2n = rotl(k2 ^ n1, k2)
-    return (ids ^ k1 ^ n1, ((ids | k2) + n2) & MASK,                  # A, B
-            ((k1 ^ k2n) + (k2 ^ k1n)) & MASK,                          # C
+    c = ((k1 ^ k2n) + (k2 ^ k1n)) & MASK
+    if sent is not None and sent != c:
+        return None
+    return (ids ^ k1 ^ n1, ((ids | k2) + n2) & MASK, c,                # A, B, C
             ((k2n + id_) & MASK) ^ ((k1 ^ k2) | k1n),                  # D
             (((ids + id_) & MASK) ^ n2 ^ k1n, k1n, k2n),               # staged
             (n1, n2, None, None, None, k1n, k2n))
@@ -42,14 +47,9 @@ def reader_begin(ids: Word96, k1: Word96, k2: Word96, id_: Word96, n1: Word96,
 def accept_sasi(ids: Word96, k1: Word96, k2: Word96, id_: Word96, a: Word96,
                 b: Word96, c: Word96, derived: tuple | None = None) -> Answer:
     """The tag's answer to A||B||C: (D, staged), or None when the nonces
-    peeled from A and B (exactly: XOR and addition invert) do not rebuild C.
-    C, D and staged are the reader's ``derived`` if it was derived from
-    these inputs, else ``reader_begin``'s of them."""
-    key = (ids, k1, k2, id_, a ^ ids ^ k1, (b - (ids | k2)) & MASK)
-    if derived is not None and derived[0] == key:
-        return derived[2] if derived[1] == c else None
-    rebuilt, d, staged = reader_begin(*key)[2:5]
-    return (d, staged) if rebuilt == c else None
+    peeled from A and B (exactly: XOR and addition invert) do not rebuild C."""
+    return answer(reader_begin, (ids, k1, k2, id_, a ^ ids ^ k1, (b - (ids | k2)) & MASK),
+                  c, derived)
 
 
 def tag_respond(tag: TagState, a: Word96, b: Word96, c: Word96,

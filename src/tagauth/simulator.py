@@ -734,13 +734,16 @@ def _transcript(variant: str, session: int, ids: Word96, a, b, c, d, outcome: st
         if len(nulls) < 3 or outcome is not _LOOKUP_FAILED:
             raise ValueError(f"{nulls[0]}: null; a, b and c are all words, "
                              "or all null with outcome lookup_failed")
-    if d is None and outcome is _SUCCESS:
-        raise ValueError(f"d: null, but outcome is {outcome.value}")
+    # a D crossed the air if the reader judged one, none if the tag refused or
+    # was never reached; d_dropped takes either (a replayed A||B||C draws a D)
+    if (outcome is _SUCCESS or outcome is _TAG_REJECTED if d is None
+            else outcome is _READER_REJECTED or outcome is _LOOKUP_FAILED):
+        raise ValueError(f"d: {'null' if d is None else 'a word'}, but outcome is {outcome.value}")
     return Transcript(variant, session, ids, a, b, c, d, outcome, bits)
 
 
 def transcript_from_dict(data: dict) -> Transcript:
-    """A transcript read back; nulls that contradict its outcome are a ValueError."""
+    """A transcript read back; a null or a D that contradicts its outcome is a ValueError."""
     values = decode(_TRANSCRIPT_FIELDS, data)
     return _transcript(*map(values.__getitem__, _TRANSCRIPT_KEYS))
 

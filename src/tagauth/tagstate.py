@@ -1,5 +1,5 @@
 """Tag state shared by SASI and Gossamer: static id, next and old tuples,
-and the one tag body (``respond``) every protocol answers through.
+and the one tag body (``respond``) and answer (``answer``) of every protocol.
 
 The tag keeps two (IDS, K1, K2) tuples, the potential-next one and the one
 used last, so a lost D never strands it: when the backend does not
@@ -16,18 +16,21 @@ old-side session the old tuple therefore stays, and the next is replaced.
 Every protocol speaks in plain words.  Its reader phase, ``reader_begin``,
 returns (A, B, C, D, staged, internals): the expected D, the staged
 (IDS+, K1+, K2+), and the seven internals in ground truth's field order
-(n1, n2, n3, n1', n2', K1*, K2*).  Its tag phase, ``accept_<protocol>``,
-returns (D, staged) or None, and ``respond`` is the tag body around it.
+(n1, n2, n3, n1', n2', K1*, K2*).  Given a last argument ``sent``, the C a
+tag received, it returns None as soon as its own C differs, before D and
+the update, so it is each protocol's one C check.  Its tag phase,
+``accept_<protocol>``, returns (D, staged) or None, and ``respond`` is the
+tag body around it.
 
 A tag phase also takes ``derived``: the reader's derivation of the session,
 ``(reader_begin's arguments, C, (D, staged))``, or None when no reader ran.
 The tag of an honest session recovers the very nonces the reader drew, so
-its C, D and staged tuple would be the reader's, computed again; its accept
-phase compares the inputs it has recovered with ``derived[0]`` and, on a
-match, only compares C.  Otherwise (a tampered message, other nonces, no
-reader) it calls the protocol's ``reader_begin`` itself, Gossamer's with the
-C it received, which refuses it at C, so each protocol derives a session in
-one place.  The match is exact, so a miss costs time, never correctness.
+its C, D and staged tuple would be the reader's, computed again.  Each tag
+phase recovers its ``reader_begin`` arguments and hands them to ``answer``,
+the one reader of ``derived``: on a match it only compares C; otherwise (a
+tampered message, other nonces, no reader) it calls ``reader_begin`` with
+the C received, so each protocol derives a session in one place.  The
+match is exact, so a miss costs time, never correctness.
 """
 
 from dataclasses import dataclass
@@ -81,8 +84,19 @@ def respond(tag: TagState, accept, a: Word96, b: Word96, c: Word96,
     """Authenticate the reader from A||B||C with the protocol's ``accept``
     phase, called on the announced tuple, the id and ``derived``: emit D and
     commit on its answer (D, staged), or return None with the state untouched."""
-    answer = accept(*tuple_of(tag, tag.last_announced), tag.id, a, b, c, derived)
-    if answer is None:
+    found = accept(*tuple_of(tag, tag.last_announced), tag.id, a, b, c, derived)
+    if found is None:
         return None
-    rotate(tag, tag.last_announced, answer[1])
-    return answer[0]
+    rotate(tag, tag.last_announced, found[1])
+    return found[0]
+
+
+def answer(begin, key: tuple, c: Word96, derived: tuple | None) -> Answer:
+    """The answer of a tag phase that recovered ``key``, the arguments of its
+    protocol's ``begin`` (``reader_begin``), and received ``c``: (D, staged)
+    from ``derived`` when the reader derived it from ``key``, else from
+    ``begin(*key, c)``; None when C differs."""
+    if derived is not None and derived[0] == key:
+        return derived[2] if derived[1] == c else None
+    session = begin(*key, c)
+    return None if session is None else session[3:5]

@@ -48,13 +48,13 @@ def _peels(x: int, k: int, q: int, c: int) -> list[int]:
 @functools.cache
 def confirm_unforced():
     """The ``confirm_zero_key`` row of ``gossamer.PHASES`` rendered without its
-    forcing and block columns, compiled: ``confirm(k1, k2, n1, n2, n3, n1p, c)``
-    gives (K1*, K2*) of one original-variant session with any keys, or None
-    when the rebuilt C differs from c."""
+    forcing and block columns, compiled: ``confirm(k1, k2, n1, n2, n3, n1p,
+    sent)`` gives (K1*, K2*) of one original-variant session with any keys,
+    or None when the rebuilt C differs from the sent C."""
     ((_, variant, targets, tail, *_),) = [row for row in gossamer.PHASES
                                           if row[0].startswith("def confirm_zero_key(")]
     rows = gossamer.PHASES
-    gossamer.PHASES = (("def confirm(k1, k2, n1, n2, n3, n1p, c):", variant, targets, tail),)
+    gossamer.PHASES = (("def confirm(k1, k2, n1, n2, n3, n1p, sent):", variant, targets, tail),)
     try:
         code = gossamer.render()
     finally:

@@ -882,6 +882,36 @@ class TestMalformedInput:
         assert code == 2
         assert "t.jsonl: line 1: malformed (ValueError: b: null" in caplog.text
 
+    # outcome, and whether its transcript may carry a D word, a null D: a D
+    # crossed the air when the reader judged one, none when the tag refused or
+    # was never reached, and either when it was dropped (a replayed A||B||C
+    # writes the tag's D)
+    @pytest.mark.parametrize("d", ["0" * 23 + "1", None], ids=["word", "null"])
+    @pytest.mark.parametrize("outcome, word, null", [
+        ("mutual_success", True, False), ("tag_rejected", True, False),
+        ("reader_rejected", False, True), ("lookup_failed", False, True),
+        ("d_dropped", True, True)])
+    def test_transcript_d_contradicting_outcome(self, tmp_path, capsys, caplog, outcome,
+                                                word, null, d):
+        abc = None if outcome == "lookup_failed" else "0" * 24
+        entry = {"variant": "gossamer", "session": 0, "ids": "0" * 24, "a": abc, "b": abc,
+                 "c": abc, "d": d, "outcome": outcome, "bits": 136}
+        line = json.dumps(entry, separators=(",", ":"))
+        fits = word if d is not None else null
+        message = f"d: {'null' if d is None else 'a word'}, but outcome is {outcome}"
+        for read, record in ((simulator.transcript_from_line, line),
+                             (simulator.transcript_from_dict, entry)):
+            if fits:
+                assert read(record).d == (d and int(d, 16))
+            else:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    read(record)
+        out = tmp_path / "t.jsonl"
+        out.write_text(line + "\n")
+        assert run_cli(capsys, "attack", "gossamer-1", "--input", str(out))[0] == (
+            0 if fits else 2)
+        assert (f"t.jsonl: line 1: malformed (ValueError: {message}" in caplog.text) != fits
+
     @pytest.mark.parametrize("field, code", [
         ("tag_pre", 2), ("tag_post", 2), ("reader_pre", 0), ("reader_post", 0)])
     def test_ground_truth_null_snapshot(self, tmp_path, capsys, caplog, field, code):

@@ -673,15 +673,20 @@ def test_mixbits_calls_accepted_3_rejected_2(monkeypatch, variant, flip, entry):
         assert len(calls) == 2 * searched + (not flip)
 
 
-@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("variant", [*Variant, pytest.param(None, id="sasi")])
 @given(id_=edge_words, ids=edge_words, k1=edge_keys, k2=edge_keys, n1=edge_words,
        n2=edge_words, bit=st.integers(0, 95))
 @settings(max_examples=100, deadline=None)
 def test_reader_begin_given_the_sent_c(variant, id_, ids, k1, k2, n1, n2, bit):
     # given its own C, reader_begin returns the whole session; given any
-    # other, None, once it has called MixBits for n3 and n1' only
-    session = gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant)
-    assert gossamer.reader_begin(ids, k1, k2, id_, n1, n2, variant, session[2]) == session
+    # other, None, once a Gossamer reader_begin has called MixBits for n3 and
+    # n1' only (SASI has no MixBits)
+    module, extra = (sasi, ()) if variant is None else (gossamer, (variant,))
+    session = module.reader_begin(ids, k1, k2, id_, n1, n2, *extra)
+    assert module.reader_begin(ids, k1, k2, id_, n1, n2, *extra, session[2]) == session
+    if variant is None:
+        assert module.reader_begin(ids, k1, k2, id_, n1, n2, session[2] ^ 1 << bit) is None
+        return
     name, calls = f"mixbits_{variant.value}", []
     real = getattr(gossamer, name)
     with pytest.MonkeyPatch.context() as patch:
@@ -698,7 +703,7 @@ def test_reader_begin_given_the_sent_c(variant, id_, ids, k1, k2, n1, n2, bit):
 def test_a_tag_derives_only_through_reader_begin(monkeypatch, protocol, flip, entry):
     # reader_begin is each protocol's one derivation: without the reader's
     # derivation a tag phase calls it once per candidate, refused or not, and
-    # a Gossamer tag's call carries the C it received, at which reader_begin
+    # every tag's call carries the C it received, at which reader_begin
     # refuses the candidate.  Given the derivation, the reader's own
     # candidate calls it not at all
     if protocol == "sasi":
@@ -718,8 +723,7 @@ def test_a_tag_derives_only_through_reader_begin(monkeypatch, protocol, flip, en
                             lambda *args: candidates.append(args[:6]) or real_auth(*args))
     assert accept(IDS, K1, K2, ID, a, b, c ^ flip, derived) == (None if flip else (d, staged))
     assert key[:6] in candidates
-    sent = (c ^ flip,) if extra else ()
-    assert begun == [(*found, *extra, *sent) for found in candidates
+    assert begun == [(*found, *extra, c ^ flip) for found in candidates
                      if not (entry and found == key[:6])]
 
 

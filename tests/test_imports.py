@@ -52,25 +52,30 @@ def test_attacks_import_only_gossamer_and_word96():
     assert within <= ATTACKS_MAY_IMPORT
 
 
-def callers(name: str) -> set[tuple[str, str]]:
-    """(module, function) of each function in the package that calls ``name``,
-    bare or as an attribute; a call outside any function is the module's,
+def functions_with(match) -> set[tuple[str, str]]:
+    """(module, function) of each function in the package with a node that
+    ``match`` accepts; a node outside any function is the module's,
     ``<module>``."""
     found = set()
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                found.add((module, function))
+        elif match(node):
+            found.add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
     for path in MODULES:
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
     return found
+
+
+def callers(name: str) -> set[tuple[str, str]]:
+    """(module, function) of each function in the package that calls ``name``,
+    bare or as an attribute (``functions_with``)."""
+    return functions_with(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_one_function_runs_the_mixbits_lane_passes():
@@ -80,3 +85,12 @@ def test_one_function_runs_the_mixbits_lane_passes():
     # miss as one lane, with no chain, so the round loop is written once too
     assert callers("mixbits_original_lanes") == {("gossamer", "mixbits_passes"),
                                                  ("word96", "mixbits_original")}
+
+
+def test_one_function_reads_the_readers_derivation():
+    # each tag phase hands the reader_begin arguments it recovered, with the
+    # reader's derivation, to tagstate.answer, the one code that reads it
+    assert callers("answer") == {("sasi", "accept_sasi"), ("gossamer", "accept_original"),
+                                 ("gossamer", "derive_auth")}
+    assert functions_with(lambda node: isinstance(node, ast.Subscript) and getattr(
+        node.value, "id", None) == "derived") == {("tagstate", "answer")}

@@ -581,6 +581,14 @@ variants = (st.sampled_from([p.value for p in Protocol])
 snapshots = st.builds(StateSnapshot, words, words, words, words, words, words)
 
 
+def d_agrees(t: Transcript) -> bool:
+    """Whether ``t``'s D fits its outcome, as the transcript readers require:
+    a word with mutual_success and tag_rejected, null with reader_rejected
+    and lookup_failed, either with d_dropped."""
+    return t.outcome is Outcome.D_DROPPED or (t.d is not None) == (
+        t.outcome in (Outcome.MUTUAL_SUCCESS, Outcome.TAG_REJECTED))
+
+
 @st.composite
 def transcripts(draw):
     outcome = draw(st.sampled_from(Outcome))
@@ -635,7 +643,7 @@ class TestLineWriters:
              "outcome": t.outcome.value, "bits": t.bit_cost}
         assert transcript_line(t) == json.dumps(d, separators=(",", ":")) + "\n"
         assert transcript_to_dict(t) == d
-        if t.d is not None or t.outcome is not Outcome.MUTUAL_SUCCESS:
+        if d_agrees(t):
             assert transcript_from_dict(d) == t
 
     @settings(max_examples=300)
@@ -761,7 +769,7 @@ class TestLineReaders:
         assert loads.called == (json.dumps(t.variant) != f'"{t.variant}"')
         abc = {t.a is None, t.b is None, t.c is None}
         valid = (abc == {False} or abc == {True} and t.outcome is Outcome.LOOKUP_FAILED) \
-            and not (t.d is None and t.outcome is Outcome.MUTUAL_SUCCESS)
+            and d_agrees(t)
         if valid:
             assert got == t
         else:
